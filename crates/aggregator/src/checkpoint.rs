@@ -17,7 +17,7 @@
 //! * **corruption detection**: a truncated or garbage file is reported
 //!   as [`CheckpointError::Corrupt`], never a panic.
 
-use crate::pipeline::RunRecord;
+use crate::pipeline::{intern_hosts, RunRecord};
 use flow::HostTable;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -233,13 +233,7 @@ impl Checkpointer {
     /// persist an aggregator's live master table, which may hold hosts
     /// no retained run mentions.
     pub fn save(&self, runs: &[RunRecord]) -> Result<(), CheckpointError> {
-        let mut table = HostTable::new();
-        for run in runs {
-            for h in run.connsets.hosts() {
-                table.intern(h);
-            }
-        }
-        self.save_with_table(runs, &table)
+        self.save_with_table(runs, &intern_hosts(runs))
     }
 
     /// [`Checkpointer::save`] with an explicit master identity table.
@@ -315,12 +309,7 @@ impl Checkpointer {
             // ingestion performed, so the rebuilt ids match.
             let runs: Vec<RunRecord> = serde_json::from_str(payload)
                 .map_err(|e| CheckpointError::Corrupt(format!("payload rejected: {e}")))?;
-            let mut table = HostTable::new();
-            for run in &runs {
-                for h in run.connsets.hosts() {
-                    table.intern(h);
-                }
-            }
+            let table = intern_hosts(&runs);
             return Ok((runs, table));
         }
         let doc: CheckpointDoc = serde_json::from_str(payload)

@@ -32,7 +32,41 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use storage::{
     decode_line_payload, AppendLogBackend, NamespaceProfile, Pruned, Retention, StorageBackend,
 };
-use telemetry::{Event, FieldValue};
+use telemetry::{Event, FieldValue, Recorder};
+
+/// The two observers a pipeline component may carry: the in-memory
+/// [`Recorder`] (registry, spans, and the `/events` journal) and the
+/// durable [`FlightRecorder`]. Either, both, or neither is attached.
+/// The aggregator holds one, and so does the wire listener, which
+/// usually shares the aggregator's flight recorder.
+#[derive(Default)]
+pub(crate) struct Observer {
+    pub(crate) recorder: Option<Arc<Recorder>>,
+    pub(crate) flight: Option<Arc<FlightRecorder>>,
+}
+
+impl Observer {
+    /// Journals one event to every attached observer, flight recorder
+    /// first. `fields` runs only when an observer is attached, so a
+    /// detached pipeline builds no field vectors at all.
+    pub(crate) fn event(
+        &self,
+        layer: &'static str,
+        name: &'static str,
+        fields: impl FnOnce() -> Vec<(&'static str, FieldValue)>,
+    ) {
+        match (self.recorder.as_deref(), self.flight.as_deref()) {
+            (Some(r), Some(f)) => {
+                let fields = fields();
+                f.append_in_layer(layer, name, fields.clone());
+                r.events().record(layer, name, fields);
+            }
+            (Some(r), None) => r.events().record(layer, name, fields()),
+            (None, Some(f)) => f.append_in_layer(layer, name, fields()),
+            (None, None) => {}
+        }
+    }
+}
 
 /// Appends aggregator events to a durable journal. All methods take
 /// `&self` (the backend is internally synchronized, counters are

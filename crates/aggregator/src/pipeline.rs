@@ -18,7 +18,7 @@ use crate::alerts::{
     checkpoint_fallback_alert, degraded_window_alert, role_churn_alert, Alert, ChurnPolicy,
 };
 use crate::checkpoint::{CheckpointError, Checkpointer, Recovery, RecoverySource};
-use crate::flight::FlightRecorder;
+use crate::flight::{FlightRecorder, Observer};
 use crate::probe::Probe;
 use crate::store::RunStore;
 use crate::supervisor::{PollOutcome, ProbeHealth, ProbeReport, ProbeSupervisor, SupervisorConfig};
@@ -28,7 +28,7 @@ use roleclass::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use telemetry::{FieldValue, Recorder, TimeseriesRing};
+use telemetry::{Recorder, Registry, TimeseriesRing};
 
 /// Every metric the aggregator registers, in export (sorted) order. The
 /// workspace metric-name lint checks uniqueness and prefixing against
@@ -63,43 +63,6 @@ pub const AGGREGATOR_EVENT_NAMES: &[&str] = &[
     "roleclass_aggregator_window_classified",
     "roleclass_aggregator_window_started",
 ];
-
-/// Sends one event to both observers: the in-memory journal on the
-/// recorder (for `/events` and `rcctl metrics`) and the durable flight
-/// recorder (for post-crash forensics). A free function rather than a
-/// method so call sites inside loops that hold `&mut self.probes` can
-/// still emit through disjoint field borrows. With neither observer
-/// attached the call sites skip field construction entirely, so the
-/// detached pipeline stays allocation-free.
-fn emit(
-    rec: Option<&Recorder>,
-    flight: Option<&FlightRecorder>,
-    name: &'static str,
-    fields: Vec<(&'static str, FieldValue)>,
-) {
-    emit_in_layer(rec, flight, "aggregator", name, fields);
-}
-
-/// [`emit`] with an explicit journal layer — the stability observatory
-/// dual-journals its `roleclass_stability_*` events under the
-/// `stability` layer through the same two observers.
-fn emit_in_layer(
-    rec: Option<&Recorder>,
-    flight: Option<&FlightRecorder>,
-    layer: &'static str,
-    name: &'static str,
-    fields: Vec<(&'static str, FieldValue)>,
-) {
-    match (rec, flight) {
-        (Some(r), Some(f)) => {
-            f.append_in_layer(layer, name, fields.clone());
-            r.events().record(layer, name, fields);
-        }
-        (Some(r), None) => r.events().record(layer, name, fields),
-        (None, Some(f)) => f.append_in_layer(layer, name, fields),
-        (None, None) => {}
-    }
-}
 
 /// Buckets for backbone scores (fractions in `[0, 1]`).
 const SCORE_BUCKETS: &[f64] = &[0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
@@ -202,6 +165,20 @@ pub struct RunRecord {
     pub health: WindowHealth,
 }
 
+/// The identity table live ingestion built for `runs`: each run's hosts
+/// interned in order. Every window interns its member addresses sorted,
+/// so replaying that sequence reproduces the [`flow::HostId`]s the
+/// original aggregator assigned.
+pub(crate) fn intern_hosts(runs: &[RunRecord]) -> HostTable {
+    let mut table = HostTable::new();
+    for run in runs {
+        for h in run.connsets.hosts() {
+            table.intern(h);
+        }
+    }
+    table
+}
+
 /// The aggregator.
 pub struct Aggregator {
     config: AggregatorConfig,
@@ -214,12 +191,10 @@ pub struct Aggregator {
     /// restarts.
     host_table: HostTable,
     next_window_start: u64,
-    recorder: Option<Arc<Recorder>>,
-    /// Durable event journal written alongside the checkpoint; `None`
-    /// keeps the pipeline free of any journaling IO. Held in an [`Arc`]
-    /// so a [`transport::WireListener`](crate::transport::WireListener)
-    /// can journal its session provenance into the same file.
-    flight: Option<Arc<FlightRecorder>>,
+    /// The telemetry recorder (shared with the engine) and the durable
+    /// flight journal. With neither attached the pipeline does no
+    /// observability work: no clock reads, no event allocation, no IO.
+    observer: Observer,
     /// Operational alerts raised by the aggregator itself (degraded
     /// windows, checkpoint fallbacks, role churn), queued until a
     /// consumer drains them with [`Aggregator::take_alerts`].
@@ -265,6 +240,64 @@ struct ProfileBaseline {
     kernel_secs: f64,
 }
 
+impl ProfileBaseline {
+    /// This cycle's `roleclass_profile_*` values: stage seconds (from
+    /// the `_seconds` histograms the stages observe) over work counters,
+    /// both as deltas since the previous attached cycle, plus the
+    /// cycle's allocation delta since `alloc0`. Advances the baseline to
+    /// the current totals.
+    fn advance(&mut self, reg: &Registry, alloc0: (u64, u64)) -> [(&'static str, f64); 6] {
+        let seconds = |name: &str| reg.histogram(name, telemetry::DURATION_BUCKETS).sum();
+        let now = ProfileBaseline {
+            correlate_secs: seconds("roleclass_engine_correlate_seconds"),
+            candidates: reg
+                .counter("roleclass_engine_correlate_candidates_total")
+                .get(),
+            evals: reg
+                .counter("roleclass_engine_correlate_similarity_evals_total")
+                .get(),
+            merge_secs: seconds("roleclass_engine_merge_seconds"),
+            heap_pops: reg.counter("roleclass_engine_merge_heap_pops_total").get(),
+            kernel_secs: seconds("roleclass_kernel_build_seconds"),
+        };
+        let base = std::mem::replace(self, now);
+        let (bytes_now, allocs_now) = telemetry::alloc_counters();
+        let correlate_secs = now.correlate_secs - base.correlate_secs;
+        [
+            (
+                "roleclass_profile_correlate_ns_per_candidate",
+                unit_ns(correlate_secs, now.candidates - base.candidates),
+            ),
+            (
+                "roleclass_profile_correlate_ns_per_eval",
+                unit_ns(correlate_secs, now.evals - base.evals),
+            ),
+            (
+                "roleclass_profile_cycle_alloc_bytes",
+                bytes_now.wrapping_sub(alloc0.0) as f64,
+            ),
+            (
+                "roleclass_profile_cycle_allocs",
+                allocs_now.wrapping_sub(alloc0.1) as f64,
+            ),
+            (
+                "roleclass_profile_kernel_ns_per_pair",
+                unit_ns(
+                    now.kernel_secs - base.kernel_secs,
+                    reg.gauge("roleclass_kernel_base_pairs").get().max(0) as u64,
+                ),
+            ),
+            (
+                "roleclass_profile_merge_ns_per_pop",
+                unit_ns(
+                    now.merge_secs - base.merge_secs,
+                    now.heap_pops - base.heap_pops,
+                ),
+            ),
+        ]
+    }
+}
+
 /// `delta_secs / delta_work` in nanoseconds per unit; zero when the
 /// cycle did no work of this kind (no correlation on the first window,
 /// say) so the series stays dense and plottable.
@@ -301,8 +334,7 @@ impl Aggregator {
             history: Arc::new(RwLock::new(Vec::new())),
             host_table: HostTable::new(),
             next_window_start: next,
-            recorder: None,
-            flight: None,
+            observer: Observer::default(),
             pending_alerts: Vec::new(),
             stability,
             stability_history: Vec::new(),
@@ -318,55 +350,30 @@ impl Aggregator {
     /// (`aggregator.run_cycle` → `engine.run_window` → `engine.form` →
     /// `kernel.build`, …) and one registry covers every layer.
     pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> Self {
-        self.set_recorder(Some(recorder));
+        self.engine.set_recorder(Some(Arc::clone(&recorder)));
+        self.observer.recorder = Some(recorder);
         self
-    }
-
-    /// Attaches or detaches the telemetry recorder (shared with the
-    /// engine).
-    pub fn set_recorder(&mut self, recorder: Option<Arc<Recorder>>) {
-        self.engine.set_recorder(recorder.clone());
-        self.recorder = recorder;
     }
 
     /// The attached telemetry recorder, if any.
     pub fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.recorder.as_ref()
+        self.observer.recorder.as_ref()
     }
 
     /// Attaches a durable flight recorder (builder style). Every event
-    /// the aggregator emits is also appended to its JSONL journal, so
-    /// the decision trail survives a crash; conventionally opened at
-    /// [`Checkpointer::journal_path`] so journal and checkpoint live
-    /// side by side.
-    pub fn with_flight_recorder(mut self, flight: FlightRecorder) -> Self {
-        self.set_flight_recorder(Some(flight));
-        self
-    }
-
-    /// Attaches or detaches the durable flight recorder.
-    pub fn set_flight_recorder(&mut self, flight: Option<FlightRecorder>) {
-        self.flight = flight.map(Arc::new);
-    }
-
-    /// Attaches an already-shared flight recorder (builder style), so
-    /// the aggregator and a wire listener journal into one file with a
-    /// single sequence.
+    /// the aggregator emits is also appended to its journal, so the
+    /// decision trail survives a crash. The handle is shared so the
+    /// aggregator and a [`transport::WireListener`](crate::transport::WireListener)
+    /// journal into one file with a single sequence; a standalone
+    /// journal conventionally lives at [`Checkpointer::journal_path`].
     pub fn with_shared_flight_recorder(mut self, flight: Arc<FlightRecorder>) -> Self {
-        self.flight = Some(flight);
+        self.observer.flight = Some(flight);
         self
     }
 
     /// The attached flight recorder, if any.
     pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.flight.as_deref()
-    }
-
-    /// A shareable handle to the attached flight recorder, if any —
-    /// what a [`transport::WireListener`](crate::transport::WireListener)
-    /// takes to dual-journal transport events.
-    pub fn shared_flight_recorder(&self) -> Option<Arc<FlightRecorder>> {
-        self.flight.clone()
+        self.observer.flight.as_deref()
     }
 
     /// Attaches a durable per-window run store (builder style). Every
@@ -376,16 +383,6 @@ impl Aggregator {
     pub fn with_run_store(mut self, store: Arc<RunStore>) -> Self {
         self.run_store = Some(store);
         self
-    }
-
-    /// Attaches or detaches the run store.
-    pub fn set_run_store(&mut self, store: Option<Arc<RunStore>>) {
-        self.run_store = store;
-    }
-
-    /// The attached run store, if any.
-    pub fn run_store(&self) -> Option<&Arc<RunStore>> {
-        self.run_store.as_ref()
     }
 
     /// Operational alerts raised so far and not yet taken.
@@ -483,8 +480,8 @@ impl Aggregator {
 
     /// Runs one classification cycle over the next window: polls every
     /// probe (through its supervisor), builds connection sets,
-    /// classifies, correlates with the previous run, and records the
-    /// result.
+    /// classifies, correlates with the previous run, scores stability,
+    /// and records the result.
     ///
     /// A probe failure does not abort the cycle: classification runs on
     /// the data that did arrive, and the run's [`WindowHealth`] records
@@ -492,140 +489,144 @@ impl Aggregator {
     ///
     /// Returns the completed [`RunRecord`] (also appended to history).
     pub fn run_cycle(&mut self) -> RunRecord {
-        let recorder = self.recorder.clone();
-        let rec = recorder.as_deref();
-        let _cycle_span = telemetry::span(rec, "aggregator.run_cycle");
+        // An owned handle, so the cycle span stays open across the
+        // `&mut self` stages that nest their own spans under it.
+        let recorder = self.observer.recorder.clone();
+        let _cycle_span = telemetry::span(recorder.as_deref(), "aggregator.run_cycle");
         // Allocation tallies at cycle start, for the per-cycle
         // `roleclass_profile_cycle_alloc_*` delta. Attached cycles only:
         // the detached path performs no profiling reads at all.
-        let cycle_alloc0 = rec.map(|_| telemetry::alloc_counters());
+        let alloc0 = recorder.as_ref().map(|_| telemetry::alloc_counters());
         let window = TimeWindow::new(
             self.next_window_start,
             self.next_window_start + self.config.window_ms,
         );
         self.next_window_start = window.end_ms;
 
-        // With neither observer attached, every `if observing` block is
-        // skipped before its fields vec is built: the detached cycle
-        // performs no event allocation at all.
-        let flight = self.flight.as_deref();
-        let observing = rec.is_some() || flight.is_some();
-        if observing {
-            emit(
-                rec,
-                flight,
-                "roleclass_aggregator_window_started",
-                vec![
-                    ("window_start_ms", window.start_ms.into()),
-                    ("window_end_ms", window.end_ms.into()),
-                    ("probes", self.probes.len().into()),
-                ],
-            );
-        }
+        let (records, mut health) = self.poll(window);
+        let connsets = self.build(records, &mut health);
+        let outcome = self.classify(&connsets);
+        self.score_stability(window, &outcome.grouping, alloc0);
+        let record = self.publish(window, connsets, outcome, health);
+        self.persist_run(&record);
+        record
+    }
 
+    /// Poll stage: journals `window_started`, then polls every probe for
+    /// the window through its supervisor. Failed and skipped probes are
+    /// tallied in the returned [`WindowHealth`], never fatal.
+    fn poll(&mut self, window: TimeWindow) -> (Vec<FlowRecord>, WindowHealth) {
+        let obs = &self.observer;
+        obs.event("aggregator", "roleclass_aggregator_window_started", || {
+            vec![
+                ("window_start_ms", window.start_ms.into()),
+                ("window_end_ms", window.end_ms.into()),
+                ("probes", self.probes.len().into()),
+            ]
+        });
         let mut health = WindowHealth {
             probes_total: self.probes.len(),
             ..WindowHealth::default()
         };
         let mut records: Vec<FlowRecord> = Vec::new();
-        {
-            let _poll_span = telemetry::span(rec, "aggregator.poll");
-            for s in &mut self.probes {
-                let started = rec.map(|_| std::time::Instant::now());
-                match s.poll_window(window.start_ms, window.end_ms) {
-                    PollOutcome::Delivered {
-                        records: delivered,
-                        retries,
-                    } => {
-                        health.retries += retries as u64;
-                        records.extend(delivered);
-                    }
-                    PollOutcome::Failed { error, retries } => {
-                        health.retries += retries as u64;
-                        health.probes_failed += 1;
-                        if observing {
-                            emit(
-                                rec,
-                                flight,
-                                "roleclass_aggregator_probe_poll_failed",
-                                vec![
-                                    ("probe", s.name().into()),
-                                    ("error", error.to_string().into()),
-                                    ("retries", (retries as u64).into()),
-                                ],
-                            );
-                        }
-                        health.errors.push(format!("{}: {error}", s.name()));
-                    }
-                    PollOutcome::Skipped => {
-                        health.probes_skipped += 1;
-                        if observing {
-                            emit(
-                                rec,
-                                flight,
-                                "roleclass_aggregator_probe_poll_skipped",
-                                vec![("probe", s.name().into())],
-                            );
-                        }
-                    }
+        let rec = obs.recorder.as_deref();
+        let _span = telemetry::span(rec, "aggregator.poll");
+        for s in &mut self.probes {
+            let started = rec.map(|_| std::time::Instant::now());
+            match s.poll_window(window.start_ms, window.end_ms) {
+                PollOutcome::Delivered {
+                    records: delivered,
+                    retries,
+                } => {
+                    health.retries += retries as u64;
+                    records.extend(delivered);
                 }
-                if let (Some(r), Some(t0)) = (rec, started) {
-                    r.registry()
-                        .histogram(
-                            "roleclass_aggregator_poll_seconds",
-                            telemetry::DURATION_BUCKETS,
-                        )
-                        .observe(t0.elapsed().as_secs_f64());
+                PollOutcome::Failed { error, retries } => {
+                    health.retries += retries as u64;
+                    health.probes_failed += 1;
+                    obs.event(
+                        "aggregator",
+                        "roleclass_aggregator_probe_poll_failed",
+                        || {
+                            vec![
+                                ("probe", s.name().into()),
+                                ("error", error.to_string().into()),
+                                ("retries", (retries as u64).into()),
+                            ]
+                        },
+                    );
+                    health.errors.push(format!("{}: {error}", s.name()));
+                }
+                PollOutcome::Skipped => {
+                    health.probes_skipped += 1;
+                    obs.event(
+                        "aggregator",
+                        "roleclass_aggregator_probe_poll_skipped",
+                        || vec![("probe", s.name().into())],
+                    );
                 }
             }
-        }
-        let connsets = {
-            let _build_span = telemetry::span(rec, "aggregator.build");
-            let mut builder = ConnsetBuilder::new().min_flows(self.config.min_flows);
-            builder.add_records(records.iter());
-            // Built against the master table, so hosts keep the dense id
-            // they were first assigned, across every window.
-            let (connsets, build_stats) = builder.build_with_telemetry(&mut self.host_table, rec);
-            health.records_accepted = build_stats.kept_flows;
-            health.records_dropped = build_stats.dropped_flows;
-            connsets
-        };
-
-        // The engine classifies, correlates against its retained
-        // snapshot of the previous window, and keeps the new snapshot
-        // warm for the next cycle ([`adopt_history`] re-anchors it when
-        // history is replaced wholesale). It shares this aggregator's
-        // recorder, so its spans nest under `aggregator.run_cycle`.
-        let outcome = self.engine.run_window(&connsets);
-
-        // Stability scoring runs every cycle, attached or detached: it
-        // feeds the churn alerts and the CLI/HTTP surfaces, not just
-        // telemetry, and running it unconditionally keeps detached and
-        // attached pipelines bit-identical by construction. No new span
-        // is opened here — the cycle's child-span shape is pinned by
-        // tests — so the cost is tracked on
-        // `roleclass_stability_update_seconds` instead.
-        let stab_t0 = std::time::Instant::now();
-        let stab = self.stability.observe(&outcome.grouping);
-        let stab_elapsed = stab_t0.elapsed();
-
-        // Hysteresis: a collapsed group alerts once per episode. The id
-        // stays latched while its backbone remains below the threshold
-        // and re-arms when the group recovers or retires.
-        let mut churn_alerts: Vec<Alert> = Vec::new();
-        for g in &stab.groups {
-            if self.config.churn.collapsed(g) {
-                if self.churn_alerted.insert(g.group) {
-                    churn_alerts.extend(role_churn_alert(&self.config.churn, window, g));
-                }
-            } else {
-                self.churn_alerted.remove(&g.group);
+            if let (Some(r), Some(t0)) = (rec, started) {
+                r.registry()
+                    .histogram(
+                        "roleclass_aggregator_poll_seconds",
+                        telemetry::DURATION_BUCKETS,
+                    )
+                    .observe(t0.elapsed().as_secs_f64());
             }
         }
-        let current: BTreeSet<GroupId> = stab.groups.iter().map(|g| g.group).collect();
-        self.churn_alerted.retain(|g| current.contains(g));
+        (records, health)
+    }
 
-        if let Some(r) = rec {
+    /// Build stage: connection sets built against the master table, so
+    /// hosts keep the dense id they were first assigned, across every
+    /// window.
+    fn build(&mut self, records: Vec<FlowRecord>, health: &mut WindowHealth) -> ConnectionSets {
+        let rec = self.observer.recorder.as_deref();
+        let _span = telemetry::span(rec, "aggregator.build");
+        let mut builder = ConnsetBuilder::new().min_flows(self.config.min_flows);
+        builder.add_records(records.iter());
+        let (connsets, build_stats) = builder.build_with_telemetry(&mut self.host_table, rec);
+        health.records_accepted = build_stats.kept_flows;
+        health.records_dropped = build_stats.dropped_flows;
+        connsets
+    }
+
+    /// Classify stage: the engine classifies, correlates against its
+    /// retained snapshot of the previous window, and keeps the new
+    /// snapshot warm for the next cycle ([`Aggregator::adopt_history`]
+    /// re-anchors it when history is replaced wholesale). It shares this
+    /// aggregator's recorder, so its spans nest under
+    /// `aggregator.run_cycle`.
+    fn classify(&mut self, connsets: &ConnectionSets) -> WindowOutcome {
+        self.engine.run_window(connsets)
+    }
+
+    /// Score stage: cross-window stability over the published grouping,
+    /// the RoleChurn latch and its alerts, and the window's timeseries
+    /// frame. It runs every cycle, attached or detached: it feeds the
+    /// churn alerts and the CLI/HTTP surfaces, not just telemetry, and
+    /// running it unconditionally keeps detached and attached pipelines
+    /// bit-identical by construction. It opens no span — the cycle's
+    /// child-span shape is pinned by tests — so its cost is tracked on
+    /// `roleclass_stability_update_seconds` instead.
+    fn score_stability(
+        &mut self,
+        window: TimeWindow,
+        grouping: &Grouping,
+        alloc0: Option<(u64, u64)>,
+    ) {
+        let t0 = std::time::Instant::now();
+        let stab = self.stability.observe(grouping);
+        let elapsed = t0.elapsed();
+        let churn_alerts: Vec<Alert> = self
+            .latch_churn(&stab)
+            .into_iter()
+            .filter_map(|g| role_churn_alert(&self.config.churn, window, g))
+            .collect();
+
+        let obs = &self.observer;
+        if let Some(r) = obs.recorder.as_deref() {
             let reg = r.registry();
             reg.counter("roleclass_stability_windows_total").inc();
             reg.counter("roleclass_stability_role_churn_alerts_total")
@@ -653,39 +654,29 @@ impl Aggregator {
                 "roleclass_stability_update_seconds",
                 telemetry::DURATION_BUCKETS,
             )
-            .observe(stab_elapsed.as_secs_f64());
+            .observe(elapsed.as_secs_f64());
         }
-        if observing {
-            emit_in_layer(
-                rec,
-                flight,
-                "stability",
-                "roleclass_stability_window_scored",
+        obs.event("stability", "roleclass_stability_window_scored", || {
+            vec![
+                ("window_start_ms", window.start_ms.into()),
+                ("hosts", stab.hosts.into()),
+                ("churned_hosts", stab.churned_hosts.into()),
+                ("groups_new", stab.new_groups.into()),
+                ("groups_retired", stab.retired_groups.into()),
+                ("backbone_min", stab.backbone_min.into()),
+                ("backbone_mean", stab.backbone_mean.into()),
+            ]
+        });
+        for g in stab.groups.iter().filter(|g| g.persistence >= 2) {
+            obs.event("stability", "roleclass_stability_group_scored", || {
                 vec![
-                    ("window_start_ms", window.start_ms.into()),
-                    ("hosts", stab.hosts.into()),
-                    ("churned_hosts", stab.churned_hosts.into()),
-                    ("groups_new", stab.new_groups.into()),
-                    ("groups_retired", stab.retired_groups.into()),
-                    ("backbone_min", stab.backbone_min.into()),
-                    ("backbone_mean", stab.backbone_mean.into()),
-                ],
-            );
-            for g in stab.groups.iter().filter(|g| g.persistence >= 2) {
-                emit_in_layer(
-                    rec,
-                    flight,
-                    "stability",
-                    "roleclass_stability_group_scored",
-                    vec![
-                        ("group", u64::from(g.group.0).into()),
-                        ("persistence", g.persistence.into()),
-                        ("members", g.members.into()),
-                        ("retained", g.retained.into()),
-                        ("backbone", g.backbone.into()),
-                    ],
-                );
-            }
+                    ("group", u64::from(g.group.0).into()),
+                    ("persistence", g.persistence.into()),
+                    ("members", g.members.into()),
+                    ("retained", g.retained.into()),
+                    ("backbone", g.backbone.into()),
+                ]
+            });
         }
         // The ring is always fed — it is bounded, cheap, and what the
         // live `/stability?follow` stream replays.
@@ -707,103 +698,34 @@ impl Aggregator {
             ),
             ("roleclass_stability_hosts", stab.hosts as f64),
         ];
-        // Work-normalized unit costs: this cycle's stage seconds (from
-        // the `_seconds` histograms the stages observe) divided by this
-        // cycle's work counters. They exist only on attached cycles —
+        // Work-normalized unit costs exist only on attached cycles —
         // detached runs take no timings to normalize — so the parity
         // tests compare frames modulo the `roleclass_profile_` prefix.
-        if let (Some(r), Some(alloc0)) = (rec, cycle_alloc0) {
+        if let (Some(r), Some(alloc0)) = (obs.recorder.as_deref(), alloc0) {
             let reg = r.registry();
-            let correlate_secs = reg
-                .histogram(
-                    "roleclass_engine_correlate_seconds",
-                    telemetry::DURATION_BUCKETS,
-                )
-                .sum();
-            let candidates = reg
-                .counter("roleclass_engine_correlate_candidates_total")
-                .get();
-            let evals = reg
-                .counter("roleclass_engine_correlate_similarity_evals_total")
-                .get();
-            let merge_secs = reg
-                .histogram(
-                    "roleclass_engine_merge_seconds",
-                    telemetry::DURATION_BUCKETS,
-                )
-                .sum();
-            let heap_pops = reg.counter("roleclass_engine_merge_heap_pops_total").get();
-            let kernel_secs = reg
-                .histogram(
-                    "roleclass_kernel_build_seconds",
-                    telemetry::DURATION_BUCKETS,
-                )
-                .sum();
-            let base = self.profile_base;
-            let (bytes_now, allocs_now) = telemetry::alloc_counters();
-            let profile = [
-                (
-                    "roleclass_profile_correlate_ns_per_candidate",
-                    unit_ns(
-                        correlate_secs - base.correlate_secs,
-                        candidates - base.candidates,
-                    ),
-                ),
-                (
-                    "roleclass_profile_correlate_ns_per_eval",
-                    unit_ns(correlate_secs - base.correlate_secs, evals - base.evals),
-                ),
-                (
-                    "roleclass_profile_cycle_alloc_bytes",
-                    bytes_now.wrapping_sub(alloc0.0) as f64,
-                ),
-                (
-                    "roleclass_profile_cycle_allocs",
-                    allocs_now.wrapping_sub(alloc0.1) as f64,
-                ),
-                (
-                    "roleclass_profile_kernel_ns_per_pair",
-                    unit_ns(
-                        kernel_secs - base.kernel_secs,
-                        reg.gauge("roleclass_kernel_base_pairs").get().max(0) as u64,
-                    ),
-                ),
-                (
-                    "roleclass_profile_merge_ns_per_pop",
-                    unit_ns(merge_secs - base.merge_secs, heap_pops - base.heap_pops),
-                ),
-            ];
-            for (name, v) in profile {
+            for (name, v) in self.profile_base.advance(reg, alloc0) {
                 reg.gauge(name).set(v as i64);
                 frame_values.push((name, v));
             }
-            self.profile_base = ProfileBaseline {
-                correlate_secs,
-                candidates,
-                evals,
-                merge_secs,
-                heap_pops,
-                kernel_secs,
-            };
         }
         self.timeseries.record(stab.window, frame_values);
         self.stability_history.push(stab);
         for alert in churn_alerts {
-            if observing {
-                emit(
-                    rec,
-                    flight,
-                    "roleclass_aggregator_alert_raised",
-                    vec![
-                        ("severity", alert.severity.label().into()),
-                        ("kind", alert.kind.label().into()),
-                    ],
-                );
-            }
-            self.pending_alerts.push(alert);
+            self.raise(alert);
         }
+    }
 
-        if let Some(r) = rec {
+    /// Publish stage: the cycle's aggregator counters, the
+    /// `window_classified` event, a degraded-window alert when input was
+    /// missing, and the run appended to the shared history.
+    fn publish(
+        &mut self,
+        window: TimeWindow,
+        connsets: ConnectionSets,
+        outcome: WindowOutcome,
+        health: WindowHealth,
+    ) -> RunRecord {
+        if let Some(r) = self.observer.recorder.as_deref() {
             let reg = r.registry();
             reg.counter("roleclass_aggregator_cycles_total").inc();
             reg.counter("roleclass_aggregator_poll_failures_total")
@@ -837,11 +759,10 @@ impl Aggregator {
             correlation: outcome.correlation,
             health,
         };
-        if observing {
-            emit(
-                rec,
-                flight,
-                "roleclass_aggregator_window_classified",
+        self.observer.event(
+            "aggregator",
+            "roleclass_aggregator_window_classified",
+            || {
                 vec![
                     ("window_start_ms", record.window.start_ms.into()),
                     ("window_end_ms", record.window.end_ms.into()),
@@ -851,76 +772,60 @@ impl Aggregator {
                     ("records_dropped", record.health.records_dropped.into()),
                     ("degraded", record.health.degraded().into()),
                     ("correlated", record.correlation.is_some().into()),
-                ],
-            );
-        }
+                ]
+            },
+        );
         if let Some(alert) = degraded_window_alert(&record) {
-            if observing {
-                emit(
-                    rec,
-                    flight,
-                    "roleclass_aggregator_alert_raised",
-                    vec![
-                        ("severity", alert.severity.label().into()),
-                        ("kind", alert.kind.label().into()),
-                    ],
-                );
-            }
-            self.pending_alerts.push(alert);
+            self.raise(alert);
         }
         self.history.write().push(record.clone());
-        self.persist_run(&record);
         record
     }
 
-    /// Appends one classified window to the attached run store (if
+    /// Persist stage: appends the window to the attached run store (if
     /// any), applies its retention policy, and threads both through
     /// telemetry: `roleclass_storage_*` counters on the registry plus
-    /// `storage`-layer events in the journals. Storage failures are
-    /// deliberately swallowed — durability problems must not fail a
-    /// classification cycle — and surface through the backend's own
-    /// error reporting on the next explicit checkpoint instead.
+    /// `storage`-layer events in the journals. A failed append or prune
+    /// never fails the cycle — durability problems must not stop
+    /// classification — but each one is counted on
+    /// `roleclass_storage_errors_total` when a recorder is attached.
+    /// Nothing retries it: the checkpoint writes a different namespace.
     fn persist_run(&self, record: &RunRecord) {
         let Some(store) = self.run_store.as_ref() else {
             return;
         };
-        let rec = self.recorder.as_deref();
-        let flight = self.flight.as_deref();
-        let observing = rec.is_some() || flight.is_some();
-        if let Ok(Some(bytes)) = store.record(record) {
-            if let Some(r) = rec {
-                let reg = r.registry();
-                reg.counter("roleclass_storage_appends_total").inc();
-                reg.counter("roleclass_storage_bytes_appended_total")
-                    .add(bytes);
+        match store.record(record) {
+            Ok(Some(bytes)) => {
+                if let Some(r) = self.observer.recorder.as_deref() {
+                    let reg = r.registry();
+                    reg.counter("roleclass_storage_appends_total").inc();
+                    reg.counter("roleclass_storage_bytes_appended_total")
+                        .add(bytes);
+                }
+                self.observer
+                    .event("storage", "roleclass_storage_history_recorded", || {
+                        vec![
+                            ("window_start_ms", record.window.start_ms.into()),
+                            ("bytes", bytes.into()),
+                            ("backend", store.backend().name().into()),
+                        ]
+                    });
             }
-            if observing {
-                emit_in_layer(
-                    rec,
-                    flight,
-                    "storage",
-                    "roleclass_storage_history_recorded",
-                    vec![
-                        ("window_start_ms", record.window.start_ms.into()),
-                        ("bytes", bytes.into()),
-                        ("backend", store.backend().name().into()),
-                    ],
-                );
-            }
+            Ok(None) => {}
+            Err(_) => self.count_storage_error(),
         }
-        if let Ok(pruned) = store.prune() {
-            if !pruned.is_empty() {
-                self.note_prune("runs", pruned);
-            }
-        }
+        self.note_prune("runs", store.prune());
     }
 
-    /// Counts and journals one retention prune (from the run store or
-    /// the flight journal).
-    fn note_prune(&self, target: &'static str, pruned: storage::Pruned) {
-        let rec = self.recorder.as_deref();
-        let flight = self.flight.as_deref();
-        if let Some(r) = rec {
+    /// Counts and journals one retention prune (of the run store or the
+    /// flight journal). A failed prune counts as a storage error.
+    fn note_prune(&self, target: &'static str, pruned: storage::Result<storage::Pruned>) {
+        let pruned = match pruned {
+            Ok(p) if p.is_empty() => return,
+            Ok(p) => p,
+            Err(_) => return self.count_storage_error(),
+        };
+        if let Some(r) = self.observer.recorder.as_deref() {
             let reg = r.registry();
             reg.counter("roleclass_storage_prunes_total").inc();
             reg.counter("roleclass_storage_prune_records_total")
@@ -928,19 +833,55 @@ impl Aggregator {
             reg.counter("roleclass_storage_prune_bytes_total")
                 .add(pruned.bytes);
         }
-        if rec.is_some() || flight.is_some() {
-            emit_in_layer(
-                rec,
-                flight,
-                "storage",
-                "roleclass_storage_retention_pruned",
+        self.observer
+            .event("storage", "roleclass_storage_retention_pruned", || {
                 vec![
                     ("target", target.into()),
                     ("records", pruned.records.into()),
                     ("bytes", pruned.bytes.into()),
-                ],
-            );
+                ]
+            });
+    }
+
+    /// Counts one failed run-store or journal operation.
+    fn count_storage_error(&self) {
+        if let Some(r) = self.observer.recorder.as_deref() {
+            r.registry().counter("roleclass_storage_errors_total").inc();
         }
+    }
+
+    /// Queues an operational alert and journals its `alert_raised`
+    /// event.
+    fn raise(&mut self, alert: Alert) {
+        self.observer
+            .event("aggregator", "roleclass_aggregator_alert_raised", || {
+                vec![
+                    ("severity", alert.severity.label().into()),
+                    ("kind", alert.kind.label().into()),
+                ]
+            });
+        self.pending_alerts.push(alert);
+    }
+
+    /// Advances the RoleChurn hysteresis latch over one window's
+    /// stability row and returns the groups that newly collapsed. A
+    /// collapsed group alerts once per episode: its id stays latched
+    /// while the backbone remains below the threshold and re-arms when
+    /// the group recovers or retires.
+    fn latch_churn<'s>(&mut self, stab: &'s WindowStability) -> Vec<&'s GroupStability> {
+        let mut collapsed = Vec::new();
+        for g in &stab.groups {
+            if self.config.churn.collapsed(g) {
+                if self.churn_alerted.insert(g.group) {
+                    collapsed.push(g);
+                }
+            } else {
+                self.churn_alerted.remove(&g.group);
+            }
+        }
+        let current: BTreeSet<GroupId> = stab.groups.iter().map(|g| g.group).collect();
+        self.churn_alerted.retain(|g| current.contains(g));
+        collapsed
     }
 
     /// Runs cycles until no probe has pending data; returns the number
@@ -1005,19 +946,11 @@ impl Aggregator {
     /// Replaces the history with `runs`; the next window resumes after
     /// the last one, and the engine's correlation anchor is re-pointed
     /// at it so group ids stay stable across the import. Returns the
-    /// number of adopted runs.
-    ///
-    /// The master identity table is rebuilt by re-interning each run's
-    /// hosts in order — the same intern sequence live ingestion performed
-    /// (each window interns its member addresses sorted), so the rebuilt
-    /// [`flow::HostId`]s match the ones the original aggregator assigned.
+    /// number of adopted runs. The master identity table is rebuilt
+    /// from the runs' hosts, reproducing the ids live ingestion
+    /// assigned.
     pub fn adopt_history(&mut self, runs: Vec<RunRecord>) -> usize {
-        let mut table = HostTable::new();
-        for run in &runs {
-            for h in run.connsets.hosts() {
-                table.intern(h);
-            }
-        }
+        let table = intern_hosts(&runs);
         self.adopt_history_with_table(runs, table)
     }
 
@@ -1046,15 +979,7 @@ impl Aggregator {
         self.churn_alerted.clear();
         for run in &runs {
             let stab = self.stability.observe(&run.grouping);
-            for g in &stab.groups {
-                if self.config.churn.collapsed(g) {
-                    self.churn_alerted.insert(g.group);
-                } else {
-                    self.churn_alerted.remove(&g.group);
-                }
-            }
-            let current: BTreeSet<GroupId> = stab.groups.iter().map(|g| g.group).collect();
-            self.churn_alerted.retain(|g| current.contains(g));
+            self.latch_churn(&stab);
             self.stability_history.push(stab);
         }
         let n = runs.len();
@@ -1066,7 +991,8 @@ impl Aggregator {
     /// write-then-rename; the previous checkpoint survives as the
     /// backup generation).
     pub fn checkpoint(&self, ck: &Checkpointer) -> Result<(), CheckpointError> {
-        let rec = self.recorder.as_deref();
+        let obs = &self.observer;
+        let rec = obs.recorder.as_deref();
         let _span = telemetry::span(rec, "aggregator.checkpoint");
         let started = rec.map(|_| std::time::Instant::now());
         let result = ck.save_with_table(&self.history.read(), &self.host_table);
@@ -1082,26 +1008,20 @@ impl Aggregator {
             )
             .observe(t0.elapsed().as_secs_f64());
         }
-        let flight = self.flight.as_deref();
-        if rec.is_some() || flight.is_some() {
-            emit(
-                rec,
-                flight,
-                "roleclass_aggregator_checkpoint_written",
+        obs.event(
+            "aggregator",
+            "roleclass_aggregator_checkpoint_written",
+            || {
                 vec![
                     ("runs", self.history.read().len().into()),
                     ("ok", result.is_ok().into()),
-                ],
-            );
-        }
+                ]
+            },
+        );
         // The checkpoint is the natural durability beat: bound the
         // flight journal's growth here, counting what was dropped.
-        if let Some(f) = self.flight.as_deref() {
-            if let Ok(pruned) = f.prune() {
-                if !pruned.is_empty() {
-                    self.note_prune("journal", pruned);
-                }
-            }
+        if let Some(f) = obs.flight.as_deref() {
+            self.note_prune("journal", f.prune());
         }
         result
     }
@@ -1117,7 +1037,7 @@ impl Aggregator {
     /// recorder is attached, on the
     /// `roleclass_aggregator_checkpoint_fallbacks_total` counter.
     pub fn restore_from(&mut self, ck: &Checkpointer) -> Recovery {
-        let recorder = self.recorder.clone();
+        let recorder = self.observer.recorder.clone();
         let rec = recorder.as_deref();
         let _span = telemetry::span(rec, "aggregator.restore");
         let recovery = ck.load_or_recover();
@@ -1129,32 +1049,18 @@ impl Aggregator {
                     .inc();
             }
         }
-        let flight = self.flight.as_deref();
-        let observing = rec.is_some() || flight.is_some();
-        if observing {
-            emit(
-                rec,
-                flight,
-                "roleclass_aggregator_checkpoint_restored",
+        self.observer.event(
+            "aggregator",
+            "roleclass_aggregator_checkpoint_restored",
+            || {
                 vec![
                     ("source", recovery.source.as_str().into()),
                     ("runs", recovery.runs.len().into()),
-                ],
-            );
-        }
+                ]
+            },
+        );
         if let Some(alert) = checkpoint_fallback_alert(&recovery) {
-            if observing {
-                emit(
-                    rec,
-                    flight,
-                    "roleclass_aggregator_alert_raised",
-                    vec![
-                        ("severity", alert.severity.label().into()),
-                        ("kind", alert.kind.label().into()),
-                    ],
-                );
-            }
-            self.pending_alerts.push(alert);
+            self.raise(alert);
         }
         self.adopt_history_with_table(recovery.runs.clone(), recovery.table.clone());
         recovery
@@ -1517,7 +1423,9 @@ mod tests {
         let rec = Arc::new(telemetry::Recorder::new());
         let mut agg = Aggregator::new(config())
             .with_recorder(Arc::clone(&rec))
-            .with_flight_recorder(FlightRecorder::open(ck.journal_path()).unwrap());
+            .with_shared_flight_recorder(Arc::new(
+                FlightRecorder::open(ck.journal_path()).unwrap(),
+            ));
         agg.attach(Box::new(ReplayProbe::new("good", day_trace(0, 3))));
         agg.attach(Box::new(DownProbe));
         agg.run_cycle();
@@ -1563,8 +1471,9 @@ mod tests {
 
         // A restarted aggregator reopens the journal and extends it;
         // the restore itself is journaled.
-        let mut fresh = Aggregator::new(config())
-            .with_flight_recorder(FlightRecorder::open(ck.journal_path()).unwrap());
+        let mut fresh = Aggregator::new(config()).with_shared_flight_recorder(Arc::new(
+            FlightRecorder::open(ck.journal_path()).unwrap(),
+        ));
         let recovery = fresh.restore_from(&ck);
         assert_eq!(recovery.source, RecoverySource::Primary);
         let lines = read_journal_lines(ck.journal_path()).unwrap();
@@ -1589,6 +1498,66 @@ mod tests {
         agg.run_cycle();
         assert!(agg.recorder().is_none());
         assert!(agg.flight_recorder().is_none());
+    }
+
+    /// A memory backend whose appends fail, like a full disk.
+    #[derive(Debug)]
+    struct FullDisk(storage::MemoryBackend);
+
+    impl storage::StorageBackend for FullDisk {
+        fn name(&self) -> &'static str {
+            "full-disk"
+        }
+        fn define(&self, ns: &str, profile: storage::NamespaceProfile) -> storage::Result<()> {
+            self.0.define(ns, profile)
+        }
+        fn append(&self, _: &str, _: u64, _: &[u8]) -> storage::Result<u64> {
+            Err(storage::StorageError::Io(std::io::Error::other(
+                "disk full",
+            )))
+        }
+        fn commit(&self, batch: &[storage::BatchEntry]) -> storage::Result<()> {
+            self.0.commit(batch)
+        }
+        fn get(&self, ns: &str, key: u64) -> storage::Result<Option<Vec<u8>>> {
+            self.0.get(ns, key)
+        }
+        fn scan(&self, ns: &str, lo: u64, hi: u64) -> storage::Result<Vec<storage::Record>> {
+            self.0.scan(ns, lo, hi)
+        }
+        fn latest(&self, ns: &str) -> storage::Result<Option<storage::Record>> {
+            self.0.latest(ns)
+        }
+        fn len(&self, ns: &str) -> storage::Result<u64> {
+            self.0.len(ns)
+        }
+        fn retain(&self, ns: &str) -> storage::Result<storage::Pruned> {
+            self.0.retain(ns)
+        }
+        fn flush(&self) -> storage::Result<()> {
+            self.0.flush()
+        }
+    }
+
+    #[test]
+    fn failed_run_store_append_is_counted_not_fatal() {
+        let store = RunStore::open(
+            Arc::new(FullDisk(storage::MemoryBackend::new())),
+            "runs",
+            storage::NamespaceProfile::log(storage::Retention::unbounded()),
+        )
+        .unwrap();
+        let rec = Arc::new(telemetry::Recorder::new());
+        let mut agg = Aggregator::new(config())
+            .with_recorder(Arc::clone(&rec))
+            .with_run_store(Arc::new(store));
+        agg.attach(Box::new(ReplayProbe::new("p0", day_trace(0, 3))));
+        let run = agg.run_cycle();
+        assert_eq!(run.grouping.host_count(), 10);
+        assert_eq!(agg.history().read().len(), 1);
+        let reg = rec.registry();
+        assert_eq!(reg.counter("roleclass_storage_errors_total").get(), 1);
+        assert_eq!(reg.counter("roleclass_storage_appends_total").get(), 0);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use super::frame::{self, encode_reject, Frame, FrameError, FrameType, Hello, WindowPayload};
 use super::TransportConfig;
-use crate::flight::FlightRecorder;
+use crate::flight::{FlightRecorder, Observer};
 use crate::probe::{Probe, ProbeError};
 use flow::FlowRecord;
 use std::collections::{BTreeMap, HashMap};
@@ -71,8 +71,7 @@ struct Shared {
     state: Mutex<State>,
     cv: Condvar,
     config: TransportConfig,
-    recorder: Option<Arc<Recorder>>,
-    flight: Option<Arc<FlightRecorder>>,
+    observer: Observer,
     shutdown: AtomicBool,
 }
 
@@ -81,23 +80,13 @@ fn lock<'a>(m: &'a Mutex<State>) -> MutexGuard<'a, State> {
 }
 
 impl Shared {
-    /// Dual-writes one transport event, mirroring the aggregator's
-    /// `emit`: the in-memory journal for `/events`, the durable flight
-    /// recorder for post-crash forensics.
-    fn emit(&self, name: &'static str, fields: Vec<(&'static str, FieldValue)>) {
-        match (self.recorder.as_deref(), self.flight.as_deref()) {
-            (Some(r), Some(f)) => {
-                f.append_in_layer("transport", name, fields.clone());
-                r.events().record("transport", name, fields);
-            }
-            (Some(r), None) => r.events().record("transport", name, fields),
-            (None, Some(f)) => f.append_in_layer("transport", name, fields),
-            (None, None) => {}
-        }
+    /// Journals one `transport`-layer event to the attached observers.
+    fn emit(&self, name: &'static str, fields: impl FnOnce() -> Vec<(&'static str, FieldValue)>) {
+        self.observer.event("transport", name, fields);
     }
 
     fn count(&self, name: &'static str, n: u64) {
-        if let Some(r) = &self.recorder {
+        if let Some(r) = &self.observer.recorder {
             r.registry().counter(name).add(n);
         }
     }
@@ -136,8 +125,7 @@ impl WireListener {
             }),
             cv: Condvar::new(),
             config,
-            recorder,
-            flight,
+            observer: Observer { recorder, flight },
             shutdown: AtomicBool::new(false),
         });
         let accept_shared = Arc::clone(&shared);
@@ -293,32 +281,29 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
         Handshake::Accepted(id, next) => {
             if hello.resume_session == 0 {
                 shared.count("roleclass_transport_sessions_opened_total", 1);
-                shared.emit(
-                    "roleclass_transport_probe_session_opened",
-                    vec![("probe", probe.as_str().into()), ("session", id.into())],
-                );
+                shared.emit("roleclass_transport_probe_session_opened", || {
+                    vec![("probe", probe.as_str().into()), ("session", id.into())]
+                });
             } else {
                 shared.count("roleclass_transport_sessions_resumed_total", 1);
-                shared.emit(
-                    "roleclass_transport_probe_session_resumed",
+                shared.emit("roleclass_transport_probe_session_resumed", || {
                     vec![
                         ("probe", probe.as_str().into()),
                         ("session", id.into()),
                         ("resume_seq", next.into()),
-                    ],
-                );
+                    ]
+                });
             }
             (id, next)
         }
         Handshake::Rejected(reason) => {
             shared.count("roleclass_transport_sessions_rejected_total", 1);
-            shared.emit(
-                "roleclass_transport_probe_session_rejected",
+            shared.emit("roleclass_transport_probe_session_rejected", || {
                 vec![
                     ("probe", probe.as_str().into()),
                     ("reason", reason.as_str().into()),
-                ],
-            );
+                ]
+            });
             let mut reject = Frame::control(FrameType::Reject, hello.resume_session, 0);
             reject.payload = encode_reject(&reason);
             let _ = write_frame(&mut stream, &reject);
@@ -377,14 +362,13 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 };
                 drop(state);
                 shared.cv.notify_all();
-                shared.emit(
-                    "roleclass_transport_probe_session_closed",
+                shared.emit("roleclass_transport_probe_session_closed", || {
                     vec![
                         ("probe", probe.as_str().into()),
                         ("session", session_id.into()),
                         ("frames", frames.into()),
-                    ],
-                );
+                    ]
+                });
                 return Ok(());
             }
             FrameType::Batch | FrameType::WindowEnd => {
@@ -445,14 +429,13 @@ fn accept_sequenced(shared: &Shared, probe: &str, frame: &Frame) -> Sequenced {
         let (expected, ack) = (sess.next_seq, sess.next_seq);
         drop(state);
         shared.count("roleclass_transport_gap_frames_total", 1);
-        shared.emit(
-            "roleclass_transport_sequence_gap",
+        shared.emit("roleclass_transport_sequence_gap", || {
             vec![
                 ("probe", probe.into()),
                 ("expected", expected.into()),
                 ("got", frame.seq.into()),
-            ],
-        );
+            ]
+        });
         return Sequenced::Gap(ack);
     }
     let wp = match payload {
@@ -494,15 +477,14 @@ fn accept_sequenced(shared: &Shared, probe: &str, frame: &Frame) -> Sequenced {
     drop(state);
     if let Some(records) = completed {
         shared.count("roleclass_transport_windows_completed_total", 1);
-        shared.emit(
-            "roleclass_transport_window_received",
+        shared.emit("roleclass_transport_window_received", || {
             vec![
                 ("probe", probe.into()),
                 ("window_start_ms", key.0.into()),
                 ("window_end_ms", key.1.into()),
                 ("records", records.into()),
-            ],
-        );
+            ]
+        });
         shared.cv.notify_all();
     }
     Sequenced::Accepted(ack)

@@ -71,24 +71,10 @@ impl Classification {
     }
 }
 
-/// Runs the complete role classification algorithm (Section 4): group
-/// formation followed by group merging.
-///
-/// This is the panicking convenience wrapper around [`try_classify`];
-/// prefer the fallible variant (or [`Engine`](crate::engine::Engine),
-/// which validates once and caches cross-window state) in code whose
-/// parameters come from users or configuration.
-///
-/// # Panics
-///
-/// Panics if `params` fail [`Params::validate`].
-#[deprecated(note = "use try_classify (or Engine, which validates once)")]
-pub fn classify(cs: &ConnectionSets, params: &Params) -> Classification {
-    try_classify(cs, params).expect("invalid parameters")
-}
-
-/// Fallible entry point of the full classification: validates `params`,
-/// then runs formation and merging.
+/// Runs the complete role classification algorithm (Section 4): validates
+/// `params`, then runs group formation followed by group merging. An
+/// [`Engine`](crate::engine::Engine) validates once instead and caches
+/// cross-window state.
 pub fn try_classify(cs: &ConnectionSets, params: &Params) -> Result<Classification, ParamError> {
     params.validate()?;
     Ok(classify_validated(cs, params))
@@ -196,11 +182,6 @@ mod tests {
         HostAddr::v4(x)
     }
 
-    // Shadows the deprecated panicking wrapper for the tests below.
-    fn classify(cs: &ConnectionSets, params: &Params) -> Classification {
-        try_classify(cs, params).unwrap()
-    }
-
     fn figure1() -> ConnectionSets {
         let mut cs = ConnectionSets::new();
         for s in [11, 12, 13] {
@@ -218,7 +199,7 @@ mod tests {
 
     #[test]
     fn classify_runs_both_phases() {
-        let c = classify(&figure1(), &Params::default());
+        let c = try_classify(&figure1(), &Params::default()).unwrap();
         assert!(!c.formation_trace.is_empty());
         assert!(!c.merge_trace.is_empty());
         assert_eq!(c.grouping.host_count(), 10);
@@ -227,7 +208,7 @@ mod tests {
 
     #[test]
     fn neighborhoods_reference_valid_groups() {
-        let c = classify(&figure1(), &Params::default());
+        let c = try_classify(&figure1(), &Params::default()).unwrap();
         for nb in &c.neighborhoods {
             assert!(c.grouping.group(nb.id).is_some());
             for &(nbr, avg) in &nb.neighbors {
@@ -242,7 +223,7 @@ mod tests {
         // At high S^lo nothing merges; the sales group's average number
         // of connections to the {Mail, Web} group is 2 per member.
         let p = Params::default().with_s_lo(90.0).with_s_hi(95.0);
-        let c = classify(&figure1(), &p);
+        let c = try_classify(&figure1(), &p).unwrap();
         let sales_id = c.grouping.group_of(h(11)).unwrap();
         let mw_id = c.grouping.group_of(h(1)).unwrap();
         let nb = c.neighborhoods.iter().find(|n| n.id == sales_id).unwrap();
@@ -264,7 +245,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let c = classify(&ConnectionSets::new(), &Params::default());
+        let c = try_classify(&ConnectionSets::new(), &Params::default()).unwrap();
         assert!(c.grouping.is_empty());
         assert!(c.neighborhoods.is_empty());
     }
@@ -272,7 +253,7 @@ mod tests {
     #[test]
     fn dot_export_names_every_group_once() {
         let p = Params::default().with_s_lo(90.0).with_s_hi(95.0);
-        let c = classify(&figure1(), &p);
+        let c = try_classify(&figure1(), &p).unwrap();
         let dot = c.to_dot("fig1");
         assert!(dot.starts_with("graph \"fig1\" {"));
         for g in c.grouping.groups() {

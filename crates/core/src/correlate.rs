@@ -302,29 +302,9 @@ fn neighbor_group_similarity(
 /// `prev_cs`/`curr_cs` must be the connection sets the respective
 /// groupings were computed from.
 ///
-/// This is the panicking convenience wrapper around [`try_correlate`];
-/// prefer the fallible variant (or
-/// [`Engine::run_window`](crate::engine::Engine::run_window), which
-/// validates once and correlates automatically) in code whose
-/// parameters come from users or configuration.
-///
-/// # Panics
-///
-/// Panics if `params` fail validation.
-#[deprecated(note = "use try_correlate (or Engine::run_window, which validates once)")]
-pub fn correlate(
-    prev_cs: &ConnectionSets,
-    prev_grouping: &Grouping,
-    curr_cs: &ConnectionSets,
-    curr_grouping: &Grouping,
-    params: &Params,
-) -> Correlation {
-    try_correlate(prev_cs, prev_grouping, curr_cs, curr_grouping, params)
-        .expect("invalid parameters")
-}
-
-/// Fallible entry point of role correlation: validates `params`, then
-/// correlates.
+/// Validates `params`, then correlates;
+/// [`Engine::run_window`](crate::engine::Engine::run_window) validates
+/// once and correlates each window automatically.
 pub fn try_correlate(
     prev_cs: &ConnectionSets,
     prev_grouping: &Grouping,
@@ -595,25 +575,10 @@ pub fn apply_correlation(corr: &Correlation, curr: &Grouping) -> Grouping {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::{try_classify, Classification};
+    use crate::classify::try_classify;
 
     fn h(x: u32) -> HostAddr {
         HostAddr::v4(x)
-    }
-
-    // Shadow the deprecated panicking wrappers for the tests below.
-    fn classify(cs: &ConnectionSets, params: &Params) -> Classification {
-        try_classify(cs, params).unwrap()
-    }
-
-    fn correlate(
-        prev_cs: &ConnectionSets,
-        prev_grouping: &Grouping,
-        curr_cs: &ConnectionSets,
-        curr_grouping: &Grouping,
-        params: &Params,
-    ) -> Correlation {
-        try_correlate(prev_cs, prev_grouping, curr_cs, curr_grouping, params).unwrap()
     }
 
     /// Figure 1 network (M = N = 3), same layout as the other modules.
@@ -640,8 +605,8 @@ mod tests {
     #[test]
     fn self_correlation_is_identity() {
         let cs = figure1();
-        let c = classify(&cs, &params());
-        let corr = correlate(&cs, &c.grouping, &cs, &c.grouping, &params());
+        let c = try_classify(&cs, &params()).unwrap();
+        let corr = try_correlate(&cs, &c.grouping, &cs, &c.grouping, &params()).unwrap();
         assert_eq!(corr.id_map.len(), c.grouping.group_count());
         for (a, b) in &corr.id_map {
             assert_eq!(a, b);
@@ -659,9 +624,9 @@ mod tests {
         let mut curr = figure1();
         curr.remove_host(h(13));
         curr.add_pair(h(99), h(1));
-        let gp = classify(&prev, &params()).grouping;
-        let gc = classify(&curr, &params()).grouping;
-        let corr = correlate(&prev, &gp, &curr, &gc, &params());
+        let gp = try_classify(&prev, &params()).unwrap().grouping;
+        let gc = try_classify(&curr, &params()).unwrap().grouping;
+        let corr = try_correlate(&prev, &gp, &curr, &gc, &params()).unwrap();
         assert!(corr.removed_hosts.contains(&h(13)));
         assert!(corr.added_hosts.contains(&h(99)));
     }
@@ -684,9 +649,9 @@ mod tests {
             curr.add_pair(h(e), h(2));
             curr.add_pair(h(e), h(3)); // src-ctl is now host 3
         }
-        let gp = classify(&prev, &params()).grouping;
-        let gc = classify(&curr, &params()).grouping;
-        let corr = correlate(&prev, &gp, &curr, &gc, &params());
+        let gp = try_classify(&prev, &params()).unwrap().grouping;
+        let gc = try_classify(&curr, &params()).unwrap().grouping;
+        let corr = try_correlate(&prev, &gp, &curr, &gc, &params()).unwrap();
 
         let prev_db = gp.group_of(h(3)).unwrap(); // db group at t-1
         let curr_db = gc.group_of(h(4)).unwrap(); // db group (by role) at t
@@ -715,9 +680,9 @@ mod tests {
             curr.add_pair(h(e), h(9));
             curr.add_pair(h(e), h(4));
         }
-        let gp = classify(&prev, &params()).grouping;
-        let gc = classify(&curr, &params()).grouping;
-        let corr = correlate(&prev, &gp, &curr, &gc, &params());
+        let gp = try_classify(&prev, &params()).unwrap().grouping;
+        let gc = try_classify(&curr, &params()).unwrap().grouping;
+        let corr = try_correlate(&prev, &gp, &curr, &gc, &params()).unwrap();
         // {mail, new-web} inherits the {mail, web} id.
         let prev_mw = gp.group_of(h(1)).unwrap();
         let curr_mw = gc.group_of(h(9)).unwrap();
@@ -734,9 +699,9 @@ mod tests {
             curr.add_pair(h(c), h(40));
             curr.add_pair(h(c), h(41));
         }
-        let gp = classify(&prev, &params()).grouping;
-        let gc = classify(&curr, &params()).grouping;
-        let corr = correlate(&prev, &gp, &curr, &gc, &params());
+        let gp = try_classify(&prev, &params()).unwrap().grouping;
+        let gc = try_classify(&curr, &params()).unwrap().grouping;
+        let corr = try_correlate(&prev, &gp, &curr, &gc, &params()).unwrap();
         assert!(!corr.new_groups.is_empty());
         let renamed = apply_correlation(&corr, &gc);
         // Fresh ids must not collide with any previous id.
@@ -763,7 +728,7 @@ mod tests {
     fn empty_snapshots_correlate_trivially() {
         let cs = ConnectionSets::new();
         let g = Grouping::new(vec![]);
-        let corr = correlate(&cs, &g, &cs, &g, &Params::default());
+        let corr = try_correlate(&cs, &g, &cs, &g, &Params::default()).unwrap();
         assert!(corr.id_map.is_empty());
         assert!(corr.new_groups.is_empty());
         assert!(corr.vanished_groups.is_empty());

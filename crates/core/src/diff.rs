@@ -5,7 +5,7 @@
 //! partitioning and describing the differences between the new
 //! partitioning and the previous partitioning". This module produces
 //! that description for two groupings whose ids have already been
-//! correlated (see [`crate::correlate()`][crate::correlate::correlate]).
+//! correlated (see [`crate::try_correlate()`][crate::correlate::try_correlate]).
 
 use crate::group::{GroupId, Grouping};
 use flow::HostAddr;

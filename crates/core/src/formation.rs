@@ -288,21 +288,7 @@ fn assign_bccs(st: &mut State, strong: Vec<(NodeId, NodeId)>, k: u32, tie_break:
 /// The returned partition is total: every host of `cs` (including
 /// isolated ones) lands in exactly one group.
 ///
-/// This is the panicking convenience wrapper around
-/// [`try_form_groups`]; prefer the fallible variant (or
-/// [`Engine`](crate::engine::Engine), which validates once) in code
-/// whose parameters come from users or configuration.
-///
-/// # Panics
-///
-/// Panics if `params` fail validation.
-#[deprecated(note = "use try_form_groups (or Engine::form, which validates once)")]
-pub fn form_groups(cs: &ConnectionSets, params: &Params) -> FormationResult {
-    try_form_groups(cs, params).expect("invalid parameters")
-}
-
-/// Fallible entry point of the formation phase: validates `params`, then
-/// runs the kernel-backed sweep.
+/// Validates `params`, then runs the kernel-backed sweep.
 pub fn try_form_groups(
     cs: &ConnectionSets,
     params: &Params,
@@ -521,11 +507,6 @@ mod tests {
         HostAddr::v4(x)
     }
 
-    // Shadows the deprecated panicking wrapper for the tests below.
-    fn form_groups(cs: &ConnectionSets, params: &Params) -> FormationResult {
-        try_form_groups(cs, params).unwrap()
-    }
-
     /// The Figure 1 network with M = N = 3:
     /// mail = 1, web = 2, salesdb = 3, srcctl = 4,
     /// sales = 11, 12, 13, eng = 21, 22, 23.
@@ -552,7 +533,7 @@ mod tests {
 
     #[test]
     fn figure2_walkthrough() {
-        let r = form_groups(&figure1(), &Params::default());
+        let r = try_form_groups(&figure1(), &Params::default()).unwrap();
         // Five groups: {mail, web}, sales triangle, eng triangle, and the
         // two database singletons.
         assert_eq!(r.groups.len(), 5);
@@ -566,7 +547,7 @@ mod tests {
 
     #[test]
     fn figure2_k_levels() {
-        let r = form_groups(&figure1(), &Params::default());
+        let r = try_form_groups(&figure1(), &Params::default()).unwrap();
         let find = |m: &[HostAddr]| {
             r.trace
                 .iter()
@@ -590,7 +571,7 @@ mod tests {
 
     #[test]
     fn contracted_graph_has_one_node_per_group() {
-        let r = form_groups(&figure1(), &Params::default());
+        let r = try_form_groups(&figure1(), &Params::default()).unwrap();
         assert_eq!(r.graph.node_count(), r.groups.len());
         assert_eq!(r.node_of_group.len(), r.groups.len());
         // CP between the client groups and the server group is 6 each.
@@ -613,7 +594,7 @@ mod tests {
     #[test]
     fn partition_is_total_and_disjoint() {
         let cs = figure1();
-        let r = form_groups(&cs, &Params::default());
+        let r = try_form_groups(&cs, &Params::default()).unwrap();
         let mut seen = std::collections::BTreeSet::new();
         for g in &r.groups {
             for &m in &g.members {
@@ -627,7 +608,7 @@ mod tests {
     fn isolated_hosts_become_leftover_singletons() {
         let mut cs = figure1();
         cs.add_host(h(99));
-        let r = form_groups(&cs, &Params::default());
+        let r = try_form_groups(&cs, &Params::default()).unwrap();
         let ev = r
             .trace
             .iter()
@@ -647,7 +628,7 @@ mod tests {
         cs.add_pair(h(1), h(11));
         cs.add_pair(h(2), h(10));
         cs.add_pair(h(2), h(11));
-        let r = form_groups(&cs, &Params::default());
+        let r = try_form_groups(&cs, &Params::default()).unwrap();
         let sets = members_sets(&r);
         assert!(sets.contains(&vec![h(1), h(2)]));
         // Servers 10 and 11 also share two common neighbors (1 and 2).
@@ -657,7 +638,7 @@ mod tests {
     #[test]
     fn empty_input_produces_empty_result() {
         let cs = ConnectionSets::new();
-        let r = form_groups(&cs, &Params::default());
+        let r = try_form_groups(&cs, &Params::default()).unwrap();
         assert!(r.groups.is_empty());
         assert!(r.trace.is_empty());
         assert!(r.to_grouping().is_empty());
@@ -681,7 +662,7 @@ mod tests {
             alpha: 0.0,
             ..Params::default()
         };
-        let r = form_groups(&figure1(), &p);
+        let r = try_form_groups(&figure1(), &p).unwrap();
         assert!(r.trace.iter().all(|e| e.kind != FormationKind::Bootstrap));
         // The databases end up as leftovers instead.
         let db = r.trace.iter().find(|e| e.members == vec![h(3)]).unwrap();
@@ -694,8 +675,8 @@ mod tests {
             tie_break: TieBreak::Seeded(123),
             ..Params::default()
         };
-        let a = form_groups(&figure1(), &p);
-        let b = form_groups(&figure1(), &p);
+        let a = try_form_groups(&figure1(), &p).unwrap();
+        let b = try_form_groups(&figure1(), &p).unwrap();
         assert_eq!(members_sets(&a), members_sets(&b));
     }
 
@@ -708,7 +689,7 @@ mod tests {
         for i in 1..=50 {
             cs.add_pair(h(0), h(i));
         }
-        let r = form_groups(&cs, &Params::default());
+        let r = try_form_groups(&cs, &Params::default()).unwrap();
         let spokes: Vec<HostAddr> = (1..=50).map(h).collect();
         let idle = r
             .groups
@@ -744,7 +725,7 @@ mod tests {
             for i in 1..=20 {
                 cs.add_pair(h(50), h(100 + i)); // hub + idle spokes
             }
-            let fast = form_groups(&cs, &params);
+            let fast = try_form_groups(&cs, &params).unwrap();
             let slow = form_groups_reference(&cs, &params);
             assert_eq!(traces(&fast), traces(&slow));
             assert_eq!(members_sets(&fast), members_sets(&slow));
@@ -763,7 +744,7 @@ mod tests {
 
     #[test]
     fn to_grouping_assigns_sequential_ids() {
-        let r = form_groups(&figure1(), &Params::default());
+        let r = try_form_groups(&figure1(), &Params::default()).unwrap();
         let g = r.to_grouping();
         assert_eq!(g.group_count(), 5);
         assert_eq!(g.host_count(), 10);

@@ -252,25 +252,7 @@ fn pair_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
 /// per-host connection counts feed the connection requirement and merged
 /// `K` values).
 ///
-/// This is the panicking convenience wrapper around
-/// [`try_merge_groups`]; prefer the fallible variant (or
-/// [`Engine`](crate::engine::Engine), which validates once) in code
-/// whose parameters come from users or configuration.
-///
-/// # Panics
-///
-/// Panics if `params` fail validation.
-#[deprecated(note = "use try_merge_groups (or Engine, which validates once)")]
-pub fn merge_groups(
-    cs: &ConnectionSets,
-    formation: FormationResult,
-    params: &Params,
-) -> MergeOutcome {
-    try_merge_groups(cs, formation, params).expect("invalid parameters")
-}
-
-/// Fallible entry point of the merging phase: validates `params`, then
-/// merges.
+/// Validates `params`, then merges.
 pub fn try_merge_groups(
     cs: &ConnectionSets,
     formation: FormationResult,
@@ -754,19 +736,6 @@ mod tests {
         HostAddr::v4(x)
     }
 
-    // Shadow the deprecated panicking wrappers for the tests below.
-    fn form_groups(cs: &ConnectionSets, params: &Params) -> FormationResult {
-        try_form_groups(cs, params).unwrap()
-    }
-
-    fn merge_groups(
-        cs: &ConnectionSets,
-        formation: FormationResult,
-        params: &Params,
-    ) -> MergeOutcome {
-        try_merge_groups(cs, formation, params).unwrap()
-    }
-
     /// Figure 1 network, M = N = 3 (see formation tests for the layout).
     fn figure1() -> ConnectionSets {
         let mut cs = ConnectionSets::new();
@@ -784,7 +753,7 @@ mod tests {
     }
 
     fn run(cs: &ConnectionSets, params: &Params) -> MergeOutcome {
-        merge_groups(cs, form_groups(cs, params), params)
+        try_merge_groups(cs, try_form_groups(cs, params).unwrap(), params).unwrap()
     }
 
     #[test]
@@ -891,16 +860,16 @@ mod tests {
     #[test]
     fn merge_trace_matches_group_count_delta() {
         let cs = figure1();
-        let formation = form_groups(&cs, &Params::default());
+        let formation = try_form_groups(&cs, &Params::default()).unwrap();
         let before = formation.groups.len();
-        let out = merge_groups(&cs, formation, &Params::default());
+        let out = try_merge_groups(&cs, formation, &Params::default()).unwrap();
         assert_eq!(before - out.merges.len(), out.grouping.group_count());
     }
 
     #[test]
     fn similarity_is_symmetric_and_bounded() {
         let cs = figure1();
-        let formation = form_groups(&cs, &Params::default());
+        let formation = try_form_groups(&cs, &Params::default()).unwrap();
         let g = &formation.graph;
         let mut info: NodeMap<NodeId, GroupInfo> = NodeMap::default();
         for (idx, pg) in formation.groups.iter().enumerate() {
@@ -942,7 +911,7 @@ mod tests {
     #[test]
     fn try_merge_groups_rejects_invalid_params() {
         let cs = figure1();
-        let formation = form_groups(&cs, &Params::default());
+        let formation = try_form_groups(&cs, &Params::default()).unwrap();
         let bad = Params {
             beta: -1.0,
             ..Params::default()

@@ -3,24 +3,7 @@
 
 use flow::{ConnectionSets, HostAddr};
 use proptest::prelude::*;
-use roleclass::{
-    try_classify, try_form_groups, try_merge_groups, Classification, FormationResult, Grouping,
-    MergeOutcome, Params,
-};
-
-// Local shims over the fallible entry points (the panicking wrappers
-// are deprecated).
-fn classify(cs: &ConnectionSets, p: &Params) -> Classification {
-    try_classify(cs, p).unwrap()
-}
-
-fn form_groups(cs: &ConnectionSets, p: &Params) -> FormationResult {
-    try_form_groups(cs, p).unwrap()
-}
-
-fn merge_groups(cs: &ConnectionSets, formation: FormationResult, p: &Params) -> MergeOutcome {
-    try_merge_groups(cs, formation, p).unwrap()
-}
+use roleclass::{try_classify, try_form_groups, try_merge_groups, Grouping, Params};
 
 fn h(x: u32) -> HostAddr {
     HostAddr::v4(x)
@@ -71,7 +54,7 @@ proptest! {
     #[test]
     fn clean_networks_are_recovered_exactly((cs, truth) in arb_clean_network()) {
         let params = Params::default().with_s_lo(90.0).with_s_hi(95.0);
-        let c = classify(&cs, &params);
+        let c = try_classify(&cs, &params).unwrap();
         for group in &truth {
             let gid = c.grouping.group_of(group[0]);
             prop_assert!(gid.is_some());
@@ -92,10 +75,10 @@ proptest! {
     #[test]
     fn merging_only_coarsens(cs in arb_connsets(50, 100)) {
         let params = Params::default();
-        let formation = form_groups(&cs, &params);
+        let formation = try_form_groups(&cs, &params).unwrap();
         let formed: Vec<Vec<HostAddr>> =
             formation.groups.iter().map(|g| g.members.clone()).collect();
-        let out = merge_groups(&cs, formation, &params);
+        let out = try_merge_groups(&cs, formation, &params).unwrap();
         for members in formed {
             let gid = out.grouping.group_of(members[0]);
             for &m in &members {
@@ -111,7 +94,7 @@ proptest! {
         let mut last = 0usize;
         for s_lo in [0.0, 30.0, 60.0, 90.0] {
             let p = Params::default().with_s_lo(s_lo).with_s_hi(99.0);
-            let c = classify(&cs, &p);
+            let c = try_classify(&cs, &p).unwrap();
             prop_assert!(
                 c.grouping.group_count() >= last,
                 "count dropped at s_lo={}", s_lo
@@ -127,7 +110,7 @@ proptest! {
     /// concrete neighbor sets legitimately end up together).
     #[test]
     fn no_stranger_in_any_group(cs in arb_connsets(40, 80)) {
-        let c = classify(&cs, &Params::default());
+        let c = try_classify(&cs, &Params::default()).unwrap();
         let neighbor_groups = |m: HostAddr| -> std::collections::BTreeSet<_> {
             cs.neighbors(m)
                 .map(|nbrs| {
@@ -157,15 +140,15 @@ proptest! {
     /// Classification is deterministic under the default tie-break.
     #[test]
     fn classification_is_deterministic(cs in arb_connsets(40, 80)) {
-        let a = classify(&cs, &Params::default()).grouping;
-        let b = classify(&cs, &Params::default()).grouping;
+        let a = try_classify(&cs, &Params::default()).unwrap().grouping;
+        let b = try_classify(&cs, &Params::default()).unwrap().grouping;
         prop_assert_eq!(a, b);
     }
 
     /// Group ids are unique and every host resolves back to its group.
     #[test]
     fn grouping_index_is_consistent(cs in arb_connsets(40, 80)) {
-        let g: Grouping = classify(&cs, &Params::default()).grouping;
+        let g: Grouping = try_classify(&cs, &Params::default()).unwrap().grouping;
         for group in g.groups() {
             for &m in &group.members {
                 prop_assert_eq!(g.group_of(m), Some(group.id));

@@ -8,13 +8,8 @@
 use flow::{ConnectionSets, HostAddr};
 use netgraph::{biconnected_components, common_neighbor_min_weights, NodeId, SimpleGraph, WGraph};
 use proptest::prelude::*;
-use roleclass::{try_form_groups, FormationResult, Params};
+use roleclass::{try_form_groups, Params};
 
-// Local shim over the fallible entry point (the panicking wrapper is
-// deprecated).
-fn form_groups(cs: &ConnectionSets, p: &Params) -> FormationResult {
-    try_form_groups(cs, p).unwrap()
-}
 use std::collections::{BTreeSet, HashSet};
 
 /// Literal reference implementation: k from k_max down to 1, step 1.
@@ -136,7 +131,7 @@ proptest! {
     #[test]
     fn jumping_matches_literal_sweep(cs in arb_connsets(30, 70)) {
         let params = Params::default();
-        let fast = form_groups(&cs, &params);
+        let fast = try_form_groups(&cs, &params).unwrap();
         let fast_groups: Vec<(Vec<HostAddr>, u32)> = fast
             .groups
             .iter()
@@ -154,7 +149,7 @@ proptest! {
             alpha,
             ..Params::default()
         };
-        let fast = form_groups(&cs, &params);
+        let fast = try_form_groups(&cs, &params).unwrap();
         let fast_groups: Vec<(Vec<HostAddr>, u32)> = fast
             .groups
             .iter()

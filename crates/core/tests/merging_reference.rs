@@ -9,19 +9,8 @@
 use flow::{ConnectionSets, HostAddr};
 use netgraph::{NodeId, WGraph};
 use proptest::prelude::*;
-use roleclass::{
-    try_form_groups, try_merge_groups, FormationResult, MergeOutcome, Params, SimilarityVariant,
-};
+use roleclass::{try_form_groups, try_merge_groups, Params, SimilarityVariant};
 
-// Local shims over the fallible entry points (the panicking wrappers
-// are deprecated).
-fn form_groups(cs: &ConnectionSets, p: &Params) -> FormationResult {
-    try_form_groups(cs, p).unwrap()
-}
-
-fn merge_groups(cs: &ConnectionSets, formation: FormationResult, p: &Params) -> MergeOutcome {
-    try_merge_groups(cs, formation, p).unwrap()
-}
 use std::collections::{BTreeSet, HashMap};
 
 /// Naive reference for the merging phase. Mirrors the Figure 3
@@ -34,7 +23,7 @@ fn reference_merge(cs: &ConnectionSets, params: &Params) -> BTreeSet<Vec<HostAdd
         sum_deg: u64,
         min_deg: u32,
     }
-    let formation = form_groups(cs, params);
+    let formation = try_form_groups(cs, params).unwrap();
     let mut g: WGraph = formation.graph;
     let mut info: HashMap<NodeId, Info> = HashMap::new();
     for (idx, pg) in formation.groups.iter().enumerate() {
@@ -156,7 +145,7 @@ proptest! {
     #[test]
     fn incremental_merging_matches_naive(cs in arb_connsets(28, 60)) {
         let params = Params::default();
-        let fast = merge_groups(&cs, form_groups(&cs, &params), &params);
+        let fast = try_merge_groups(&cs, try_form_groups(&cs, &params).unwrap(), &params).unwrap();
         let fast_set: BTreeSet<Vec<HostAddr>> = fast
             .grouping
             .groups()
@@ -172,7 +161,7 @@ proptest! {
         // Low thresholds force many merges, stressing the dirty-set
         // bookkeeping through long merge chains.
         let params = Params::default().with_s_lo(10.0).with_s_hi(20.0);
-        let fast = merge_groups(&cs, form_groups(&cs, &params), &params);
+        let fast = try_merge_groups(&cs, try_form_groups(&cs, &params).unwrap(), &params).unwrap();
         let fast_set: BTreeSet<Vec<HostAddr>> = fast
             .grouping
             .groups()

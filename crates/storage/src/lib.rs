@@ -78,6 +78,7 @@ use std::sync::Arc;
 pub const STORAGE_METRIC_NAMES: &[&str] = &[
     "roleclass_storage_appends_total",
     "roleclass_storage_bytes_appended_total",
+    "roleclass_storage_errors_total",
     "roleclass_storage_prune_bytes_total",
     "roleclass_storage_prune_records_total",
     "roleclass_storage_prunes_total",

@@ -27,15 +27,14 @@ fi
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Deprecation-clean gate: the panicking entry points (classify,
-# form_groups, merge_groups, correlate) are deprecated in favor of the
-# try_* forms; workspace code must not call them except where a test
-# deliberately pins the legacy surface under #[allow(deprecated)].
-echo "==> cargo clippy -- -D deprecated (no in-repo callers of deprecated APIs)"
-cargo clippy --workspace --all-targets -- -D deprecated
-
 echo "==> cargo test -q"
 cargo test --workspace -q
+
+# The benchmark harness is a separate crate built against this
+# workspace's public API; its own tests catch an API trim that would
+# otherwise only surface when the benchmark runs.
+echo "==> perfbench harness tests"
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Telemetry must stay a pure observer: registry/span/event unit suites
 # (incl. the Prometheus exposition conformance and event-journal ring

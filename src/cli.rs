@@ -529,10 +529,17 @@ fn load_trace(o: &Options, require_records: bool) -> Result<LoadedTrace, CliErro
 }
 
 fn load_connsets(o: &Options) -> Result<ConnectionSets, CliError> {
-    let trace = load_trace(o, false)?;
+    Ok(build_connsets(o, &load_trace(o, false)?.records))
+}
+
+/// Connection sets from `records`, noise-filtered by `--min-flows`.
+fn build_connsets<'a>(
+    o: &Options,
+    records: impl IntoIterator<Item = &'a FlowRecord>,
+) -> ConnectionSets {
     let mut builder = ConnsetBuilder::new().min_flows(o.min_flows);
-    builder.add_records(trace.records.iter());
-    Ok(builder.build())
+    builder.add_records(records);
+    builder.build()
 }
 
 fn load_snapshot(path: &str) -> Result<Snapshot, CliError> {
@@ -617,6 +624,26 @@ fn open_stack(config: &StorageConfig) -> Result<StorageStack, CliError> {
         .map_err(|e| CliError::runtime(format!("storage at {}: {e}", config.root)))
 }
 
+/// An aggregator configured from the classifying options, windowed
+/// from `origin_ms` by `window_ms`, with `recorder` attached.
+fn build_aggregator(
+    o: &Options,
+    window_ms: u64,
+    origin_ms: u64,
+    recorder: &Arc<Recorder>,
+) -> Result<Aggregator, CliError> {
+    Ok(Aggregator::try_new(AggregatorConfig {
+        window_ms,
+        origin_ms,
+        engine: o.engine_config(),
+        min_flows: o.min_flows,
+        supervisor: SupervisorConfig::immediate(),
+        ..AggregatorConfig::default()
+    })
+    .map_err(|e| CliError::usage(e.to_string()))?
+    .with_recorder(Arc::clone(recorder)))
+}
+
 /// Result of replaying a capture through the full aggregator pipeline
 /// with a recorder attached — shared by `metrics` and `serve`.
 struct Replay {
@@ -649,16 +676,7 @@ fn replay_pipeline(o: &Options) -> Result<Replay, CliError> {
         Some(config) => Some(open_stack(&config)?),
         None => None,
     };
-    let mut agg = Aggregator::try_new(AggregatorConfig {
-        window_ms,
-        origin_ms: trace.origin_ms,
-        engine: o.engine_config(),
-        min_flows: o.min_flows,
-        supervisor: SupervisorConfig::immediate(),
-        ..AggregatorConfig::default()
-    })
-    .map_err(|e| CliError::usage(e.to_string()))?
-    .with_recorder(Arc::clone(&recorder));
+    let mut agg = build_aggregator(o, window_ms, trace.origin_ms, &recorder)?;
     if let Some(stack) = &stack {
         agg = agg
             .with_shared_flight_recorder(Arc::clone(stack.recorder()))
@@ -714,10 +732,7 @@ fn profile_windows(o: &Options) -> Result<Vec<ConnectionSets>, CliError> {
                 span_ms: DAY_MS,
                 ..crate::synthnet::trace::TraceOptions::default()
             };
-            let records = crate::synthnet::trace::expand(&model, opts, 7 + w);
-            let mut builder = ConnsetBuilder::new().min_flows(o.min_flows);
-            builder.add_records(records.iter());
-            builder.build()
+            build_connsets(o, &crate::synthnet::trace::expand(&model, opts, 7 + w))
         })
         .collect())
 }
@@ -734,11 +749,7 @@ fn window_connsets(o: &Options) -> Result<Vec<ConnectionSets>, CliError> {
     }
     Ok(buckets
         .into_iter()
-        .map(|bucket| {
-            let mut builder = ConnsetBuilder::new().min_flows(o.min_flows);
-            builder.add_records(bucket);
-            builder.build()
-        })
+        .map(|bucket| build_connsets(o, bucket))
         .collect())
 }
 
@@ -1105,16 +1116,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 }
                 // Announce before blocking on the first window.
                 println!("ingesting on {bound} (probe {probe:?})");
-                let mut agg = Aggregator::try_new(AggregatorConfig {
-                    window_ms,
-                    origin_ms: o.origin_ms.unwrap_or(0),
-                    engine: o.engine_config(),
-                    min_flows: o.min_flows,
-                    supervisor: SupervisorConfig::immediate(),
-                    ..AggregatorConfig::default()
-                })
-                .map_err(|e| CliError::usage(e.to_string()))?
-                .with_recorder(Arc::clone(&recorder));
+                let mut agg = build_aggregator(&o, window_ms, o.origin_ms.unwrap_or(0), &recorder)?;
                 agg.attach(Box::new(listener.probe(&probe)));
                 let cap = o.max_windows.unwrap_or(u64::MAX);
                 let mut windows: u64 = 0;

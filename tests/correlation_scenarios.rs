@@ -1,10 +1,9 @@
 //! Integration tests for the Figure 5 correlation scenario and the
 //! Section 5.1 hard cases, on the full Mazu network.
 
-use role_classification::flow::{ConnectionSets, HostAddr};
+use role_classification::flow::HostAddr;
 use role_classification::roleclass::{
-    apply_correlation, diff_groupings, try_classify, try_correlate, Classification, Correlation,
-    Grouping, Params,
+    apply_correlation, diff_groupings, try_classify, try_correlate, Params,
 };
 use role_classification::synthnet::{churn, scenarios};
 
@@ -12,26 +11,10 @@ fn params() -> Params {
     Params::default()
 }
 
-// Local shims over the fallible entry points (the panicking wrappers
-// are deprecated).
-fn classify(cs: &ConnectionSets, p: &Params) -> Classification {
-    try_classify(cs, p).unwrap()
-}
-
-fn correlate(
-    prev_cs: &ConnectionSets,
-    prev_g: &Grouping,
-    curr_cs: &ConnectionSets,
-    curr_g: &Grouping,
-    p: &Params,
-) -> Correlation {
-    try_correlate(prev_cs, prev_g, curr_cs, curr_g, p).unwrap()
-}
-
 #[test]
 fn figure5_full_scenario() {
     let original = scenarios::mazu(42);
-    let before = classify(&original.connsets, &params());
+    let before = try_classify(&original.connsets, &params()).unwrap();
 
     let mut changed = original.clone();
     let unix_mail = original.host("unix_mail");
@@ -46,14 +29,15 @@ fn figure5_full_scenario() {
     let new_eng = HostAddr::from_octets(10, 0, 0, 200);
     churn::add_host_like(&mut changed, template_eng, new_eng);
 
-    let after = classify(&changed.connsets, &params());
-    let corr = correlate(
+    let after = try_classify(&changed.connsets, &params()).unwrap();
+    let corr = try_correlate(
         &original.connsets,
         &before.grouping,
         &changed.connsets,
         &after.grouping,
         &params(),
-    );
+    )
+    .unwrap();
     let renamed = apply_correlation(&corr, &after.grouping);
 
     // "Every group in the new results is correlated with an old group."
@@ -102,21 +86,22 @@ fn server_split_correlates_to_original_group() {
     // new machines that do load sharing among client machines. The
     // logical roles of the client machines have not changed."
     let original = scenarios::mazu(42);
-    let before = classify(&original.connsets, &params());
+    let before = try_classify(&original.connsets, &params()).unwrap();
     let mut changed = original.clone();
     let exch = original.host("ms_exchange");
     let r1 = HostAddr::from_octets(10, 0, 3, 1);
     let r2 = HostAddr::from_octets(10, 0, 3, 2);
     churn::split_server(&mut changed, exch, r1, r2);
 
-    let after = classify(&changed.connsets, &params());
-    let corr = correlate(
+    let after = try_classify(&changed.connsets, &params()).unwrap();
+    let corr = try_correlate(
         &original.connsets,
         &before.grouping,
         &changed.connsets,
         &after.grouping,
         &params(),
-    );
+    )
+    .unwrap();
     let renamed = apply_correlation(&corr, &after.grouping);
 
     // The client side keeps its identity.
@@ -136,15 +121,16 @@ fn server_split_correlates_to_original_group() {
 #[test]
 fn no_change_means_empty_diff() {
     let net = scenarios::mazu(7);
-    let a = classify(&net.connsets, &params());
-    let b = classify(&net.connsets, &params());
-    let corr = correlate(
+    let a = try_classify(&net.connsets, &params()).unwrap();
+    let b = try_classify(&net.connsets, &params()).unwrap();
+    let corr = try_correlate(
         &net.connsets,
         &a.grouping,
         &net.connsets,
         &b.grouping,
         &params(),
-    );
+    )
+    .unwrap();
     let renamed = apply_correlation(&corr, &b.grouping);
     let diff = diff_groupings(&a.grouping, &renamed);
     assert!(diff.is_empty(), "diff:\n{}", diff.render());
@@ -154,7 +140,7 @@ fn no_change_means_empty_diff() {
 fn heavy_churn_keeps_majority_of_ids() {
     // Remove 5 hosts, add 5 hosts: most group ids survive.
     let original = scenarios::mazu(42);
-    let before = classify(&original.connsets, &params());
+    let before = try_classify(&original.connsets, &params()).unwrap();
     let mut changed = original.clone();
     for i in 0..5 {
         let victim = changed.role_hosts("lab")[i];
@@ -164,14 +150,15 @@ fn heavy_churn_keeps_majority_of_ids() {
         let template = changed.role_hosts("eng")[i as usize];
         churn::add_host_like(&mut changed, template, HostAddr::from_octets(10, 0, 4, i));
     }
-    let after = classify(&changed.connsets, &params());
-    let corr = correlate(
+    let after = try_classify(&changed.connsets, &params()).unwrap();
+    let corr = try_correlate(
         &original.connsets,
         &before.grouping,
         &changed.connsets,
         &after.grouping,
         &params(),
-    );
+    )
+    .unwrap();
     assert!(
         corr.id_map.len() * 10 >= after.grouping.group_count() * 7,
         "only {}/{} groups correlated",

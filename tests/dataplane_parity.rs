@@ -9,25 +9,9 @@
 //! workloads; a seeded op script exercises the mutators.
 
 use flow::{reference, ConnectionSets, HostAddr, PairStats};
-use roleclass::{try_classify, try_correlate, Classification, Correlation, Grouping, Params};
+use roleclass::{try_classify, try_correlate, Params};
 use std::collections::BTreeSet;
 use synthnet::{churn, scenarios, SyntheticNetwork};
-
-// Local shims over the fallible entry points (the panicking wrappers
-// are deprecated).
-fn classify(cs: &ConnectionSets, p: &Params) -> Classification {
-    try_classify(cs, p).unwrap()
-}
-
-fn correlate(
-    prev_cs: &ConnectionSets,
-    prev_g: &Grouping,
-    curr_cs: &ConnectionSets,
-    curr_g: &Grouping,
-    p: &Params,
-) -> Correlation {
-    try_correlate(prev_cs, prev_g, curr_cs, curr_g, p).unwrap()
-}
 
 /// Rebuilds the map-based spec from scratch so the two representations
 /// share only their logical content, not their construction path.
@@ -193,9 +177,9 @@ fn mutators_agree_under_seeded_op_script() {
 
 fn assert_grouping_parity(name: &str, net: &SyntheticNetwork) {
     let params = Params::default();
-    let fast = classify(&net.connsets, &params);
+    let fast = try_classify(&net.connsets, &params).unwrap();
     let round_tripped = ConnectionSets::from_reference(&rebuild_reference(&net.connsets));
-    let spec = classify(&round_tripped, &params);
+    let spec = try_classify(&round_tripped, &params).unwrap();
     assert_eq!(
         fast.grouping, spec.grouping,
         "{name}: grouping must be bit-identical across data planes"
@@ -272,9 +256,9 @@ fn correlations_are_bit_identical_via_reference_round_trip() {
         let curr = net.connsets.clone();
 
         let run = |p: &ConnectionSets, c: &ConnectionSets| {
-            let pg = classify(p, &params).grouping;
-            let cg = classify(c, &params).grouping;
-            let corr = correlate(p, &pg, c, &cg, &params);
+            let pg = try_classify(p, &params).unwrap().grouping;
+            let cg = try_classify(c, &params).unwrap().grouping;
+            let corr = try_correlate(p, &pg, c, &cg, &params).unwrap();
             serde_json::to_string(&(pg, cg, corr)).expect("serializable")
         };
         let fast = run(&prev, &curr);

@@ -92,7 +92,7 @@ fn degraded_pipeline_produces_every_declared_event_type() {
     })
     .unwrap()
     .with_recorder(Arc::clone(&recorder))
-    .with_flight_recorder(FlightRecorder::open(ck.journal_path()).unwrap())
+    .with_shared_flight_recorder(Arc::new(FlightRecorder::open(ck.journal_path()).unwrap()))
     // Run history with a two-window retention cap: over four windows,
     // both storage event types (history_recorded + retention_pruned)
     // must fire.
@@ -125,7 +125,7 @@ fn degraded_pipeline_produces_every_declared_event_type() {
     })
     .unwrap()
     .with_recorder(Arc::clone(&recorder))
-    .with_flight_recorder(FlightRecorder::open(ck.journal_path()).unwrap());
+    .with_shared_flight_recorder(Arc::new(FlightRecorder::open(ck.journal_path()).unwrap()));
     let recovery = fresh.restore_from(&ck);
     assert_eq!(recovery.source, RecoverySource::Primary);
 
@@ -175,4 +175,67 @@ fn degraded_pipeline_produces_every_declared_event_type() {
         assert!(declared, "{name} not declared for journal layer {layer}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs the degraded four-window scenario above (drain, checkpoint,
+/// restore) with a flight recorder and, optionally, an in-memory
+/// recorder. Returns the durable journal with `ts_ns` stripped.
+fn journal_without_timestamps(tag: &str, recorder: Option<Arc<Recorder>>) -> Vec<Value> {
+    let dir = std::env::temp_dir().join(format!("roleclass-events-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ck = Checkpointer::new(dir.join("history.ckpt"));
+    let aggregator = || {
+        let agg = Aggregator::try_new(AggregatorConfig {
+            window_ms: 1000,
+            origin_ms: 0,
+            engine: EngineConfig::new(Params::default().with_s_lo(90.0).with_s_hi(95.0)),
+            min_flows: 1,
+            supervisor: SupervisorConfig::immediate(),
+            ..AggregatorConfig::default()
+        })
+        .unwrap()
+        .with_shared_flight_recorder(Arc::new(FlightRecorder::open(ck.journal_path()).unwrap()));
+        match &recorder {
+            Some(r) => agg.with_recorder(Arc::clone(r)),
+            None => agg,
+        }
+    };
+    let mut agg = aggregator().with_run_store(Arc::new(
+        RunStore::open(
+            Arc::new(MemoryBackend::new()),
+            "runs",
+            NamespaceProfile::log(Retention::unbounded().keep_records(2)),
+        )
+        .unwrap(),
+    ));
+    agg.attach(Box::new(ReplayProbe::new(
+        "good",
+        (0..4).flat_map(window_trace).collect(),
+    )));
+    agg.attach(Box::new(FatalProbe));
+    assert_eq!(agg.drain(), 4);
+    agg.checkpoint(&ck).unwrap();
+    aggregator().restore_from(&ck);
+
+    let lines = read_journal_lines(ck.journal_path()).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    lines
+        .iter()
+        .map(|line| match serde_json::from_str(line).unwrap() {
+            Value::Map(m) => Value::Map(m.into_iter().filter(|(k, _)| k != "ts_ns").collect()),
+            other => panic!("expected object, got {}", other.kind()),
+        })
+        .collect()
+}
+
+#[test]
+fn flight_only_journal_matches_recorder_attached_journal() {
+    // A flight recorder without a `Recorder` is how long-running
+    // deployments journal; it must record exactly what an attached
+    // recorder would see, event for event.
+    let attached = journal_without_timestamps("attached", Some(Arc::new(Recorder::new())));
+    let flight_only = journal_without_timestamps("flight-only", None);
+    assert!(flight_only.len() > 20, "{} lines", flight_only.len());
+    assert_eq!(flight_only, attached);
 }

@@ -5,30 +5,7 @@ use proptest::prelude::*;
 use role_classification::flow::{
     netflow, pcap, textlog, ConnectionSets, FlowRecord, HostAddr, Proto,
 };
-use role_classification::roleclass::{
-    try_classify, try_correlate, try_form_groups, Classification, Correlation, FormationResult,
-    Grouping, Params,
-};
-
-// Local shims over the fallible entry points (the panicking wrappers
-// are deprecated).
-fn classify(cs: &ConnectionSets, p: &Params) -> Classification {
-    try_classify(cs, p).unwrap()
-}
-
-fn form_groups(cs: &ConnectionSets, p: &Params) -> FormationResult {
-    try_form_groups(cs, p).unwrap()
-}
-
-fn correlate(
-    prev_cs: &ConnectionSets,
-    prev_g: &Grouping,
-    curr_cs: &ConnectionSets,
-    curr_g: &Grouping,
-    p: &Params,
-) -> Correlation {
-    try_correlate(prev_cs, prev_g, curr_cs, curr_g, p).unwrap()
-}
+use role_classification::roleclass::{try_classify, try_correlate, try_form_groups, Params};
 
 /// Strategy: an arbitrary small connection-set structure.
 fn arb_connsets(max_hosts: u32, max_edges: usize) -> impl Strategy<Value = ConnectionSets> {
@@ -80,7 +57,7 @@ proptest! {
     /// The grouping is always a total partition of the host set.
     #[test]
     fn classification_is_a_partition(cs in arb_connsets(60, 120)) {
-        let c = classify(&cs, &Params::default());
+        let c = try_classify(&cs, &Params::default()).unwrap();
         prop_assert_eq!(c.grouping.host_count(), cs.host_count());
         let mut seen = std::collections::BTreeSet::new();
         for g in c.grouping.groups() {
@@ -97,7 +74,7 @@ proptest! {
     /// maximum degree).
     #[test]
     fn formation_is_total_and_k_bounded(cs in arb_connsets(40, 80)) {
-        let r = form_groups(&cs, &Params::default());
+        let r = try_form_groups(&cs, &Params::default()).unwrap();
         let total: usize = r.groups.iter().map(|g| g.members.len()).sum();
         prop_assert_eq!(total, cs.host_count());
         let kmax = cs.max_degree() as u32;
@@ -111,7 +88,7 @@ proptest! {
     #[test]
     fn merge_similarities_within_thresholds(cs in arb_connsets(40, 80)) {
         let params = Params::default();
-        let c = classify(&cs, &params);
+        let c = try_classify(&cs, &params).unwrap();
         for ev in &c.merge_trace {
             prop_assert!(ev.similarity >= params.s_lo - 1e-9);
             prop_assert!(ev.similarity <= 100.0 + 1e-9);
@@ -122,8 +99,8 @@ proptest! {
     #[test]
     fn self_correlation_is_identity(cs in arb_connsets(40, 80)) {
         let params = Params::default();
-        let c = classify(&cs, &params);
-        let corr = correlate(&cs, &c.grouping, &cs, &c.grouping, &params);
+        let c = try_classify(&cs, &params).unwrap();
+        let corr = try_correlate(&cs, &c.grouping, &cs, &c.grouping, &params).unwrap();
         for (a, b) in &corr.id_map {
             prop_assert_eq!(a, b);
         }
