@@ -2,39 +2,33 @@
 //!
 //! The run history is the anchor for group-id correlation: lose it and
 //! every group gets renumbered on restart, which invalidates labels,
-//! policies, and operator intuition. This module persists it as a
-//! *checkpoint file* with:
+//! policies, and operator intuition. This module persists it as
+//! *checkpoint generations* in a [`StorageBackend`] snapshot namespace,
+//! with:
 //!
 //! * a **versioned header** (`roleclass-checkpoint v2`) so format drift
-//!   is detected instead of misparsed — v1 files (runs only, no identity
-//!   table) are still read, with the table rebuilt deterministically;
-//! * **atomic writes**: the new checkpoint is written to a temp file and
-//!   renamed over the old one, so a crash mid-write can never leave a
-//!   half-written primary;
-//! * a **backup generation**: the previous checkpoint survives as
-//!   `<path>.bak`, so even external corruption of the primary (disk
-//!   error, truncation) recovers to the last good state;
-//! * **corruption detection**: a truncated or garbage file is reported
-//!   as [`CheckpointError::Corrupt`], never a panic.
+//!   is detected instead of misparsed;
+//! * **atomic generations**: each save appends one generation under the
+//!   backend's snapshot contract, so a crash mid-write can never leave a
+//!   half-written newest generation;
+//! * a **backup generation**: the previous checkpoint survives as an
+//!   older generation, so even external corruption of the newest one
+//!   recovers to the last good state;
+//! * **corruption detection**: a truncated or garbage generation is
+//!   reported as [`CheckpointError::Corrupt`], never a panic.
 
 use crate::pipeline::{intern_hosts, RunRecord};
 use flow::HostTable;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::fs;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use storage::{AppendLogBackend, NamespaceProfile, StorageBackend, StorageError};
+use storage::{NamespaceProfile, StorageBackend, StorageError};
 
 /// First header token; anything else is not a checkpoint file.
 const MAGIC: &str = "roleclass-checkpoint";
 /// Current format version: v2 adds the master [`HostTable`] so dense
 /// host ids survive restarts.
 const VERSION: u32 = 2;
-/// Oldest version this build still reads. v1 payloads are a bare run
-/// array; the identity table is rebuilt by re-interning run hosts in
-/// order, which reproduces the ids live ingestion assigned.
-const MIN_VERSION: u32 = 1;
 
 /// The v2 on-disk payload: the run history plus the master identity
 /// table that assigned each host its dense id.
@@ -93,7 +87,7 @@ pub enum RecoverySource {
     Primary,
     /// The primary was missing or corrupt; the backup was used.
     Backup,
-    /// Neither file was usable; starting with an empty history.
+    /// No generation was usable; starting with an empty history.
     Fresh,
 }
 
@@ -114,7 +108,7 @@ pub struct Recovery {
     /// The recovered run history (empty for [`RecoverySource::Fresh`]).
     pub runs: Vec<RunRecord>,
     /// The recovered master identity table (empty for
-    /// [`RecoverySource::Fresh`]; rebuilt from the runs for v1 files).
+    /// [`RecoverySource::Fresh`]).
     pub table: HostTable,
     /// Which generation supplied it.
     pub source: RecoverySource,
@@ -128,105 +122,45 @@ pub struct Recovery {
 /// Persistence goes through a [`StorageBackend`] snapshot namespace:
 /// each save appends one generation (encoded header + payload), the
 /// backend keeps the newest `generations` of them, and recovery scans
-/// newest → oldest for the first parseable one. The path-based
-/// constructor opens an [`AppendLogBackend`] rooted at the path's
-/// parent, which reproduces the historical on-disk layout exactly:
-/// primary at `<path>`, previous generation at `<path>.bak`, in-flight
-/// writes at `<path>.tmp`.
+/// newest → oldest for the first parseable one.
 #[derive(Clone, Debug)]
 pub struct Checkpointer {
-    path: PathBuf,
     ns: String,
-    backend: Option<Arc<dyn StorageBackend>>,
+    backend: Arc<dyn StorageBackend>,
     generations: u64,
 }
 
 impl Checkpointer {
-    /// A checkpointer rooted at `path` (e.g. `state/history.ckpt`).
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        let path = path.into();
-        let ns = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "history.ckpt".to_string());
-        Checkpointer {
-            path,
-            ns,
-            backend: None,
-            generations: 2,
-        }
-    }
-
     /// A checkpointer storing generations in namespace `ns` of a shared
     /// backend (the [`StorageStack`](crate::store::StorageStack) wiring).
     pub fn with_backend(backend: Arc<dyn StorageBackend>, ns: impl Into<String>) -> Self {
-        let ns = ns.into();
         Checkpointer {
-            path: PathBuf::from(&ns),
-            ns,
-            backend: Some(backend),
+            ns: ns.into(),
+            backend,
             generations: 2,
         }
     }
 
     /// Overrides how many generations the backend retains (minimum 1;
-    /// the default 2 is the historical primary + `.bak` pair).
+    /// the default 2 is a primary plus one backup).
     pub fn with_generations(mut self, generations: u64) -> Self {
         self.generations = generations.max(1);
         self
     }
 
-    /// The backend handle serving this checkpointer. The path-based
-    /// constructor opens a fresh [`AppendLogBackend`] per operation so
-    /// files modified behind its back (crash simulations, external
-    /// corruption) are re-discovered, exactly as the direct-fs
-    /// implementation behaved.
-    fn store(&self) -> Result<Arc<dyn StorageBackend>, CheckpointError> {
-        if let Some(b) = &self.backend {
-            return Ok(Arc::clone(b));
-        }
-        let parent = match self.path.parent() {
-            Some(d) if !d.as_os_str().is_empty() => d,
-            _ => Path::new("."),
-        };
-        Ok(Arc::new(AppendLogBackend::new(parent)?))
-    }
-
-    /// Opens the namespace and returns the backend, defining the
-    /// snapshot profile idempotently.
-    fn open_ns(&self) -> Result<Arc<dyn StorageBackend>, CheckpointError> {
-        let b = self.store()?;
-        b.define(&self.ns, NamespaceProfile::snapshot(self.generations))?;
-        Ok(b)
-    }
-
-    /// The primary checkpoint path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The backup generation's path (`<path>.bak`).
-    pub fn backup_path(&self) -> PathBuf {
-        let mut os = self.path.as_os_str().to_os_string();
-        os.push(".bak");
-        PathBuf::from(os)
-    }
-
-    /// The event-journal path (`<path>.journal`) — where a
-    /// [`FlightRecorder`](crate::flight::FlightRecorder) co-located with
-    /// this checkpoint appends its JSONL event stream.
-    pub fn journal_path(&self) -> PathBuf {
-        let mut os = self.path.as_os_str().to_os_string();
-        os.push(".journal");
-        PathBuf::from(os)
+    /// Defines the snapshot namespace (idempotently) and returns the
+    /// backend serving it.
+    fn open_ns(&self) -> Result<&dyn StorageBackend, CheckpointError> {
+        self.backend
+            .define(&self.ns, NamespaceProfile::snapshot(self.generations))?;
+        Ok(self.backend.as_ref())
     }
 
     /// Atomically persists `runs` as a new checkpoint generation. The
-    /// backend's snapshot contract does the heavy lifting: the payload
-    /// is staged, fsynced, and renamed into place (parent directory
-    /// fsynced too), the previous generation is demoted rather than
-    /// destroyed, and a crash at any point leaves at least one intact
-    /// generation on disk.
+    /// backend's snapshot contract does the heavy lifting: the
+    /// generation is fsynced before the call returns, the previous one
+    /// is kept as a backup rather than destroyed, and a crash at any
+    /// point leaves at least one intact generation on disk.
     ///
     /// The identity table is derived from the runs (each run's hosts
     /// interned in order); use [`Checkpointer::save_with_table`] to
@@ -262,7 +196,7 @@ impl Checkpointer {
     }
 
     /// Like [`Checkpointer::load`], but also returns the master identity
-    /// table (rebuilt from the runs when the file predates v2).
+    /// table.
     pub fn load_full(&self) -> Result<(Vec<RunRecord>, HostTable), CheckpointError> {
         let b = self.open_ns()?;
         match b.latest(&self.ns)? {
@@ -272,13 +206,6 @@ impl Checkpointer {
                 "no checkpoint generation",
             ))),
         }
-    }
-
-    /// Parses one raw checkpoint file (used directly by tests that poke
-    /// at a specific generation on disk).
-    #[cfg_attr(not(test), allow(dead_code))]
-    fn load_file(path: &Path) -> Result<(Vec<RunRecord>, HostTable), CheckpointError> {
-        Self::parse_payload(&fs::read(path)?)
     }
 
     /// Decodes header + payload bytes into runs and identity table.
@@ -300,17 +227,8 @@ impl Checkpointer {
             .ok_or_else(|| {
                 CheckpointError::Corrupt(format!("unparsable version in header {header:?}"))
             })?;
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(CheckpointError::BadVersion(version));
-        }
-        if version == 1 {
-            // v1: bare run array, no persisted table. Re-interning each
-            // run's hosts in order replays the intern sequence live
-            // ingestion performed, so the rebuilt ids match.
-            let runs: Vec<RunRecord> = serde_json::from_str(payload)
-                .map_err(|e| CheckpointError::Corrupt(format!("payload rejected: {e}")))?;
-            let table = intern_hosts(&runs);
-            return Ok((runs, table));
         }
         let doc: CheckpointDoc = serde_json::from_str(payload)
             .map_err(|e| CheckpointError::Corrupt(format!("payload rejected: {e}")))?;
@@ -383,13 +301,17 @@ mod tests {
     use super::*;
     use crate::pipeline::{Aggregator, AggregatorConfig, WindowHealth};
     use crate::probe::ReplayProbe;
+    use crate::store::{StorageStack, CHECKPOINT_NS};
     use flow::{FlowRecord, HostAddr};
+    use storage::StorageConfig;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("roleclass-ckpt-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
+    fn memory_stack() -> StorageStack {
+        StorageStack::open(&StorageConfig::memory()).unwrap()
+    }
+
+    /// Appends raw bytes as the newest checkpoint generation.
+    fn append_generation(ck: &Checkpointer, bytes: &[u8]) {
+        ck.open_ns().unwrap().append(&ck.ns, 0, bytes).unwrap();
     }
 
     fn sample_runs() -> Vec<RunRecord> {
@@ -414,8 +336,8 @@ mod tests {
 
     #[test]
     fn save_load_round_trip() {
-        let dir = temp_dir("round");
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let stack = memory_stack();
+        let ck = stack.checkpointer();
         let runs = sample_runs();
         ck.save(&runs).unwrap();
         let back = ck.load().unwrap();
@@ -425,71 +347,83 @@ mod tests {
             back[1].grouping.group_of(HostAddr::v4(1)),
             runs[1].grouping.group_of(HostAddr::v4(1))
         );
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn second_save_keeps_backup_generation() {
-        let dir = temp_dir("backup");
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let stack = memory_stack();
+        let ck = stack.checkpointer();
         let runs = sample_runs();
         ck.save(&runs[..1]).unwrap();
         ck.save(&runs).unwrap();
-        assert!(ck.backup_path().exists());
-        let (backup, _) = Checkpointer::load_file(&ck.backup_path()).unwrap();
+        let gens = stack.backend().scan(CHECKPOINT_NS, 0, u64::MAX).unwrap();
+        assert_eq!(gens.len(), 2);
+        let (backup, _) = Checkpointer::parse_payload(&gens[0].value).unwrap();
         assert_eq!(backup.len(), 1);
         assert_eq!(ck.load().unwrap().len(), 2);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn truncated_primary_recovers_from_backup() {
-        let dir = temp_dir("trunc");
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let stack = memory_stack();
+        let ck = stack.checkpointer();
         let runs = sample_runs();
         ck.save(&runs[..1]).unwrap();
-        ck.save(&runs).unwrap();
-        // Simulate a crash/disk fault: chop the primary mid-payload.
-        let text = fs::read_to_string(ck.path()).unwrap();
-        fs::write(ck.path(), &text[..text.len() / 2]).unwrap();
+        // Simulate a crash/disk fault: the newest generation is the
+        // full history chopped mid-payload.
+        let scratch = memory_stack();
+        scratch.checkpointer().save(&runs).unwrap();
+        let full = scratch
+            .backend()
+            .latest(CHECKPOINT_NS)
+            .unwrap()
+            .unwrap()
+            .value;
+        append_generation(ck, &full[..full.len() / 2]);
         assert!(matches!(ck.load(), Err(CheckpointError::Corrupt(_))));
         let rec = ck.load_or_recover();
         assert_eq!(rec.source, RecoverySource::Backup);
         assert_eq!(rec.runs.len(), 1);
         assert!(!rec.notes.is_empty());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn garbage_and_missing_files_never_panic() {
-        let dir = temp_dir("garbage");
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let stack = memory_stack();
+        let ck = stack.checkpointer();
         // Missing: fresh start.
         let rec = ck.load_or_recover();
         assert_eq!(rec.source, RecoverySource::Fresh);
         assert!(rec.runs.is_empty());
         // Garbage bytes in both generations: still a fresh start.
-        fs::write(ck.path(), b"\x00\xffnot a checkpoint").unwrap();
-        fs::write(ck.backup_path(), b"roleclass-checkpoint v1\n{oops").unwrap();
+        append_generation(ck, b"roleclass-checkpoint v1\n{oops");
+        append_generation(ck, b"\x00\xffnot a checkpoint");
         let rec = ck.load_or_recover();
         assert_eq!(rec.source, RecoverySource::Fresh);
         assert_eq!(rec.notes.len(), 2);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn future_version_is_rejected_not_misparsed() {
-        let dir = temp_dir("version");
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
-        fs::write(ck.path(), "roleclass-checkpoint v99\n[]").unwrap();
-        assert!(matches!(ck.load(), Err(CheckpointError::BadVersion(99))));
-        let _ = fs::remove_dir_all(&dir);
+        let stack = memory_stack();
+        let ck = stack.checkpointer();
+        // v1 (runs without an identity table) is no longer read either.
+        for version in [99u32, 1] {
+            append_generation(
+                ck,
+                format!("roleclass-checkpoint v{version}\n[]").as_bytes(),
+            );
+            assert!(matches!(
+                ck.load(),
+                Err(CheckpointError::BadVersion(v)) if v == version
+            ));
+        }
     }
 
     #[test]
     fn host_table_round_trips_through_checkpoint() {
-        let dir = temp_dir("table");
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let stack = memory_stack();
+        let ck = stack.checkpointer();
         let runs = sample_runs();
         // A live master table may know hosts no retained run mentions.
         let mut master = flow::HostTable::new();
@@ -507,49 +441,23 @@ mod tests {
         for (id, addr) in master.iter() {
             assert_eq!(back_table.get(addr), Some(id));
         }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v1_checkpoints_still_load_with_rebuilt_table() {
-        let dir = temp_dir("v1");
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
-        let runs = sample_runs();
-        // Hand-write a v1 file: bare run array, no table.
-        let payload = serde_json::to_string(&runs).unwrap();
-        fs::write(ck.path(), format!("roleclass-checkpoint v1\n{payload}")).unwrap();
-        let (back_runs, table) = ck.load_full().unwrap();
-        assert_eq!(back_runs.len(), runs.len());
-        // The rebuilt table covers every host the runs mention, densely.
-        let mut expected = flow::HostTable::new();
-        for run in &runs {
-            for h in run.connsets.hosts() {
-                expected.intern(h);
-            }
-        }
-        assert_eq!(table.len(), expected.len());
-        for (id, addr) in expected.iter() {
-            assert_eq!(table.get(addr), Some(id));
-        }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn table_runs_mismatch_is_corrupt() {
-        let dir = temp_dir("mismatch");
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let stack = memory_stack();
+        let ck = stack.checkpointer();
         let runs = sample_runs();
         // A table that misses hosts the runs mention: rejected.
         let empty = flow::HostTable::new();
         ck.save_with_table(&runs, &empty).unwrap();
         assert!(matches!(ck.load(), Err(CheckpointError::Corrupt(_))));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn health_field_round_trips_through_checkpoint() {
-        let dir = temp_dir("health");
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let stack = memory_stack();
+        let ck = stack.checkpointer();
         let mut runs = sample_runs();
         runs[0].health = WindowHealth {
             probes_total: 3,
@@ -565,6 +473,5 @@ mod tests {
         assert!(back[0].health.degraded());
         assert_eq!(back[0].health.records_dropped, 7);
         assert_eq!(back[0].health.errors.len(), 1);
-        let _ = fs::remove_dir_all(&dir);
     }
 }

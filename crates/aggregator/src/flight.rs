@@ -12,10 +12,7 @@
 //! flushed per record, so a crash can only tear the *final* record,
 //! which the backend drops on reopen. Sequence numbers resume from the
 //! newest surviving record, so post-restart events extend the same
-//! sequence. The path-based constructor opens an [`AppendLogBackend`]
-//! whose line format is a superset of the historical bare-JSONL layout:
-//! journals written by older builds are still read (and resumed) in
-//! place.
+//! sequence.
 //!
 //! Write errors never propagate into the pipeline — losing a journal
 //! line must not fail a classification cycle — but they are counted
@@ -25,13 +22,10 @@
 //! policy and reports exactly what was dropped.
 
 use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
-use storage::{
-    decode_line_payload, AppendLogBackend, NamespaceProfile, Pruned, Retention, StorageBackend,
-};
+use storage::{NamespaceProfile, Pruned, Retention, StorageBackend};
 use telemetry::{Event, FieldValue, Recorder};
 
 /// The two observers a pipeline component may carry: the in-memory
@@ -74,7 +68,6 @@ impl Observer {
 /// [`Aggregator::checkpoint`](crate::Aggregator::checkpoint).
 #[derive(Debug)]
 pub struct FlightRecorder {
-    path: PathBuf,
     backend: Arc<dyn StorageBackend>,
     ns: String,
     next_seq: AtomicU64,
@@ -82,43 +75,17 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// Opens (or creates) the journal at `path` in append mode. Sequence
-    /// numbering resumes after the records already present, so a
-    /// restarted pipeline extends the journal instead of restarting it.
-    pub fn open(path: impl Into<PathBuf>) -> io::Result<FlightRecorder> {
-        let path = path.into();
-        let parent = match path.parent() {
-            Some(d) if !d.as_os_str().is_empty() => d,
-            _ => Path::new("."),
-        };
-        let ns = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "events.journal".to_string());
-        let backend: Arc<dyn StorageBackend> =
-            Arc::new(AppendLogBackend::new(parent).map_err(|e| e.into_io())?);
-        Self::with_backend_at(backend, ns, Retention::unbounded(), path)
-    }
-
     /// A recorder journaling into namespace `ns` of a shared backend,
     /// pruned by `retention` (the [`StorageStack`](crate::store)
-    /// wiring).
+    /// wiring). Sequence numbering resumes after the records already
+    /// present, so a restarted pipeline extends the journal instead of
+    /// restarting it.
     pub fn with_backend(
         backend: Arc<dyn StorageBackend>,
         ns: impl Into<String>,
         retention: Retention,
     ) -> io::Result<FlightRecorder> {
         let ns = ns.into();
-        let path = PathBuf::from(&ns);
-        Self::with_backend_at(backend, ns, retention, path)
-    }
-
-    fn with_backend_at(
-        backend: Arc<dyn StorageBackend>,
-        ns: String,
-        retention: Retention,
-        path: PathBuf,
-    ) -> io::Result<FlightRecorder> {
         backend
             .define(&ns, NamespaceProfile::log(retention))
             .map_err(|e| e.into_io())?;
@@ -127,18 +94,11 @@ impl FlightRecorder {
             .map_err(|e| e.into_io())?
             .map_or(0, |rec| rec.key + 1);
         Ok(FlightRecorder {
-            path,
             backend,
             ns,
             next_seq: AtomicU64::new(next),
             errors: AtomicU64::new(0),
         })
-    }
-
-    /// The journal file path (the namespace name for shared-backend
-    /// recorders).
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Appends one event in the `aggregator` layer. See
@@ -198,159 +158,134 @@ impl FlightRecorder {
     }
 }
 
-/// Reads the complete journal payloads at `path`, one JSON string per
-/// event, skipping a torn final line (the only artifact a crash
-/// mid-append can leave). Both the keyed backend format and legacy
-/// bare-JSONL journals decode; a missing journal reads as empty. This
-/// is a pure read: the file is never modified.
-pub fn read_journal_lines(path: impl AsRef<Path>) -> io::Result<Vec<String>> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let end = text.rfind('\n').map_or(0, |i| i + 1);
-    Ok(text[..end]
-        .lines()
-        .filter(|l| !l.is_empty())
-        .filter_map(decode_line_payload)
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::store::{StorageStack, JOURNAL_NS};
     use std::fs;
+    use std::path::PathBuf;
+    use storage::StorageConfig;
 
-    fn temp_journal(tag: &str) -> PathBuf {
+    fn temp_root(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("roleclass-flight-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir.join("events.journal")
+        dir
+    }
+
+    /// The journal payloads, one JSON string per event, oldest first.
+    fn journal_lines(stack: &StorageStack) -> Vec<String> {
+        stack
+            .backend()
+            .scan(JOURNAL_NS, 0, u64::MAX)
+            .unwrap()
+            .into_iter()
+            .map(|rec| String::from_utf8(rec.value).unwrap())
+            .collect()
     }
 
     #[test]
     fn appends_sequenced_jsonl() {
-        let path = temp_journal("seq");
-        let fr = FlightRecorder::open(&path).unwrap();
+        let stack = StorageStack::open(&StorageConfig::memory()).unwrap();
+        let fr = stack.recorder();
         fr.append(
             "roleclass_aggregator_window_started",
             vec![("window_start_ms", 0u64.into())],
         );
         fr.append("roleclass_aggregator_window_classified", vec![]);
         assert_eq!(fr.write_errors(), 0);
-        let lines = read_journal_lines(&path).unwrap();
+        let lines = journal_lines(&stack);
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"seq\":0"));
         assert!(lines[1].contains("\"seq\":1"));
         assert!(lines[0].contains("\"layer\":\"aggregator\""));
-        let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]
     fn seq_resumes_across_reopen() {
-        let path = temp_journal("resume");
+        let root = temp_root("resume");
+        let config = StorageConfig::new(root.to_string_lossy());
         {
-            let fr = FlightRecorder::open(&path).unwrap();
+            let stack = StorageStack::open(&config).unwrap();
+            let fr = stack.recorder();
             fr.append("roleclass_aggregator_window_started", vec![]);
             fr.append("roleclass_aggregator_window_classified", vec![]);
         }
-        let fr = FlightRecorder::open(&path).unwrap();
+        let stack = StorageStack::open(&config).unwrap();
+        let fr = stack.recorder();
         assert_eq!(fr.next_seq(), 2);
         fr.append("roleclass_aggregator_window_started", vec![]);
-        let lines = read_journal_lines(&path).unwrap();
+        let lines = journal_lines(&stack);
         assert_eq!(lines.len(), 3);
         assert!(lines[2].contains("\"seq\":2"));
-        let _ = fs::remove_dir_all(path.parent().unwrap());
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn torn_final_line_is_skipped_and_seq_continues() {
-        let path = temp_journal("torn");
+        let root = temp_root("torn");
+        let config = StorageConfig::new(root.to_string_lossy());
         {
-            let fr = FlightRecorder::open(&path).unwrap();
+            let stack = StorageStack::open(&config).unwrap();
+            let fr = stack.recorder();
             fr.append("roleclass_aggregator_window_started", vec![]);
             fr.append("roleclass_aggregator_window_classified", vec![]);
+            fr.append("roleclass_aggregator_window_started", vec![]);
         }
-        // Simulate a crash mid-append: a partial line with no newline.
-        let mut text = fs::read_to_string(&path).unwrap();
-        text.push_str("k=2 c=00000000 {\"seq\":2,\"ts_ns\":12");
-        fs::write(&path, &text).unwrap();
-        assert_eq!(read_journal_lines(&path).unwrap().len(), 2);
+        // Simulate a crash mid-append: tear the tail off the newest
+        // segment file, destroying the third record.
+        let newest = fs::read_dir(root.join(JOURNAL_NS))
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|x| x == "seg"))
+            .max()
+            .unwrap();
+        let len = fs::metadata(&newest).unwrap().len();
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&newest)
+            .unwrap()
+            .set_len(len - 2)
+            .unwrap();
         // Reopening resumes from the complete records only.
-        let fr = FlightRecorder::open(&path).unwrap();
-        assert_eq!(fr.next_seq(), 2);
-        let _ = fs::remove_dir_all(path.parent().unwrap());
-    }
-
-    #[test]
-    fn legacy_bare_jsonl_journal_resumes_in_place() {
-        let path = temp_journal("legacy");
-        // A journal written by a pre-storage build: bare JSON lines.
-        fs::write(
-            &path,
-            "{\"ts_ns\":1,\"seq\":0,\"layer\":\"aggregator\",\"name\":\"a\"}\n\
-             {\"ts_ns\":2,\"seq\":1,\"layer\":\"aggregator\",\"name\":\"b\"}\n",
-        )
-        .unwrap();
-        let fr = FlightRecorder::open(&path).unwrap();
-        assert_eq!(fr.next_seq(), 2);
-        fr.append("roleclass_aggregator_window_started", vec![]);
-        let lines = read_journal_lines(&path).unwrap();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"name\":\"a\""));
-        assert!(lines[2].contains("\"seq\":2"));
-        let _ = fs::remove_dir_all(path.parent().unwrap());
+        let stack = StorageStack::open(&config).unwrap();
+        assert_eq!(journal_lines(&stack).len(), 2);
+        assert_eq!(stack.recorder().next_seq(), 2);
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn layers_share_one_sequence() {
-        let path = temp_journal("layers");
-        let fr = FlightRecorder::open(&path).unwrap();
+        let stack = StorageStack::open(&StorageConfig::memory()).unwrap();
+        let fr = stack.recorder();
         fr.append("roleclass_aggregator_window_started", vec![]);
         fr.append_in_layer(
             "transport",
             "roleclass_transport_probe_session_opened",
             vec![("session", 1u64.into())],
         );
-        let lines = read_journal_lines(&path).unwrap();
+        let lines = journal_lines(&stack);
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"layer\":\"aggregator\""));
         assert!(lines[1].contains("\"layer\":\"transport\""));
         assert!(lines[1].contains("\"seq\":1"));
-        let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]
     fn prune_bounds_journal_growth() {
-        let path = temp_journal("prune");
-        let backend: Arc<dyn StorageBackend> =
-            Arc::new(AppendLogBackend::new(path.parent().unwrap()).unwrap());
-        let fr = FlightRecorder::with_backend(
-            backend,
-            "events.journal",
-            Retention::unbounded().keep_records(3),
-        )
-        .unwrap();
+        let config = StorageConfig::memory().with_journal_retention(Some(3), None);
+        let stack = StorageStack::open(&config).unwrap();
+        let fr = stack.recorder();
         for _ in 0..8 {
             fr.append("roleclass_aggregator_window_started", vec![]);
         }
         let pruned = fr.prune().unwrap();
         assert_eq!(pruned.records, 5);
         assert!(pruned.bytes > 0);
-        let lines = read_journal_lines(&path).unwrap();
+        let lines = journal_lines(&stack);
         assert_eq!(lines.len(), 3);
         // The newest events survive, and the sequence keeps climbing.
         assert!(lines[2].contains("\"seq\":7"));
         assert_eq!(fr.next_seq(), 8);
-        let _ = fs::remove_dir_all(path.parent().unwrap());
-    }
-
-    #[test]
-    fn missing_journal_reads_empty() {
-        let path = temp_journal("missing");
-        assert!(read_journal_lines(path.join("nope")).unwrap().is_empty());
-        let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 }

@@ -364,8 +364,9 @@ impl Aggregator {
     /// the aggregator emits is also appended to its journal, so the
     /// decision trail survives a crash. The handle is shared so the
     /// aggregator and a [`transport::WireListener`](crate::transport::WireListener)
-    /// journal into one file with a single sequence; a standalone
-    /// journal conventionally lives at [`Checkpointer::journal_path`].
+    /// journal into one namespace with a single sequence;
+    /// [`StorageStack::recorder`](crate::store::StorageStack::recorder)
+    /// supplies one on the checkpoint's backend.
     pub fn with_shared_flight_recorder(mut self, flight: Arc<FlightRecorder>) -> Self {
         self.observer.flight = Some(flight);
         self
@@ -1071,6 +1072,7 @@ impl Aggregator {
 mod tests {
     use super::*;
     use crate::probe::{ProbeError, ReplayProbe};
+    use crate::store::StorageStack;
     use flow::HostAddr;
 
     fn h(x: u32) -> HostAddr {
@@ -1409,27 +1411,42 @@ mod tests {
         }
     }
 
+    /// A segment-backed storage config on a fresh temp root, for tests
+    /// that restart the process by reopening the stack.
+    fn segment_storage(tag: &str) -> (std::path::PathBuf, storage::StorageConfig) {
+        let dir = std::env::temp_dir().join(format!("roleclass-agg-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = storage::StorageConfig::new(dir.to_string_lossy());
+        (dir, config)
+    }
+
+    /// The flight-journal payloads in `stack`, oldest first.
+    fn journal_lines(stack: &StorageStack) -> Vec<String> {
+        stack
+            .backend()
+            .scan(crate::store::JOURNAL_NS, 0, u64::MAX)
+            .unwrap()
+            .into_iter()
+            .map(|rec| String::from_utf8(rec.value).unwrap())
+            .collect()
+    }
+
     #[test]
     fn cycle_events_are_declared_and_dual_journaled() {
-        use crate::flight::read_journal_lines;
         use serde::value::Value;
-        use std::fs;
 
-        let dir = std::env::temp_dir().join(format!("roleclass-agg-events-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let (dir, storage) = segment_storage("events");
+        let stack = StorageStack::open(&storage).unwrap();
+        let ck = stack.checkpointer();
 
         let rec = Arc::new(telemetry::Recorder::new());
         let mut agg = Aggregator::new(config())
             .with_recorder(Arc::clone(&rec))
-            .with_shared_flight_recorder(Arc::new(
-                FlightRecorder::open(ck.journal_path()).unwrap(),
-            ));
+            .with_shared_flight_recorder(Arc::clone(stack.recorder()));
         agg.attach(Box::new(ReplayProbe::new("good", day_trace(0, 3))));
         agg.attach(Box::new(DownProbe));
         agg.run_cycle();
-        agg.checkpoint(&ck).unwrap();
+        agg.checkpoint(ck).unwrap();
 
         // The shared journal carries engine-layer decision events too;
         // the aggregator's own events are the `aggregator` layer, the
@@ -1460,7 +1477,7 @@ mod tests {
 
         // The durable journal carries the same events, as parseable
         // JSONL, alongside the checkpoint.
-        let lines = read_journal_lines(ck.journal_path()).unwrap();
+        let lines = journal_lines(&stack);
         assert_eq!(lines.len(), events.len());
         for (line, ev) in lines.iter().zip(&events) {
             let v: Value = serde_json::from_str(line).unwrap();
@@ -1471,12 +1488,14 @@ mod tests {
 
         // A restarted aggregator reopens the journal and extends it;
         // the restore itself is journaled.
-        let mut fresh = Aggregator::new(config()).with_shared_flight_recorder(Arc::new(
-            FlightRecorder::open(ck.journal_path()).unwrap(),
-        ));
-        let recovery = fresh.restore_from(&ck);
+        drop(agg);
+        drop(stack);
+        let stack = StorageStack::open(&storage).unwrap();
+        let mut fresh =
+            Aggregator::new(config()).with_shared_flight_recorder(Arc::clone(stack.recorder()));
+        let recovery = fresh.restore_from(stack.checkpointer());
         assert_eq!(recovery.source, RecoverySource::Primary);
-        let lines = read_journal_lines(ck.journal_path()).unwrap();
+        let lines = journal_lines(&stack);
         assert_eq!(lines.len(), events.len() + 1);
         let last: Value = serde_json::from_str(lines.last().unwrap()).unwrap();
         assert_eq!(
@@ -1488,7 +1507,7 @@ mod tests {
             &Value::Str("primary".to_string())
         );
         assert_eq!(field(&last, "seq"), &Value::U64(events.len() as u64));
-        let _ = fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1515,9 +1534,6 @@ mod tests {
             Err(storage::StorageError::Io(std::io::Error::other(
                 "disk full",
             )))
-        }
-        fn commit(&self, batch: &[storage::BatchEntry]) -> storage::Result<()> {
-            self.0.commit(batch)
         }
         fn get(&self, ns: &str, key: u64) -> storage::Result<Option<Vec<u8>>> {
             self.0.get(ns, key)
@@ -1586,24 +1602,21 @@ mod tests {
 
     #[test]
     fn host_ids_survive_checkpoint_restore() {
-        use crate::checkpoint::Checkpointer;
-        use std::fs;
-
-        let dir = std::env::temp_dir().join(format!("roleclass-agg-ids-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let (dir, storage) = segment_storage("ids");
+        let stack = StorageStack::open(&storage).unwrap();
 
         let mut agg = Aggregator::new(config());
         let trace: Vec<FlowRecord> = day_trace(0, 3).into_iter().chain(day_trace(1, 3)).collect();
         agg.attach(Box::new(ReplayProbe::new("p0", trace)));
         agg.drain();
-        agg.checkpoint(&ck).unwrap();
+        agg.checkpoint(stack.checkpointer()).unwrap();
         let ids_before: Vec<_> = agg.host_table().iter().collect();
 
+        drop(stack);
+        let stack = StorageStack::open(&storage).unwrap();
         let mut fresh = Aggregator::new(config());
         fresh.attach(Box::new(ReplayProbe::new("p0", day_trace(2, 3))));
-        let recovery = fresh.restore_from(&ck);
+        let recovery = fresh.restore_from(stack.checkpointer());
         assert_eq!(recovery.source, RecoverySource::Primary);
         // The restored table is the persisted one, verbatim.
         for &(id, addr) in &ids_before {
@@ -1614,7 +1627,7 @@ mod tests {
         for (id, addr) in ids_before {
             assert_eq!(fresh.host_table().get(addr), Some(id));
         }
-        let _ = fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1672,28 +1685,36 @@ mod tests {
     #[test]
     fn restore_fallback_is_counted_and_alerted() {
         use crate::alerts::{AlertKind, Severity};
-        use crate::checkpoint::Checkpointer;
-        use std::fs;
+        use crate::store::CHECKPOINT_NS;
 
-        let dir =
-            std::env::temp_dir().join(format!("roleclass-agg-restore-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let ck = Checkpointer::new(dir.join("history.ckpt"));
+        let (dir, storage) = segment_storage("restore");
+        let stack = StorageStack::open(&storage).unwrap();
+        let ck = stack.checkpointer();
 
         let mut agg = Aggregator::new(config());
         agg.attach(Box::new(ReplayProbe::new("p0", day_trace(0, 3))));
         agg.run_cycle();
-        agg.checkpoint(&ck).unwrap();
+        agg.checkpoint(ck).unwrap();
         agg.run_cycle();
-        agg.checkpoint(&ck).unwrap();
-        // Chop the primary mid-payload: recovery must fall back.
-        let text = fs::read_to_string(ck.path()).unwrap();
-        fs::write(ck.path(), &text[..text.len() / 2]).unwrap();
+        agg.checkpoint(ck).unwrap();
+        // A newer generation chopped mid-payload: recovery must fall
+        // back to the intact one before it.
+        let newest = stack
+            .backend()
+            .latest(CHECKPOINT_NS)
+            .unwrap()
+            .unwrap()
+            .value;
+        stack
+            .backend()
+            .append(CHECKPOINT_NS, 0, &newest[..newest.len() / 2])
+            .unwrap();
 
+        drop(stack);
+        let stack = StorageStack::open(&storage).unwrap();
         let rec = Arc::new(telemetry::Recorder::new());
         let mut fresh = Aggregator::new(config()).with_recorder(Arc::clone(&rec));
-        let recovery = fresh.restore_from(&ck);
+        let recovery = fresh.restore_from(stack.checkpointer());
         assert_eq!(recovery.source, RecoverySource::Backup);
 
         let reg = rec.registry();
@@ -1715,6 +1736,6 @@ mod tests {
         ));
         // The queue drains exactly once.
         assert!(fresh.pending_alerts().is_empty());
-        let _ = fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

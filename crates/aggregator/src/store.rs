@@ -11,8 +11,7 @@
 //!
 //! [`StorageStack::open`] wires all three consumers onto one backend
 //! chosen by [`StorageConfig`]: `memory` for tests and one-shot runs,
-//! `appendlog` for the historical flat-file layout, `segment` for
-//! indexed segments with compaction and retention.
+//! `segment` for indexed segments with compaction and retention.
 
 use crate::checkpoint::Checkpointer;
 use crate::flight::FlightRecorder;

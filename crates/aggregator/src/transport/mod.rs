@@ -78,7 +78,8 @@ pub struct TransportConfig {
     /// Listener: a connection silent for longer than this (no frame,
     /// not even a heartbeat) is dropped; the session stays resumable.
     pub liveness_timeout: Duration,
-    /// Listener: how long [`WireProbe::poll`] waits for its window to
+    /// Listener: how long a [`WireProbe`]'s
+    /// [`poll`](crate::probe::Probe::poll) waits for its window to
     /// complete before reporting a transient failure to the supervisor.
     pub poll_timeout: Duration,
     /// Sender: records per [`FrameType::Batch`] frame.

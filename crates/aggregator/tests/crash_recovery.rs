@@ -2,13 +2,15 @@
 //! with stable group ids, even when the primary checkpoint was corrupted
 //! mid-crash.
 
+use aggregator::store::CHECKPOINT_NS;
 use aggregator::{
-    Aggregator, AggregatorConfig, Checkpointer, RecoverySource, ReplayProbe, SupervisorConfig,
+    Aggregator, AggregatorConfig, RecoverySource, ReplayProbe, StorageStack, SupervisorConfig,
 };
 use flow::{FlowRecord, HostAddr};
 use roleclass::{EngineConfig, Params};
 use std::fs;
 use std::path::PathBuf;
+use storage::StorageConfig;
 
 const WINDOW_MS: u64 = 1000;
 
@@ -47,17 +49,20 @@ fn config() -> AggregatorConfig {
     }
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
+/// Segment-backed storage on a fresh temp root: a restart drops the
+/// stack and reopens it on the same root.
+fn segment_storage(tag: &str) -> (PathBuf, StorageConfig) {
     let dir = std::env::temp_dir().join(format!("roleclass-crash-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
+    let config = StorageConfig::new(dir.to_string_lossy());
+    (dir, config)
 }
 
 #[test]
 fn restart_resumes_correlation_with_stable_ids() {
-    let dir = temp_dir("resume");
-    let ck = Checkpointer::new(dir.join("history.ckpt"));
+    let (dir, storage) = segment_storage("resume");
+    let stack = StorageStack::open(&storage).unwrap();
+    let ck = stack.checkpointer();
 
     // First process: two windows, checkpoint after each run (as a
     // deployment would).
@@ -65,16 +70,19 @@ fn restart_resumes_correlation_with_stable_ids() {
     let trace: Vec<FlowRecord> = (0..2).flat_map(window_trace).collect();
     agg.attach(Box::new(ReplayProbe::new("p0", trace)));
     agg.run_cycle();
-    agg.checkpoint(&ck).unwrap();
+    agg.checkpoint(ck).unwrap();
     agg.run_cycle();
-    agg.checkpoint(&ck).unwrap();
+    agg.checkpoint(ck).unwrap();
     let before = agg.current_grouping().unwrap();
 
-    // "Crash": drop the aggregator. Restart from the checkpoint.
+    // "Crash": drop the aggregator and its storage. Restart from the
+    // checkpoint.
     drop(agg);
+    drop(stack);
+    let stack = StorageStack::open(&storage).unwrap();
     let mut agg2 = Aggregator::new(config());
     agg2.attach(Box::new(ReplayProbe::new("p0", window_trace(2))));
-    let recovery = agg2.restore_from(&ck);
+    let recovery = agg2.restore_from(stack.checkpointer());
     assert_eq!(recovery.source, RecoverySource::Primary);
     assert!(recovery.notes.is_empty());
     assert_eq!(agg2.history().read().len(), 2);
@@ -96,26 +104,38 @@ fn restart_resumes_correlation_with_stable_ids() {
 
 #[test]
 fn truncated_checkpoint_recovers_to_last_good_state() {
-    let dir = temp_dir("truncated");
-    let ck = Checkpointer::new(dir.join("history.ckpt"));
+    let (dir, storage) = segment_storage("truncated");
+    let stack = StorageStack::open(&storage).unwrap();
+    let ck = stack.checkpointer();
 
     let mut agg = Aggregator::new(config());
     let trace: Vec<FlowRecord> = (0..2).flat_map(window_trace).collect();
     agg.attach(Box::new(ReplayProbe::new("p0", trace)));
     agg.run_cycle();
-    agg.checkpoint(&ck).unwrap();
+    agg.checkpoint(ck).unwrap();
     let after_first = agg.current_grouping().unwrap();
     agg.run_cycle();
-    agg.checkpoint(&ck).unwrap();
+    agg.checkpoint(ck).unwrap();
 
-    // Crash mid-write (or disk fault): the primary is truncated, the
-    // previous generation survives as the backup.
-    let text = fs::read_to_string(ck.path()).unwrap();
-    fs::write(ck.path(), &text[..text.len() * 2 / 3]).unwrap();
+    // Crash mid-write (or disk fault): the newest generation is
+    // truncated, the previous generation survives as the backup.
+    // Re-appending the one-run generation ahead of a truncated copy of
+    // the two-run one leaves exactly that pair under the two-generation
+    // cap.
+    let gens = stack.backend().scan(CHECKPOINT_NS, 0, u64::MAX).unwrap();
+    let (older, newest) = (&gens[0].value, &gens[1].value);
+    stack.backend().append(CHECKPOINT_NS, 0, older).unwrap();
+    stack
+        .backend()
+        .append(CHECKPOINT_NS, 0, &newest[..newest.len() * 2 / 3])
+        .unwrap();
 
+    drop(agg);
+    drop(stack);
+    let stack = StorageStack::open(&storage).unwrap();
     let mut agg2 = Aggregator::new(config());
     agg2.attach(Box::new(ReplayProbe::new("p0", window_trace(1))));
-    let recovery = agg2.restore_from(&ck);
+    let recovery = agg2.restore_from(stack.checkpointer());
     assert_eq!(recovery.source, RecoverySource::Backup);
     assert!(recovery.notes.iter().any(|n| n.contains("primary")));
     // Last good state = the one-run checkpoint.
@@ -138,15 +158,23 @@ fn truncated_checkpoint_recovers_to_last_good_state() {
 
 #[test]
 fn total_corruption_falls_back_to_fresh_start() {
-    let dir = temp_dir("fresh");
-    let ck = Checkpointer::new(dir.join("history.ckpt"));
+    let storage = StorageConfig::memory();
+    let stack = StorageStack::open(&storage).unwrap();
     // Both generations are garbage.
-    fs::write(ck.path(), b"\x7f\x45\x4c\x46 definitely not json").unwrap();
-    fs::write(ck.backup_path(), b"roleclass-checkpoint v1\n[{\"window\"").unwrap();
+    let backend = stack.backend();
+    backend
+        .define(CHECKPOINT_NS, storage.checkpoint_profile())
+        .unwrap();
+    backend
+        .append(CHECKPOINT_NS, 0, b"roleclass-checkpoint v2\n[{\"window\"")
+        .unwrap();
+    backend
+        .append(CHECKPOINT_NS, 0, b"\x7f\x45\x4c\x46 definitely not json")
+        .unwrap();
 
     let mut agg = Aggregator::new(config());
     agg.attach(Box::new(ReplayProbe::new("p0", window_trace(0))));
-    let recovery = agg.restore_from(&ck);
+    let recovery = agg.restore_from(stack.checkpointer());
     assert_eq!(recovery.source, RecoverySource::Fresh);
     assert_eq!(recovery.notes.len(), 2);
     assert!(agg.history().read().is_empty());
@@ -156,5 +184,4 @@ fn total_corruption_falls_back_to_fresh_start() {
     assert_eq!(run.window.start_ms, 0);
     assert!(run.correlation.is_none());
     assert_eq!(run.grouping.host_count(), 10);
-    let _ = fs::remove_dir_all(&dir);
 }

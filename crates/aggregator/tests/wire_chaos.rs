@@ -16,15 +16,16 @@
 //!    alert, the probe is quarantined, and the flight recorder journals
 //!    the `probe_session_*` provenance — no panic, no hang.
 
-use aggregator::{read_journal_lines, AlertKind, FlightRecorder};
+use aggregator::store::JOURNAL_NS;
 use aggregator::{
-    Aggregator, AggregatorConfig, ProbeHealth, ReplayProbe, SupervisorConfig, TransportConfig,
-    TransportError, WireListener,
+    Aggregator, AggregatorConfig, AlertKind, ProbeHealth, ReplayProbe, StorageStack,
+    SupervisorConfig, TransportConfig, TransportError, WireListener,
 };
 use flow::{FlowRecord, HostAddr};
 use roleclass::{EngineConfig, Params};
 use std::sync::Arc;
 use std::time::Duration;
+use storage::StorageConfig;
 use synthnet::{WireFaultPlan, WireFaultProxy};
 
 const WINDOWS: u64 = 4;
@@ -159,10 +160,7 @@ fn chaos_wire_runs_are_bit_identical_to_in_process() {
 #[test]
 fn permanent_loss_degrades_the_window_and_journals_provenance() {
     let records = trace();
-    let dir = std::env::temp_dir().join(format!("roleclass-wire-chaos-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let journal = dir.join("events.journal");
+    let stack = StorageStack::open(&StorageConfig::memory()).unwrap();
 
     let mut cfg = TransportConfig::fast();
     cfg.poll_timeout = Duration::from_millis(300); // fail fast, not hang
@@ -170,7 +168,7 @@ fn permanent_loss_degrades_the_window_and_journals_provenance() {
     cfg.max_retransmits = 3;
     cfg.max_reconnects = 1;
 
-    let flight = Arc::new(FlightRecorder::open(&journal).unwrap());
+    let flight = Arc::clone(stack.recorder());
     let listener =
         WireListener::bind("127.0.0.1:0", cfg.clone(), None, Some(Arc::clone(&flight))).unwrap();
     // Window 0 is one batch + one end marker = 2 sequenced frames; after
@@ -233,7 +231,13 @@ fn permanent_loss_degrades_the_window_and_journals_provenance() {
     );
 
     // Session provenance survived into the flight journal.
-    let lines = read_journal_lines(&journal).unwrap();
+    let lines: Vec<String> = stack
+        .backend()
+        .scan(JOURNAL_NS, 0, u64::MAX)
+        .unwrap()
+        .into_iter()
+        .map(|rec| String::from_utf8(rec.value).unwrap())
+        .collect();
     assert!(
         lines
             .iter()
@@ -241,5 +245,4 @@ fn permanent_loss_degrades_the_window_and_journals_provenance() {
         "journal must carry probe_session_* provenance: {lines:?}"
     );
     assert!(lines.iter().any(|l| l.contains("\"layer\":\"transport\"")));
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -305,11 +305,7 @@ vs window {window_total_secs:.3}s ({stability_overhead_pct:.2}%), rows identical
     // groupings must be bit-identical to the plain in-process run.
     let base_fp = fingerprint(&in_process);
     let mut storage_json = String::new();
-    for kind in [
-        BackendKind::Memory,
-        BackendKind::AppendLog,
-        BackendKind::Segment,
-    ] {
+    for kind in [BackendKind::Memory, BackendKind::Segment] {
         let dir = std::env::temp_dir().join(format!(
             "roleclass-bench-store-{:?}-{}",
             kind,

@@ -14,13 +14,13 @@
 //!   swaps, and server replacement.
 //!
 //! For long-running pipelines, the [`engine`] module wraps both
-//! algorithms behind a reusable [`Engine`](engine::Engine): parameters
+//! algorithms behind a reusable [`Engine`]: parameters
 //! are validated once at construction (every entry point also has a
 //! fallible `try_*` twin returning [`ParamError`]), the phases are
 //! staged (`form → merge → correlate_with`), and cross-window state is
 //! retained so successive windows keep stable group ids. Execution
 //! knobs — worker counts, kernel pruning, recorder attachment — live in
-//! the typed [`EngineConfig`](config::EngineConfig), built at the edge
+//! the typed [`EngineConfig`], built at the edge
 //! and passed to [`Engine::from_config`](engine::Engine::from_config);
 //! nothing in this crate reads environment variables.
 //!

@@ -13,7 +13,7 @@
 //! * [`FlowRecord`] — a normalized unidirectional flow observation.
 //! * [`ConnectionSets`] — the aggregation of flows into per-host neighbor
 //!   sets (columnar, CSR-indexed), with windowing, scoping, and noise
-//!   filters. The retired map-based twin lives in [`reference`] as the
+//!   filters. The retired map-based twin lives in [`reference`](mod@reference) as the
 //!   executable spec for parity tests.
 //! * [`netflow`] — a binary NetFlow v5 reader/writer.
 //! * [`pcap`] — a minimal pcap (Ethernet/IPv4/TCP+UDP) reader/writer,

@@ -1,8 +1,8 @@
 //! The shared backend conformance suite.
 //!
 //! Every [`StorageBackend`] must pass the same observable-behavior
-//! checks; `crates/storage/tests/conformance.rs` runs them against all
-//! three backends, and out-of-tree backends can reuse the suite the
+//! checks; `crates/storage/tests/conformance.rs` runs them against both
+//! in-tree backends, and out-of-tree backends can reuse the suite the
 //! same way. A [`Fixture`] describes how to (re)open one backend over
 //! one root; reopening through the fixture is the suite's stand-in for
 //! a process restart (the memory backend shares state between handles,
@@ -12,15 +12,15 @@
 //!
 //! * **Exact** semantics every backend must match bit-for-bit: key
 //!   ordering, point lookup, scans, snapshot generation ordering and
-//!   caps, `min_key` retention, monotonic-key rejection, batch commit.
+//!   caps, `min_key` retention, monotonic-key rejection.
 //! * **Granular** semantics where the contract allows backend-shaped
 //!   slack: count/byte retention may keep more than the bound (the
 //!   segment backend prunes whole segments), but may never reorder,
 //!   drop a suffix record, or prune the namespace empty.
 
 use crate::{
-    AppendLogBackend, BatchEntry, MemoryBackend, NamespaceProfile, Record, Retention,
-    SegmentBackend, SegmentOptions, StorageBackend, StorageError,
+    MemoryBackend, NamespaceProfile, Record, Retention, SegmentBackend, SegmentOptions,
+    StorageBackend, StorageError,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -78,25 +78,16 @@ pub fn small_segment_options() -> SegmentOptions {
     }
 }
 
-/// The three in-tree backends, each rooted under `base`.
+/// The two in-tree backends, the segment one rooted under `base`.
 pub fn fixtures(base: &Path) -> Vec<Fixture> {
     let shared = MemoryBackend::new();
-    let log_root = base.join("appendlog");
     let seg_root = base.join("segment");
-    let log_tear = log_root.clone();
     let seg_tear = seg_root.clone();
     vec![
         Fixture {
             name: "memory",
             opener: Box::new(move || Arc::new(shared.clone())),
             tear_tail: None,
-        },
-        Fixture {
-            name: "appendlog",
-            opener: Box::new(move || {
-                Arc::new(AppendLogBackend::new(&log_root).expect("open appendlog"))
-            }),
-            tear_tail: Some(Box::new(move |ns| truncate_file(&log_tear.join(ns), 2))),
         },
         Fixture {
             name: "segment",
@@ -142,7 +133,6 @@ pub fn run_full_suite(fix: &Fixture) {
     log_basics(fix);
     log_rejects_non_monotonic_keys(fix);
     log_state_survives_reopen(fix);
-    batch_commit_spans_namespaces(fix);
     snapshot_generations_are_ordered_and_capped(fix);
     snapshot_state_survives_reopen(fix);
     retention_by_min_key_is_exact(fix);
@@ -235,48 +225,6 @@ pub fn log_state_survives_reopen(fix: &Fixture) {
     ));
 }
 
-/// `commit` applies a cross-namespace batch in order.
-pub fn batch_commit_spans_namespaces(fix: &Fixture) {
-    let b = fix.open();
-    b.define(
-        "conf-batch-a",
-        NamespaceProfile::log(Retention::unbounded()),
-    )
-    .unwrap();
-    b.define(
-        "conf-batch-b",
-        NamespaceProfile::log(Retention::unbounded()),
-    )
-    .unwrap();
-    let batch: Vec<BatchEntry> = (0..4u64)
-        .map(|i| BatchEntry {
-            ns: if i % 2 == 0 {
-                "conf-batch-a"
-            } else {
-                "conf-batch-b"
-            }
-            .to_string(),
-            key: i,
-            value: payload("batch", i),
-        })
-        .collect();
-    b.commit(&batch).unwrap();
-    assert_eq!(
-        keys(&b.scan("conf-batch-a", 0, u64::MAX).unwrap()),
-        vec![0, 2]
-    );
-    assert_eq!(
-        keys(&b.scan("conf-batch-b", 0, u64::MAX).unwrap()),
-        vec![1, 3]
-    );
-    assert_eq!(
-        b.get("conf-batch-b", 3).unwrap(),
-        Some(payload("batch", 3)),
-        "{}",
-        fix.name
-    );
-}
-
 /// Snapshot namespaces assign their own ascending keys, keep newest
 /// values in order, and honor the generation cap on every append.
 pub fn snapshot_generations_are_ordered_and_capped(fix: &Fixture) {
@@ -309,8 +257,7 @@ pub fn snapshot_generations_are_ordered_and_capped(fix: &Fixture) {
     );
 }
 
-/// Generation order and values survive reopen; key numerals need not
-/// (the append-log backend renumbers from file positions).
+/// Generation order and values survive reopen; key numerals need not.
 pub fn snapshot_state_survives_reopen(fix: &Fixture) {
     {
         let b = fix.open();
@@ -377,43 +324,47 @@ pub fn retention_by_min_key_is_exact(fix: &Fixture) {
 
 /// Count-bound retention may be granular (the segment backend prunes
 /// whole segments) but must only ever drop a *prefix*, keep at least
-/// one record, and report exactly what it dropped.
+/// one record — even under a bound of zero — and report exactly what it
+/// dropped.
 pub fn retention_by_count_is_safe(fix: &Fixture) {
     let b = fix.open();
-    b.define(
-        "conf-count",
-        NamespaceProfile::log(Retention::unbounded().keep_records(3)),
-    )
-    .unwrap();
-    for key in 0..10u64 {
-        b.append("conf-count", key, &payload("count", key)).unwrap();
+    for bound in [3u64, 0] {
+        let ns = format!("conf-count-{bound}");
+        b.define(
+            &ns,
+            NamespaceProfile::log(Retention::unbounded().keep_records(bound)),
+        )
+        .unwrap();
+        for key in 0..10u64 {
+            b.append(&ns, key, &payload("count", key)).unwrap();
+        }
+        let before = b.scan(&ns, 0, u64::MAX).unwrap();
+        let pruned = b.retain(&ns).unwrap();
+        let after = b.scan(&ns, 0, u64::MAX).unwrap();
+        assert!(
+            !after.is_empty(),
+            "{}: retention to {bound} pruned everything",
+            fix.name
+        );
+        assert_eq!(
+            pruned.records,
+            (before.len() - after.len()) as u64,
+            "{}: keep_records({bound})",
+            fix.name
+        );
+        assert_eq!(
+            &after[..],
+            &before[before.len() - after.len()..],
+            "{}: survivors must be a suffix under keep_records({bound})",
+            fix.name
+        );
+        assert_eq!(
+            b.latest(&ns).unwrap().unwrap().key,
+            9,
+            "{}: the newest record always survives keep_records({bound})",
+            fix.name
+        );
     }
-    let before = b.scan("conf-count", 0, u64::MAX).unwrap();
-    let pruned = b.retain("conf-count").unwrap();
-    let after = b.scan("conf-count", 0, u64::MAX).unwrap();
-    assert!(
-        !after.is_empty(),
-        "{}: retention pruned everything",
-        fix.name
-    );
-    assert_eq!(
-        pruned.records,
-        (before.len() - after.len()) as u64,
-        "{}",
-        fix.name
-    );
-    assert_eq!(
-        &after[..],
-        &before[before.len() - after.len()..],
-        "{}: survivors must be a suffix",
-        fix.name
-    );
-    assert_eq!(
-        b.latest("conf-count").unwrap().unwrap().key,
-        9,
-        "{}: the newest record always survives",
-        fix.name
-    );
 }
 
 /// Namespace misuse is reported as typed errors, not panics.

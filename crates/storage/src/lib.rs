@@ -1,10 +1,9 @@
 //! Pluggable storage for the role-classification history plane.
 //!
 //! Checkpoints, the flight-recorder journal, and per-window run history
-//! were flat files bolted beside each other; this crate formalizes them
-//! as *keyed record namespaces* behind one [`StorageBackend`] trait so
-//! the same call sites can run over an ephemeral map, today's
-//! append-log files, or indexed segments with compaction and retention.
+//! are *keyed record namespaces* behind one [`StorageBackend`] trait, so
+//! the same call sites run over an ephemeral map or over indexed
+//! segments with compaction and retention.
 //!
 //! # Data model
 //!
@@ -20,11 +19,9 @@
 //! * **Snapshot** namespaces are generation stacks (checkpoint
 //!   primary/backup). The backend assigns each generation the next key
 //!   itself and [`StorageBackend::append`] returns it; the durable
-//!   contract is *ordering and values*, not key numerals — the
-//!   append-log backend stores generations as today's
-//!   `file` / `file.bak` pair, which persists order but not numbers.
+//!   contract is *ordering and values*, not key numerals.
 //!   The generation cap in the profile's retention is applied on every
-//!   append (the demotion that used to be hand-rolled rename calls).
+//!   append.
 //!
 //! # Durability contract
 //!
@@ -33,43 +30,31 @@
 //!   crash can tear at most the final record, which readers drop; an OS
 //!   crash may lose recently appended records.
 //! * `append` on a **snapshot** namespace is *committed*: the new
-//!   generation is written to the side, fsynced, renamed into place,
-//!   and the parent directory is fsynced, so a crash at any point
-//!   leaves the previous generation intact and a completed append
-//!   survives power loss. (The directory fsync is the fix for the old
-//!   write-then-rename path, which synced the file but never the
-//!   directory entry.)
+//!   generation is fsynced before the call returns, so a crash at any
+//!   point leaves the previous generation intact. The directory entry
+//!   of a segment file created by the append is hardened by the next
+//!   rotation or [`StorageBackend::flush`].
 //! * [`StorageBackend::flush`] hardens everything: open log files and
 //!   their directories are fsynced.
-//! * [`StorageBackend::commit`] applies a batch in order with each
-//!   entry atomic; a crash mid-batch leaves a durable *prefix*, never
-//!   an interleaving or a torn record.
 //!
 //! # Backends
 //!
 //! * [`MemoryBackend`] — an in-process map; clones share state, so
 //!   "reopen" in tests is just another handle.
-//! * [`AppendLogBackend`] — today's on-disk behavior formalized:
-//!   write-then-rename generations for snapshots, a per-append-flushed
-//!   line file for logs (legacy bare-JSONL journals are still read,
-//!   with keys synthesized by line position).
 //! * [`SegmentBackend`] — append-only segment files with a sparse
 //!   in-segment index, background-free compaction of old segments, and
 //!   retention by record count / bytes / minimum key.
 
-mod appendlog;
 pub mod conformance;
 mod memory;
 mod segment;
 
-pub use appendlog::{decode_line_payload, AppendLogBackend};
 pub use memory::MemoryBackend;
 pub use segment::{SegmentBackend, SegmentOptions};
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Metric names the storage layer increments on the pipeline recorder.
@@ -206,6 +191,8 @@ impl Retention {
     pub fn cutoff(&self, records: &[(u64, u64)]) -> Option<u64> {
         let mut cut: Option<u64> = self.min_key;
         if let Some(max) = self.max_records {
+            // Like the byte axis, never prune the newest record.
+            let max = max.max(1);
             if (records.len() as u64) > max {
                 let first_kept = records.len() - max as usize;
                 cut = Some(cut.unwrap_or(0).max(records[first_kept].0));
@@ -267,14 +254,6 @@ pub struct Record {
     pub value: Vec<u8>,
 }
 
-/// One entry of a [`StorageBackend::commit`] batch.
-#[derive(Clone, Debug)]
-pub struct BatchEntry {
-    pub ns: String,
-    pub key: u64,
-    pub value: Vec<u8>,
-}
-
 /// What a retention pass removed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Pruned {
@@ -299,7 +278,7 @@ impl Pruned {
 /// internally synchronized) so one `Arc<dyn StorageBackend>` can be
 /// shared by the checkpointer, the flight recorder, and the run store.
 pub trait StorageBackend: Send + Sync + fmt::Debug {
-    /// Stable backend name (`memory` / `appendlog` / `segment`), used
+    /// Stable backend name (`memory` / `segment`), used
     /// in telemetry labels and bench rows.
     fn name(&self) -> &'static str;
 
@@ -312,10 +291,6 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     /// durability semantics. Returns the effective key (the caller's
     /// for logs, the assigned generation for snapshots).
     fn append(&self, ns: &str, key: u64, value: &[u8]) -> Result<u64>;
-
-    /// Applies `batch` in order. Each entry is individually atomic; a
-    /// crash mid-batch leaves a durable prefix of the batch.
-    fn commit(&self, batch: &[BatchEntry]) -> Result<()>;
 
     /// Point lookup by key.
     fn get(&self, ns: &str, key: u64) -> Result<Option<Vec<u8>>>;
@@ -357,32 +332,10 @@ pub(crate) fn validate_ns(ns: &str) -> Result<()> {
     }
 }
 
-/// FNV-1a over `bytes`, the per-record checksum both file backends use.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c9dc5;
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x01000193);
-    }
-    h
-}
-
-/// Fsyncs the directory at `dir` so renames/creates inside it are
-/// durable. Directory handles can't be fsynced on some filesystems;
-/// that is reported as an error only if the open itself fails.
-pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
-    let d = std::fs::File::open(dir)?;
-    // A few filesystems reject fsync on directory handles; losing the
-    // sync there is the platform's durability floor, not an API error.
-    let _ = d.sync_all();
-    Ok(())
-}
-
 /// Which [`StorageBackend`] implementation to open.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BackendKind {
     Memory,
-    AppendLog,
     Segment,
 }
 
@@ -391,7 +344,6 @@ impl BackendKind {
     pub fn as_str(self) -> &'static str {
         match self {
             BackendKind::Memory => "memory",
-            BackendKind::AppendLog => "appendlog",
             BackendKind::Segment => "segment",
         }
     }
@@ -400,7 +352,6 @@ impl BackendKind {
     pub fn parse(s: &str) -> Option<BackendKind> {
         match s {
             "memory" => Some(BackendKind::Memory),
-            "appendlog" | "append-log" | "log" => Some(BackendKind::AppendLog),
             "segment" | "segments" => Some(BackendKind::Segment),
             _ => None,
         }
@@ -415,7 +366,7 @@ impl BackendKind {
 pub struct StorageConfig {
     /// Backend implementation.
     pub backend: BackendKind,
-    /// Root directory for the file backends (ignored by `memory`).
+    /// Root directory for the segment backend (ignored by `memory`).
     pub root: String,
     /// Flight-journal retention: newest records kept.
     pub journal_keep_records: Option<u64>,
@@ -498,13 +449,11 @@ impl StorageConfig {
         NamespaceProfile::snapshot(self.checkpoint_generations.max(1))
     }
 
-    /// Opens the configured backend. File backends create `root`.
+    /// Opens the configured backend. The segment backend creates `root`.
     pub fn open(&self) -> Result<Arc<dyn StorageBackend>> {
-        let root = PathBuf::from(&self.root);
         Ok(match self.backend {
             BackendKind::Memory => Arc::new(MemoryBackend::new()),
-            BackendKind::AppendLog => Arc::new(AppendLogBackend::new(root)?),
-            BackendKind::Segment => Arc::new(SegmentBackend::new(root)?),
+            BackendKind::Segment => Arc::new(SegmentBackend::new(&self.root)?),
         })
     }
 }
@@ -524,6 +473,10 @@ mod tests {
         assert_eq!(
             Retention::unbounded().keep_bytes(250).cutoff(&recs),
             Some(80)
+        );
+        assert_eq!(
+            Retention::unbounded().keep_records(0).cutoff(&recs),
+            Some(90)
         );
         assert_eq!(Retention::unbounded().keep_from(45).cutoff(&recs), Some(45));
         // Strictest axis wins.
@@ -551,7 +504,7 @@ mod tests {
     #[test]
     fn storage_config_round_trips_and_parses() {
         let cfg = StorageConfig::new("/tmp/state")
-            .with_backend(BackendKind::AppendLog)
+            .with_backend(BackendKind::Memory)
             .with_journal_retention(Some(10), Some(1 << 20))
             .with_history_retention(None, Some(4096))
             .with_checkpoint_generations(3);
@@ -559,10 +512,8 @@ mod tests {
         let back: StorageConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cfg);
         assert_eq!(BackendKind::parse("segment"), Some(BackendKind::Segment));
-        assert_eq!(
-            BackendKind::parse("append-log"),
-            Some(BackendKind::AppendLog)
-        );
+        assert_eq!(BackendKind::parse("memory"), Some(BackendKind::Memory));
+        assert_eq!(BackendKind::parse("appendlog"), None);
         assert_eq!(BackendKind::parse("rocksdb"), None);
         assert_eq!(BackendKind::Segment.as_str(), "segment");
     }

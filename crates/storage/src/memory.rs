@@ -4,8 +4,8 @@
 //! a no-op here by construction.
 
 use crate::{
-    validate_ns, BatchEntry, NamespaceKind, NamespaceProfile, Pruned, Record, Result,
-    StorageBackend, StorageError,
+    validate_ns, NamespaceKind, NamespaceProfile, Pruned, Record, Result, StorageBackend,
+    StorageError,
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -35,38 +35,6 @@ impl MemoryBackend {
             .get_mut(ns)
             .ok_or_else(|| StorageError::UnknownNamespace(ns.to_string()))?;
         f(space)
-    }
-
-    fn append_locked(space: &mut Namespace, ns: &str, key: u64, value: &[u8]) -> Result<u64> {
-        let key = match space.profile.kind {
-            NamespaceKind::Log => {
-                if let Some((&last, _)) = space.records.iter().next_back() {
-                    if key <= last {
-                        return Err(StorageError::NonMonotonicKey {
-                            ns: ns.to_string(),
-                            key,
-                            last,
-                        });
-                    }
-                }
-                key
-            }
-            NamespaceKind::Snapshot => {
-                let k = space.next_gen;
-                space.next_gen += 1;
-                k
-            }
-        };
-        space.records.insert(key, value.to_vec());
-        if space.profile.kind == NamespaceKind::Snapshot {
-            if let Some(cap) = space.profile.retention.max_records {
-                while space.records.len() as u64 > cap.max(1) {
-                    let oldest = *space.records.keys().next().unwrap();
-                    space.records.remove(&oldest);
-                }
-            }
-        }
-        Ok(key)
     }
 }
 
@@ -103,41 +71,37 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn append(&self, ns: &str, key: u64, value: &[u8]) -> Result<u64> {
-        self.with_ns(ns, |space| Self::append_locked(space, ns, key, value))
-    }
-
-    fn commit(&self, batch: &[BatchEntry]) -> Result<()> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        // Validate the whole batch first so a bad entry can't leave a
-        // partial in-memory application (files can only promise a
-        // durable prefix; the map can do better for free).
-        let mut staged: BTreeMap<&str, u64> = BTreeMap::new();
-        for entry in batch {
-            let space = state
-                .get(&entry.ns)
-                .ok_or_else(|| StorageError::UnknownNamespace(entry.ns.clone()))?;
-            if space.profile.kind == NamespaceKind::Log {
-                let last = staged
-                    .get(entry.ns.as_str())
-                    .copied()
-                    .or_else(|| space.records.keys().next_back().copied());
-                if let Some(last) = last {
-                    if entry.key <= last {
-                        return Err(StorageError::NonMonotonicKey {
-                            ns: entry.ns.clone(),
-                            key: entry.key,
-                            last,
-                        });
+        self.with_ns(ns, |space| {
+            let key = match space.profile.kind {
+                NamespaceKind::Log => {
+                    if let Some((&last, _)) = space.records.iter().next_back() {
+                        if key <= last {
+                            return Err(StorageError::NonMonotonicKey {
+                                ns: ns.to_string(),
+                                key,
+                                last,
+                            });
+                        }
+                    }
+                    key
+                }
+                NamespaceKind::Snapshot => {
+                    let k = space.next_gen;
+                    space.next_gen += 1;
+                    k
+                }
+            };
+            space.records.insert(key, value.to_vec());
+            if space.profile.kind == NamespaceKind::Snapshot {
+                if let Some(cap) = space.profile.retention.max_records {
+                    while space.records.len() as u64 > cap.max(1) {
+                        let oldest = *space.records.keys().next().unwrap();
+                        space.records.remove(&oldest);
                     }
                 }
-                staged.insert(&entry.ns, entry.key);
             }
-        }
-        for entry in batch {
-            let space = state.get_mut(&entry.ns).unwrap();
-            Self::append_locked(space, &entry.ns, entry.key, &entry.value)?;
-        }
-        Ok(())
+            Ok(key)
+        })
     }
 
     fn get(&self, ns: &str, key: u64) -> Result<Option<Vec<u8>>> {

@@ -34,8 +34,8 @@
 //!   segments.
 
 use crate::{
-    fnv1a, sync_dir, validate_ns, BatchEntry, NamespaceKind, NamespaceProfile, Pruned, Record,
-    Result, StorageBackend, StorageError,
+    validate_ns, NamespaceKind, NamespaceProfile, Pruned, Record, Result, StorageBackend,
+    StorageError,
 };
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -116,6 +116,27 @@ pub struct SegmentBackend {
     root: PathBuf,
     options: SegmentOptions,
     spaces: Mutex<BTreeMap<String, SegNs>>,
+}
+
+/// FNV-1a over `bytes`, the per-record checksum.
+fn fnv1a(bytes: &[u8]) -> u32 {
+    let mut h: u32 = 0x811c9dc5;
+    for &b in bytes {
+        h ^= u32::from(b);
+        h = h.wrapping_mul(0x01000193);
+    }
+    h
+}
+
+/// Fsyncs the directory at `dir` so renames/creates inside it are
+/// durable. Directory handles can't be fsynced on some filesystems;
+/// that is reported as an error only if the open itself fails.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    let d = std::fs::File::open(dir)?;
+    // A few filesystems reject fsync on directory handles; losing the
+    // sync there is the platform's durability floor, not an API error.
+    let _ = d.sync_all();
+    Ok(())
 }
 
 fn seg_name(lo: u32, hi: u32) -> String {
@@ -699,22 +720,7 @@ impl StorageBackend for SegmentBackend {
     }
 
     fn append(&self, ns: &str, key: u64, value: &[u8]) -> Result<u64> {
-        let mut spaces = self.spaces.lock().unwrap_or_else(|e| e.into_inner());
-        let space = spaces
-            .get_mut(ns)
-            .ok_or_else(|| StorageError::UnknownNamespace(ns.to_string()))?;
-        self.append_locked(ns, space, key, value)
-    }
-
-    fn commit(&self, batch: &[BatchEntry]) -> Result<()> {
-        let mut spaces = self.spaces.lock().unwrap_or_else(|e| e.into_inner());
-        for entry in batch {
-            let space = spaces
-                .get_mut(&entry.ns)
-                .ok_or_else(|| StorageError::UnknownNamespace(entry.ns.clone()))?;
-            self.append_locked(&entry.ns, space, entry.key, &entry.value)?;
-        }
-        Ok(())
+        self.with_ns(ns, |space| self.append_locked(ns, space, key, value))
     }
 
     fn get(&self, ns: &str, key: u64) -> Result<Option<Vec<u8>>> {

@@ -1,5 +1,5 @@
 //! Runs the shared conformance suite (`storage::conformance`) against
-//! all three in-tree backends. A backend that diverges on any
+//! both in-tree backends. A backend that diverges on any
 //! observable behavior — key ordering, scans, snapshot generations,
 //! retention accounting, torn-tail recovery — fails here with its name
 //! in the assertion message.
@@ -19,11 +19,6 @@ fn run(name: &str) {
 #[test]
 fn memory_backend_conforms() {
     run("memory");
-}
-
-#[test]
-fn appendlog_backend_conforms() {
-    run("appendlog");
 }
 
 #[test]

@@ -1,12 +1,12 @@
 //! Crash-recovery behavior the conformance suite can't express
-//! generically: mid-file corruption detection, interrupted snapshot
-//! demotion, and every window of an interrupted segment compaction.
+//! generically: corruption detection in sealed segments, retention
+//! across restarts, and every window of an interrupted segment
+//! compaction.
 
 use std::fs;
 use std::path::PathBuf;
 use storage::{
-    AppendLogBackend, NamespaceProfile, Retention, SegmentBackend, SegmentOptions, StorageBackend,
-    StorageError,
+    NamespaceProfile, Retention, SegmentBackend, SegmentOptions, StorageBackend, StorageError,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -62,63 +62,6 @@ fn scan_all(b: &dyn StorageBackend) -> Vec<(u64, Vec<u8>)> {
         .into_iter()
         .map(|r| (r.key, r.value))
         .collect()
-}
-
-#[test]
-fn appendlog_mid_file_corruption_is_detected_not_misread() {
-    let dir = temp_dir("log-corrupt");
-    {
-        let b = AppendLogBackend::new(&dir).unwrap();
-        b.define("log", NamespaceProfile::log(Retention::unbounded()))
-            .unwrap();
-        for key in 0..4u64 {
-            b.append("log", key, format!("v{key}").as_bytes()).unwrap();
-        }
-    }
-    // Flip a payload byte in the middle of the file: the checksum must
-    // catch it (a torn tail is the only corruption open() tolerates).
-    let path = dir.join("log");
-    let mut bytes = fs::read(&path).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x20;
-    fs::write(&path, &bytes).unwrap();
-    let b = AppendLogBackend::new(&dir).unwrap();
-    match b.define("log", NamespaceProfile::log(Retention::unbounded())) {
-        Err(StorageError::Corrupt(_)) => {}
-        other => panic!("expected Corrupt, got {other:?}"),
-    }
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn appendlog_interrupted_demotion_recovers_previous_generation() {
-    let dir = temp_dir("snap-demote");
-    {
-        let b = AppendLogBackend::new(&dir).unwrap();
-        b.define("ckpt", NamespaceProfile::snapshot(2)).unwrap();
-        b.append("ckpt", 0, b"generation-one").unwrap();
-        b.append("ckpt", 0, b"generation-two").unwrap();
-    }
-    // Crash window: the primary was demoted to .bak but the new temp
-    // file was never promoted. Only the backup generation remains.
-    fs::rename(dir.join("ckpt"), dir.join("ckpt.bak")).unwrap();
-    fs::write(dir.join("ckpt.tmp"), b"torn-generation-three").unwrap();
-    let b = AppendLogBackend::new(&dir).unwrap();
-    b.define("ckpt", NamespaceProfile::snapshot(2)).unwrap();
-    assert_eq!(b.len("ckpt").unwrap(), 1);
-    assert_eq!(
-        b.latest("ckpt").unwrap().unwrap().value,
-        b"generation-two".to_vec(),
-        "the surviving generation is served as the newest"
-    );
-    // The torn temp file was discarded, and the next append proceeds.
-    assert!(!dir.join("ckpt.tmp").exists());
-    b.append("ckpt", 0, b"generation-three").unwrap();
-    assert_eq!(
-        b.latest("ckpt").unwrap().unwrap().value,
-        b"generation-three".to_vec()
-    );
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

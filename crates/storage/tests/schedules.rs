@@ -110,7 +110,7 @@ fn check_schedule(fix: &Fixture, ops: &[Op], tag: u64) -> Result<(), TestCaseErr
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// One random schedule, replayed against all three backends.
+    /// One random schedule, replayed against both backends.
     #[test]
     fn backends_track_the_model_through_crashy_schedules(
         ops in prop::collection::vec(arb_op(), 1..30),

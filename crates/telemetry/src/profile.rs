@@ -201,9 +201,9 @@ fn escape_frame_into(out: &mut String, frame: &str) {
 /// multiple trees share one flamegraph base. Identical paths from
 /// repeated spans are summed. Every span produces a line (zero values
 /// included, which flamegraph tools accept), so the output is a
-/// lossless self-time account of the forest. Frames are escaped by
-/// [`escape_frame_into`]'s rules and parse back with
-/// [`parse_collapsed_line`].
+/// lossless self-time account of the forest. Frames backslash-escape
+/// `;`, space, and `\`, write control characters as `\u{XXXX}`, and
+/// parse back with [`parse_collapsed_line`].
 pub fn collapsed_stacks(roots: &[SpanNode], root_frame: &str) -> String {
     fn walk(n: &SpanNode, path: &mut Vec<String>, agg: &mut BTreeMap<Vec<String>, u64>) {
         path.push(n.name.clone());

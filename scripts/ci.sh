@@ -27,6 +27,11 @@ fi
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc warnings are errors too: a doc link left pointing at a
+# renamed or deleted item fails here instead of rendering as dead text.
+echo "==> cargo doc --workspace --no-deps (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo test -q"
 cargo test --workspace -q
 
@@ -57,9 +62,9 @@ cargo test -q --test profile_collapsed
 cargo test -q -p role-classification --lib -- cli::tests serve::tests
 
 # The storage layer must honor its durability contract on every
-# backend: the shared conformance suite pins memory/appendlog/segment
-# to one behavioral spec, the crash suite tears the tail off live files
-# and requires recovery to lose at most the final record, and the
+# backend: the shared conformance suite pins memory and segment to one
+# behavioral spec, the crash suite tears the tail off live files and
+# requires recovery to lose at most the final record, and the
 # schedules proptest drives random append/flush/crash/reopen
 # interleavings against an in-memory model. The aggregator-side
 # round-trip (checkpoint + journal + run history sharing one backend)

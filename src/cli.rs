@@ -179,7 +179,7 @@ DURABLE STORAGE AND TIME TRAVEL:
                flight journal, checkpoint), with disk bounded by the
                backend's retention policy; explain replays windows back
                out of it instead of reading a capture
-  --store      backend serving --state: memory | appendlog | segment
+  --store      backend serving --state: memory | segment
                (default segment: indexed append-only segments with
                compaction and retention)
   --at         explain only: time-travel target in ms. Replays the
@@ -610,7 +610,7 @@ fn storage_config(o: &Options) -> Result<Option<StorageConfig>, CliError> {
     if let Some(name) = o.store.as_deref() {
         let kind = BackendKind::parse(name).ok_or_else(|| {
             CliError::usage(format!(
-                "unknown storage backend {name:?} (expected memory|appendlog|segment)"
+                "unknown storage backend {name:?} (expected memory|segment)"
             ))
         })?;
         config = config.with_backend(kind);

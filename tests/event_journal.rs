@@ -3,16 +3,16 @@
 //! in-memory journal and the durable flight-recorder journal, and every
 //! journal line must parse as JSON carrying a declared name.
 
+use role_classification::aggregator::store::JOURNAL_NS;
 use role_classification::aggregator::{
-    read_journal_lines, Aggregator, AggregatorConfig, Checkpointer, FlightRecorder, Probe,
-    ProbeError, RecoverySource, ReplayProbe, RunStore, SupervisorConfig, AGGREGATOR_EVENT_NAMES,
-    STORAGE_EVENT_NAMES,
+    Aggregator, AggregatorConfig, Probe, ProbeError, RecoverySource, ReplayProbe, RunStore,
+    StorageStack, SupervisorConfig, AGGREGATOR_EVENT_NAMES, STORAGE_EVENT_NAMES,
 };
 use role_classification::flow::{FlowRecord, HostAddr};
 use role_classification::roleclass::{
     EngineConfig, Params, ENGINE_EVENT_NAMES, STABILITY_EVENT_NAMES,
 };
-use role_classification::storage::{MemoryBackend, NamespaceProfile, Retention};
+use role_classification::storage::{MemoryBackend, NamespaceProfile, Retention, StorageConfig};
 use role_classification::telemetry::Recorder;
 use serde::value::Value;
 use std::collections::BTreeSet;
@@ -67,6 +67,26 @@ impl Probe for FatalProbe {
     }
 }
 
+/// Segment-backed storage on a fresh temp root: a restart drops the
+/// stack and reopens it on the same root.
+fn segment_storage(tag: &str) -> (std::path::PathBuf, StorageConfig) {
+    let dir = std::env::temp_dir().join(format!("roleclass-events-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = StorageConfig::new(dir.to_string_lossy());
+    (dir, config)
+}
+
+/// The durable journal payloads, one JSON string per event.
+fn journal_lines(stack: &StorageStack) -> Vec<String> {
+    stack
+        .backend()
+        .scan(JOURNAL_NS, 0, u64::MAX)
+        .unwrap()
+        .into_iter()
+        .map(|rec| String::from_utf8(rec.value).unwrap())
+        .collect()
+}
+
 fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
     match v {
         Value::Map(m) => &m.iter().find(|(k, _)| k == key).expect("missing field").1,
@@ -76,10 +96,8 @@ fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
 
 #[test]
 fn degraded_pipeline_produces_every_declared_event_type() {
-    let dir = std::env::temp_dir().join(format!("roleclass-events-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let ck = Checkpointer::new(dir.join("history.ckpt"));
+    let (dir, storage) = segment_storage("e2e");
+    let stack = StorageStack::open(&storage).unwrap();
 
     let recorder = Arc::new(Recorder::new());
     let mut agg = Aggregator::try_new(AggregatorConfig {
@@ -92,7 +110,7 @@ fn degraded_pipeline_produces_every_declared_event_type() {
     })
     .unwrap()
     .with_recorder(Arc::clone(&recorder))
-    .with_shared_flight_recorder(Arc::new(FlightRecorder::open(ck.journal_path()).unwrap()))
+    .with_shared_flight_recorder(Arc::clone(stack.recorder()))
     // Run history with a two-window retention cap: over four windows,
     // both storage event types (history_recorded + retention_pruned)
     // must fire.
@@ -112,9 +130,12 @@ fn degraded_pipeline_produces_every_declared_event_type() {
     agg.attach(Box::new(FatalProbe));
     let cycles = agg.drain();
     assert_eq!(cycles, 4);
-    agg.checkpoint(&ck).unwrap();
+    agg.checkpoint(stack.checkpointer()).unwrap();
 
     // Restart: restore is journaled too (checkpoint_restored).
+    drop(agg);
+    drop(stack);
+    let stack = StorageStack::open(&storage).unwrap();
     let mut fresh = Aggregator::try_new(AggregatorConfig {
         window_ms: 1000,
         origin_ms: 0,
@@ -125,8 +146,8 @@ fn degraded_pipeline_produces_every_declared_event_type() {
     })
     .unwrap()
     .with_recorder(Arc::clone(&recorder))
-    .with_shared_flight_recorder(Arc::new(FlightRecorder::open(ck.journal_path()).unwrap()));
-    let recovery = fresh.restore_from(&ck);
+    .with_shared_flight_recorder(Arc::clone(stack.recorder()));
+    let recovery = fresh.restore_from(stack.checkpointer());
     assert_eq!(recovery.source, RecoverySource::Primary);
 
     // Every declared event type — engine, aggregator, and stability
@@ -155,7 +176,7 @@ fn degraded_pipeline_produces_every_declared_event_type() {
 
     // Every durable journal line parses as JSON with a declared
     // aggregator or stability event name and a dense sequence.
-    let lines = read_journal_lines(ck.journal_path()).unwrap();
+    let lines = journal_lines(&stack);
     assert!(!lines.is_empty());
     for (i, line) in lines.iter().enumerate() {
         let v: Value = serde_json::from_str(line).expect("journal line must parse");
@@ -181,11 +202,8 @@ fn degraded_pipeline_produces_every_declared_event_type() {
 /// restore) with a flight recorder and, optionally, an in-memory
 /// recorder. Returns the durable journal with `ts_ns` stripped.
 fn journal_without_timestamps(tag: &str, recorder: Option<Arc<Recorder>>) -> Vec<Value> {
-    let dir = std::env::temp_dir().join(format!("roleclass-events-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let ck = Checkpointer::new(dir.join("history.ckpt"));
-    let aggregator = || {
+    let (dir, storage) = segment_storage(tag);
+    let aggregator = |stack: &StorageStack| {
         let agg = Aggregator::try_new(AggregatorConfig {
             window_ms: 1000,
             origin_ms: 0,
@@ -195,13 +213,14 @@ fn journal_without_timestamps(tag: &str, recorder: Option<Arc<Recorder>>) -> Vec
             ..AggregatorConfig::default()
         })
         .unwrap()
-        .with_shared_flight_recorder(Arc::new(FlightRecorder::open(ck.journal_path()).unwrap()));
+        .with_shared_flight_recorder(Arc::clone(stack.recorder()));
         match &recorder {
             Some(r) => agg.with_recorder(Arc::clone(r)),
             None => agg,
         }
     };
-    let mut agg = aggregator().with_run_store(Arc::new(
+    let stack = StorageStack::open(&storage).unwrap();
+    let mut agg = aggregator(&stack).with_run_store(Arc::new(
         RunStore::open(
             Arc::new(MemoryBackend::new()),
             "runs",
@@ -215,10 +234,13 @@ fn journal_without_timestamps(tag: &str, recorder: Option<Arc<Recorder>>) -> Vec
     )));
     agg.attach(Box::new(FatalProbe));
     assert_eq!(agg.drain(), 4);
-    agg.checkpoint(&ck).unwrap();
-    aggregator().restore_from(&ck);
+    agg.checkpoint(stack.checkpointer()).unwrap();
+    drop(agg);
+    drop(stack);
+    let stack = StorageStack::open(&storage).unwrap();
+    aggregator(&stack).restore_from(stack.checkpointer());
 
-    let lines = read_journal_lines(ck.journal_path()).unwrap();
+    let lines = journal_lines(&stack);
     let _ = std::fs::remove_dir_all(&dir);
     lines
         .iter()
