@@ -488,7 +488,7 @@ mod tests {
     fn checkpoint_fallback_alert_grades_by_source() {
         let clean = Recovery {
             runs: vec![],
-            table: flow::HostTable::new(),
+            state: Default::default(),
             source: RecoverySource::Primary,
             notes: vec![],
         };
@@ -496,7 +496,7 @@ mod tests {
 
         let backup = Recovery {
             runs: vec![],
-            table: flow::HostTable::new(),
+            state: Default::default(),
             source: RecoverySource::Backup,
             notes: vec!["primary checkpoint unusable: corrupt".to_string()],
         };
@@ -512,7 +512,7 @@ mod tests {
 
         let fresh = Recovery {
             runs: vec![],
-            table: flow::HostTable::new(),
+            state: Default::default(),
             source: RecoverySource::Fresh,
             notes: vec![],
         };

@@ -1,12 +1,13 @@
-//! Crash-safe persistence for the run history.
+//! Crash-safe persistence of the aggregator's resume state.
 //!
-//! The run history is the anchor for group-id correlation: lose it and
-//! every group gets renumbered on restart, which invalidates labels,
-//! policies, and operator intuition. This module persists it as
-//! *checkpoint generations* in a [`StorageBackend`] snapshot namespace,
-//! with:
+//! Past windows live once, in the [`RunStore`]. The checkpoint holds
+//! what the store cannot supply — the master [`HostTable`] and the
+//! resume cursor — so its size does not grow with the window count.
+//! Restore reads the runs before the cursor back from the store. The
+//! state is stored as *checkpoint generations* in a [`StorageBackend`]
+//! snapshot namespace, with:
 //!
-//! * a **versioned header** (`roleclass-checkpoint v2`) so format drift
+//! * a **versioned header** (`roleclass-checkpoint v3`) so format drift
 //!   is detected instead of misparsed;
 //! * **atomic generations**: each save appends one generation under the
 //!   backend's snapshot contract, so a crash mid-write can never leave a
@@ -14,28 +15,70 @@
 //! * a **backup generation**: the previous checkpoint survives as an
 //!   older generation, so even external corruption of the newest one
 //!   recovers to the last good state;
-//! * **corruption detection**: a truncated or garbage generation is
-//!   reported as [`CheckpointError::Corrupt`], never a panic.
+//! * **corruption detection**: a truncated or garbage generation, or
+//!   one whose table lacks a host its runs name, is rejected with a
+//!   [`Recovery`] note, never a panic.
 
-use crate::pipeline::{intern_hosts, RunRecord};
+use crate::pipeline::RunRecord;
+use crate::store::RunStore;
 use flow::HostTable;
-use serde::{Deserialize, Serialize};
+use serde::ser::to_value;
+use serde::value::Value;
+use serde::{Deserialize, Serialize, Serializer};
 use std::fmt;
 use std::sync::Arc;
-use storage::{NamespaceProfile, StorageBackend, StorageError};
+use storage::{NamespaceProfile, StorageBackend, StorageError, CHECKPOINT_GENERATIONS};
 
 /// First header token; anything else is not a checkpoint file.
 const MAGIC: &str = "roleclass-checkpoint";
-/// Current format version: v2 adds the master [`HostTable`] so dense
-/// host ids survive restarts.
-const VERSION: u32 = 2;
+/// Current format version: v3 drops the run history (the run store
+/// keeps it) and records the resume cursor instead.
+const VERSION: u32 = 3;
 
-/// The v2 on-disk payload: the run history plus the master identity
-/// table that assigned each host its dense id.
-#[derive(Serialize, Deserialize)]
-struct CheckpointDoc {
-    table: HostTable,
-    runs: Vec<RunRecord>,
+/// The v3 payload: what a checkpoint generation holds. It covers the
+/// stored runs that start before `resume_ms`.
+#[derive(Debug, Default, Deserialize)]
+pub struct ResumeState {
+    /// The master identity table that assigned each host its dense id.
+    pub table: HostTable,
+    /// Window end of the newest covered run (`None` before any run):
+    /// the next window starts here.
+    pub resume_ms: Option<u64>,
+}
+
+impl ResumeState {
+    /// How many of `runs` (oldest first) this state covers: those that
+    /// start before the cursor. Every host they name must be in the
+    /// table — a mismatch means the generation was hand-edited or
+    /// belongs to a different store.
+    fn covered(&self, runs: &[RunRecord]) -> Result<usize, CheckpointError> {
+        let n = self
+            .resume_ms
+            .map_or(0, |t| runs.partition_point(|r| r.window.start_ms < t));
+        let mut hosts = runs[..n].iter().flat_map(|run| run.connsets.hosts());
+        match hosts.find(|&h| self.table.get(h).is_none()) {
+            Some(h) => Err(CheckpointError::Corrupt(format!(
+                "host {h} missing from identity table"
+            ))),
+            None => Ok(n),
+        }
+    }
+}
+
+/// [`ResumeState`] as written, borrowing the table (the derive cannot
+/// carry a lifetime).
+struct ResumeDoc<'a> {
+    table: &'a HostTable,
+    resume_ms: Option<u64>,
+}
+
+impl Serialize for ResumeDoc<'_> {
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        s.serialize_value(Value::Map(vec![
+            ("table".to_string(), to_value(self.table)),
+            ("resume_ms".to_string(), to_value(&self.resume_ms)),
+        ]))
+    }
 }
 
 /// Why a checkpoint operation failed.
@@ -80,7 +123,7 @@ impl From<StorageError> for CheckpointError {
     }
 }
 
-/// Where a recovered history came from.
+/// Where a recovered state came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecoverySource {
     /// The primary checkpoint was intact.
@@ -105,29 +148,31 @@ impl RecoverySource {
 /// Result of [`Checkpointer::load_or_recover`].
 #[derive(Debug)]
 pub struct Recovery {
-    /// The recovered run history (empty for [`RecoverySource::Fresh`]).
+    /// The stored runs the recovered generation covers, oldest first.
     pub runs: Vec<RunRecord>,
-    /// The recovered master identity table (empty for
+    /// The recovered table and cursor (empty for
     /// [`RecoverySource::Fresh`]).
-    pub table: HostTable,
+    pub state: ResumeState,
     /// Which generation supplied it.
     pub source: RecoverySource,
     /// Human-readable notes about anything that went wrong on the way
-    /// (e.g. why the primary was rejected). Empty on a clean load.
+    /// (why the primary was rejected, a gap in the stored runs). Empty
+    /// on a clean load.
     pub notes: Vec<String>,
 }
 
-/// Writes and reads checkpoint generations for a run history.
+/// Writes and reads checkpoint generations of an aggregator's resume
+/// state.
 ///
 /// Persistence goes through a [`StorageBackend`] snapshot namespace:
 /// each save appends one generation (encoded header + payload), the
-/// backend keeps the newest `generations` of them, and recovery scans
-/// newest → oldest for the first parseable one.
+/// backend keeps the newest [`CHECKPOINT_GENERATIONS`] of them (a
+/// primary plus one backup), and recovery scans newest → oldest for the
+/// first usable one.
 #[derive(Clone, Debug)]
 pub struct Checkpointer {
     ns: String,
     backend: Arc<dyn StorageBackend>,
-    generations: u64,
 }
 
 impl Checkpointer {
@@ -137,48 +182,32 @@ impl Checkpointer {
         Checkpointer {
             ns: ns.into(),
             backend,
-            generations: 2,
         }
-    }
-
-    /// Overrides how many generations the backend retains (minimum 1;
-    /// the default 2 is a primary plus one backup).
-    pub fn with_generations(mut self, generations: u64) -> Self {
-        self.generations = generations.max(1);
-        self
     }
 
     /// Defines the snapshot namespace (idempotently) and returns the
     /// backend serving it.
     fn open_ns(&self) -> Result<&dyn StorageBackend, CheckpointError> {
         self.backend
-            .define(&self.ns, NamespaceProfile::snapshot(self.generations))?;
+            .define(&self.ns, NamespaceProfile::snapshot(CHECKPOINT_GENERATIONS))?;
         Ok(self.backend.as_ref())
     }
 
-    /// Atomically persists `runs` as a new checkpoint generation. The
+    /// Atomically persists `table` and the resume cursor of `runs` (the
+    /// window end of `runs.last()`) as a new checkpoint generation. The
+    /// runs themselves are not written: the run store holds them. The
     /// backend's snapshot contract does the heavy lifting: the
     /// generation is fsynced before the call returns, the previous one
     /// is kept as a backup rather than destroyed, and a crash at any
     /// point leaves at least one intact generation on disk.
-    ///
-    /// The identity table is derived from the runs (each run's hosts
-    /// interned in order); use [`Checkpointer::save_with_table`] to
-    /// persist an aggregator's live master table, which may hold hosts
-    /// no retained run mentions.
-    pub fn save(&self, runs: &[RunRecord]) -> Result<(), CheckpointError> {
-        self.save_with_table(runs, &intern_hosts(runs))
-    }
-
-    /// [`Checkpointer::save`] with an explicit master identity table.
     pub fn save_with_table(
         &self,
         runs: &[RunRecord],
         table: &HostTable,
     ) -> Result<(), CheckpointError> {
-        let doc = CheckpointDoc {
-            table: table.clone(),
-            runs: runs.to_vec(),
+        let doc = ResumeDoc {
+            table,
+            resume_ms: runs.last().map(|r| r.window.end_ms),
         };
         let payload = serde_json::to_string(&doc)
             .map_err(|e| CheckpointError::Corrupt(format!("encode failed: {e}")))?;
@@ -191,13 +220,7 @@ impl Checkpointer {
     /// Strictly loads the newest (primary) checkpoint generation.
     /// Errors on a missing generation, a bad header, an unsupported
     /// version, or a malformed payload.
-    pub fn load(&self) -> Result<Vec<RunRecord>, CheckpointError> {
-        self.load_full().map(|(runs, _)| runs)
-    }
-
-    /// Like [`Checkpointer::load`], but also returns the master identity
-    /// table.
-    pub fn load_full(&self) -> Result<(Vec<RunRecord>, HostTable), CheckpointError> {
+    pub fn load(&self) -> Result<ResumeState, CheckpointError> {
         let b = self.open_ns()?;
         match b.latest(&self.ns)? {
             Some(rec) => Self::parse_payload(&rec.value),
@@ -208,8 +231,8 @@ impl Checkpointer {
         }
     }
 
-    /// Decodes header + payload bytes into runs and identity table.
-    fn parse_payload(bytes: &[u8]) -> Result<(Vec<RunRecord>, HostTable), CheckpointError> {
+    /// Decodes header + payload bytes into the resume state.
+    fn parse_payload(bytes: &[u8]) -> Result<ResumeState, CheckpointError> {
         let text = std::str::from_utf8(bytes)
             .map_err(|_| CheckpointError::Corrupt("checkpoint is not UTF-8".to_string()))?;
         let Some((header, payload)) = text.split_once('\n') else {
@@ -230,29 +253,18 @@ impl Checkpointer {
         if version != VERSION {
             return Err(CheckpointError::BadVersion(version));
         }
-        let doc: CheckpointDoc = serde_json::from_str(payload)
-            .map_err(|e| CheckpointError::Corrupt(format!("payload rejected: {e}")))?;
-        // Integrity: every host a run mentions must be in the table —
-        // a table/runs mismatch means the file was hand-edited or mixed
-        // from different generations.
-        for run in &doc.runs {
-            for h in run.connsets.hosts() {
-                if doc.table.get(h).is_none() {
-                    return Err(CheckpointError::Corrupt(format!(
-                        "host {h} missing from identity table"
-                    )));
-                }
-            }
-        }
-        Ok((doc.runs, doc.table))
+        serde_json::from_str(payload)
+            .map_err(|e| CheckpointError::Corrupt(format!("payload rejected: {e}")))
     }
 
     /// Loads the best available generation, never failing: the newest
-    /// intact one wins (primary), older ones are fallbacks (backup),
-    /// and with none usable the history starts empty. Corruption is
-    /// reported in [`Recovery::notes`] rather than as an error, so a
-    /// restarting aggregator always comes up.
-    pub fn load_or_recover(&self) -> Recovery {
+    /// usable one wins (primary), older ones are fallbacks (backup),
+    /// and with none usable the history starts empty. The runs are the
+    /// ones in `store` that the generation covers (see
+    /// [`ResumeState`]). Corruption, and a cursor those runs do not
+    /// reach, are reported in [`Recovery::notes`] rather than as
+    /// errors, so a restarting aggregator always comes up.
+    pub fn load_or_recover(&self, store: Option<&RunStore>) -> Recovery {
         let mut notes = Vec::new();
         let gens = match self
             .open_ns()
@@ -267,32 +279,59 @@ impl Checkpointer {
         if gens.is_empty() {
             notes.push("primary checkpoint missing".to_string());
         }
+        let mut runs = store
+            .map_or(Ok(Vec::new()), RunStore::all)
+            .unwrap_or_else(|e| {
+                notes.push(format!("run store unreadable: {e}"));
+                Vec::new()
+            });
         // Newest generation first: index 0 is the primary, everything
         // older is a backup.
         for (i, rec) in gens.iter().rev().enumerate() {
             let tier = if i == 0 { "primary" } else { "backup" };
-            match Self::parse_payload(&rec.value) {
-                Ok((runs, table)) => {
+            let parsed = Self::parse_payload(&rec.value)
+                .and_then(|state| Ok((state.covered(&runs)?, state)));
+            match parsed {
+                Ok((covered, state)) => {
+                    runs.truncate(covered);
+                    notes.extend(gap_note(store.is_some(), &runs, state.resume_ms));
                     return Recovery {
                         runs,
-                        table,
+                        state,
                         source: if i == 0 {
                             RecoverySource::Primary
                         } else {
                             RecoverySource::Backup
                         },
                         notes,
-                    }
+                    };
                 }
                 Err(e) => notes.push(format!("{tier} checkpoint unusable: {e}")),
             }
         }
         Recovery {
             runs: Vec::new(),
-            table: HostTable::new(),
+            state: ResumeState::default(),
             source: RecoverySource::Fresh,
             notes,
         }
+    }
+}
+
+/// Why the adopted `runs` do not reach the cursor, if they don't (a
+/// failed append, or no store): correlation then anchors on an older
+/// window, or none.
+fn gap_note(has_store: bool, runs: &[RunRecord], resume_ms: Option<u64>) -> Option<String> {
+    let resume_ms = resume_ms?;
+    match runs.last().map(|r| r.window.end_ms) {
+        _ if !has_store => Some(format!(
+            "no run store attached: resuming at {resume_ms} without run history"
+        )),
+        Some(end) if end == resume_ms => None,
+        Some(end) => Some(format!(
+            "run history gap: the newest stored run before {resume_ms} ends at {end}"
+        )),
+        None => Some(format!("run history gap: no stored run before {resume_ms}")),
     }
 }
 
@@ -314,13 +353,16 @@ mod tests {
         ck.open_ns().unwrap().append(&ck.ns, 0, bytes).unwrap();
     }
 
-    fn sample_runs() -> Vec<RunRecord> {
+    /// Two windows of a three-host star, recorded into `stack`'s run
+    /// store; returns the runs and the aggregator's master table.
+    fn sample_runs(stack: &StorageStack) -> (Vec<RunRecord>, HostTable) {
         let mut agg = Aggregator::new(AggregatorConfig {
             window_ms: 1000,
             origin_ms: 0,
             min_flows: 1,
             ..AggregatorConfig::default()
-        });
+        })
+        .with_run_store(Arc::clone(stack.runs()));
         let mut trace = Vec::new();
         for d in 0..2u64 {
             for n in 2..5u32 {
@@ -331,20 +373,27 @@ mod tests {
         }
         agg.attach(Box::new(ReplayProbe::new("p0", trace)));
         agg.drain();
-        agg.history().read().clone()
+        let runs = agg.history().read().clone();
+        (runs, agg.host_table().clone())
     }
 
     #[test]
     fn save_load_round_trip() {
         let stack = memory_stack();
         let ck = stack.checkpointer();
-        let runs = sample_runs();
-        ck.save(&runs).unwrap();
+        let (runs, table) = sample_runs(&stack);
+        ck.save_with_table(&runs, &table).unwrap();
         let back = ck.load().unwrap();
-        assert_eq!(back.len(), runs.len());
-        assert_eq!(back[0].window, runs[0].window);
+        assert_eq!(back.resume_ms, Some(runs[1].window.end_ms));
+        assert_eq!(back.table.len(), table.len());
+        // Restore reads the covered runs back from the store.
+        let rec = ck.load_or_recover(Some(stack.runs()));
+        assert_eq!(rec.source, RecoverySource::Primary);
+        assert!(rec.notes.is_empty());
+        assert_eq!(rec.runs.len(), runs.len());
+        assert_eq!(rec.runs[0].window, runs[0].window);
         assert_eq!(
-            back[1].grouping.group_of(HostAddr::v4(1)),
+            rec.runs[1].grouping.group_of(HostAddr::v4(1)),
             runs[1].grouping.group_of(HostAddr::v4(1))
         );
     }
@@ -353,26 +402,29 @@ mod tests {
     fn second_save_keeps_backup_generation() {
         let stack = memory_stack();
         let ck = stack.checkpointer();
-        let runs = sample_runs();
-        ck.save(&runs[..1]).unwrap();
-        ck.save(&runs).unwrap();
+        let (runs, table) = sample_runs(&stack);
+        ck.save_with_table(&runs[..1], &table).unwrap();
+        ck.save_with_table(&runs, &table).unwrap();
         let gens = stack.backend().scan(CHECKPOINT_NS, 0, u64::MAX).unwrap();
         assert_eq!(gens.len(), 2);
-        let (backup, _) = Checkpointer::parse_payload(&gens[0].value).unwrap();
-        assert_eq!(backup.len(), 1);
-        assert_eq!(ck.load().unwrap().len(), 2);
+        let backup = Checkpointer::parse_payload(&gens[0].value).unwrap();
+        assert_eq!(backup.resume_ms, Some(runs[0].window.end_ms));
+        assert_eq!(ck.load().unwrap().resume_ms, Some(runs[1].window.end_ms));
     }
 
     #[test]
     fn truncated_primary_recovers_from_backup() {
         let stack = memory_stack();
         let ck = stack.checkpointer();
-        let runs = sample_runs();
-        ck.save(&runs[..1]).unwrap();
+        let (runs, table) = sample_runs(&stack);
+        ck.save_with_table(&runs[..1], &table).unwrap();
         // Simulate a crash/disk fault: the newest generation is the
-        // full history chopped mid-payload.
+        // full checkpoint chopped mid-payload.
         let scratch = memory_stack();
-        scratch.checkpointer().save(&runs).unwrap();
+        scratch
+            .checkpointer()
+            .save_with_table(&runs, &table)
+            .unwrap();
         let full = scratch
             .backend()
             .latest(CHECKPOINT_NS)
@@ -381,7 +433,7 @@ mod tests {
             .value;
         append_generation(ck, &full[..full.len() / 2]);
         assert!(matches!(ck.load(), Err(CheckpointError::Corrupt(_))));
-        let rec = ck.load_or_recover();
+        let rec = ck.load_or_recover(Some(stack.runs()));
         assert_eq!(rec.source, RecoverySource::Backup);
         assert_eq!(rec.runs.len(), 1);
         assert!(!rec.notes.is_empty());
@@ -392,13 +444,13 @@ mod tests {
         let stack = memory_stack();
         let ck = stack.checkpointer();
         // Missing: fresh start.
-        let rec = ck.load_or_recover();
+        let rec = ck.load_or_recover(Some(stack.runs()));
         assert_eq!(rec.source, RecoverySource::Fresh);
         assert!(rec.runs.is_empty());
         // Garbage bytes in both generations: still a fresh start.
-        append_generation(ck, b"roleclass-checkpoint v1\n{oops");
+        append_generation(ck, b"roleclass-checkpoint v3\n{oops");
         append_generation(ck, b"\x00\xffnot a checkpoint");
-        let rec = ck.load_or_recover();
+        let rec = ck.load_or_recover(Some(stack.runs()));
         assert_eq!(rec.source, RecoverySource::Fresh);
         assert_eq!(rec.notes.len(), 2);
     }
@@ -407,39 +459,35 @@ mod tests {
     fn future_version_is_rejected_not_misparsed() {
         let stack = memory_stack();
         let ck = stack.checkpointer();
-        // v1 (runs without an identity table) is no longer read either.
-        for version in [99u32, 1] {
+        // v1 (runs only) and v2 (table + the whole run history) are no
+        // longer read either: recovery starts fresh.
+        for version in [99u32, 1, 2] {
             append_generation(
                 ck,
-                format!("roleclass-checkpoint v{version}\n[]").as_bytes(),
+                format!("roleclass-checkpoint v{version}\n{{\"table\":[],\"runs\":[]}}").as_bytes(),
             );
             assert!(matches!(
                 ck.load(),
                 Err(CheckpointError::BadVersion(v)) if v == version
             ));
         }
+        assert_eq!(ck.load_or_recover(None).source, RecoverySource::Fresh);
     }
 
     #[test]
     fn host_table_round_trips_through_checkpoint() {
         let stack = memory_stack();
         let ck = stack.checkpointer();
-        let runs = sample_runs();
+        let (runs, mut master) = sample_runs(&stack);
         // A live master table may know hosts no retained run mentions.
-        let mut master = flow::HostTable::new();
-        for run in &runs {
-            for h in run.connsets.hosts() {
-                master.intern(h);
-            }
-        }
         let retired = master.intern(HostAddr::v4(0xDEAD));
         ck.save_with_table(&runs, &master).unwrap();
-        let (back_runs, back_table) = ck.load_full().unwrap();
-        assert_eq!(back_runs.len(), runs.len());
-        assert_eq!(back_table.len(), master.len());
-        assert_eq!(back_table.get(HostAddr::v4(0xDEAD)), Some(retired));
+        let back = ck.load().unwrap();
+        assert_eq!(back.resume_ms, Some(runs[1].window.end_ms));
+        assert_eq!(back.table.len(), master.len());
+        assert_eq!(back.table.get(HostAddr::v4(0xDEAD)), Some(retired));
         for (id, addr) in master.iter() {
-            assert_eq!(back_table.get(addr), Some(id));
+            assert_eq!(back.table.get(addr), Some(id));
         }
     }
 
@@ -447,18 +495,38 @@ mod tests {
     fn table_runs_mismatch_is_corrupt() {
         let stack = memory_stack();
         let ck = stack.checkpointer();
-        let runs = sample_runs();
-        // A table that misses hosts the runs mention: rejected.
-        let empty = flow::HostTable::new();
-        ck.save_with_table(&runs, &empty).unwrap();
-        assert!(matches!(ck.load(), Err(CheckpointError::Corrupt(_))));
+        let (runs, _) = sample_runs(&stack);
+        // The store holds runs, but the checkpoint's table misses the
+        // hosts they mention: that generation is rejected.
+        ck.save_with_table(&runs, &HostTable::new()).unwrap();
+        let rec = ck.load_or_recover(Some(stack.runs()));
+        assert_eq!(rec.source, RecoverySource::Fresh);
+        assert!(rec.runs.is_empty());
+        assert!(rec
+            .notes
+            .iter()
+            .any(|n| n.contains("missing from identity table")));
     }
 
     #[test]
-    fn health_field_round_trips_through_checkpoint() {
+    fn missing_run_store_is_noted() {
         let stack = memory_stack();
         let ck = stack.checkpointer();
-        let mut runs = sample_runs();
+        let (runs, table) = sample_runs(&stack);
+        ck.save_with_table(&runs, &table).unwrap();
+        // No store: the table and cursor restore, the runs cannot.
+        let rec = ck.load_or_recover(None);
+        assert_eq!(rec.source, RecoverySource::Primary);
+        assert!(rec.runs.is_empty());
+        assert_eq!(rec.state.resume_ms, Some(runs[1].window.end_ms));
+        assert!(rec.notes[0].contains("no run store attached"));
+    }
+
+    #[test]
+    fn health_field_round_trips_through_restore() {
+        let stack = memory_stack();
+        let ck = stack.checkpointer();
+        let (mut runs, table) = sample_runs(&memory_stack());
         runs[0].health = WindowHealth {
             probes_total: 3,
             probes_failed: 1,
@@ -468,8 +536,11 @@ mod tests {
             retries: 2,
             errors: vec!["transient probe failure: timeout".to_string()],
         };
-        ck.save(&runs).unwrap();
-        let back = ck.load().unwrap();
+        for run in &runs {
+            stack.runs().record(run).unwrap();
+        }
+        ck.save_with_table(&runs, &table).unwrap();
+        let back = ck.load_or_recover(Some(stack.runs())).runs;
         assert!(back[0].health.degraded());
         assert_eq!(back[0].health.records_dropped, 7);
         assert_eq!(back[0].health.errors.len(), 1);

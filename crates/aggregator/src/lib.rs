@@ -21,8 +21,9 @@
 //!   alarm").
 //! * [`supervisor`] — retry/backoff/quarantine supervision so one
 //!   flapping probe cannot stall or crash a classification cycle.
-//! * [`checkpoint`] — crash-safe, versioned persistence of the run
-//!   history, so correlation (and thus group ids) survives restarts.
+//! * [`checkpoint`] — crash-safe, versioned persistence of the resume
+//!   state (host table + window cursor); with the run store's history,
+//!   correlation (and thus group ids) survives restarts.
 //! * [`store`] — the pluggable storage stack: checkpointer, flight
 //!   recorder, and per-window run history sharing one
 //!   [`storage::StorageBackend`], which is what powers time-travel
@@ -48,7 +49,7 @@ pub use alerts::{
     checkpoint_fallback_alert, degraded_window_alert, role_churn_alert, Alert, AlertKind,
     ChurnPolicy, NewNeighborDetector, Severity,
 };
-pub use checkpoint::{CheckpointError, Checkpointer, Recovery, RecoverySource};
+pub use checkpoint::{CheckpointError, Checkpointer, Recovery, RecoverySource, ResumeState};
 pub use flight::FlightRecorder;
 pub use labels::LabelStore;
 pub use pipeline::{

@@ -110,9 +110,9 @@ impl Default for AggregatorConfig {
 
 /// How complete one window's input was.
 ///
-/// Attached to every [`RunRecord`]; `#[serde(default)]` keeps histories
-/// exported before this field existed importable (they read back as
-/// fully healthy, which is what the old code assumed).
+/// Attached to every [`RunRecord`]; `#[serde(default)]` keeps runs
+/// stored before this field existed readable (they read back as fully
+/// healthy, which is what the old code assumed).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WindowHealth {
     /// Probes attached when the window ran.
@@ -159,24 +159,10 @@ pub struct RunRecord {
     pub grouping: Grouping,
     /// Correlation against the previous run (`None` for the first run).
     pub correlation: Option<Correlation>,
-    /// Input completeness for the window (absent in old exports: then
-    /// assumed healthy).
+    /// Input completeness for the window (absent in old stored runs:
+    /// then assumed healthy).
     #[serde(default)]
     pub health: WindowHealth,
-}
-
-/// The identity table live ingestion built for `runs`: each run's hosts
-/// interned in order. Every window interns its member addresses sorted,
-/// so replaying that sequence reproduces the [`flow::HostId`]s the
-/// original aggregator assigned.
-pub(crate) fn intern_hosts(runs: &[RunRecord]) -> HostTable {
-    let mut table = HostTable::new();
-    for run in runs {
-        for h in run.connsets.hosts() {
-            table.intern(h);
-        }
-    }
-    table
 }
 
 /// The aggregator.
@@ -595,8 +581,8 @@ impl Aggregator {
 
     /// Classify stage: the engine classifies, correlates against its
     /// retained snapshot of the previous window, and keeps the new
-    /// snapshot warm for the next cycle ([`Aggregator::adopt_history`]
-    /// re-anchors it when history is replaced wholesale). It shares this
+    /// snapshot warm for the next cycle ([`Aggregator::restore_from`]
+    /// re-anchors it on the newest restored run). It shares this
     /// aggregator's recorder, so its spans nest under
     /// `aggregator.run_cycle`.
     fn classify(&mut self, connsets: &ConnectionSets) -> WindowOutcome {
@@ -930,67 +916,10 @@ impl Aggregator {
         Some(stable as f64 / (observed.len() - 1) as f64)
     }
 
-    /// Serializes the entire run history as JSON, so an operator can
-    /// archive or inspect past partitionings.
-    pub fn export_history(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(&*self.history.read())
-    }
-
-    /// Restores run history from JSON produced by
-    /// [`Aggregator::export_history`], replacing the current history.
-    /// The next window resumes after the last imported one.
-    pub fn import_history(&mut self, json: &str) -> Result<usize, serde_json::Error> {
-        let runs: Vec<RunRecord> = serde_json::from_str(json)?;
-        Ok(self.adopt_history(runs))
-    }
-
-    /// Replaces the history with `runs`; the next window resumes after
-    /// the last one, and the engine's correlation anchor is re-pointed
-    /// at it so group ids stay stable across the import. Returns the
-    /// number of adopted runs. The master identity table is rebuilt
-    /// from the runs' hosts, reproducing the ids live ingestion
-    /// assigned.
-    pub fn adopt_history(&mut self, runs: Vec<RunRecord>) -> usize {
-        let table = intern_hosts(&runs);
-        self.adopt_history_with_table(runs, table)
-    }
-
-    /// [`Aggregator::adopt_history`] with an explicit identity table —
-    /// used on checkpoint restore, where the persisted master table may
-    /// be a superset of what the retained runs mention.
-    pub fn adopt_history_with_table(&mut self, runs: Vec<RunRecord>, table: HostTable) -> usize {
-        if let Some(last) = runs.last() {
-            self.next_window_start = last.window.end_ms;
-        }
-        self.engine
-            .set_previous(runs.last().map(|r| EngineSnapshot {
-                connsets: r.connsets.clone(),
-                grouping: r.grouping.clone(),
-            }));
-        self.host_table = table;
-        // Rebuild the stability state by replaying the adopted groupings
-        // in order — the same observations live ingestion would have
-        // made. The replay is silent: no alerts are queued and nothing
-        // is journaled (the original run already did both), but the
-        // hysteresis latch is reconstructed so a group that was already
-        // collapsed at checkpoint time does not re-alert on restore.
-        self.stability = StabilityTracker::new(self.config.churn.horizon);
-        self.stability_history.clear();
-        self.timeseries.take();
-        self.churn_alerted.clear();
-        for run in &runs {
-            let stab = self.stability.observe(&run.grouping);
-            self.latch_churn(&stab);
-            self.stability_history.push(stab);
-        }
-        let n = runs.len();
-        *self.history.write() = runs;
-        n
-    }
-
-    /// Persists the current history through `ck` (atomic
-    /// write-then-rename; the previous checkpoint survives as the
-    /// backup generation).
+    /// Writes a checkpoint generation through `ck`: the master host
+    /// table plus the resume cursor (the window end of the newest run).
+    /// The runs are not written — the attached run store holds them —
+    /// and the previous generation survives as the backup.
     pub fn checkpoint(&self, ck: &Checkpointer) -> Result<(), CheckpointError> {
         let obs = &self.observer;
         let rec = obs.recorder.as_deref();
@@ -1027,12 +956,17 @@ impl Aggregator {
         result
     }
 
-    /// Restores history from the best available checkpoint generation —
-    /// primary, else backup, else an empty fresh start — and resumes
-    /// windowing after the last restored run, so correlation continues
-    /// with stable group ids across the restart. Never fails; the
-    /// returned [`Recovery`] says which generation was used and why any
-    /// earlier one was rejected.
+    /// Restores from the best available checkpoint generation —
+    /// primary, else backup, else an empty fresh start — reading the
+    /// runs it covers from the store attached with
+    /// [`Aggregator::with_run_store`]. Windowing resumes at the
+    /// checkpoint's cursor and correlation anchors on the newest
+    /// restored run, so group ids stay stable across the restart; a
+    /// window stored after the cursor is re-run (the store keeps its
+    /// first copy). Never fails: the returned [`Recovery`] says which
+    /// generation was used and notes what went wrong; its runs and
+    /// table have moved into this aggregator.
+    ///
     /// A fallback past the primary generation is surfaced twice: as a
     /// queued [`Alert`] (see [`Aggregator::take_alerts`]) and, when a
     /// recorder is attached, on the
@@ -1041,7 +975,7 @@ impl Aggregator {
         let recorder = self.observer.recorder.clone();
         let rec = recorder.as_deref();
         let _span = telemetry::span(rec, "aggregator.restore");
-        let recovery = ck.load_or_recover();
+        let mut recovery = ck.load_or_recover(self.run_store.as_deref());
         if let Some(r) = rec {
             let reg = r.registry();
             reg.counter("roleclass_aggregator_recoveries_total").inc();
@@ -1063,7 +997,34 @@ impl Aggregator {
         if let Some(alert) = checkpoint_fallback_alert(&recovery) {
             self.raise(alert);
         }
-        self.adopt_history_with_table(recovery.runs.clone(), recovery.table.clone());
+        // Move the restored runs and table into place, resume at the
+        // cursor, and re-anchor correlation on the newest run.
+        if let Some(resume_ms) = recovery.state.resume_ms {
+            self.next_window_start = resume_ms;
+        }
+        let runs = std::mem::take(&mut recovery.runs);
+        self.engine
+            .set_previous(runs.last().map(|r| EngineSnapshot {
+                connsets: r.connsets.clone(),
+                grouping: r.grouping.clone(),
+            }));
+        self.host_table = std::mem::take(&mut recovery.state.table);
+        // Rebuild the stability state by replaying the adopted groupings
+        // in order — the same observations live ingestion would have
+        // made. The replay is silent: no alerts are queued and nothing
+        // is journaled (the original run already did both), but the
+        // hysteresis latch is reconstructed so a group that was already
+        // collapsed at checkpoint time does not re-alert on restore.
+        self.stability = StabilityTracker::new(self.config.churn.horizon);
+        self.stability_history.clear();
+        self.timeseries.take();
+        self.churn_alerted.clear();
+        for run in &runs {
+            let stab = self.stability.observe(&run.grouping);
+            self.latch_churn(&stab);
+            self.stability_history.push(stab);
+        }
+        *self.history.write() = runs;
         recovery
     }
 }
@@ -1203,19 +1164,21 @@ mod tests {
     }
 
     #[test]
-    fn history_export_import_round_trip() {
-        let mut agg = Aggregator::new(config());
+    fn restore_from_run_store_anchors_next_window() {
+        let stack = StorageStack::open(&storage::StorageConfig::memory()).unwrap();
+        let mut agg = Aggregator::new(config()).with_run_store(Arc::clone(stack.runs()));
         let trace: Vec<FlowRecord> = day_trace(0, 3).into_iter().chain(day_trace(1, 3)).collect();
-        agg.attach(Box::new(ReplayProbe::new("p0", trace.clone())));
+        agg.attach(Box::new(ReplayProbe::new("p0", trace)));
         agg.drain();
-        let json = agg.export_history().unwrap();
+        agg.checkpoint(stack.checkpointer()).unwrap();
 
-        // A fresh aggregator resumes from the imported history: the same
-        // group ids survive into the next cycle.
-        let mut agg2 = Aggregator::new(config());
+        // A fresh aggregator resumes from the checkpoint and the runs
+        // it covers: the same group ids survive into the next cycle.
+        let mut agg2 = Aggregator::new(config()).with_run_store(Arc::clone(stack.runs()));
         let day2: Vec<FlowRecord> = day_trace(2, 3);
         agg2.attach(Box::new(ReplayProbe::new("p0", day2)));
-        assert_eq!(agg2.import_history(&json).unwrap(), 2);
+        agg2.restore_from(stack.checkpointer());
+        assert_eq!(agg2.history().read().len(), 2);
         let run3 = agg2.run_cycle();
         assert_eq!(run3.window.start_ms, 2000);
         assert!(run3.correlation.is_some());
@@ -1223,30 +1186,8 @@ mod tests {
         assert_eq!(
             prev.group_of(h(11)),
             run3.grouping.group_of(h(11)),
-            "imported history must anchor correlation"
+            "restored history must anchor correlation"
         );
-    }
-
-    #[test]
-    fn pre_health_exports_still_import() {
-        // Histories exported before WindowHealth existed have no
-        // "health" key; they must import as fully healthy runs.
-        let mut agg = Aggregator::new(config());
-        agg.attach(Box::new(ReplayProbe::new("p0", day_trace(0, 3))));
-        agg.drain();
-        let json = agg.export_history().unwrap();
-        let stripped = json
-            .lines()
-            .filter(|l| !l.contains("\"health\""))
-            .collect::<Vec<_>>()
-            .join("\n");
-        // Cheap structural surgery is fragile; only run the assertion
-        // when the strip produced valid JSON of the expected shape.
-        let mut agg2 = Aggregator::new(config());
-        if let Ok(n) = agg2.import_history(&stripped) {
-            assert_eq!(n, 1);
-            assert!(!agg2.history().read()[0].health.degraded());
-        }
     }
 
     #[test]
@@ -1605,16 +1546,17 @@ mod tests {
         let (dir, storage) = segment_storage("ids");
         let stack = StorageStack::open(&storage).unwrap();
 
-        let mut agg = Aggregator::new(config());
+        let mut agg = Aggregator::new(config()).with_run_store(Arc::clone(stack.runs()));
         let trace: Vec<FlowRecord> = day_trace(0, 3).into_iter().chain(day_trace(1, 3)).collect();
         agg.attach(Box::new(ReplayProbe::new("p0", trace)));
         agg.drain();
         agg.checkpoint(stack.checkpointer()).unwrap();
         let ids_before: Vec<_> = agg.host_table().iter().collect();
 
+        drop(agg);
         drop(stack);
         let stack = StorageStack::open(&storage).unwrap();
-        let mut fresh = Aggregator::new(config());
+        let mut fresh = Aggregator::new(config()).with_run_store(Arc::clone(stack.runs()));
         fresh.attach(Box::new(ReplayProbe::new("p0", day_trace(2, 3))));
         let recovery = fresh.restore_from(stack.checkpointer());
         assert_eq!(recovery.source, RecoverySource::Primary);
@@ -1666,15 +1608,17 @@ mod tests {
     }
 
     #[test]
-    fn adopt_history_replays_stability_silently() {
-        let mut agg = Aggregator::new(config());
+    fn restore_replays_stability_silently() {
+        let stack = StorageStack::open(&storage::StorageConfig::memory()).unwrap();
+        let mut agg = Aggregator::new(config()).with_run_store(Arc::clone(stack.runs()));
         let trace: Vec<FlowRecord> = (0..3).flat_map(|d| day_trace(d, 3)).collect();
         agg.attach(Box::new(ReplayProbe::new("p0", trace)));
         agg.drain();
-        let json = agg.export_history().unwrap();
+        agg.checkpoint(stack.checkpointer()).unwrap();
 
-        let mut agg2 = Aggregator::new(config());
-        assert_eq!(agg2.import_history(&json).unwrap(), 3);
+        let mut agg2 = Aggregator::new(config()).with_run_store(Arc::clone(stack.runs()));
+        agg2.restore_from(stack.checkpointer());
+        assert_eq!(agg2.history().read().len(), 3);
         // The rebuilt stability history matches the live one row for row,
         // and the silent replay queued no alerts.
         assert_eq!(agg2.stability_history(), agg.stability_history());
@@ -1691,7 +1635,7 @@ mod tests {
         let stack = StorageStack::open(&storage).unwrap();
         let ck = stack.checkpointer();
 
-        let mut agg = Aggregator::new(config());
+        let mut agg = Aggregator::new(config()).with_run_store(Arc::clone(stack.runs()));
         agg.attach(Box::new(ReplayProbe::new("p0", day_trace(0, 3))));
         agg.run_cycle();
         agg.checkpoint(ck).unwrap();
@@ -1710,10 +1654,13 @@ mod tests {
             .append(CHECKPOINT_NS, 0, &newest[..newest.len() / 2])
             .unwrap();
 
+        drop(agg);
         drop(stack);
         let stack = StorageStack::open(&storage).unwrap();
         let rec = Arc::new(telemetry::Recorder::new());
-        let mut fresh = Aggregator::new(config()).with_recorder(Arc::clone(&rec));
+        let mut fresh = Aggregator::new(config())
+            .with_recorder(Arc::clone(&rec))
+            .with_run_store(Arc::clone(stack.runs()));
         let recovery = fresh.restore_from(stack.checkpointer());
         assert_eq!(recovery.source, RecoverySource::Backup);
 

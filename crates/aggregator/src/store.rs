@@ -7,7 +7,8 @@
 //! window's start timestamp, so `rcctl explain --host X --at <window>`
 //! can replay any retained window and `rcctl serve` can answer
 //! `/history` queries — with disk bounded by the configured retention
-//! rather than growing forever.
+//! rather than growing forever. It is also the only durable copy of
+//! past windows: checkpoint restore reads the runs it resumes from here.
 //!
 //! [`StorageStack::open`] wires all three consumers onto one backend
 //! chosen by [`StorageConfig`]: `memory` for tests and one-shot runs,
@@ -166,8 +167,7 @@ impl StorageStack {
     /// and `runs` (per-window history).
     pub fn open(config: &StorageConfig) -> io::Result<StorageStack> {
         let backend = config.open().map_err(|e| e.into_io())?;
-        let checkpointer = Checkpointer::with_backend(Arc::clone(&backend), CHECKPOINT_NS)
-            .with_generations(config.checkpoint_generations);
+        let checkpointer = Checkpointer::with_backend(Arc::clone(&backend), CHECKPOINT_NS);
         let recorder = Arc::new(FlightRecorder::with_backend(
             Arc::clone(&backend),
             JOURNAL_NS,
@@ -267,6 +267,30 @@ mod tests {
     }
 
     #[test]
+    fn pre_health_runs_still_decode() {
+        // Runs stored before WindowHealth existed have no "health" key;
+        // they must decode as fully healthy runs.
+        let stack = StorageStack::open(&StorageConfig::memory()).unwrap();
+        let mut run = sample_runs(1).remove(0);
+        run.health.probes_failed = 1;
+        let serde::value::Value::Map(mut fields) =
+            serde_json::from_str(&serde_json::to_string(&run).unwrap()).unwrap()
+        else {
+            panic!("a run record encodes as an object");
+        };
+        assert!(serde::value::take_entry(&mut fields, "health").is_some());
+        let stripped = serde_json::to_string(&serde::value::Value::Map(fields)).unwrap();
+        stack
+            .backend()
+            .append(RUNS_NS, run.window.start_ms, stripped.as_bytes())
+            .unwrap();
+        let back = stack.runs().at(run.window.start_ms).unwrap().unwrap();
+        assert_eq!(back.window, run.window);
+        assert_eq!(back.grouping, run.grouping);
+        assert!(!back.health.degraded());
+    }
+
+    #[test]
     fn stack_checkpoint_and_journal_share_the_backend() {
         let dir = std::env::temp_dir().join(format!("roleclass-stack-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -276,7 +300,10 @@ mod tests {
         let runs = sample_runs(3);
         {
             let stack = StorageStack::open(&config).unwrap();
-            stack.checkpointer().save(&runs).unwrap();
+            stack
+                .checkpointer()
+                .save_with_table(&runs, runs[2].connsets.table())
+                .unwrap();
             stack
                 .recorder()
                 .append("roleclass_aggregator_window_started", vec![]);
@@ -287,7 +314,7 @@ mod tests {
         }
         // Reopen: every consumer sees its state.
         let stack = StorageStack::open(&config).unwrap();
-        assert_eq!(stack.checkpointer().load().unwrap().len(), 3);
+        assert_eq!(stack.checkpointer().load().unwrap().resume_ms, Some(3000));
         assert_eq!(stack.recorder().next_seq(), 1);
         assert_eq!(stack.runs().len().unwrap(), 3);
         let pruned = stack.runs().prune().unwrap();

@@ -1,16 +1,19 @@
 //! Crash-safe checkpointing: a restarted aggregator resumes correlation
 //! with stable group ids, even when the primary checkpoint was corrupted
-//! mid-crash.
+//! mid-crash. The checkpoint holds the host table and the resume
+//! cursor; the runs themselves come back from the run store.
 
 use aggregator::store::CHECKPOINT_NS;
 use aggregator::{
-    Aggregator, AggregatorConfig, RecoverySource, ReplayProbe, StorageStack, SupervisorConfig,
+    Aggregator, AggregatorConfig, RecoverySource, ReplayProbe, RunRecord, RunStore, StorageStack,
+    SupervisorConfig,
 };
 use flow::{FlowRecord, HostAddr};
 use roleclass::{EngineConfig, Params};
 use std::fs;
 use std::path::PathBuf;
-use storage::StorageConfig;
+use std::sync::Arc;
+use storage::{MemoryBackend, NamespaceProfile, Retention, StorageConfig};
 
 const WINDOW_MS: u64 = 1000;
 
@@ -66,7 +69,7 @@ fn restart_resumes_correlation_with_stable_ids() {
 
     // First process: two windows, checkpoint after each run (as a
     // deployment would).
-    let mut agg = Aggregator::new(config());
+    let mut agg = Aggregator::new(config()).with_run_store(Arc::clone(stack.runs()));
     let trace: Vec<FlowRecord> = (0..2).flat_map(window_trace).collect();
     agg.attach(Box::new(ReplayProbe::new("p0", trace)));
     agg.run_cycle();
@@ -80,7 +83,7 @@ fn restart_resumes_correlation_with_stable_ids() {
     drop(agg);
     drop(stack);
     let stack = StorageStack::open(&storage).unwrap();
-    let mut agg2 = Aggregator::new(config());
+    let mut agg2 = Aggregator::new(config()).with_run_store(Arc::clone(stack.runs()));
     agg2.attach(Box::new(ReplayProbe::new("p0", window_trace(2))));
     let recovery = agg2.restore_from(stack.checkpointer());
     assert_eq!(recovery.source, RecoverySource::Primary);
@@ -108,7 +111,7 @@ fn truncated_checkpoint_recovers_to_last_good_state() {
     let stack = StorageStack::open(&storage).unwrap();
     let ck = stack.checkpointer();
 
-    let mut agg = Aggregator::new(config());
+    let mut agg = Aggregator::new(config()).with_run_store(Arc::clone(stack.runs()));
     let trace: Vec<FlowRecord> = (0..2).flat_map(window_trace).collect();
     agg.attach(Box::new(ReplayProbe::new("p0", trace)));
     agg.run_cycle();
@@ -121,7 +124,8 @@ fn truncated_checkpoint_recovers_to_last_good_state() {
     // truncated, the previous generation survives as the backup.
     // Re-appending the one-run generation ahead of a truncated copy of
     // the two-run one leaves exactly that pair under the two-generation
-    // cap.
+    // cap. The run store still holds both runs; the backup's cursor
+    // covers only the first.
     let gens = stack.backend().scan(CHECKPOINT_NS, 0, u64::MAX).unwrap();
     let (older, newest) = (&gens[0].value, &gens[1].value);
     stack.backend().append(CHECKPOINT_NS, 0, older).unwrap();
@@ -133,7 +137,7 @@ fn truncated_checkpoint_recovers_to_last_good_state() {
     drop(agg);
     drop(stack);
     let stack = StorageStack::open(&storage).unwrap();
-    let mut agg2 = Aggregator::new(config());
+    let mut agg2 = Aggregator::new(config()).with_run_store(Arc::clone(stack.runs()));
     agg2.attach(Box::new(ReplayProbe::new("p0", window_trace(1))));
     let recovery = agg2.restore_from(stack.checkpointer());
     assert_eq!(recovery.source, RecoverySource::Backup);
@@ -172,7 +176,7 @@ fn total_corruption_falls_back_to_fresh_start() {
         .append(CHECKPOINT_NS, 0, b"\x7f\x45\x4c\x46 definitely not json")
         .unwrap();
 
-    let mut agg = Aggregator::new(config());
+    let mut agg = Aggregator::new(config()).with_run_store(Arc::clone(stack.runs()));
     agg.attach(Box::new(ReplayProbe::new("p0", window_trace(0))));
     let recovery = agg.restore_from(stack.checkpointer());
     assert_eq!(recovery.source, RecoverySource::Fresh);
@@ -184,4 +188,186 @@ fn total_corruption_falls_back_to_fresh_start() {
     assert_eq!(run.window.start_ms, 0);
     assert!(run.correlation.is_none());
     assert_eq!(run.grouping.host_count(), 10);
+}
+
+/// [`window_trace`] with churn: from window 3 on, client 13 leaves the
+/// first pod for the second, and server 5 joins the first pod's set.
+fn churn_trace(w: u64) -> Vec<FlowRecord> {
+    let mut out = window_trace(w);
+    if w >= 3 {
+        for f in &mut out {
+            if f.src == h(13) && f.dst == h(3) {
+                f.dst = h(4);
+            }
+        }
+        for (i, c) in [11u32, 12].into_iter().enumerate() {
+            let mut f = FlowRecord::pair(h(c), h(5));
+            f.start_ms = w * WINDOW_MS + 200 + i as u64;
+            out.push(f);
+        }
+    }
+    out
+}
+
+/// What a run publishes: its grouping and correlation, ids included.
+fn fingerprint(run: &RunRecord) -> String {
+    format!("{:?}|{:?}", run.grouping, run.correlation)
+}
+
+/// A memory-backed run store keeping the newest `keep` windows.
+fn small_store(keep: u64) -> Arc<RunStore> {
+    Arc::new(
+        RunStore::open(
+            Arc::new(MemoryBackend::new()),
+            "runs",
+            NamespaceProfile::log(Retention::unbounded().keep_records(keep)),
+        )
+        .unwrap(),
+    )
+}
+
+#[test]
+fn checkpoint_generations_stay_flat_as_windows_accumulate() {
+    // Epoch-scale timestamps keep every cursor at 13 digits, so only a
+    // payload that grows with the history could change the length.
+    const ORIGIN: u64 = 1_700_000_000_000;
+    let stack = StorageStack::open(&StorageConfig::memory()).unwrap();
+    let mut agg = Aggregator::new(AggregatorConfig {
+        origin_ms: ORIGIN,
+        ..config()
+    })
+    .with_run_store(Arc::clone(stack.runs()));
+    let trace: Vec<FlowRecord> = (0..40)
+        .flat_map(window_trace)
+        .map(|mut f| {
+            f.start_ms += ORIGIN;
+            f
+        })
+        .collect();
+    agg.attach(Box::new(ReplayProbe::new("p0", trace)));
+    let mut sizes = Vec::new();
+    while agg.has_pending_data() {
+        agg.run_cycle();
+        agg.checkpoint(stack.checkpointer()).unwrap();
+        let newest = stack.backend().latest(CHECKPOINT_NS).unwrap().unwrap();
+        sizes.push(newest.value.len());
+    }
+    assert_eq!(sizes.len(), 40);
+    assert!(
+        sizes[1..].iter().all(|&n| n == sizes[1]),
+        "checkpoint size grew with the window count: {sizes:?}"
+    );
+    // The runs live once, in the store.
+    assert_eq!(stack.runs().len().unwrap(), 40);
+}
+
+#[test]
+fn crash_between_append_and_checkpoint_reruns_the_window() {
+    const WINDOWS: u64 = 6;
+    let trace: Vec<FlowRecord> = (0..WINDOWS).flat_map(churn_trace).collect();
+
+    // The uninterrupted reference run.
+    let reference = StorageStack::open(&StorageConfig::memory()).unwrap();
+    let mut live = Aggregator::new(config()).with_run_store(Arc::clone(reference.runs()));
+    live.attach(Box::new(ReplayProbe::new("p0", trace.clone())));
+    let expected: Vec<String> = (0..WINDOWS)
+        .map(|_| fingerprint(&live.run_cycle()))
+        .collect();
+
+    // First process: windows 0-2 checkpointed; window 3 reaches the
+    // store, then the process dies before its checkpoint.
+    let (dir, storage) = segment_storage("rerun");
+    let stack = StorageStack::open(&storage).unwrap();
+    let mut agg = Aggregator::new(config()).with_run_store(Arc::clone(stack.runs()));
+    agg.attach(Box::new(ReplayProbe::new("p0", trace.clone())));
+    for _ in 0..3 {
+        agg.run_cycle();
+        agg.checkpoint(stack.checkpointer()).unwrap();
+    }
+    agg.run_cycle();
+    drop(agg);
+    drop(stack);
+
+    let stack = StorageStack::open(&storage).unwrap();
+    assert_eq!(stack.runs().len().unwrap(), 4);
+    let mut agg2 = Aggregator::new(config()).with_run_store(Arc::clone(stack.runs()));
+    agg2.attach(Box::new(ReplayProbe::new("p0", trace)));
+    let recovery = agg2.restore_from(stack.checkpointer());
+    assert_eq!(recovery.source, RecoverySource::Primary);
+    assert!(recovery.notes.is_empty(), "{:?}", recovery.notes);
+    // Restore resumes at the cursor, not after the newest stored run.
+    assert_eq!(agg2.history().read().len(), 3);
+    let rerun = agg2.run_cycle();
+    assert_eq!(rerun.window.start_ms, 3 * WINDOW_MS);
+    // The store keeps its first copy of the re-run window.
+    assert_eq!(stack.runs().len().unwrap(), 4);
+    let stored = stack.runs().at(3 * WINDOW_MS).unwrap().unwrap();
+    assert_eq!(fingerprint(&stored), expected[3]);
+    // The re-run and every following window publish exactly what the
+    // uninterrupted run did.
+    let mut resumed = vec![fingerprint(&rerun)];
+    while agg2.has_pending_data() {
+        resumed.push(fingerprint(&agg2.run_cycle()));
+    }
+    assert_eq!(resumed, expected[3..]);
+    assert_eq!(agg2.stability_history(), live.stability_history());
+    assert_eq!(agg2.churn_table(), live.churn_table());
+    drop(agg2);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn small_retention_restores_stable_ids_and_notes_gaps() {
+    const WINDOWS: u64 = 5;
+    let trace: Vec<FlowRecord> = (0..WINDOWS).flat_map(churn_trace).collect();
+    let mut live = Aggregator::new(config());
+    live.attach(Box::new(ReplayProbe::new("p0", trace.clone())));
+    let expected: Vec<String> = (0..WINDOWS)
+        .map(|_| fingerprint(&live.run_cycle()))
+        .collect();
+
+    // First process: four windows, checkpoint per window, a run store
+    // that keeps only the newest two.
+    let stack = StorageStack::open(&StorageConfig::memory()).unwrap();
+    let runs = small_store(2);
+    let mut agg = Aggregator::new(config()).with_run_store(Arc::clone(&runs));
+    agg.attach(Box::new(ReplayProbe::new("p0", trace.clone())));
+    for _ in 0..4 {
+        agg.run_cycle();
+        agg.checkpoint(stack.checkpointer()).unwrap();
+    }
+    drop(agg);
+    // A second store holding only window 2: the cursor's window is
+    // missing, as after a failed append.
+    let gappy = small_store(2);
+    gappy
+        .record(&runs.at(2 * WINDOW_MS).unwrap().unwrap())
+        .unwrap();
+
+    // Restart: the two retained runs are enough to anchor correlation.
+    let mut agg2 = Aggregator::new(config()).with_run_store(Arc::clone(&runs));
+    agg2.attach(Box::new(ReplayProbe::new("p0", trace.clone())));
+    let recovery = agg2.restore_from(stack.checkpointer());
+    assert_eq!(recovery.source, RecoverySource::Primary);
+    assert!(recovery.notes.is_empty(), "{:?}", recovery.notes);
+    assert_eq!(agg2.history().read().len(), 2);
+    let next = agg2.run_cycle();
+    assert_eq!(next.window.start_ms, 4 * WINDOW_MS);
+    assert_eq!(fingerprint(&next), expected[4]);
+
+    // With the gappy store, restore still resumes at the cursor,
+    // anchors on the older window, and says so.
+    let mut agg3 = Aggregator::new(config()).with_run_store(gappy);
+    agg3.attach(Box::new(ReplayProbe::new("p0", trace)));
+    let recovery = agg3.restore_from(stack.checkpointer());
+    assert_eq!(recovery.source, RecoverySource::Primary);
+    assert!(
+        recovery.notes.iter().any(|n| n.contains("run history gap")),
+        "{:?}",
+        recovery.notes
+    );
+    assert_eq!(agg3.history().read().len(), 1);
+    let run = agg3.run_cycle();
+    assert_eq!(run.window.start_ms, 4 * WINDOW_MS);
+    assert!(run.correlation.is_some());
 }

@@ -358,6 +358,10 @@ impl BackendKind {
     }
 }
 
+/// Checkpoint generations kept: the primary plus one backup, so a
+/// corrupt newest generation still recovers to the one before it.
+pub const CHECKPOINT_GENERATIONS: u64 = 2;
+
 /// Typed storage configuration: which backend, where it lives, and how
 /// much history each namespace class retains. Mirrors the
 /// `EngineConfig` idiom — serde-able, builder-style `with_*`, opened
@@ -376,14 +380,11 @@ pub struct StorageConfig {
     pub history_keep_windows: Option<u64>,
     /// Run-history retention: newest payload bytes kept.
     pub history_keep_bytes: Option<u64>,
-    /// Checkpoint generations kept (primary + backups). Minimum 1.
-    pub checkpoint_generations: u64,
 }
 
 impl StorageConfig {
     /// Segment-backed storage rooted at `root`, with the default
-    /// bounded-disk retention (4096 journal records / 1024 windows,
-    /// 2 checkpoint generations).
+    /// bounded-disk retention (4096 journal records / 1024 windows).
     pub fn new(root: impl Into<String>) -> StorageConfig {
         StorageConfig {
             backend: BackendKind::Segment,
@@ -392,7 +393,6 @@ impl StorageConfig {
             journal_keep_bytes: None,
             history_keep_windows: Some(1024),
             history_keep_bytes: None,
-            checkpoint_generations: 2,
         }
     }
 
@@ -421,11 +421,6 @@ impl StorageConfig {
         self
     }
 
-    pub fn with_checkpoint_generations(mut self, generations: u64) -> Self {
-        self.checkpoint_generations = generations.max(1);
-        self
-    }
-
     /// The retention profile for the flight journal namespace.
     pub fn journal_profile(&self) -> NamespaceProfile {
         NamespaceProfile::log(Retention {
@@ -446,7 +441,7 @@ impl StorageConfig {
 
     /// The generation profile for the checkpoint namespace.
     pub fn checkpoint_profile(&self) -> NamespaceProfile {
-        NamespaceProfile::snapshot(self.checkpoint_generations.max(1))
+        NamespaceProfile::snapshot(CHECKPOINT_GENERATIONS)
     }
 
     /// Opens the configured backend. The segment backend creates `root`.
@@ -506,8 +501,7 @@ mod tests {
         let cfg = StorageConfig::new("/tmp/state")
             .with_backend(BackendKind::Memory)
             .with_journal_retention(Some(10), Some(1 << 20))
-            .with_history_retention(None, Some(4096))
-            .with_checkpoint_generations(3);
+            .with_history_retention(None, Some(4096));
         let json = serde_json::to_string(&cfg).unwrap();
         let back: StorageConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cfg);

@@ -66,12 +66,16 @@ cargo test -q -p role-classification --lib -- cli::tests serve::tests
 # behavioral spec, the crash suite tears the tail off live files and
 # requires recovery to lose at most the final record, and the
 # schedules proptest drives random append/flush/crash/reopen
-# interleavings against an in-memory model. The aggregator-side
-# round-trip (checkpoint + journal + run history sharing one backend)
-# rides in the crate test below.
+# interleavings against an in-memory model. On the aggregator side the
+# run store is the only durable history and the checkpoint holds resume
+# state (host table + window cursor) beside it on one backend; the
+# restart tests below restore from both: crash_recovery (flat checkpoint
+# size, crash between run append and checkpoint, small retention) plus
+# the checkpoint, store, and restore unit tests.
 echo "==> storage backend conformance + crash-recovery + schedules"
 cargo test -q -p storage
 cargo test -q -p aggregator --test crash_recovery
+cargo test -q -p aggregator --lib -- checkpoint:: store:: restore
 
 # Wire transport must shrug off a hostile network: the chaos suite runs
 # the loopback-TCP pipeline through the deterministic fault proxy on a
