@@ -23,10 +23,11 @@
 //!    connection patterns *to already-correlated neighbor groups* and
 //!    accept sufficiently similar pairs.
 
-use crate::group::{GroupId, Grouping};
+use crate::group::{Group, GroupId, Grouping};
 use crate::params::{ParamError, Params};
 use flow::{ConnectionSets, HostAddr};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Result of correlating a current grouping against a previous one.
@@ -72,61 +73,288 @@ mod score_map {
     }
 }
 
-/// Per-group view over the *restricted* (common-host) connection sets.
-struct GroupView {
-    id: GroupId,
-    /// Surviving members.
-    members: BTreeSet<HostAddr>,
-    /// Neighbor host → number of members it connects to (`CP(h, G)`).
-    nbr_conns: BTreeMap<HostAddr, u64>,
-    /// Σ of `nbr_conns` values.
-    total: u64,
-    /// Average member connection count.
-    avg_conns: f64,
+/// Marks "no such row / group" in the dense indexes below.
+const NONE: u32 = u32::MAX;
+
+/// The common host population — hosts present in both snapshots — as one
+/// dense row space, found by a single merge of the two sorted member
+/// vectors.
+///
+/// Common rows are numbered in address order, so every walk over them
+/// (neighbor slices, degree orders, candidate lists) visits hosts in
+/// address order: sums, tie-breaks and greedy acceptance see exactly the
+/// sequence an address-keyed formulation would.
+struct CommonRows {
+    /// Previous-snapshot row → common row (`NONE` for departures).
+    prev: Vec<u32>,
+    /// Current-snapshot row → common row (`NONE` for arrivals).
+    curr: Vec<u32>,
+    /// Common row → `(previous row, current row)`.
+    rows: Vec<(u32, u32)>,
 }
 
-/// Builds per-group views from the *full* snapshot, with neighbors
-/// restricted to the common host population.
-///
-/// Members are kept even when they are arrivals/departures (only their
-/// connections to the common population count), so a group whose entire
-/// membership was replaced — the paper's load-sharing server split — can
-/// still correlate through its unchanged client side.
-fn build_views(
-    cs: &ConnectionSets,
-    common: &BTreeSet<HostAddr>,
-    grouping: &Grouping,
-) -> Vec<GroupView> {
-    let mut views = Vec::new();
-    for g in grouping.groups() {
-        let members: BTreeSet<HostAddr> = g.members.iter().copied().collect();
-        let mut nbr_conns: BTreeMap<HostAddr, u64> = BTreeMap::new();
-        let mut deg_sum = 0usize;
-        for &m in &members {
-            let Some(nbrs) = cs.neighbors(m) else {
-                continue;
+impl CommonRows {
+    /// Merges the two member vectors, recording arrivals and departures
+    /// in `out` on the way.
+    fn merge(prev: &[HostAddr], curr: &[HostAddr], out: &mut Correlation) -> Self {
+        let mut common = CommonRows {
+            prev: vec![NONE; prev.len()],
+            curr: vec![NONE; curr.len()],
+            rows: Vec::with_capacity(prev.len().min(curr.len())),
+        };
+        let (mut removed, mut added) = (Vec::new(), Vec::new());
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let ord = match (prev.get(i), curr.get(j)) {
+                (None, None) => break,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some(p), Some(c)) => p.cmp(c),
             };
-            for n in nbrs {
-                if !common.contains(&n) {
-                    continue;
+            match ord {
+                Ordering::Less => {
+                    removed.push(prev[i]);
+                    i += 1;
                 }
-                deg_sum += 1;
-                if !members.contains(&n) {
-                    *nbr_conns.entry(n).or_insert(0) += 1;
+                Ordering::Greater => {
+                    added.push(curr[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    let c = common.rows.len() as u32;
+                    common.prev[i] = c;
+                    common.curr[j] = c;
+                    common.rows.push((i as u32, j as u32));
+                    i += 1;
+                    j += 1;
                 }
             }
         }
-        let total = nbr_conns.values().sum();
-        let avg_conns = deg_sum as f64 / members.len().max(1) as f64;
-        views.push(GroupView {
-            id: g.id,
-            members,
-            nbr_conns,
-            total,
-            avg_conns,
-        });
+        out.removed_hosts = removed.into_iter().collect();
+        out.added_hosts = added.into_iter().collect();
+        common
     }
-    views
+
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+}
+
+/// The restricted connection set of `row` (a row of `cs`): its neighbors
+/// that are common hosts, as ascending common rows.
+fn restricted<'a>(
+    cs: &'a ConnectionSets,
+    to_common: &'a [u32],
+    row: u32,
+) -> impl Iterator<Item = u32> + 'a {
+    let (off, nbrs) = cs.csr();
+    nbrs[off[row as usize] as usize..off[row as usize + 1] as usize]
+        .iter()
+        .map(|&n| to_common[n as usize])
+        .filter(|&c| c != NONE)
+}
+
+/// Per-group views over the *restricted* (common-host) connection sets,
+/// one per group in id order, flattened: view `v` owns
+/// `members[member_start[v]..member_start[v + 1]]` and likewise for
+/// `nbrs`.
+#[derive(Default)]
+struct Views {
+    /// Surviving (common) member rows, ascending.
+    members: Vec<u32>,
+    member_start: Vec<usize>,
+    /// `(common row, CP(h, G))`: each non-member neighbor and the number
+    /// of members it connects to, ascending by row.
+    nbrs: Vec<(u32, u32)>,
+    nbr_start: Vec<usize>,
+    /// Σ CP over the view's neighbors.
+    total: Vec<u64>,
+    /// Average member connection count.
+    avg_conns: Vec<f64>,
+}
+
+/// One group's view, borrowed from [`Views`].
+#[derive(Clone, Copy)]
+struct View<'a> {
+    /// Every member address (the group's own sorted list, arrivals and
+    /// departures included) — member Jaccard merges these.
+    addrs: &'a [HostAddr],
+    nbrs: &'a [(u32, u32)],
+    total: u64,
+    avg_conns: f64,
+}
+
+impl Views {
+    /// Builds per-group views from the *full* snapshot, with neighbors
+    /// restricted to the common host population.
+    ///
+    /// Members are kept even when they are arrivals/departures (only their
+    /// connections to the common population count), so a group whose
+    /// entire membership was replaced — the paper's load-sharing server
+    /// split — can still correlate through its unchanged client side.
+    ///
+    /// Also returns each common row's group index (`NONE` if ungrouped).
+    fn build(
+        cs: &ConnectionSets,
+        to_common: &[u32],
+        n_common: usize,
+        groups: &[Group],
+    ) -> (Views, Vec<u32>) {
+        let addrs = cs.member_addrs();
+        let (off, adj) = cs.csr();
+        // Snapshot row → group index, and each group's member rows.
+        let mut group_of_row = vec![NONE; addrs.len()];
+        let mut member_rows: Vec<u32> = Vec::new();
+        let mut member_rows_start = vec![0];
+        for (v, g) in groups.iter().enumerate() {
+            for m in &g.members {
+                if let Ok(r) = addrs.binary_search(m) {
+                    group_of_row[r] = v as u32;
+                    member_rows.push(r as u32);
+                }
+            }
+            member_rows_start.push(member_rows.len());
+        }
+        let mut group_of = vec![NONE; n_common];
+        for (r, &c) in to_common.iter().enumerate() {
+            if c != NONE {
+                group_of[c as usize] = group_of_row[r];
+            }
+        }
+
+        let mut views = Views {
+            member_start: vec![0],
+            nbr_start: vec![0],
+            ..Views::default()
+        };
+        let mut cp = vec![0u32; n_common];
+        let mut touched: Vec<u32> = Vec::new();
+        for (v, g) in groups.iter().enumerate() {
+            let mut deg_sum = 0usize;
+            for &r in &member_rows[member_rows_start[v]..member_rows_start[v + 1]] {
+                if to_common[r as usize] != NONE {
+                    views.members.push(to_common[r as usize]);
+                }
+                for &n in &adj[off[r as usize] as usize..off[r as usize + 1] as usize] {
+                    let c = to_common[n as usize];
+                    if c == NONE {
+                        continue;
+                    }
+                    deg_sum += 1;
+                    if group_of_row[n as usize] != v as u32 {
+                        if cp[c as usize] == 0 {
+                            touched.push(c);
+                        }
+                        cp[c as usize] += 1;
+                    }
+                }
+            }
+            touched.sort_unstable();
+            let mut total = 0u64;
+            for &c in &touched {
+                let w = std::mem::take(&mut cp[c as usize]);
+                total += u64::from(w);
+                views.nbrs.push((c, w));
+            }
+            touched.clear();
+            views.member_start.push(views.members.len());
+            views.nbr_start.push(views.nbrs.len());
+            views.total.push(total);
+            views
+                .avg_conns
+                .push(deg_sum as f64 / g.members.len().max(1) as f64);
+        }
+        (views, group_of)
+    }
+
+    fn len(&self) -> usize {
+        self.total.len()
+    }
+
+    fn neighbors(&self, v: usize) -> &[(u32, u32)] {
+        &self.nbrs[self.nbr_start[v]..self.nbr_start[v + 1]]
+    }
+
+    /// Every common row view `v` touches: its members, then its
+    /// neighbors — the rows the candidate pre-filter keys on.
+    fn rows(&self, v: usize) -> impl Iterator<Item = u32> + '_ {
+        let members = &self.members[self.member_start[v]..self.member_start[v + 1]];
+        let nbrs = self.neighbors(v).iter().map(|&(c, _)| c);
+        members.iter().copied().chain(nbrs)
+    }
+
+    fn view<'a>(&'a self, groups: &'a [Group], v: usize) -> View<'a> {
+        View {
+            addrs: &groups[v].members,
+            nbrs: self.neighbors(v),
+            total: self.total[v],
+            avg_conns: self.avg_conns[v],
+        }
+    }
+}
+
+/// Pass 2's search order over the previous views' neighbors, built once
+/// instead of per pair: each view's neighbor positions sorted by
+/// `(restricted degree, row)` — the `(degree, address)` order — and each
+/// position's rank in that order. Both are parallel to [`Views::nbrs`].
+struct DegreeOrder {
+    /// `(restricted degree, position in the view's neighbor slice)`.
+    by_degree: Vec<(u32, u32)>,
+    /// Position → rank in `by_degree`.
+    rank: Vec<u32>,
+}
+
+impl DegreeOrder {
+    fn build(views: &Views, degree: &[u32]) -> Self {
+        let mut order = DegreeOrder {
+            by_degree: Vec::with_capacity(views.nbrs.len()),
+            rank: vec![0; views.nbrs.len()],
+        };
+        let mut positions: Vec<u32> = Vec::new();
+        for v in 0..views.len() {
+            let start = views.nbr_start[v];
+            let nbrs = &views.nbrs[start..views.nbr_start[v + 1]];
+            positions.clear();
+            positions.extend(0..nbrs.len() as u32);
+            // Stable: rows are ascending, so equal degrees stay in row order.
+            positions.sort_by_key(|&p| degree[nbrs[p as usize].0 as usize]);
+            for (r, &p) in positions.iter().enumerate() {
+                order
+                    .by_degree
+                    .push((degree[nbrs[p as usize].0 as usize], p));
+                order.rank[start + p as usize] = r as u32;
+            }
+        }
+        order
+    }
+
+    fn of(&self, views: &Views, v: usize) -> (&[(u32, u32)], &[u32]) {
+        let span = views.nbr_start[v]..views.nbr_start[v + 1];
+        (&self.by_degree[span.clone()], &self.rank[span])
+    }
+}
+
+/// Common row → the previous views holding it as a member or as a
+/// neighbor, ascending (CSR). The step-1 candidate pre-filter.
+fn candidate_index(views: &Views, n_common: usize) -> (Vec<usize>, Vec<u32>) {
+    let mut start = vec![0usize; n_common + 1];
+    for v in 0..views.len() {
+        for c in views.rows(v) {
+            start[c as usize + 1] += 1;
+        }
+    }
+    for c in 0..n_common {
+        start[c + 1] += start[c];
+    }
+    let mut fill = start[..n_common].to_vec();
+    let mut list = vec![0u32; start[n_common]];
+    for v in 0..views.len() {
+        for c in views.rows(v) {
+            list[fill[c as usize]] = v as u32;
+            fill[c as usize] += 1;
+        }
+    }
+    (start, list)
 }
 
 /// `a` and `b` within fraction `tol` of each other.
@@ -138,18 +366,78 @@ fn within(tol: f64, a: f64, b: f64) -> bool {
     (a - b).abs() <= tol * hi
 }
 
-/// The time-varying similarity between a current and a previous group
-/// view, in `[0, 100]`.
-fn time_varying_similarity(
-    curr: &GroupView,
-    prev: &GroupView,
-    curr_cs: &ConnectionSets,
-    prev_cs: &ConnectionSets,
-    h_same: &BTreeSet<HostAddr>,
+/// `|a ∩ b|` of two ascending slices.
+fn intersection_len<T: Ord>(a: &[T], b: &[T]) -> usize {
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                n += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    n
+}
+
+/// Union-find "nearest alive" lookup with path halving: follows `next`
+/// from `x` to a fixed point.
+fn find_alive(next: &mut [u32], mut x: usize) -> usize {
+    while next[x] as usize != x {
+        let up = next[next[x] as usize];
+        next[x] = up;
+        x = up as usize;
+    }
+    x
+}
+
+/// Marks rank `r` of a [`DegreeOrder`] slice as taken in pass 2's
+/// `right`/`left` lookups (see [`Scratch`]).
+fn take_rank(right: &mut [u32], left: &mut [u32], r: usize) {
+    right[r] = r as u32 + 1;
+    left[r + 1] = r as u32;
+}
+
+/// What time-varying similarity reads besides the two views: restricted
+/// degrees and `H_same`, all indexed by common row.
+struct Restricted<'a> {
+    curr_degree: &'a [u32],
+    prev_degree: &'a [u32],
+    h_same: &'a [bool],
     t_hi: f64,
+}
+
+/// Buffers [`time_varying_similarity`] reuses, so an evaluation
+/// allocates nothing once they have grown.
+#[derive(Default)]
+struct Scratch {
+    /// Current-neighbor positions pass 1 left unmatched, ascending.
+    unmatched: Vec<u32>,
+    /// Previous-neighbor positions pass 1 matched.
+    matched: Vec<u32>,
+    /// `right[r]` leads to the first still-available rank `≥ r`;
+    /// `right[len]` is the "none" sentinel.
+    right: Vec<u32>,
+    /// `left[x]` leads to `y` where rank `y - 1` is the last
+    /// still-available rank `< x`; `left[0]` is the "none" sentinel.
+    left: Vec<u32>,
+}
+
+/// The time-varying similarity between a current and a previous group
+/// view, in `[0, 100]`. `(by_degree, rank)` is the previous view's
+/// [`DegreeOrder`].
+fn time_varying_similarity(
+    curr: View<'_>,
+    prev: View<'_>,
+    (by_degree, rank): (&[(u32, u32)], &[u32]),
+    ctx: &Restricted<'_>,
+    scratch: &mut Scratch,
 ) -> f64 {
-    let inter = curr.members.intersection(&prev.members).count();
-    let union = curr.members.len() + prev.members.len() - inter;
+    let inter = intersection_len(curr.addrs, prev.addrs);
+    let union = curr.addrs.len() + prev.addrs.len() - inter;
     let member_jaccard = if union == 0 {
         0.0
     } else {
@@ -183,118 +471,184 @@ fn time_varying_similarity(
     // servers).
     const MEMBER_BONUS: f64 = 5.0;
 
+    let (curr_total, prev_total) = (curr.total as f64, prev.total as f64);
     let mut acc = 0.0f64;
-    // Pass 1: identity matches. A neighbor with the same identifier
-    // matches itself outright; full weight if its whole connection set
-    // is unchanged (h ∈ H_same).
-    let mut unmatched_curr: Vec<HostAddr> = Vec::new();
-    let mut unmatched_prev: BTreeSet<HostAddr> = prev.nbr_conns.keys().copied().collect();
-    for (&h, &w_curr) in &curr.nbr_conns {
-        if prev.nbr_conns.contains_key(&h) {
-            let d_t = curr_cs.degree(h).unwrap_or(0);
-            let d_p = prev_cs.degree(h).unwrap_or(0);
-            let weight = if h_same.contains(&h) {
-                W_IDENTITY_SAME
-            } else if within(t_hi, d_t as f64, d_p as f64) {
-                W_IDENTITY
-            } else {
-                // The host changed beyond tolerance: treat as unmatched.
-                unmatched_curr.push(h);
-                continue;
-            };
-            let w_prev = prev.nbr_conns[&h];
-            acc +=
-                weight * (w_curr as f64 / curr.total as f64).min(w_prev as f64 / prev.total as f64);
-            unmatched_prev.remove(&h);
-        } else {
-            unmatched_curr.push(h);
+    // Pass 1: identity matches, one merge of the two neighbor slices. A
+    // neighbor with the same identifier matches itself outright; full
+    // weight if its whole connection set is unchanged (h ∈ H_same).
+    scratch.unmatched.clear();
+    scratch.matched.clear();
+    let mut j = 0;
+    for (i, &(h, w_curr)) in curr.nbrs.iter().enumerate() {
+        while j < prev.nbrs.len() && prev.nbrs[j].0 < h {
+            j += 1;
         }
+        if j == prev.nbrs.len() || prev.nbrs[j].0 != h {
+            scratch.unmatched.push(i as u32);
+            continue;
+        }
+        let d_t = ctx.curr_degree[h as usize];
+        let d_p = ctx.prev_degree[h as usize];
+        let weight = if ctx.h_same[h as usize] {
+            W_IDENTITY_SAME
+        } else if within(ctx.t_hi, d_t as f64, d_p as f64) {
+            W_IDENTITY
+        } else {
+            // The host changed beyond tolerance: treat as unmatched.
+            scratch.unmatched.push(i as u32);
+            continue;
+        };
+        let w_prev = prev.nbrs[j].1;
+        acc += weight * (w_curr as f64 / curr_total).min(w_prev as f64 / prev_total);
+        scratch.matched.push(j as u32);
     }
     // Pass 2: size matching. "The connection set size of h_{t-1} is
     // within T^hi percent of that of h_t and no other neighbor of
-    // G_{t-1} has the connection set size closer to that of h_t."
-    let mut prev_by_deg: BTreeMap<(usize, HostAddr), HostAddr> = unmatched_prev
-        .iter()
-        .map(|&h| ((prev_cs.degree(h).unwrap_or(0), h), h))
-        .collect();
-    for h_t in unmatched_curr {
-        if prev_by_deg.is_empty() {
-            break;
+    // G_{t-1} has the connection set size closer to that of h_t." The
+    // still-available previous neighbors are the ranks of `by_degree`
+    // not yet taken; `right`/`left` jump over taken ones.
+    let len = prev.nbrs.len();
+    let mut alive = len - scratch.matched.len();
+    if alive > 0 && !scratch.unmatched.is_empty() {
+        let Scratch {
+            unmatched,
+            matched,
+            right,
+            left,
+        } = scratch;
+        right.clear();
+        right.extend(0..=len as u32);
+        left.clear();
+        left.extend(0..=len as u32);
+        for &p in matched.iter() {
+            take_rank(right, left, rank[p as usize] as usize);
         }
-        let d_t = curr_cs.degree(h_t).unwrap_or(0);
-        // Closest previous-neighbor degree: inspect the nearest entries
-        // on both sides of d_t.
-        let above = prev_by_deg
-            .range((d_t, HostAddr::v4(0))..)
-            .next()
-            .map(|(&k, &v)| (k, v));
-        let below = prev_by_deg
-            .range(..(d_t, HostAddr::v4(0)))
-            .next_back()
-            .map(|(&k, &v)| (k, v));
-        let pick = match (below, above) {
-            (None, None) => None,
-            (Some(x), None) => Some(x),
-            (None, Some(y)) => Some(y),
-            (Some(x), Some(y)) => {
-                if d_t.abs_diff(x.0 .0) <= d_t.abs_diff(y.0 .0) {
-                    Some(x)
-                } else {
-                    Some(y)
-                }
+        for &i in unmatched.iter() {
+            if alive == 0 {
+                break;
             }
-        };
-        let Some(((d_p, _), h_p)) = pick else {
-            continue;
-        };
-        if !within(t_hi, d_t as f64, d_p as f64) {
-            continue;
+            let (h_t, w_curr) = curr.nbrs[i as usize];
+            let d_t = ctx.curr_degree[h_t as usize];
+            // Closest previous-neighbor degree: the nearest available
+            // ranks on both sides of d_t; ties go to the lower degree.
+            let split = by_degree.partition_point(|&(d, _)| d < d_t);
+            let above = Some(find_alive(right, split)).filter(|&r| r < len);
+            let below = Some(find_alive(left, split))
+                .filter(|&x| x > 0)
+                .map(|x| x - 1);
+            let pick = match (below, above) {
+                (None, None) => None,
+                (Some(x), None) => Some(x),
+                (None, Some(y)) => Some(y),
+                (Some(x), Some(y)) => {
+                    if d_t.abs_diff(by_degree[x].0) <= d_t.abs_diff(by_degree[y].0) {
+                        Some(x)
+                    } else {
+                        Some(y)
+                    }
+                }
+            };
+            let Some(r) = pick else {
+                continue;
+            };
+            let (d_p, p) = by_degree[r];
+            if !within(ctx.t_hi, d_t as f64, d_p as f64) {
+                continue;
+            }
+            let w_prev = prev.nbrs[p as usize].1;
+            acc += W_SIZE_MATCH * (w_curr as f64 / curr_total).min(w_prev as f64 / prev_total);
+            take_rank(right, left, r);
+            alive -= 1;
         }
-        let w_curr = curr.nbr_conns[&h_t];
-        let w_prev = prev.nbr_conns[&h_p];
-        acc += W_SIZE_MATCH
-            * (w_curr as f64 / curr.total as f64).min(w_prev as f64 / prev.total as f64);
-        prev_by_deg.remove(&(d_p, h_p));
     }
     (100.0 * acc + MEMBER_BONUS * member_jaccard).clamp(0.0, 100.0)
 }
 
+/// A view's neighbor weight per neighbor group: `(group id, Σ CP)`,
+/// ascending by id. `group_of` maps common rows to indexes into
+/// `groups`; `sums` is an all-zero scratch of one slot per group.
+fn group_tally(
+    nbrs: &[(u32, u32)],
+    group_of: &[u32],
+    groups: &[Group],
+    sums: &mut [u64],
+) -> Vec<(GroupId, u64)> {
+    let mut touched: Vec<u32> = Vec::new();
+    for &(c, w) in nbrs {
+        let g = group_of[c as usize];
+        if g == NONE {
+            continue;
+        }
+        if sums[g as usize] == 0 {
+            touched.push(g);
+        }
+        sums[g as usize] += u64::from(w);
+    }
+    touched.sort_unstable();
+    touched
+        .into_iter()
+        .map(|g| (groups[g as usize].id, std::mem::take(&mut sums[g as usize])))
+        .collect()
+}
+
 /// Group-level neighbor-pattern similarity for step 2: compares how the
-/// two groups connect to *already-correlated* neighbor groups.
+/// two groups connect to *already-correlated* neighbor groups. `curr` is
+/// the current group's tally with each group id replaced by its
+/// correlated previous id (uncorrelated groups dropped), in current-id
+/// order; `prev` is the previous group's tally.
 fn neighbor_group_similarity(
-    curr: &GroupView,
-    prev: &GroupView,
-    curr_grouping: &Grouping,
-    prev_grouping: &Grouping,
-    id_map: &BTreeMap<GroupId, GroupId>,
+    (curr, curr_total): (&[(GroupId, u64)], u64),
+    (prev, prev_total): (&[(GroupId, u64)], u64),
 ) -> f64 {
-    if curr.total == 0 || prev.total == 0 {
+    if curr_total == 0 || prev_total == 0 {
         return 0.0;
     }
-    // Collapse neighbor hosts to their group ids.
-    let mut curr_by_group: BTreeMap<GroupId, u64> = BTreeMap::new();
-    for (&h, &w) in &curr.nbr_conns {
-        if let Some(gid) = curr_grouping.group_of(h) {
-            *curr_by_group.entry(gid).or_insert(0) += w;
-        }
-    }
-    let mut prev_by_group: BTreeMap<GroupId, u64> = BTreeMap::new();
-    for (&h, &w) in &prev.nbr_conns {
-        if let Some(gid) = prev_grouping.group_of(h) {
-            *prev_by_group.entry(gid).or_insert(0) += w;
-        }
-    }
     let mut acc = 0.0f64;
-    for (gid_t, &w_t) in &curr_by_group {
-        let Some(gid_p) = id_map.get(gid_t) else {
+    for &(gid_p, w_t) in curr {
+        let Ok(k) = prev.binary_search_by_key(&gid_p, |&(g, _)| g) else {
             continue;
         };
-        let Some(&w_p) = prev_by_group.get(gid_p) else {
-            continue;
-        };
-        acc += (w_t as f64 / curr.total as f64).min(w_p as f64 / prev.total as f64);
+        let w_p = prev[k].1;
+        acc += (w_t as f64 / curr_total as f64).min(w_p as f64 / prev_total as f64);
     }
     (100.0 * acc).clamp(0.0, 100.0)
+}
+
+/// Greedy best-first acceptance: walks `scored` by descending score
+/// (stable, so equal scores keep scoring order) and takes every pair
+/// whose two groups are both still free. `curr`/`prev` are each side's
+/// groups and taken flags.
+fn accept_greedy(
+    mut scored: Vec<(f64, usize, usize)>,
+    (curr_groups, curr_taken): (&[Group], &mut [bool]),
+    (prev_groups, prev_taken): (&[Group], &mut [bool]),
+    out: &mut Correlation,
+    rule: &'static str,
+    rec: Option<&telemetry::Recorder>,
+) {
+    scored.sort_by(|a, b| b.0.total_cmp(&a.0));
+    for (s, ci, pi) in scored {
+        if curr_taken[ci] || prev_taken[pi] {
+            continue;
+        }
+        curr_taken[ci] = true;
+        prev_taken[pi] = true;
+        let (curr, prev) = (curr_groups[ci].id, prev_groups[pi].id);
+        out.id_map.insert(curr, prev);
+        out.scores.insert((curr, prev), s);
+        if let Some(r) = rec {
+            r.events().record(
+                "engine",
+                "roleclass_engine_id_carried",
+                vec![
+                    ("curr", u64::from(curr.0).into()),
+                    ("prev", u64::from(prev.0).into()),
+                    ("score", s.into()),
+                    ("rule", rule.into()),
+                ],
+            );
+        }
+    }
 }
 
 /// Correlates `curr` against `prev`.
@@ -350,11 +704,8 @@ pub(crate) fn correlate_with_events(
     params: &Params,
     rec: Option<&telemetry::Recorder>,
 ) -> Correlation {
-    let mut out = Correlation {
-        added_hosts: curr_cs.hosts_not_in(prev_cs),
-        removed_hosts: prev_cs.hosts_not_in(curr_cs),
-        ..Correlation::default()
-    };
+    let mut out = Correlation::default();
+    let (prev_groups, curr_groups) = (prev_grouping.groups(), curr_grouping.groups());
 
     // Phase counters, folded into the registry once at the end so the
     // hot loops stay branch-light. They tally regardless of attachment
@@ -362,173 +713,199 @@ pub(crate) fn correlate_with_events(
     let mut candidate_pairs = 0u64;
     let mut similarity_evals = 0u64;
 
-    // 1. Restrict both snapshots to the common host population.
+    // 1. Restrict both snapshots to the common host population: one
+    // merge of the member vectors maps each side's rows to common rows.
     let restrict_span = telemetry::span(rec, "correlate.restrict");
-    let common: BTreeSet<HostAddr> = curr_cs.hosts().filter(|h| prev_cs.contains(*h)).collect();
-    let mut prev_r = prev_cs.clone();
-    prev_r.retain_hosts(&common);
-    let mut curr_r = curr_cs.clone();
-    curr_r.retain_hosts(&common);
+    let common = CommonRows::merge(prev_cs.member_addrs(), curr_cs.member_addrs(), &mut out);
     drop(restrict_span);
 
-    // 2. H_same: identical restricted connection sets.
+    // 2. Restricted degrees, and H_same: identical restricted
+    // connection sets.
     let h_same_span = telemetry::span(rec, "correlate.h_same");
-    for &h in &common {
-        if prev_r.neighbors(h) == curr_r.neighbors(h) {
-            out.h_same.insert(h);
-        }
+    let mut prev_degree = vec![0u32; common.len()];
+    let mut curr_degree = vec![0u32; common.len()];
+    let mut h_same = vec![false; common.len()];
+    for (c, &(pr, cr)) in common.rows.iter().enumerate() {
+        prev_degree[c] = restricted(prev_cs, &common.prev, pr).count() as u32;
+        curr_degree[c] = restricted(curr_cs, &common.curr, cr).count() as u32;
+        h_same[c] = prev_degree[c] == curr_degree[c]
+            && restricted(prev_cs, &common.prev, pr).eq(restricted(curr_cs, &common.curr, cr));
     }
+    out.h_same = common
+        .rows
+        .iter()
+        .zip(&h_same)
+        .filter(|(_, &same)| same)
+        .map(|(&(_, cr), _)| curr_cs.member_addrs()[cr as usize])
+        .collect();
     drop(h_same_span);
 
     let views_span = telemetry::span(rec, "correlate.views");
-    let curr_views = build_views(curr_cs, &common, curr_grouping);
-    let prev_views = build_views(prev_cs, &common, prev_grouping);
+    let (curr_views, curr_group_of) =
+        Views::build(curr_cs, &common.curr, common.len(), curr_groups);
+    let (prev_views, prev_group_of) =
+        Views::build(prev_cs, &common.prev, common.len(), prev_groups);
+    let prev_order = DegreeOrder::build(&prev_views, &prev_degree);
 
     // Candidate pre-filter: groups sharing a member identifier or a
-    // neighbor identifier. (Scoring everything would be quadratic in the
-    // group count with a heavy constant; sharing no host at all in
-    // either capacity means the time-varying similarity is zero anyway.)
-    let mut prev_index: BTreeMap<HostAddr, BTreeSet<usize>> = BTreeMap::new();
-    for (i, v) in prev_views.iter().enumerate() {
-        for &m in &v.members {
-            prev_index.entry(m).or_default().insert(i);
-        }
-        for &n in v.nbr_conns.keys() {
-            prev_index.entry(n).or_default().insert(i);
-        }
-    }
+    // neighbor identifier. Scoring everything would be quadratic in the
+    // group count with a heavy constant. This is a deviation from the
+    // paper, not a shortcut it licenses: pass 2 size-matches *different*
+    // neighbors, so two groups sharing no host can still score above
+    // `S_corr` — DESIGN §5 note 10 measures how often the ids differ.
+    let (cand_start, cand_list) = candidate_index(&prev_views, common.len());
     drop(views_span);
 
     // 3. Step 1: greedy best-first matching on time-varying similarity.
     let step1_span = telemetry::span(rec, "correlate.step1");
+    let ctx = Restricted {
+        curr_degree: &curr_degree,
+        prev_degree: &prev_degree,
+        h_same: &h_same,
+        t_hi: params.t_hi,
+    };
+    let mut scratch = Scratch::default();
+    let mut stamp = vec![NONE; prev_views.len()];
+    let mut cand: Vec<u32> = Vec::new();
     let mut scored: Vec<(f64, usize, usize)> = Vec::new();
-    for (ci, cv) in curr_views.iter().enumerate() {
-        let mut cand: BTreeSet<usize> = BTreeSet::new();
-        for &m in cv.members.iter().chain(cv.nbr_conns.keys()) {
-            if let Some(set) = prev_index.get(&m) {
-                cand.extend(set.iter().copied());
+    for ci in 0..curr_views.len() {
+        let cv = curr_views.view(curr_groups, ci);
+        cand.clear();
+        for c in curr_views.rows(ci) {
+            for &pi in &cand_list[cand_start[c as usize]..cand_start[c as usize + 1]] {
+                if stamp[pi as usize] != ci as u32 {
+                    stamp[pi as usize] = ci as u32;
+                    cand.push(pi);
+                }
             }
         }
-        for pi in cand {
+        cand.sort_unstable();
+        for &pi in &cand {
+            let pi = pi as usize;
             candidate_pairs += 1;
-            let pv = &prev_views[pi];
+            let pv = prev_views.view(prev_groups, pi);
             if !within(params.t_hi, cv.avg_conns, pv.avg_conns) {
                 continue;
             }
             similarity_evals += 1;
-            let s = time_varying_similarity(cv, pv, &curr_r, &prev_r, &out.h_same, params.t_hi);
+            let order = prev_order.of(&prev_views, pi);
+            let s = time_varying_similarity(cv, pv, order, &ctx, &mut scratch);
             if s >= params.s_corr {
                 scored.push((s, ci, pi));
             }
         }
     }
-    scored.sort_by(|a, b| b.0.total_cmp(&a.0));
     let mut curr_taken = vec![false; curr_views.len()];
     let mut prev_taken = vec![false; prev_views.len()];
-    for (s, ci, pi) in scored {
-        if curr_taken[ci] || prev_taken[pi] {
-            continue;
-        }
-        curr_taken[ci] = true;
-        prev_taken[pi] = true;
-        out.id_map.insert(curr_views[ci].id, prev_views[pi].id);
-        out.scores.insert((curr_views[ci].id, prev_views[pi].id), s);
-        if let Some(r) = rec {
-            r.events().record(
-                "engine",
-                "roleclass_engine_id_carried",
-                vec![
-                    ("curr", u64::from(curr_views[ci].id.0).into()),
-                    ("prev", u64::from(prev_views[pi].id.0).into()),
-                    ("score", s.into()),
-                    ("rule", "time_varying".into()),
-                ],
-            );
-        }
-    }
+    accept_greedy(
+        scored,
+        (curr_groups, &mut curr_taken),
+        (prev_groups, &mut prev_taken),
+        &mut out,
+        "time_varying",
+        rec,
+    );
     drop(step1_span);
 
     // 4. Step 2: leftover groups correlate through their (already
-    // correlated) neighbor groups.
+    // correlated) neighbor groups. Each leftover view's neighbor-group
+    // tally is computed once, the current side's already translated to
+    // previous ids.
     let step2_span = telemetry::span(rec, "correlate.step2");
+    let mut sums = vec![0u64; curr_groups.len().max(prev_groups.len())];
+    let curr_tallies: Vec<Vec<(GroupId, u64)>> = (0..curr_views.len())
+        .map(|ci| {
+            if curr_taken[ci] {
+                return Vec::new();
+            }
+            group_tally(
+                curr_views.neighbors(ci),
+                &curr_group_of,
+                curr_groups,
+                &mut sums,
+            )
+            .into_iter()
+            .filter_map(|(g, w)| out.id_map.get(&g).map(|&p| (p, w)))
+            .collect()
+        })
+        .collect();
+    let prev_tallies: Vec<Vec<(GroupId, u64)>> = (0..prev_views.len())
+        .map(|pi| {
+            if prev_taken[pi] {
+                return Vec::new();
+            }
+            group_tally(
+                prev_views.neighbors(pi),
+                &prev_group_of,
+                prev_groups,
+                &mut sums,
+            )
+        })
+        .collect();
     let mut scored2: Vec<(f64, usize, usize)> = Vec::new();
-    for (ci, cv) in curr_views.iter().enumerate() {
+    for ci in 0..curr_views.len() {
         if curr_taken[ci] {
             continue;
         }
-        for (pi, pv) in prev_views.iter().enumerate() {
+        for pi in 0..prev_views.len() {
             if prev_taken[pi] {
                 continue;
             }
             candidate_pairs += 1;
-            if !within(params.t_hi, cv.avg_conns, pv.avg_conns) {
+            if !within(
+                params.t_hi,
+                curr_views.avg_conns[ci],
+                prev_views.avg_conns[pi],
+            ) {
                 continue;
             }
             similarity_evals += 1;
-            let s = neighbor_group_similarity(cv, pv, curr_grouping, prev_grouping, &out.id_map);
+            let s = neighbor_group_similarity(
+                (&curr_tallies[ci], curr_views.total[ci]),
+                (&prev_tallies[pi], prev_views.total[pi]),
+            );
             if s >= params.s_corr {
                 scored2.push((s, ci, pi));
             }
         }
     }
-    scored2.sort_by(|a, b| b.0.total_cmp(&a.0));
-    for (s, ci, pi) in scored2 {
-        if curr_taken[ci] || prev_taken[pi] {
-            continue;
-        }
-        curr_taken[ci] = true;
-        prev_taken[pi] = true;
-        out.id_map.insert(curr_views[ci].id, prev_views[pi].id);
-        out.scores.insert((curr_views[ci].id, prev_views[pi].id), s);
+    accept_greedy(
+        scored2,
+        (curr_groups, &mut curr_taken),
+        (prev_groups, &mut prev_taken),
+        &mut out,
+        "neighbor_groups",
+        rec,
+    );
+    drop(step2_span);
+
+    // 5. Leftovers: every group still free is new (current side) or
+    // vanished (previous side).
+    let finalize_span = telemetry::span(rec, "correlate.finalize");
+    for (g, _) in curr_groups.iter().zip(&curr_taken).filter(|(_, &t)| !t) {
+        out.new_groups.push(g.id);
         if let Some(r) = rec {
             r.events().record(
                 "engine",
-                "roleclass_engine_id_carried",
+                "roleclass_engine_id_minted",
                 vec![
-                    ("curr", u64::from(curr_views[ci].id.0).into()),
-                    ("prev", u64::from(prev_views[pi].id.0).into()),
-                    ("score", s.into()),
-                    ("rule", "neighbor_groups".into()),
+                    ("group", u64::from(g.id.0).into()),
+                    ("members", g.members.len().into()),
                 ],
             );
         }
     }
-
-    drop(step2_span);
-
-    // 5. Leftovers. (Current groups whose every member is a new host
-    // never made it into `curr_views` and are new by definition; viewed
-    // but unmatched groups are new as well.)
-    let finalize_span = telemetry::span(rec, "correlate.finalize");
-    for g in curr_grouping.groups() {
-        if !out.id_map.contains_key(&g.id) {
-            out.new_groups.push(g.id);
-            if let Some(r) = rec {
-                r.events().record(
-                    "engine",
-                    "roleclass_engine_id_minted",
-                    vec![
-                        ("group", u64::from(g.id.0).into()),
-                        ("members", g.members.len().into()),
-                    ],
-                );
-            }
-        }
-    }
-    let matched_prev: BTreeSet<GroupId> = out.id_map.values().copied().collect();
-    for g in prev_grouping.groups() {
-        if !matched_prev.contains(&g.id) {
-            out.vanished_groups.push(g.id);
-            if let Some(r) = rec {
-                r.events().record(
-                    "engine",
-                    "roleclass_engine_id_retired",
-                    vec![
-                        ("group", u64::from(g.id.0).into()),
-                        ("members", g.members.len().into()),
-                    ],
-                );
-            }
+    for (g, _) in prev_groups.iter().zip(&prev_taken).filter(|(_, &t)| !t) {
+        out.vanished_groups.push(g.id);
+        if let Some(r) = rec {
+            r.events().record(
+                "engine",
+                "roleclass_engine_id_retired",
+                vec![
+                    ("group", u64::from(g.id.0).into()),
+                    ("members", g.members.len().into()),
+                ],
+            );
         }
     }
     drop(finalize_span);

@@ -138,9 +138,34 @@ fn classification_is_bit_identical_across_worker_matrix() {
     }
 }
 
-/// Correlated group ids across windows are also invariant under the
-/// worker matrix: two engines configured differently must hand out the
-/// same stable ids window after window.
+/// Everything a correlation decides, with scores as bit patterns so a
+/// summation-order change shows up as a difference.
+type CorrelationKey = (
+    Vec<(GroupId, GroupId)>,
+    Vec<((GroupId, GroupId), u64)>,
+    Vec<GroupId>,
+    Vec<GroupId>,
+    Vec<flow::HostAddr>,
+    Vec<flow::HostAddr>,
+    Vec<flow::HostAddr>,
+);
+
+fn correlation_key(c: &Correlation) -> CorrelationKey {
+    (
+        c.id_map.iter().map(|(&a, &b)| (a, b)).collect(),
+        c.scores.iter().map(|(&k, v)| (k, v.to_bits())).collect(),
+        c.new_groups.clone(),
+        c.vanished_groups.clone(),
+        c.added_hosts.iter().copied().collect(),
+        c.removed_hosts.iter().copied().collect(),
+        c.h_same.iter().copied().collect(),
+    )
+}
+
+/// Correlations across windows are also invariant under the worker
+/// matrix: two engines configured differently must produce the same
+/// whole correlation — ids, scores to the bit, `H_same`, new and
+/// vanished groups — window after window.
 #[test]
 fn correlation_ids_are_stable_across_worker_matrix() {
     let params = Params::default().with_s_lo(90.0).with_s_hi(95.0);
@@ -156,9 +181,9 @@ fn correlation_ids_are_stable_across_worker_matrix() {
             assert_eq!(w1.grouping, b1.grouping, "{name} window 1 @ {workers}");
             assert_eq!(w2.grouping, b2.grouping, "{name} window 2 @ {workers}");
             assert_eq!(
-                w2.correlation.as_ref().map(|c| &c.id_map),
-                b2.correlation.as_ref().map(|c| &c.id_map),
-                "{name} id map @ {workers}"
+                w2.correlation.as_ref().map(correlation_key),
+                b2.correlation.as_ref().map(correlation_key),
+                "{name} correlation @ {workers}"
             );
         }
     }

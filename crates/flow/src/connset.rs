@@ -163,8 +163,8 @@ impl IntoIterator for Neighbors<'_> {
     }
 }
 
-// Views over different `ConnectionSets` compare by address content, so
-// correlation's "same neighbors in both windows" check stays `==`.
+// Views over different `ConnectionSets` compare by address content, so a
+// "same neighbors in both windows" check is a plain `==`.
 impl PartialEq for Neighbors<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.iter().eq(other.iter())
@@ -421,8 +421,9 @@ impl ConnectionSets {
     }
 
     /// Restricts the host population to `keep`, dropping all other hosts
-    /// and their connections. Used by the correlation algorithm to strip
-    /// arrivals/departures before comparing snapshots (Section 5.2).
+    /// and their connections — Section 5.2's "strip arrivals/departures"
+    /// step in its literal form. (`roleclass`'s correlation maps both
+    /// snapshots onto their common rows instead of restricting copies.)
     ///
     /// One merged pass over the sorted member and `keep` sequences plus
     /// one pass over the pair column — no per-host scans.

@@ -13,7 +13,9 @@ cargo fmt --all -- --check
 # Boundary types (Grouping members, diffs, synth ground truth) keep
 # their BTree collections *of* HostAddr values, but no new code may key
 # a BTreeMap/BTreeSet container declaration on HostAddr outside the
-# allowlist below.
+# allowlist below. crates/core/src/correlate.rs is listed only for the
+# public `Correlation` host sets (added/removed hosts, H_same), a
+# boundary type; the correlation algorithm itself runs on dense rows.
 echo "==> data-plane lint (no BTreeMap<HostAddr/BTreeSet<HostAddr outside flow::reference)"
 DATAPLANE_ALLOW='crates/flow/src/reference.rs|crates/flow/src/connset.rs|crates/flow/src/anonymize.rs|crates/core/src/group.rs|crates/core/src/diff.rs|crates/core/src/correlate.rs|crates/core/src/services.rs|crates/core/src/stability.rs|crates/synth/src/model.rs|crates/cluster/src/metrics.rs|crates/aggregator/src/profile.rs|crates/aggregator/src/alerts.rs|crates/bench/src/bin/dataplane_bench.rs'
 if grep -rnE 'BTree(Map|Set)<HostAddr' crates/*/src --include='*.rs' \
@@ -88,15 +90,24 @@ echo "==> wire chaos suite (fixed seed matrix) + frame codec properties"
 cargo test -q -p aggregator --test wire_chaos --test frame_codec_properties
 
 # The kernel must be a pure throughput knob: its counts, the Engine's
-# classifications, and every correlation are identical at any worker
-# count and prune setting. The worker matrix (1, 2, 8 workers ×
-# prune auto/off) runs in-process via EngineConfig — the engine crates
-# no longer read ROLECLASS_THREADS, so one invocation covers the whole
-# grid (see classification_is_bit_identical_across_worker_matrix and
-# the pruned_* kernel properties).
-echo "==> kernel + engine equivalence across the worker/prune matrix"
+# classifications, and every correlation (whole, scores to the bit) are
+# identical at any worker count and prune setting. The worker matrix
+# (1, 2, 8 workers × prune auto/off) runs in-process via EngineConfig —
+# the engine crates no longer read ROLECLASS_THREADS, so one invocation
+# covers the whole grid (see
+# classification_is_bit_identical_across_worker_matrix and the pruned_*
+# kernel properties).
+#
+# The dense correlation path is pinned to the map-based oracle in
+# correlation_reference: whole Correlation, counters and id events, on
+# random window pairs, churned department windows, Figure 5 and a
+# churned BigCompany step. It runs in release because the BigCompany
+# case is skipped in debug builds; the scenario cases also print the
+# measured pre-filter deviation (DESIGN §5 note 10).
+echo "==> kernel + engine equivalence across the worker/prune matrix + correlation oracle"
 cargo test -q -p netgraph --test kernel_properties
 cargo test -q -p roleclass --test engine_equivalence
+cargo test -q --release -p roleclass --test correlation_reference
 
 # Advisory bench regression gate: fresh per-stage timings vs the
 # committed BENCH_*.json artifacts, >25% slower gets flagged. Timing on
