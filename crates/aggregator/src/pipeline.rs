@@ -224,6 +224,7 @@ struct ProfileBaseline {
     merge_secs: f64,
     heap_pops: u64,
     kernel_secs: f64,
+    two_paths: u64,
 }
 
 impl ProfileBaseline {
@@ -245,6 +246,7 @@ impl ProfileBaseline {
             merge_secs: seconds("roleclass_engine_merge_seconds"),
             heap_pops: reg.counter("roleclass_engine_merge_heap_pops_total").get(),
             kernel_secs: seconds("roleclass_kernel_build_seconds"),
+            two_paths: reg.counter("roleclass_kernel_two_paths_total").get(),
         };
         let base = std::mem::replace(self, now);
         let (bytes_now, allocs_now) = telemetry::alloc_counters();
@@ -266,11 +268,13 @@ impl ProfileBaseline {
                 "roleclass_profile_cycle_allocs",
                 allocs_now.wrapping_sub(alloc0.1) as f64,
             ),
+            // Per two-path the build enumerated: the pairs surviving in
+            // the base table are the build's output, not its work.
             (
                 "roleclass_profile_kernel_ns_per_pair",
                 unit_ns(
                     now.kernel_secs - base.kernel_secs,
-                    reg.gauge("roleclass_kernel_base_pairs").get().max(0) as u64,
+                    now.two_paths - base.two_paths,
                 ),
             ),
             (

@@ -90,9 +90,13 @@ fn window_stages(rec: &Recorder) -> BTreeMap<String, f64> {
     out
 }
 
-/// Cumulative work counters on `rec`, keyed by the short names the
-/// bench JSON uses. `scripts/bench_check.sh` joins these against the
-/// matching stage times to compare ns-per-unit costs across runs.
+/// The entries of [`work_counters`] read from gauges (latest value) rather
+/// than cumulative counters, so a warm-up window has no share to remove.
+const GAUGES: [&str; 2] = ["kernel_base_pairs", "merge_candidates_peak"];
+
+/// Work counters on `rec`, keyed by the short names the bench JSON uses.
+/// `scripts/bench_check.sh` joins these against the matching stage
+/// times to compare ns-per-unit costs across runs.
 fn work_counters(rec: &Recorder) -> BTreeMap<&'static str, u64> {
     let reg = rec.registry();
     BTreeMap::from([
@@ -113,6 +117,16 @@ fn work_counters(rec: &Recorder) -> BTreeMap<&'static str, u64> {
         (
             "kernel_base_pairs",
             reg.gauge("roleclass_kernel_base_pairs").get().max(0) as u64,
+        ),
+        (
+            "kernel_two_paths",
+            reg.counter("roleclass_kernel_two_paths_total").get(),
+        ),
+        (
+            "merge_candidates_peak",
+            reg.gauge("roleclass_engine_merge_candidates_peak")
+                .get()
+                .max(0) as u64,
         ),
     ])
 }
@@ -174,9 +188,7 @@ fn measure(n: usize, reps: usize, cfg: &EngineConfig) -> Measurement {
             stages = window_stages(&rec);
             counters = work_counters(&rec);
             for (name, v) in &mut counters {
-                // `kernel_base_pairs` is a gauge (latest build), not a
-                // cumulative counter: no warm-up share to remove.
-                if *name != "kernel_base_pairs" {
+                if !GAUGES.contains(name) {
                     *v -= warm_counters[name];
                 }
             }
@@ -216,11 +228,12 @@ fn main() {
     for &(n, reps) in sizes {
         let m = measure(n, reps, &cfg);
         println!(
-            "{} hosts: build {:.1} ms, window {:.1} ms ({} records)",
+            "{} hosts: build {:.1} ms, window {:.1} ms ({} records, merge candidates peak {})",
             m.hosts,
             m.build_secs * 1e3,
             m.window_secs * 1e3,
-            m.records
+            m.records,
+            m.counters["merge_candidates_peak"]
         );
         results.push(m);
     }
@@ -248,6 +261,7 @@ fn main() {
                 m.records.to_string(),
                 format!("{:.3}", m.build_secs * 1e3),
                 format!("{:.3}", m.window_secs * 1e3),
+                m.counters["merge_candidates_peak"].to_string(),
                 speedup,
             ]
         })
@@ -256,7 +270,14 @@ fn main() {
     println!(
         "{}",
         render_table(
-            &["hosts", "records", "build ms", "window ms", "vs baseline"],
+            &[
+                "hosts",
+                "records",
+                "build ms",
+                "window ms",
+                "merge candidates peak",
+                "vs baseline"
+            ],
             &rows
         )
     );

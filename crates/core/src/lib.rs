@@ -78,7 +78,7 @@ pub use formation::{
     form_groups_reference, try_form_groups, FormationEvent, FormationKind, FormationResult,
 };
 pub use group::{Group, GroupId, Grouping};
-pub use merging::{try_merge_groups, MergeEvent, MergeOutcome};
+pub use merging::{nearest_group, try_merge_groups, MergeEvent, MergeOutcome};
 pub use model::{avg_similarity, avg_similarity_violations, s_min_violations, similarity};
 pub use params::{ParamError, Params, SimilarityVariant, TieBreak};
 pub use stability::{

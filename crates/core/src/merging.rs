@@ -16,6 +16,11 @@
 //! Eligible pairs merge greedily, highest similarity first, until no
 //! pair qualifies. The merged group's `K` becomes the minimum connection
 //! count over its members.
+//!
+//! Only pairs that can pass the similarity requirement are ever stored
+//! or queued: a pair below `θ = min(S^lo, S^hi)` fails it whichever
+//! threshold applies, so it could only pop as a rejection. Dropping such
+//! pairs leaves the merge sequence unchanged (see `CandidateStore`).
 
 use crate::config::EngineConfig;
 use crate::formation::FormationResult;
@@ -24,53 +29,7 @@ use crate::params::{ParamError, Params, SimilarityVariant};
 use flow::{ConnectionSets, HostAddr};
 use netgraph::{NodeId, WGraph};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-
-/// Multiply-xor hasher for the node-id-keyed maps on the merge hot
-/// path. The maps' iteration order is never observed (heap pop order is
-/// a total order over the entries themselves), so hash quality affects
-/// only speed — and for 4-byte ids the default SipHash costs more than
-/// the lookup it guards.
-#[derive(Default)]
-struct NodeHasher(u64);
-
-impl std::hash::Hasher for NodeHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.mix(b as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.mix(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.mix(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.mix(n as u64);
-    }
-}
-
-impl NodeHasher {
-    #[inline]
-    fn mix(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-type NodeMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<NodeHasher>>;
+use std::collections::BinaryHeap;
 
 /// Total order over non-negative similarities via the IEEE-754 bit
 /// trick (monotone for non-negative floats), for heap keying.
@@ -82,6 +41,15 @@ impl OrdSim {
         debug_assert!(sim >= 0.0, "similarities are non-negative");
         OrdSim(sim.to_bits())
     }
+}
+
+/// A heap entry: the similarity a pair had when it was queued, then the
+/// pair itself (lower endpoint first). Ties break toward the smallest
+/// pair, the order a full ascending scan would produce.
+type HeapEntry = (OrdSim, Reverse<(NodeId, NodeId)>);
+
+fn heap_entry(a: NodeId, b: NodeId, sim: f64) -> HeapEntry {
+    (OrdSim::new(sim), Reverse((a, b)))
 }
 
 /// Mutable per-group bookkeeping during merging.
@@ -98,6 +66,18 @@ struct GroupInfo {
 }
 
 impl GroupInfo {
+    /// The bookkeeping for a group of `members` labeled `k`, with
+    /// connection counts read from the original connection sets.
+    fn new(cs: &ConnectionSets, members: &[HostAddr], k: u32) -> Self {
+        let degs = || members.iter().map(|h| cs.degree(*h).unwrap_or(0) as u32);
+        GroupInfo {
+            members: members.to_vec(),
+            k,
+            sum_deg: degs().map(u64::from).sum(),
+            min_deg: degs().min().unwrap_or(0),
+        }
+    }
+
     fn avg_conns(&self) -> f64 {
         if self.members.is_empty() {
             0.0
@@ -105,6 +85,13 @@ impl GroupInfo {
             self.sum_deg as f64 / self.members.len() as f64
         }
     }
+}
+
+/// The live groups, indexed by [`NodeId::index`]; dead slots are `None`.
+type GroupTable = Vec<Option<GroupInfo>>;
+
+fn group(info: &[Option<GroupInfo>], n: NodeId) -> &GroupInfo {
+    info[n.index()].as_ref().expect("group of a live node")
 }
 
 /// One merge performed by the algorithm, for tracing and ablation.
@@ -139,7 +126,7 @@ pub struct MergeOutcome {
 /// normalizations.
 fn similarity(
     g: &WGraph,
-    info: &NodeMap<NodeId, GroupInfo>,
+    info: &[Option<GroupInfo>],
     wdeg: &[u64],
     variant: SimilarityVariant,
     x: NodeId,
@@ -211,8 +198,8 @@ fn similarity(
     let sim = match variant {
         SimilarityVariant::Normalized => 100.0 * acc,
         SimilarityVariant::Literal => {
-            let cx = tx / info[&x].members.len() as f64;
-            let cy = ty / info[&y].members.len() as f64;
+            let cx = tx / group(info, x).members.len() as f64;
+            let cy = ty / group(info, y).members.len() as f64;
             50.0 * (acc / cx + acc / cy)
         }
     };
@@ -238,11 +225,143 @@ fn meets_similarity_req(params: &Params, k1: u32, k2: u32, sim: f64) -> bool {
     }
 }
 
-fn pair_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a < b {
-        (a, b)
-    } else {
-        (b, a)
+/// The merge candidates: every live pair whose current similarity
+/// could pass `MEETSIMILARITYREQ`, i.e. `sim ≥ θ = min(S^lo, S^hi)` and
+/// `sim > 0`. It is the source of truth the lazy heap is checked
+/// against.
+///
+/// The filter is exact. A pair below `θ` fails the similarity gate
+/// under either threshold, so in an unfiltered heap it could only pop
+/// as a rejection, which changes no state. Every pair whose similarity
+/// changes is rescored after each merge, so a pair that rises to `θ` is
+/// inserted and queued then, and one that drops below is removed. The
+/// pairs at or above `θ` therefore queue and pop in the same order as
+/// without the filter, and the merge sequence is the same to the bit.
+///
+/// Pairs live in one row per lower endpoint, indexed by
+/// [`NodeId::index`], sorted by the higher endpoint. Rows of contracted
+/// nodes are freed, and entries pointing at dead nodes are pruned when
+/// their row is next walked; every such row is walked in the same merge
+/// step (see [`Agglomeration::rescore`]), so the store holds exactly the
+/// live candidate pairs between merges.
+struct CandidateStore {
+    theta: f64,
+    rows: Vec<Vec<(NodeId, f64)>>,
+    /// Entries across all rows.
+    len: usize,
+    /// The largest `len` seen between merges.
+    peak: usize,
+    /// A recycled row buffer for [`CandidateStore::rewrite_row`].
+    spare: Vec<(NodeId, f64)>,
+}
+
+impl CandidateStore {
+    /// An empty store over `bound` node ids.
+    fn new(theta: f64, bound: usize) -> Self {
+        CandidateStore {
+            theta,
+            rows: vec![Vec::new(); bound],
+            len: 0,
+            peak: 0,
+            spare: Vec::new(),
+        }
+    }
+
+    /// Stores the `(a, b, sim)` triples of `kept`, which must be sorted
+    /// by pair with `a < b`, above every stored pair, and already
+    /// filtered by [`CandidateStore::keeps`].
+    fn extend(&mut self, kept: &[(NodeId, NodeId, f64)]) {
+        for &(a, b, s) in kept {
+            self.rows[a.index()].push((b, s));
+        }
+        self.len += kept.len();
+        self.note_peak();
+    }
+
+    /// The keep rule: can a pair at `sim` ever pass the similarity gate?
+    fn keeps(&self, sim: f64) -> bool {
+        sim >= self.theta && sim > 0.0
+    }
+
+    fn grow(&mut self, bound: usize) {
+        if self.rows.len() < bound {
+            self.rows.resize_with(bound, Vec::new);
+        }
+    }
+
+    fn note_peak(&mut self) {
+        self.peak = self.peak.max(self.len);
+    }
+
+    /// The stored similarity of pair `(a, b)`, `a < b`.
+    fn get(&self, a: NodeId, b: NodeId) -> Option<f64> {
+        let row = &self.rows[a.index()];
+        row.binary_search_by_key(&b, |&(p, _)| p)
+            .ok()
+            .map(|i| row[i].1)
+    }
+
+    /// Stores `(y, m, sim)` for an `m` above every id already stored
+    /// anywhere (a freshly contracted node), so the row stays sorted.
+    fn append(&mut self, y: NodeId, m: NodeId, sim: f64) {
+        debug_assert!(self.rows[y.index()].last().is_none_or(|&(p, _)| p < m));
+        self.rows[y.index()].push((m, sim));
+        self.len += 1;
+    }
+
+    /// Drops row `n` (a contracted node).
+    fn free(&mut self, n: NodeId) {
+        let row = std::mem::take(&mut self.rows[n.index()]);
+        self.len -= row.len();
+    }
+
+    /// Drops the entries of row `n` whose partner is no longer live.
+    fn prune_dead(&mut self, g: &WGraph, n: NodeId) {
+        let row = &mut self.rows[n.index()];
+        if !row.is_empty() {
+            let before = row.len();
+            row.retain(|&(p, _)| g.contains_node(p));
+            self.len -= before - row.len();
+        }
+    }
+
+    /// Rewrites row `x` against `fresh` — new similarities for partners
+    /// above `x`, ascending — in one walk of both sorted lists. Partners
+    /// not in `fresh` keep their entry unless dead. A fresh value is
+    /// stored when kept and passed to `queue` when it is also new or
+    /// changed; a pair below the keep rule is dropped. Pairs that were
+    /// never stored and stay below `θ` cost no lookup at all.
+    fn rewrite_row(
+        &mut self,
+        g: &WGraph,
+        x: NodeId,
+        fresh: impl Iterator<Item = (NodeId, f64)>,
+        mut queue: impl FnMut(NodeId, f64),
+    ) {
+        let old = std::mem::take(&mut self.rows[x.index()]);
+        let mut row = std::mem::take(&mut self.spare);
+        row.clear();
+        let mut rest = old.iter().copied().peekable();
+        for (y, s) in fresh {
+            let mut prev = None;
+            while let Some((p, sp)) = rest.next_if(|&(p, _)| p <= y) {
+                if p == y {
+                    prev = Some(sp);
+                } else if g.contains_node(p) {
+                    row.push((p, sp));
+                }
+            }
+            if self.keeps(s) {
+                row.push((y, s));
+                if prev != Some(s) {
+                    queue(y, s);
+                }
+            }
+        }
+        row.extend(rest.filter(|&(p, _)| g.contains_node(p)));
+        self.len = self.len + row.len() - old.len();
+        self.rows[x.index()] = row;
+        self.spare = old;
     }
 }
 
@@ -272,53 +391,143 @@ pub(crate) fn merge_groups_validated(
     merge_groups_with(cs, formation, &EngineConfig::new(*params), None)
 }
 
-/// Scores every pair's similarity, splitting the (sorted, deduplicated)
-/// pair list into contiguous chunks across scoped worker threads.
+/// Stage `candidates`: every pair of groups sharing a neighbor, sorted
+/// and deduplicated, lower endpoint first. Pairs sharing nothing have
+/// similarity 0 and can never merge.
+fn candidates(g: &WGraph) -> Vec<(NodeId, NodeId)> {
+    let mut pairs = Vec::new();
+    for x in g.nodes() {
+        for &(via, _) in g.neighbor_slice(x) {
+            for &(y, _) in g.neighbor_slice(via) {
+                if y > x {
+                    pairs.push((x, y));
+                }
+            }
+        }
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+}
+
+/// Stage `score`: the similarity of every candidate pair, keeping the
+/// `(a, b, sim)` triples `keep` accepts, in pair order. The sorted pair
+/// list is split into contiguous chunks across scoped worker threads.
 /// Each score is a pure function of the shared immutable graph and
 /// group table, and chunk results are concatenated in chunk order, so
 /// the output is bit-identical at any worker count.
 fn score_pairs(
     g: &WGraph,
-    info: &NodeMap<NodeId, GroupInfo>,
+    info: &[Option<GroupInfo>],
     wdeg: &[u64],
     variant: SimilarityVariant,
     pairs: &[(NodeId, NodeId)],
+    keep: impl Fn(f64) -> bool + Sync,
     workers: usize,
-) -> Vec<f64> {
+) -> Vec<(NodeId, NodeId, f64)> {
+    let score = |part: &[(NodeId, NodeId)]| -> Vec<(NodeId, NodeId, f64)> {
+        part.iter()
+            .map(|&(x, y)| (x, y, similarity(g, info, wdeg, variant, x, y)))
+            .filter(|&(_, _, s)| keep(s))
+            .collect()
+    };
     // Don't spin up threads for workloads where the spawn overhead
     // dominates; the cutoff cannot change the result, only the split.
     const MIN_PAIRS_PER_WORKER: usize = 128;
     let workers = workers.clamp(1, (pairs.len() / MIN_PAIRS_PER_WORKER).max(1));
     if workers == 1 {
-        return pairs
-            .iter()
-            .map(|&(x, y)| similarity(g, info, wdeg, variant, x, y))
-            .collect();
+        return score(pairs);
     }
     let chunk = pairs.len().div_ceil(workers);
-    let mut out = Vec::with_capacity(pairs.len());
+    let score = &score;
     std::thread::scope(|s| {
         let handles: Vec<_> = pairs
             .chunks(chunk)
-            .map(|part| {
-                s.spawn(move || {
-                    part.iter()
-                        .map(|&(x, y)| similarity(g, info, wdeg, variant, x, y))
-                        .collect::<Vec<f64>>()
-                })
-            })
+            .map(|part| s.spawn(move || score(part)))
             .collect();
-        for h in handles {
-            out.extend(h.join().expect("merge scoring worker panicked"));
-        }
-    });
-    out
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("merge scoring worker panicked"))
+            .collect()
+    })
 }
 
-/// [`merge_groups_validated`] with an optional recorder: emits one
-/// `merge_considered` provenance event per genuinely considered pair —
-/// accepted *and* rejected, with the Figure 3 gate that decided it. Pops
-/// that die on liveness or staleness (the lazy-heap bookkeeping, not the
+/// Reused per-merge scratch for the rescore stages. The node-indexed
+/// arrays are guarded by a generation stamp (one bump per use clears
+/// them in O(1)).
+#[derive(Default)]
+struct Scratch {
+    stamp: u32,
+    /// `(m, y)` sweep: per-`y` accumulator, its stamp, and the `y`s
+    /// touched this generation.
+    sweep_acc: Vec<f64>,
+    sweep_stamp: Vec<u32>,
+    touched: Vec<NodeId>,
+    /// Neighbor-pair pass: `N(m)` ascending, then per via its stamp, the
+    /// number of `N(m)` members adjacent to it, and its bucket cursor.
+    nbrs: Vec<NodeId>,
+    via_stamp: Vec<u32>,
+    via_count: Vec<u32>,
+    via_pos: Vec<u32>,
+    /// Vias adjacent to two or more members of `N(m)`, ascending.
+    shared: Vec<NodeId>,
+    /// `(member position, w / t_member)` per shared via, contiguous in
+    /// `shared` order and ascending by position within each via.
+    bucket: Vec<(u32, f64)>,
+    /// The `|N(m)|²` accumulator, row-major by member position.
+    mat: Vec<f64>,
+}
+
+impl Scratch {
+    fn grow(&mut self, bound: usize) {
+        if self.sweep_acc.len() < bound {
+            self.sweep_acc.resize(bound, 0.0);
+            self.sweep_stamp.resize(bound, 0);
+            self.via_stamp.resize(bound, 0);
+            self.via_count.resize(bound, 0);
+            self.via_pos.resize(bound, 0);
+        }
+    }
+
+    fn next_stamp(&mut self) -> u32 {
+        self.stamp += 1;
+        self.stamp
+    }
+}
+
+/// The agglomeration loop's state: the shrinking group graph, the live
+/// group table, the candidate store and its lazy max-heap.
+///
+/// The heap is lazy: a rescore pushes a fresh entry and leaves the old
+/// one behind, and a pop discards entries whose endpoints died or whose
+/// value no longer matches the store. Each merge therefore costs near
+/// O(affected · log) instead of a full rescan.
+struct Agglomeration<'a> {
+    params: &'a Params,
+    rec: Option<&'a telemetry::Recorder>,
+    g: WGraph,
+    info: GroupTable,
+    /// Weighted degrees, extended per merge: contraction leaves every
+    /// survivor's weighted degree intact (parallel edges into the merged
+    /// node sum), so only the merged node ever needs a fresh entry.
+    wdeg: Vec<u64>,
+    store: CandidateStore,
+    heap: BinaryHeap<HeapEntry>,
+    /// Heap size that triggers the next compaction.
+    compact_at: usize,
+    /// Heap pops — live, stale, and dead alike — the work measure of
+    /// the loop (the profile layer divides merge time by it). Tallied
+    /// locally and folded into the registry once at the end.
+    heap_pops: u64,
+    merges: Vec<MergeEvent>,
+    scratch: Scratch,
+}
+
+/// Runs the merging phase with an optional recorder: emits one
+/// `merge_considered` provenance event per considered pair, accepted
+/// *and* rejected, with the Figure 3 gate that decided it. Only pairs
+/// at or above `θ` are considered (see [`CandidateStore`]); pops that
+/// die on liveness or staleness (the lazy-heap bookkeeping, not the
 /// algorithm) emit nothing. With `None` the phase is exactly the
 /// uninstrumented one.
 pub(crate) fn merge_groups_with(
@@ -327,157 +536,129 @@ pub(crate) fn merge_groups_with(
     cfg: &EngineConfig,
     rec: Option<&telemetry::Recorder>,
 ) -> MergeOutcome {
-    let params = &cfg.params;
-    let mut g = formation.graph;
-    let mut info: NodeMap<NodeId, GroupInfo> = NodeMap::default();
-    for (idx, pg) in formation.groups.iter().enumerate() {
-        let degs: Vec<u32> = pg
-            .members
-            .iter()
-            .map(|h| cs.degree(*h).unwrap_or(0) as u32)
-            .collect();
-        info.insert(
-            formation.node_of_group[idx],
-            GroupInfo {
-                members: pg.members.clone(),
-                k: pg.k,
-                sum_deg: degs.iter().map(|&d| d as u64).sum(),
-                min_deg: degs.iter().copied().min().unwrap_or(0),
-            },
-        );
+    let mut agg = Agglomeration::start(cs, formation, cfg, rec);
+    let agglomerate = telemetry::span(rec, "merge.agglomerate");
+    while let Some((a, b, sim)) = agg.pop() {
+        let m = agg.contract(a, b, sim);
+        agg.rescore(m);
     }
+    drop(agglomerate);
+    if let Some(r) = rec {
+        let reg = r.registry();
+        reg.counter("roleclass_engine_merge_heap_pops_total")
+            .add(agg.heap_pops);
+        reg.gauge("roleclass_engine_merge_candidates_peak")
+            .set(agg.store.peak as i64);
+    }
+    agg.assemble()
+}
 
-    // All candidate similarities, computed once and then maintained
-    // incrementally: a merge only perturbs pairs involving the merged
-    // node or its neighbors. The initial pass — by far the largest
-    // batch — is scored across worker threads over the deduplicated,
-    // sorted pair list. Selection runs through a lazy max-heap —
-    // entries are invalidated by value mismatch against `sims` (the
-    // source of truth) rather than removed, keeping each merge near
-    // O(affected · log). Ties break toward the smallest node pair, the
-    // same order a full ascending scan would produce.
-    let pairs: Vec<(NodeId, NodeId)> = {
-        let _s = telemetry::span(rec, "merge.candidates");
-        let mut pairs = Vec::new();
-        for x in g.nodes() {
-            for (via, _) in g.neighbors(x) {
-                for (y, _) in g.neighbors(via) {
-                    if y > x {
-                        pairs.push((x, y));
-                    }
-                }
-            }
+impl<'a> Agglomeration<'a> {
+    /// The loop over a formation result, seeded by the `candidates` and
+    /// `score` stages with every pair the store keeps. Heapify runs in
+    /// one pass; pop order is fully determined by the entries' total
+    /// order, so construction strategy cannot change the merge sequence.
+    fn start(
+        cs: &ConnectionSets,
+        formation: FormationResult,
+        cfg: &'a EngineConfig,
+        rec: Option<&'a telemetry::Recorder>,
+    ) -> Self {
+        let params = &cfg.params;
+        let g = formation.graph;
+        let bound = g.id_bound();
+        let mut info: GroupTable = vec![None; bound];
+        for (pg, &n) in formation.groups.iter().zip(&formation.node_of_group) {
+            info[n.index()] = Some(GroupInfo::new(cs, &pg.members, pg.k));
         }
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
-    };
-    // Weighted degrees, computed once and extended per merge:
-    // contraction leaves every survivor's weighted degree intact
-    // (parallel edges into the merged node sum), so only the merged
-    // node itself ever needs a fresh entry. Node ids are dense u32
-    // indices, so a flat vector (dead slots simply unread) beats any
-    // map on this path.
-    let mut wdeg: Vec<u64> = {
-        let cap = g.nodes().map(|n| n.index() + 1).max().unwrap_or(0);
-        let mut w = vec![0u64; cap];
+        let mut wdeg = vec![0u64; bound];
         for n in g.nodes() {
-            w[n.index()] = g.weighted_degree(n);
+            wdeg[n.index()] = g.weighted_degree(n);
         }
-        w
-    };
-    let scores = {
-        let _s = telemetry::span(rec, "merge.score");
-        score_pairs(
-            &g,
-            &info,
-            &wdeg,
-            params.similarity,
-            &pairs,
-            cfg.resolved_merge_workers(),
-        )
-    };
-    let mut sims: NodeMap<(NodeId, NodeId), f64> =
-        NodeMap::with_capacity_and_hasher(pairs.len(), Default::default());
-    let mut heap_init: Vec<(OrdSim, Reverse<(NodeId, NodeId)>)> = Vec::with_capacity(pairs.len());
-    for (&pair, &s) in pairs.iter().zip(scores.iter()) {
-        sims.insert(pair, s);
-        if s > 0.0 {
-            heap_init.push((OrdSim::new(s), Reverse(pair)));
+        let mut store = CandidateStore::new(params.s_lo.min(params.s_hi), bound);
+        let pairs = {
+            let _s = telemetry::span(rec, "merge.candidates");
+            candidates(&g)
+        };
+        let kept = {
+            let _s = telemetry::span(rec, "merge.score");
+            score_pairs(
+                &g,
+                &info,
+                &wdeg,
+                params.similarity,
+                &pairs,
+                |s| store.keeps(s),
+                cfg.resolved_merge_workers(),
+            )
+        };
+        drop(pairs);
+        store.extend(&kept);
+        let heap: BinaryHeap<HeapEntry> =
+            kept.iter().map(|&(a, b, s)| heap_entry(a, b, s)).collect();
+        let mut scratch = Scratch::default();
+        scratch.grow(bound);
+        Agglomeration {
+            params,
+            rec,
+            g,
+            info,
+            wdeg,
+            store,
+            compact_at: compaction_point(heap.len()),
+            heap,
+            heap_pops: 0,
+            merges: Vec::new(),
+            scratch,
         }
     }
-    // Heapify in one pass; pop order is fully determined by the
-    // `(OrdSim, Reverse(pair))` total order, so construction strategy
-    // cannot change the merge sequence.
-    let mut heap: BinaryHeap<(OrdSim, Reverse<(NodeId, NodeId)>)> = BinaryHeap::from(heap_init);
 
-    let mut merges = Vec::new();
-    // Reused per-merge scratch. The `(m, y)` sweep accumulates into a
-    // node-indexed array guarded by a generation stamp (one bump per
-    // merge clears it in O(1)); `touched` remembers which slots to
-    // read back. The neighbor-pair pass accumulates into a dense
-    // `|N(m)|²` matrix keyed by each endpoint's position in the sorted
-    // neighbor list, via (via, position, weight) incidence triples.
-    let mut sweep_acc: Vec<f64> = vec![0.0; wdeg.len()];
-    let mut sweep_stamp: Vec<u32> = vec![0; wdeg.len()];
-    let mut stamp: u32 = 0;
-    let mut touched: Vec<NodeId> = Vec::new();
-    let mut byvia: Vec<(NodeId, u32, u64)> = Vec::new();
-    let mut mat: Vec<f64> = Vec::new();
-    let mut ts: Vec<f64> = Vec::new();
-    let _agglomerate_span = telemetry::span(rec, "merge.agglomerate");
-    // Heap pops — live, stale, and dead alike — are the work measure of
-    // the agglomeration loop: the profile layer divides merge wall time
-    // by this to get a ns/pop unit cost that stays comparable across
-    // window sizes. Tallied locally (one register add, no branch on the
-    // recorder) and folded into the registry once at the end.
-    let mut heap_pops: u64 = 0;
-    // Lazy invalidation piles dead and superseded entries up in the
-    // heap (every rescore pushes, nothing removes). When the heap
-    // outgrows twice its size after the last sweep, compact: one linear
-    // pass keeps exactly the entries a pop would act on — live
-    // endpoints, value still current — and re-heapifies. The survivors
-    // pop in the same total order as before, and the dropped entries
-    // would have been silently discarded at pop time, so compaction is
-    // invisible to both the merge sequence and the provenance stream;
-    // it only converts millions of cache-hostile `O(log n)` discard
-    // pops into an amortized linear scan.
-    let mut compact_at = (2 * heap.len()).max(1 << 20);
-    loop {
-        if heap.len() > compact_at {
-            let mut entries = heap.into_vec();
-            entries.retain(|&(osim, Reverse((a, b)))| {
-                g.contains_node(a)
-                    && g.contains_node(b)
-                    && sims.get(&(a, b)).map(|&s| OrdSim::new(s)) == Some(osim)
-            });
-            heap = BinaryHeap::from(entries);
-            compact_at = (2 * heap.len()).max(1 << 20);
+    /// Lazy invalidation piles superseded entries up in the heap. When
+    /// it outgrows twice its size after the last compaction, one linear
+    /// pass keeps exactly the entries a pop would act on — live
+    /// endpoints, value still current — and re-heapifies. The survivors
+    /// pop in the same total order, and a pair's current value always
+    /// has the entry pushed at its latest change, so no dropped entry
+    /// was needed and compaction cannot change the merge sequence; it
+    /// converts many cache-hostile `O(log n)` discard pops into an
+    /// amortized linear scan.
+    fn compact(&mut self) {
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        entries.retain(|&(osim, Reverse((a, b)))| {
+            self.g.contains_node(a)
+                && self.g.contains_node(b)
+                && self.store.get(a, b).map(OrdSim::new) == Some(osim)
+        });
+        self.heap = BinaryHeap::from(entries);
+        self.compact_at = compaction_point(self.heap.len());
+    }
+
+    /// Stage `pop`: pops until a live, current pair passes both Figure 3
+    /// requirements, journaling every pair it considers. Discarding a
+    /// rejected pair is sound: while both endpoints live and the
+    /// similarity is unchanged, both eligibility inputs (average member
+    /// connections and the K labels) are immutable — any change replaces
+    /// a node id and thus invalidates by liveness.
+    fn pop(&mut self) -> Option<(NodeId, NodeId, f64)> {
+        if self.heap.len() > self.compact_at {
+            self.compact();
         }
-        // Pop until a live, current, eligible pair surfaces. Discarding
-        // ineligible entries is sound: for a surviving pair with an
-        // unchanged similarity, both eligibility inputs (average member
-        // connections and the K labels) are immutable — any change
-        // replaces a node id and thus invalidates by liveness.
-        let mut best: Option<((NodeId, NodeId), f64)> = None;
-        while let Some((osim, Reverse((a, b)))) = heap.pop() {
-            heap_pops += 1;
-            if !g.contains_node(a) || !g.contains_node(b) {
+        let params = self.params;
+        while let Some((osim, Reverse((a, b)))) = self.heap.pop() {
+            self.heap_pops += 1;
+            if !self.g.contains_node(a) || !self.g.contains_node(b) {
                 continue;
             }
-            let Some(&current) = sims.get(&(a, b)) else {
+            let Some(current) = self.store.get(a, b) else {
                 continue;
             };
             if OrdSim::new(current) != osim {
                 continue; // stale entry; a fresher one is in the heap
             }
-            if current <= 0.0 {
-                continue;
-            }
-            let (ia, ib) = (&info[&a], &info[&b]);
+            let (ia, ib) = (group(&self.info, a), group(&self.info, b));
             let conn_ok = meets_connection_req(params.beta, ia.avg_conns(), ib.avg_conns());
             let sim_ok = meets_similarity_req(params, ia.k, ib.k, current);
-            if let Some(r) = rec {
+            if let Some(r) = self.rec {
                 let k_gate_hi = ia.k.max(ib.k) >= params.k_hi;
                 let verdict = if !conn_ok {
                     "rejected_connection"
@@ -507,224 +688,325 @@ pub(crate) fn merge_groups_with(
                     ],
                 );
             }
-            if !conn_ok {
-                continue;
+            if conn_ok && sim_ok {
+                return Some((a, b, current));
             }
-            if !sim_ok {
-                continue;
-            }
-            best = Some(((a, b), current));
-            break;
         }
-        let Some(((a, b), sim)) = best else { break };
+        None
+    }
 
-        let ia = info.remove(&a).expect("merge endpoint alive");
-        let ib = info.remove(&b).expect("merge endpoint alive");
-        merges.push(MergeEvent {
+    /// Merges groups `a` and `b` into a fresh node `m` and returns it.
+    fn contract(&mut self, a: NodeId, b: NodeId, sim: f64) -> NodeId {
+        let ia = self.info[a.index()].take().expect("merge endpoint alive");
+        let ib = self.info[b.index()].take().expect("merge endpoint alive");
+        self.merges.push(MergeEvent {
             left: ia.members.clone(),
             right: ib.members.clone(),
             similarity: sim,
         });
-        let (m, _internal) = g.contract(&[a, b]);
-        if wdeg.len() <= m.index() {
-            wdeg.resize(m.index() + 1, 0);
-            sweep_acc.resize(m.index() + 1, 0.0);
-            sweep_stamp.resize(m.index() + 1, 0);
-        }
-        wdeg[m.index()] = g.weighted_degree(m);
+        let (m, _internal) = self.g.contract(&[a, b]);
+        self.store.free(a);
+        self.store.free(b);
+        let bound = self.g.id_bound();
+        self.wdeg.resize(bound, 0);
+        self.info.resize(bound, None);
+        self.store.grow(bound);
+        self.scratch.grow(bound);
+        self.wdeg[m.index()] = self.g.weighted_degree(m);
         let mut members = ia.members;
         members.extend(ib.members);
         members.sort_unstable();
         // "The K value of a newly merged group is set to the minimum
         // number of connections a host in the group has."
         let min_deg = ia.min_deg.min(ib.min_deg);
-        info.insert(
-            m,
-            GroupInfo {
-                members,
-                k: min_deg,
-                sum_deg: ia.sum_deg + ib.sum_deg,
-                min_deg,
-            },
-        );
+        self.info[m.index()] = Some(GroupInfo {
+            members,
+            k: min_deg,
+            sum_deg: ia.sum_deg + ib.sum_deg,
+            min_deg,
+        });
+        m
+    }
 
-        // Entries for pairs touching the contracted nodes stay in
-        // `sims` but are unreachable: every heap pop checks liveness
-        // first, and `WGraph::contract` allocates fresh node ids (never
-        // reused), so a dead key can never alias a future pair. Leaving
-        // them avoids a full-map sweep per merge — the sweep made the
-        // loop quadratic in the candidate count and dominated large
-        // windows. Recompute everything that can have changed; heap
-        // entries for changed pairs die lazily on pop.
-        match params.similarity {
+    /// Stage `rescore`: recomputes every pair whose similarity the merge
+    /// into `m` can have changed, and prunes every store entry that
+    /// points at the two contracted nodes. Such an entry `(y, a)` means
+    /// `y` and `a` shared a via `v ≠ a`: either `v` is now adjacent to
+    /// `m`, so the walks below reach `y` through it, or `v = b` and `y`
+    /// is itself in `N(m)`.
+    fn rescore(&mut self, m: NodeId) {
+        match self.params.similarity {
             SimilarityVariant::Normalized => {
                 // Contraction leaves every survivor's weighted degree
-                // intact (parallel edges into the merged node sum), so a
-                // normalized similarity only moves when a contribution
-                // routed *via* the merged node appears or changes: the
-                // dirty set is exactly pairs involving `m` plus pairs
-                // with both endpoints adjacent to `m`.
-                //
-                // All `(m, y)` similarities come from one sweep over the
-                // two-hop neighborhood of `m`: walking `via ∈ N(m)` in
-                // ascending id order and crediting each `y ∈ N(via)`
-                // accumulates every `y`'s terms in ascending
-                // common-neighbor order — the exact addition sequence
-                // `similarity` performs — so the values are
-                // bit-identical to per-pair recomputation at a fraction
-                // of the cost (the sweep touches each two-hop edge
-                // once instead of re-merging adjacency lists per pair).
-                let tm = wdeg[m.index()] as f64;
-                stamp += 1;
-                touched.clear();
-                for &(via, wm) in g.neighbor_slice(m) {
-                    let rm = wm as f64 / tm;
-                    for &(y, wy) in g.neighbor_slice(via) {
-                        if y == m {
-                            continue;
-                        }
-                        let yi = y.index();
-                        if sweep_stamp[yi] != stamp {
-                            sweep_stamp[yi] = stamp;
-                            sweep_acc[yi] = 0.0;
-                            touched.push(y);
-                        }
-                        sweep_acc[yi] += rm.min(wy as f64 / wdeg[yi] as f64);
-                    }
-                }
-                for &y in &touched {
-                    let pair = pair_key(m, y);
-                    let s = (100.0 * sweep_acc[y.index()]).clamp(0.0, 100.0);
-                    // `pair` involves the freshly allocated `m`, so it
-                    // cannot already be in `sims`: always push.
-                    sims.insert(pair, s);
-                    if s > 0.0 {
-                        heap.push((OrdSim::new(s), Reverse(pair)));
-                    }
-                }
-                // Pairs with both endpoints in `N(m)` — every one has
-                // `m` as a common neighbor, so all of them need fresh
-                // values. Rather than re-intersecting adjacency lists
-                // per pair (ruinous when `N(m)` holds hub groups that
-                // every merge touches again), invert by common
-                // neighbor: each `via` adjacent to two or more members
-                // of `N(m)` credits all of its pairs in one pass,
-                // accumulating into the `|N(m)|²` matrix (a hot few
-                // kilobytes for typical merges, versus a hash lookup
-                // per term). Triples carry each endpoint's position in
-                // the ascending neighbor list, so sorting by
-                // (via, position) and walking via groups in ascending
-                // id order accumulates each pair's terms in ascending
-                // common-neighbor order — again the exact `similarity`
-                // addition sequence.
-                let nbrs: Vec<NodeId> = g.neighbors(m).map(|(n, _)| n).collect();
-                let n = nbrs.len();
-                ts.clear();
-                ts.extend(nbrs.iter().map(|&x| wdeg[x.index()] as f64));
-                mat.clear();
-                mat.resize(n * n, 0.0);
-                byvia.clear();
-                for (xi, &x) in nbrs.iter().enumerate() {
-                    for &(via, w) in g.neighbor_slice(x) {
-                        byvia.push((via, xi as u32, w));
-                    }
-                }
-                byvia.sort_unstable_by_key(|&(v, xi, _)| (v, xi));
-                let mut i = 0;
-                while i < byvia.len() {
-                    let v = byvia[i].0;
-                    let mut j = i;
-                    while j < byvia.len() && byvia[j].0 == v {
-                        j += 1;
-                    }
-                    for p in i..j {
-                        let (_, xi, wx) = byvia[p];
-                        let rx = wx as f64 / ts[xi as usize];
-                        let row = xi as usize * n;
-                        for &(_, yi, wy) in byvia.iter().take(j).skip(p + 1) {
-                            mat[row + yi as usize] += rx.min(wy as f64 / ts[yi as usize]);
-                        }
-                    }
-                    i = j;
-                }
-                // Every pair shares at least `m` itself, so the whole
-                // upper triangle holds fresh values.
-                for xi in 0..n {
-                    for yi in xi + 1..n {
-                        let pair = (nbrs[xi], nbrs[yi]);
-                        let s = (100.0 * mat[xi * n + yi]).clamp(0.0, 100.0);
-                        let changed = sims.get(&pair) != Some(&s);
-                        sims.insert(pair, s);
-                        if s > 0.0 && changed {
-                            heap.push((OrdSim::new(s), Reverse(pair)));
-                        }
-                    }
-                }
+                // intact, so a normalized similarity only moves when a
+                // contribution routed *via* the merged node appears or
+                // changes: the dirty set is exactly the pairs involving
+                // `m` plus the pairs with both endpoints in `N(m)`.
+                self.rescore_sweep(m);
+                self.rescore_triangle(m);
             }
-            SimilarityVariant::Literal => {
-                // The literal variant divides by unweighted degrees and
-                // per-member connection counts, which shift for every
-                // neighbor of the merged node — recompute the full
-                // two-hop neighborhood.
-                let mut dirty_nodes: Vec<NodeId> = g.neighbors(m).map(|(n, _)| n).collect();
-                dirty_nodes.push(m);
-                let mut dp: Vec<(NodeId, NodeId)> = Vec::new();
-                for &x in &dirty_nodes {
-                    for (via, _) in g.neighbors(x) {
-                        for (y, _) in g.neighbors(via) {
-                            if y != x {
-                                dp.push(pair_key(x, y));
-                            }
-                        }
-                    }
+            SimilarityVariant::Literal => self.rescore_literal(m),
+        }
+        self.store.note_peak();
+    }
+
+    /// All `(m, y)` similarities from one sweep over the two-hop
+    /// neighborhood of `m`. Walking `via ∈ N(m)` in ascending id order
+    /// and crediting each `y ∈ N(via)` accumulates every `y`'s terms in
+    /// ascending common-neighbor order — the exact addition sequence
+    /// [`similarity`] performs — so the values are bit-identical to
+    /// per-pair recomputation. Every touched row is pruned of dead
+    /// partners.
+    fn rescore_sweep(&mut self, m: NodeId) {
+        let Agglomeration {
+            g,
+            wdeg,
+            store,
+            heap,
+            scratch,
+            ..
+        } = self;
+        let stamp = scratch.next_stamp();
+        let tm = wdeg[m.index()] as f64;
+        scratch.touched.clear();
+        for &(via, wm) in g.neighbor_slice(m) {
+            let rm = wm as f64 / tm;
+            for &(y, wy) in g.neighbor_slice(via) {
+                if y == m {
+                    continue;
                 }
-                dp.sort_unstable();
-                dp.dedup();
-                for pair in dp {
-                    let s = similarity(&g, &info, &wdeg, params.similarity, pair.0, pair.1);
-                    let changed = sims.get(&pair) != Some(&s);
-                    sims.insert(pair, s);
-                    if s > 0.0 && changed {
-                        heap.push((OrdSim::new(s), Reverse(pair)));
-                    }
+                let yi = y.index();
+                if scratch.sweep_stamp[yi] != stamp {
+                    scratch.sweep_stamp[yi] = stamp;
+                    scratch.sweep_acc[yi] = 0.0;
+                    scratch.touched.push(y);
                 }
+                scratch.sweep_acc[yi] += rm.min(wy as f64 / wdeg[yi] as f64);
+            }
+        }
+        for &y in &scratch.touched {
+            let s = (100.0 * scratch.sweep_acc[y.index()]).clamp(0.0, 100.0);
+            store.prune_dead(g, y);
+            // `m` is the newest id, so `(y, m)` is new and sorts last.
+            if store.keeps(s) {
+                store.append(y, m, s);
+                heap.push(heap_entry(y, m, s));
             }
         }
     }
 
-    drop(_agglomerate_span);
-    if let Some(r) = rec {
-        r.registry()
-            .counter("roleclass_engine_merge_heap_pops_total")
-            .add(heap_pops);
+    /// Pairs with both endpoints in `N(m)`: every one has `m` as a
+    /// common neighbor, so all need fresh values. Rather than
+    /// re-intersecting adjacency lists per pair, invert by common
+    /// neighbor into the `|N(m)|²` matrix. A counting pass finds the
+    /// vias adjacent to two or more members of `N(m)`; only those are
+    /// sorted and bucketed, members in ascending position. Walking the
+    /// buckets in ascending via order adds each pair's terms in
+    /// ascending common-neighbor order — again the exact [`similarity`]
+    /// addition sequence. Each member's store row is then rewritten
+    /// against its row of the matrix.
+    fn rescore_triangle(&mut self, m: NodeId) {
+        let Agglomeration {
+            g,
+            wdeg,
+            store,
+            heap,
+            scratch: sc,
+            ..
+        } = self;
+        sc.nbrs.clear();
+        sc.nbrs.extend(g.neighbor_slice(m).iter().map(|&(x, _)| x));
+        let n = sc.nbrs.len();
+
+        let stamp = sc.next_stamp();
+        sc.shared.clear();
+        for &x in &sc.nbrs {
+            for &(via, _) in g.neighbor_slice(x) {
+                let vi = via.index();
+                if sc.via_stamp[vi] != stamp {
+                    sc.via_stamp[vi] = stamp;
+                    sc.via_count[vi] = 0;
+                }
+                sc.via_count[vi] += 1;
+                if sc.via_count[vi] == 2 {
+                    sc.shared.push(via);
+                }
+            }
+        }
+        sc.shared.sort_unstable();
+        let mut total = 0u32;
+        for &v in &sc.shared {
+            sc.via_pos[v.index()] = total;
+            total += sc.via_count[v.index()];
+        }
+        sc.bucket.clear();
+        sc.bucket.resize(total as usize, (0, 0.0));
+        for (xi, &x) in sc.nbrs.iter().enumerate() {
+            let tx = wdeg[x.index()] as f64;
+            for &(via, w) in g.neighbor_slice(x) {
+                let vi = via.index();
+                // Every via here was stamped by the counting pass.
+                if sc.via_count[vi] >= 2 {
+                    sc.bucket[sc.via_pos[vi] as usize] = (xi as u32, w as f64 / tx);
+                    sc.via_pos[vi] += 1;
+                }
+            }
+        }
+        sc.mat.clear();
+        sc.mat.resize(n * n, 0.0);
+        let mut start = 0;
+        for &v in &sc.shared {
+            let end = sc.via_pos[v.index()] as usize;
+            let members = &sc.bucket[start..end];
+            for (p, &(xi, rx)) in members.iter().enumerate() {
+                let row = xi as usize * n;
+                for &(yi, ry) in &members[p + 1..] {
+                    sc.mat[row + yi as usize] += rx.min(ry);
+                }
+            }
+            start = end;
+        }
+
+        for (xi, &x) in sc.nbrs.iter().enumerate() {
+            let fresh = (xi + 1..n).map(|yi| {
+                let s = (100.0 * sc.mat[xi * n + yi]).clamp(0.0, 100.0);
+                (sc.nbrs[yi], s)
+            });
+            store.rewrite_row(g, x, fresh, |y, s| heap.push(heap_entry(x, y, s)));
+        }
     }
 
-    // Assemble the final grouping: ids by descending size then members.
-    let mut final_nodes: Vec<NodeId> = g.nodes().collect();
-    final_nodes.sort_by(|&x, &y| {
-        info[&y]
-            .members
-            .len()
-            .cmp(&info[&x].members.len())
-            .then_with(|| info[&x].members.cmp(&info[&y].members))
-    });
-    let mut groups = Vec::with_capacity(final_nodes.len());
-    let mut node_of_group = Vec::with_capacity(final_nodes.len());
-    for (i, &n) in final_nodes.iter().enumerate() {
-        let gi = &info[&n];
-        groups.push(Group {
-            id: GroupId(i as u32),
-            k: gi.k,
-            members: gi.members.clone(),
+    /// The literal variant divides by unweighted degrees and per-member
+    /// connection counts, which shift for every neighbor of the merged
+    /// node — recompute the full two-hop neighborhood of `N(m) ∪ {m}`.
+    fn rescore_literal(&mut self, m: NodeId) {
+        let g = &self.g;
+        let mut dirty_nodes: Vec<NodeId> = g.neighbor_slice(m).iter().map(|&(n, _)| n).collect();
+        dirty_nodes.push(m);
+        let mut dp: Vec<(NodeId, NodeId)> = Vec::new();
+        for &x in &dirty_nodes {
+            for &(via, _) in g.neighbor_slice(x) {
+                for &(y, _) in g.neighbor_slice(via) {
+                    if y != x {
+                        dp.push((x.min(y), x.max(y)));
+                    }
+                }
+            }
+        }
+        dp.sort_unstable();
+        dp.dedup();
+        for &x in &dirty_nodes {
+            self.store.prune_dead(g, x);
+        }
+        for run in dp.chunk_by(|p, q| p.0 == q.0) {
+            let a = run[0].0;
+            let fresh = run.iter().map(|&(_, b)| {
+                let s = similarity(g, &self.info, &self.wdeg, self.params.similarity, a, b);
+                (b, s)
+            });
+            let heap = &mut self.heap;
+            self.store
+                .rewrite_row(g, a, fresh, |b, s| heap.push(heap_entry(a, b, s)));
+        }
+    }
+
+    /// Stage `assemble`: the final grouping, ids by descending size then
+    /// members.
+    fn assemble(self) -> MergeOutcome {
+        let Agglomeration {
+            g,
+            mut info,
+            merges,
+            ..
+        } = self;
+        let mut final_nodes: Vec<NodeId> = g.nodes().collect();
+        final_nodes.sort_by(|&x, &y| {
+            let (gx, gy) = (group(&info, x), group(&info, y));
+            gy.members
+                .len()
+                .cmp(&gx.members.len())
+                .then_with(|| gx.members.cmp(&gy.members))
         });
-        node_of_group.push(n);
+        let groups = final_nodes
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| {
+                let gi = info[n.index()].take().expect("final group alive");
+                Group {
+                    id: GroupId(i as u32),
+                    k: gi.k,
+                    members: gi.members,
+                }
+            })
+            .collect();
+        MergeOutcome {
+            grouping: Grouping::new(groups),
+            merges,
+            graph: g,
+            node_of_group: final_nodes,
+        }
     }
-    MergeOutcome {
-        grouping: Grouping::new(groups),
-        merges,
-        graph: g,
-        node_of_group,
+}
+
+/// Heap size above which [`Agglomeration::compact`] runs next.
+fn compaction_point(heap_len: usize) -> usize {
+    (2 * heap_len).max(1 << 20)
+}
+
+/// The group most similar to group `id` of `grouping`, by the merge
+/// phase's `SIMILARITY(G1, G2)` on the grouping's contracted graph (one
+/// node per group, edge weights the inter-group connection counts). For
+/// a final grouping this names the pair that came closest to merging
+/// with `id`. Ties go to the smaller id; `None` when `id` is unknown or
+/// shares no neighbor with any group.
+pub fn nearest_group(
+    cs: &ConnectionSets,
+    grouping: &Grouping,
+    id: GroupId,
+    variant: SimilarityVariant,
+) -> Option<(GroupId, f64)> {
+    let groups = grouping.groups();
+    let node = |gid: GroupId| {
+        let i = groups.binary_search_by_key(&gid, |g| g.id).ok()?;
+        Some(NodeId::from_index(i))
+    };
+    let x = node(id)?;
+    let mut g = WGraph::with_capacity(groups.len());
+    g.add_nodes(groups.len());
+    let mut info: GroupTable = Vec::with_capacity(groups.len());
+    for (i, gr) in groups.iter().enumerate() {
+        info.push(Some(GroupInfo::new(cs, &gr.members, gr.k)));
+        for &h in &gr.members {
+            for n in cs.neighbors(h).into_iter().flatten() {
+                match grouping.group_of(n).and_then(node) {
+                    Some(y) if h < n && y.index() != i => {
+                        g.add_edge(NodeId::from_index(i), y, 1);
+                    }
+                    _ => {}
+                }
+            }
+        }
     }
+    let wdeg: Vec<u64> = (0..groups.len())
+        .map(|i| g.weighted_degree(NodeId::from_index(i)))
+        .collect();
+    let mut ys: Vec<NodeId> = g
+        .neighbor_slice(x)
+        .iter()
+        .flat_map(|&(via, _)| g.neighbor_slice(via).iter().map(|&(y, _)| y))
+        .filter(|&y| y != x)
+        .collect();
+    ys.sort_unstable();
+    ys.dedup();
+    ys.into_iter()
+        .map(|y| {
+            (
+                groups[y.index()].id,
+                similarity(&g, &info, &wdeg, variant, x, y),
+            )
+        })
+        .filter(|&(_, s)| s > 0.0)
+        .min_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)))
 }
 
 #[cfg(test)]
@@ -871,25 +1153,12 @@ mod tests {
         let cs = figure1();
         let formation = try_form_groups(&cs, &Params::default()).unwrap();
         let g = &formation.graph;
-        let mut info: NodeMap<NodeId, GroupInfo> = NodeMap::default();
-        for (idx, pg) in formation.groups.iter().enumerate() {
-            let degs: Vec<u32> = pg
-                .members
-                .iter()
-                .map(|h| cs.degree(*h).unwrap_or(0) as u32)
-                .collect();
-            info.insert(
-                formation.node_of_group[idx],
-                GroupInfo {
-                    members: pg.members.clone(),
-                    k: pg.k,
-                    sum_deg: degs.iter().map(|&d| d as u64).sum(),
-                    min_deg: degs.iter().copied().min().unwrap_or(0),
-                },
-            );
+        let mut info: GroupTable = vec![None; g.id_bound()];
+        for (pg, &n) in formation.groups.iter().zip(&formation.node_of_group) {
+            info[n.index()] = Some(GroupInfo::new(&cs, &pg.members, pg.k));
         }
         let nodes: Vec<NodeId> = g.nodes().collect();
-        let mut wdeg = vec![0u64; nodes.iter().map(|n| n.index() + 1).max().unwrap_or(0)];
+        let mut wdeg = vec![0u64; g.id_bound()];
         for &n in &nodes {
             wdeg[n.index()] = g.weighted_degree(n);
         }
@@ -905,6 +1174,54 @@ mod tests {
                     assert!((0.0..=100.0).contains(&sxy));
                 }
             }
+        }
+    }
+
+    /// After seeding and after every merge, the store holds exactly the
+    /// live pairs whose from-scratch similarity passes the keep rule, at
+    /// that similarity to the bit, and nothing pointing at a dead node.
+    #[test]
+    fn store_holds_exactly_the_live_pairs_at_or_above_theta() {
+        let cs = synthnet::scenarios::mazu(42).connsets;
+        for variant in [SimilarityVariant::Normalized, SimilarityVariant::Literal] {
+            let params = Params {
+                similarity: variant,
+                ..Params::default().with_s_lo(20.0).with_s_hi(40.0)
+            };
+            let cfg = EngineConfig::new(params);
+            let formation = try_form_groups(&cs, &params).unwrap();
+            let mut agg = Agglomeration::start(&cs, formation, &cfg, None);
+            let check = |agg: &Agglomeration| {
+                let live: Vec<NodeId> = agg.g.nodes().collect();
+                let mut expected = Vec::new();
+                for (i, &x) in live.iter().enumerate() {
+                    for &y in &live[i + 1..] {
+                        let s = similarity(&agg.g, &agg.info, &agg.wdeg, variant, x, y);
+                        if agg.store.keeps(s) {
+                            expected.push((x, y, s.to_bits()));
+                        }
+                    }
+                }
+                let stored: Vec<(NodeId, NodeId, u64)> = (0..agg.store.rows.len())
+                    .flat_map(|a| {
+                        agg.store.rows[a]
+                            .iter()
+                            .map(move |&(b, s)| (NodeId::from_index(a), b, s.to_bits()))
+                    })
+                    .collect();
+                assert_eq!(stored, expected, "{variant:?}");
+                assert_eq!(agg.store.len, stored.len());
+            };
+            check(&agg);
+            let mut merges = 0;
+            while let Some((a, b, sim)) = agg.pop() {
+                let m = agg.contract(a, b, sim);
+                agg.rescore(m);
+                check(&agg);
+                merges += 1;
+            }
+            assert!(merges > 10, "{variant:?}: {merges} merges");
+            assert!(agg.store.peak >= agg.store.len);
         }
     }
 

@@ -64,6 +64,7 @@ pub const KERNEL_METRIC_NAMES: &[&str] = &[
     "roleclass_kernel_singleton_contractions_total",
     "roleclass_kernel_threshold_queries_total",
     "roleclass_kernel_threshold_seconds",
+    "roleclass_kernel_two_paths_total",
     "roleclass_kernel_worker_entries",
     "roleclass_kernel_workers",
 ];
@@ -92,6 +93,9 @@ pub struct KernelMetrics {
     overlay_entries: telemetry::Gauge,
     /// Two-path contributions suppressed by the prune floors at build.
     pruned_paths: telemetry::Counter,
+    /// Two-paths `a–via–b` enumerated at build — the work measure the
+    /// profile layer divides build time by.
+    two_paths: telemetry::Counter,
     /// Base/rank rebuilds triggered by overlay bloat or endpoint decay.
     compactions_total: telemetry::Counter,
     /// `edges_at_least` calls answered.
@@ -120,6 +124,7 @@ impl KernelMetrics {
                 .counter("roleclass_kernel_singleton_contractions_total"),
             overlay_entries: reg.gauge("roleclass_kernel_overlay_entries"),
             pruned_paths: reg.counter("roleclass_kernel_pruned_paths_total"),
+            two_paths: reg.counter("roleclass_kernel_two_paths_total"),
             compactions_total: reg.counter("roleclass_kernel_compactions_total"),
             threshold_queries_total: reg.counter("roleclass_kernel_threshold_queries_total"),
             threshold_seconds: reg.histogram(
@@ -449,12 +454,21 @@ impl RowScratch {
     }
 }
 
+/// One worker's output from [`count_chunk`].
+struct ChunkCount {
+    /// The key-sorted `(pair key, count)` run.
+    run: Vec<(u64, u64)>,
+    /// Contributions the prune floors suppressed.
+    pruned_paths: u64,
+    /// Two-paths enumerated: `Σ_via |N(via)|` over the eligible rows.
+    two_paths: u64,
+}
+
 /// One worker's pass over a contiguous ascending range of endpoint rows.
 /// For each eligible row `a`, every two-path `a–via–b` with `b > a` and
 /// `b` eligible contributes `min(w(a,via), w(via,b))` to the pair
 /// `(a, b)`; per-row emission is key-sorted, and rows ascend, so the
-/// returned run is key-sorted as a whole. Returns the run plus the
-/// number of contributions the prune floors suppressed. Dispatches once
+/// returned run is key-sorted as a whole. Dispatches once
 /// per chunk to a weight-specialized loop — the unit path carries no
 /// per-element weight reads at all.
 fn count_chunk(
@@ -462,7 +476,7 @@ fn count_chunk(
     eligible: &NodeBitSet,
     prune: Option<&PruneTable>,
     rows: std::ops::Range<usize>,
-) -> (Vec<(u64, u64)>, u64) {
+) -> ChunkCount {
     match *csr {
         CsrSource::Weighted(c) => count_chunk_weighted(c, eligible, prune, rows),
         CsrSource::Unit { offsets, nbrs } => count_chunk_unit(offsets, nbrs, eligible, prune, rows),
@@ -474,10 +488,11 @@ fn count_chunk_weighted(
     eligible: &NodeBitSet,
     prune: Option<&PruneTable>,
     rows: std::ops::Range<usize>,
-) -> (Vec<(u64, u64)>, u64) {
+) -> ChunkCount {
     let mut scratch = RowScratch::new(csr.row_count());
     let mut out: Vec<(u64, u64)> = Vec::new();
     let mut pruned_paths = 0u64;
+    let mut two_paths = 0u64;
     for a in rows {
         if !eligible.contains(NodeId::from_index(a)) {
             continue;
@@ -491,6 +506,7 @@ fn count_chunk_weighted(
             .iter()
             .map(|v| csr.offsets[v.index() + 1] - csr.offsets[v.index()])
             .sum();
+        two_paths += work as u64;
         let dense = work >= scratch.touched.len().saturating_sub(a / 64);
         for (&via, &wa) in a_nbrs.iter().zip(a_weights) {
             let (v_nbrs, v_weights) = csr.row(via.index());
@@ -519,7 +535,11 @@ fn count_chunk_weighted(
             scratch.drain_sparse(a, &mut out);
         }
     }
-    (out, pruned_paths)
+    ChunkCount {
+        run: out,
+        pruned_paths,
+        two_paths,
+    }
 }
 
 fn count_chunk_unit(
@@ -528,11 +548,12 @@ fn count_chunk_unit(
     eligible: &NodeBitSet,
     prune: Option<&PruneTable>,
     rows: std::ops::Range<usize>,
-) -> (Vec<(u64, u64)>, u64) {
+) -> ChunkCount {
     let bound = offsets.len().saturating_sub(1);
     let mut scratch = RowScratch::new(bound);
     let mut out: Vec<(u64, u64)> = Vec::new();
     let mut pruned_paths = 0u64;
+    let mut two_paths = 0u64;
     let row = |i: usize| &nbrs[offsets[i] as usize..offsets[i + 1] as usize];
     for a in rows {
         if !eligible.contains(NodeId::from_index(a)) {
@@ -544,6 +565,7 @@ fn count_chunk_unit(
         };
         let a_row = row(a);
         let work: usize = a_row.iter().map(|&v| row(v as usize).len()).sum();
+        two_paths += work as u64;
         let dense = work >= scratch.touched.len().saturating_sub(a / 64);
         for &via in a_row {
             for &b in row(via as usize) {
@@ -573,7 +595,11 @@ fn count_chunk_unit(
             scratch.drain_sparse(a, &mut out);
         }
     }
-    (out, pruned_paths)
+    ChunkCount {
+        run: out,
+        pruned_paths,
+        two_paths,
+    }
 }
 
 /// Concatenates the workers' runs into the base table. Row ranges are
@@ -814,7 +840,7 @@ impl CommonNeighborKernel {
 
         let count_span = telemetry::span(rec, "kernel.count");
         let prune_ref = prune.as_ref();
-        let partials: Vec<(Vec<(u64, u64)>, u64)> = if chunks.len() <= 1 {
+        let partials: Vec<ChunkCount> = if chunks.len() <= 1 {
             chunks
                 .into_iter()
                 .map(|r| count_chunk(&csr, &eligible, prune_ref, r))
@@ -832,18 +858,18 @@ impl CommonNeighborKernel {
             })
         };
         drop(count_span);
-        let pruned_paths: u64 = partials.iter().map(|(_, p)| p).sum();
         if let Some(m) = &metrics {
             m.workers.set(partials.len() as i64);
-            for (run, _) in &partials {
-                m.worker_entries.observe(run.len() as f64);
+            for p in &partials {
+                m.worker_entries.observe(p.run.len() as f64);
+                m.pruned_paths.add(p.pruned_paths);
+                m.two_paths.add(p.two_paths);
             }
-            m.pruned_paths.add(pruned_paths);
         }
 
         let base = {
             let _s = telemetry::span(rec, "kernel.merge");
-            concat_runs(partials.into_iter().map(|(run, _)| run).collect())
+            concat_runs(partials.into_iter().map(|p| p.run).collect())
         };
         let rank = {
             let _s = telemetry::span(rec, "kernel.rank");
@@ -1497,6 +1523,15 @@ mod tests {
         let plain = CommonNeighborKernel::build_with_workers(&g, |_| true, 2);
         let mut traced = CommonNeighborKernel::build_with_telemetry(&g, |_| true, 2, Some(&rec));
         assert_eq!(plain.edges(), traced.edges());
+        // Every node is an endpoint, so the build walks each via once
+        // from each of its neighbors: Σ_v deg(v)² two-paths.
+        let two_paths: usize = g.nodes().map(|v| g.degree(v) * g.degree(v)).sum();
+        assert_eq!(
+            rec.registry()
+                .counter("roleclass_kernel_two_paths_total")
+                .get(),
+            two_paths as u64
+        );
 
         traced.contract(&mut g, &[n(3)]);
         let _ = traced.edges_at_least(1);

@@ -104,10 +104,16 @@ cargo test -q -p aggregator --test wire_chaos --test frame_codec_properties
 # churned BigCompany step. It runs in release because the BigCompany
 # case is skipped in debug builds; the scenario cases also print the
 # measured pre-filter deviation (DESIGN §5 note 10).
-echo "==> kernel + engine equivalence across the worker/prune matrix + correlation oracle"
+#
+# The merging oracle compares the whole merge trace (both sides'
+# members, similarity to the bit) against a naive from-scratch
+# reference; its Mazu and churned-department cases are release-only
+# too.
+echo "==> kernel + engine equivalence across the worker/prune matrix + correlation and merging oracles"
 cargo test -q -p netgraph --test kernel_properties
 cargo test -q -p roleclass --test engine_equivalence
 cargo test -q --release -p roleclass --test correlation_reference
+cargo test -q --release -p roleclass --test merging_reference
 
 # Advisory bench regression gate: fresh per-stage timings vs the
 # committed BENCH_*.json artifacts, >25% slower gets flagged. Timing on

@@ -10,7 +10,10 @@
 //! * **merging** — every merge the host's group was *considered* for,
 //!   accepted and rejected alike, with the similarity score, which
 //!   threshold gated it (`S^hi` when either side has `K ≥ K^hi`, else
-//!   `S^lo`), and the connection-requirement verdict;
+//!   `S^lo`), and the connection-requirement verdict. The engine only
+//!   considers pairs at or above `θ = min(S^lo, S^hi)`; a group that
+//!   never met one is explained by its most similar final group, whose
+//!   similarity is below `θ`;
 //! * **correlation** — where the window's published group id came from:
 //!   carried from the previous window (with the matching rule and
 //!   score), or minted fresh.
@@ -20,7 +23,7 @@
 //! from what the engine actually did.
 
 use crate::flow::{ConnectionSets, HostAddr};
-use crate::roleclass::{Engine, FormationKind, ParamError, Params};
+use crate::roleclass::{nearest_group, Engine, FormationKind, ParamError, Params};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use telemetry::{Event, FieldValue, Recorder};
@@ -194,7 +197,25 @@ pub fn explain_host_labeled(
         // Merging: every pair decision the host's group took part in.
         let chain = merge_chain(host, &outcome.classification.formation_trace, &events);
         if chain.is_empty() {
-            let _ = writeln!(out, "  merging: no merges considered for this host's group");
+            // No pair at or above θ ever involved the host's group: name
+            // the closest final group instead.
+            let grouping = &outcome.classification.grouping;
+            let theta = params.s_lo.min(params.s_hi);
+            match nearest_group(cs, grouping, raw, params.similarity) {
+                Some((near, sim)) if sim < theta => {
+                    let members = &grouping.group(near).expect("nearest group exists").members;
+                    let _ = writeln!(
+                        out,
+                        "  merge vs group of {} ({} host(s)): similarity {sim:.2} < θ={theta:.2} \
+                         -> below θ, never considered",
+                        members[0],
+                        members.len()
+                    );
+                }
+                _ => {
+                    let _ = writeln!(out, "  merging: no merges considered for this host's group");
+                }
+            }
         }
         for m in &chain {
             let gate = if m.gate == "s_hi" { "S^hi" } else { "S^lo" };

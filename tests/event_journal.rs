@@ -13,7 +13,7 @@ use role_classification::roleclass::{
     EngineConfig, Params, ENGINE_EVENT_NAMES, STABILITY_EVENT_NAMES,
 };
 use role_classification::storage::{MemoryBackend, NamespaceProfile, Retention, StorageConfig};
-use role_classification::telemetry::Recorder;
+use role_classification::telemetry::{FieldValue, Recorder};
 use serde::value::Value;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -25,6 +25,17 @@ fn h(x: u32) -> HostAddr {
 /// One window of figure-1-style traffic. From window 2 on, the pod-B
 /// source-control server (host 4) disappears — its group id retires —
 /// and a brand-new isolated pair 31↔32 appears, minting a fresh id.
+///
+/// Three stable side networks give the merge phase one decision of each
+/// verdict at or above `θ = S^lo = 90` (the only pairs it considers):
+/// * clients 101–103 (servers 111, 112) and 104–106 (server 111 only)
+///   form apart but both talk only to the {111, 112} group —
+///   similarity 100, averages 2 vs 1 within β: `merged`;
+/// * clients 121–123 (servers 131–133) and 124–126 (server 131 only):
+///   similarity 100, averages 3 vs 1: `rejected_connection`;
+/// * pods 141–142 and 143–144 share servers 151–160 and each has its
+///   own (161, 162): similarity 90.9, but formed at `K = 11 ≥ K^hi`, so
+///   `S^hi = 95` gates them: `rejected_similarity`.
 fn window_trace(window: u64) -> Vec<FlowRecord> {
     let base = window * 1000;
     let mut out = Vec::new();
@@ -47,6 +58,29 @@ fn window_trace(window: u64) -> Vec<FlowRecord> {
     }
     if window >= 2 {
         push(31, 32, 60);
+    }
+    for c in 101..=103 {
+        push(c, 111, 100);
+        push(c, 112, 100);
+    }
+    for c in 104..=106 {
+        push(c, 111, 110);
+    }
+    for c in 121..=123 {
+        for s in 131..=133 {
+            push(c, s, 120);
+        }
+    }
+    for c in 124..=126 {
+        push(c, 131, 130);
+    }
+    for (pod, own) in [([141, 142], 161), ([143, 144], 162)] {
+        for c in pod {
+            for s in 151..=160 {
+                push(c, s, 140);
+            }
+            push(c, own, 150);
+        }
     }
     out
 }
@@ -161,6 +195,32 @@ fn degraded_pipeline_produces_every_declared_event_type() {
         .chain(STORAGE_EVENT_NAMES)
     {
         assert!(seen.contains(name), "event type {name} never emitted");
+    }
+    // Every merge verdict occurred, each for a pair at or above θ.
+    let theta = 90.0;
+    let mut verdicts = BTreeSet::new();
+    for ev in events
+        .iter()
+        .filter(|e| e.name == "roleclass_engine_merge_considered")
+    {
+        let field = |key| &ev.fields.iter().find(|(k, _)| *k == key).unwrap().1;
+        let FieldValue::F64(similarity) = *field("similarity") else {
+            panic!("similarity must be a float");
+        };
+        assert!(
+            similarity >= theta,
+            "considered a pair below θ: {similarity}"
+        );
+        let FieldValue::Str(verdict) = field("verdict") else {
+            panic!("verdict must be a string");
+        };
+        verdicts.insert(verdict.to_string());
+    }
+    for verdict in ["merged", "rejected_connection", "rejected_similarity"] {
+        assert!(
+            verdicts.contains(verdict),
+            "verdict {verdict} never emitted"
+        );
     }
     // And nothing undeclared was emitted.
     for ev in &events {
