@@ -2,7 +2,8 @@
 //! cost centers (full build, threshold sweep, contraction update) on
 //! department networks at 1k and 10k hosts, plus the headline
 //! comparison: kernel-backed `form_groups` against the per-level
-//! recomputation it replaced (`form_groups_reference`).
+//! recomputation it replaced (the jumping sweep of
+//! `roleclass_spec::formation`).
 //!
 //! The speedup comparison is measured one-shot rather than through the
 //! timing loop because the legacy sweep at 10k hosts is exactly the
@@ -12,8 +13,8 @@
 use bench::workers_from_env;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netgraph::{CommonNeighborKernel, NodeId, WGraph};
-use roleclass::form_groups_reference;
 use roleclass::prelude::*;
+use roleclass_spec::formation::{form_groups, Sweep};
 use std::time::Instant;
 use synthnet::{ConnRule, Fanout, NetworkModel, RoleSpec};
 
@@ -119,11 +120,15 @@ fn bench_formation_speedup(_c: &mut Criterion) {
         let fast = try_form_groups(&cs, &params).unwrap();
         let kernel_secs = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let slow = form_groups_reference(&cs, &params);
+        let slow = form_groups(&cs, &params, Sweep::Jump);
         let legacy_secs = t1.elapsed().as_secs_f64();
+        let fast: Vec<_> = fast
+            .trace
+            .into_iter()
+            .map(|e| (e.members, e.k, e.kind))
+            .collect();
         assert_eq!(
-            fast.to_grouping(),
-            slow.to_grouping(),
+            fast, slow,
             "kernel and reference formation diverged at {n} hosts"
         );
         println!(

@@ -21,7 +21,7 @@
 
 use bench::{banner, quick_mode, render_table, workers_from_env};
 use flow::ConnsetBuilder;
-use roleclass::{Engine, EngineConfig, Params, PruneMode};
+use roleclass::{Engine, EngineConfig, Params};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -213,11 +213,7 @@ fn main() {
     );
     let cfg = EngineConfig::new(Params::default()).with_workers(workers_from_env());
     let workers = cfg.resolved_kernel_workers();
-    let prune = match cfg.prune {
-        PruneMode::Auto => "auto",
-        PruneMode::Off => "off",
-    };
-    println!("engine: {workers} worker(s), prune {prune}\n");
+    println!("engine: {workers} worker(s)\n");
     let sizes: &[(usize, usize)] = if quick_mode() {
         &[(1_000, 3), (5_000, 2), (10_000, 2)]
     } else {
@@ -304,7 +300,7 @@ fn main() {
                 .join(",");
             format!(
                 "{{\"hosts\":{},\"build_secs\":{:.6},\"window_secs\":{:.6},\
-\"workers\":{workers},\"prune\":\"{prune}\",\"stages\":{{{stages}}},\
+\"workers\":{workers},\"stages\":{{{stages}}},\
 \"counters\":{{{counters}}}}}",
                 m.hosts, m.build_secs, m.window_secs
             )

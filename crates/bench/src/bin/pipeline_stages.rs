@@ -14,7 +14,7 @@
 use aggregator::transport::{stream_records, TransportConfig, WireListener};
 use aggregator::{Aggregator, AggregatorConfig, ReplayProbe, StorageStack, SupervisorConfig};
 use bench::{banner, quick_mode, render_table, workers_from_env};
-use roleclass::{EngineConfig, Params, PruneMode};
+use roleclass::{EngineConfig, Params};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use storage::{BackendKind, StorageConfig};
@@ -70,11 +70,7 @@ fn main() {
     let (hosts, windows) = if quick_mode() { (500, 2) } else { (5_000, 3) };
     let engine_cfg = EngineConfig::new(Params::default()).with_workers(workers_from_env());
     let workers = engine_cfg.resolved_kernel_workers();
-    let prune = match engine_cfg.prune {
-        PruneMode::Auto => "auto",
-        PruneMode::Off => "off",
-    };
-    println!("engine: {workers} worker(s), prune {prune}");
+    println!("engine: {workers} worker(s)");
     let cs = department_network(hosts);
     let records = multi_window_trace(&cs, windows);
     println!(
@@ -360,7 +356,7 @@ vs window {window_total_secs:.3}s ({stability_overhead_pct:.2}%), rows identical
     }
     println!("===BENCH_PIPELINE_JSON===");
     println!(
-        "{{\"hosts\":{},\"windows\":{windows},\"workers\":{workers},\"prune\":\"{prune}\",\"stages\":{{{stages}}},\
+        "{{\"hosts\":{},\"windows\":{windows},\"workers\":{workers},\"stages\":{{{stages}}},\
 \"provenance\":{{\"detached_secs\":{detached_secs:.9},\"attached_secs\":{attached_secs:.9},\
 \"overhead_pct\":{overhead_pct:.3},\"events_recorded\":{events_recorded}}},\
 \"profile\":{{\"overhead_pct\":{overhead_pct:.3},\"budget_pct\":5.0,\"stages\":{profile_stages},\

@@ -19,29 +19,16 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use telemetry::Recorder;
 
-/// Whether the kernel may suppress pairs that can never reach the
-/// formation sweep's query levels (see
-/// `CommonNeighborKernel::build_pruned`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PruneMode {
-    /// Derive per-host prune floors from the bootstrap rule — lossless
-    /// for the sweep by construction (the default).
-    #[default]
-    Auto,
-    /// Materialize every pair, as the reference implementation does.
-    Off,
-}
-
 /// Configuration carried by [`Engine`][crate::Engine] and the
 /// aggregator pipeline: algorithm parameters plus execution knobs.
 ///
 /// Construct with the builder methods; the `Default` value matches the
-/// paper's parameters on one auto-sized worker pool with pruning on.
+/// paper's parameters on one auto-sized worker pool.
 /// Serialization covers everything except the recorder attachment
 /// (a live handle, rebound at load time by whoever owns the registry).
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
-    /// Algorithm parameters (α, β, thresholds, variants).
+    /// Algorithm parameters (α, β, thresholds, tie-break).
     pub params: Params,
     /// Worker threads for the common-neighbor kernel build; `0` sizes
     /// from the machine. Output is bit-identical at any value.
@@ -49,8 +36,6 @@ pub struct EngineConfig {
     /// Worker threads for merge-phase similarity scoring; `0` sizes
     /// from the machine. Output is bit-identical at any value.
     pub merge_workers: usize,
-    /// Kernel pair pruning mode.
-    pub prune: PruneMode,
     /// Telemetry recorder attached to every engine built from this
     /// config. Not serialized.
     recorder: Option<Arc<Recorder>>,
@@ -87,12 +72,6 @@ impl EngineConfig {
     pub fn with_workers(self, workers: usize) -> Self {
         self.with_kernel_workers(workers)
             .with_merge_workers(workers)
-    }
-
-    /// Builder-style setter for the prune mode.
-    pub fn with_prune(mut self, prune: PruneMode) -> Self {
-        self.prune = prune;
-        self
     }
 
     /// Builder-style attachment of a telemetry recorder.
@@ -152,8 +131,6 @@ struct EngineConfigWire {
     kernel_workers: usize,
     #[serde(default)]
     merge_workers: usize,
-    #[serde(default)]
-    prune: PruneMode,
 }
 
 impl Serialize for EngineConfig {
@@ -162,7 +139,6 @@ impl Serialize for EngineConfig {
             params: self.params,
             kernel_workers: self.kernel_workers,
             merge_workers: self.merge_workers,
-            prune: self.prune,
         }
         .serialize(s)
     }
@@ -175,7 +151,6 @@ impl<'de> Deserialize<'de> for EngineConfig {
             params: wire.params,
             kernel_workers: wire.kernel_workers,
             merge_workers: wire.merge_workers,
-            prune: wire.prune,
             recorder: None,
         })
     }
@@ -191,7 +166,6 @@ mod tests {
         assert_eq!(cfg.params, Params::default());
         assert_eq!(cfg.kernel_workers, 0);
         assert_eq!(cfg.merge_workers, 0);
-        assert_eq!(cfg.prune, PruneMode::Auto);
         assert!(cfg.recorder().is_none());
         assert!(cfg.resolved_kernel_workers() >= 1);
         assert!(cfg.resolved_merge_workers() >= 1);
@@ -204,14 +178,12 @@ mod tests {
         let cfg = EngineConfig::new(Params::default().with_k_hi(3))
             .with_workers(4)
             .with_merge_workers(2)
-            .with_prune(PruneMode::Off)
             .with_recorder(Arc::clone(&rec));
         assert_eq!(cfg.params.k_hi, 3);
         assert_eq!(cfg.kernel_workers, 4);
         assert_eq!(cfg.merge_workers, 2);
         assert_eq!(cfg.resolved_kernel_workers(), 4);
         assert_eq!(cfg.resolved_merge_workers(), 2);
-        assert_eq!(cfg.prune, PruneMode::Off);
         assert!(cfg.recorder().is_some());
     }
 
@@ -219,14 +191,12 @@ mod tests {
     fn serde_round_trips_without_recorder() {
         let cfg = EngineConfig::new(Params::default().with_alpha(0.3))
             .with_workers(8)
-            .with_prune(PruneMode::Off)
             .with_recorder(Arc::new(Recorder::new()));
         let json = serde_json::to_string(&cfg).unwrap();
         let back: EngineConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back.params, cfg.params);
         assert_eq!(back.kernel_workers, 8);
         assert_eq!(back.merge_workers, 8);
-        assert_eq!(back.prune, PruneMode::Off);
         assert!(back.recorder().is_none(), "recorder must not serialize");
     }
 
@@ -238,7 +208,19 @@ mod tests {
         );
         let cfg: EngineConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(cfg.kernel_workers, 0);
-        assert_eq!(cfg.prune, PruneMode::Auto);
+    }
+
+    #[test]
+    fn retired_keys_are_ignored_on_load() {
+        // Documents written before `Params::similarity` and
+        // `EngineConfig::prune` were removed still load.
+        let params = serde_json::to_string(&Params::default()).unwrap();
+        let json = format!(
+            "{{\"params\":{},\"prune\":\"Off\"}}",
+            params.replacen('{', "{\"similarity\":\"Literal\",", 1)
+        );
+        let cfg: EngineConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(cfg.params, Params::default());
     }
 
     #[test]

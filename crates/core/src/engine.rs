@@ -126,7 +126,7 @@ impl Engine {
     }
 
     /// Creates an engine from a full [`EngineConfig`] (parameters plus
-    /// worker counts, prune mode, and recorder attachment), validating
+    /// worker counts and recorder attachment), validating
     /// once and for all.
     pub fn from_config(mut config: EngineConfig) -> Result<Self, ParamError> {
         config.validate()?;

@@ -25,18 +25,15 @@
 //! [`CommonNeighborKernel`]: one parallel full pass when the sweep
 //! starts, then a threshold query per level and a localized patch per
 //! contraction, instead of a full `Σ deg(v)²` recount on every round.
-//! [`form_groups_reference`] preserves the recounting implementation as
-//! the executable specification the kernel path is tested (and
-//! benchmarked) against.
+//! The recounting implementation survives as the executable
+//! specification in the dev-only `roleclass-spec` crate, which the
+//! kernel path is tested (and benchmarked) against.
 
-use crate::config::{EngineConfig, PruneMode};
+use crate::config::EngineConfig;
 use crate::group::{Group, GroupId, Grouping};
 use crate::params::{ParamError, Params, TieBreak};
 use flow::{ConnectionSets, HostAddr};
-use netgraph::{
-    biconnected_components, common_neighbor_min_weights, CommonNeighborEdge, CommonNeighborKernel,
-    NodeId, SimpleGraph, WGraph,
-};
+use netgraph::{biconnected_components, CommonNeighborKernel, NodeId, SimpleGraph, WGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
@@ -110,9 +107,8 @@ impl FormationResult {
 /// Internal sweep state.
 struct State {
     g: WGraph,
-    /// The incremental count table; `None` in the reference
-    /// implementation, which recounts from the graph instead.
-    kernel: Option<CommonNeighborKernel>,
+    /// The incremental count table, patched on every contraction.
+    kernel: CommonNeighborKernel,
     /// Host represented by each node; `None` for group nodes.
     host_of_node: Vec<Option<HostAddr>>,
     /// Group index represented by each node, for group nodes.
@@ -127,21 +123,56 @@ struct State {
 
 impl State {
     /// Builds the initial conn-graph state: one node per host, unit edge
-    /// weights (one "connection" per communicating host pair).
+    /// weights (one "connection" per communicating host pair), and the
+    /// count kernel over it.
     ///
     /// The connection sets' columnar layout is consumed directly: host
     /// rows become node ids (rows are address-sorted, matching the
     /// historical id assignment) and the borrowed CSR adjacency seeds the
     /// graph without per-edge lookups.
-    fn init(cs: &ConnectionSets) -> State {
+    ///
+    /// One full parallel counting pass builds the kernel; every level
+    /// of the sweep reads the cached table, and every contraction
+    /// patches it in place. The kernel counts straight off the borrowed
+    /// CSR (at this point identical to `g`) instead of re-snapshotting
+    /// the graph.
+    ///
+    /// Prune floors: host `h` leaves the candidate pool no later than its
+    /// bootstrap trigger (step 2e fires at the first level processed at
+    /// or below it, and the first processed level ≤ the trigger is the
+    /// trigger itself, by the level-jump rule), so `h` is never an
+    /// eligible pair endpoint at any level below `trigger(h)` — that
+    /// level is a sound per-host floor. A pair whose count upper bound
+    /// cannot reach the larger of its two floors can therefore never
+    /// enter a BCC round, and — because the kernel's level-jump oracle is
+    /// always dominated by the pending bootstrap triggers for such pairs
+    /// — never shifts the sweep either.
+    fn init(
+        cs: &ConnectionSets,
+        alpha: f64,
+        workers: usize,
+        rec: Option<&telemetry::Recorder>,
+    ) -> State {
         let (offsets, nbrs) = cs.csr();
         let g = WGraph::from_unit_csr(offsets, nbrs);
         let host_of_node: Vec<Option<HostAddr>> =
             cs.member_addrs().iter().map(|&h| Some(h)).collect();
         let orig_degree: Vec<usize> = offsets.windows(2).map(|w| (w[1] - w[0]) as usize).collect();
+        let floors: Vec<u32> = orig_degree
+            .iter()
+            .map(|&d| bootstrap_trigger(alpha, d).unwrap_or(1))
+            .collect();
+        let kernel = CommonNeighborKernel::build_from_unit_csr_pruned(
+            offsets,
+            nbrs,
+            |_| true,
+            workers,
+            &floors,
+            rec,
+        );
         State {
             g,
-            kernel: None,
+            kernel,
             host_of_node,
             group_of_node: HashMap::new(),
             groups: Vec::new(),
@@ -162,14 +193,11 @@ impl State {
     }
 
     /// Contracts `nodes` (host nodes) into a fresh group node, through
-    /// the kernel when one is attached so the count table stays exact.
+    /// the kernel so the count table stays exact.
     fn form_group(&mut self, nodes: &[NodeId], k: u32, kind: FormationKind) {
         let mut members: Vec<HostAddr> = nodes.iter().map(|&n| self.host(n)).collect();
         members.sort_unstable();
-        let (gnode, _internal) = match self.kernel.as_mut() {
-            Some(kernel) => kernel.contract(&mut self.g, nodes),
-            None => self.g.contract(nodes),
-        };
+        let (gnode, _internal) = self.kernel.contract(&mut self.g, nodes);
         while self.host_of_node.len() < self.g.id_bound() {
             self.host_of_node.push(None);
         }
@@ -308,8 +336,8 @@ pub(crate) fn form_groups_validated(cs: &ConnectionSets, params: &Params) -> For
 /// span (with the kernel's build phases nested inside), counts
 /// productive sweep levels and fixpoint rounds, and times the phase.
 /// With `None` the sweep is exactly the uninstrumented one. The
-/// config's worker count and prune mode never change the output — only
-/// how fast it is computed.
+/// config's worker count never changes the output — only how fast it
+/// is computed.
 pub(crate) fn form_groups_with(
     cs: &ConnectionSets,
     cfg: &EngineConfig,
@@ -321,45 +349,7 @@ pub(crate) fn form_groups_with(
     let mut levels = 0u64;
     let mut rounds = 0u64;
 
-    let mut st = State::init(cs);
-    // One full parallel counting pass; every level below reads the
-    // cached table, and every contraction patches it in place. The
-    // kernel counts straight off the connection sets' borrowed CSR (at
-    // this point identical to `st.g`, which has not been contracted yet)
-    // instead of re-snapshotting the graph.
-    //
-    // Prune floors (`PruneMode::Auto`): host `h` leaves the candidate
-    // pool no later than its bootstrap trigger (step 2e fires at the
-    // first level processed at or below it, and the first processed
-    // level ≤ the trigger is the trigger itself, by the level-jump
-    // rule), so `h` is never an eligible pair endpoint at any level
-    // below `trigger(h)` — that level is a sound per-host floor. A pair
-    // whose count upper bound cannot reach the larger of its two floors
-    // can therefore never enter a BCC round, and — because the kernel's
-    // level-jump oracle is always dominated by the pending bootstrap
-    // triggers for such pairs — never shifts the sweep either.
-    let (offsets, nbrs) = cs.csr();
-    let workers = cfg.resolved_kernel_workers();
-    st.kernel = Some(match cfg.prune {
-        PruneMode::Auto => {
-            let floors: Vec<u32> = st
-                .orig_degree
-                .iter()
-                .map(|&d| bootstrap_trigger(params.alpha, d).unwrap_or(1))
-                .collect();
-            CommonNeighborKernel::build_from_unit_csr_pruned(
-                offsets,
-                nbrs,
-                |_| true,
-                workers,
-                &floors,
-                rec,
-            )
-        }
-        PruneMode::Off => {
-            CommonNeighborKernel::build_from_unit_csr(offsets, nbrs, |_| true, workers, rec)
-        }
-    });
+    let mut st = State::init(cs, params.alpha, cfg.resolved_kernel_workers(), rec);
 
     let mut k = cs.max_degree() as u32;
     while k >= 1 && !st.ungrouped_hosts().is_empty() {
@@ -371,8 +361,6 @@ pub(crate) fn form_groups_with(
             rounds += 1;
             let strong: Vec<(NodeId, NodeId)> = st
                 .kernel
-                .as_ref()
-                .expect("kernel attached for the whole sweep")
                 .edges_at_least(k)
                 .into_iter()
                 .map(|e| (e.a, e.b))
@@ -392,14 +380,9 @@ pub(crate) fn form_groups_with(
         // Jump to the next productive level: the strongest surviving
         // pair weight, or the largest pending bootstrap trigger below k.
         // (Bootstrap contractions are singletons, which preserve every
-        // surviving pair's count, so querying after them matches the
-        // reference implementation's pre-bootstrap snapshot.)
-        let w_next = st
-            .kernel
-            .as_ref()
-            .expect("kernel attached for the whole sweep")
-            .max_count()
-            .min(k.saturating_sub(1));
+        // surviving pair's count, so querying after them matches a
+        // recount taken before the bootstrap.)
+        let w_next = st.kernel.max_count().min(k.saturating_sub(1));
         let next = w_next.max(st.bootstrap_next(params.alpha, k));
         if next == 0 {
             break;
@@ -445,58 +428,6 @@ pub(crate) fn form_groups_with(
             .observe(t0.elapsed().as_secs_f64());
     }
     result
-}
-
-/// The pre-kernel formation implementation: recomputes the full
-/// common-neighbor table on every round of every level.
-///
-/// Kept as the executable specification — `form_groups` must produce
-/// bit-identical output (asserted by the `engine_equivalence` tests and
-/// the `kernel_bench` speedup baseline). Do not use it for real
-/// workloads; it is the `O(rounds · Σ deg²)` path this crate exists to
-/// avoid.
-///
-/// # Panics
-///
-/// Panics if `params` fail validation.
-pub fn form_groups_reference(cs: &ConnectionSets, params: &Params) -> FormationResult {
-    params.validate().expect("invalid parameters");
-    let mut st = State::init(cs);
-
-    let mut k = cs.max_degree() as u32;
-    while k >= 1 && !st.ungrouped_hosts().is_empty() {
-        let mut last_edges: Vec<CommonNeighborEdge>;
-        loop {
-            last_edges = common_neighbor_min_weights(&st.g, |n| st.is_host(n));
-            let strong: Vec<(NodeId, NodeId)> = last_edges
-                .iter()
-                .filter(|e| e.count >= k)
-                .map(|e| (e.a, e.b))
-                .collect();
-            if strong.is_empty() {
-                break;
-            }
-            if !assign_bccs(&mut st, strong, k, params.tie_break) {
-                break;
-            }
-        }
-
-        st.bootstrap(params.alpha, k);
-
-        let w_next = last_edges
-            .iter()
-            .filter(|e| st.g.contains_node(e.a) && st.g.contains_node(e.b))
-            .filter(|e| st.is_host(e.a) && st.is_host(e.b))
-            .map(|e| e.count.min(k.saturating_sub(1)))
-            .max()
-            .unwrap_or(0);
-        let next = w_next.max(st.bootstrap_next(params.alpha, k));
-        if next == 0 {
-            break;
-        }
-        k = next;
-    }
-    st.finish()
 }
 
 #[cfg(test)]
@@ -701,35 +632,6 @@ mod tests {
         // The hub bootstraps (its 50 connections dwarf every level).
         let hub_ev = r.trace.iter().find(|e| e.members == vec![h(0)]).unwrap();
         assert_eq!(hub_ev.kind, FormationKind::Bootstrap);
-    }
-
-    fn traces(r: &FormationResult) -> Vec<(u32, FormationKind, Vec<HostAddr>)> {
-        r.trace
-            .iter()
-            .map(|e| (e.k, e.kind, e.members.clone()))
-            .collect()
-    }
-
-    #[test]
-    fn kernel_sweep_matches_reference() {
-        for params in [
-            Params::default(),
-            Params::default().with_alpha(0.0),
-            Params {
-                tie_break: TieBreak::Seeded(7),
-                ..Params::default()
-            },
-        ] {
-            let mut cs = figure1();
-            cs.add_host(h(99)); // leftover path
-            for i in 1..=20 {
-                cs.add_pair(h(50), h(100 + i)); // hub + idle spokes
-            }
-            let fast = try_form_groups(&cs, &params).unwrap();
-            let slow = form_groups_reference(&cs, &params);
-            assert_eq!(traces(&fast), traces(&slow));
-            assert_eq!(members_sets(&fast), members_sets(&slow));
-        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! fallible `try_*` twin returning [`ParamError`]), the phases are
 //! staged (`form → merge → correlate_with`), and cross-window state is
 //! retained so successive windows keep stable group ids. Execution
-//! knobs — worker counts, kernel pruning, recorder attachment — live in
+//! knobs — worker counts and recorder attachment — live in
 //! the typed [`EngineConfig`], built at the edge
 //! and passed to [`Engine::from_config`](engine::Engine::from_config);
 //! nothing in this crate reads environment variables.
@@ -68,19 +68,17 @@ pub mod stability;
 
 pub use autotune::{auto_k_hi_kcore, auto_k_hi_otsu, auto_params};
 pub use classify::{try_classify, Classification, GroupNeighborhood};
-pub use config::{EngineConfig, PruneMode};
+pub use config::EngineConfig;
 pub use correlate::{apply_correlation, try_correlate, Correlation};
 pub use diff::{diff_groupings, GroupingDiff};
 pub use engine::{
     Engine, EngineSnapshot, Formed, Merged, WindowOutcome, ENGINE_EVENT_NAMES, ENGINE_METRIC_NAMES,
 };
-pub use formation::{
-    form_groups_reference, try_form_groups, FormationEvent, FormationKind, FormationResult,
-};
+pub use formation::{try_form_groups, FormationEvent, FormationKind, FormationResult};
 pub use group::{Group, GroupId, Grouping};
 pub use merging::{nearest_group, try_merge_groups, MergeEvent, MergeOutcome};
 pub use model::{avg_similarity, avg_similarity_violations, s_min_violations, similarity};
-pub use params::{ParamError, Params, SimilarityVariant, TieBreak};
+pub use params::{ParamError, Params, TieBreak};
 pub use stability::{
     GroupStability, HostChurn, StabilityTracker, WindowStability, DEFAULT_CHURN_HORIZON,
     STABILITY_EVENT_NAMES, STABILITY_METRIC_NAMES,
@@ -97,12 +95,12 @@ pub use stability::{
 /// types they exchange.
 pub mod prelude {
     pub use crate::classify::{try_classify, Classification, GroupNeighborhood};
-    pub use crate::config::{EngineConfig, PruneMode};
+    pub use crate::config::EngineConfig;
     pub use crate::correlate::{apply_correlation, try_correlate, Correlation};
     pub use crate::engine::{Engine, EngineSnapshot, Formed, Merged, WindowOutcome};
     pub use crate::formation::{try_form_groups, FormationResult};
     pub use crate::group::{Group, GroupId, Grouping};
     pub use crate::merging::{try_merge_groups, MergeOutcome};
-    pub use crate::params::{ParamError, Params, SimilarityVariant, TieBreak};
+    pub use crate::params::{ParamError, Params, TieBreak};
     pub use crate::stability::{GroupStability, HostChurn, StabilityTracker, WindowStability};
 }

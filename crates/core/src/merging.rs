@@ -25,7 +25,7 @@
 use crate::config::EngineConfig;
 use crate::formation::FormationResult;
 use crate::group::{Group, GroupId, Grouping};
-use crate::params::{ParamError, Params, SimilarityVariant};
+use crate::params::{ParamError, Params};
 use flow::{ConnectionSets, HostAddr};
 use netgraph::{NodeId, WGraph};
 use std::cmp::Reverse;
@@ -120,18 +120,13 @@ pub struct MergeOutcome {
     pub node_of_group: Vec<NodeId>,
 }
 
-/// Computes the Figure 3 `SIMILARITY(G1, G2)` on the current group graph.
-///
-/// Returns a value in `[0, 100]`. See [`SimilarityVariant`] for the two
-/// normalizations.
-fn similarity(
-    g: &WGraph,
-    info: &[Option<GroupInfo>],
-    wdeg: &[u64],
-    variant: SimilarityVariant,
-    x: NodeId,
-    y: NodeId,
-) -> f64 {
+/// Computes the Figure 3 `SIMILARITY(G1, G2)` on the current group graph:
+/// the sum over common neighbors `G'` of `min(CP(G', G1)/t_1,
+/// CP(G', G2)/t_2)`, where `t_i` is group `Gi`'s total connection count,
+/// scaled to `[0, 100]`. The pseudo-code is ambiguous about this
+/// normalization (`DESIGN.md` §5, note 2); the literal reading lives in
+/// the `roleclass-spec` crate.
+fn similarity(g: &WGraph, wdeg: &[u64], x: NodeId, y: NodeId) -> f64 {
     let tx = wdeg[x.index()] as f64;
     let ty = wdeg[y.index()] as f64;
     if tx == 0.0 || ty == 0.0 {
@@ -139,14 +134,7 @@ fn similarity(
     }
     let sx = g.neighbor_slice(x);
     let sy = g.neighbor_slice(y);
-    let (nx, ny) = (sx.len() as f64, sy.len() as f64);
-    let term = |wa: u64, wb: u64| -> f64 {
-        let (wa, wb) = (wa as f64, wb as f64);
-        match variant {
-            SimilarityVariant::Normalized => (wa / tx).min(wb / ty),
-            SimilarityVariant::Literal => (wa / nx).min(wb / ny),
-        }
-    };
+    let term = |wa: u64, wb: u64| -> f64 { (wa as f64 / tx).min(wb as f64 / ty) };
     // Intersect the sorted adjacency lists. Either strategy visits the
     // common neighbors in ascending id order, so the floating-point
     // accumulation sequence — and hence the result, to the last bit —
@@ -195,15 +183,7 @@ fn similarity(
             }
         }
     }
-    let sim = match variant {
-        SimilarityVariant::Normalized => 100.0 * acc,
-        SimilarityVariant::Literal => {
-            let cx = tx / group(info, x).members.len() as f64;
-            let cy = ty / group(info, y).members.len() as f64;
-            50.0 * (acc / cx + acc / cy)
-        }
-    };
-    sim.clamp(0.0, 100.0)
+    (100.0 * acc).clamp(0.0, 100.0)
 }
 
 /// `MEETCONNECTIONREQ`: average member connection counts within β.
@@ -226,9 +206,8 @@ fn meets_similarity_req(params: &Params, k1: u32, k2: u32, sim: f64) -> bool {
 }
 
 /// The merge candidates: every live pair whose current similarity
-/// could pass `MEETSIMILARITYREQ`, i.e. `sim ≥ θ = min(S^lo, S^hi)` and
-/// `sim > 0`. It is the source of truth the lazy heap is checked
-/// against.
+/// could pass `MEETSIMILARITYREQ`, i.e. `sim ≥ θ = min(S^lo, S^hi)`. It
+/// is the source of truth the lazy heap is checked against.
 ///
 /// The filter is exact. A pair below `θ` fails the similarity gate
 /// under either threshold, so in an unfiltered heap it could only pop
@@ -279,8 +258,14 @@ impl CandidateStore {
     }
 
     /// The keep rule: can a pair at `sim` ever pass the similarity gate?
+    ///
+    /// No `sim > 0` test is needed even at `θ = 0`: every pair this
+    /// phase scores shares a via other than its endpoints (the
+    /// candidates are two-hop pairs, the sweep walks `m`'s vias, the
+    /// triangle pairs share `m`), and every edge weight is at least 1,
+    /// so every scored similarity is positive.
     fn keeps(&self, sim: f64) -> bool {
-        sim >= self.theta && sim > 0.0
+        sim >= self.theta
     }
 
     fn grow(&mut self, bound: usize) {
@@ -418,16 +403,14 @@ fn candidates(g: &WGraph) -> Vec<(NodeId, NodeId)> {
 /// the output is bit-identical at any worker count.
 fn score_pairs(
     g: &WGraph,
-    info: &[Option<GroupInfo>],
     wdeg: &[u64],
-    variant: SimilarityVariant,
     pairs: &[(NodeId, NodeId)],
     keep: impl Fn(f64) -> bool + Sync,
     workers: usize,
 ) -> Vec<(NodeId, NodeId, f64)> {
     let score = |part: &[(NodeId, NodeId)]| -> Vec<(NodeId, NodeId, f64)> {
         part.iter()
-            .map(|&(x, y)| (x, y, similarity(g, info, wdeg, variant, x, y)))
+            .map(|&(x, y)| (x, y, similarity(g, wdeg, x, y)))
             .filter(|&(_, _, s)| keep(s))
             .collect()
     };
@@ -584,9 +567,7 @@ impl<'a> Agglomeration<'a> {
             let _s = telemetry::span(rec, "merge.score");
             score_pairs(
                 &g,
-                &info,
                 &wdeg,
-                params.similarity,
                 &pairs,
                 |s| store.keeps(s),
                 cfg.resolved_merge_workers(),
@@ -734,19 +715,14 @@ impl<'a> Agglomeration<'a> {
     /// `y` and `a` shared a via `v ≠ a`: either `v` is now adjacent to
     /// `m`, so the walks below reach `y` through it, or `v = b` and `y`
     /// is itself in `N(m)`.
+    ///
+    /// Contraction leaves every survivor's weighted degree intact, so a
+    /// similarity only moves when a contribution routed *via* the merged
+    /// node appears or changes: the dirty set is exactly the pairs
+    /// involving `m` plus the pairs with both endpoints in `N(m)`.
     fn rescore(&mut self, m: NodeId) {
-        match self.params.similarity {
-            SimilarityVariant::Normalized => {
-                // Contraction leaves every survivor's weighted degree
-                // intact, so a normalized similarity only moves when a
-                // contribution routed *via* the merged node appears or
-                // changes: the dirty set is exactly the pairs involving
-                // `m` plus the pairs with both endpoints in `N(m)`.
-                self.rescore_sweep(m);
-                self.rescore_triangle(m);
-            }
-            SimilarityVariant::Literal => self.rescore_literal(m),
-        }
+        self.rescore_sweep(m);
+        self.rescore_triangle(m);
         self.store.note_peak();
     }
 
@@ -876,40 +852,6 @@ impl<'a> Agglomeration<'a> {
         }
     }
 
-    /// The literal variant divides by unweighted degrees and per-member
-    /// connection counts, which shift for every neighbor of the merged
-    /// node — recompute the full two-hop neighborhood of `N(m) ∪ {m}`.
-    fn rescore_literal(&mut self, m: NodeId) {
-        let g = &self.g;
-        let mut dirty_nodes: Vec<NodeId> = g.neighbor_slice(m).iter().map(|&(n, _)| n).collect();
-        dirty_nodes.push(m);
-        let mut dp: Vec<(NodeId, NodeId)> = Vec::new();
-        for &x in &dirty_nodes {
-            for &(via, _) in g.neighbor_slice(x) {
-                for &(y, _) in g.neighbor_slice(via) {
-                    if y != x {
-                        dp.push((x.min(y), x.max(y)));
-                    }
-                }
-            }
-        }
-        dp.sort_unstable();
-        dp.dedup();
-        for &x in &dirty_nodes {
-            self.store.prune_dead(g, x);
-        }
-        for run in dp.chunk_by(|p, q| p.0 == q.0) {
-            let a = run[0].0;
-            let fresh = run.iter().map(|&(_, b)| {
-                let s = similarity(g, &self.info, &self.wdeg, self.params.similarity, a, b);
-                (b, s)
-            });
-            let heap = &mut self.heap;
-            self.store
-                .rewrite_row(g, a, fresh, |b, s| heap.push(heap_entry(a, b, s)));
-        }
-    }
-
     /// Stage `assemble`: the final grouping, ids by descending size then
     /// members.
     fn assemble(self) -> MergeOutcome {
@@ -963,7 +905,6 @@ pub fn nearest_group(
     cs: &ConnectionSets,
     grouping: &Grouping,
     id: GroupId,
-    variant: SimilarityVariant,
 ) -> Option<(GroupId, f64)> {
     let groups = grouping.groups();
     let node = |gid: GroupId| {
@@ -973,9 +914,7 @@ pub fn nearest_group(
     let x = node(id)?;
     let mut g = WGraph::with_capacity(groups.len());
     g.add_nodes(groups.len());
-    let mut info: GroupTable = Vec::with_capacity(groups.len());
     for (i, gr) in groups.iter().enumerate() {
-        info.push(Some(GroupInfo::new(cs, &gr.members, gr.k)));
         for &h in &gr.members {
             for n in cs.neighbors(h).into_iter().flatten() {
                 match grouping.group_of(n).and_then(node) {
@@ -999,13 +938,7 @@ pub fn nearest_group(
     ys.sort_unstable();
     ys.dedup();
     ys.into_iter()
-        .map(|y| {
-            (
-                groups[y.index()].id,
-                similarity(&g, &info, &wdeg, variant, x, y),
-            )
-        })
-        .filter(|&(_, s)| s > 0.0)
+        .map(|y| (groups[y.index()].id, similarity(&g, &wdeg, x, y)))
         .min_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)))
 }
 
@@ -1153,26 +1086,20 @@ mod tests {
         let cs = figure1();
         let formation = try_form_groups(&cs, &Params::default()).unwrap();
         let g = &formation.graph;
-        let mut info: GroupTable = vec![None; g.id_bound()];
-        for (pg, &n) in formation.groups.iter().zip(&formation.node_of_group) {
-            info[n.index()] = Some(GroupInfo::new(&cs, &pg.members, pg.k));
-        }
         let nodes: Vec<NodeId> = g.nodes().collect();
         let mut wdeg = vec![0u64; g.id_bound()];
         for &n in &nodes {
             wdeg[n.index()] = g.weighted_degree(n);
         }
-        for variant in [SimilarityVariant::Normalized, SimilarityVariant::Literal] {
-            for &x in &nodes {
-                for &y in &nodes {
-                    if x == y {
-                        continue;
-                    }
-                    let sxy = similarity(g, &info, &wdeg, variant, x, y);
-                    let syx = similarity(g, &info, &wdeg, variant, y, x);
-                    assert!((sxy - syx).abs() < 1e-9, "asymmetric similarity");
-                    assert!((0.0..=100.0).contains(&sxy));
+        for &x in &nodes {
+            for &y in &nodes {
+                if x == y {
+                    continue;
                 }
+                let sxy = similarity(g, &wdeg, x, y);
+                let syx = similarity(g, &wdeg, y, x);
+                assert!((sxy - syx).abs() < 1e-9, "asymmetric similarity");
+                assert!((0.0..=100.0).contains(&sxy));
             }
         }
     }
@@ -1183,46 +1110,41 @@ mod tests {
     #[test]
     fn store_holds_exactly_the_live_pairs_at_or_above_theta() {
         let cs = synthnet::scenarios::mazu(42).connsets;
-        for variant in [SimilarityVariant::Normalized, SimilarityVariant::Literal] {
-            let params = Params {
-                similarity: variant,
-                ..Params::default().with_s_lo(20.0).with_s_hi(40.0)
-            };
-            let cfg = EngineConfig::new(params);
-            let formation = try_form_groups(&cs, &params).unwrap();
-            let mut agg = Agglomeration::start(&cs, formation, &cfg, None);
-            let check = |agg: &Agglomeration| {
-                let live: Vec<NodeId> = agg.g.nodes().collect();
-                let mut expected = Vec::new();
-                for (i, &x) in live.iter().enumerate() {
-                    for &y in &live[i + 1..] {
-                        let s = similarity(&agg.g, &agg.info, &agg.wdeg, variant, x, y);
-                        if agg.store.keeps(s) {
-                            expected.push((x, y, s.to_bits()));
-                        }
+        let params = Params::default().with_s_lo(20.0).with_s_hi(40.0);
+        let cfg = EngineConfig::new(params);
+        let formation = try_form_groups(&cs, &params).unwrap();
+        let mut agg = Agglomeration::start(&cs, formation, &cfg, None);
+        let check = |agg: &Agglomeration| {
+            let live: Vec<NodeId> = agg.g.nodes().collect();
+            let mut expected = Vec::new();
+            for (i, &x) in live.iter().enumerate() {
+                for &y in &live[i + 1..] {
+                    let s = similarity(&agg.g, &agg.wdeg, x, y);
+                    if agg.store.keeps(s) {
+                        expected.push((x, y, s.to_bits()));
                     }
                 }
-                let stored: Vec<(NodeId, NodeId, u64)> = (0..agg.store.rows.len())
-                    .flat_map(|a| {
-                        agg.store.rows[a]
-                            .iter()
-                            .map(move |&(b, s)| (NodeId::from_index(a), b, s.to_bits()))
-                    })
-                    .collect();
-                assert_eq!(stored, expected, "{variant:?}");
-                assert_eq!(agg.store.len, stored.len());
-            };
-            check(&agg);
-            let mut merges = 0;
-            while let Some((a, b, sim)) = agg.pop() {
-                let m = agg.contract(a, b, sim);
-                agg.rescore(m);
-                check(&agg);
-                merges += 1;
             }
-            assert!(merges > 10, "{variant:?}: {merges} merges");
-            assert!(agg.store.peak >= agg.store.len);
+            let stored: Vec<(NodeId, NodeId, u64)> = (0..agg.store.rows.len())
+                .flat_map(|a| {
+                    agg.store.rows[a]
+                        .iter()
+                        .map(move |&(b, s)| (NodeId::from_index(a), b, s.to_bits()))
+                })
+                .collect();
+            assert_eq!(stored, expected);
+            assert_eq!(agg.store.len, stored.len());
+        };
+        check(&agg);
+        let mut merges = 0;
+        while let Some((a, b, sim)) = agg.pop() {
+            let m = agg.contract(a, b, sim);
+            agg.rescore(m);
+            check(&agg);
+            merges += 1;
         }
+        assert!(merges > 10, "{merges} merges");
+        assert!(agg.store.peak >= agg.store.len);
     }
 
     #[test]
@@ -1234,17 +1156,6 @@ mod tests {
             ..Params::default()
         };
         assert!(try_merge_groups(&cs, formation, &bad).is_err());
-    }
-
-    #[test]
-    fn literal_variant_also_runs_to_completion() {
-        let p = Params {
-            similarity: SimilarityVariant::Literal,
-            ..Params::default()
-        };
-        let out = run(&figure1(), &p);
-        assert_eq!(out.grouping.host_count(), 10);
-        assert!(out.grouping.group_count() >= 2);
     }
 
     #[test]

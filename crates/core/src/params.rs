@@ -2,24 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Which group-level similarity formula [`crate::merging`] uses.
-///
-/// The Figure 3 pseudo-code (`SIMILARITY`) is ambiguous about its
-/// normalization; both readings are implemented (see `DESIGN.md` §5,
-/// note 2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SimilarityVariant {
-    /// Normalize each `CP(G', Gi)` by group `Gi`'s *total* connection
-    /// count, yielding a proper `[0, 100]` fraction-of-traffic-shared
-    /// measure. This is the default: it is scale-free and makes the
-    /// `S^lo`/`S^hi` thresholds behave uniformly across networks.
-    Normalized,
-    /// The literal pseudo-code: normalize `CP(G', Gi)` by the *neighbor
-    /// count* `|C(Gi)|` and divide by the per-member connection average
-    /// `c_i`; the result is clamped to `[0, 100]`.
-    Literal,
-}
-
 /// How ties between equally large biconnected components are broken when
 /// a node belongs to several (Section 4.1: "If more than one such BCC
 /// exists, we choose one randomly").
@@ -61,8 +43,6 @@ pub struct Params {
     /// Minimum time-varying similarity (same 0–100 scale as `s_lo`) for
     /// two groups to correlate across runs.
     pub s_corr: f64,
-    /// Group-level similarity formula.
-    pub similarity: SimilarityVariant,
     /// BCC tie-breaking strategy.
     pub tie_break: TieBreak,
 }
@@ -77,7 +57,6 @@ impl Default for Params {
             k_hi: 7,
             t_hi: 0.30,
             s_corr: 50.0,
-            similarity: SimilarityVariant::Normalized,
             tie_break: TieBreak::Deterministic,
         }
     }

@@ -1,11 +1,12 @@
 //! End-to-end equivalence: the kernel-backed [`Engine`] must reproduce
-//! the recompute-per-level reference pipeline bit for bit on every
-//! synthetic scenario, at every worker count and prune setting. The
-//! worker matrix runs in-process here via [`EngineConfig`] (CI invokes
-//! this file once; no environment variables involved).
+//! the recounting reference sweep bit for bit on every synthetic
+//! scenario, at every worker count. The worker matrix runs in-process
+//! here via [`EngineConfig`] (CI invokes this file once; no environment
+//! variables involved).
 
 use roleclass::prelude::*;
-use roleclass::{form_groups_reference, FormationKind, FormationResult};
+use roleclass::FormationResult;
+use roleclass_spec::formation::{form_groups, Step, Sweep};
 use synthnet::scenarios;
 
 fn scenario_connsets() -> Vec<(&'static str, flow::ConnectionSets)> {
@@ -25,28 +26,24 @@ fn param_grid() -> Vec<Params> {
     ]
 }
 
-fn trace_key(r: &FormationResult) -> Vec<(u32, FormationKind, Vec<flow::HostAddr>)> {
+fn trace_key(r: &FormationResult) -> Vec<Step> {
     r.trace
         .iter()
-        .map(|e| (e.k, e.kind, e.members.clone()))
+        .map(|e| (e.members.clone(), e.k, e.kind))
         .collect()
 }
 
-/// The kernel-backed formation sweep reproduces the recompute-per-level
-/// reference implementation exactly: same trace, same groups, same
-/// contracted graph shape.
+/// The kernel-backed formation sweep reproduces the recounting reference
+/// sweep exactly: the same groups, formed at the same levels, the same
+/// way, in the same order.
 #[test]
 fn kernel_formation_matches_reference_on_scenarios() {
     for (name, cs) in scenario_connsets() {
         for params in param_grid() {
             let fast = try_form_groups(&cs, &params).unwrap();
-            let slow = form_groups_reference(&cs, &params);
-            assert_eq!(trace_key(&fast), trace_key(&slow), "{name} trace");
-            assert_eq!(
-                fast.to_grouping(),
-                slow.to_grouping(),
-                "{name} grouping mismatch"
-            );
+            let slow = form_groups(&cs, &params, Sweep::Jump);
+            assert_eq!(trace_key(&fast), slow, "{name} trace");
+            assert_eq!(fast.graph.node_count(), slow.len(), "{name} graph");
         }
     }
 }
@@ -106,33 +103,29 @@ fn run_window_matches_manual_correlation_path() {
 }
 
 /// The worker matrix: classification is bit-identical at 1, 2 and 8
-/// workers, for both the kernel and merge phases, with pruning on or
-/// off. This is the determinism guarantee `EngineConfig` documents —
-/// worker count and prune mode are performance knobs, never semantics.
+/// workers, for both the kernel and merge phases. This is the
+/// determinism guarantee `EngineConfig` documents — worker count is a
+/// performance knob, never semantics.
 #[test]
 fn classification_is_bit_identical_across_worker_matrix() {
     for (name, cs) in scenario_connsets() {
         for params in param_grid() {
             let baseline = Engine::new(params).unwrap().classify(&cs);
             for workers in [1usize, 2, 8] {
-                for prune in [PruneMode::Auto, PruneMode::Off] {
-                    let cfg = EngineConfig::new(params)
-                        .with_workers(workers)
-                        .with_prune(prune);
-                    let c = Engine::from_config(cfg).unwrap().classify(&cs);
-                    assert_eq!(
-                        c.grouping, baseline.grouping,
-                        "{name} grouping @ workers={workers} prune={prune:?}"
-                    );
-                    assert_eq!(
-                        c.merge_trace, baseline.merge_trace,
-                        "{name} merge trace @ workers={workers} prune={prune:?}"
-                    );
-                    assert_eq!(
-                        c.neighborhoods, baseline.neighborhoods,
-                        "{name} neighborhoods @ workers={workers} prune={prune:?}"
-                    );
-                }
+                let cfg = EngineConfig::new(params).with_workers(workers);
+                let c = Engine::from_config(cfg).unwrap().classify(&cs);
+                assert_eq!(
+                    c.grouping, baseline.grouping,
+                    "{name} grouping @ workers={workers}"
+                );
+                assert_eq!(
+                    c.merge_trace, baseline.merge_trace,
+                    "{name} merge trace @ workers={workers}"
+                );
+                assert_eq!(
+                    c.neighborhoods, baseline.neighborhoods,
+                    "{name} neighborhoods @ workers={workers}"
+                );
             }
         }
     }

@@ -12,147 +12,14 @@
 //! and the similarity by `to_bits` — not only the final groups.
 
 use flow::{ConnectionSets, HostAddr};
-use netgraph::{NodeId, WGraph};
 use proptest::prelude::*;
-use roleclass::{try_form_groups, try_merge_groups, Params, SimilarityVariant};
+use roleclass::{try_form_groups, try_merge_groups, Params};
+use roleclass_spec::merging::{merge_groups, Run, Similarity};
 use synthnet::{churn, scenarios, SyntheticNetwork};
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-/// One merge: left members, right members, similarity bits.
-type TraceStep = (Vec<HostAddr>, Vec<HostAddr>, u64);
-
-/// What a merging run produced: final member sets and the merge trace.
-#[derive(Debug, PartialEq)]
-struct Run {
-    groups: BTreeSet<Vec<HostAddr>>,
-    trace: Vec<TraceStep>,
-}
-
-/// Naive reference for the merging phase. Mirrors the Figure 3
-/// requirements but recomputes all pair similarities every iteration.
+/// The naive reference under the engine's reading of `SIMILARITY`.
 fn reference_merge(cs: &ConnectionSets, params: &Params) -> Run {
-    #[derive(Clone)]
-    struct Info {
-        members: Vec<HostAddr>,
-        k: u32,
-        sum_deg: u64,
-        min_deg: u32,
-    }
-    let formation = try_form_groups(cs, params).unwrap();
-    let mut g: WGraph = formation.graph;
-    let mut info: HashMap<NodeId, Info> = HashMap::new();
-    for (idx, pg) in formation.groups.iter().enumerate() {
-        let degs: Vec<u32> = pg
-            .members
-            .iter()
-            .map(|h| cs.degree(*h).unwrap_or(0) as u32)
-            .collect();
-        info.insert(
-            formation.node_of_group[idx],
-            Info {
-                members: pg.members.clone(),
-                k: pg.k,
-                sum_deg: degs.iter().map(|&d| d as u64).sum(),
-                min_deg: degs.iter().copied().min().unwrap_or(0),
-            },
-        );
-    }
-
-    let similarity = |nbrs: &HashMap<NodeId, BTreeMap<NodeId, u64>>,
-                      info: &HashMap<NodeId, Info>,
-                      x: NodeId,
-                      y: NodeId|
-     -> f64 {
-        let (nx, ny) = (&nbrs[&x], &nbrs[&y]);
-        let tx = nx.values().sum::<u64>() as f64;
-        let ty = ny.values().sum::<u64>() as f64;
-        if tx == 0.0 || ty == 0.0 {
-            return 0.0;
-        }
-        let mut acc = 0.0;
-        for (v, wx) in nx {
-            if *v == x || *v == y {
-                continue;
-            }
-            if let Some(wy) = ny.get(v) {
-                acc += match params.similarity {
-                    SimilarityVariant::Normalized => (*wx as f64 / tx).min(*wy as f64 / ty),
-                    SimilarityVariant::Literal => {
-                        (*wx as f64 / nx.len() as f64).min(*wy as f64 / ny.len() as f64)
-                    }
-                };
-            }
-        }
-        let sim = match params.similarity {
-            SimilarityVariant::Normalized => 100.0 * acc,
-            SimilarityVariant::Literal => {
-                let cx = tx / info[&x].members.len() as f64;
-                let cy = ty / info[&y].members.len() as f64;
-                50.0 * (acc / cx + acc / cy)
-            }
-        };
-        sim.clamp(0.0, 100.0)
-    };
-
-    let mut trace = Vec::new();
-    loop {
-        let nodes: Vec<NodeId> = g.nodes().collect();
-        let nbrs: HashMap<NodeId, BTreeMap<NodeId, u64>> = nodes
-            .iter()
-            .map(|&x| (x, g.neighbors(x).collect()))
-            .collect();
-        let mut best: Option<(f64, NodeId, NodeId)> = None;
-        for (i, &x) in nodes.iter().enumerate() {
-            for &y in &nodes[i + 1..] {
-                let s = similarity(&nbrs, &info, x, y);
-                if s <= 0.0 {
-                    continue;
-                }
-                let (ix, iy) = (&info[&x], &info[&y]);
-                let a1 = ix.sum_deg as f64 / ix.members.len() as f64;
-                let a2 = iy.sum_deg as f64 / iy.members.len() as f64;
-                let hi = a1.max(a2);
-                if hi > 0.0 && (a1 - a2).abs() > params.beta * hi {
-                    continue;
-                }
-                let kmax = ix.k.max(iy.k);
-                let thresh = if kmax >= params.k_hi {
-                    params.s_hi
-                } else {
-                    params.s_lo
-                };
-                if s < thresh {
-                    continue;
-                }
-                if best.is_none_or(|(bs, _, _)| s > bs) {
-                    best = Some((s, x, y));
-                }
-            }
-        }
-        let Some((s, x, y)) = best else { break };
-        let ix = info.remove(&x).expect("alive");
-        let iy = info.remove(&y).expect("alive");
-        trace.push((ix.members.clone(), iy.members.clone(), s.to_bits()));
-        let (m, _) = g.contract(&[x, y]);
-        let mut members = ix.members;
-        members.extend(iy.members);
-        members.sort_unstable();
-        let min_deg = ix.min_deg.min(iy.min_deg);
-        info.insert(
-            m,
-            Info {
-                members,
-                k: min_deg,
-                sum_deg: ix.sum_deg + iy.sum_deg,
-                min_deg,
-            },
-        );
-    }
-    Run {
-        groups: info.into_values().map(|i| i.members).collect(),
-        trace,
-    }
+    merge_groups(cs, params, Similarity::Normalized)
 }
 
 /// The production merging phase, reduced to the same shape.
@@ -204,14 +71,6 @@ fn arb_connsets(max_hosts: u32, max_edges: usize) -> impl Strategy<Value = Conne
     })
 }
 
-fn variant(literal: bool) -> SimilarityVariant {
-    if literal {
-        SimilarityVariant::Literal
-    } else {
-        SimilarityVariant::Normalized
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -235,14 +94,12 @@ proptest! {
         s_hi in 1.0f64..95.0,
         gap in 0.0f64..=0.5,
         k_hi in 1u32..6,
-        literal in 0u32..2,
     ) {
         // `S^lo` within 0.5 of `S^hi`: `θ` sits on both gates at once, so
         // pairs hover at the filter boundary and cross it as merges
         // shift their similarities, under either `K^hi` gate.
         let params = Params {
             k_hi,
-            similarity: variant(literal == 1),
             ..Params::default().with_s_lo(s_hi - gap).with_s_hi(s_hi)
         };
         prop_assert_eq!(production_merge(&cs, &params), reference_merge(&cs, &params));
@@ -252,14 +109,11 @@ proptest! {
     fn incremental_merging_matches_naive_zero_s_lo(
         cs in arb_connsets(22, 45),
         s_hi in 0.0f64..60.0,
-        literal in 0u32..2,
     ) {
-        // `θ = 0`: the `sim > 0` half of the keep rule is the only
-        // filter, and every pair sharing a neighbor is a candidate.
-        let params = Params {
-            similarity: variant(literal == 1),
-            ..Params::default().with_s_lo(0.0).with_s_hi(s_hi)
-        };
+        // `θ = 0`: the keep rule admits every similarity, so a stored
+        // zero-similarity pair would merge here while the reference
+        // skips it. None is stored: every scored pair shares a via.
+        let params = Params::default().with_s_lo(0.0).with_s_hi(s_hi);
         prop_assert_eq!(production_merge(&cs, &params), reference_merge(&cs, &params));
     }
 }

@@ -21,9 +21,9 @@
 //! use and cached; `netgraph` borrows it directly instead of rebuilding
 //! its own.
 //!
-//! The retired map-based twin lives in [`crate::reference`] as the
-//! executable spec; parity tests pin this representation bit-identical
-//! to it.
+//! The retired map-based twin lives in the dev-only `roleclass-spec`
+//! crate as the executable spec; parity tests pin this representation
+//! bit-identical to it.
 
 use crate::addr::{Cidr, HostAddr};
 use crate::intern::{HostId, HostTable};
@@ -621,32 +621,6 @@ impl ConnectionSets {
             index: OnceLock::new(),
         }
     }
-
-    /// Converts from the map-based executable spec.
-    pub fn from_reference(r: &crate::reference::ConnectionSets) -> Self {
-        let addrs: Vec<HostAddr> = r.hosts().collect();
-        let addr_pairs: Vec<(HostAddr, HostAddr, PairStats)> =
-            r.pairs().map(|((a, b), s)| (a, b, s)).collect();
-        let direction = r.direction_counts();
-        let mut table = HostTable::new();
-        let ids: Vec<HostId> = addrs.iter().map(|&a| table.intern(a)).collect();
-        Self::from_sorted_parts(Arc::new(table), addrs, ids, addr_pairs, direction)
-    }
-
-    /// Converts into the map-based executable spec (parity tests).
-    pub fn to_reference(&self) -> crate::reference::ConnectionSets {
-        let mut out = crate::reference::ConnectionSets::new();
-        for h in self.hosts() {
-            out.add_host(h);
-        }
-        for ((a, b), s) in self.pairs() {
-            out.add_connection(a, b, s);
-        }
-        for &(h, i, a) in &self.direction {
-            out.add_direction_counts(h, i, a);
-        }
-        out
-    }
 }
 
 /// Serde face: a self-contained, address-keyed document (hosts in order,
@@ -1192,17 +1166,6 @@ mod tests {
         }
         assert_eq!(bulk, inc);
         assert_eq!(bulk.pair_stats(h(1), h(2)).unwrap().flows, 2);
-    }
-
-    #[test]
-    fn reference_round_trip_is_lossless() {
-        let mut cs = ConnectionSets::new();
-        cs.add_pair(h(1), h(2));
-        cs.add_pair(h(2), h(3));
-        cs.add_host(h(8));
-        cs.add_direction_counts(h(1), 4, 1);
-        let back = ConnectionSets::from_reference(&cs.to_reference());
-        assert_eq!(cs, back);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! * [`FlowRecord`] — a normalized unidirectional flow observation.
 //! * [`ConnectionSets`] — the aggregation of flows into per-host neighbor
 //!   sets (columnar, CSR-indexed), with windowing, scoping, and noise
-//!   filters. The retired map-based twin lives in [`reference`](mod@reference) as the
-//!   executable spec for parity tests.
+//!   filters.
 //! * [`netflow`] — a binary NetFlow v5 reader/writer.
 //! * [`pcap`] — a minimal pcap (Ethernet/IPv4/TCP+UDP) reader/writer,
 //!   standing in for tcpdump capture files.
@@ -24,25 +23,20 @@
 //!   generated traces.
 //! * [`wirefmt`] — the binary batch encoding of flow records carried by
 //!   the probe→aggregator wire transport.
-//! * [`anonymize`] — a consistent address pseudonymizer (the paper's
-//!   BigCompany dataset was anonymized the same way).
 
 pub mod addr;
-pub mod anonymize;
 pub mod connset;
 pub mod error;
 pub mod intern;
 pub mod netflow;
 pub mod pcap;
 pub mod record;
-pub mod reference;
 pub mod rmon;
 pub mod textlog;
 pub mod window;
 pub mod wirefmt;
 
 pub use addr::{Cidr, HostAddr};
-pub use anonymize::Anonymizer;
 pub use connset::{
     BuildStats, ConnectionSets, ConnsetBuilder, Neighbors, PairStats, FLOW_METRIC_NAMES,
 };

@@ -1,8 +1,6 @@
 //! Property-based tests of the flow substrate.
 
-use flow::{
-    Anonymizer, Cidr, ConnsetBuilder, FlowRecord, HostAddr, HostId, HostTable, Proto, WindowedFlows,
-};
+use flow::{Cidr, ConnsetBuilder, FlowRecord, HostAddr, HostId, HostTable, Proto, WindowedFlows};
 use proptest::prelude::*;
 
 fn arb_addr() -> impl Strategy<Value = HostAddr> {
@@ -49,51 +47,6 @@ proptest! {
             block.contains(b),
             (a.as_u32() & mask) == (b.as_u32() & mask)
         );
-    }
-
-    /// Anonymization is injective and structure-preserving.
-    #[test]
-    fn anonymizer_is_injective(records in prop::collection::vec(arb_record(), 0..60)) {
-        let mut anon = Anonymizer::new(Cidr::new(HostAddr::from_octets(10, 0, 0, 0), 8));
-        let mut mapping = std::collections::BTreeMap::new();
-        let mut reverse = std::collections::BTreeMap::new();
-        for r in &records {
-            let m = anon.map_record(r).expect("/8 cannot exhaust here");
-            for (real, pseudo) in [(r.src, m.src), (r.dst, m.dst)] {
-                if let Some(&prev) = mapping.get(&real) {
-                    prop_assert_eq!(prev, pseudo, "mapping must be a function");
-                }
-                mapping.insert(real, pseudo);
-                if let Some(&prev_real) = reverse.get(&pseudo) {
-                    prop_assert_eq!(prev_real, real, "mapping must be injective");
-                }
-                reverse.insert(pseudo, real);
-            }
-        }
-    }
-
-    /// Anonymized connection sets are isomorphic to the originals.
-    #[test]
-    fn anonymization_preserves_structure(records in prop::collection::vec(arb_record(), 0..60)) {
-        let mut anon = Anonymizer::new(Cidr::new(HostAddr::from_octets(10, 0, 0, 0), 8));
-        let mapped: Vec<FlowRecord> = records
-            .iter()
-            .map(|r| anon.map_record(r).expect("no exhaustion"))
-            .collect();
-        let mut b1 = ConnsetBuilder::new();
-        b1.add_records(records.iter());
-        let cs1 = b1.build();
-        let mut b2 = ConnsetBuilder::new();
-        b2.add_records(mapped.iter());
-        let cs2 = b2.build();
-        prop_assert_eq!(cs1.host_count(), cs2.host_count());
-        prop_assert_eq!(cs1.connection_count(), cs2.connection_count());
-        // Degree multisets are identical.
-        let mut d1: Vec<usize> = cs1.hosts().map(|h| cs1.degree(h).unwrap()).collect();
-        let mut d2: Vec<usize> = cs2.hosts().map(|h| cs2.degree(h).unwrap()).collect();
-        d1.sort_unstable();
-        d2.sort_unstable();
-        prop_assert_eq!(d1, d2);
     }
 
     /// Windowing places every in-range record in exactly one window,

@@ -778,24 +778,9 @@ impl CommonNeighborKernel {
     /// (`offsets`/`nbrs` over dense row ids, as produced by
     /// `flow::ConnectionSets::csr()`), with row `i` acting as node id
     /// `i`. No graph snapshot is taken — the adjacency is read in place.
-    /// Equivalent to building from a [`WGraph`] holding the same edges
-    /// with weight 1 everywhere.
-    pub fn build_from_unit_csr<F>(
-        offsets: &[u32],
-        nbrs: &[u32],
-        endpoint_ok: F,
-        workers: usize,
-        rec: Option<&Recorder>,
-    ) -> Self
-    where
-        F: Fn(NodeId) -> bool,
-    {
-        Self::build_from_unit_csr_pruned(offsets, nbrs, endpoint_ok, workers, &[], rec)
-    }
-
-    /// [`build_from_unit_csr`][Self::build_from_unit_csr] with per-node
-    /// prune floors — see [`build_pruned`][Self::build_pruned] for the
-    /// floor contract.
+    /// Equivalent to [`build_pruned`][Self::build_pruned] on a
+    /// [`WGraph`] holding the same edges with weight 1 everywhere; see
+    /// there for the floor contract (empty `floors` prune nothing).
     pub fn build_from_unit_csr_pruned<F>(
         offsets: &[u32],
         nbrs: &[u32],
@@ -1275,14 +1260,26 @@ mod tests {
         let nbrs: &[u32] = &[1, 2, 3, 0, 2, 0, 1, 0];
         let g = star_plus_pair();
         for workers in [1, 3] {
-            let from_csr =
-                CommonNeighborKernel::build_from_unit_csr(offsets, nbrs, |_| true, workers, None);
+            let from_csr = CommonNeighborKernel::build_from_unit_csr_pruned(
+                offsets,
+                nbrs,
+                |_| true,
+                workers,
+                &[],
+                None,
+            );
             let from_graph = CommonNeighborKernel::build_with_workers(&g, |_| true, workers);
             assert_eq!(from_csr.edges(), from_graph.edges());
         }
         // Endpoint filtering applies to the CSR path too.
-        let filtered =
-            CommonNeighborKernel::build_from_unit_csr(offsets, nbrs, |x| x != n(0), 2, None);
+        let filtered = CommonNeighborKernel::build_from_unit_csr_pruned(
+            offsets,
+            nbrs,
+            |x| x != n(0),
+            2,
+            &[],
+            None,
+        );
         assert_eq!(
             filtered.edges(),
             common_neighbor_min_weights(&g, |x| x != n(0))
@@ -1291,10 +1288,17 @@ mod tests {
 
     #[test]
     fn unit_csr_build_handles_empty_inputs() {
-        let empty = CommonNeighborKernel::build_from_unit_csr(&[], &[], |_| true, 2, None);
+        let empty =
+            CommonNeighborKernel::build_from_unit_csr_pruned(&[], &[], |_| true, 2, &[], None);
         assert!(empty.edges().is_empty());
-        let isolated =
-            CommonNeighborKernel::build_from_unit_csr(&[0, 0, 0], &[], |_| true, 2, None);
+        let isolated = CommonNeighborKernel::build_from_unit_csr_pruned(
+            &[0, 0, 0],
+            &[],
+            |_| true,
+            2,
+            &[],
+            None,
+        );
         assert!(isolated.edges().is_empty());
     }
 

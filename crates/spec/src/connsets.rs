@@ -1,58 +1,28 @@
-//! The map-based connection sets, retained as the executable spec.
+//! The map-based connection sets.
 //!
 //! This is the original `BTreeMap<HostAddr, BTreeSet<HostAddr>>`
-//! implementation of [`crate::ConnectionSets`], kept verbatim (mirroring
-//! the `form_groups_reference` pattern in `core`) so the dense columnar
-//! data plane has a simple, obviously-correct twin to be pinned against.
-//! Parity tests build both representations from identical inputs and
-//! assert accessor-by-accessor agreement; nothing outside tests should
-//! consume this module.
+//! implementation of [`flow::ConnectionSets`], kept so the dense
+//! columnar data plane has a simple, obviously-correct twin to be pinned
+//! against. Parity tests build both representations from identical
+//! inputs and assert accessor-by-accessor agreement.
 //!
-//! This module is also the only place allowed to key containers by
-//! `HostAddr` — `scripts/ci.sh` lints new `BTreeMap<HostAddr` /
-//! `BTreeSet<HostAddr>` usage elsewhere in the workspace.
+//! This file is the one place outside the report-boundary types allowed
+//! to key containers by `HostAddr`: `scripts/ci.sh` lints new
+//! `BTreeMap<HostAddr` / `BTreeSet<HostAddr>` usage elsewhere.
 
-use crate::addr::HostAddr;
-use crate::connset::PairStats;
-use serde::{Deserialize, Serialize};
+use flow::{HostAddr, PairStats};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The connection sets of a host population, map-based.
 ///
-/// See [`crate::ConnectionSets`] for the production representation and
+/// See [`flow::ConnectionSets`] for the production representation and
 /// the semantics both implementations share.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ConnectionSets {
     sets: BTreeMap<HostAddr, BTreeSet<HostAddr>>,
-    #[serde(with = "pair_map")]
     pairs: BTreeMap<(HostAddr, HostAddr), PairStats>,
-    #[serde(default)]
     initiated: BTreeMap<HostAddr, u64>,
-    #[serde(default)]
     accepted: BTreeMap<HostAddr, u64>,
-}
-
-/// Serde adapter: tuple-keyed maps are not representable in JSON, so the
-/// pair map round-trips as a vector of `(a, b, stats)` entries.
-mod pair_map {
-    use super::{BTreeMap, HostAddr, PairStats};
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(
-        map: &BTreeMap<(HostAddr, HostAddr), PairStats>,
-        s: S,
-    ) -> Result<S::Ok, S::Error> {
-        let entries: Vec<(HostAddr, HostAddr, PairStats)> =
-            map.iter().map(|(&(a, b), &v)| (a, b, v)).collect();
-        entries.serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        d: D,
-    ) -> Result<BTreeMap<(HostAddr, HostAddr), PairStats>, D::Error> {
-        let entries: Vec<(HostAddr, HostAddr, PairStats)> = Vec::deserialize(d)?;
-        Ok(entries.into_iter().map(|(a, b, v)| ((a, b), v)).collect())
-    }
 }
 
 impl ConnectionSets {
@@ -131,8 +101,7 @@ impl ConnectionSets {
 
     /// Returns `true` if `a` and `b` are connected.
     pub fn connected(&self, a: HostAddr, b: HostAddr) -> bool {
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        self.pairs.contains_key(&(lo, hi))
+        self.pair_stats(a, b).is_some()
     }
 
     /// Traffic totals between `a` and `b`, if connected.
@@ -178,12 +147,7 @@ impl ConnectionSets {
     /// Restricts the host population to `keep`, dropping all other hosts
     /// and their connections.
     pub fn retain_hosts(&mut self, keep: &BTreeSet<HostAddr>) {
-        let to_remove: Vec<HostAddr> = self
-            .sets
-            .keys()
-            .copied()
-            .filter(|h| !keep.contains(h))
-            .collect();
+        let to_remove: Vec<HostAddr> = self.hosts().filter(|h| !keep.contains(h)).collect();
         for h in to_remove {
             self.remove_host(h);
         }
@@ -231,21 +195,46 @@ impl ConnectionSets {
         }
     }
 
-    /// Per-host `(initiated, accepted)` counts in address order, for
-    /// conversion into the columnar representation.
-    pub fn direction_counts(&self) -> Vec<(HostAddr, u64, u64)> {
-        let mut out: Vec<(HostAddr, u64, u64)> = Vec::new();
-        for (&h, &i) in &self.initiated {
-            out.push((h, i, 0));
-        }
-        for (&h, &a) in &self.accepted {
-            match out.binary_search_by_key(&h, |&(x, _, _)| x) {
-                Ok(pos) => out[pos].2 = a,
-                Err(pos) => out.insert(pos, (h, 0, a)),
-            }
-        }
-        out
+    /// Every host with directional counts, in address order.
+    fn direction_hosts(&self) -> BTreeSet<HostAddr> {
+        self.initiated
+            .keys()
+            .chain(self.accepted.keys())
+            .copied()
+            .collect()
     }
+}
+
+/// Rebuilds `cs` as the map-based spec, through `flow`'s public
+/// accessors only, so the two representations share their logical
+/// content and nothing of their construction path.
+pub fn to_reference(cs: &flow::ConnectionSets) -> ConnectionSets {
+    let mut out = ConnectionSets::new();
+    for h in cs.hosts() {
+        out.add_host(h);
+        out.add_direction_counts(h, cs.initiated_flows(h), cs.accepted_flows(h));
+    }
+    for ((a, b), stats) in cs.pairs() {
+        out.add_connection(a, b, stats);
+    }
+    out
+}
+
+/// Builds the columnar [`flow::ConnectionSets`] holding the content of
+/// `r`, through `flow`'s public mutators only. Hosts and pairs go in
+/// ascending order, so every insertion lands at the end of its column.
+pub fn from_reference(r: &ConnectionSets) -> flow::ConnectionSets {
+    let mut out = flow::ConnectionSets::new();
+    for h in r.hosts() {
+        out.add_host(h);
+    }
+    for ((a, b), stats) in r.pairs() {
+        out.add_connection(a, b, stats);
+    }
+    for h in r.direction_hosts() {
+        out.add_direction_counts(h, r.initiated_flows(h), r.accepted_flows(h));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -273,6 +262,23 @@ mod tests {
         cs.add_direction_counts(h(1), 3, 0);
         cs.add_direction_counts(h(2), 0, 5);
         cs.add_direction_counts(h(1), 0, 1);
-        assert_eq!(cs.direction_counts(), vec![(h(1), 3, 1), (h(2), 0, 5)]);
+        assert_eq!(
+            cs.direction_hosts().into_iter().collect::<Vec<_>>(),
+            [h(1), h(2)]
+        );
+        assert_eq!((cs.initiated_flows(h(1)), cs.accepted_flows(h(1))), (3, 1));
+        assert_eq!(cs.server_ratio(h(2)), Some(1.0));
+    }
+
+    #[test]
+    fn reference_round_trip_is_lossless() {
+        let mut cs = flow::ConnectionSets::new();
+        cs.add_pair(h(1), h(2));
+        cs.add_pair(h(2), h(3));
+        cs.add_host(h(8));
+        cs.add_direction_counts(h(1), 4, 1);
+        let r = to_reference(&cs);
+        assert_eq!(r.degree(h(2)), Some(2));
+        assert_eq!(from_reference(&r), cs);
     }
 }

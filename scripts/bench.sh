@@ -15,11 +15,10 @@ trap 'rm -f "$RAW"' EXIT
 
 # Engine worker count for this run: ROLECLASS_THREADS (parsed here, at
 # the script/binary layer — the engine crates take it via EngineConfig),
-# else one worker per CPU core. Pruning is the engine default (auto).
+# else one worker per CPU core.
 WORKERS="${ROLECLASS_THREADS:-$(nproc)}"
-PRUNE="auto"
 export ROLECLASS_THREADS="$WORKERS"
-echo "==> engine: $WORKERS worker(s), prune $PRUNE"
+echo "==> engine: $WORKERS worker(s)"
 
 echo "==> cargo bench -p bench --bench kernel_bench"
 cargo bench -p bench --bench kernel_bench 2>&1 | tee "$RAW"
@@ -60,7 +59,7 @@ END {
             speed_name[i], speed_kernel[i], speed_legacy[i], speed_ratio[i], (i < ns - 1 ? "," : "")
     printf "  }\n}\n"
 }
-' "$RAW" | sed "1s/{/{\\n  \"workers\": $WORKERS,\\n  \"prune\": \"$PRUNE\",/" > "$OUT"
+' "$RAW" | sed "1s/{/{\\n  \"workers\": $WORKERS,/" > "$OUT"
 
 echo "==> wrote $OUT"
 cat "$OUT"

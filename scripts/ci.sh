@@ -9,15 +9,16 @@ cargo fmt --all -- --check
 
 # Data-plane lint: host-keyed ordered maps/sets must not reappear in the
 # hot path. The columnar plane keys everything by dense row/HostId;
-# flow::reference is the one allowed home of the map-based spec.
+# the dev-only spec crate (crates/spec/src/connsets.rs) is the one
+# allowed home of the map-based connection sets.
 # Boundary types (Grouping members, diffs, synth ground truth) keep
 # their BTree collections *of* HostAddr values, but no new code may key
 # a BTreeMap/BTreeSet container declaration on HostAddr outside the
 # allowlist below. crates/core/src/correlate.rs is listed only for the
 # public `Correlation` host sets (added/removed hosts, H_same), a
 # boundary type; the correlation algorithm itself runs on dense rows.
-echo "==> data-plane lint (no BTreeMap<HostAddr/BTreeSet<HostAddr outside flow::reference)"
-DATAPLANE_ALLOW='crates/flow/src/reference.rs|crates/flow/src/connset.rs|crates/flow/src/anonymize.rs|crates/core/src/group.rs|crates/core/src/diff.rs|crates/core/src/correlate.rs|crates/core/src/services.rs|crates/core/src/stability.rs|crates/synth/src/model.rs|crates/cluster/src/metrics.rs|crates/aggregator/src/profile.rs|crates/aggregator/src/alerts.rs|crates/bench/src/bin/dataplane_bench.rs'
+echo "==> data-plane lint (no BTreeMap<HostAddr/BTreeSet<HostAddr outside the spec connection sets)"
+DATAPLANE_ALLOW='crates/spec/src/connsets.rs|crates/flow/src/connset.rs|crates/core/src/group.rs|crates/core/src/diff.rs|crates/core/src/correlate.rs|crates/core/src/services.rs|crates/core/src/stability.rs|crates/synth/src/model.rs|crates/cluster/src/metrics.rs|crates/aggregator/src/profile.rs|crates/aggregator/src/alerts.rs|crates/bench/src/bin/dataplane_bench.rs'
 if grep -rnE 'BTree(Map|Set)<HostAddr' crates/*/src --include='*.rs' \
     | grep -vE "^($DATAPLANE_ALLOW):" ; then
   echo "ERROR: new host-keyed BTree container outside the data-plane allowlist." >&2
@@ -91,12 +92,13 @@ cargo test -q -p aggregator --test wire_chaos --test frame_codec_properties
 
 # The kernel must be a pure throughput knob: its counts, the Engine's
 # classifications, and every correlation (whole, scores to the bit) are
-# identical at any worker count and prune setting. The worker matrix
-# (1, 2, 8 workers × prune auto/off) runs in-process via EngineConfig —
-# the engine crates no longer read ROLECLASS_THREADS, so one invocation
-# covers the whole grid (see
+# identical at any worker count. The worker matrix (1, 2, 8 workers)
+# runs in-process via EngineConfig — the engine crates no longer read
+# ROLECLASS_THREADS, so one invocation covers the whole grid (see
 # classification_is_bit_identical_across_worker_matrix and the pruned_*
-# kernel properties).
+# kernel properties). The formation sweep is pinned trace by trace to
+# the recounting sweep of the dev-only spec crate (roleclass-spec),
+# whose own suite pins the Literal SIMILARITY reading on Mazu.
 #
 # The dense correlation path is pinned to the map-based oracle in
 # correlation_reference: whole Correlation, counters and id events, on
@@ -109,9 +111,10 @@ cargo test -q -p aggregator --test wire_chaos --test frame_codec_properties
 # members, similarity to the bit) against a naive from-scratch
 # reference; its Mazu and churned-department cases are release-only
 # too.
-echo "==> kernel + engine equivalence across the worker/prune matrix + correlation and merging oracles"
+echo "==> kernel + engine equivalence across the worker matrix + spec crate + correlation and merging oracles"
 cargo test -q -p netgraph --test kernel_properties
 cargo test -q -p roleclass --test engine_equivalence
+cargo test -q -p roleclass-spec
 cargo test -q --release -p roleclass --test correlation_reference
 cargo test -q --release -p roleclass --test merging_reference
 

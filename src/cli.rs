@@ -49,7 +49,7 @@ use crate::flow::{
 };
 use crate::roleclass::{
     auto_k_hi_otsu, diff_groupings, Engine, EngineConfig, EngineSnapshot, GroupId, Grouping,
-    HostChurn, Params, PruneMode, WindowStability,
+    HostChurn, Params, WindowStability,
 };
 use crate::serve::{Server, ServerState};
 use crate::stability_report;
@@ -103,7 +103,7 @@ USAGE:
   rcctl classify  --input <FILE> [--format <FMT>] [--snapshot <OUT.json>]
                   [--dot <OUT.dot>] [--s-lo N] [--s-hi N] [--k-hi N]
                   [--alpha N] [--beta N] [--auto-k-hi] [--min-flows N]
-                  [--workers N] [--no-prune] [--trace]
+                  [--workers N] [--trace]
   rcctl correlate --prev <SNAP.json> --input <FILE> [--format <FMT>]
                   [--snapshot <OUT.json>] [--trace]
                   [same tuning flags as classify]
@@ -193,8 +193,6 @@ ENGINE TUNING (results are bit-identical across all settings):
   --workers N  worker threads for the kernel and merge phases (default:
                the ROLECLASS_THREADS environment variable, else one per
                CPU core)
-  --no-prune   disable common-neighbor pair pruning in the counting
-               kernel (diagnostic; pruning never changes results)
 
 WIRE INGESTION (the probe→aggregator transport):
   ingest listen  accept framed flow-record streams over TCP, classify
@@ -255,8 +253,6 @@ struct Options {
     /// consulted **here, once** (libraries never read the environment);
     /// absent both, the machine decides.
     workers: Option<usize>,
-    /// `--no-prune` turns kernel pair pruning off.
-    no_prune: bool,
 }
 
 impl Options {
@@ -264,13 +260,7 @@ impl Options {
     /// parameters plus execution knobs, resolved from flags and the
     /// `ROLECLASS_THREADS` fallback.
     fn engine_config(&self) -> EngineConfig {
-        EngineConfig::new(self.params)
-            .with_workers(self.workers.unwrap_or(0))
-            .with_prune(if self.no_prune {
-                PruneMode::Off
-            } else {
-                PruneMode::Auto
-            })
+        EngineConfig::new(self.params).with_workers(self.workers.unwrap_or(0))
     }
 }
 
@@ -304,7 +294,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         collapsed: None,
         params: Params::default(),
         workers: None,
-        no_prune: false,
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -418,7 +407,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                         .map_err(|_| CliError::usage("--workers expects an integer"))?,
                 )
             }
-            "--no-prune" => o.no_prune = true,
             other => return Err(CliError::usage(format!("unknown flag {other:?}"))),
         }
     }

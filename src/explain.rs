@@ -201,7 +201,7 @@ pub fn explain_host_labeled(
             // the closest final group instead.
             let grouping = &outcome.classification.grouping;
             let theta = params.s_lo.min(params.s_hi);
-            match nearest_group(cs, grouping, raw, params.similarity) {
+            match nearest_group(cs, grouping, raw) {
                 Some((near, sim)) if sim < theta => {
                     let members = &grouping.group(near).expect("nearest group exists").members;
                     let _ = writeln!(

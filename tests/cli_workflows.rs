@@ -472,7 +472,7 @@ fn probe_send_streams_into_ingest_listen() {
 }
 
 #[test]
-fn worker_and_prune_flags_do_not_change_results() {
+fn worker_flags_do_not_change_results() {
     let dir = workdir("tuning");
     let inputs = write_inputs(&dir);
     let (path, _) = &inputs[0];
@@ -480,18 +480,21 @@ fn worker_and_prune_flags_do_not_change_results() {
         "classify", "--input", path, "--s-lo", "90", "--s-hi", "95",
     ]))
     .unwrap();
-    // The engine guarantees bit-identical output for any worker count
-    // and with pruning disabled; the CLI must only route the knobs.
-    for extra in [
-        &["--workers", "1"][..],
-        &["--workers", "2"][..],
-        &["--workers", "8"][..],
-        &["--no-prune"][..],
-        &["--workers", "2", "--no-prune"][..],
-    ] {
-        let mut argv = args(&["classify", "--input", path, "--s-lo", "90", "--s-hi", "95"]);
-        argv.extend(extra.iter().map(|s| s.to_string()));
-        assert_eq!(run(&argv).unwrap(), baseline, "flags: {extra:?}");
+    // The engine guarantees bit-identical output for any worker count;
+    // the CLI must only route the knob.
+    for workers in ["1", "2", "8"] {
+        let argv = args(&[
+            "classify",
+            "--input",
+            path,
+            "--s-lo",
+            "90",
+            "--s-hi",
+            "95",
+            "--workers",
+            workers,
+        ]);
+        assert_eq!(run(&argv).unwrap(), baseline, "--workers {workers}");
     }
 }
 
@@ -519,7 +522,6 @@ fn tuning_flags_parse_on_every_subcommand() {
         &snap,
         "--workers",
         "2",
-        "--no-prune",
     ]))
     .unwrap();
     run(&args(&[
@@ -530,25 +532,21 @@ fn tuning_flags_parse_on_every_subcommand() {
         path,
         "--workers",
         "2",
-        "--no-prune",
     ]))
     .unwrap();
-    run(&args(&[
-        "metrics",
-        "--input",
-        path,
-        "--workers",
-        "2",
-        "--no-prune",
-    ]))
-    .unwrap();
+    run(&args(&["metrics", "--input", path, "--workers", "2"])).unwrap();
 }
 
 #[test]
 fn usage_documents_engine_tuning() {
     let usage = run(&args(&["help"])).unwrap();
     assert!(usage.contains("--workers"), "{usage}");
-    assert!(usage.contains("--no-prune"), "{usage}");
+    // Kernel pruning is not a knob: the flag is gone, and using it is a
+    // usage error like any unknown flag.
+    assert!(!usage.contains("--no-prune"), "{usage}");
+    let err = run(&args(&["classify", "--input", "x.txt", "--no-prune"])).unwrap_err();
+    assert_eq!(err.code, 2);
+    assert!(err.message.contains("--no-prune"), "{}", err.message);
 }
 
 #[test]

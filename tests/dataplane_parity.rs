@@ -1,36 +1,18 @@
 //! Parity suite: the columnar data plane against the map-based
-//! executable spec (`flow::reference`).
+//! executable spec (`roleclass_spec::connsets`).
 //!
 //! The contract (see DESIGN.md "Data plane"): for any sequence of
-//! mutations, `flow::ConnectionSets` and `flow::reference::ConnectionSets`
+//! mutations, `flow::ConnectionSets` and `roleclass_spec::connsets::ConnectionSets`
 //! agree on every accessor, and classification built on the columnar
 //! plane produces bit-identical groupings and correlations to one built
 //! from the reference representation. Synthetic scenarios provide the
 //! workloads; a seeded op script exercises the mutators.
 
-use flow::{reference, ConnectionSets, HostAddr, PairStats};
+use flow::{ConnectionSets, HostAddr, PairStats};
 use roleclass::{try_classify, try_correlate, Params};
+use roleclass_spec::connsets::{self as reference, from_reference, to_reference};
 use std::collections::BTreeSet;
 use synthnet::{churn, scenarios, SyntheticNetwork};
-
-/// Rebuilds the map-based spec from scratch so the two representations
-/// share only their logical content, not their construction path.
-fn rebuild_reference(cs: &ConnectionSets) -> reference::ConnectionSets {
-    let mut out = reference::ConnectionSets::new();
-    for h in cs.hosts() {
-        out.add_host(h);
-    }
-    for ((a, b), stats) in cs.pairs() {
-        out.add_connection(a, b, stats);
-    }
-    for h in cs.hosts() {
-        let (i, acc) = (cs.initiated_flows(h), cs.accepted_flows(h));
-        if i != 0 || acc != 0 {
-            out.add_direction_counts(h, i, acc);
-        }
-    }
-    out
-}
 
 /// Asserts every accessor agrees between the two representations.
 /// `pair_sample` bounds the quadratic similarity sweep on big networks.
@@ -99,12 +81,12 @@ fn scenario_suite() -> Vec<(&'static str, SyntheticNetwork)> {
 #[test]
 fn accessors_agree_on_synth_scenarios() {
     for (name, net) in scenario_suite() {
-        let r = rebuild_reference(&net.connsets);
+        let r = to_reference(&net.connsets);
         assert_accessor_parity(&net.connsets, &r, 60);
         // Round-tripping through the spec is lossless.
-        let back = ConnectionSets::from_reference(&r);
+        let back = from_reference(&r);
         assert_eq!(back, net.connsets, "{name}: reference round trip");
-        assert_eq!(net.connsets.to_reference(), r, "{name}: to_reference");
+        assert_eq!(to_reference(&back), r, "{name}: to_reference");
     }
 }
 
@@ -166,7 +148,7 @@ fn mutators_agree_under_seeded_op_script() {
         let mut other = cs.clone();
         other.add_host(HostAddr::v4(9_999));
         other.remove_host(HostAddr::v4(next() % 64));
-        let other_ref = rebuild_reference(&other);
+        let other_ref = to_reference(&other);
         assert_eq!(cs.hosts_not_in(&other), {
             // The reference signature takes its own type; compare sets.
             r.hosts_not_in(&other_ref)
@@ -178,7 +160,7 @@ fn mutators_agree_under_seeded_op_script() {
 fn assert_grouping_parity(name: &str, net: &SyntheticNetwork) {
     let params = Params::default();
     let fast = try_classify(&net.connsets, &params).unwrap();
-    let round_tripped = ConnectionSets::from_reference(&rebuild_reference(&net.connsets));
+    let round_tripped = from_reference(&to_reference(&net.connsets));
     let spec = try_classify(&round_tripped, &params).unwrap();
     assert_eq!(
         fast.grouping, spec.grouping,
@@ -226,7 +208,7 @@ fn retain_and_diff_agree_on_10k_host_trace() {
         .filter(|h| h.as_u32() % 2 == 0)
         .collect();
     let mut fast = net.connsets.clone();
-    let mut spec = rebuild_reference(&net.connsets);
+    let mut spec = to_reference(&net.connsets);
     fast.retain_hosts(&keep);
     spec.retain_hosts(&keep);
     assert_eq!(fast.host_count(), keep.len());
@@ -263,8 +245,8 @@ fn correlations_are_bit_identical_via_reference_round_trip() {
         };
         let fast = run(&prev, &curr);
         let spec = run(
-            &ConnectionSets::from_reference(&rebuild_reference(&prev)),
-            &ConnectionSets::from_reference(&rebuild_reference(&curr)),
+            &from_reference(&to_reference(&prev)),
+            &from_reference(&to_reference(&curr)),
         );
         assert_eq!(fast, spec, "{name}: correlation must be bit-identical");
     }
