@@ -40,7 +40,6 @@ pub mod pipeline;
 pub mod policy;
 pub mod probe;
 pub mod profile;
-pub mod report;
 pub mod store;
 pub mod supervisor;
 pub mod transport;

@@ -577,7 +577,7 @@ impl Aggregator {
         let _span = telemetry::span(rec, "aggregator.build");
         let mut builder = ConnsetBuilder::new().min_flows(self.config.min_flows);
         builder.add_records(records.iter());
-        let (connsets, build_stats) = builder.build_with_telemetry(&mut self.host_table, rec);
+        let (connsets, build_stats) = builder.build_into(&mut self.host_table, rec);
         health.records_accepted = build_stats.kept_flows;
         health.records_dropped = build_stats.dropped_flows;
         connsets

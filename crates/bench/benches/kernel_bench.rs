@@ -1,6 +1,7 @@
 //! Criterion bench `kernel_bench` — the common-neighbor kernel's three
 //! cost centers (full build, threshold sweep, contraction update) on
-//! department networks at 1k and 10k hosts, plus the headline
+//! department networks at 1k and 10k hosts, each built from the
+//! connection sets' CSR exactly as formation builds it, plus the headline
 //! comparison: kernel-backed `form_groups` against the per-level
 //! recomputation it replaced (the jumping sweep of
 //! `roleclass_spec::formation`).
@@ -46,26 +47,19 @@ fn department_network(n: usize) -> flow::ConnectionSets {
     m.generate(7).connsets
 }
 
-/// Unit-weight connectivity graph over the connection sets, the shape
-/// the formation phase hands the kernel.
-fn conn_graph(cs: &flow::ConnectionSets) -> WGraph {
-    let mut g = WGraph::with_capacity(cs.host_count());
-    let mut node_of_host = std::collections::BTreeMap::new();
-    for h in cs.hosts() {
-        node_of_host.insert(h, g.add_node());
-    }
-    for (a, b) in cs.edges() {
-        g.add_edge(node_of_host[&a], node_of_host[&b], 1);
-    }
-    g
+/// The kernel over the connection sets' CSR, built as formation builds
+/// it (every host an endpoint, no prune floors).
+fn kernel_of(cs: &flow::ConnectionSets) -> CommonNeighborKernel {
+    let (offsets, nbrs) = cs.csr();
+    CommonNeighborKernel::build(offsets, nbrs, |_| true, engine_workers(), &[], None)
 }
 
 fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_build");
     for &n in &SIZES {
-        let g = conn_graph(&department_network(n));
-        group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
-            b.iter(|| CommonNeighborKernel::build_with_workers(g, |_| true, engine_workers()))
+        let cs = department_network(n);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &cs, |b, cs| {
+            b.iter(|| kernel_of(cs))
         });
     }
     group.finish();
@@ -74,8 +68,7 @@ fn bench_build(c: &mut Criterion) {
 fn bench_threshold_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_threshold_sweep");
     for &n in &SIZES {
-        let g = conn_graph(&department_network(n));
-        let kernel = CommonNeighborKernel::build_with_workers(&g, |_| true, engine_workers());
+        let kernel = kernel_of(&department_network(n));
         group.bench_with_input(BenchmarkId::from_parameter(n), &kernel, |b, kernel| {
             b.iter(|| {
                 let mut total = 0usize;
@@ -92,8 +85,10 @@ fn bench_threshold_sweep(c: &mut Criterion) {
 fn bench_contraction_update(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_contraction_update");
     for &n in &SIZES {
-        let g = conn_graph(&department_network(n));
-        let kernel = CommonNeighborKernel::build_with_workers(&g, |_| true, engine_workers());
+        let cs = department_network(n);
+        let (offsets, nbrs) = cs.csr();
+        let g = WGraph::from_unit_csr(offsets, nbrs);
+        let kernel = kernel_of(&cs);
         // One department's workstations: the role allocator hands out
         // the 4 core servers first, then 43 clients per department.
         let members: Vec<NodeId> = (4..47).map(|i| NodeId(i as u32)).collect();

@@ -1,24 +1,10 @@
 //! Criterion bench: the substrate hot paths — biconnected components,
-//! common-neighbor counting, and the wire-format parsers.
+//! the common-neighbor kernel build, and the wire-format parsers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flow::{netflow, pcap};
-use netgraph::{biconnected_components, common_neighbor_min_weights, NodeId, SimpleGraph, WGraph};
+use netgraph::{biconnected_components, CommonNeighborKernel, NodeId, SimpleGraph};
 use synthnet::{scenarios, trace};
-
-/// Connectivity graph of the Mazu scenario as a WGraph.
-fn mazu_graph() -> WGraph {
-    let net = scenarios::mazu(42);
-    let mut g = WGraph::new();
-    let mut ids = std::collections::BTreeMap::new();
-    for h in net.connsets.hosts() {
-        ids.insert(h, g.add_node());
-    }
-    for (a, b) in net.connsets.edges() {
-        g.add_edge(ids[&a], ids[&b], 1);
-    }
-    g
-}
 
 fn bench_bcc(c: &mut Criterion) {
     // A 2000-node graph of chained triangles: 1000 BCCs.
@@ -36,9 +22,11 @@ fn bench_bcc(c: &mut Criterion) {
 }
 
 fn bench_common_neighbors(c: &mut Criterion) {
-    let g = mazu_graph();
-    c.bench_function("common_neighbor_min_weights_mazu", |b| {
-        b.iter(|| common_neighbor_min_weights(&g, |_| true))
+    let cs = scenarios::mazu(42).connsets;
+    let (offsets, nbrs) = cs.csr();
+    c.bench_function("common_neighbor_kernel_mazu", |b| {
+        let workers = netgraph::default_worker_count();
+        b.iter(|| CommonNeighborKernel::build(offsets, nbrs, |_| true, workers, &[], None))
     });
 }
 

@@ -1,7 +1,7 @@
 //! The public entry point: full two-phase role classification.
 
 use crate::config::EngineConfig;
-use crate::formation::{form_groups_validated, form_groups_with, FormationEvent, FormationResult};
+use crate::formation::{form_groups_with, FormationEvent, FormationResult};
 use crate::group::{GroupId, Grouping};
 use crate::merging::{merge_groups_with, MergeEvent};
 use crate::params::{ParamError, Params};
@@ -77,15 +77,10 @@ impl Classification {
 /// cross-window state.
 pub fn try_classify(cs: &ConnectionSets, params: &Params) -> Result<Classification, ParamError> {
     params.validate()?;
-    Ok(classify_validated(cs, params))
+    Ok(classify_with(cs, &EngineConfig::new(*params), None))
 }
 
-/// Full classification with pre-validated `params`.
-pub(crate) fn classify_validated(cs: &ConnectionSets, params: &Params) -> Classification {
-    finish_classification(cs, form_groups_validated(cs, params), params)
-}
-
-/// [`classify_validated`] with explicit execution knobs and an optional
+/// Full classification with explicit execution knobs and an optional
 /// recorder threading telemetry through both phases. `None` is exactly
 /// the uninstrumented path.
 pub(crate) fn classify_with(
@@ -97,19 +92,9 @@ pub(crate) fn classify_with(
 }
 
 /// Merges a formation result and assembles the [`Classification`]
-/// (merge phase + the Figure 4 neighborhood summaries). Callers must
-/// have validated `params`.
-pub(crate) fn finish_classification(
-    cs: &ConnectionSets,
-    formation: FormationResult,
-    params: &Params,
-) -> Classification {
-    finish_classification_with(cs, formation, &EngineConfig::new(*params), None)
-}
-
-/// [`finish_classification`] with explicit execution knobs and an
-/// optional recorder: emits the `engine.merge` span and the merge-phase
-/// metrics.
+/// (merge phase + the Figure 4 neighborhood summaries), with explicit
+/// execution knobs and an optional recorder: emits the `engine.merge`
+/// span and the merge-phase metrics.
 pub(crate) fn finish_classification_with(
     cs: &ConnectionSets,
     formation: FormationResult,
@@ -133,6 +118,11 @@ pub(crate) fn finish_classification_with(
         .observe(t0.elapsed().as_secs_f64());
     }
 
+    // Final group index of each group node, indexed by node id.
+    let mut group_of_node = vec![None; out.graph.id_bound()];
+    for (idx, node) in out.node_of_group.iter().enumerate() {
+        group_of_node[node.index()] = Some(idx);
+    }
     let mut neighborhoods = Vec::with_capacity(out.grouping.group_count());
     for (idx, group) in out.grouping.groups().iter().enumerate() {
         let node = out.node_of_group[idx];
@@ -141,11 +131,8 @@ pub(crate) fn finish_classification_with(
             .graph
             .neighbors(node)
             .map(|(nbr, w)| {
-                let nbr_idx = out
-                    .node_of_group
-                    .iter()
-                    .position(|&n| n == nbr)
-                    .expect("neighbor node must be a final group");
+                let nbr_idx =
+                    group_of_node[nbr.index()].expect("neighbor node must be a final group");
                 (out.grouping.groups()[nbr_idx].id, w as f64 / size)
             })
             .collect();

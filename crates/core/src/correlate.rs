@@ -667,27 +667,17 @@ pub fn try_correlate(
     params: &Params,
 ) -> Result<Correlation, ParamError> {
     params.validate()?;
-    Ok(correlate_validated(
+    Ok(correlate_with_events(
         prev_cs,
         prev_grouping,
         curr_cs,
         curr_grouping,
         params,
+        None,
     ))
 }
 
-/// Correlation proper. Callers must have validated `params`.
-pub(crate) fn correlate_validated(
-    prev_cs: &ConnectionSets,
-    prev_grouping: &Grouping,
-    curr_cs: &ConnectionSets,
-    curr_grouping: &Grouping,
-    params: &Params,
-) -> Correlation {
-    correlate_with_events(prev_cs, prev_grouping, curr_cs, curr_grouping, params, None)
-}
-
-/// [`correlate_validated`] with an optional recorder: emits one
+/// Correlation proper, with an optional recorder: emits one
 /// provenance event per id decision — `id_carried` (with the matching
 /// rule that fired and its score), `id_minted` for new groups, and
 /// `id_retired` for vanished ones — plus per-phase introspection: spans

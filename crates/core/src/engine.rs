@@ -46,7 +46,6 @@ use crate::config::EngineConfig;
 use crate::correlate::{apply_correlation, correlate_with_events, Correlation};
 use crate::formation::{form_groups_with, FormationResult};
 use crate::group::Grouping;
-use crate::merging::merge_groups_with;
 use crate::params::{ParamError, Params};
 use flow::ConnectionSets;
 use std::sync::Arc;
@@ -270,11 +269,6 @@ impl<'e> Formed<'e> {
         &self.result
     }
 
-    /// Abandons staging and takes the formation result.
-    pub fn into_result(self) -> FormationResult {
-        self.result
-    }
-
     /// Runs the merging phase, completing the classification.
     pub fn merge(self) -> Merged<'e> {
         Merged {
@@ -287,15 +281,6 @@ impl<'e> Formed<'e> {
                 self.engine.recorder.as_deref(),
             ),
         }
-    }
-
-    /// Runs merging but keeps only the [`MergeOutcome`-level] data —
-    /// for callers that need the final contracted graph rather than the
-    /// full classification.
-    ///
-    /// [`MergeOutcome`-level]: crate::merging::MergeOutcome
-    pub fn merge_outcome(self) -> crate::merging::MergeOutcome {
-        merge_groups_with(self.cs, self.result, &self.engine.config, None)
     }
 }
 

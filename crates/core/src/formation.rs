@@ -162,14 +162,7 @@ impl State {
             .iter()
             .map(|&d| bootstrap_trigger(alpha, d).unwrap_or(1))
             .collect();
-        let kernel = CommonNeighborKernel::build_from_unit_csr_pruned(
-            offsets,
-            nbrs,
-            |_| true,
-            workers,
-            &floors,
-            rec,
-        );
+        let kernel = CommonNeighborKernel::build(offsets, nbrs, |_| true, workers, &floors, rec);
         State {
             g,
             kernel,
@@ -322,16 +315,10 @@ pub fn try_form_groups(
     params: &Params,
 ) -> Result<FormationResult, ParamError> {
     params.validate()?;
-    Ok(form_groups_validated(cs, params))
+    Ok(form_groups_with(cs, &EngineConfig::new(*params), None))
 }
 
-/// The kernel-backed sweep with default execution knobs. Callers must
-/// have validated `params`.
-pub(crate) fn form_groups_validated(cs: &ConnectionSets, params: &Params) -> FormationResult {
-    form_groups_with(cs, &EngineConfig::new(*params), None)
-}
-
-/// [`form_groups_validated`] with explicit execution knobs
+/// The kernel-backed sweep with explicit execution knobs
 /// ([`EngineConfig`]) and an optional recorder: emits the `engine.form`
 /// span (with the kernel's build phases nested inside), counts
 /// productive sweep levels and fixpoint rounds, and times the phase.

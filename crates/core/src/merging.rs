@@ -363,17 +363,12 @@ pub fn try_merge_groups(
     params: &Params,
 ) -> Result<MergeOutcome, ParamError> {
     params.validate()?;
-    Ok(merge_groups_validated(cs, formation, params))
-}
-
-/// The merging phase proper, with default execution knobs. Callers must
-/// have validated `params`.
-pub(crate) fn merge_groups_validated(
-    cs: &ConnectionSets,
-    formation: FormationResult,
-    params: &Params,
-) -> MergeOutcome {
-    merge_groups_with(cs, formation, &EngineConfig::new(*params), None)
+    Ok(merge_groups_with(
+        cs,
+        formation,
+        &EngineConfig::new(*params),
+        None,
+    ))
 }
 
 /// Stage `candidates`: every pair of groups sharing a neighbor, sorted

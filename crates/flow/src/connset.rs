@@ -806,18 +806,12 @@ impl ConnsetBuilder {
         self.build_into(table, None)
     }
 
-    /// [`ConnsetBuilder::build_with_stats_into`] with telemetry: emits
-    /// the `flow.connset_build` span, the build-phase histogram, and the
-    /// interner population gauge (see [`FLOW_METRIC_NAMES`]).
-    pub fn build_with_telemetry(
-        self,
-        table: &mut HostTable,
-        rec: Option<&telemetry::Recorder>,
-    ) -> (ConnectionSets, BuildStats) {
-        self.build_into(table, rec)
-    }
-
-    fn build_into(
+    /// [`ConnsetBuilder::build_with_stats_into`] with an optional
+    /// recorder: emits the `flow.connset_build` span, the build-phase
+    /// histogram, and the interner population gauge (see
+    /// [`FLOW_METRIC_NAMES`]). With `None` it is exactly
+    /// `build_with_stats_into`.
+    pub fn build_into(
         self,
         table: &mut HostTable,
         rec: Option<&telemetry::Recorder>,

@@ -1,4 +1,4 @@
-//! Biconnected components, articulation points, and bridges.
+//! Biconnected components.
 //!
 //! The grouping algorithm of the paper turns each biconnected component
 //! (BCC) of the k-neighborhood graph into a candidate role group: any two
@@ -15,7 +15,7 @@ use crate::simple::SimpleGraph;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Bcc {
     /// Nodes of the component, sorted by id. A node can belong to several
-    /// components if it is an articulation point.
+    /// components if it is an articulation point (a cut vertex).
     pub nodes: Vec<NodeId>,
     /// Number of edges in the component.
     pub edge_count: usize,
@@ -61,12 +61,10 @@ impl<'g> Dfs<'g> {
     }
 
     /// Runs a DFS from `root`, invoking `on_bcc` with the edge slice of
-    /// each completed biconnected component and `on_tree_edge_done` for
-    /// every finished tree edge `(u, v, is_bridge, child_root_cut)`.
-    fn run<F, T>(&mut self, root: usize, on_bcc: &mut F, on_tree_edge_done: &mut T)
+    /// each completed biconnected component.
+    fn run<F>(&mut self, root: usize, on_bcc: &mut F)
     where
         F: FnMut(&[(u32, u32)]),
-        T: FnMut(usize, usize, bool, bool),
     {
         debug_assert_eq!(self.disc[root], UNVISITED);
         self.disc[root] = self.clock;
@@ -98,9 +96,7 @@ impl<'g> Dfs<'g> {
                 if let Some(&(p, _)) = stack.last() {
                     let p = p as usize;
                     self.low[p] = self.low[p].min(self.low[u]);
-                    let is_cut = self.low[u] >= self.disc[p];
-                    let is_bridge = self.low[u] > self.disc[p];
-                    if is_cut {
+                    if self.low[u] >= self.disc[p] {
                         // Pop one component off the edge stack.
                         let mut cut = self.estack.len();
                         while cut > 0 {
@@ -113,7 +109,6 @@ impl<'g> Dfs<'g> {
                         on_bcc(&self.estack[cut..]);
                         self.estack.truncate(cut);
                     }
-                    on_tree_edge_done(p, u, is_bridge, is_cut);
                 }
             }
         }
@@ -147,57 +142,11 @@ pub fn biconnected_components(g: &SimpleGraph) -> Vec<Bcc> {
         if dfs.disc[root] != UNVISITED {
             continue;
         }
-        dfs.run(root, &mut collect, &mut |_, _, _, _| {});
+        dfs.run(root, &mut collect);
         // Remaining edges (if any) form the component containing the root.
         let rest: Vec<(u32, u32)> = dfs.estack.drain(..).collect();
         collect(&rest);
     }
-    out
-}
-
-/// Computes the articulation points (cut vertices) of `g`, sorted by id.
-pub fn articulation_points(g: &SimpleGraph) -> Vec<NodeId> {
-    let n = g.node_count();
-    let mut is_cut = vec![false; n];
-    let mut dfs = Dfs::new(g);
-    for root in 0..n {
-        if dfs.disc[root] != UNVISITED {
-            continue;
-        }
-        let mut root_children = 0usize;
-        dfs.run(root, &mut |_| {}, &mut |p, _u, _bridge, cut| {
-            if p == root {
-                root_children += 1;
-            } else if cut {
-                is_cut[p] = true;
-            }
-        });
-        dfs.estack.clear();
-        if root_children >= 2 {
-            is_cut[root] = true;
-        }
-    }
-    (0..n).filter(|&p| is_cut[p]).map(|p| g.id_at(p)).collect()
-}
-
-/// Computes the bridges (cut edges) of `g` as `(a, b)` pairs with `a < b`,
-/// sorted.
-pub fn bridges(g: &SimpleGraph) -> Vec<(NodeId, NodeId)> {
-    let mut out = Vec::new();
-    let mut dfs = Dfs::new(g);
-    for root in 0..g.node_count() {
-        if dfs.disc[root] != UNVISITED {
-            continue;
-        }
-        dfs.run(root, &mut |_| {}, &mut |p, u, bridge, _cut| {
-            if bridge {
-                let (a, b) = (g.id_at(p), g.id_at(u));
-                out.push(if a < b { (a, b) } else { (b, a) });
-            }
-        });
-        dfs.estack.clear();
-    }
-    out.sort_unstable();
     out
 }
 
@@ -248,8 +197,6 @@ mod tests {
         // 1-2-3 triangle and 3-4-5 triangle share articulation point 3.
         let g = graph(&[(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)]);
         assert_eq!(sorted_bccs(&g), vec![vec![1, 2, 3], vec![3, 4, 5]]);
-        assert_eq!(articulation_points(&g), vec![n(3)]);
-        assert!(bridges(&g).is_empty());
     }
 
     #[test]
@@ -260,16 +207,12 @@ mod tests {
             sorted_bccs(&g),
             vec![vec![1, 2, 3], vec![3, 4], vec![4, 5, 6]]
         );
-        assert_eq!(articulation_points(&g), vec![n(3), n(4)]);
-        assert_eq!(bridges(&g), vec![(n(3), n(4))]);
     }
 
     #[test]
     fn cycle_is_single_bcc_no_cuts() {
         let g = graph(&[(1, 2), (2, 3), (3, 4), (4, 1)]);
         assert_eq!(sorted_bccs(&g), vec![vec![1, 2, 3, 4]]);
-        assert!(articulation_points(&g).is_empty());
-        assert!(bridges(&g).is_empty());
     }
 
     #[test]
@@ -285,11 +228,9 @@ mod tests {
     }
 
     #[test]
-    fn star_center_is_articulation_point() {
+    fn star_splits_into_its_edges() {
         let g = graph(&[(0, 1), (0, 2), (0, 3)]);
-        assert_eq!(articulation_points(&g), vec![n(0)]);
-        assert_eq!(bridges(&g).len(), 3);
-        assert_eq!(sorted_bccs(&g).len(), 3);
+        assert_eq!(sorted_bccs(&g), vec![vec![0, 1], vec![0, 2], vec![0, 3]]);
     }
 
     #[test]
@@ -332,6 +273,5 @@ mod tests {
         let bccs = biconnected_components(&g);
         assert_eq!(bccs.len(), 1);
         assert_eq!(bccs[0].len(), 8);
-        assert!(articulation_points(&g).is_empty());
     }
 }

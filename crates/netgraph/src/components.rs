@@ -19,15 +19,6 @@ pub fn connected_components(g: &SimpleGraph) -> Vec<Vec<NodeId>> {
         .collect()
 }
 
-/// Returns the largest connected component of `g` (ties broken by the
-/// smallest member id), or an empty vector for an empty graph.
-pub fn largest_component(g: &SimpleGraph) -> Vec<NodeId> {
-    connected_components(g)
-        .into_iter()
-        .max_by(|a, b| a.len().cmp(&b.len()).then(b[0].cmp(&a[0])))
-        .unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -47,16 +38,9 @@ mod tests {
     }
 
     #[test]
-    fn largest_component_picks_biggest() {
-        let g = SimpleGraph::from_edges([], [(n(1), n(2)), (n(2), n(3)), (n(5), n(6))]);
-        assert_eq!(largest_component(&g), vec![n(1), n(2), n(3)]);
-    }
-
-    #[test]
     fn empty_graph_has_no_components() {
         let g = SimpleGraph::from_edges([], []);
         assert!(connected_components(&g).is_empty());
-        assert!(largest_component(&g).is_empty());
     }
 
     #[test]

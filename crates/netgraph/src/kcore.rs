@@ -73,24 +73,6 @@ pub fn core_numbers(g: &SimpleGraph) -> Vec<(NodeId, usize)> {
     (0..n).map(|p| (g.id_at(p), core[p])).collect()
 }
 
-/// Returns the nodes of the k-core (core number ≥ `k`), sorted by id.
-pub fn k_core(g: &SimpleGraph, k: usize) -> Vec<NodeId> {
-    core_numbers(g)
-        .into_iter()
-        .filter(|&(_, c)| c >= k)
-        .map(|(n, _)| n)
-        .collect()
-}
-
-/// The degeneracy of the graph: the largest `k` with a non-empty k-core.
-pub fn degeneracy(g: &SimpleGraph) -> usize {
-    core_numbers(g)
-        .into_iter()
-        .map(|(_, c)| c)
-        .max()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,8 +95,6 @@ mod tests {
         assert_eq!(cores[&n(2)], 2);
         assert_eq!(cores[&n(3)], 2);
         assert_eq!(cores[&n(4)], 1);
-        assert_eq!(k_core(&g, 2), vec![n(1), n(2), n(3)]);
-        assert_eq!(degeneracy(&g), 2);
     }
 
     #[test]
@@ -123,7 +103,6 @@ mod tests {
         for (_, c) in core_numbers(&g) {
             assert_eq!(c, 1);
         }
-        assert_eq!(degeneracy(&g), 1);
     }
 
     #[test]
@@ -153,8 +132,6 @@ mod tests {
     fn empty_graph() {
         let g = SimpleGraph::from_edges([], []);
         assert!(core_numbers(&g).is_empty());
-        assert_eq!(degeneracy(&g), 0);
-        assert!(k_core(&g, 1).is_empty());
     }
 
     #[test]

@@ -5,22 +5,23 @@
 //! The grouping algorithm's inner loop needs, at each level `k`, every
 //! pair of eligible nodes whose weighted common-neighbor count clears
 //! `k`. Recomputing the full count table per level costs
-//! `O(levels · Σ deg(v)²)`; this module instead computes the table once
-//! with a row-centric pass: each worker owns a contiguous ascending
-//! range of endpoint rows and, for row `a`, accumulates the
-//! contributions of every two-path `a–via–b` (`b > a`) into a
+//! `O(levels · Σ deg(v)²)`; this module instead computes the table once,
+//! reading the unit-weight connectivity graph in place from the CSR
+//! adjacency the connection sets already hold, with a row-centric pass:
+//! each worker owns a contiguous ascending range of endpoint rows and,
+//! for row `a`, counts every two-path `a–via–b` (`b > a`) into a
 //! per-partner accumulator — a fixed-stride `u64` bitset tracks touched
 //! partners for high-degree rows (walked in word order, which emits the
 //! row already key-sorted), while low-degree rows collect into a small
 //! vector that is sort-aggregated. Because row ranges are disjoint and
 //! ascending, concatenating the workers' runs yields the globally
 //! key-sorted table with no merge and no global sort. Pairs whose
-//! count upper bound (the smaller weighted degree) falls below a
-//! caller-supplied per-endpoint prune floor are never materialized at
-//! all. The table is kept in a flat key-sorted vector with a
-//! descending-count rank index so each level is answered by a
-//! binary-searched prefix walk, and a locality property of contraction
-//! keeps the table current through a small mutation overlay:
+//! count upper bound (the smaller degree) falls below a caller-supplied
+//! per-endpoint prune floor are never materialized at all. The table is
+//! kept in a flat key-sorted vector with a descending-count rank index
+//! so each level is answered by a binary-searched prefix walk, and a
+//! locality property of contraction keeps the table current through a
+//! small mutation overlay:
 //!
 //! **Invalidation rule.** Contracting a member set `M` into a fresh node
 //! `m` changes the via-contribution of exactly two kinds of nodes: the
@@ -33,21 +34,46 @@
 //! `O(Σ_{v ∈ M} deg(v)² + deg(m)²)` — proportional to the mutated
 //! neighborhoods, not the graph — and contracting a *singleton* is free:
 //! the replacement node inherits the member's edges verbatim, so no
-//! count changes at all.
+//! count changes at all. Contraction is where weights enter: edges to a
+//! group node carry the summed member weights.
 //!
 //! Counts are kept as exact `u64` sums of per-via contributions (each
-//! clamped at `u32::MAX`, matching
-//! [`common_neighbor_min_weights`][crate::common_neighbor_min_weights]'s
-//! saturating arithmetic), so subtraction inverts addition exactly and
-//! the incremental table is bit-identical to a from-scratch recount —
-//! regardless of worker count, because integer addition commutes.
+//! clamped at `u32::MAX`, matching the saturating arithmetic of the
+//! recounting oracle in `roleclass_spec::formation`), so subtraction
+//! inverts addition exactly and the incremental table is bit-identical
+//! to a from-scratch recount — regardless of worker count, because
+//! integer addition commutes.
 
-use crate::common::{key, unkey, CommonNeighborEdge};
 use crate::id::NodeId;
 use crate::wgraph::WGraph;
 use std::collections::HashMap;
 use std::time::Instant;
 use telemetry::{Recorder, Registry};
+
+/// One weighted edge of the neighborhood graph: endpoints `a < b` share
+/// `count` common neighbors (`|C(a) ∩ C(b)|`, Section 3.1), each shared
+/// group node counting with the smaller of its two edge weights.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CommonNeighborEdge {
+    /// Smaller endpoint.
+    pub a: NodeId,
+    /// Larger endpoint.
+    pub b: NodeId,
+    /// Weighted common-neighbor count.
+    pub count: u32,
+}
+
+/// Packs the pair `a < b` into one sortable key.
+#[inline]
+fn key(a: NodeId, b: NodeId) -> u64 {
+    debug_assert!(a < b);
+    ((a.0 as u64) << 32) | b.0 as u64
+}
+
+#[inline]
+fn unkey(k: u64) -> (NodeId, NodeId) {
+    (NodeId((k >> 32) as u32), NodeId(k as u32))
+}
 
 /// Every metric the kernel registers, in export (sorted) order. The
 /// workspace metric-name lint checks uniqueness and prefixing against
@@ -73,10 +99,10 @@ pub const KERNEL_METRIC_NAMES: &[&str] = &[
 /// time and stored inside the kernel, so the hot query/contract paths
 /// touch only `Arc`-backed atomics — never the registry lock.
 #[derive(Clone, Debug)]
-pub struct KernelMetrics {
+struct KernelMetrics {
     /// Kernel builds completed.
     builds_total: telemetry::Counter,
-    /// Wall-clock seconds per full build (CSR + count + merge + rank).
+    /// Wall-clock seconds per full build (count + merge + rank).
     build_seconds: telemetry::Histogram,
     /// Entries in the base pair table after the latest build/compaction.
     base_pairs: telemetry::Gauge,
@@ -108,7 +134,7 @@ pub struct KernelMetrics {
 
 impl KernelMetrics {
     /// Registers (or re-fetches) the kernel's metrics on `reg`.
-    pub fn register(reg: &Registry) -> Self {
+    fn register(reg: &Registry) -> Self {
         KernelMetrics {
             builds_total: reg.counter("roleclass_kernel_builds_total"),
             build_seconds: reg.histogram(
@@ -160,20 +186,20 @@ pub fn default_worker_count() -> usize {
 /// loops, so this is a plain `Vec<u64>` with no branching beyond the
 /// bounds check.
 #[derive(Clone, Debug, Default)]
-pub struct NodeBitSet {
+struct NodeBitSet {
     bits: Vec<u64>,
 }
 
 impl NodeBitSet {
     /// Creates an empty set able to hold ids below `bound`.
-    pub fn with_bound(bound: usize) -> Self {
+    fn with_bound(bound: usize) -> Self {
         NodeBitSet {
             bits: vec![0; bound.div_ceil(64)],
         }
     }
 
     /// Ensures ids below `bound` are representable.
-    pub fn grow(&mut self, bound: usize) {
+    fn grow(&mut self, bound: usize) {
         let words = bound.div_ceil(64);
         if words > self.bits.len() {
             self.bits.resize(words, 0);
@@ -181,13 +207,13 @@ impl NodeBitSet {
     }
 
     /// Inserts `n` (grows as needed).
-    pub fn insert(&mut self, n: NodeId) {
+    fn insert(&mut self, n: NodeId) {
         self.grow(n.index() + 1);
         self.bits[n.index() / 64] |= 1u64 << (n.index() % 64);
     }
 
     /// Removes `n` if present.
-    pub fn remove(&mut self, n: NodeId) {
+    fn remove(&mut self, n: NodeId) {
         if let Some(w) = self.bits.get_mut(n.index() / 64) {
             *w &= !(1u64 << (n.index() % 64));
         }
@@ -195,119 +221,38 @@ impl NodeBitSet {
 
     /// Returns `true` if `n` is in the set.
     #[inline]
-    pub fn contains(&self, n: NodeId) -> bool {
+    fn contains(&self, n: NodeId) -> bool {
         self.bits
             .get(n.index() / 64)
             .is_some_and(|w| w & (1u64 << (n.index() % 64)) != 0)
     }
 
     /// Number of set bits.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
-
-    /// Returns `true` if no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.bits.iter().all(|&w| w == 0)
-    }
 }
 
-/// Immutable CSR snapshot of a [`WGraph`]'s adjacency, indexed by raw
-/// node id (dead ids get empty rows). Built once per kernel build so the
-/// parallel pass reads two flat arrays instead of chasing per-node
-/// `Vec`s.
-struct Csr {
-    offsets: Vec<usize>,
-    nbrs: Vec<NodeId>,
-    weights: Vec<u64>,
+/// Row `i` of the unit CSR `offsets`/`nbrs`: its neighbor ids, ascending.
+#[inline]
+fn row<'a>(offsets: &[u32], nbrs: &'a [u32], i: usize) -> &'a [u32] {
+    &nbrs[offsets[i] as usize..offsets[i + 1] as usize]
 }
 
-impl Csr {
-    fn snapshot(g: &WGraph) -> Csr {
-        let bound = g.id_bound();
-        let mut offsets = Vec::with_capacity(bound + 1);
-        let mut nbrs = Vec::with_capacity(2 * g.edge_count());
-        let mut weights = Vec::with_capacity(2 * g.edge_count());
-        offsets.push(0);
-        for i in 0..bound {
-            let id = NodeId::from_index(i);
-            if g.contains_node(id) {
-                for &(n, w) in g.neighbor_slice(id) {
-                    nbrs.push(n);
-                    weights.push(w);
-                }
-            }
-            offsets.push(nbrs.len());
-        }
-        Csr {
-            offsets,
-            nbrs,
-            weights,
-        }
-    }
-
-    #[inline]
-    fn row(&self, i: usize) -> (&[NodeId], &[u64]) {
-        let (lo, hi) = (self.offsets[i], self.offsets[i + 1]);
-        (&self.nbrs[lo..hi], &self.weights[lo..hi])
-    }
-
-    fn row_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
+/// Degree of row `i`. With unit weights this is also its weighted
+/// degree: the upper bound on any pair count with `i` as an endpoint.
+#[inline]
+fn degree(offsets: &[u32], i: usize) -> usize {
+    (offsets[i + 1] - offsets[i]) as usize
 }
 
-/// The adjacency the counting pass runs over: either the owned weighted
-/// snapshot of a [`WGraph`], or a caller-provided unit-weight CSR (such
-/// as `flow::ConnectionSets::csr()`) borrowed directly with no copy.
-#[derive(Clone, Copy)]
-enum CsrSource<'a> {
-    Weighted(&'a Csr),
-    Unit { offsets: &'a [u32], nbrs: &'a [u32] },
-}
-
-impl CsrSource<'_> {
-    fn row_count(&self) -> usize {
-        match *self {
-            CsrSource::Weighted(c) => c.row_count(),
-            CsrSource::Unit { offsets, .. } => offsets.len().saturating_sub(1),
-        }
-    }
-
-    #[inline]
-    fn degree(&self, i: usize) -> usize {
-        match *self {
-            CsrSource::Weighted(c) => c.offsets[i + 1] - c.offsets[i],
-            CsrSource::Unit { offsets, .. } => (offsets[i + 1] - offsets[i]) as usize,
-        }
-    }
-
-    /// Sum of row `i`'s edge weights — the upper bound on any pair
-    /// count with `i` as an endpoint. Saturating: an overflowed sum only
-    /// weakens the bound, never breaks it.
-    fn weighted_degree(&self, i: usize) -> u64 {
-        match *self {
-            CsrSource::Weighted(c) => {
-                let (lo, hi) = (c.offsets[i], c.offsets[i + 1]);
-                c.weights[lo..hi]
-                    .iter()
-                    .fold(0u64, |acc, &w| acc.saturating_add(w))
-            }
-            CsrSource::Unit { offsets, .. } => (offsets[i + 1] - offsets[i]) as u64,
-        }
-    }
-
-    /// Cost model of the per-row counting pass: row `i` walks every
-    /// neighbor's full row.
-    fn neighbor_degree_sum(&self, i: usize) -> usize {
-        match *self {
-            CsrSource::Weighted(c) => c.row(i).0.iter().map(|v| self.degree(v.index())).sum(),
-            CsrSource::Unit { offsets, nbrs } => nbrs[offsets[i] as usize..offsets[i + 1] as usize]
-                .iter()
-                .map(|&v| self.degree(v as usize))
-                .sum(),
-        }
-    }
+/// Cost model of the per-row counting pass: row `i` walks every
+/// neighbor's full row, `Σ_{via ∈ N(i)} deg(via)` two-paths.
+fn neighbor_degree_sum(offsets: &[u32], nbrs: &[u32], i: usize) -> usize {
+    row(offsets, nbrs, i)
+        .iter()
+        .map(|&v| degree(offsets, v as usize))
+        .sum()
 }
 
 /// Per-pair prune inputs, fixed at build time: one floor and one
@@ -327,19 +272,17 @@ struct PruneTable {
 }
 
 impl PruneTable {
-    /// Builds the table from caller floors + the CSR's weighted degrees,
-    /// or `None` when no floor exceeds 1 (floors of 0/1 can never prune:
-    /// any pair sharing a neighbor has both weighted degrees ≥ 1).
-    fn new(floors: &[u32], csr: &CsrSource<'_>) -> Option<PruneTable> {
+    /// Builds the table from caller floors + the CSR's row degrees, or
+    /// `None` when no floor exceeds 1 (floors of 0/1 can never prune:
+    /// any pair sharing a neighbor has both degrees ≥ 1).
+    fn new(floors: &[u32], offsets: &[u32]) -> Option<PruneTable> {
         if floors.iter().all(|&f| f <= 1) {
             return None;
         }
-        let wdeg = (0..csr.row_count())
-            .map(|i| csr.weighted_degree(i))
-            .collect();
+        let rows = offsets.len().saturating_sub(1);
         Some(PruneTable {
             floors: floors.to_vec(),
-            wdeg,
+            wdeg: (0..rows).map(|i| degree(offsets, i) as u64).collect(),
         })
     }
 
@@ -369,16 +312,16 @@ impl PruneTable {
 }
 
 /// Splits CSR rows into at most `workers` contiguous chunks of roughly
-/// equal counting work. The pass for row `a` visits every neighbor of
-/// every neighbor, so its cost is `Σ_{via ∈ N(a)} deg(via)`.
-fn partition_rows(csr: &CsrSource<'_>, workers: usize) -> Vec<std::ops::Range<usize>> {
-    let work_of = |i: usize| csr.neighbor_degree_sum(i);
-    let total: usize = (0..csr.row_count()).map(work_of).sum();
+/// equal counting work ([`neighbor_degree_sum`] per row).
+fn partition_rows(offsets: &[u32], nbrs: &[u32], workers: usize) -> Vec<std::ops::Range<usize>> {
+    let rows = offsets.len().saturating_sub(1);
+    let work_of = |i: usize| neighbor_degree_sum(offsets, nbrs, i);
+    let total: usize = (0..rows).map(work_of).sum();
     let target = total.div_ceil(workers.max(1)).max(1);
     let mut chunks = Vec::with_capacity(workers);
     let mut start = 0;
     let mut acc = 0;
-    for i in 0..csr.row_count() {
+    for i in 0..rows {
         acc += work_of(i);
         if acc >= target {
             chunks.push(start..i + 1);
@@ -386,21 +329,21 @@ fn partition_rows(csr: &CsrSource<'_>, workers: usize) -> Vec<std::ops::Range<us
             acc = 0;
         }
     }
-    if start < csr.row_count() {
-        chunks.push(start..csr.row_count());
+    if start < rows {
+        chunks.push(start..rows);
     }
     chunks
 }
 
-/// Per-via contribution of one shared neighbor, clamped exactly like
-/// [`common_neighbor_min_weights`][crate::common_neighbor_min_weights].
+/// Per-via contribution of one shared neighbor to a pair whose two edges
+/// to it weigh `wa` and `wb`: the smaller weight, clamped at `u32::MAX`.
 #[inline]
 fn contribution(wa: u64, wb: u64) -> u64 {
     wa.min(wb).min(u32::MAX as u64)
 }
 
 /// Per-worker scratch for the row-centric counting pass: a dense
-/// contribution accumulator plus a fixed-stride `u64` bitset of touched
+/// count accumulator plus a fixed-stride `u64` bitset of touched
 /// partners (high-degree rows), and a small sort-aggregate vector
 /// (low-degree rows). Reused across the worker's rows, so the only
 /// per-row cost is what the row actually touches.
@@ -466,95 +409,20 @@ struct ChunkCount {
 
 /// One worker's pass over a contiguous ascending range of endpoint rows.
 /// For each eligible row `a`, every two-path `a–via–b` with `b > a` and
-/// `b` eligible contributes `min(w(a,via), w(via,b))` to the pair
-/// `(a, b)`; per-row emission is key-sorted, and rows ascend, so the
-/// returned run is key-sorted as a whole. Dispatches once
-/// per chunk to a weight-specialized loop — the unit path carries no
-/// per-element weight reads at all.
+/// `b` eligible adds 1 to the pair `(a, b)`; per-row emission is
+/// key-sorted, and rows ascend, so the returned run is key-sorted as a
+/// whole.
 fn count_chunk(
-    csr: &CsrSource<'_>,
-    eligible: &NodeBitSet,
-    prune: Option<&PruneTable>,
-    rows: std::ops::Range<usize>,
-) -> ChunkCount {
-    match *csr {
-        CsrSource::Weighted(c) => count_chunk_weighted(c, eligible, prune, rows),
-        CsrSource::Unit { offsets, nbrs } => count_chunk_unit(offsets, nbrs, eligible, prune, rows),
-    }
-}
-
-fn count_chunk_weighted(
-    csr: &Csr,
-    eligible: &NodeBitSet,
-    prune: Option<&PruneTable>,
-    rows: std::ops::Range<usize>,
-) -> ChunkCount {
-    let mut scratch = RowScratch::new(csr.row_count());
-    let mut out: Vec<(u64, u64)> = Vec::new();
-    let mut pruned_paths = 0u64;
-    let mut two_paths = 0u64;
-    for a in rows {
-        if !eligible.contains(NodeId::from_index(a)) {
-            continue;
-        }
-        let (fa, wda) = match prune {
-            Some(p) => (p.floor(a), p.wdeg_of(a)),
-            None => (0, u64::MAX),
-        };
-        let (a_nbrs, a_weights) = csr.row(a);
-        let work: usize = a_nbrs
-            .iter()
-            .map(|v| csr.offsets[v.index() + 1] - csr.offsets[v.index()])
-            .sum();
-        two_paths += work as u64;
-        let dense = work >= scratch.touched.len().saturating_sub(a / 64);
-        for (&via, &wa) in a_nbrs.iter().zip(a_weights) {
-            let (v_nbrs, v_weights) = csr.row(via.index());
-            for (&b, &wb) in v_nbrs.iter().zip(v_weights) {
-                if b.index() <= a || !eligible.contains(b) {
-                    continue;
-                }
-                if let Some(p) = prune {
-                    if p.pruned_vs(wda, fa, b.index()) {
-                        pruned_paths += 1;
-                        continue;
-                    }
-                }
-                let c = contribution(wa, wb);
-                if dense {
-                    scratch.acc[b.index()] += c;
-                    scratch.touched[b.index() / 64] |= 1u64 << (b.index() % 64);
-                } else {
-                    scratch.sparse.push((b.0, c));
-                }
-            }
-        }
-        if dense {
-            scratch.drain_dense(a, &mut out);
-        } else {
-            scratch.drain_sparse(a, &mut out);
-        }
-    }
-    ChunkCount {
-        run: out,
-        pruned_paths,
-        two_paths,
-    }
-}
-
-fn count_chunk_unit(
     offsets: &[u32],
     nbrs: &[u32],
     eligible: &NodeBitSet,
     prune: Option<&PruneTable>,
     rows: std::ops::Range<usize>,
 ) -> ChunkCount {
-    let bound = offsets.len().saturating_sub(1);
-    let mut scratch = RowScratch::new(bound);
+    let mut scratch = RowScratch::new(offsets.len().saturating_sub(1));
     let mut out: Vec<(u64, u64)> = Vec::new();
     let mut pruned_paths = 0u64;
     let mut two_paths = 0u64;
-    let row = |i: usize| &nbrs[offsets[i] as usize..offsets[i + 1] as usize];
     for a in rows {
         if !eligible.contains(NodeId::from_index(a)) {
             continue;
@@ -563,12 +431,11 @@ fn count_chunk_unit(
             Some(p) => (p.floor(a), p.wdeg_of(a)),
             None => (0, u64::MAX),
         };
-        let a_row = row(a);
-        let work: usize = a_row.iter().map(|&v| row(v as usize).len()).sum();
+        let work = neighbor_degree_sum(offsets, nbrs, a);
         two_paths += work as u64;
         let dense = work >= scratch.touched.len().saturating_sub(a / 64);
-        for &via in a_row {
-            for &b in row(via as usize) {
+        for &via in row(offsets, nbrs, a) {
+            for &b in row(offsets, nbrs, via as usize) {
                 let bi = b as usize;
                 if bi <= a || !eligible.contains(NodeId::from_index(bi)) {
                     continue;
@@ -659,9 +526,9 @@ fn rank_of(base: &[(u64, u64)]) -> Vec<u32> {
 /// Build it once per connectivity graph with [`CommonNeighborKernel::build`],
 /// query any similarity level with [`edges_at_least`][Self::edges_at_least],
 /// and keep it current through graph contractions with
-/// [`contract`][Self::contract]. Semantics match
-/// [`common_neighbor_min_weights`][crate::common_neighbor_min_weights]:
-/// every live node acts as a potential shared neighbor, only *eligible*
+/// [`contract`][Self::contract]. Semantics match the recounting oracle
+/// `roleclass_spec::formation::common_neighbor_min_weights`: every live
+/// node acts as a potential shared neighbor, only *eligible*
 /// nodes appear as pair endpoints, and a via node's contribution to a
 /// pair is the minimum of the two edge weights.
 #[derive(Clone, Debug)]
@@ -701,87 +568,32 @@ pub struct CommonNeighborKernel {
 }
 
 impl CommonNeighborKernel {
-    /// Builds the full count table for `g`, with endpoint eligibility
-    /// given by `endpoint_ok`, using [`default_worker_count`] threads.
-    pub fn build<F>(g: &WGraph, endpoint_ok: F) -> Self
-    where
-        F: Fn(NodeId) -> bool,
-    {
-        Self::build_with_workers(g, endpoint_ok, default_worker_count())
-    }
-
-    /// [`build`][Self::build] with an explicit worker count (clamped to
-    /// at least 1). The result is identical for every worker count.
-    pub fn build_with_workers<F>(g: &WGraph, endpoint_ok: F, workers: usize) -> Self
-    where
-        F: Fn(NodeId) -> bool,
-    {
-        Self::build_with_telemetry(g, endpoint_ok, workers, None)
-    }
-
-    /// [`build_with_workers`][Self::build_with_workers] with an optional
-    /// recorder. With `Some`, the build emits `kernel.build` spans
-    /// (csr/count/merge/rank phases) and the resulting kernel keeps
-    /// pre-fetched metric handles so queries, contractions, and
-    /// compactions record into the same registry for the rest of its
-    /// life. With `None` this is exactly `build_with_workers` — the
-    /// returned table is bit-identical either way.
-    pub fn build_with_telemetry<F>(
-        g: &WGraph,
-        endpoint_ok: F,
-        workers: usize,
-        rec: Option<&Recorder>,
-    ) -> Self
-    where
-        F: Fn(NodeId) -> bool,
-    {
-        Self::build_pruned(g, endpoint_ok, workers, &[], rec)
-    }
-
-    /// [`build_with_telemetry`][Self::build_with_telemetry] with
-    /// per-node prune floors: `floors[i]` is the lowest level at which
-    /// node `i` will ever be queried as a pair endpoint (0 or 1 = no
-    /// floor). Pairs whose count upper bound — the smaller weighted
+    /// Builds the full count table from a borrowed unit-weight CSR
+    /// (`offsets`/`nbrs` over dense row ids, each row sorted ascending,
+    /// as produced by `flow::ConnectionSets::csr()`), with row `i` acting
+    /// as node id `i` — the adjacency of
+    /// [`WGraph::from_unit_csr`]`(offsets, nbrs)`, the graph
+    /// [`contract`][Self::contract] later mutates. The adjacency is read
+    /// in place; no snapshot is taken.
+    ///
+    /// Only nodes passing `endpoint_ok` are pair endpoints. `workers`
+    /// threads (clamped to `[1, 64]`) count disjoint row ranges; the
+    /// table is identical for every worker count.
+    ///
+    /// `floors[i]` is the lowest level at which node `i` will ever be
+    /// queried as a pair endpoint (0 or 1 = no floor; empty `floors`
+    /// prune nothing). Pairs whose count upper bound — the smaller
     /// degree — cannot reach the larger of the two endpoint floors are
     /// never materialized, at build or on contraction, and never appear
     /// in any [`edges_at_least`][Self::edges_at_least] answer. Sound for
-    /// callers (like the formation sweep) that honor the floor contract;
-    /// with empty floors this is exactly `build_with_telemetry`.
-    pub fn build_pruned<F>(
-        g: &WGraph,
-        endpoint_ok: F,
-        workers: usize,
-        floors: &[u32],
-        rec: Option<&Recorder>,
-    ) -> Self
-    where
-        F: Fn(NodeId) -> bool,
-    {
-        let _build_span = telemetry::span(rec, "kernel.build");
-        let metrics = rec.map(|r| KernelMetrics::register(r.registry()));
-        let started = metrics.as_ref().map(|_| Instant::now());
-
-        let mut eligible = NodeBitSet::with_bound(g.id_bound());
-        for n in g.nodes().filter(|&n| endpoint_ok(n)) {
-            eligible.insert(n);
-        }
-        let csr = {
-            let _s = telemetry::span(rec, "kernel.csr");
-            Csr::snapshot(g)
-        };
-        let source = CsrSource::Weighted(&csr);
-        let prune = PruneTable::new(floors, &source);
-        Self::finish_build(source, eligible, prune, workers, rec, metrics, started)
-    }
-
-    /// Builds the count table directly from a borrowed unit-weight CSR
-    /// (`offsets`/`nbrs` over dense row ids, as produced by
-    /// `flow::ConnectionSets::csr()`), with row `i` acting as node id
-    /// `i`. No graph snapshot is taken — the adjacency is read in place.
-    /// Equivalent to [`build_pruned`][Self::build_pruned] on a
-    /// [`WGraph`] holding the same edges with weight 1 everywhere; see
-    /// there for the floor contract (empty `floors` prune nothing).
-    pub fn build_from_unit_csr_pruned<F>(
+    /// callers (like the formation sweep) that honor the floor contract.
+    ///
+    /// With `Some(rec)`, the build emits a `kernel.build` span
+    /// (count/merge/rank phases) and the kernel keeps pre-fetched metric
+    /// handles so queries, contractions, and compactions record into the
+    /// same registry for the rest of its life. The table is
+    /// bit-identical either way.
+    pub fn build<F>(
         offsets: &[u32],
         nbrs: &[u32],
         endpoint_ok: F,
@@ -804,37 +616,20 @@ impl CommonNeighborKernel {
                 eligible.insert(n);
             }
         }
-        let source = CsrSource::Unit { offsets, nbrs };
-        let prune = PruneTable::new(floors, &source);
-        Self::finish_build(source, eligible, prune, workers, rec, metrics, started)
-    }
-
-    /// The shared tail of every build entry: partition, count,
-    /// concatenate, rank, and record build metrics.
-    fn finish_build(
-        csr: CsrSource<'_>,
-        eligible: NodeBitSet,
-        prune: Option<PruneTable>,
-        workers: usize,
-        rec: Option<&Recorder>,
-        metrics: Option<KernelMetrics>,
-        started: Option<Instant>,
-    ) -> Self {
+        let prune = PruneTable::new(floors, offsets);
         let workers = workers.clamp(1, MAX_WORKERS);
-        let chunks = partition_rows(&csr, workers);
+        let chunks = partition_rows(offsets, nbrs, workers);
 
         let count_span = telemetry::span(rec, "kernel.count");
         let prune_ref = prune.as_ref();
+        let count = |r| count_chunk(offsets, nbrs, &eligible, prune_ref, r);
         let partials: Vec<ChunkCount> = if chunks.len() <= 1 {
-            chunks
-                .into_iter()
-                .map(|r| count_chunk(&csr, &eligible, prune_ref, r))
-                .collect()
+            chunks.into_iter().map(count).collect()
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = chunks
                     .into_iter()
-                    .map(|r| scope.spawn(|| count_chunk(&csr, &eligible, prune_ref, r)))
+                    .map(|r| scope.spawn(move || count(r)))
                     .collect();
                 handles
                     .into_iter()
@@ -888,11 +683,6 @@ impl CommonNeighborKernel {
         self.eligible.contains(n)
     }
 
-    /// Number of eligible endpoints remaining.
-    pub fn eligible_count(&self) -> usize {
-        self.eligible.len()
-    }
-
     /// Current exact count for a packed pair key, overlay first.
     #[inline]
     fn current(&self, pk: u64) -> u64 {
@@ -905,20 +695,8 @@ impl CommonNeighborKernel {
         }
     }
 
-    /// The cached count for the pair `(a, b)` (order-insensitive), or 0
-    /// if either endpoint is ineligible or the pair shares no neighbor.
-    pub fn pair_count(&self, a: NodeId, b: NodeId) -> u32 {
-        if a == b || !self.eligible.contains(a) || !self.eligible.contains(b) {
-            return 0;
-        }
-        let k = if a < b { key(a, b) } else { key(b, a) };
-        clamp32(self.current(k))
-    }
-
     /// All eligible pairs with a positive count, sorted by `(a, b)` —
-    /// the kernel's answer to a full
-    /// [`common_neighbor_min_weights`][crate::common_neighbor_min_weights]
-    /// call.
+    /// the kernel's answer to a full recount.
     pub fn edges(&self) -> Vec<CommonNeighborEdge> {
         self.edges_at_least(1)
     }
@@ -1211,29 +989,18 @@ fn clamp32(c: u64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::common_neighbor_min_weights;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
     }
 
-    /// Hub 0 → {1, 2, 3} with an extra 1–2 edge, weights 1.
-    fn star_plus_pair() -> WGraph {
-        let mut g = WGraph::new();
-        for _ in 0..4 {
-            g.add_node();
-        }
-        g.add_edge(n(0), n(1), 1);
-        g.add_edge(n(0), n(2), 1);
-        g.add_edge(n(0), n(3), 1);
-        g.add_edge(n(1), n(2), 1);
-        g
-    }
+    /// Hub 0 → {1, 2, 3} with an extra 1–2 edge, as a unit CSR.
+    const STAR_PLUS_PAIR: (&[u32], &[u32]) = (&[0, 3, 5, 7, 8], &[1, 2, 3, 0, 2, 0, 1, 0]);
 
     #[test]
     fn bitset_round_trip() {
         let mut s = NodeBitSet::with_bound(10);
-        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
         s.insert(n(3));
         s.insert(n(200)); // forces growth
         assert!(s.contains(n(3)));
@@ -1247,271 +1014,12 @@ mod tests {
     }
 
     #[test]
-    fn build_matches_reference_counts() {
-        let g = star_plus_pair();
-        let kernel = CommonNeighborKernel::build_with_workers(&g, |_| true, 1);
-        assert_eq!(kernel.edges(), common_neighbor_min_weights(&g, |_| true));
-    }
-
-    #[test]
-    fn unit_csr_build_matches_graph_build() {
-        // star_plus_pair as a CSR: rows 0..4, sorted neighbor ids.
-        let offsets: &[u32] = &[0, 3, 5, 7, 8];
-        let nbrs: &[u32] = &[1, 2, 3, 0, 2, 0, 1, 0];
-        let g = star_plus_pair();
-        for workers in [1, 3] {
-            let from_csr = CommonNeighborKernel::build_from_unit_csr_pruned(
-                offsets,
-                nbrs,
-                |_| true,
-                workers,
-                &[],
-                None,
-            );
-            let from_graph = CommonNeighborKernel::build_with_workers(&g, |_| true, workers);
-            assert_eq!(from_csr.edges(), from_graph.edges());
-        }
-        // Endpoint filtering applies to the CSR path too.
-        let filtered = CommonNeighborKernel::build_from_unit_csr_pruned(
-            offsets,
-            nbrs,
-            |x| x != n(0),
-            2,
-            &[],
-            None,
-        );
-        assert_eq!(
-            filtered.edges(),
-            common_neighbor_min_weights(&g, |x| x != n(0))
-        );
-    }
-
-    #[test]
-    fn unit_csr_build_handles_empty_inputs() {
-        let empty =
-            CommonNeighborKernel::build_from_unit_csr_pruned(&[], &[], |_| true, 2, &[], None);
+    fn build_handles_empty_inputs() {
+        let empty = CommonNeighborKernel::build(&[], &[], |_| true, 2, &[], None);
         assert!(empty.edges().is_empty());
-        let isolated = CommonNeighborKernel::build_from_unit_csr_pruned(
-            &[0, 0, 0],
-            &[],
-            |_| true,
-            2,
-            &[],
-            None,
-        );
+        assert_eq!(empty.max_count(), 0);
+        let isolated = CommonNeighborKernel::build(&[0, 0, 0], &[], |_| true, 2, &[], None);
         assert!(isolated.edges().is_empty());
-    }
-
-    #[test]
-    fn build_respects_endpoint_filter() {
-        let g = star_plus_pair();
-        let kernel = CommonNeighborKernel::build_with_workers(&g, |x| x != n(0), 2);
-        assert_eq!(
-            kernel.edges(),
-            common_neighbor_min_weights(&g, |x| x != n(0))
-        );
-        assert!(!kernel.is_eligible(n(0)));
-        assert_eq!(kernel.pair_count(n(0), n(1)), 0);
-    }
-
-    #[test]
-    fn worker_counts_agree() {
-        let mut g = WGraph::new();
-        for _ in 0..40 {
-            g.add_node();
-        }
-        for i in 0..40u32 {
-            for j in (i + 1)..40 {
-                if (i * 31 + j * 17) % 5 == 0 {
-                    g.add_edge(n(i), n(j), 1 + ((i + j) % 3) as u64);
-                }
-            }
-        }
-        let one = CommonNeighborKernel::build_with_workers(&g, |_| true, 1);
-        let four = CommonNeighborKernel::build_with_workers(&g, |_| true, 4);
-        let many = CommonNeighborKernel::build_with_workers(&g, |_| true, 16);
-        assert_eq!(one.edges(), four.edges());
-        assert_eq!(one.edges(), many.edges());
-        assert_eq!(one.edges(), common_neighbor_min_weights(&g, |_| true));
-    }
-
-    #[test]
-    fn threshold_view_matches_filtered_recount() {
-        let g = star_plus_pair();
-        let kernel = CommonNeighborKernel::build(&g, |_| true);
-        for k in 1..4 {
-            let mut expect = common_neighbor_min_weights(&g, |_| true);
-            expect.retain(|e| e.count >= k);
-            assert_eq!(kernel.edges_at_least(k), expect, "level {k}");
-        }
-        assert_eq!(kernel.max_count(), 1);
-    }
-
-    #[test]
-    fn contract_keeps_counts_exact() {
-        // Figure-2 shape: two servers with three shared clients; after
-        // contracting the servers, the clients share a weight-2 group
-        // node.
-        let mut g = WGraph::new();
-        for _ in 0..5 {
-            g.add_node();
-        }
-        for c in 2..5 {
-            g.add_edge(n(0), n(c), 1);
-            g.add_edge(n(1), n(c), 1);
-        }
-        let mut kernel = CommonNeighborKernel::build(&g, |_| true);
-        assert_eq!(kernel.pair_count(n(2), n(3)), 2);
-
-        let (m, _) = kernel.contract(&mut g, &[n(0), n(1)]);
-        assert!(!kernel.is_eligible(m));
-        // Fresh recount on the mutated graph, with the same eligibility.
-        let fresh = common_neighbor_min_weights(&g, |x| x != m);
-        assert_eq!(kernel.edges(), fresh);
-        assert_eq!(kernel.pair_count(n(2), n(3)), 2);
-        assert_eq!(kernel.max_count(), 2);
-    }
-
-    #[test]
-    fn contract_singleton_preserves_surviving_counts() {
-        let mut g = star_plus_pair();
-        let mut kernel = CommonNeighborKernel::build(&g, |_| true);
-        let before = kernel.pair_count(n(1), n(2));
-        let (m, _) = kernel.contract(&mut g, &[n(3)]);
-        // Node 3 was a spoke; the surviving pair counts are unchanged
-        // because the replacement node carries identical edges.
-        assert_eq!(kernel.pair_count(n(1), n(2)), before);
-        let fresh = common_neighbor_min_weights(&g, |x| x != m);
-        assert_eq!(kernel.edges(), fresh);
-    }
-
-    #[test]
-    fn compaction_preserves_view() {
-        // Hub-heavy graph large enough to cross both compaction
-        // triggers: the pair table exceeds the 2048-entry floor, and
-        // batched contractions first bloat the overlay, then halve the
-        // eligible population.
-        let mut g = WGraph::new();
-        for _ in 0..80 {
-            g.add_node();
-        }
-        for h in 0..4u32 {
-            for v in 4..80u32 {
-                g.add_edge(n(h), n(v), 1 + ((h + v) % 3) as u64);
-            }
-        }
-        let mut kernel = CommonNeighborKernel::build_with_workers(&g, |_| true, 2);
-        assert!(kernel.edges().len() > 2048);
-
-        for batch in 0..12u32 {
-            let members: Vec<NodeId> = (0..5).map(|i| n(4 + batch * 5 + i)).collect();
-            kernel.contract(&mut g, &members);
-            let fresh = common_neighbor_min_weights(&g, |x| kernel.is_eligible(x));
-            assert_eq!(kernel.edges(), fresh, "after batch {batch}");
-            for k in 1..=kernel.max_count() + 1 {
-                let mut expect = fresh.clone();
-                expect.retain(|e| e.count >= k);
-                assert_eq!(kernel.edges_at_least(k), expect, "batch {batch} level {k}");
-            }
-        }
-    }
-
-    /// Hub 0 → spokes 1..=6 with weight(0,i) = i, so pair (i, j) has
-    /// count min(i, j) and spoke i has weighted degree i.
-    fn weighted_star() -> WGraph {
-        let mut g = WGraph::new();
-        for _ in 0..7 {
-            g.add_node();
-        }
-        for i in 1..7u32 {
-            g.add_edge(n(0), n(i), i as u64);
-        }
-        g
-    }
-
-    #[test]
-    fn trivial_floors_never_prune() {
-        let g = weighted_star();
-        let plain = CommonNeighborKernel::build_with_workers(&g, |_| true, 2);
-        let pruned =
-            CommonNeighborKernel::build_pruned(&g, |_| true, 2, &[1, 0, 1, 1, 1, 1, 1], None);
-        assert_eq!(plain.edges(), pruned.edges());
-    }
-
-    #[test]
-    fn pruned_build_suppresses_only_unreachable_pairs() {
-        let g = weighted_star();
-        // Every spoke floors at 3: pair (i, j) can count at most
-        // min(i, j), so pairs touching spokes 1 or 2 are pruned.
-        let floors = [0, 3, 3, 3, 3, 3, 3];
-        let kernel = CommonNeighborKernel::build_pruned(&g, |x| x != n(0), 2, &floors, None);
-        let reference = common_neighbor_min_weights(&g, |x| x != n(0));
-        // Below the floor the pruned view is a subset...
-        let surviving: Vec<_> = reference
-            .iter()
-            .filter(|e| e.a.0 >= 3 && e.b.0 >= 3)
-            .cloned()
-            .collect();
-        assert_eq!(kernel.edges(), surviving);
-        // ...and at any level the floors admit, the answers agree exactly:
-        // a pruned pair's count is below every such level by construction.
-        for k in 3..=7 {
-            let mut expect = reference.clone();
-            expect.retain(|e| e.count >= k);
-            assert_eq!(kernel.edges_at_least(k), expect, "level {k}");
-        }
-    }
-
-    #[test]
-    fn pruned_kernel_counts_pruned_paths() {
-        let g = weighted_star();
-        let rec = Recorder::new();
-        let floors = [0, 3, 3, 3, 3, 3, 3];
-        let _kernel = CommonNeighborKernel::build_pruned(&g, |x| x != n(0), 2, &floors, Some(&rec));
-        let pruned = rec
-            .registry()
-            .counter("roleclass_kernel_pruned_paths_total")
-            .get();
-        // Pairs {1,2}×{1..6} minus the (1,2) double-count: each pruned
-        // pair is one suppressed two-path through the hub.
-        assert_eq!(pruned, 9);
-    }
-
-    #[test]
-    fn pruned_kernel_stays_consistent_through_contraction() {
-        // Two servers sharing three clients, plus a leaf hanging off one
-        // client. The leaf's weighted degree is 1, so with floor 2
-        // everywhere its pairs are pruned — including pairs with the
-        // servers that a contraction later subtracts and re-adds.
-        let mut g = WGraph::new();
-        for _ in 0..6 {
-            g.add_node();
-        }
-        for c in 2..5 {
-            g.add_edge(n(0), n(c), 1);
-            g.add_edge(n(1), n(c), 1);
-        }
-        g.add_edge(n(2), n(5), 1);
-        let floors = [2u32; 6];
-        let mut kernel = CommonNeighborKernel::build_pruned(&g, |_| true, 2, &floors, None);
-
-        let (m, _) = kernel.contract(&mut g, &[n(0), n(1)]);
-        assert!(!kernel.is_eligible(m));
-        let fresh = common_neighbor_min_weights(&g, |x| kernel.is_eligible(x));
-        for k in 2..=3 {
-            let mut expect = fresh.clone();
-            expect.retain(|e| e.count >= k);
-            assert_eq!(kernel.edges_at_least(k), expect, "level {k}");
-        }
-    }
-
-    #[test]
-    fn empty_graph_builds_empty_kernel() {
-        let g = WGraph::new();
-        let kernel = CommonNeighborKernel::build(&g, |_| true);
-        assert!(kernel.edges().is_empty());
-        assert_eq!(kernel.max_count(), 0);
-        assert_eq!(kernel.eligible_count(), 0);
     }
 
     #[test]
@@ -1521,11 +1029,40 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_build_is_bit_identical_and_records() {
-        let mut g = star_plus_pair();
+    fn pruned_build_counts_pruned_paths() {
+        // Hub 0 → spokes 1..=6: every spoke pair shares the hub, and
+        // every spoke has degree 1. Spokes 1 and 2 floor at 2, so every
+        // pair touching them is pruned; pairs among spokes 3..=6 stay.
+        let offsets = [0, 6, 7, 8, 9, 10, 11, 12];
+        let nbrs = [1, 2, 3, 4, 5, 6, 0, 0, 0, 0, 0, 0];
         let rec = Recorder::new();
-        let plain = CommonNeighborKernel::build_with_workers(&g, |_| true, 2);
-        let mut traced = CommonNeighborKernel::build_with_telemetry(&g, |_| true, 2, Some(&rec));
+        let floors = [0, 2, 2, 1, 1, 1, 1];
+        let kernel = CommonNeighborKernel::build(&offsets, &nbrs, |_| true, 2, &floors, Some(&rec));
+        let pruned = rec
+            .registry()
+            .counter("roleclass_kernel_pruned_paths_total")
+            .get();
+        // Pairs {1,2}×{1..6} minus the (1,2) double-count: each pruned
+        // pair is one suppressed two-path through the hub.
+        assert_eq!(pruned, 9);
+        let kept: Vec<(u32, u32, u32)> = kernel
+            .edges()
+            .iter()
+            .map(|e| (e.a.0, e.b.0, e.count))
+            .collect();
+        let expect: Vec<(u32, u32, u32)> = (3..7)
+            .flat_map(|a| (a + 1..7).map(move |b| (a, b, 1)))
+            .collect();
+        assert_eq!(kept, expect);
+    }
+
+    #[test]
+    fn telemetry_build_is_bit_identical_and_records() {
+        let (offsets, nbrs) = STAR_PLUS_PAIR;
+        let mut g = WGraph::from_unit_csr(offsets, nbrs);
+        let rec = Recorder::new();
+        let plain = CommonNeighborKernel::build(offsets, nbrs, |_| true, 2, &[], None);
+        let mut traced = CommonNeighborKernel::build(offsets, nbrs, |_| true, 2, &[], Some(&rec));
         assert_eq!(plain.edges(), traced.edges());
         // Every node is an endpoint, so the build walks each via once
         // from each of its neighbors: Σ_v deg(v)² two-paths.
@@ -1561,9 +1098,6 @@ mod tests {
         let spans = rec.spans();
         assert_eq!(spans[0].name, "kernel.build");
         let phases: Vec<&str> = spans[0].children.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(
-            phases,
-            ["kernel.csr", "kernel.count", "kernel.merge", "kernel.rank"]
-        );
+        assert_eq!(phases, ["kernel.count", "kernel.merge", "kernel.rank"]);
     }
 }

@@ -135,8 +135,8 @@ impl SimpleGraph {
     }
 
     /// Neighbors of the node at dense position `pos`, as a slice of dense
-    /// positions. This is the zero-cost accessor used by the traversal
-    /// algorithms.
+    /// positions. This is the zero-cost accessor the BCC, component and
+    /// core-number passes use.
     #[inline]
     pub fn neighbor_positions(&self, pos: usize) -> &[u32] {
         self.row(pos)
@@ -153,12 +153,6 @@ impl SimpleGraph {
         self.position(n).map(|p| self.degree_at(p))
     }
 
-    /// Iterates over neighbors of the node at dense position `pos`, as
-    /// dense positions.
-    pub fn neighbors_at(&self, pos: usize) -> impl Iterator<Item = usize> + '_ {
-        self.row(pos).iter().map(|&p| p as usize)
-    }
-
     /// Iterates over neighbors of node `n` as [`NodeId`]s.
     ///
     /// # Panics
@@ -168,16 +162,16 @@ impl SimpleGraph {
         let pos = self
             .position(n)
             .expect("node id is not part of this snapshot");
-        self.neighbors_at(pos).map(|p| self.ids[p])
+        self.row(pos).iter().map(|&p| self.ids[p as usize])
     }
 
     /// Collects the full edge list as `(a, b)` pairs with `a < b`.
     pub fn edges(&self) -> Vec<(NodeId, NodeId)> {
         let mut out = Vec::with_capacity(self.edge_count());
         for pa in 0..self.node_count() {
-            for pb in self.neighbors_at(pa) {
-                if pa < pb {
-                    out.push((self.ids[pa], self.ids[pb]));
+            for &pb in self.row(pa) {
+                if pa < pb as usize {
+                    out.push((self.ids[pa], self.ids[pb as usize]));
                 }
             }
         }

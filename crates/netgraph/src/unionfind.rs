@@ -76,12 +76,6 @@ impl UnionFind {
         self.find(a) == self.find(b)
     }
 
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
-    }
-
     /// Collects the current sets as sorted vectors of member indices.
     pub fn sets(&mut self) -> Vec<Vec<usize>> {
         use std::collections::HashMap;
@@ -106,7 +100,6 @@ mod tests {
         assert_eq!(uf.set_count(), 4);
         for i in 0..4 {
             assert_eq!(uf.find(i), i);
-            assert_eq!(uf.set_size(i), 1);
         }
     }
 
@@ -119,7 +112,6 @@ mod tests {
         assert_eq!(uf.set_count(), 3);
         assert!(uf.same(0, 2));
         assert!(!uf.same(0, 3));
-        assert_eq!(uf.set_size(1), 3);
     }
 
     #[test]
@@ -147,7 +139,6 @@ mod tests {
             uf.union(i, i + 1);
         }
         assert_eq!(uf.set_count(), 1);
-        assert_eq!(uf.set_size(0), n);
         assert!(uf.same(0, n - 1));
     }
 }

@@ -1,7 +1,6 @@
 //! Mutable weighted undirected graph with stable ids and contraction.
 
 use crate::id::NodeId;
-use crate::simple::SimpleGraph;
 
 /// Adjacency for one live node: neighbor ids with edge weights, kept
 /// sorted by neighbor id so lookups are `O(log deg)`.
@@ -19,8 +18,8 @@ impl Adjacency {
 
 /// A mutable, weighted, undirected graph.
 ///
-/// Node ids are dense indices that are never reused, so removing or
-/// contracting nodes does not invalidate ids of surviving nodes. Edge
+/// Node ids are dense indices that are never reused, so contracting
+/// nodes does not invalidate ids of surviving nodes. Edge
 /// weights are additive: [`WGraph::add_edge`] accumulates onto an
 /// existing edge, which is how connection *counts* between contracted
 /// group nodes are maintained by the role-classification pipeline.
@@ -119,7 +118,7 @@ impl WGraph {
         self.live_nodes == 0
     }
 
-    /// One past the largest id ever allocated (including removed nodes).
+    /// One past the largest id ever allocated (including contracted nodes).
     #[inline]
     pub fn id_bound(&self) -> usize {
         self.nodes.len()
@@ -137,14 +136,14 @@ impl WGraph {
     fn adj(&self, n: NodeId) -> &Adjacency {
         self.nodes[n.index()]
             .as_ref()
-            .expect("node id refers to a removed or unknown node")
+            .expect("node id refers to a contracted or unknown node")
     }
 
     #[inline]
     fn adj_mut(&mut self, n: NodeId) -> &mut Adjacency {
         self.nodes[n.index()]
             .as_mut()
-            .expect("node id refers to a removed or unknown node")
+            .expect("node id refers to a contracted or unknown node")
     }
 
     /// Adds `weight` to the undirected edge `(a, b)`, creating it if
@@ -193,27 +192,6 @@ impl WGraph {
         self.edge_weight(a, b).is_some()
     }
 
-    /// Removes the edge `(a, b)` and returns its weight, or `None` if it
-    /// did not exist.
-    pub fn remove_edge(&mut self, a: NodeId, b: NodeId) -> Option<u64> {
-        if !self.contains_node(a) || !self.contains_node(b) {
-            return None;
-        }
-        let w = {
-            let adj = self.adj_mut(a);
-            match adj.position(b) {
-                Ok(i) => adj.nbrs.remove(i).1,
-                Err(_) => return None,
-            }
-        };
-        let adj = self.adj_mut(b);
-        if let Ok(i) = adj.position(a) {
-            adj.nbrs.remove(i);
-        }
-        self.edges -= 1;
-        Some(w)
-    }
-
     /// Iterates over the neighbors of `n` with edge weights, in
     /// increasing neighbor-id order.
     ///
@@ -248,17 +226,6 @@ impl WGraph {
         self.adj(n).nbrs.len()
     }
 
-    /// Total two-path count `Σ_v deg(v)·(deg(v)−1)/2` — the exact work a
-    /// full common-neighbor pass performs. Used to size scratch buffers
-    /// and to pick between counting strategies.
-    pub fn two_path_work(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter_map(|a| a.as_ref().map(|a| a.nbrs.len()))
-            .map(|d| d * d.saturating_sub(1) / 2)
-            .sum()
-    }
-
     /// Sum of edge weights incident to `n`.
     ///
     /// # Panics
@@ -275,29 +242,6 @@ impl WGraph {
             .filter_map(|a| a.as_ref().map(|a| a.nbrs.len()))
             .max()
             .unwrap_or(0)
-    }
-
-    /// Removes node `n` and all incident edges; returns its former
-    /// neighbor list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a live node.
-    pub fn remove_node(&mut self, n: NodeId) -> Vec<(NodeId, u64)> {
-        let adj = self.nodes[n.index()]
-            .take()
-            .expect("node id refers to a removed or unknown node");
-        for &(m, _) in &adj.nbrs {
-            let madj = self.nodes[m.index()]
-                .as_mut()
-                .expect("neighbor of a live node must be live");
-            if let Ok(i) = madj.position(n) {
-                madj.nbrs.remove(i);
-            }
-        }
-        self.edges -= adj.nbrs.len();
-        self.live_nodes -= 1;
-        adj.nbrs
     }
 
     /// Contracts the node set `members` into one fresh node and returns
@@ -328,7 +272,19 @@ impl WGraph {
         let mut outside: Vec<(NodeId, u64)> = Vec::new();
         let mut internal = 0u64;
         for &m in &sorted {
-            for (nbr, w) in self.remove_node(m) {
+            let adj = self.nodes[m.index()]
+                .take()
+                .expect("node id refers to a contracted or unknown node");
+            self.edges -= adj.nbrs.len();
+            self.live_nodes -= 1;
+            for (nbr, w) in adj.nbrs {
+                // Detach `m` from its neighbor's row.
+                let nadj = self.nodes[nbr.index()]
+                    .as_mut()
+                    .expect("neighbor of a live node must be live");
+                if let Ok(i) = nadj.position(m) {
+                    nadj.nbrs.remove(i);
+                }
                 if in_set(nbr) {
                     // Each internal edge is seen once: removing `m` also
                     // detaches it from the not-yet-removed other endpoint.
@@ -343,29 +299,6 @@ impl WGraph {
             self.add_edge(new, nbr, w);
         }
         (new, internal)
-    }
-
-    /// Snapshots the current topology as a [`SimpleGraph`], ignoring
-    /// weights. Node ids are preserved.
-    pub fn to_simple(&self) -> SimpleGraph {
-        let mut edges = Vec::with_capacity(self.edges);
-        for n in self.nodes() {
-            for (m, _) in self.neighbors(n) {
-                if n < m {
-                    edges.push((n, m));
-                }
-            }
-        }
-        SimpleGraph::from_edges(self.nodes(), edges)
-    }
-
-    /// Total weight over all edges.
-    pub fn total_weight(&self) -> u64 {
-        let twice: u64 = self
-            .nodes()
-            .map(|n| self.neighbors(n).map(|(_, w)| w).sum::<u64>())
-            .sum();
-        twice / 2
     }
 }
 
@@ -425,30 +358,6 @@ mod tests {
         assert_eq!(g.edge_weight(a, b), Some(5));
         assert_eq!(g.edge_weight(b, a), Some(5));
         assert_eq!(g.edge_count(), 1);
-        assert_eq!(g.total_weight(), 5);
-    }
-
-    #[test]
-    fn remove_edge_round_trip() {
-        let (mut g, ids) = path(3);
-        assert_eq!(g.remove_edge(ids[0], ids[1]), Some(1));
-        assert_eq!(g.remove_edge(ids[0], ids[1]), None);
-        assert_eq!(g.edge_count(), 1);
-        assert!(!g.contains_edge(ids[1], ids[0]));
-    }
-
-    #[test]
-    fn remove_node_detaches_neighbors() {
-        let (mut g, ids) = path(3);
-        let nbrs = g.remove_node(ids[1]);
-        assert_eq!(nbrs.len(), 2);
-        assert_eq!(g.node_count(), 2);
-        assert_eq!(g.edge_count(), 0);
-        assert!(!g.contains_node(ids[1]));
-        assert_eq!(g.degree(ids[0]), 0);
-        // Surviving ids are still valid and new nodes get fresh ids.
-        let n = g.add_node();
-        assert_ne!(n, ids[1]);
     }
 
     #[test]
@@ -498,21 +407,13 @@ mod tests {
     }
 
     #[test]
-    fn to_simple_preserves_topology() {
-        let (g, ids) = path(4);
-        let s = g.to_simple();
-        assert_eq!(s.node_count(), 4);
-        assert_eq!(s.edge_count(), 3);
-        assert!(s.contains_edge(ids[0], ids[1]));
-        assert!(!s.contains_edge(ids[0], ids[3]));
-    }
-
-    #[test]
-    fn nodes_iterator_skips_removed() {
+    fn nodes_iterator_skips_contracted() {
         let (mut g, ids) = path(3);
-        g.remove_node(ids[0]);
+        let (grp, _) = g.contract(&[ids[0]]);
+        // Surviving ids stay valid; the replacement gets a fresh id.
         let live: Vec<_> = g.nodes().collect();
-        assert_eq!(live, vec![ids[1], ids[2]]);
+        assert_eq!(live, vec![ids[1], ids[2], grp]);
+        assert!(!g.contains_node(ids[0]));
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Property-based tests of the graph substrate's invariants.
 
 use netgraph::{
-    articulation_points, biconnected_components, bridges, common_neighbor_counts_filtered,
-    common_neighbor_counts_sorted, common_neighbor_min_weights, connected_components, NodeId,
-    SimpleGraph, UnionFind, WGraph,
+    biconnected_components, connected_components, NodeId, SimpleGraph, UnionFind, WGraph,
 };
 use proptest::prelude::*;
 
@@ -28,6 +26,15 @@ fn weighted(edges: &[(u32, u32)], n: u32) -> WGraph {
     g
 }
 
+/// Total weight over all edges: each undirected edge appears in both
+/// endpoints' rows.
+fn total_weight(g: &WGraph) -> u64 {
+    g.nodes()
+        .flat_map(|n| g.neighbors(n).map(|(_, w)| w))
+        .sum::<u64>()
+        / 2
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -45,74 +52,57 @@ proptest! {
         }
     }
 
-    /// Nodes shared between two BCCs are exactly the articulation points
-    /// (for nodes in at least one BCC).
+    /// A node lies in two or more BCCs exactly when removing it raises
+    /// the number of connected components — i.e. when it is a cut
+    /// vertex.
     #[test]
     fn bcc_overlap_nodes_are_articulation_points(edges in arb_edges(25, 60)) {
         let g = simple(&edges);
         let bccs = biconnected_components(&g);
-        let cuts: std::collections::BTreeSet<NodeId> =
-            articulation_points(&g).into_iter().collect();
-        let mut seen = std::collections::BTreeMap::new();
-        for (i, b) in bccs.iter().enumerate() {
-            for &n in &b.nodes {
-                seen.entry(n).or_insert_with(Vec::new).push(i);
-            }
-        }
-        for (n, memberships) in seen {
+        let before = connected_components(&g).len();
+        for n in g.nodes() {
+            let memberships = bccs.iter().filter(|b| b.nodes.contains(&n)).count();
+            // The node set minus `n`, with every edge not touching it.
+            let g2 = SimpleGraph::from_edges(
+                g.nodes().filter(|&x| x != n),
+                edges
+                    .iter()
+                    .filter(|&&(x, y)| NodeId(x) != n && NodeId(y) != n)
+                    .map(|&(x, y)| (NodeId(x), NodeId(y))),
+            );
+            // Removing `n` drops its own component if it was isolated.
+            let isolated = usize::from(g.degree(n) == Some(0));
+            let is_cut = connected_components(&g2).len() + isolated > before;
             prop_assert_eq!(
-                memberships.len() > 1,
-                cuts.contains(&n),
+                memberships >= 2,
+                is_cut,
                 "node {:?} in {} BCCs, cut = {}",
                 n,
-                memberships.len(),
-                cuts.contains(&n)
+                memberships,
+                is_cut
             );
         }
     }
 
-    /// Removing a bridge increases the number of connected components.
+    /// The edge of every two-node BCC is a bridge: removing it
+    /// disconnects its endpoints.
     #[test]
     fn bridges_disconnect(edges in arb_edges(20, 40)) {
         let g = simple(&edges);
-        let before = connected_components(&g).len();
-        for (a, b) in bridges(&g) {
-            let reduced: Vec<(u32, u32)> = edges
+        for bcc in biconnected_components(&g).iter().filter(|b| b.len() == 2) {
+            let (a, b) = (bcc.nodes[0], bcc.nodes[1]);
+            let reduced = edges
                 .iter()
                 .copied()
-                .filter(|&(x, y)| {
-                    let e = (NodeId(x.min(y)), NodeId(x.max(y)));
-                    e != (a, b)
-                })
-                .collect();
+                .filter(|&(x, y)| (NodeId(x.min(y)), NodeId(x.max(y))) != (a, b))
+                .map(|(x, y)| (NodeId(x), NodeId(y)));
             // Keep the node set identical by listing all original nodes.
-            let g2 = SimpleGraph::from_edges(
-                g.nodes(),
-                reduced.iter().map(|&(x, y)| (NodeId(x), NodeId(y))),
-            );
-            let after = connected_components(&g2).len();
-            prop_assert_eq!(after, before + 1, "removing bridge {:?}-{:?}", a, b);
+            let g2 = SimpleGraph::from_edges(g.nodes(), reduced);
+            let together = connected_components(&g2)
+                .iter()
+                .any(|c| c.contains(&a) && c.contains(&b));
+            prop_assert!(!together, "removing bridge {:?}-{:?}", a, b);
         }
-    }
-
-    /// The three common-neighbor implementations agree.
-    #[test]
-    fn counting_implementations_agree(edges in arb_edges(25, 60)) {
-        // Dedup so repeated input edges do not accumulate weight — the
-        // min-weight variant is only equal to the plain count on
-        // unit-weight graphs.
-        let mut dedup: Vec<(u32, u32)> = edges
-            .iter()
-            .map(|&(a, b)| (a.min(b), a.max(b)))
-            .collect();
-        dedup.sort_unstable();
-        dedup.dedup();
-        let g = weighted(&dedup, 25);
-        let a = common_neighbor_counts_filtered(&g, |_| true);
-        let b = common_neighbor_counts_sorted(&g, |_| true);
-        prop_assert_eq!(&a, &b);
-        let c = common_neighbor_min_weights(&g, |_| true);
-        prop_assert_eq!(&a, &c);
     }
 
     /// Union-find components equal graph components.
@@ -141,10 +131,10 @@ proptest! {
         pick in prop::collection::btree_set(0u32..15, 1..6),
     ) {
         let mut g = weighted(&edges, 15);
-        let before = g.total_weight();
+        let before = total_weight(&g);
         let members: Vec<NodeId> = pick.into_iter().map(NodeId).collect();
         let (_, internal) = g.contract(&members);
-        prop_assert_eq!(g.total_weight() + internal, before);
+        prop_assert_eq!(total_weight(&g) + internal, before);
     }
 
     /// Degrees sum to twice the edge count.

@@ -1,65 +1,159 @@
 //! Property-based tests of the common-neighbor kernel: on arbitrary
-//! weighted graphs the cached, parallel, incrementally-updated kernel
-//! must be indistinguishable from the straightforward recomputation it
-//! replaces.
+//! unit-weight CSR graphs, and through arbitrary contraction sequences
+//! (the only place weights enter), the cached, parallel,
+//! incrementally-updated kernel must be indistinguishable from the
+//! straightforward recount in `roleclass_spec::formation`.
 
-use netgraph::{common_neighbor_min_weights, CommonNeighborKernel, NodeId, WGraph};
+use netgraph::{CommonNeighborEdge, CommonNeighborKernel, NodeId, WGraph};
 use proptest::prelude::*;
-
-/// Weighted degree per node id, the count upper bound the prune table
-/// compares floors against.
-fn weighted_degrees(g: &WGraph) -> Vec<u64> {
-    (0..N)
-        .map(|v| g.neighbors(NodeId(v)).map(|(_, w)| w).sum())
-        .collect()
-}
-
-/// Whether the prune contract removes pair `(a, b)` under `floors`:
-/// its count upper bound (the smaller weighted degree) cannot reach the
-/// larger endpoint floor.
-fn pair_pruned(wdeg: &[u64], floors: &[u32], a: NodeId, b: NodeId) -> bool {
-    let floor = floors[a.0 as usize].max(floors[b.0 as usize]) as u64;
-    wdeg[a.0 as usize].min(wdeg[b.0 as usize]) < floor
-}
+use proptest::test_runner::TestCaseError;
+use roleclass_spec::formation::common_neighbor_min_weights;
 
 const N: u32 = 20;
 
-/// Strategy: a random weighted undirected edge list over up to `N`
-/// nodes. Duplicate pairs are fine — their weights accumulate, which is
-/// exactly the regime where min-weight counting differs from plain
-/// common-neighbor counting.
-fn arb_weighted_edges(max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32, u64)>> {
-    prop::collection::vec((0..N, 0..N, 1u64..5), 0..max_edges)
-        .prop_map(|v| v.into_iter().filter(|(a, b, _)| a != b).collect())
+/// A unit-weight adjacency in the CSR form `ConnectionSets::csr()`
+/// hands the kernel: `offsets` over rows `0..N`, each row sorted.
+struct Csr {
+    offsets: Vec<u32>,
+    nbrs: Vec<u32>,
 }
 
-fn weighted(edges: &[(u32, u32, u64)]) -> WGraph {
-    let mut g = WGraph::new();
-    g.add_nodes(N as usize);
-    for &(a, b, w) in edges {
-        g.add_edge(NodeId(a), NodeId(b), w);
+impl Csr {
+    /// Builds the CSR of an undirected edge list over `n` nodes;
+    /// duplicates and self-loops are dropped.
+    fn of(n: u32, edges: &[(u32, u32)]) -> Csr {
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
+        for &(a, b) in edges {
+            if a != b {
+                rows[a as usize].push(b);
+                rows[b as usize].push(a);
+            }
+        }
+        let mut offsets = vec![0];
+        let mut nbrs = Vec::new();
+        for mut row in rows {
+            row.sort_unstable();
+            row.dedup();
+            nbrs.extend(row);
+            offsets.push(nbrs.len() as u32);
+        }
+        Csr { offsets, nbrs }
     }
-    g
+
+    fn graph(&self) -> WGraph {
+        WGraph::from_unit_csr(&self.offsets, &self.nbrs)
+    }
+
+    fn degree(&self, v: NodeId) -> u64 {
+        (self.offsets[v.index() + 1] - self.offsets[v.index()]) as u64
+    }
+
+    fn build<F: Fn(NodeId) -> bool>(
+        &self,
+        endpoint_ok: F,
+        workers: usize,
+        floors: &[u32],
+    ) -> CommonNeighborKernel {
+        CommonNeighborKernel::build(
+            &self.offsets,
+            &self.nbrs,
+            endpoint_ok,
+            workers,
+            floors,
+            None,
+        )
+    }
+
+    /// Whether the prune contract removes pair `(a, b)` under `floors`:
+    /// its count upper bound (the smaller build-time degree) cannot
+    /// reach the larger endpoint floor.
+    fn pruned(&self, floors: &[u32], a: NodeId, b: NodeId) -> bool {
+        let floor = floors[a.index()].max(floors[b.index()]) as u64;
+        self.degree(a).min(self.degree(b)) < floor
+    }
+}
+
+/// Strategy: a random undirected edge list over `N` nodes.
+fn arb_edges(max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
+    prop::collection::vec((0..N, 0..N), 0..max_edges)
+}
+
+fn arb_floors() -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(0u32..5, N as usize)
+}
+
+/// Strategy: one to three contraction steps, each a small node set.
+fn arb_steps() -> impl Strategy<Value = Vec<std::collections::BTreeSet<u32>>> {
+    prop::collection::vec(prop::collection::btree_set(0u32..N, 1..5), 1..=3)
+}
+
+/// `edges` restricted to level `k`.
+fn at_least(edges: &[CommonNeighborEdge], k: u32) -> Vec<CommonNeighborEdge> {
+    edges.iter().filter(|e| e.count >= k).copied().collect()
+}
+
+/// Runs `steps` against `kernel` and `g`: each step contracts the
+/// members that are still uncontracted original nodes (a step left
+/// empty is skipped). After every step, every level of the kernel must
+/// equal the spec recount of the contracted graph over the kernel's
+/// eligible endpoints, minus the pairs `pruned` says the build dropped.
+fn check_contractions(
+    mut kernel: CommonNeighborKernel,
+    mut g: WGraph,
+    steps: &[std::collections::BTreeSet<u32>],
+    pruned: impl Fn(NodeId, NodeId) -> bool,
+) -> Result<(), TestCaseError> {
+    let mut gone = std::collections::BTreeSet::new();
+    for (i, step) in steps.iter().enumerate() {
+        let members: Vec<NodeId> = step
+            .iter()
+            .filter(|v| !gone.contains(*v))
+            .map(|&v| NodeId(v))
+            .collect();
+        if members.is_empty() {
+            continue;
+        }
+        gone.extend(step.iter().copied());
+        let (m, _) = kernel.contract(&mut g, &members);
+        prop_assert!(!kernel.is_eligible(m));
+        for v in &members {
+            prop_assert!(!kernel.is_eligible(*v));
+        }
+        let mut expect = common_neighbor_min_weights(&g, |x| kernel.is_eligible(x));
+        expect.retain(|e| !pruned(e.a, e.b));
+        let top = expect.iter().map(|e| e.count).max().unwrap_or(0);
+        prop_assert_eq!(kernel.max_count(), top, "step {}", i);
+        for k in 1..=top + 1 {
+            prop_assert_eq!(
+                kernel.edges_at_least(k),
+                at_least(&expect, k),
+                "step {} level {}",
+                i,
+                k
+            );
+        }
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The kernel's full view equals the reference recomputation.
+    /// The kernel's full view equals the reference recount.
     #[test]
-    fn kernel_matches_reference_counts(edges in arb_weighted_edges(60)) {
-        let g = weighted(&edges);
-        let kernel = CommonNeighborKernel::build(&g, |_| true);
-        prop_assert_eq!(kernel.edges(), common_neighbor_min_weights(&g, |_| true));
+    fn kernel_matches_reference_counts(edges in arb_edges(60)) {
+        let csr = Csr::of(N, &edges);
+        let kernel = csr.build(|_| true, 1, &[]);
+        prop_assert_eq!(kernel.edges(), common_neighbor_min_weights(&csr.graph(), |_| true));
     }
 
     /// Endpoint filtering at build time equals filtering the reference.
     #[test]
-    fn kernel_respects_endpoint_filter(edges in arb_weighted_edges(60)) {
-        let g = weighted(&edges);
+    fn kernel_respects_endpoint_filter(edges in arb_edges(60)) {
+        let csr = Csr::of(N, &edges);
         let ok = |x: NodeId| !x.0.is_multiple_of(3);
-        let kernel = CommonNeighborKernel::build(&g, ok);
-        prop_assert_eq!(kernel.edges(), common_neighbor_min_weights(&g, ok));
+        let kernel = csr.build(ok, 2, &[]);
+        prop_assert_eq!(kernel.edges(), common_neighbor_min_weights(&csr.graph(), ok));
         for v in 0..N {
             prop_assert_eq!(kernel.is_eligible(NodeId(v)), ok(NodeId(v)));
         }
@@ -69,25 +163,23 @@ proptest! {
     /// scratch — the property that lets the formation sweep serve all
     /// k-levels from one build.
     #[test]
-    fn threshold_views_match_per_level_recount(edges in arb_weighted_edges(60)) {
-        let g = weighted(&edges);
-        let kernel = CommonNeighborKernel::build(&g, |_| true);
-        let reference = common_neighbor_min_weights(&g, |_| true);
+    fn threshold_views_match_per_level_recount(edges in arb_edges(60)) {
+        let csr = Csr::of(N, &edges);
+        let kernel = csr.build(|_| true, 1, &[]);
+        let reference = common_neighbor_min_weights(&csr.graph(), |_| true);
         for k in 1..=kernel.max_count().saturating_add(1) {
-            let mut expect = reference.clone();
-            expect.retain(|e| e.count >= k);
-            prop_assert_eq!(kernel.edges_at_least(k), expect, "level {}", k);
+            prop_assert_eq!(kernel.edges_at_least(k), at_least(&reference, k), "level {}", k);
         }
     }
 
     /// Worker count is a throughput knob, never an output knob: 1, 2
     /// and 8 workers produce identical tables.
     #[test]
-    fn worker_count_never_changes_output(edges in arb_weighted_edges(80)) {
-        let g = weighted(&edges);
-        let serial = CommonNeighborKernel::build_with_workers(&g, |_| true, 1);
+    fn worker_count_never_changes_output(edges in arb_edges(80)) {
+        let csr = Csr::of(N, &edges);
+        let serial = csr.build(|_| true, 1, &[]);
         for workers in [2, 8] {
-            let parallel = CommonNeighborKernel::build_with_workers(&g, |_| true, workers);
+            let parallel = csr.build(|_| true, workers, &[]);
             prop_assert_eq!(serial.edges(), parallel.edges(), "{} workers", workers);
             prop_assert_eq!(parallel.workers(), workers);
         }
@@ -100,16 +192,15 @@ proptest! {
     /// which is the soundness the formation sweep relies on.
     #[test]
     fn pruned_build_drops_exactly_the_contracted_pairs(
-        edges in arb_weighted_edges(60),
-        floors in prop::collection::vec(0u32..5, N as usize),
+        edges in arb_edges(60),
+        floors in arb_floors(),
     ) {
-        let g = weighted(&edges);
-        let wdeg = weighted_degrees(&g);
-        let full = CommonNeighborKernel::build(&g, |_| true);
-        let pruned = CommonNeighborKernel::build_pruned(&g, |_| true, 1, &floors, None);
+        let csr = Csr::of(N, &edges);
+        let full = csr.build(|_| true, 1, &[]);
+        let pruned = csr.build(|_| true, 1, &floors);
         for k in 1..=full.max_count().saturating_add(1) {
             let mut expect = full.edges_at_least(k);
-            expect.retain(|e| !pair_pruned(&wdeg, &floors, e.a, e.b));
+            expect.retain(|e| !csr.pruned(&floors, e.a, e.b));
             prop_assert_eq!(pruned.edges_at_least(k), expect, "level {}", k);
         }
     }
@@ -117,81 +208,153 @@ proptest! {
     /// Floors of 0 and 1 can never prune anything: the pruned build is
     /// bit-identical to the plain build.
     #[test]
-    fn trivial_floors_prune_nothing(edges in arb_weighted_edges(60)) {
-        let g = weighted(&edges);
-        let floors = vec![1u32; N as usize];
-        let full = CommonNeighborKernel::build(&g, |_| true);
-        let pruned = CommonNeighborKernel::build_pruned(&g, |_| true, 1, &floors, None);
-        prop_assert_eq!(pruned.edges(), full.edges());
-    }
-
-    /// The prune set is stable under contraction: contracting a pruned
-    /// kernel equals building pruned from scratch on the mutated graph
-    /// (survivors keep their weighted degrees, so the same pairs stay
-    /// pruned).
-    #[test]
-    fn pruned_contraction_matches_pruned_rebuild(
-        edges in arb_weighted_edges(60),
-        floors in prop::collection::vec(0u32..5, N as usize),
-        members in prop::collection::btree_set(0u32..N, 1..5),
-    ) {
-        let mut g = weighted(&edges);
-        let mut kernel = CommonNeighborKernel::build_pruned(&g, |_| true, 1, &floors, None);
-        let members: Vec<NodeId> = members.iter().map(|&v| NodeId(v)).collect();
-        let (m, _) = kernel.contract(&mut g, &members);
-        let fresh = CommonNeighborKernel::build_pruned(
-            &g,
-            |x| x != m && !members.contains(&x),
-            1,
-            &floors,
-            None,
-        );
-        prop_assert_eq!(kernel.edges(), fresh.edges(), "after contraction");
+    fn trivial_floors_prune_nothing(edges in arb_edges(60), floors in prop::collection::vec(0u32..2, N as usize)) {
+        let csr = Csr::of(N, &edges);
+        prop_assert_eq!(csr.build(|_| true, 1, &floors).edges(), csr.build(|_| true, 1, &[]).edges());
     }
 
     /// Worker count never changes a pruned build either.
     #[test]
     fn pruned_worker_count_never_changes_output(
-        edges in arb_weighted_edges(80),
-        floors in prop::collection::vec(0u32..5, N as usize),
+        edges in arb_edges(80),
+        floors in arb_floors(),
     ) {
-        let g = weighted(&edges);
-        let serial = CommonNeighborKernel::build_pruned(&g, |_| true, 1, &floors, None);
+        let csr = Csr::of(N, &edges);
+        let serial = csr.build(|_| true, 1, &floors);
         for workers in [2, 8] {
-            let parallel =
-                CommonNeighborKernel::build_pruned(&g, |_| true, workers, &floors, None);
+            let parallel = csr.build(|_| true, workers, &floors);
             prop_assert_eq!(serial.edges(), parallel.edges(), "{} workers", workers);
         }
     }
 
-    /// Incremental contraction equals tearing the kernel down and
-    /// rebuilding on the mutated graph — across a two-step contraction
-    /// sequence, the mode the formation sweep actually exercises.
+    /// Incremental contraction equals recounting the contracted graph
+    /// from scratch, at every level, after every step of a 1–3-step
+    /// contraction sequence — the mode the formation sweep exercises.
     #[test]
     fn contraction_matches_fresh_rebuild(
-        edges in arb_weighted_edges(60),
-        first in prop::collection::btree_set(0u32..N, 1..5),
-        second in prop::collection::btree_set(0u32..N, 1..5),
+        edges in arb_edges(60),
+        workers in 1usize..4,
+        steps in arb_steps(),
     ) {
-        let mut g = weighted(&edges);
-        let mut kernel = CommonNeighborKernel::build(&g, |_| true);
+        let csr = Csr::of(N, &edges);
+        check_contractions(csr.build(|_| true, workers, &[]), csr.graph(), &steps, |_, _| false)?;
+    }
 
-        let members: Vec<NodeId> = first.iter().map(|&v| NodeId(v)).collect();
-        let (m1, _) = kernel.contract(&mut g, &members);
-        prop_assert!(!kernel.is_eligible(m1));
+    /// The prune set is stable under contraction: after every step the
+    /// pruned kernel equals the recount of the contracted graph minus
+    /// exactly the pairs the build-time floors pruned (survivors keep
+    /// their weighted degrees, so the same pairs stay pruned).
+    #[test]
+    fn pruned_contraction_matches_pruned_rebuild(
+        edges in arb_edges(60),
+        floors in arb_floors(),
+        workers in 1usize..4,
+        steps in arb_steps(),
+    ) {
+        let csr = Csr::of(N, &edges);
+        let kernel = csr.build(|_| true, workers, &floors);
+        check_contractions(kernel, csr.graph(), &steps, |a, b| csr.pruned(&floors, a, b))?;
+    }
+}
+
+/// Hub 0 → {1, 2, 3} with an extra 1–2 edge.
+fn star_plus_pair() -> Csr {
+    Csr::of(4, &[(0, 1), (0, 2), (0, 3), (1, 2)])
+}
+
+#[test]
+fn build_matches_reference_counts() {
+    let csr = star_plus_pair();
+    let kernel = csr.build(|_| true, 1, &[]);
+    assert_eq!(
+        kernel.edges(),
+        common_neighbor_min_weights(&csr.graph(), |_| true)
+    );
+}
+
+#[test]
+fn contract_keeps_counts_exact() {
+    // Figure-2 shape: two servers with three shared clients; after
+    // contracting the servers, the clients share a weight-2 group node.
+    let csr = Csr::of(5, &[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]);
+    let mut g = csr.graph();
+    let mut kernel = csr.build(|_| true, 2, &[]);
+    let client_pair = CommonNeighborEdge {
+        a: NodeId(2),
+        b: NodeId(3),
+        count: 2,
+    };
+    assert!(kernel.edges().contains(&client_pair));
+
+    let (m, _) = kernel.contract(&mut g, &[NodeId(0), NodeId(1)]);
+    assert!(!kernel.is_eligible(m));
+    assert_eq!(g.edge_weight(m, NodeId(2)), Some(2));
+    let fresh = common_neighbor_min_weights(&g, |x| x != m);
+    assert_eq!(kernel.edges(), fresh);
+    assert!(kernel.edges().contains(&client_pair));
+    assert_eq!(kernel.max_count(), 2);
+}
+
+#[test]
+fn contract_singleton_preserves_surviving_counts() {
+    let csr = star_plus_pair();
+    let mut g = csr.graph();
+    let mut kernel = csr.build(|_| true, 1, &[]);
+    let before: Vec<_> = kernel
+        .edges()
+        .into_iter()
+        .filter(|e| e.a != NodeId(3) && e.b != NodeId(3))
+        .collect();
+    let (m, _) = kernel.contract(&mut g, &[NodeId(3)]);
+    // Node 3 was a spoke; the surviving pair counts are unchanged
+    // because the replacement node carries identical edges.
+    assert_eq!(kernel.edges(), before);
+    assert_eq!(kernel.edges(), common_neighbor_min_weights(&g, |x| x != m));
+}
+
+#[test]
+fn compaction_preserves_view() {
+    // Hub-heavy graph large enough to cross both compaction triggers:
+    // the pair table exceeds the 2048-entry floor, and batched
+    // contractions first bloat the overlay, then halve the eligible
+    // population.
+    let edges: Vec<(u32, u32)> = (0..4u32)
+        .flat_map(|h| (4..80u32).map(move |v| (h, v)))
+        .collect();
+    let csr = Csr::of(80, &edges);
+    let mut g = csr.graph();
+    let mut kernel = csr.build(|_| true, 2, &[]);
+    assert!(kernel.edges().len() > 2048);
+
+    for batch in 0..12u32 {
+        let members: Vec<NodeId> = (0..5).map(|i| NodeId(4 + batch * 5 + i)).collect();
+        kernel.contract(&mut g, &members);
         let fresh = common_neighbor_min_weights(&g, |x| kernel.is_eligible(x));
-        prop_assert_eq!(kernel.edges(), fresh, "after first contraction");
-
-        // Contract a second, disjoint set of surviving original nodes.
-        let members2: Vec<NodeId> = second
-            .iter()
-            .filter(|v| !first.contains(v))
-            .map(|&v| NodeId(v))
-            .collect();
-        if !members2.is_empty() {
-            kernel.contract(&mut g, &members2);
-            let fresh = common_neighbor_min_weights(&g, |x| kernel.is_eligible(x));
-            prop_assert_eq!(kernel.edges(), fresh, "after second contraction");
+        assert_eq!(kernel.edges(), fresh, "after batch {batch}");
+        for k in 1..=kernel.max_count() + 1 {
+            assert_eq!(
+                kernel.edges_at_least(k),
+                at_least(&fresh, k),
+                "batch {batch} level {k}"
+            );
         }
+    }
+}
+
+#[test]
+fn pruned_kernel_stays_consistent_through_contraction() {
+    // Two servers sharing three clients, plus a leaf hanging off one
+    // client. The leaf's degree is 1, so with floor 2 everywhere its
+    // pairs are pruned — including pairs with the servers that a
+    // contraction later subtracts and re-adds.
+    let csr = Csr::of(6, &[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 5)]);
+    let mut g = csr.graph();
+    let mut kernel = csr.build(|_| true, 2, &[2; 6]);
+
+    let (m, _) = kernel.contract(&mut g, &[NodeId(0), NodeId(1)]);
+    assert!(!kernel.is_eligible(m));
+    let fresh = common_neighbor_min_weights(&g, |x| kernel.is_eligible(x));
+    for k in 2..=3 {
+        assert_eq!(kernel.edges_at_least(k), at_least(&fresh, k), "level {k}");
     }
 }

@@ -27,6 +27,28 @@ if grep -rnE 'BTree(Map|Set)<HostAddr' crates/*/src --include='*.rs' \
   exit 1
 fi
 
+# Spec lint: the executable specifications are test support, never
+# shipped code. Only the experiment harness (crates/bench) may link
+# roleclass-spec into binaries; every other crate lists it under
+# [dev-dependencies] or not at all.
+echo "==> spec lint (roleclass-spec only as a dev-dependency outside crates/bench)"
+spec_violations=0
+for manifest in crates/*/Cargo.toml; do
+  [ "$manifest" = crates/bench/Cargo.toml ] && continue
+  if awk '
+      /^\[/ { section = $0; if (/roleclass-spec/ && !/dev-dependencies/) found = 1 }
+      /^roleclass-spec[ .=]/ && section != "[dev-dependencies]" { found = 1 }
+      END { exit !found }' \
+      "$manifest"; then
+    echo "ERROR: $manifest lists roleclass-spec outside [dev-dependencies]." >&2
+    spec_violations=1
+  fi
+done
+if [ "$spec_violations" != 0 ]; then
+  echo "The spec crate is test support; see ROADMAP item 6." >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -95,8 +117,10 @@ cargo test -q -p aggregator --test wire_chaos --test frame_codec_properties
 # identical at any worker count. The worker matrix (1, 2, 8 workers)
 # runs in-process via EngineConfig — the engine crates no longer read
 # ROLECLASS_THREADS, so one invocation covers the whole grid (see
-# classification_is_bit_identical_across_worker_matrix and the pruned_*
-# kernel properties). The formation sweep is pinned trace by trace to
+# classification_is_bit_identical_across_worker_matrix and the
+# worker-count, prune-floor and contraction-sequence kernel properties,
+# which pin the kernel to the spec crate's recount). netgraph's graph
+# properties (BCC, components, contraction) run alongside. The formation sweep is pinned trace by trace to
 # the recounting sweep of the dev-only spec crate (roleclass-spec),
 # whose own suite pins the Literal SIMILARITY reading on Mazu.
 #
@@ -112,7 +136,7 @@ cargo test -q -p aggregator --test wire_chaos --test frame_codec_properties
 # reference; its Mazu and churned-department cases are release-only
 # too.
 echo "==> kernel + engine equivalence across the worker matrix + spec crate + correlation and merging oracles"
-cargo test -q -p netgraph --test kernel_properties
+cargo test -q -p netgraph
 cargo test -q -p roleclass --test engine_equivalence
 cargo test -q -p roleclass-spec
 cargo test -q --release -p roleclass --test correlation_reference
