@@ -378,7 +378,8 @@ fn open_stream(addr: SocketAddr, config: &TransportConfig) -> Result<TcpStream, 
 /// `records` window by window (fixed width from `origin_ms`), and
 /// finishes the session. Records are windowed by `start_ms`, matching
 /// [`ReplayProbe`](crate::probe::ReplayProbe) semantics, so a wire run
-/// ingests exactly what an in-process replay would.
+/// ingests exactly what an in-process replay would: records that start
+/// before `origin_ms` belong to no window and are not sent.
 pub fn stream_records(
     addr: SocketAddr,
     probe: &str,
@@ -392,7 +393,7 @@ pub fn stream_records(
     sorted.sort_by_key(|r| r.start_ms);
     let mut sender = ProbeSender::connect(addr, probe, config)?;
     let mut start = origin_ms;
-    let mut idx = 0usize;
+    let mut idx = sorted.partition_point(|r| r.start_ms < origin_ms);
     while idx < sorted.len() {
         let end = start + window_ms;
         let hi = sorted.partition_point(|r| r.start_ms < end);
@@ -452,6 +453,24 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(probe.horizon_ms(), Some(3000));
+    }
+
+    #[test]
+    fn records_before_the_origin_are_not_sent() {
+        let cfg = TransportConfig::fast();
+        let listener = WireListener::bind("127.0.0.1:0", cfg.clone(), None, None).unwrap();
+        let mut probe = listener.probe("edge-1");
+        // Records start every 100 ms from 0; the origin drops the first 5.
+        let records = trace(15);
+        let addr = listener.local_addr();
+        let send_records = records.clone();
+        let sender = std::thread::spawn(move || {
+            stream_records(addr, "edge-1", &send_records, 500, 1000, cfg).unwrap()
+        });
+        assert_eq!(probe.poll(500, 1500).unwrap(), records[5..]);
+        let stats = sender.join().unwrap();
+        assert_eq!(stats.records_sent, 10);
+        assert_eq!(stats.windows_sent, 1);
     }
 
     #[test]

@@ -125,15 +125,15 @@ impl Engine {
     }
 
     /// Creates an engine from a full [`EngineConfig`] (parameters plus
-    /// worker counts and recorder attachment), validating
-    /// once and for all.
-    pub fn from_config(mut config: EngineConfig) -> Result<Self, ParamError> {
+    /// worker counts), validating once and for all. The recorder
+    /// attaches afterwards, through [`Engine::with_recorder`] or
+    /// [`Engine::set_recorder`].
+    pub fn from_config(config: EngineConfig) -> Result<Self, ParamError> {
         config.validate()?;
-        let recorder = config.take_recorder();
         Ok(Engine {
             config,
             prev: None,
-            recorder,
+            recorder: None,
         })
     }
 

@@ -19,10 +19,12 @@
 //! fallible `try_*` twin returning [`ParamError`]), the phases are
 //! staged (`form → merge → correlate_with`), and cross-window state is
 //! retained so successive windows keep stable group ids. Execution
-//! knobs — worker counts and recorder attachment — live in
-//! the typed [`EngineConfig`], built at the edge
-//! and passed to [`Engine::from_config`](engine::Engine::from_config);
-//! nothing in this crate reads environment variables.
+//! knobs — the worker counts — live in the typed [`EngineConfig`],
+//! built at the edge and passed to
+//! [`Engine::from_config`](engine::Engine::from_config); nothing in
+//! this crate reads environment variables. The telemetry recorder is
+//! not a config knob: it attaches to the engine itself
+//! ([`Engine::with_recorder`](engine::Engine::with_recorder)).
 //!
 //! Supporting modules: [`params`] (all tunables, with the paper's
 //! defaults), [`group`] (partition types), [`diff`] (partition change

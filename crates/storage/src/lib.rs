@@ -181,11 +181,6 @@ impl Retention {
         self
     }
 
-    /// True when no axis is bounded.
-    pub fn is_unbounded(&self) -> bool {
-        self.max_records.is_none() && self.max_bytes.is_none() && self.min_key.is_none()
-    }
-
     /// The lowest key that survives this policy over `records`
     /// (ascending `(key, bytes)` pairs), or `None` to keep everything.
     pub fn cutoff(&self, records: &[(u64, u64)]) -> Option<u64> {
@@ -339,33 +334,14 @@ pub enum BackendKind {
     Segment,
 }
 
-impl BackendKind {
-    /// Stable lowercase name, accepted back by [`BackendKind::parse`].
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BackendKind::Memory => "memory",
-            BackendKind::Segment => "segment",
-        }
-    }
-
-    /// Parses a CLI-style backend name.
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s {
-            "memory" => Some(BackendKind::Memory),
-            "segment" | "segments" => Some(BackendKind::Segment),
-            _ => None,
-        }
-    }
-}
-
 /// Checkpoint generations kept: the primary plus one backup, so a
 /// corrupt newest generation still recovers to the one before it.
 pub const CHECKPOINT_GENERATIONS: u64 = 2;
 
 /// Typed storage configuration: which backend, where it lives, and how
-/// much history each namespace class retains. Mirrors the
-/// `EngineConfig` idiom — serde-able, builder-style `with_*`, opened
-/// into a live backend with [`StorageConfig::open`].
+/// much history each namespace class retains. Serde-able,
+/// builder-style `with_*`, opened into a live backend with
+/// [`StorageConfig::open`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StorageConfig {
     /// Backend implementation.
@@ -497,7 +473,7 @@ mod tests {
     }
 
     #[test]
-    fn storage_config_round_trips_and_parses() {
+    fn storage_config_round_trips() {
         let cfg = StorageConfig::new("/tmp/state")
             .with_backend(BackendKind::Memory)
             .with_journal_retention(Some(10), Some(1 << 20))
@@ -505,10 +481,5 @@ mod tests {
         let json = serde_json::to_string(&cfg).unwrap();
         let back: StorageConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cfg);
-        assert_eq!(BackendKind::parse("segment"), Some(BackendKind::Segment));
-        assert_eq!(BackendKind::parse("memory"), Some(BackendKind::Memory));
-        assert_eq!(BackendKind::parse("appendlog"), None);
-        assert_eq!(BackendKind::parse("rocksdb"), None);
-        assert_eq!(BackendKind::Segment.as_str(), "segment");
     }
 }

@@ -81,10 +81,14 @@ cargo test -q --test telemetry_parity --test metric_names --test event_journal
 # proptest, profiler-attached outcomes are pinned bit-identical to
 # detached runs across worker counts (inside telemetry_parity above),
 # and the rcctl profile / serve /profile surfaces ride the facade's
-# unit tests.
+# unit tests. The CLI workflows run end to end (every windowed command
+# through the one aggregator loop), and cli_golden pins the output of
+# info/classify/correlate/diff/explain/stability byte for byte against
+# tests/golden/, so a CLI refactor cannot change what users see.
 echo "==> profile suite (collapsed-stack round-trip + CLI/HTTP surfaces)"
 cargo test -q --test profile_collapsed
 cargo test -q -p role-classification --lib -- cli::tests serve::tests
+cargo test -q --test cli_workflows --test cli_golden
 
 # The storage layer must honor its durability contract on every
 # backend: the shared conformance suite pins memory and segment to one

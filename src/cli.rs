@@ -38,26 +38,35 @@
 //! rcctl ingest listen --addr 127.0.0.1:7879 --probe edge --window-ms 1000
 //! rcctl probe send    --input flows.txt --to 127.0.0.1:7879 --probe edge --window-ms 1000
 //! ```
+//!
+//! Every windowed command — `metrics`, `stability`, `serve` over a
+//! replayed capture, `ingest listen` over the wire — runs the one
+//! aggregator loop, `pipeline`; `explain` and `profile` cut their
+//! windows with [`WindowedFlows::bucket`]. Both bound the window count
+//! by [`MAX_WINDOWS`].
 
 use crate::aggregator::{
-    transport::stream_records, Aggregator, AggregatorConfig, ProbeReport, ReplayProbe, RunStore,
-    StorageStack, SupervisorConfig, TransportConfig, WindowHealth, WireListener,
+    transport::stream_records, Aggregator, AggregatorConfig, Probe, ReplayProbe, StorageStack,
+    SupervisorConfig, TransportConfig, WireListener,
 };
-use crate::explain::{explain_host, explain_host_labeled};
+use crate::explain::explain_host;
+use crate::flow::window::MAX_WINDOWS;
 use crate::flow::{
     netflow, pcap, rmon, textlog, ConnectionSets, ConnsetBuilder, FlowRecord, HostAddr,
+    WindowedFlows,
 };
 use crate::roleclass::{
-    auto_k_hi_otsu, diff_groupings, Engine, EngineConfig, EngineSnapshot, GroupId, Grouping,
-    HostChurn, Params, WindowStability,
+    auto_k_hi_otsu, diff_groupings, Engine, EngineConfig, EngineSnapshot, GroupId, Grouping, Params,
 };
 use crate::serve::{Server, ServerState};
 use crate::stability_report;
-use crate::storage::{BackendKind, StorageConfig};
+use crate::storage::StorageConfig;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
+use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::Arc;
-use telemetry::{Recorder, TimeseriesRing};
+use telemetry::Recorder;
 
 /// A saved classification snapshot: what `correlate` needs from the past.
 #[derive(Serialize, Deserialize)]
@@ -109,11 +118,11 @@ USAGE:
                   [same tuning flags as classify]
   rcctl diff      --prev <SNAP.json> --curr <SNAP.json>
   rcctl metrics   --input <FILE> [--format <FMT>] [--window-ms N]
-                  [--json] [--trace] [--state <DIR>] [--store <BACKEND>]
+                  [--json] [--trace] [--state <DIR>]
                   [same tuning flags as classify]
   rcctl explain   --input <FILE> --host <ADDR> [--format <FMT>]
                   [--window-ms N] [same tuning flags as classify]
-  rcctl explain   --host <ADDR> --state <DIR> [--store <BACKEND>]
+  rcctl explain   --host <ADDR> --state <DIR>
                   [--at <MS>] [same tuning flags as classify]
   rcctl stability --input <FILE> [--format <FMT>] [--window-ms N]
                   [--host <ADDR>] [--group <ID>] [--json]
@@ -123,11 +132,11 @@ USAGE:
                   [--json] [same tuning flags as classify]
   rcctl serve     --input <FILE> [--format <FMT>] [--window-ms N]
                   [--addr <IP:PORT>] [--addr-file <FILE>]
-                  [--max-requests N] [--state <DIR>] [--store <BACKEND>]
+                  [--max-requests N] [--state <DIR>]
                   [same tuning flags as classify]
   rcctl ingest listen --probe <NAME> [--addr <IP:PORT>] [--addr-file <FILE>]
                   [--window-ms N] [--origin-ms N] [--max-windows N]
-                  [same tuning flags as classify]
+                  [--state <DIR>] [same tuning flags as classify]
   rcctl probe send --input <FILE> --to <IP:PORT> [--probe <NAME>]
                   [--format <FMT>] [--window-ms N] [--origin-ms N]
 
@@ -171,17 +180,17 @@ OBSERVABILITY:
                JSON; ?collapsed for flamegraph-ready stack lines), and
                /healthz (last window's health) until --max-requests is
                reached
-  --window-ms  window length for replay commands (default: whole trace)
+  --window-ms  window length for replay commands (default: whole trace);
+               at most 16000000 windows per trace
 
 DURABLE STORAGE AND TIME TRAVEL:
-  --state      root directory of the storage stack. metrics/serve
-               persist every classified window there (run history,
-               flight journal, checkpoint), with disk bounded by the
-               backend's retention policy; explain replays windows back
-               out of it instead of reading a capture
-  --store      backend serving --state: memory | segment
-               (default segment: indexed append-only segments with
-               compaction and retention)
+  --state      root directory of the storage stack: indexed append-only
+               segments with compaction and retention. metrics,
+               stability, serve and ingest listen persist every
+               classified window there (run history, flight journal,
+               checkpoint), with disk bounded by the retention policy;
+               explain replays windows back out of it instead of
+               reading a capture
   --at         explain only: time-travel target in ms. Replays the
                retained windows up to the one current at that instant
                and prints the decision chain as it stood then
@@ -193,6 +202,8 @@ ENGINE TUNING (results are bit-identical across all settings):
   --workers N  worker threads for the kernel and merge phases (default:
                the ROLECLASS_THREADS environment variable, else one per
                CPU core)
+  --auto-k-hi  classify, correlate and explain only: pick K^hi by Otsu's
+               split of the (first window's) degree distribution
 
 WIRE INGESTION (the probe→aggregator transport):
   ingest listen  accept framed flow-record streams over TCP, classify
@@ -204,12 +215,17 @@ WIRE INGESTION (the probe→aggregator transport):
                  \"probe\")
   --to           listener address for probe send
   --origin-ms    start of the first window (default 0; must match on
-                 both ends)
+                 both ends); probe send skips records before it
   --max-windows  listener hard stop after N windows (guards against a
                  sender that never finishes its session)
 ";
 
+/// Window length the wire commands default to: one day, like the
+/// paper's traces.
+const DAY_MS: u64 = 86_400_000;
+
 /// Parsed common options.
+#[derive(Default)]
 struct Options {
     input: Option<String>,
     format: Option<String>,
@@ -227,8 +243,6 @@ struct Options {
     /// `--state <DIR>`: root of the durable storage stack (run history,
     /// flight journal, checkpoints). Absent, nothing is persisted.
     state: Option<String>,
-    /// `--store <BACKEND>`: which [`BackendKind`] serves `--state`.
-    store: Option<String>,
     /// `--at <MS>`: the instant to time-travel to (explain replays the
     /// retained windows up to the one current at this timestamp).
     at: Option<u64>,
@@ -262,151 +276,71 @@ impl Options {
     fn engine_config(&self) -> EngineConfig {
         EngineConfig::new(self.params).with_workers(self.workers.unwrap_or(0))
     }
+
+    /// Resolves `--auto-k-hi` against `cs` (the first window): K^hi
+    /// becomes the Otsu split of its degree distribution.
+    fn resolve_auto_k_hi(&mut self, cs: &ConnectionSets) {
+        if self.auto_k_hi {
+            self.params.k_hi = auto_k_hi_otsu(cs).max(1);
+        }
+    }
+}
+
+/// Parses the value of a numeric flag; the error names the flag and
+/// what it `expects`.
+fn number<T: std::str::FromStr>(flag: &str, value: String, expects: &str) -> Result<T, CliError> {
+    value
+        .parse()
+        .map_err(|_| CliError::usage(format!("{flag} expects {expects}")))
 }
 
 fn parse_options(args: &[String]) -> Result<Options, CliError> {
+    const INT: &str = "an integer";
+    const NUM: &str = "a number";
     let mut o = Options {
-        input: None,
-        format: None,
-        snapshot: None,
-        dot: None,
-        prev: None,
-        curr: None,
         min_flows: 1,
-        auto_k_hi: false,
-        trace: false,
-        json: false,
-        window_ms: None,
-        host: None,
-        group: None,
-        state: None,
-        store: None,
-        at: None,
-        addr: None,
-        addr_file: None,
-        max_requests: None,
-        to: None,
-        probe_name: None,
-        origin_ms: None,
-        max_windows: None,
-        hosts: None,
-        windows: None,
-        collapsed: None,
-        params: Params::default(),
-        workers: None,
+        ..Options::default()
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
+        let flag = flag.as_str();
+        let mut value = || {
             it.next()
                 .cloned()
-                .ok_or_else(|| CliError::usage(format!("{name} requires a value")))
+                .ok_or_else(|| CliError::usage(format!("{flag} requires a value")))
         };
-        match flag.as_str() {
-            "--input" => o.input = Some(value("--input")?),
-            "--format" => o.format = Some(value("--format")?),
-            "--snapshot" => o.snapshot = Some(value("--snapshot")?),
-            "--dot" => o.dot = Some(value("--dot")?),
-            "--prev" => o.prev = Some(value("--prev")?),
-            "--curr" => o.curr = Some(value("--curr")?),
+        match flag {
+            "--input" => o.input = Some(value()?),
+            "--format" => o.format = Some(value()?),
+            "--snapshot" => o.snapshot = Some(value()?),
+            "--dot" => o.dot = Some(value()?),
+            "--prev" => o.prev = Some(value()?),
+            "--curr" => o.curr = Some(value()?),
             "--auto-k-hi" => o.auto_k_hi = true,
             "--trace" => o.trace = true,
             "--json" => o.json = true,
-            "--host" => o.host = Some(value("--host")?),
-            "--group" => o.group = Some(value("--group")?),
-            "--state" => o.state = Some(value("--state")?),
-            "--store" => o.store = Some(value("--store")?),
-            "--at" => {
-                o.at = Some(
-                    value("--at")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--at expects a timestamp in ms"))?,
-                )
-            }
-            "--addr" => o.addr = Some(value("--addr")?),
-            "--addr-file" => o.addr_file = Some(value("--addr-file")?),
-            "--to" => o.to = Some(value("--to")?),
-            "--probe" => o.probe_name = Some(value("--probe")?),
-            "--origin-ms" => {
-                o.origin_ms = Some(
-                    value("--origin-ms")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--origin-ms expects an integer"))?,
-                )
-            }
-            "--max-windows" => {
-                o.max_windows = Some(
-                    value("--max-windows")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--max-windows expects an integer"))?,
-                )
-            }
-            "--max-requests" => {
-                o.max_requests = Some(
-                    value("--max-requests")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--max-requests expects an integer"))?,
-                )
-            }
-            "--window-ms" => {
-                o.window_ms = Some(
-                    value("--window-ms")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--window-ms expects an integer"))?,
-                )
-            }
-            "--min-flows" => {
-                o.min_flows = value("--min-flows")?
-                    .parse()
-                    .map_err(|_| CliError::usage("--min-flows expects an integer"))?
-            }
-            "--s-lo" => {
-                o.params.s_lo = value("--s-lo")?
-                    .parse()
-                    .map_err(|_| CliError::usage("--s-lo expects a number"))?
-            }
-            "--s-hi" => {
-                o.params.s_hi = value("--s-hi")?
-                    .parse()
-                    .map_err(|_| CliError::usage("--s-hi expects a number"))?
-            }
-            "--k-hi" => {
-                o.params.k_hi = value("--k-hi")?
-                    .parse()
-                    .map_err(|_| CliError::usage("--k-hi expects an integer"))?
-            }
-            "--alpha" => {
-                o.params.alpha = value("--alpha")?
-                    .parse()
-                    .map_err(|_| CliError::usage("--alpha expects a number"))?
-            }
-            "--beta" => {
-                o.params.beta = value("--beta")?
-                    .parse()
-                    .map_err(|_| CliError::usage("--beta expects a number"))?
-            }
-            "--hosts" => {
-                o.hosts = Some(
-                    value("--hosts")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--hosts expects an integer"))?,
-                )
-            }
-            "--windows" => {
-                o.windows = Some(
-                    value("--windows")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--windows expects an integer"))?,
-                )
-            }
-            "--collapsed" => o.collapsed = Some(value("--collapsed")?),
-            "--workers" => {
-                o.workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|_| CliError::usage("--workers expects an integer"))?,
-                )
-            }
+            "--host" => o.host = Some(value()?),
+            "--group" => o.group = Some(value()?),
+            "--state" => o.state = Some(value()?),
+            "--at" => o.at = Some(number(flag, value()?, "a timestamp in ms")?),
+            "--addr" => o.addr = Some(value()?),
+            "--addr-file" => o.addr_file = Some(value()?),
+            "--to" => o.to = Some(value()?),
+            "--probe" => o.probe_name = Some(value()?),
+            "--origin-ms" => o.origin_ms = Some(number(flag, value()?, INT)?),
+            "--max-windows" => o.max_windows = Some(number(flag, value()?, INT)?),
+            "--max-requests" => o.max_requests = Some(number(flag, value()?, INT)?),
+            "--window-ms" => o.window_ms = Some(number(flag, value()?, INT)?),
+            "--min-flows" => o.min_flows = number(flag, value()?, INT)?,
+            "--s-lo" => o.params.s_lo = number(flag, value()?, NUM)?,
+            "--s-hi" => o.params.s_hi = number(flag, value()?, NUM)?,
+            "--k-hi" => o.params.k_hi = number(flag, value()?, INT)?,
+            "--alpha" => o.params.alpha = number(flag, value()?, NUM)?,
+            "--beta" => o.params.beta = number(flag, value()?, NUM)?,
+            "--hosts" => o.hosts = Some(number(flag, value()?, INT)?),
+            "--windows" => o.windows = Some(number(flag, value()?, INT)?),
+            "--collapsed" => o.collapsed = Some(value()?),
+            "--workers" => o.workers = Some(number(flag, value()?, INT)?),
             other => return Err(CliError::usage(format!("unknown flag {other:?}"))),
         }
     }
@@ -424,6 +358,19 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         .validate()
         .map_err(|e| CliError::usage(e.to_string()))?;
     Ok(o)
+}
+
+/// The value of a flag the command cannot run without.
+fn required<'a>(value: &'a Option<String>, flag: &str) -> Result<&'a str, CliError> {
+    value
+        .as_deref()
+        .ok_or_else(|| CliError::usage(format!("{flag} is required")))
+}
+
+/// Writes `contents` to `path`; a failure is a runtime error naming the
+/// path.
+fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), CliError> {
+    std::fs::write(path, contents).map_err(|e| CliError::runtime(format!("{path}: {e}")))
 }
 
 /// Infers the input format from an explicit flag or the file extension.
@@ -448,23 +395,13 @@ fn resolve_format(path: &str, explicit: Option<&str>) -> String {
 /// Loads flow records from a file in the given format.
 fn load_records(path: &str, format: &str) -> Result<Vec<FlowRecord>, CliError> {
     let fail = |e: &dyn std::fmt::Display| CliError::runtime(format!("{path}: {e}"));
+    let text = || std::fs::read_to_string(path).map_err(|e| fail(&e));
+    let bytes = || std::fs::read(path).map_err(|e| fail(&e));
     match format {
-        "text" => {
-            let text = std::fs::read_to_string(path).map_err(|e| fail(&e))?;
-            textlog::parse(&text).map_err(|e| fail(&e))
-        }
-        "rmon" => {
-            let text = std::fs::read_to_string(path).map_err(|e| fail(&e))?;
-            rmon::parse(&text).map_err(|e| fail(&e))
-        }
-        "netflow" => {
-            let bytes = std::fs::read(path).map_err(|e| fail(&e))?;
-            netflow::parse_stream(&bytes).map_err(|e| fail(&e))
-        }
-        "pcap" => {
-            let bytes = std::fs::read(path).map_err(|e| fail(&e))?;
-            Ok(pcap::parse_file(&bytes).map_err(|e| fail(&e))?.records)
-        }
+        "text" => textlog::parse(&text()?).map_err(|e| fail(&e)),
+        "rmon" => rmon::parse(&text()?).map_err(|e| fail(&e)),
+        "netflow" => netflow::parse_stream(&bytes()?).map_err(|e| fail(&e)),
+        "pcap" => Ok(pcap::parse_file(&bytes()?).map_err(|e| fail(&e))?.records),
         other => Err(CliError::usage(format!(
             "unknown format {other:?} (expected text|netflow|pcap|rmon)"
         ))),
@@ -483,11 +420,22 @@ struct LoadedTrace {
 }
 
 impl LoadedTrace {
-    /// `--window-ms`, defaulting to one window spanning the whole trace.
-    fn window_ms(&self, o: &Options) -> u64 {
-        o.window_ms
-            .unwrap_or(self.last_ms - self.origin_ms + 1)
-            .max(1)
+    /// The window length for cutting this trace from `origin_ms`:
+    /// `window_ms` when given, else one window spanning the whole
+    /// trace. A length that cuts more than [`MAX_WINDOWS`] windows is a
+    /// usage error — the one windowing bound every trace-reading
+    /// command shares, checked before any window is cut or sent.
+    fn window_ms(&self, window_ms: Option<u64>, origin_ms: u64) -> Result<u64, CliError> {
+        let span = self.last_ms.saturating_sub(origin_ms);
+        let window_ms = window_ms.unwrap_or(span.saturating_add(1)).max(1);
+        let windows = span / window_ms + 1;
+        if windows > MAX_WINDOWS {
+            return Err(CliError::usage(format!(
+                "--window-ms {window_ms} cuts {} into {windows} windows (limit {MAX_WINDOWS})",
+                self.input
+            )));
+        }
+        Ok(window_ms)
     }
 }
 
@@ -496,11 +444,7 @@ impl LoadedTrace {
 /// the replay commands (which cannot window an empty trace) from plain
 /// `info`/`classify`.
 fn load_trace(o: &Options, require_records: bool) -> Result<LoadedTrace, CliError> {
-    let input = o
-        .input
-        .as_deref()
-        .ok_or_else(|| CliError::usage("--input is required"))?
-        .to_string();
+    let input = required(&o.input, "--input")?.to_string();
     let format = resolve_format(&input, o.format.as_deref());
     let records = load_records(&input, &format)?;
     if require_records && records.is_empty() {
@@ -521,13 +465,25 @@ fn load_connsets(o: &Options) -> Result<ConnectionSets, CliError> {
 }
 
 /// Connection sets from `records`, noise-filtered by `--min-flows`.
-fn build_connsets<'a>(
-    o: &Options,
-    records: impl IntoIterator<Item = &'a FlowRecord>,
-) -> ConnectionSets {
+fn build_connsets(o: &Options, records: &[FlowRecord]) -> ConnectionSets {
     let mut builder = ConnsetBuilder::new().min_flows(o.min_flows);
     builder.add_records(records);
     builder.build()
+}
+
+/// Splits `--input` into per-window connection sets — the windows
+/// `explain` and `profile` replay — cut from the first record by
+/// `--window-ms`.
+fn capture_windows(o: &Options) -> Result<Vec<ConnectionSets>, CliError> {
+    let trace = load_trace(o, true)?;
+    let window_ms = trace.window_ms(o.window_ms, trace.origin_ms)?;
+    Ok(
+        WindowedFlows::bucket(&trace.records, trace.origin_ms, window_ms)
+            .windows
+            .iter()
+            .map(|(_, records)| build_connsets(o, records))
+            .collect(),
+    )
 }
 
 fn load_snapshot(path: &str) -> Result<Snapshot, CliError> {
@@ -536,13 +492,15 @@ fn load_snapshot(path: &str) -> Result<Snapshot, CliError> {
     serde_json::from_str(&text).map_err(|e| CliError::runtime(format!("{path}: {e}")))
 }
 
-fn save_snapshot(path: &str, snap: &Snapshot) -> Result<(), CliError> {
+/// Saves `snap` to `path` and notes the write in `out`.
+fn save_snapshot(out: &mut String, path: &str, snap: &Snapshot) -> Result<(), CliError> {
     let json = serde_json::to_string_pretty(snap).map_err(|e| CliError::runtime(e.to_string()))?;
-    std::fs::write(path, json).map_err(|e| CliError::runtime(format!("{path}: {e}")))
+    write_file(path, json)?;
+    let _ = writeln!(out, "wrote {path}");
+    Ok(())
 }
 
 fn render_grouping(out: &mut String, grouping: &Grouping) {
-    use std::fmt::Write as _;
     let _ = writeln!(
         out,
         "{} hosts in {} groups:",
@@ -564,16 +522,13 @@ fn render_grouping(out: &mut String, grouping: &Grouping) {
     }
 }
 
-/// Builds the classification engine, with a recorder attached when the
-/// user asked for `--trace`.
-fn build_engine(o: &Options) -> Result<(Engine, Option<Arc<Recorder>>), CliError> {
+/// Builds the classification engine from the options, with `recorder`
+/// attached when given.
+fn build_engine(o: &Options, recorder: Option<&Arc<Recorder>>) -> Result<Engine, CliError> {
     let mut engine =
         Engine::from_config(o.engine_config()).map_err(|e| CliError::usage(e.to_string()))?;
-    let recorder = o.trace.then(|| Arc::new(Recorder::new()));
-    if let Some(r) = &recorder {
-        engine.set_recorder(Some(Arc::clone(r)));
-    }
-    Ok((engine, recorder))
+    engine.set_recorder(recorder.cloned());
+    Ok(engine)
 }
 
 /// Appends the recorded span tree (if any) to the command output.
@@ -584,43 +539,31 @@ fn append_trace(out: &mut String, recorder: Option<&Recorder>) {
     }
 }
 
-/// The [`StorageConfig`] described by `--state`/`--store`, if any.
-/// `--store` alone is a usage error: a backend choice without a root
-/// directory persists nothing, which is never what the user meant.
-fn storage_config(o: &Options) -> Result<Option<StorageConfig>, CliError> {
-    let Some(state) = o.state.as_deref() else {
-        if o.store.is_some() {
-            return Err(CliError::usage("--store requires --state <DIR>"));
-        }
-        return Ok(None);
-    };
-    let mut config = StorageConfig::new(state);
-    if let Some(name) = o.store.as_deref() {
-        let kind = BackendKind::parse(name).ok_or_else(|| {
-            CliError::usage(format!(
-                "unknown storage backend {name:?} (expected memory|segment)"
-            ))
-        })?;
-        config = config.with_backend(kind);
-    }
-    Ok(Some(config))
+/// Opens the storage stack rooted at `root` (the `--state` directory),
+/// creating the directory tree.
+fn open_stack(root: &str) -> Result<StorageStack, CliError> {
+    StorageStack::open(&StorageConfig::new(root))
+        .map_err(|e| CliError::runtime(format!("storage at {root}: {e}")))
 }
 
-/// Opens the storage stack at `--state` (creating the directory tree).
-fn open_stack(config: &StorageConfig) -> Result<StorageStack, CliError> {
-    StorageStack::open(config)
-        .map_err(|e| CliError::runtime(format!("storage at {}: {e}", config.root)))
-}
-
-/// An aggregator configured from the classifying options, windowed
-/// from `origin_ms` by `window_ms`, with `recorder` attached.
-fn build_aggregator(
+/// The one aggregator loop every windowed command runs: an aggregator
+/// configured from the classifying options, windowed from `origin_ms`
+/// by `window_ms`, with `recorder` attached, polling `probe`. Cycles
+/// run while the probe has data, at most `--max-windows` of them.
+///
+/// With `--state`, the full storage stack rides along: every window
+/// lands in the run history, every event in the durable flight
+/// journal, and a checkpoint is cut at the end, so later `explain
+/// --state` / `serve` invocations can time travel into this run.
+fn pipeline(
     o: &Options,
-    window_ms: u64,
+    probe: Box<dyn Probe + Send>,
     origin_ms: u64,
+    window_ms: u64,
     recorder: &Arc<Recorder>,
-) -> Result<Aggregator, CliError> {
-    Ok(Aggregator::try_new(AggregatorConfig {
+) -> Result<(Aggregator, Option<StorageStack>), CliError> {
+    let stack = o.state.as_deref().map(open_stack).transpose()?;
+    let mut agg = Aggregator::try_new(AggregatorConfig {
         window_ms,
         origin_ms,
         engine: o.engine_config(),
@@ -629,72 +572,301 @@ fn build_aggregator(
         ..AggregatorConfig::default()
     })
     .map_err(|e| CliError::usage(e.to_string()))?
-    .with_recorder(Arc::clone(recorder)))
-}
-
-/// Result of replaying a capture through the full aggregator pipeline
-/// with a recorder attached — shared by `metrics` and `serve`.
-struct Replay {
-    recorder: Arc<Recorder>,
-    windows: usize,
-    reports: Vec<ProbeReport>,
-    health: Option<WindowHealth>,
-    /// One stability row per completed window, in window order.
-    stability: Vec<WindowStability>,
-    /// Per-host churn table, most churned first.
-    churn: Vec<HostChurn>,
-    /// The aggregator's stability timeseries ring (shared handle).
-    timeseries: Arc<TimeseriesRing>,
-    /// The durable run history, when `--state` was given — what serve's
-    /// `/history` endpoint answers from.
-    runs: Option<Arc<RunStore>>,
-}
-
-/// Replays `--input` through the aggregator, windowed by `--window-ms`
-/// (default: the whole trace as one window). With `--state`, the full
-/// storage stack rides along: every window lands in the run history,
-/// every event in the durable flight journal, and a checkpoint is cut
-/// at the end, so later `explain --at` / `serve` invocations can time
-/// travel into this run.
-fn replay_pipeline(o: &Options) -> Result<Replay, CliError> {
-    let trace = load_trace(o, true)?;
-    let window_ms = trace.window_ms(o);
-    let recorder = Arc::new(Recorder::new());
-    let stack = match storage_config(o)? {
-        Some(config) => Some(open_stack(&config)?),
-        None => None,
-    };
-    let mut agg = build_aggregator(o, window_ms, trace.origin_ms, &recorder)?;
+    .with_recorder(Arc::clone(recorder));
     if let Some(stack) = &stack {
         agg = agg
             .with_shared_flight_recorder(Arc::clone(stack.recorder()))
             .with_run_store(Arc::clone(stack.runs()));
     }
-    agg.attach(Box::new(ReplayProbe::new(&trace.input, trace.records)));
-    let windows = agg.drain();
-    let reports = agg.probe_reports();
-    let health = agg.history().read().last().map(|r| r.health.clone());
-    let runs = match &stack {
-        Some(stack) => {
-            agg.checkpoint(stack.checkpointer())
-                .map_err(|e| CliError::runtime(format!("checkpoint: {e}")))?;
-            stack
-                .flush()
-                .map_err(|e| CliError::runtime(format!("storage flush: {e}")))?;
-            Some(Arc::clone(stack.runs()))
-        }
-        None => None,
+    agg.attach(probe);
+    let cap = o.max_windows.unwrap_or(u64::MAX);
+    let mut windows: u64 = 0;
+    while windows < cap && agg.has_pending_data() {
+        agg.run_cycle();
+        windows += 1;
+    }
+    if let Some(stack) = &stack {
+        agg.checkpoint(stack.checkpointer())
+            .map_err(|e| CliError::runtime(format!("checkpoint: {e}")))?;
+        stack
+            .flush()
+            .map_err(|e| CliError::runtime(format!("storage flush: {e}")))?;
+    }
+    Ok((agg, stack))
+}
+
+/// Replays `--input` through [`pipeline`], windowed by `--window-ms`
+/// from the first record (default: the whole trace as one window).
+fn replay(
+    o: &Options,
+    recorder: &Arc<Recorder>,
+) -> Result<(Aggregator, Option<StorageStack>), CliError> {
+    let trace = load_trace(o, true)?;
+    let window_ms = trace.window_ms(o.window_ms, trace.origin_ms)?;
+    let probe = ReplayProbe::new(&trace.input, trace.records);
+    pipeline(o, Box::new(probe), trace.origin_ms, window_ms, recorder)
+}
+
+/// Binds `--addr` (default `default_addr`) with `bind`, which returns
+/// the bound value and its actual address; writes that address to
+/// `--addr-file`; and prints `announce(address)` before the caller
+/// blocks. The startup `serve` and `ingest listen` share.
+fn bind_and_announce<T>(
+    o: &Options,
+    default_addr: &str,
+    bind: impl FnOnce(&str) -> std::io::Result<(T, SocketAddr)>,
+    announce: impl FnOnce(SocketAddr) -> String,
+) -> Result<T, CliError> {
+    let addr = o.addr.as_deref().unwrap_or(default_addr);
+    let (bound, local) = bind(addr).map_err(|e| CliError::runtime(format!("bind {addr}: {e}")))?;
+    if let Some(path) = &o.addr_file {
+        write_file(path, local.to_string())?;
+    }
+    // Announce before blocking; the command's return value only prints
+    // after it stops.
+    println!("{}", announce(local));
+    Ok(bound)
+}
+
+/// Runs the CLI. Returns the text to print on stdout.
+pub fn run(args: &[String]) -> Result<String, CliError> {
+    let Some((cmd, rest)) = args.split_first() else {
+        return Err(CliError::usage(USAGE));
     };
-    Ok(Replay {
-        recorder,
-        windows,
-        reports,
-        health,
-        stability: agg.stability_history().to_vec(),
-        churn: agg.churn_table(),
-        timeseries: agg.timeseries(),
-        runs,
-    })
+    type Command = fn(Options) -> Result<String, CliError>;
+    // (handler, its arguments, whether it reads --auto-k-hi)
+    let (command, rest, auto_k_hi): (Command, &[String], bool) =
+        match (cmd.as_str(), rest.first().map(String::as_str)) {
+            ("help" | "--help" | "-h", _) => return Ok(USAGE.to_string()),
+            ("info", _) => (cmd_info, rest, false),
+            ("classify", _) => (cmd_classify, rest, true),
+            ("correlate", _) => (cmd_correlate, rest, true),
+            ("diff", _) => (cmd_diff, rest, false),
+            ("metrics", _) => (cmd_metrics, rest, false),
+            ("explain", _) => (cmd_explain, rest, true),
+            ("stability", _) => (cmd_stability, rest, false),
+            ("profile", _) => (cmd_profile, rest, false),
+            ("serve", _) => (cmd_serve, rest, false),
+            ("probe", Some("send")) => (cmd_probe_send, &rest[1..], false),
+            ("ingest", Some("listen")) => (cmd_ingest_listen, &rest[1..], false),
+            (group @ ("probe" | "ingest"), _) => {
+                let sub = if group == "probe" { "send" } else { "listen" };
+                let msg = format!("{group} requires the {sub} subcommand\n\n{USAGE}");
+                return Err(CliError::usage(msg));
+            }
+            (other, _) => {
+                let msg = format!("unknown command {other:?}\n\n{USAGE}");
+                return Err(CliError::usage(msg));
+            }
+        };
+    let o = parse_options(rest)?;
+    if o.auto_k_hi && !auto_k_hi {
+        return Err(CliError::usage(format!(
+            "--auto-k-hi is read only by classify, correlate and explain, not by {cmd}"
+        )));
+    }
+    command(o)
+}
+
+fn cmd_info(o: Options) -> Result<String, CliError> {
+    let cs = load_connsets(&o)?;
+    let mut out = String::new();
+    let _ = writeln!(out, "hosts:       {}", cs.host_count());
+    let _ = writeln!(out, "connections: {}", cs.connection_count());
+    let _ = writeln!(out, "max degree:  {}", cs.max_degree());
+    let _ = writeln!(out, "suggested K^hi (otsu): {}", auto_k_hi_otsu(&cs));
+    Ok(out)
+}
+
+fn cmd_classify(mut o: Options) -> Result<String, CliError> {
+    let cs = load_connsets(&o)?;
+    o.resolve_auto_k_hi(&cs);
+    let recorder = o.trace.then(|| Arc::new(Recorder::new()));
+    let result = build_engine(&o, recorder.as_ref())?.classify(&cs);
+    let mut out = String::new();
+    render_grouping(&mut out, &result.grouping);
+    if let Some(dot) = &o.dot {
+        write_file(dot, result.to_dot("role-groups"))?;
+        let _ = writeln!(out, "wrote {dot}");
+    }
+    if let Some(path) = &o.snapshot {
+        let snap = Snapshot {
+            connsets: cs,
+            grouping: result.grouping,
+        };
+        save_snapshot(&mut out, path, &snap)?;
+    }
+    append_trace(&mut out, recorder.as_deref());
+    Ok(out)
+}
+
+fn cmd_correlate(mut o: Options) -> Result<String, CliError> {
+    let prev = load_snapshot(required(&o.prev, "--prev")?)?;
+    let cs = load_connsets(&o)?;
+    o.resolve_auto_k_hi(&cs);
+    let recorder = o.trace.then(|| Arc::new(Recorder::new()));
+    let mut engine = build_engine(&o, recorder.as_ref())?;
+    engine.set_previous(Some(EngineSnapshot {
+        connsets: prev.connsets,
+        grouping: prev.grouping.clone(),
+    }));
+    let outcome = engine.run_window(&cs);
+    let corr = outcome
+        .correlation
+        .expect("previous snapshot was set, so run_window correlates");
+    let renamed = outcome.grouping;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "correlated {} of {} groups ({} new, {} vanished)",
+        corr.id_map.len(),
+        renamed.group_count(),
+        corr.new_groups.len(),
+        corr.vanished_groups.len()
+    );
+    render_grouping(&mut out, &renamed);
+    out.push_str(&diff_groupings(&prev.grouping, &renamed).render());
+    if let Some(path) = &o.snapshot {
+        let snap = Snapshot {
+            connsets: cs,
+            grouping: renamed,
+        };
+        save_snapshot(&mut out, path, &snap)?;
+    }
+    append_trace(&mut out, recorder.as_deref());
+    Ok(out)
+}
+
+fn cmd_diff(o: Options) -> Result<String, CliError> {
+    let prev = load_snapshot(required(&o.prev, "--prev")?)?;
+    let curr = load_snapshot(required(&o.curr, "--curr")?)?;
+    Ok(diff_groupings(&prev.grouping, &curr.grouping).render())
+}
+
+fn cmd_metrics(o: Options) -> Result<String, CliError> {
+    let recorder = Arc::new(Recorder::new());
+    let (agg, _) = replay(&o, &recorder)?;
+    let windows = agg.stability_history().len();
+    let reports = agg.probe_reports();
+    if o.json {
+        let probes =
+            serde_json::to_string(&reports).map_err(|e| CliError::runtime(e.to_string()))?;
+        return Ok(format!(
+            "{{\"windows\":{windows},\"metrics\":{},\"spans\":{},\"probes\":{probes}}}\n",
+            recorder.registry().json_snapshot(),
+            telemetry::span_tree_json(&recorder.spans()),
+        ));
+    }
+    let mut out = String::new();
+    let _ = writeln!(out, "windows: {windows}");
+    for r in &reports {
+        let _ = writeln!(
+            out,
+            "probe {:<20} {:?}: polled={} failed={} skipped={} retries={} records={}",
+            r.name,
+            r.health,
+            r.stats.windows_polled,
+            r.stats.windows_failed,
+            r.stats.windows_skipped,
+            r.stats.retries,
+            r.stats.records_delivered
+        );
+    }
+    out.push('\n');
+    out.push_str(&recorder.registry().prometheus_text());
+    if o.trace {
+        append_trace(&mut out, Some(&recorder));
+    }
+    Ok(out)
+}
+
+fn cmd_explain(mut o: Options) -> Result<String, CliError> {
+    let host: HostAddr = required(&o.host, "--host")?
+        .parse()
+        .map_err(|e| CliError::usage(format!("--host: {e}")))?;
+    // Time travel: with --state the windows come from the retained run
+    // history, not a fresh capture. The replay includes every retained
+    // window up to the target so the id-lineage chain is the one the
+    // store actually observed.
+    let (header, windows) = match o.state.as_deref() {
+        Some(root) => {
+            let stack = open_stack(root)?;
+            let cutoff = o.at.unwrap_or(u64::MAX);
+            let runs = stack
+                .runs()
+                .all()
+                .map_err(|e| CliError::runtime(format!("run history: {e}")))?;
+            let total = runs.len();
+            let windows: Vec<(String, ConnectionSets)> = runs
+                .into_iter()
+                .filter(|r| r.window.start_ms <= cutoff)
+                .map(|r| {
+                    let label = format!("window [{}, {})", r.window.start_ms, r.window.end_ms);
+                    (label, r.connsets)
+                })
+                .collect();
+            if windows.is_empty() {
+                return Err(CliError::runtime(match o.at {
+                    Some(at) if total > 0 => {
+                        format!("no retained window starts at or before {at} ms")
+                    }
+                    _ => format!("{root}: run history is empty"),
+                }));
+            }
+            let header = format!(
+                "replaying {} retained window(s) from the {} store at {root}\n",
+                windows.len(),
+                stack.backend().name(),
+            );
+            (header, windows)
+        }
+        None if o.at.is_some() => return Err(CliError::usage("--at requires --state <DIR>")),
+        None => {
+            let windows = capture_windows(&o)?.into_iter().enumerate();
+            let windows = windows.map(|(w, cs)| (format!("window {w}"), cs));
+            (String::new(), windows.collect())
+        }
+    };
+    o.resolve_auto_k_hi(&windows[0].1);
+    explain_host(&windows, host, &o.engine_config())
+        .map(|out| format!("{header}{out}"))
+        .map_err(|e| CliError::usage(e.to_string()))
+}
+
+fn cmd_stability(o: Options) -> Result<String, CliError> {
+    let host: Option<HostAddr> = o
+        .host
+        .as_deref()
+        .map(|h| h.parse())
+        .transpose()
+        .map_err(|e| CliError::usage(format!("--host: {e}")))?;
+    let group: Option<GroupId> = o
+        .group
+        .as_deref()
+        .map(|g| g.parse::<u32>().map(GroupId))
+        .transpose()
+        .map_err(|_| CliError::usage("--group expects a numeric group id"))?;
+    let (agg, _) = replay(&o, &Arc::new(Recorder::new()))?;
+    let rows = agg.stability_history();
+    let churn = agg.churn_table();
+    if o.json {
+        let rows_json =
+            serde_json::to_string(rows).map_err(|e| CliError::runtime(e.to_string()))?;
+        let churn_json =
+            serde_json::to_string(&churn).map_err(|e| CliError::runtime(e.to_string()))?;
+        return Ok(format!(
+            "{{\"windows\":{},\"rows\":{rows_json},\"churn\":{churn_json}}}\n",
+            rows.len()
+        ));
+    }
+    let mut out = String::new();
+    stability_report::render_windows(&mut out, rows);
+    stability_report::render_groups(&mut out, rows, group);
+    if let Some(id) = group {
+        stability_report::render_group_trajectory(&mut out, rows, id);
+    }
+    stability_report::render_churn(&mut out, &churn, host);
+    Ok(out)
 }
 
 /// The windows `rcctl profile` runs: the `--input` capture split by
@@ -707,9 +879,8 @@ fn profile_windows(o: &Options) -> Result<Vec<ConnectionSets>, CliError> {
                 "--hosts sizes the synthetic workload and conflicts with --input",
             ));
         }
-        return window_connsets(o);
+        return capture_windows(o);
     }
-    const DAY_MS: u64 = 86_400_000;
     let hosts = o.hosts.unwrap_or(5_000);
     let windows = o.windows.unwrap_or(3).max(1);
     let model = crate::synthnet::scenarios::department(hosts, 7).connsets;
@@ -725,451 +896,148 @@ fn profile_windows(o: &Options) -> Result<Vec<ConnectionSets>, CliError> {
         .collect())
 }
 
-/// Splits a capture into per-window connection sets for `explain`.
-fn window_connsets(o: &Options) -> Result<Vec<ConnectionSets>, CliError> {
-    let trace = load_trace(o, true)?;
-    let window_ms = trace.window_ms(o);
-    let origin_ms = trace.origin_ms;
-    let count = ((trace.last_ms - origin_ms) / window_ms + 1) as usize;
-    let mut buckets: Vec<Vec<&FlowRecord>> = vec![Vec::new(); count];
-    for r in &trace.records {
-        buckets[((r.start_ms - origin_ms) / window_ms) as usize].push(r);
+fn cmd_profile(o: Options) -> Result<String, CliError> {
+    let windows = profile_windows(&o)?;
+    let recorder = Arc::new(Recorder::new());
+    let mut engine = build_engine(&o, Some(&recorder))?;
+    let mut hosts = 0;
+    for cs in &windows {
+        hosts = hosts.max(cs.host_count());
+        engine.run_window(cs);
     }
-    Ok(buckets
-        .into_iter()
-        .map(|bucket| build_connsets(o, bucket))
-        .collect())
+    let profile = recorder.profile();
+    let mut wrote = None;
+    if let Some(path) = &o.collapsed {
+        let folded = recorder.collapsed_spans();
+        write_file(path, &folded)?;
+        wrote = Some((path, folded.lines().count()));
+    }
+    if o.json {
+        return Ok(format!(
+            "{{\"windows\":{},\"hosts\":{hosts},\"profile\":{}}}\n",
+            windows.len(),
+            profile.to_json()
+        ));
+    }
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "profiled {} window(s) over {hosts} host(s)\n",
+        windows.len()
+    );
+    out.push_str(&profile.render());
+    if let Some((path, lines)) = wrote {
+        let _ = writeln!(out, "\nwrote {lines} collapsed stack line(s) to {path}");
+    }
+    Ok(out)
 }
 
-/// Runs the CLI. Returns the text to print on stdout.
-pub fn run(args: &[String]) -> Result<String, CliError> {
-    let Some((cmd, rest)) = args.split_first() else {
-        return Err(CliError::usage(USAGE));
+fn cmd_serve(o: Options) -> Result<String, CliError> {
+    let recorder = Arc::new(Recorder::new());
+    let (agg, stack) = replay(&o, &recorder)?;
+    let state = ServerState {
+        recorder,
+        windows: agg.stability_history().len(),
+        health: agg.history().read().last().map(|r| r.health.clone()),
+        stability: agg.stability_history().to_vec(),
+        timeseries: agg.timeseries(),
+        history: stack.map(|stack| Arc::clone(stack.runs())),
     };
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        "info" => {
-            let o = parse_options(rest)?;
-            let cs = load_connsets(&o)?;
-            let mut out = String::new();
-            use std::fmt::Write as _;
-            let _ = writeln!(out, "hosts:       {}", cs.host_count());
-            let _ = writeln!(out, "connections: {}", cs.connection_count());
-            let _ = writeln!(out, "max degree:  {}", cs.max_degree());
-            let _ = writeln!(out, "suggested K^hi (otsu): {}", auto_k_hi_otsu(&cs));
-            Ok(out)
-        }
-        "classify" => {
-            let mut o = parse_options(rest)?;
-            let cs = load_connsets(&o)?;
-            if o.auto_k_hi {
-                o.params.k_hi = auto_k_hi_otsu(&cs).max(1);
+    let bind = |addr: &str| {
+        let server = Server::bind(addr, state)?;
+        let local = server.local_addr()?;
+        Ok((server, local))
+    };
+    let server = bind_and_announce(&o, "127.0.0.1:7878", bind, |local| {
+        format!("serving http://{local} (/metrics /events /stability /history /profile /healthz)")
+    })?;
+    let served = server
+        .run(o.max_requests)
+        .map_err(|e| CliError::runtime(e.to_string()))?;
+    Ok(format!("served {served} request(s)\n"))
+}
+
+fn cmd_probe_send(o: Options) -> Result<String, CliError> {
+    let trace = load_trace(&o, true)?;
+    let to = required(&o.to, "--to")?;
+    use std::net::ToSocketAddrs as _;
+    let addr = to
+        .to_socket_addrs()
+        .map_err(|e| CliError::usage(format!("--to {to}: {e}")))?
+        .next()
+        .ok_or_else(|| CliError::usage(format!("--to {to}: no address")))?;
+    let probe = o.probe_name.as_deref().unwrap_or("probe");
+    let origin_ms = o.origin_ms.unwrap_or(0);
+    let window_ms = trace.window_ms(Some(o.window_ms.unwrap_or(DAY_MS)), origin_ms)?;
+    let stats = stream_records(
+        addr,
+        probe,
+        &trace.records,
+        origin_ms,
+        window_ms,
+        TransportConfig::default(),
+    )
+    .map_err(|e| CliError::runtime(format!("send to {to}: {e}")))?;
+    Ok(format!(
+        "sent {} record(s) in {} window(s) as probe {probe:?}: \
+         {} frame(s), {} retransmit(s), {} reconnect(s), {} byte(s)\n",
+        stats.records_sent,
+        stats.windows_sent,
+        stats.frames_sent,
+        stats.retransmits,
+        stats.reconnects,
+        stats.bytes_sent
+    ))
+}
+
+fn cmd_ingest_listen(o: Options) -> Result<String, CliError> {
+    let probe = o.probe_name.as_deref().unwrap_or("probe");
+    let recorder = Arc::new(Recorder::new());
+    let bind = |addr: &str| {
+        let config = TransportConfig::default();
+        let listener = WireListener::bind(addr, config, Some(Arc::clone(&recorder)), None)?;
+        let local = listener.local_addr();
+        Ok((listener, local))
+    };
+    let listener = bind_and_announce(&o, "127.0.0.1:7879", bind, |local| {
+        format!("ingesting on {local} (probe {probe:?})")
+    })?;
+    let window_ms = o.window_ms.unwrap_or(DAY_MS).max(1);
+    let origin_ms = o.origin_ms.unwrap_or(0);
+    let wire = Box::new(listener.probe(probe));
+    let (agg, _) = pipeline(&o, wire, origin_ms, window_ms, &recorder)?;
+    let history = agg.history();
+    let history = history.read();
+    let mut out = String::new();
+    let _ = writeln!(out, "windows: {}", history.len());
+    for run in history.iter() {
+        let _ = writeln!(
+            out,
+            "window [{}, {}): {} host(s) in {} group(s), {} record(s), {}",
+            run.window.start_ms,
+            run.window.end_ms,
+            run.grouping.host_count(),
+            run.grouping.group_count(),
+            run.health.records_accepted,
+            if run.health.degraded() {
+                "degraded"
+            } else {
+                "healthy"
             }
-            let (engine, recorder) = build_engine(&o)?;
-            let result = engine.classify(&cs);
-            let mut out = String::new();
-            render_grouping(&mut out, &result.grouping);
-            if let Some(dot) = &o.dot {
-                std::fs::write(dot, result.to_dot("role-groups"))
-                    .map_err(|e| CliError::runtime(format!("{dot}: {e}")))?;
-                out.push_str(&format!("wrote {dot}\n"));
-            }
-            if let Some(path) = &o.snapshot {
-                save_snapshot(
-                    path,
-                    &Snapshot {
-                        connsets: cs,
-                        grouping: result.grouping,
-                    },
-                )?;
-                out.push_str(&format!("wrote {path}\n"));
-            }
-            append_trace(&mut out, recorder.as_deref());
-            Ok(out)
-        }
-        "correlate" => {
-            let mut o = parse_options(rest)?;
-            let prev_path = o
-                .prev
-                .as_deref()
-                .ok_or_else(|| CliError::usage("--prev is required"))?
-                .to_string();
-            let prev = load_snapshot(&prev_path)?;
-            let cs = load_connsets(&o)?;
-            if o.auto_k_hi {
-                o.params.k_hi = auto_k_hi_otsu(&cs).max(1);
-            }
-            let (mut engine, recorder) = build_engine(&o)?;
-            engine.set_previous(Some(EngineSnapshot {
-                connsets: prev.connsets,
-                grouping: prev.grouping.clone(),
-            }));
-            let outcome = engine.run_window(&cs);
-            let corr = outcome
-                .correlation
-                .expect("previous snapshot was set, so run_window correlates");
-            let renamed = outcome.grouping;
-            let mut out = String::new();
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                out,
-                "correlated {} of {} groups ({} new, {} vanished)",
-                corr.id_map.len(),
-                renamed.group_count(),
-                corr.new_groups.len(),
-                corr.vanished_groups.len()
-            );
-            render_grouping(&mut out, &renamed);
-            out.push_str(&diff_groupings(&prev.grouping, &renamed).render());
-            if let Some(path) = &o.snapshot {
-                save_snapshot(
-                    path,
-                    &Snapshot {
-                        connsets: cs,
-                        grouping: renamed,
-                    },
-                )?;
-                out.push_str(&format!("wrote {path}\n"));
-            }
-            append_trace(&mut out, recorder.as_deref());
-            Ok(out)
-        }
-        "metrics" => {
-            let o = parse_options(rest)?;
-            let replay = replay_pipeline(&o)?;
-            let Replay {
-                recorder,
-                windows,
-                reports,
-                ..
-            } = replay;
-            if o.json {
-                let probes = serde_json::to_string(&reports)
-                    .map_err(|e| CliError::runtime(e.to_string()))?;
-                return Ok(format!(
-                    "{{\"windows\":{windows},\"metrics\":{},\"spans\":{},\"probes\":{probes}}}\n",
-                    recorder.registry().json_snapshot(),
-                    telemetry::span_tree_json(&recorder.spans()),
-                ));
-            }
-            let mut out = String::new();
-            use std::fmt::Write as _;
-            let _ = writeln!(out, "windows: {windows}");
-            for r in &reports {
-                let _ = writeln!(
-                    out,
-                    "probe {:<20} {:?}: polled={} failed={} skipped={} retries={} records={}",
-                    r.name,
-                    r.health,
-                    r.stats.windows_polled,
-                    r.stats.windows_failed,
-                    r.stats.windows_skipped,
-                    r.stats.retries,
-                    r.stats.records_delivered
-                );
-            }
-            out.push('\n');
-            out.push_str(&recorder.registry().prometheus_text());
-            if o.trace {
-                append_trace(&mut out, Some(&recorder));
-            }
-            Ok(out)
-        }
-        "explain" => {
-            let mut o = parse_options(rest)?;
-            let host: HostAddr = o
-                .host
-                .as_deref()
-                .ok_or_else(|| CliError::usage("--host is required"))?
-                .parse()
-                .map_err(|e| CliError::usage(format!("--host: {e}")))?;
-            // Time travel: with --state the windows come from the
-            // retained run history, not a fresh capture. The replay
-            // includes every retained window up to the target so the
-            // id-lineage chain is the one the store actually observed.
-            if let Some(config) = storage_config(&o)? {
-                let stack = open_stack(&config)?;
-                let cutoff = o.at.unwrap_or(u64::MAX);
-                let runs = stack
-                    .runs()
-                    .all()
-                    .map_err(|e| CliError::runtime(format!("run history: {e}")))?;
-                let total = runs.len();
-                let runs: Vec<_> = runs
-                    .into_iter()
-                    .filter(|r| r.window.start_ms <= cutoff)
-                    .collect();
-                if runs.is_empty() {
-                    return Err(CliError::runtime(match o.at {
-                        Some(at) if total > 0 => {
-                            format!("no retained window starts at or before {at} ms")
-                        }
-                        _ => format!("{}: run history is empty", config.root),
-                    }));
-                }
-                if o.auto_k_hi {
-                    o.params.k_hi = auto_k_hi_otsu(&runs[0].connsets).max(1);
-                }
-                let labeled: Vec<(String, &ConnectionSets)> = runs
-                    .iter()
-                    .map(|r| {
-                        (
-                            format!("window [{}, {})", r.window.start_ms, r.window.end_ms),
-                            &r.connsets,
-                        )
-                    })
-                    .collect();
-                let header = format!(
-                    "replaying {} retained window(s) from the {} store at {}\n",
-                    labeled.len(),
-                    stack.backend().name(),
-                    config.root
-                );
-                return explain_host_labeled(&labeled, host, o.params)
-                    .map(|out| format!("{header}{out}"))
-                    .map_err(|e| CliError::usage(e.to_string()));
-            }
-            if o.at.is_some() {
-                return Err(CliError::usage("--at requires --state <DIR>"));
-            }
-            let windows = window_connsets(&o)?;
-            if o.auto_k_hi {
-                o.params.k_hi = auto_k_hi_otsu(&windows[0]).max(1);
-            }
-            explain_host(&windows, host, o.params).map_err(|e| CliError::usage(e.to_string()))
-        }
-        "stability" => {
-            let o = parse_options(rest)?;
-            let host: Option<HostAddr> = o
-                .host
-                .as_deref()
-                .map(|h| h.parse())
-                .transpose()
-                .map_err(|e| CliError::usage(format!("--host: {e}")))?;
-            let group: Option<GroupId> = o
-                .group
-                .as_deref()
-                .map(|g| g.parse::<u32>().map(GroupId))
-                .transpose()
-                .map_err(|_| CliError::usage("--group expects a numeric group id"))?;
-            let replay = replay_pipeline(&o)?;
-            if o.json {
-                let rows = serde_json::to_string(&replay.stability)
-                    .map_err(|e| CliError::runtime(e.to_string()))?;
-                let churn = serde_json::to_string(&replay.churn)
-                    .map_err(|e| CliError::runtime(e.to_string()))?;
-                return Ok(format!(
-                    "{{\"windows\":{},\"rows\":{rows},\"churn\":{churn}}}\n",
-                    replay.windows
-                ));
-            }
-            let mut out = String::new();
-            stability_report::render_windows(&mut out, &replay.stability);
-            stability_report::render_groups(&mut out, &replay.stability, group);
-            if let Some(id) = group {
-                stability_report::render_group_trajectory(&mut out, &replay.stability, id);
-            }
-            stability_report::render_churn(&mut out, &replay.churn, host);
-            Ok(out)
-        }
-        "profile" => {
-            let o = parse_options(rest)?;
-            let windows = profile_windows(&o)?;
-            let recorder = Arc::new(Recorder::new());
-            let mut engine = Engine::from_config(o.engine_config())
-                .map_err(|e| CliError::usage(e.to_string()))?;
-            engine.set_recorder(Some(Arc::clone(&recorder)));
-            let mut hosts = 0;
-            for cs in &windows {
-                hosts = hosts.max(cs.host_count());
-                engine.run_window(cs);
-            }
-            let profile = recorder.profile();
-            let mut wrote = None;
-            if let Some(path) = &o.collapsed {
-                let folded = recorder.collapsed_spans();
-                std::fs::write(path, &folded)
-                    .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-                wrote = Some((path.clone(), folded.lines().count()));
-            }
-            if o.json {
-                return Ok(format!(
-                    "{{\"windows\":{},\"hosts\":{hosts},\"profile\":{}}}\n",
-                    windows.len(),
-                    profile.to_json()
-                ));
-            }
-            let mut out = String::new();
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                out,
-                "profiled {} window(s) over {hosts} host(s)\n",
-                windows.len()
-            );
-            out.push_str(&profile.render());
-            if let Some((path, lines)) = wrote {
-                let _ = writeln!(out, "\nwrote {lines} collapsed stack line(s) to {path}");
-            }
-            Ok(out)
-        }
-        "serve" => {
-            let o = parse_options(rest)?;
-            let replay = replay_pipeline(&o)?;
-            let state = ServerState {
-                recorder: replay.recorder,
-                windows: replay.windows,
-                health: replay.health,
-                stability: replay.stability,
-                timeseries: replay.timeseries,
-                history: replay.runs,
-            };
-            let addr = o.addr.as_deref().unwrap_or("127.0.0.1:7878");
-            let server = Server::bind(addr, state)
-                .map_err(|e| CliError::runtime(format!("bind {addr}: {e}")))?;
-            let bound = server
-                .local_addr()
-                .map_err(|e| CliError::runtime(e.to_string()))?;
-            if let Some(path) = &o.addr_file {
-                std::fs::write(path, bound.to_string())
-                    .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-            }
-            // Announce before blocking in the accept loop; the final
-            // return value only prints after the server stops.
-            println!(
-                "serving http://{bound} (/metrics /events /stability /history /profile /healthz)"
-            );
-            let served = server
-                .run(o.max_requests)
-                .map_err(|e| CliError::runtime(e.to_string()))?;
-            Ok(format!("served {served} request(s)\n"))
-        }
-        "probe" => match rest.split_first() {
-            Some((sub, rest)) if sub == "send" => {
-                let o = parse_options(rest)?;
-                let trace = load_trace(&o, true)?;
-                let to =
-                    o.to.as_deref()
-                        .ok_or_else(|| CliError::usage("--to is required"))?;
-                use std::net::ToSocketAddrs as _;
-                let addr = to
-                    .to_socket_addrs()
-                    .map_err(|e| CliError::usage(format!("--to {to}: {e}")))?
-                    .next()
-                    .ok_or_else(|| CliError::usage(format!("--to {to}: no address")))?;
-                let probe = o.probe_name.as_deref().unwrap_or("probe");
-                let origin_ms = o.origin_ms.unwrap_or(0);
-                let window_ms = o.window_ms.unwrap_or(86_400_000).max(1);
-                let stats = stream_records(
-                    addr,
-                    probe,
-                    &trace.records,
-                    origin_ms,
-                    window_ms,
-                    TransportConfig::default(),
-                )
-                .map_err(|e| CliError::runtime(format!("send to {to}: {e}")))?;
-                Ok(format!(
-                    "sent {} record(s) in {} window(s) as probe {probe:?}: \
-                     {} frame(s), {} retransmit(s), {} reconnect(s), {} byte(s)\n",
-                    stats.records_sent,
-                    stats.windows_sent,
-                    stats.frames_sent,
-                    stats.retransmits,
-                    stats.reconnects,
-                    stats.bytes_sent
-                ))
-            }
-            _ => Err(CliError::usage(format!(
-                "probe requires the send subcommand\n\n{USAGE}"
-            ))),
-        },
-        "ingest" => match rest.split_first() {
-            Some((sub, rest)) if sub == "listen" => {
-                let o = parse_options(rest)?;
-                let probe = o.probe_name.as_deref().unwrap_or("probe").to_string();
-                let addr = o.addr.as_deref().unwrap_or("127.0.0.1:7879");
-                let window_ms = o.window_ms.unwrap_or(86_400_000).max(1);
-                let recorder = Arc::new(Recorder::new());
-                let listener = WireListener::bind(
-                    addr,
-                    TransportConfig::default(),
-                    Some(Arc::clone(&recorder)),
-                    None,
-                )
-                .map_err(|e| CliError::runtime(format!("bind {addr}: {e}")))?;
-                let bound = listener.local_addr();
-                if let Some(path) = &o.addr_file {
-                    std::fs::write(path, bound.to_string())
-                        .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-                }
-                // Announce before blocking on the first window.
-                println!("ingesting on {bound} (probe {probe:?})");
-                let mut agg = build_aggregator(&o, window_ms, o.origin_ms.unwrap_or(0), &recorder)?;
-                agg.attach(Box::new(listener.probe(&probe)));
-                let cap = o.max_windows.unwrap_or(u64::MAX);
-                let mut windows: u64 = 0;
-                while windows < cap && agg.has_pending_data() {
-                    agg.run_cycle();
-                    windows += 1;
-                }
-                let mut out = String::new();
-                use std::fmt::Write as _;
-                let _ = writeln!(out, "windows: {windows}");
-                {
-                    let history = agg.history();
-                    let history = history.read();
-                    for run in history.iter() {
-                        let _ = writeln!(
-                            out,
-                            "window [{}, {}): {} host(s) in {} group(s), {} record(s), {}",
-                            run.window.start_ms,
-                            run.window.end_ms,
-                            run.grouping.host_count(),
-                            run.grouping.group_count(),
-                            run.health.records_accepted,
-                            if run.health.degraded() {
-                                "degraded"
-                            } else {
-                                "healthy"
-                            }
-                        );
-                    }
-                }
-                for r in &agg.probe_reports() {
-                    let _ = writeln!(
-                        out,
-                        "probe {:<20} {:?}: polled={} failed={} records={}",
-                        r.name,
-                        r.health,
-                        r.stats.windows_polled,
-                        r.stats.windows_failed,
-                        r.stats.records_delivered
-                    );
-                }
-                Ok(out)
-            }
-            _ => Err(CliError::usage(format!(
-                "ingest requires the listen subcommand\n\n{USAGE}"
-            ))),
-        },
-        "diff" => {
-            let o = parse_options(rest)?;
-            let prev = load_snapshot(
-                o.prev
-                    .as_deref()
-                    .ok_or_else(|| CliError::usage("--prev is required"))?,
-            )?;
-            let curr = load_snapshot(
-                o.curr
-                    .as_deref()
-                    .ok_or_else(|| CliError::usage("--curr is required"))?,
-            )?;
-            Ok(diff_groupings(&prev.grouping, &curr.grouping).render())
-        }
-        other => Err(CliError::usage(format!(
-            "unknown command {other:?}\n\n{USAGE}"
-        ))),
+        );
     }
+    for r in &agg.probe_reports() {
+        let _ = writeln!(
+            out,
+            "probe {:<20} {:?}: polled={} failed={} records={}",
+            r.name,
+            r.health,
+            r.stats.windows_polled,
+            r.stats.windows_failed,
+            r.stats.records_delivered
+        );
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //! from what the engine actually did.
 
 use crate::flow::{ConnectionSets, HostAddr};
-use crate::roleclass::{nearest_group, Engine, FormationKind, ParamError, Params};
+use crate::roleclass::{nearest_group, Engine, EngineConfig, FormationKind, ParamError};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use telemetry::{Event, FieldValue, Recorder};
@@ -129,35 +129,22 @@ fn merge_chain(
     out
 }
 
-/// Replays `windows` through the engine and renders the decision chain
-/// for `host`: formation, every merge consideration, and group-id
-/// lineage, per window. Invalid `params` are reported as the error
+/// Replays `windows` through an engine built from `config` and renders
+/// the decision chain for `host`: formation, every merge consideration,
+/// and group-id lineage, per window. Each window carries the label its
+/// section is printed under — a replay index (`window 0`) for a capture
+/// split, real bounds (`window [0, 1000)`) for windows read back from a
+/// retained run history. Invalid parameters are reported as the error
 /// text, not a panic, so callers that skipped validation still get a
-/// classified failure.
+/// classified failure. The worker counts in `config` change nothing in
+/// the output.
 pub fn explain_host(
-    windows: &[ConnectionSets],
+    windows: &[(String, ConnectionSets)],
     host: HostAddr,
-    params: Params,
-) -> Result<String, ParamError> {
-    let labeled: Vec<(String, &ConnectionSets)> = windows
-        .iter()
-        .enumerate()
-        .map(|(w, cs)| (format!("window {w}"), cs))
-        .collect();
-    explain_host_labeled(&labeled, host, params)
-}
-
-/// [`explain_host`] with caller-chosen window labels — what the
-/// time-travel path uses to print real window bounds (`window
-/// [0, 1000)`) instead of replay indices when the windows come from a
-/// retained run history rather than a fresh capture split.
-pub fn explain_host_labeled(
-    windows: &[(String, &ConnectionSets)],
-    host: HostAddr,
-    params: Params,
+    config: &EngineConfig,
 ) -> Result<String, ParamError> {
     let recorder = Arc::new(Recorder::new());
-    let mut engine = Engine::new(params)?;
+    let mut engine = Engine::from_config(config.clone())?;
     engine.set_recorder(Some(Arc::clone(&recorder)));
 
     let mut out = String::new();
@@ -200,7 +187,7 @@ pub fn explain_host_labeled(
             // No pair at or above θ ever involved the host's group: name
             // the closest final group instead.
             let grouping = &outcome.classification.grouping;
-            let theta = params.s_lo.min(params.s_hi);
+            let theta = config.params.s_lo.min(config.params.s_hi);
             match nearest_group(cs, grouping, raw) {
                 Some((near, sim)) if sim < theta => {
                     let members = &grouping.group(near).expect("nearest group exists").members;
@@ -272,6 +259,7 @@ pub fn explain_host_labeled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::roleclass::Params;
 
     fn h(x: u32) -> HostAddr {
         HostAddr::v4(x)
@@ -293,14 +281,23 @@ mod tests {
         cs
     }
 
-    fn params() -> Params {
-        Params::default().with_s_lo(90.0).with_s_hi(95.0)
+    fn config() -> EngineConfig {
+        EngineConfig::new(Params::default().with_s_lo(90.0).with_s_hi(95.0))
+    }
+
+    /// Labels capture windows by replay index, as `rcctl explain` does.
+    fn labeled(windows: Vec<ConnectionSets>) -> Vec<(String, ConnectionSets)> {
+        windows
+            .into_iter()
+            .enumerate()
+            .map(|(w, cs)| (format!("window {w}"), cs))
+            .collect()
     }
 
     #[test]
     fn explains_formation_merges_and_lineage_across_windows() {
-        let windows = vec![figure1(), figure1()];
-        let out = explain_host(&windows, h(11), params()).unwrap();
+        let windows = labeled(vec![figure1(), figure1()]);
+        let out = explain_host(&windows, h(11), &config()).unwrap();
         assert!(out.contains("decision chain for host 0.0.0.11"));
         assert!(out.contains("window 0:"));
         assert!(out.contains("window 1:"));
@@ -313,8 +310,8 @@ mod tests {
 
     #[test]
     fn unobserved_host_is_reported_per_window() {
-        let windows = vec![figure1()];
-        let out = explain_host(&windows, h(99), params()).unwrap();
+        let windows = labeled(vec![figure1()]);
+        let out = explain_host(&windows, h(99), &config()).unwrap();
         assert!(out.contains("not observed in this window"));
     }
 
@@ -323,11 +320,11 @@ mod tests {
         // Default thresholds: the two pods' client groups are similar
         // enough to be considered but the figure-1 defaults merge them;
         // raising S^lo/S^hi forces a rejected_similarity verdict.
-        let windows = vec![figure1()];
+        let windows = labeled(vec![figure1()]);
         let out = explain_host(
             &windows,
             h(11),
-            Params::default().with_s_lo(99.0).with_s_hi(99.5),
+            &EngineConfig::new(Params::default().with_s_lo(99.0).with_s_hi(99.5)),
         )
         .unwrap();
         // Either the host's group had merges rejected, or no merge was

@@ -23,9 +23,11 @@
 //! * `GET /healthz` — the [`WindowHealth`] of the last completed cycle
 //!   as JSON, `503` until a cycle has completed.
 //!
-//! `/events`, `/stability`, and `/profile` share one query-string
-//! parser: a malformed `tail`, an unknown parameter, or `follow` on an
-//! endpoint that cannot stream is an explicit `400`, never silently
+//! `/events`, `/stability`, `/history`, and `/profile` share one
+//! query-string parser and one table of the parameters each accepts: a
+//! malformed `tail`, an unknown parameter, or a parameter the route
+//! cannot honor (`follow` on an endpoint that cannot stream) is an
+//! explicit `400` naming the route that does answer it, never silently
 //! ignored.
 //!
 //! The server is deliberately minimal: blocking accept loop, one
@@ -207,13 +209,42 @@ fn query_params(query: Option<&str>) -> Result<QueryParams, String> {
     Ok(p)
 }
 
-/// The `400` every malformed query is answered with.
-fn bad_request(msg: impl Into<String>) -> (&'static str, &'static str, String) {
-    (
-        "400 Bad Request",
-        "text/plain; charset=utf-8",
-        format!("{}\n", msg.into()),
-    )
+/// One HTTP answer: status line, content type, body.
+type Response = (&'static str, &'static str, String);
+
+/// The shared query parameters in the order they are checked, each
+/// with the hint a route that does not accept it answers with.
+const PARAM_HINTS: [(&str, &str); 4] = [
+    ("follow", "; use /stability?follow"),
+    ("at", "; use /history?at=MS"),
+    ("collapsed", "; use /profile?collapsed"),
+    ("tail", " (the table is aggregated)"),
+];
+
+/// The shared query parameters each route accepts; `None` for the
+/// routes that read no query string at all.
+fn accepted_params(path: &str) -> Option<&'static [&'static str]> {
+    match path {
+        "/events" => Some(&["tail"]),
+        "/stability" => Some(&["tail", "follow"]),
+        "/history" => Some(&["tail", "at"]),
+        "/profile" => Some(&["collapsed"]),
+        _ => None,
+    }
+}
+
+/// Parses `query` for `path` and rejects the first given parameter
+/// (in [`PARAM_HINTS`] order) outside `accepted`: a request the route
+/// cannot honor is an explicit `400`, never silently ignored.
+fn route_params(path: &str, accepted: &[&str], query: Option<&str>) -> Result<QueryParams, String> {
+    let p = query_params(query)?;
+    let given = [p.follow, p.at.is_some(), p.collapsed, p.tail.is_some()];
+    for ((name, hint), given) in PARAM_HINTS.into_iter().zip(given) {
+        if given && !accepted.contains(&name) {
+            return Err(format!("{name} is not supported on {path}{hint}"));
+        }
+    }
+    Ok(p)
 }
 
 /// The `/history` body: run summaries (optionally tailed), or with
@@ -222,7 +253,7 @@ fn bad_request(msg: impl Into<String>) -> (&'static str, &'static str, String) {
 /// endpoint exists, the storage stack just isn't attached), and a
 /// backend read error is surfaced the same way rather than masked as
 /// an empty history.
-fn history_response(state: &ServerState, p: &QueryParams) -> (&'static str, &'static str, String) {
+fn history_response(state: &ServerState, p: &QueryParams) -> Response {
     let unavailable = |msg: String| {
         (
             "503 Service Unavailable",
@@ -282,21 +313,124 @@ fn json_string(s: &str) -> String {
     out
 }
 
-fn handle(stream: TcpStream, state: &ServerState, config: &ServerConfig) -> io::Result<()> {
-    stream.set_read_timeout(Some(config.read_timeout))?;
-    stream.set_write_timeout(Some(config.write_timeout))?;
+/// Answers one GET for `target` (path plus optional query string).
+fn route(state: &ServerState, target: &str) -> Response {
+    let (path, query) = match target.split_once('?') {
+        Some((p, q)) => (p, Some(q)),
+        None => (target, None),
+    };
+    let p = match accepted_params(path) {
+        Some(accepted) => match route_params(path, accepted, query) {
+            Ok(p) => p,
+            // The `400` every malformed query is answered with.
+            Err(msg) => return ("400 Bad Request", "text/plain; charset=utf-8", msg + "\n"),
+        },
+        None => QueryParams::default(),
+    };
+    match path {
+        "/metrics" => (
+            "200 OK",
+            "text/plain; version=0.0.4; charset=utf-8",
+            state.recorder.registry().prometheus_text(),
+        ),
+        "/events" => {
+            let events = match p.tail {
+                Some(n) => state.recorder.events().tail(n),
+                None => state.recorder.events().snapshot(),
+            };
+            let mut body = String::new();
+            for e in &events {
+                body.push_str(&e.to_json());
+                body.push('\n');
+            }
+            ("200 OK", "application/x-ndjson", body)
+        }
+        "/stability" if p.follow => {
+            let frames = match p.tail {
+                Some(n) => state.timeseries.tail(n),
+                None => state.timeseries.snapshot(),
+            };
+            let mut body = String::new();
+            for f in &frames {
+                f.write_json(&mut body);
+                body.push('\n');
+            }
+            ("200 OK", "application/x-ndjson", body)
+        }
+        "/stability" => {
+            let rows = &state.stability;
+            let rows = match p.tail {
+                Some(n) => &rows[rows.len().saturating_sub(n)..],
+                None => &rows[..],
+            };
+            let rows = serde_json::to_string(rows).unwrap_or_else(|_| "[]".to_string());
+            (
+                "200 OK",
+                "application/json",
+                format!("{{\"windows\":{},\"rows\":{rows}}}\n", state.windows),
+            )
+        }
+        "/history" => history_response(state, &p),
+        "/profile" if p.collapsed => (
+            "200 OK",
+            "text/plain; charset=utf-8",
+            state.recorder.collapsed_spans(),
+        ),
+        "/profile" => (
+            "200 OK",
+            "application/json",
+            format!("{}\n", state.recorder.profile().to_json()),
+        ),
+        "/healthz" => match &state.health {
+            Some(h) => {
+                let health = serde_json::to_string(h).unwrap_or_else(|_| "{}".to_string());
+                let status_word = if h.degraded() { "degraded" } else { "ok" };
+                (
+                    "200 OK",
+                    "application/json",
+                    format!(
+                        "{{\"status\":\"{status_word}\",\"windows\":{},\"health\":{health}}}\n",
+                        state.windows
+                    ),
+                )
+            }
+            None => (
+                "503 Service Unavailable",
+                "application/json",
+                "{\"status\":\"no completed cycles\"}\n".to_string(),
+            ),
+        },
+        _ => (
+            "404 Not Found",
+            "text/plain; charset=utf-8",
+            "not found; try /metrics, /events, /stability, /history, /profile, /healthz\n"
+                .to_string(),
+        ),
+    }
+}
+
+/// The request line of one request, read under the header cap.
+struct Request {
+    method: String,
+    target: String,
+    /// The request line plus headers hit the cap (or the client
+    /// half-closed mid-headers): answered `431`, never routed.
+    truncated: bool,
+}
+
+/// Reads the request line and drains the headers; routing only needs
+/// the request line. `None` is a half-open client: connected, sent
+/// nothing, closed (or the read deadline fired as an error before
+/// this) — nothing to answer.
+fn read_request(stream: &TcpStream, max_header_bytes: u64) -> io::Result<Option<Request>> {
     // The cap rides on the reader itself, so no single header line (or
     // an endless header stream) can buffer more than max_header_bytes.
-    let mut reader = BufReader::new((&stream).take(config.max_header_bytes));
+    let mut reader = BufReader::new(stream.take(max_header_bytes));
     let mut line = String::new();
     reader.read_line(&mut line)?;
     if line.is_empty() {
-        // Half-open client: connected, sent nothing, closed (or the
-        // read deadline fired as an error before this). Nothing to
-        // answer.
-        return Ok(());
+        return Ok(None);
     }
-    // Drain the request headers; routing only needs the request line.
     let mut truncated = !line.ends_with('\n');
     loop {
         let mut h = String::new();
@@ -311,14 +445,20 @@ fn handle(stream: TcpStream, state: &ServerState, config: &ServerConfig) -> io::
         }
     }
     let mut parts = line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let target = parts.next().unwrap_or("/");
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, Some(q)),
-        None => (target, None),
-    };
+    Ok(Some(Request {
+        method: parts.next().unwrap_or("").to_string(),
+        target: parts.next().unwrap_or("/").to_string(),
+        truncated,
+    }))
+}
 
-    let (status, content_type, body) = if truncated {
+fn handle(stream: TcpStream, state: &ServerState, config: &ServerConfig) -> io::Result<()> {
+    stream.set_read_timeout(Some(config.read_timeout))?;
+    stream.set_write_timeout(Some(config.write_timeout))?;
+    let Some(request) = read_request(&stream, config.max_header_bytes)? else {
+        return Ok(());
+    };
+    let (status, content_type, body) = if request.truncated {
         (
             "431 Request Header Fields Too Large",
             "text/plain; charset=utf-8",
@@ -327,138 +467,16 @@ fn handle(stream: TcpStream, state: &ServerState, config: &ServerConfig) -> io::
                 config.max_header_bytes
             ),
         )
-    } else if method != "GET" {
+    } else if request.method != "GET" {
         (
             "405 Method Not Allowed",
             "text/plain; charset=utf-8",
             "only GET is supported\n".to_string(),
         )
     } else {
-        match path {
-            "/metrics" => (
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                state.recorder.registry().prometheus_text(),
-            ),
-            "/events" => match query_params(query) {
-                Err(msg) => bad_request(msg),
-                Ok(p) if p.follow => {
-                    bad_request("follow is not supported on /events; use /stability?follow")
-                }
-                Ok(p) if p.at.is_some() => {
-                    bad_request("at is not supported on /events; use /history?at=MS")
-                }
-                Ok(p) if p.collapsed => {
-                    bad_request("collapsed is not supported on /events; use /profile?collapsed")
-                }
-                Ok(p) => {
-                    let events = match p.tail {
-                        Some(n) => state.recorder.events().tail(n),
-                        None => state.recorder.events().snapshot(),
-                    };
-                    let mut body = String::new();
-                    for e in &events {
-                        body.push_str(&e.to_json());
-                        body.push('\n');
-                    }
-                    ("200 OK", "application/x-ndjson", body)
-                }
-            },
-            "/stability" => match query_params(query) {
-                Err(msg) => bad_request(msg),
-                Ok(p) if p.at.is_some() => {
-                    bad_request("at is not supported on /stability; use /history?at=MS")
-                }
-                Ok(p) if p.collapsed => {
-                    bad_request("collapsed is not supported on /stability; use /profile?collapsed")
-                }
-                Ok(p) if p.follow => {
-                    let frames = match p.tail {
-                        Some(n) => state.timeseries.tail(n),
-                        None => state.timeseries.snapshot(),
-                    };
-                    let mut body = String::new();
-                    for f in &frames {
-                        f.write_json(&mut body);
-                        body.push('\n');
-                    }
-                    ("200 OK", "application/x-ndjson", body)
-                }
-                Ok(p) => {
-                    let rows = &state.stability;
-                    let rows = match p.tail {
-                        Some(n) => &rows[rows.len().saturating_sub(n)..],
-                        None => &rows[..],
-                    };
-                    let rows = serde_json::to_string(rows).unwrap_or_else(|_| "[]".to_string());
-                    (
-                        "200 OK",
-                        "application/json",
-                        format!("{{\"windows\":{},\"rows\":{rows}}}\n", state.windows),
-                    )
-                }
-            },
-            "/history" => match query_params(query) {
-                Err(msg) => bad_request(msg),
-                Ok(p) if p.follow => {
-                    bad_request("follow is not supported on /history; use /stability?follow")
-                }
-                Ok(p) if p.collapsed => {
-                    bad_request("collapsed is not supported on /history; use /profile?collapsed")
-                }
-                Ok(p) => history_response(state, &p),
-            },
-            "/profile" => match query_params(query) {
-                Err(msg) => bad_request(msg),
-                Ok(p) if p.follow => {
-                    bad_request("follow is not supported on /profile; use /stability?follow")
-                }
-                Ok(p) if p.at.is_some() => {
-                    bad_request("at is not supported on /profile; use /history?at=MS")
-                }
-                Ok(p) if p.tail.is_some() => {
-                    bad_request("tail is not supported on /profile (the table is aggregated)")
-                }
-                Ok(p) if p.collapsed => (
-                    "200 OK",
-                    "text/plain; charset=utf-8",
-                    state.recorder.collapsed_spans(),
-                ),
-                Ok(_) => (
-                    "200 OK",
-                    "application/json",
-                    format!("{}\n", state.recorder.profile().to_json()),
-                ),
-            },
-            "/healthz" => match &state.health {
-                Some(h) => {
-                    let health = serde_json::to_string(h).unwrap_or_else(|_| "{}".to_string());
-                    let status_word = if h.degraded() { "degraded" } else { "ok" };
-                    (
-                        "200 OK",
-                        "application/json",
-                        format!(
-                            "{{\"status\":\"{status_word}\",\"windows\":{},\"health\":{health}}}\n",
-                            state.windows
-                        ),
-                    )
-                }
-                None => (
-                    "503 Service Unavailable",
-                    "application/json",
-                    "{\"status\":\"no completed cycles\"}\n".to_string(),
-                ),
-            },
-            _ => (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "not found; try /metrics, /events, /stability, /history, /profile, /healthz\n"
-                    .to_string(),
-            ),
-        }
+        route(state, &request.target)
     };
 
-    drop(reader);
     let mut out = &stream;
     write!(
         out,
@@ -467,7 +485,7 @@ fn handle(stream: TcpStream, state: &ServerState, config: &ServerConfig) -> io::
     )?;
     out.write_all(body.as_bytes())?;
     out.flush()?;
-    if truncated {
+    if request.truncated {
         // Closing with unread request bytes in the receive buffer turns
         // into an RST that can eat the 431 before the client reads it.
         // Drain what the client already sent — bounded, and still under

@@ -431,10 +431,12 @@ fn probe_send_streams_into_ingest_listen() {
     let inputs = write_inputs(&dir);
     let (flows, _) = &inputs[0];
     let addr_file = dir.join("listener.addr");
+    let store = dir.join("store").to_string_lossy().into_owned();
 
     // The listener blocks until the probe session ends, so it runs in a
     // thread; --addr-file hands the ephemeral port back to the sender.
     let af = addr_file.to_string_lossy().into_owned();
+    let listener_store = store.clone();
     let listener = std::thread::spawn(move || {
         run(&args(&[
             "ingest",
@@ -447,6 +449,8 @@ fn probe_send_streams_into_ingest_listen() {
             "edge",
             "--max-windows",
             "3",
+            "--state",
+            &listener_store,
         ]))
     });
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
@@ -469,6 +473,87 @@ fn probe_send_streams_into_ingest_listen() {
     assert!(out.contains("healthy"), "{out}");
     assert!(!out.contains("degraded"), "{out}");
     assert!(out.contains("probe edge"), "{out}");
+
+    // --state persisted the wire-ingested window: explain replays it
+    // back out of the store with its real bounds.
+    let host = scenarios::figure1(3, 3).role_hosts("sales")[0].to_string();
+    let replayed = run(&args(&["explain", "--host", &host, "--state", &store])).unwrap();
+    assert!(
+        replayed.contains("replaying 1 retained window(s) from the segment store"),
+        "{replayed}"
+    );
+    assert!(replayed.contains("window [0, 86400000):"), "{replayed}");
+    assert!(replayed.contains("result: group"), "{replayed}");
+}
+
+#[test]
+fn window_count_over_the_limit_is_a_prompt_usage_error() {
+    use role_classification::flow::{FlowRecord, HostAddr};
+    let dir = workdir("hugespan");
+    // Two records 2^40 ms apart: at --window-ms 1 that is ~10^12 windows.
+    let records: Vec<FlowRecord> = [0u64, 1 << 40]
+        .iter()
+        .map(|&t| {
+            let mut f = FlowRecord::pair(HostAddr::v4(1), HostAddr::v4(2));
+            f.start_ms = t;
+            f.end_ms = t + 1;
+            f
+        })
+        .collect();
+    let flows = dir.join("flows.txt").to_string_lossy().into_owned();
+    std::fs::write(&flows, textlog::render(&records)).unwrap();
+    let t0 = std::time::Instant::now();
+    for argv in [
+        vec!["explain", "--host", "0.0.0.1"],
+        vec!["metrics"],
+        vec!["stability"],
+        vec!["probe", "send", "--to", "127.0.0.1:9"],
+    ] {
+        let mut argv = argv;
+        argv.extend_from_slice(&["--input", &flows, "--window-ms", "1"]);
+        let err = run(&args(&argv)).unwrap_err();
+        assert_eq!(err.code, 2, "{argv:?}: {}", err.message);
+        assert!(err.message.contains("windows (limit"), "{}", err.message);
+    }
+    assert!(t0.elapsed() < std::time::Duration::from_secs(10));
+    // The default (one window spanning the trace) still runs.
+    let out = run(&args(&["metrics", "--input", &flows])).unwrap();
+    assert!(out.contains("windows: 1"), "{out}");
+}
+
+#[test]
+fn auto_k_hi_is_rejected_where_it_is_not_read() {
+    let dir = workdir("autok-reject");
+    let inputs = write_inputs(&dir);
+    let (flows, _) = &inputs[0];
+    for cmd in [
+        &["metrics"][..],
+        &["stability"],
+        &["serve"],
+        &["profile"],
+        &["ingest", "listen"],
+    ] {
+        let mut argv = cmd.to_vec();
+        argv.extend_from_slice(&["--input", flows, "--auto-k-hi"]);
+        let err = run(&args(&argv)).unwrap_err();
+        assert_eq!(err.code, 2, "{argv:?}");
+        assert!(
+            err.message.contains("classify, correlate and explain"),
+            "{}",
+            err.message
+        );
+    }
+    let host = scenarios::figure1(3, 3).role_hosts("sales")[0].to_string();
+    let out = run(&args(&[
+        "explain",
+        "--input",
+        flows,
+        "--host",
+        &host,
+        "--auto-k-hi",
+    ]))
+    .unwrap();
+    assert!(out.contains("result: group"), "{out}");
 }
 
 #[test]
@@ -553,7 +638,8 @@ fn usage_documents_engine_tuning() {
 fn usage_documents_storage_and_time_travel() {
     let usage = run(&args(&["help"])).unwrap();
     assert!(usage.contains("--state"), "{usage}");
-    assert!(usage.contains("--store"), "{usage}");
+    // --state has one backend (segments); there is no --store knob.
+    assert!(!usage.contains("--store"), "{usage}");
     assert!(usage.contains("--at"), "{usage}");
     assert!(usage.contains("/history"), "{usage}");
 }
@@ -577,8 +663,6 @@ fn explain_time_travels_from_segment_store() {
         "43200000",
         "--state",
         &store,
-        "--store",
-        "segment",
         "--s-lo",
         "90",
         "--s-hi",
@@ -595,8 +679,6 @@ fn explain_time_travels_from_segment_store() {
         &host,
         "--state",
         &store,
-        "--store",
-        "segment",
         "--at",
         "999999999999",
         "--s-lo",
@@ -643,11 +725,6 @@ fn storage_flag_misuse_is_a_usage_error() {
     let inputs = write_inputs(&dir);
     let (flows, _) = &inputs[0];
 
-    // --store without --state persists nothing: rejected.
-    let err = run(&args(&["metrics", "--input", flows, "--store", "segment"])).unwrap_err();
-    assert_eq!(err.code, 2);
-    assert!(err.message.contains("--state"), "{}", err.message);
-
     // --at outside a store-backed explain: rejected.
     let err = run(&args(&[
         "explain", "--input", flows, "--host", "0.0.0.1", "--at", "5",
@@ -656,18 +733,19 @@ fn storage_flag_misuse_is_a_usage_error() {
     assert_eq!(err.code, 2);
     assert!(err.message.contains("--state"), "{}", err.message);
 
-    // An unknown backend name — including the removed append-log
-    // backend's — is rejected with the valid choices, never silently
-    // served by another backend.
+    // There is no --store flag (--state always means the segment
+    // store): passing one is an unknown-flag usage error.
     let store = dir.join("store").to_string_lossy().into_owned();
-    for backend in ["floppy", "appendlog"] {
-        let err = run(&args(&[
-            "metrics", "--input", flows, "--state", &store, "--store", backend,
-        ]))
-        .unwrap_err();
-        assert_eq!(err.code, 2, "{backend}");
-        assert!(err.message.contains("memory|segment"), "{}", err.message);
-    }
+    let err = run(&args(&[
+        "metrics", "--input", flows, "--state", &store, "--store", "segment",
+    ]))
+    .unwrap_err();
+    assert_eq!(err.code, 2);
+    assert!(
+        err.message.contains("unknown flag \"--store\""),
+        "{}",
+        err.message
+    );
 }
 
 #[test]
