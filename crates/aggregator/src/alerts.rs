@@ -51,16 +51,6 @@ pub enum AlertKind {
         /// The triggering flow.
         flow: FlowRecord,
     },
-    /// One host touched an improbable number of distinct hosts —
-    /// the scanner pattern BigCompany was investigating (Section 6.1).
-    FanoutSpike {
-        /// The scanning host.
-        host: HostAddr,
-        /// Distinct peers contacted in the window.
-        peers: usize,
-        /// The detection threshold.
-        threshold: usize,
-    },
     /// A classification window ran on incomplete input (probe failures
     /// or quarantines). Group changes observed in such a window are
     /// likely artifacts of the missing data, not real role churn.
@@ -128,7 +118,6 @@ impl AlertKind {
             AlertKind::PolicyViolation(_) => "policy_violation",
             AlertKind::NewGroupNeighbor { .. } => "new_group_neighbor",
             AlertKind::UnknownHost { .. } => "unknown_host",
-            AlertKind::FanoutSpike { .. } => "fanout_spike",
             AlertKind::DegradedWindow { .. } => "degraded_window",
             AlertKind::CheckpointFallback { .. } => "checkpoint_fallback",
             AlertKind::RoleChurn { .. } => "role_churn",
@@ -261,13 +250,11 @@ pub struct NewNeighborDetector {
     /// Group pairs that communicated in the baseline (unordered, as
     /// (min, max)).
     known_pairs: BTreeSet<(GroupId, GroupId)>,
-    /// Fan-out threshold for the scanner heuristic.
-    pub fanout_threshold: usize,
 }
 
 impl NewNeighborDetector {
     /// Builds a detector from a baseline run.
-    pub fn new(grouping: Grouping, connsets: &ConnectionSets, fanout_threshold: usize) -> Self {
+    pub fn new(grouping: Grouping, connsets: &ConnectionSets) -> Self {
         let mut known_pairs = BTreeSet::new();
         for (a, b) in connsets.edges() {
             if let (Some(ga), Some(gb)) = (grouping.group_of(a), grouping.group_of(b)) {
@@ -278,13 +265,7 @@ impl NewNeighborDetector {
         NewNeighborDetector {
             baseline_grouping: grouping,
             known_pairs,
-            fanout_threshold,
         }
-    }
-
-    /// Number of distinct baseline group pairs.
-    pub fn known_pair_count(&self) -> usize {
-        self.known_pairs.len()
     }
 
     /// Checks one flow against the baseline structure.
@@ -321,31 +302,6 @@ impl NewNeighborDetector {
                     flow: *flow,
                 },
             }),
-        }
-        out
-    }
-
-    /// Checks a window of flows: per-flow structure checks plus the
-    /// fan-out (scanner) heuristic over the whole window.
-    pub fn check_window(&self, flows: &[FlowRecord]) -> Vec<Alert> {
-        let mut out: Vec<Alert> = flows.iter().flat_map(|f| self.check_flow(f)).collect();
-        // Scanner heuristic: count distinct peers per source host.
-        let mut peers: std::collections::BTreeMap<HostAddr, BTreeSet<HostAddr>> =
-            std::collections::BTreeMap::new();
-        for f in flows {
-            peers.entry(f.src).or_default().insert(f.dst);
-        }
-        for (host, set) in peers {
-            if set.len() >= self.fanout_threshold {
-                out.push(Alert {
-                    severity: Severity::Critical,
-                    kind: AlertKind::FanoutSpike {
-                        host,
-                        peers: set.len(),
-                        threshold: self.fanout_threshold,
-                    },
-                });
-            }
         }
         out
     }
@@ -389,13 +345,12 @@ mod tests {
         cs.add_pair(h(11), h(1));
         cs.add_pair(h(12), h(1));
         cs.add_pair(h(21), h(3));
-        NewNeighborDetector::new(grouping, &cs, 100)
+        NewNeighborDetector::new(grouping, &cs)
     }
 
     #[test]
     fn known_structure_is_quiet() {
         let d = detector();
-        assert_eq!(d.known_pair_count(), 2);
         let ok = FlowRecord::pair(h(11), h(1));
         assert!(d.check_flow(&ok).is_empty());
     }
@@ -438,26 +393,6 @@ mod tests {
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].severity, Severity::Info);
         assert!(matches!(alerts[0].kind, AlertKind::UnknownHost { host, .. } if host == h(99)));
-    }
-
-    #[test]
-    fn fanout_spike_detected() {
-        let mut d = detector();
-        d.fanout_threshold = 5;
-        let flows: Vec<FlowRecord> = (100..106).map(|x| FlowRecord::pair(h(11), h(x))).collect();
-        let alerts = d.check_window(&flows);
-        let spike = alerts
-            .iter()
-            .find(|a| matches!(a.kind, AlertKind::FanoutSpike { .. }))
-            .expect("fanout alert expected");
-        assert_eq!(spike.severity, Severity::Critical);
-        match spike.kind {
-            AlertKind::FanoutSpike { host, peers, .. } => {
-                assert_eq!(host, h(11));
-                assert_eq!(peers, 6);
-            }
-            _ => unreachable!(),
-        }
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //! sequence.
 //!
 //! Write errors never propagate into the pipeline — losing a journal
-//! line must not fail a classification cycle — but they are counted
-//! ([`FlightRecorder::write_errors`]) so an operator can tell a quiet
-//! journal from a broken one. Unbounded growth is handled by
-//! [`FlightRecorder::prune`], which applies the namespace's retention
-//! policy and reports exactly what was dropped.
+//! line must not fail a classification cycle — but they are counted on
+//! `roleclass_storage_errors_total` whenever a recorder is attached, so
+//! an operator can tell a quiet journal from a broken one. Unbounded
+//! growth is handled by [`FlightRecorder::prune`], which applies the
+//! namespace's retention policy and reports exactly what was dropped.
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,7 +42,8 @@ pub(crate) struct Observer {
 impl Observer {
     /// Journals one event to every attached observer, flight recorder
     /// first. `fields` runs only when an observer is attached, so a
-    /// detached pipeline builds no field vectors at all.
+    /// detached pipeline builds no field vectors at all. A journal line
+    /// the flight recorder failed to write counts as a storage error.
     pub(crate) fn event(
         &self,
         layer: &'static str,
@@ -52,26 +53,37 @@ impl Observer {
         match (self.recorder.as_deref(), self.flight.as_deref()) {
             (Some(r), Some(f)) => {
                 let fields = fields();
-                f.append_in_layer(layer, name, fields.clone());
+                if !f.append_in_layer(layer, name, fields.clone()) {
+                    self.count_storage_error();
+                }
                 r.events().record(layer, name, fields);
             }
             (Some(r), None) => r.events().record(layer, name, fields()),
-            (None, Some(f)) => f.append_in_layer(layer, name, fields()),
+            (None, Some(f)) => {
+                f.append_in_layer(layer, name, fields());
+            }
             (None, None) => {}
+        }
+    }
+
+    /// Counts one failed run-store or journal operation on
+    /// `roleclass_storage_errors_total` when a recorder is attached.
+    pub(crate) fn count_storage_error(&self) {
+        if let Some(r) = self.recorder.as_deref() {
+            r.registry().counter("roleclass_storage_errors_total").inc();
         }
     }
 }
 
 /// Appends aggregator events to a durable journal. All methods take
-/// `&self` (the backend is internally synchronized, counters are
-/// atomic), so the recorder can be used from `&self` contexts like
+/// `&self` (the backend is internally synchronized, the sequence counter
+/// is atomic), so the recorder can be used from `&self` contexts like
 /// [`Aggregator::checkpoint`](crate::Aggregator::checkpoint).
 #[derive(Debug)]
 pub struct FlightRecorder {
     backend: Arc<dyn StorageBackend>,
     ns: String,
     next_seq: AtomicU64,
-    errors: AtomicU64,
 }
 
 impl FlightRecorder {
@@ -97,28 +109,21 @@ impl FlightRecorder {
             backend,
             ns,
             next_seq: AtomicU64::new(next),
-            errors: AtomicU64::new(0),
         })
-    }
-
-    /// Appends one event in the `aggregator` layer. See
-    /// [`FlightRecorder::append_in_layer`].
-    pub fn append(&self, name: &'static str, fields: Vec<(&'static str, FieldValue)>) {
-        self.append_in_layer("aggregator", name, fields);
     }
 
     /// Appends one event (wall-clock `ts_ns` since the UNIX epoch) under
     /// an explicit layer — the transport listener journals its
     /// `probe_session_*` provenance here as layer `transport`, storage
-    /// retention journals as layer `storage` — and flushes. IO errors
-    /// are swallowed and counted: journaling must never fail the
-    /// pipeline.
+    /// retention journals as layer `storage` — and flushes. Returns
+    /// whether the record landed; an IO error is not propagated, because
+    /// journaling must never fail the pipeline.
     pub fn append_in_layer(
         &self,
         layer: &'static str,
         name: &'static str,
         fields: Vec<(&'static str, FieldValue)>,
-    ) {
+    ) -> bool {
         let ts_ns = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
@@ -131,13 +136,9 @@ impl FlightRecorder {
             name,
             fields,
         };
-        if self
-            .backend
+        self.backend
             .append(&self.ns, seq, ev.to_json().as_bytes())
-            .is_err()
-        {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-        }
+            .is_ok()
     }
 
     /// Applies the journal's retention policy now, dropping the oldest
@@ -145,11 +146,6 @@ impl FlightRecorder {
     /// dropped so callers can count (and journal) the prune itself.
     pub fn prune(&self) -> storage::Result<Pruned> {
         self.backend.retain(&self.ns)
-    }
-
-    /// Number of journal records lost to IO errors so far.
-    pub fn write_errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
     }
 
     /// The sequence number the next event will get.
@@ -187,12 +183,16 @@ mod tests {
     fn appends_sequenced_jsonl() {
         let stack = StorageStack::open(&StorageConfig::memory()).unwrap();
         let fr = stack.recorder();
-        fr.append(
+        assert!(fr.append_in_layer(
+            "aggregator",
             "roleclass_aggregator_window_started",
             vec![("window_start_ms", 0u64.into())],
-        );
-        fr.append("roleclass_aggregator_window_classified", vec![]);
-        assert_eq!(fr.write_errors(), 0);
+        ));
+        assert!(fr.append_in_layer(
+            "aggregator",
+            "roleclass_aggregator_window_classified",
+            vec![]
+        ));
         let lines = journal_lines(&stack);
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"seq\":0"));
@@ -207,13 +207,17 @@ mod tests {
         {
             let stack = StorageStack::open(&config).unwrap();
             let fr = stack.recorder();
-            fr.append("roleclass_aggregator_window_started", vec![]);
-            fr.append("roleclass_aggregator_window_classified", vec![]);
+            fr.append_in_layer("aggregator", "roleclass_aggregator_window_started", vec![]);
+            fr.append_in_layer(
+                "aggregator",
+                "roleclass_aggregator_window_classified",
+                vec![],
+            );
         }
         let stack = StorageStack::open(&config).unwrap();
         let fr = stack.recorder();
         assert_eq!(fr.next_seq(), 2);
-        fr.append("roleclass_aggregator_window_started", vec![]);
+        fr.append_in_layer("aggregator", "roleclass_aggregator_window_started", vec![]);
         let lines = journal_lines(&stack);
         assert_eq!(lines.len(), 3);
         assert!(lines[2].contains("\"seq\":2"));
@@ -227,9 +231,13 @@ mod tests {
         {
             let stack = StorageStack::open(&config).unwrap();
             let fr = stack.recorder();
-            fr.append("roleclass_aggregator_window_started", vec![]);
-            fr.append("roleclass_aggregator_window_classified", vec![]);
-            fr.append("roleclass_aggregator_window_started", vec![]);
+            fr.append_in_layer("aggregator", "roleclass_aggregator_window_started", vec![]);
+            fr.append_in_layer(
+                "aggregator",
+                "roleclass_aggregator_window_classified",
+                vec![],
+            );
+            fr.append_in_layer("aggregator", "roleclass_aggregator_window_started", vec![]);
         }
         // Simulate a crash mid-append: tear the tail off the newest
         // segment file, destroying the third record.
@@ -258,7 +266,7 @@ mod tests {
     fn layers_share_one_sequence() {
         let stack = StorageStack::open(&StorageConfig::memory()).unwrap();
         let fr = stack.recorder();
-        fr.append("roleclass_aggregator_window_started", vec![]);
+        fr.append_in_layer("aggregator", "roleclass_aggregator_window_started", vec![]);
         fr.append_in_layer(
             "transport",
             "roleclass_transport_probe_session_opened",
@@ -277,7 +285,7 @@ mod tests {
         let stack = StorageStack::open(&config).unwrap();
         let fr = stack.recorder();
         for _ in 0..8 {
-            fr.append("roleclass_aggregator_window_started", vec![]);
+            fr.append_in_layer("aggregator", "roleclass_aggregator_window_started", vec![]);
         }
         let pruned = fr.prune().unwrap();
         assert_eq!(pruned.records, 5);

@@ -6,7 +6,7 @@
 //! the ids they hang off stay stable. The store is a simple JSON
 //! document so operators can inspect and version it.
 
-use roleclass::{Correlation, GroupId};
+use roleclass::GroupId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -51,17 +51,6 @@ impl LabelStore {
     /// Iterates over `(id, label)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (GroupId, &str)> + '_ {
         self.labels.iter().map(|(&id, l)| (id, l.as_str()))
-    }
-
-    /// Drops labels of groups reported as vanished by a correlation.
-    /// (Labels of correlated groups need no action: ids are stable by
-    /// construction.) Returns how many labels were dropped.
-    pub fn prune_vanished(&mut self, corr: &Correlation) -> usize {
-        let before = self.labels.len();
-        for id in &corr.vanished_groups {
-            self.labels.remove(id);
-        }
-        before - self.labels.len()
     }
 
     /// Serializes to pretty JSON.
@@ -122,19 +111,5 @@ mod tests {
         let back = LabelStore::load(&path).unwrap();
         assert_eq!(s, back);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn prune_vanished_drops_only_dead_groups() {
-        let mut s = LabelStore::new();
-        s.set(GroupId(1), "eng");
-        s.set(GroupId(2), "sales");
-        let corr = Correlation {
-            vanished_groups: vec![GroupId(2), GroupId(9)],
-            ..Correlation::default()
-        };
-        assert_eq!(s.prune_vanished(&corr), 1);
-        assert_eq!(s.get(GroupId(1)), Some("eng"));
-        assert_eq!(s.get(GroupId(2)), None);
     }
 }

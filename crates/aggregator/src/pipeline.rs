@@ -362,11 +362,6 @@ impl Aggregator {
         self
     }
 
-    /// The attached flight recorder, if any.
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.observer.flight.as_deref()
-    }
-
     /// Attaches a durable per-window run store (builder style). Every
     /// classified window is appended to it, keyed by the window's start
     /// timestamp, and its retention policy is applied after each append
@@ -384,13 +379,6 @@ impl Aggregator {
     /// Takes (and clears) the queued operational alerts.
     pub fn take_alerts(&mut self) -> Vec<Alert> {
         std::mem::take(&mut self.pending_alerts)
-    }
-
-    /// The stability tracker scoring cross-window group persistence,
-    /// membership backbone, and per-host churn. Updated every cycle,
-    /// attached or detached.
-    pub fn stability_tracker(&self) -> &StabilityTracker {
-        &self.stability
     }
 
     /// One [`WindowStability`] row per completed cycle, in window order —
@@ -421,11 +409,6 @@ impl Aggregator {
     pub fn attach(&mut self, probe: Box<dyn Probe + Send>) {
         self.probes
             .push(ProbeSupervisor::new(probe, self.config.supervisor.clone()));
-    }
-
-    /// Number of attached probes.
-    pub fn probe_count(&self) -> usize {
-        self.probes.len()
     }
 
     /// Per-probe supervision snapshot: name, circuit-breaker health, and
@@ -803,7 +786,7 @@ impl Aggregator {
                     });
             }
             Ok(None) => {}
-            Err(_) => self.count_storage_error(),
+            Err(_) => self.observer.count_storage_error(),
         }
         self.note_prune("runs", store.prune());
     }
@@ -814,7 +797,7 @@ impl Aggregator {
         let pruned = match pruned {
             Ok(p) if p.is_empty() => return,
             Ok(p) => p,
-            Err(_) => return self.count_storage_error(),
+            Err(_) => return self.observer.count_storage_error(),
         };
         if let Some(r) = self.observer.recorder.as_deref() {
             let reg = r.registry();
@@ -832,13 +815,6 @@ impl Aggregator {
                     ("bytes", pruned.bytes.into()),
                 ]
             });
-    }
-
-    /// Counts one failed run-store or journal operation.
-    fn count_storage_error(&self) {
-        if let Some(r) = self.observer.recorder.as_deref() {
-            r.registry().counter("roleclass_storage_errors_total").inc();
-        }
     }
 
     /// Queues an operational alert and journals its `alert_raised`
@@ -884,40 +860,6 @@ impl Aggregator {
             cycles += 1;
         }
         cycles
-    }
-
-    /// The group-membership history of one host across all completed
-    /// runs — the signal the paper's monitoring system consults when
-    /// "deciding whether a host's behavior matches the expected policy
-    /// setting, partly based on the history of the host's group
-    /// membership" (Section 2). `None` entries are windows where the
-    /// host was not observed.
-    pub fn host_timeline(
-        &self,
-        h: flow::HostAddr,
-    ) -> Vec<(TimeWindow, Option<roleclass::GroupId>)> {
-        self.history
-            .read()
-            .iter()
-            .map(|run| (run.window, run.grouping.group_of(h)))
-            .collect()
-    }
-
-    /// Fraction of observed windows in which `h` kept the group id of
-    /// its previous observation, in `[0, 1]`; `None` with fewer than two
-    /// observations. A low score means the host's role is drifting —
-    /// grounds for scrutiny under group-history-based policies.
-    pub fn membership_stability(&self, h: flow::HostAddr) -> Option<f64> {
-        let observed: Vec<roleclass::GroupId> = self
-            .host_timeline(h)
-            .into_iter()
-            .filter_map(|(_, g)| g)
-            .collect();
-        if observed.len() < 2 {
-            return None;
-        }
-        let stable = observed.windows(2).filter(|w| w[0] == w[1]).count();
-        Some(stable as f64 / (observed.len() - 1) as f64)
     }
 
     /// Writes a checkpoint generation through `ck`: the master host
@@ -1094,7 +1036,7 @@ mod tests {
     fn single_cycle_produces_grouping() {
         let mut agg = Aggregator::new(config());
         agg.attach(Box::new(ReplayProbe::new("p0", day_trace(0, 3))));
-        assert_eq!(agg.probe_count(), 1);
+        assert_eq!(agg.probe_reports().len(), 1);
         assert!(agg.has_pending_data());
         let run = agg.run_cycle();
         assert_eq!(run.window, TimeWindow::new(0, 1000));
@@ -1148,23 +1090,6 @@ mod tests {
         agg.attach(Box::new(ReplayProbe::new("probe-b", pod_b)));
         let run = agg.run_cycle();
         assert_eq!(run.grouping.host_count(), 10);
-    }
-
-    #[test]
-    fn host_timeline_and_stability() {
-        let mut agg = Aggregator::new(config());
-        let trace: Vec<FlowRecord> = (0..3).flat_map(|d| day_trace(d, 3)).collect();
-        agg.attach(Box::new(ReplayProbe::new("p0", trace)));
-        agg.drain();
-        let tl = agg.host_timeline(h(11));
-        assert_eq!(tl.len(), 3);
-        assert!(tl.iter().all(|(_, g)| g.is_some()));
-        // Stable network: perfect stability.
-        assert_eq!(agg.membership_stability(h(11)), Some(1.0));
-        // Unknown host: observed nowhere.
-        let tl99 = agg.host_timeline(h(99));
-        assert!(tl99.iter().all(|(_, g)| g.is_none()));
-        assert_eq!(agg.membership_stability(h(99)), None);
     }
 
     #[test]
@@ -1429,7 +1354,12 @@ mod tests {
             assert_eq!(field(&v, "name"), &Value::Str(ev.name.to_string()));
             assert_eq!(field(&v, "layer"), &Value::Str(ev.layer.to_string()));
         }
-        assert_eq!(agg.flight_recorder().unwrap().write_errors(), 0);
+        assert_eq!(
+            rec.registry()
+                .counter("roleclass_storage_errors_total")
+                .get(),
+            0
+        );
 
         // A restarted aggregator reopens the journal and extends it;
         // the restore itself is journaled.
@@ -1461,7 +1391,6 @@ mod tests {
         agg.attach(Box::new(ReplayProbe::new("p0", day_trace(0, 3))));
         agg.run_cycle();
         assert!(agg.recorder().is_none());
-        assert!(agg.flight_recorder().is_none());
     }
 
     /// A memory backend whose appends fail, like a full disk.
@@ -1522,6 +1451,43 @@ mod tests {
     }
 
     #[test]
+    fn failed_journal_appends_are_counted() {
+        let flight = FlightRecorder::with_backend(
+            Arc::new(FullDisk(storage::MemoryBackend::new())),
+            crate::store::JOURNAL_NS,
+            storage::Retention::unbounded(),
+        )
+        .unwrap();
+        let rec = Arc::new(telemetry::Recorder::new());
+        let mut agg = Aggregator::new(config())
+            .with_recorder(Arc::clone(&rec))
+            .with_shared_flight_recorder(Arc::new(flight));
+        let trace: Vec<FlowRecord> = day_trace(0, 3).into_iter().chain(day_trace(1, 3)).collect();
+        agg.attach(Box::new(ReplayProbe::new("p0", trace)));
+        // Engine-layer decisions go to the in-memory journal only; every
+        // other event is also written to the flight journal, and each of
+        // those writes fails on the full disk.
+        let journaled = || {
+            rec.events()
+                .snapshot()
+                .iter()
+                .filter(|e| e.layer != "engine")
+                .count() as u64
+        };
+        let errors = || {
+            rec.registry()
+                .counter("roleclass_storage_errors_total")
+                .get()
+        };
+        let run = agg.run_cycle();
+        assert_eq!(run.grouping.host_count(), 10);
+        assert!(journaled() > 0);
+        assert_eq!(errors(), journaled());
+        agg.run_cycle();
+        assert_eq!(errors(), journaled());
+    }
+
+    #[test]
     fn host_ids_are_stable_across_cycles() {
         let mut agg = Aggregator::new(config());
         // Day 0 uses db host 3; day 1 swaps in db host 5 and a new pod
@@ -1530,7 +1496,7 @@ mod tests {
         agg.attach(Box::new(ReplayProbe::new("p0", trace)));
         let first = agg.run_cycle();
         let ids_before: Vec<_> = agg.host_table().iter().collect();
-        let second = agg.run_cycle();
+        agg.run_cycle();
         // Every previously-assigned id is unchanged.
         for (id, addr) in ids_before {
             assert_eq!(agg.host_table().get(addr), Some(id));
@@ -1538,11 +1504,6 @@ mod tests {
         // The new host got a fresh id past the old population.
         assert!(agg.host_table().len() > first.connsets.host_count());
         assert!(agg.host_table().get(h(5)).is_some());
-        // Each window's connsets share the master table identity.
-        assert_eq!(
-            second.connsets.table().get(h(11)),
-            agg.host_table().get(h(11))
-        );
     }
 
     #[test]

@@ -149,19 +149,6 @@ impl PolicyEngine {
         }
         out
     }
-
-    /// Checks a batch of flows, concatenating verdicts.
-    pub fn check_all(
-        &self,
-        grouping: &Grouping,
-        labels: &LabelStore,
-        flows: &[FlowRecord],
-    ) -> Vec<PolicyVerdict> {
-        flows
-            .iter()
-            .flat_map(|f| self.check(grouping, labels, f))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -262,23 +249,6 @@ mod tests {
         });
         let unknown = FlowRecord::pair(h(99), h(3));
         assert!(engine.check(&grouping, &labels, &unknown).is_empty());
-    }
-
-    #[test]
-    fn check_all_accumulates() {
-        let (grouping, labels) = setup();
-        let mut engine = PolicyEngine::new();
-        engine.add(Policy::Forbid {
-            name: "p".into(),
-            from: Selector::Label("eng".into()),
-            to: Selector::Label("sales-db".into()),
-        });
-        let flows = vec![
-            FlowRecord::pair(h(11), h(3)),
-            FlowRecord::pair(h(12), h(3)),
-            FlowRecord::pair(h(11), h(1)),
-        ];
-        assert_eq!(engine.check_all(&grouping, &labels, &flows).len(), 2);
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl ProfileBuilder {
         }
     }
 
-    /// Number of windows currently held.
-    pub fn window_count(&self) -> usize {
-        self.windows.len()
-    }
-
     /// Builds the stable profile over the held windows.
     ///
     /// Hosts seen in *any* window are part of the population; pairs must
@@ -125,7 +120,6 @@ mod tests {
         // Two new windows without the pair push it out entirely.
         p.push_window(window(&[(5, 6)]));
         p.push_window(window(&[(5, 6)]));
-        assert_eq!(p.window_count(), 2);
         let profile = p.profile();
         assert!(!profile.connected(h(1), h(2)));
         assert!(profile.connected(h(5), h(6)));

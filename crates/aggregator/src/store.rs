@@ -298,15 +298,18 @@ mod tests {
             .with_backend(BackendKind::Segment)
             .with_history_retention(Some(2), None);
         let runs = sample_runs(3);
+        let mut table = flow::HostTable::new();
+        for h in runs.iter().flat_map(|r| r.connsets.hosts()) {
+            table.intern(h);
+        }
         {
             let stack = StorageStack::open(&config).unwrap();
-            stack
-                .checkpointer()
-                .save_with_table(&runs, runs[2].connsets.table())
-                .unwrap();
-            stack
-                .recorder()
-                .append("roleclass_aggregator_window_started", vec![]);
+            stack.checkpointer().save_with_table(&runs, &table).unwrap();
+            assert!(stack.recorder().append_in_layer(
+                "aggregator",
+                "roleclass_aggregator_window_started",
+                vec![]
+            ));
             for run in &runs {
                 stack.runs().record(run).unwrap();
             }

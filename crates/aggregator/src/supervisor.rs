@@ -170,11 +170,6 @@ impl ProbeSupervisor {
         self.health
     }
 
-    /// Returns `true` once a fatal error has retired the probe for good.
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> ProbeStats {
         self.stats
@@ -435,7 +430,6 @@ mod tests {
         let mut s = supervise(vec![Err(ProbeError::Fatal("device gone".into())), Ok(9)]);
         assert!(matches!(s.poll_window(0, 100), PollOutcome::Failed { .. }));
         assert_eq!(s.health(), ProbeHealth::Quarantined);
-        assert!(s.is_dead());
         assert_eq!(s.horizon_ms(), Some(0));
         // Never polled again, no matter how many windows pass.
         for w in 1..10u64 {

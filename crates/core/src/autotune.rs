@@ -17,10 +17,8 @@
 //!   shrinking fast, which again separates the embedded server tier
 //!   from peripheral clients.
 //!
-//! Both return a `K^hi` candidate; [`auto_params`] plugs the Otsu choice
-//! into [`Params`].
+//! Both return a `K^hi` candidate for [`Params::k_hi`](crate::Params::k_hi).
 
-use crate::params::Params;
 use flow::ConnectionSets;
 use netgraph::{core_numbers, NodeId, SimpleGraph};
 use std::collections::BTreeMap;
@@ -100,15 +98,6 @@ pub fn auto_k_hi_kcore(cs: &ConnectionSets, frac: f64) -> u32 {
     max_core as u32
 }
 
-/// Default parameters with `K^hi` chosen automatically by Otsu's method
-/// over the network's own degree distribution.
-pub fn auto_params(cs: &ConnectionSets) -> Params {
-    Params {
-        k_hi: auto_k_hi_otsu(cs).max(1),
-        ..Params::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,13 +150,6 @@ mod tests {
         // low but defined.
         let k = auto_k_hi_kcore(&cs, 0.5);
         assert!(k >= 1);
-    }
-
-    #[test]
-    fn auto_params_validate() {
-        let p = auto_params(&bimodal());
-        assert!(p.validate().is_ok());
-        assert!(p.k_hi >= 1);
     }
 
     #[test]

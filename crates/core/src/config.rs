@@ -45,22 +45,11 @@ impl EngineConfig {
         }
     }
 
-    /// Builder-style setter for the kernel worker count (`0` = auto).
-    pub fn with_kernel_workers(mut self, workers: usize) -> Self {
+    /// Builder-style setter for both worker pools at once (`0` = auto).
+    pub fn with_workers(mut self, workers: usize) -> Self {
         self.kernel_workers = workers;
-        self
-    }
-
-    /// Builder-style setter for the merge worker count (`0` = auto).
-    pub fn with_merge_workers(mut self, workers: usize) -> Self {
         self.merge_workers = workers;
         self
-    }
-
-    /// Builder-style setter for both worker pools at once.
-    pub fn with_workers(self, workers: usize) -> Self {
-        self.with_kernel_workers(workers)
-            .with_merge_workers(workers)
     }
 
     /// The kernel worker count to actually run with.
@@ -105,14 +94,12 @@ mod tests {
 
     #[test]
     fn builders_chain() {
-        let cfg = EngineConfig::new(Params::default().with_k_hi(3))
-            .with_workers(4)
-            .with_merge_workers(2);
+        let cfg = EngineConfig::new(Params::default().with_k_hi(3)).with_workers(4);
         assert_eq!(cfg.params.k_hi, 3);
         assert_eq!(cfg.kernel_workers, 4);
-        assert_eq!(cfg.merge_workers, 2);
+        assert_eq!(cfg.merge_workers, 4);
         assert_eq!(cfg.resolved_kernel_workers(), 4);
-        assert_eq!(cfg.resolved_merge_workers(), 2);
+        assert_eq!(cfg.resolved_merge_workers(), 4);
     }
 
     #[test]

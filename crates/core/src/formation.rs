@@ -30,7 +30,6 @@
 //! kernel path is tested (and benchmarked) against.
 
 use crate::config::EngineConfig;
-use crate::group::{Group, GroupId, Grouping};
 use crate::params::{ParamError, Params, TieBreak};
 use flow::{ConnectionSets, HostAddr};
 use netgraph::{biconnected_components, CommonNeighborKernel, NodeId, SimpleGraph, WGraph};
@@ -84,24 +83,6 @@ pub struct FormationResult {
     pub node_of_group: Vec<NodeId>,
     /// The formation trace.
     pub trace: Vec<FormationEvent>,
-}
-
-impl FormationResult {
-    /// Renders the result as a [`Grouping`] with sequential ids, mostly
-    /// for callers that skip the merging phase.
-    pub fn to_grouping(&self) -> Grouping {
-        Grouping::new(
-            self.groups
-                .iter()
-                .enumerate()
-                .map(|(i, pg)| Group {
-                    id: GroupId(i as u32),
-                    k: pg.k,
-                    members: pg.members.clone(),
-                })
-                .collect(),
-        )
-    }
 }
 
 /// Internal sweep state.
@@ -559,7 +540,6 @@ mod tests {
         let r = try_form_groups(&cs, &Params::default()).unwrap();
         assert!(r.groups.is_empty());
         assert!(r.trace.is_empty());
-        assert!(r.to_grouping().is_empty());
     }
 
     #[test]
@@ -629,16 +609,5 @@ mod tests {
         };
         assert!(try_form_groups(&figure1(), &bad).is_err());
         assert!(try_form_groups(&figure1(), &Params::default()).is_ok());
-    }
-
-    #[test]
-    fn to_grouping_assigns_sequential_ids() {
-        let r = try_form_groups(&figure1(), &Params::default()).unwrap();
-        let g = r.to_grouping();
-        assert_eq!(g.group_count(), 5);
-        assert_eq!(g.host_count(), 10);
-        for (i, grp) in g.groups().iter().enumerate() {
-            assert_eq!(grp.id, GroupId(i as u32));
-        }
     }
 }

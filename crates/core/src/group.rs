@@ -122,28 +122,12 @@ impl Grouping {
         self.by_host.iter().map(|(&h, &g)| (h, g))
     }
 
-    /// Group sizes, descending.
-    pub fn sizes_desc(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.groups.iter().map(Group::len).collect();
-        v.sort_unstable_by(|a, b| b.cmp(a));
-        v
-    }
-
     /// The `n` largest groups (by member count, ties by id).
     pub fn largest(&self, n: usize) -> Vec<&Group> {
         let mut refs: Vec<&Group> = self.groups.iter().collect();
         refs.sort_by(|a, b| b.len().cmp(&a.len()).then(a.id.cmp(&b.id)));
         refs.truncate(n);
         refs
-    }
-
-    /// Mean group size, or 0.0 when empty.
-    pub fn mean_size(&self) -> f64 {
-        if self.groups.is_empty() {
-            0.0
-        } else {
-            self.host_count() as f64 / self.group_count() as f64
-        }
     }
 
     /// Rewrites group ids via `map`, leaving ids without a mapping
@@ -241,13 +225,11 @@ mod tests {
     }
 
     #[test]
-    fn sizes_and_largest() {
+    fn largest_orders_by_size() {
         let g = grouping();
-        assert_eq!(g.sizes_desc(), vec![3, 2]);
         let top = g.largest(1);
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].id, GroupId(1));
-        assert!((g.mean_size() - 2.5).abs() < 1e-12);
     }
 
     #[test]
@@ -272,7 +254,6 @@ mod tests {
     fn empty_grouping() {
         let g = Grouping::new(vec![]);
         assert!(g.is_empty());
-        assert_eq!(g.mean_size(), 0.0);
         assert!(g.largest(3).is_empty());
     }
 

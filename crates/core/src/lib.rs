@@ -28,10 +28,8 @@
 //!
 //! Supporting modules: [`params`] (all tunables, with the paper's
 //! defaults), [`group`] (partition types), [`diff`] (partition change
-//! reports, the paper's property 4), [`services`] (the
-//! port/protocol-aware refinement sketched in the paper's Sections 2
-//! and 8), and [`stability`] (cross-window persistence/backbone/churn
-//! scoring over the published group ids).
+//! reports, the paper's property 4), and [`stability`] (cross-window
+//! persistence/backbone/churn scoring over the published group ids).
 //!
 //! # Quick start
 //!
@@ -63,12 +61,10 @@ pub mod engine;
 pub mod formation;
 pub mod group;
 pub mod merging;
-pub mod model;
 pub mod params;
-pub mod services;
 pub mod stability;
 
-pub use autotune::{auto_k_hi_kcore, auto_k_hi_otsu, auto_params};
+pub use autotune::{auto_k_hi_kcore, auto_k_hi_otsu};
 pub use classify::{try_classify, Classification, GroupNeighborhood};
 pub use config::EngineConfig;
 pub use correlate::{apply_correlation, try_correlate, Correlation};
@@ -79,7 +75,6 @@ pub use engine::{
 pub use formation::{try_form_groups, FormationEvent, FormationKind, FormationResult};
 pub use group::{Group, GroupId, Grouping};
 pub use merging::{nearest_group, try_merge_groups, MergeEvent, MergeOutcome};
-pub use model::{avg_similarity, avg_similarity_violations, s_min_violations, similarity};
 pub use params::{ParamError, Params, TieBreak};
 pub use stability::{
     GroupStability, HostChurn, StabilityTracker, WindowStability, DEFAULT_CHURN_HORIZON,

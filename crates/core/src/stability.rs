@@ -180,11 +180,6 @@ impl StabilityTracker {
         self.horizon
     }
 
-    /// Windows observed so far.
-    pub fn windows_observed(&self) -> u64 {
-        self.next_window
-    }
-
     /// Scores one published grouping against the previous window and
     /// advances the tracker state.
     pub fn observe(&mut self, grouping: &Grouping) -> WindowStability {
@@ -267,12 +262,6 @@ impl StabilityTracker {
         }
     }
 
-    /// The persistence of a currently published group id (0 if the id is
-    /// not currently published).
-    pub fn persistence_of(&self, id: GroupId) -> u64 {
-        self.persistence.get(&id).copied().unwrap_or(0)
-    }
-
     /// Churn for one host, if it has ever been assigned.
     pub fn host_churn(&self, host: HostAddr) -> Option<HostChurn> {
         self.assignments.get(&host).map(|history| HostChurn {
@@ -347,7 +336,6 @@ mod tests {
         t.observe(&grouping(&[(1, &[10, 11])]));
         let ws = t.observe(&grouping(&[(1, &[10, 11])]));
         assert_eq!(ws.groups[0].persistence, 3);
-        assert_eq!(t.persistence_of(GroupId(1)), 3);
         // A retired id restarts at 1 if it ever comes back.
         t.observe(&grouping(&[(2, &[10, 11])]));
         let ws = t.observe(&grouping(&[(1, &[10, 11])]));

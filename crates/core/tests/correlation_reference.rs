@@ -22,6 +22,7 @@ use proptest::prelude::*;
 use roleclass::{
     apply_correlation, Correlation, Engine, EngineSnapshot, GroupId, Grouping, Params,
 };
+use roleclass_spec::connsets::{self as spec, to_reference};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use synthnet::{churn, scenarios, SyntheticNetwork};
@@ -111,8 +112,8 @@ fn within(tol: f64, a: f64, b: f64) -> bool {
 fn time_varying_similarity(
     curr: &GroupView,
     prev: &GroupView,
-    curr_cs: &ConnectionSets,
-    prev_cs: &ConnectionSets,
+    curr_cs: &spec::ConnectionSets,
+    prev_cs: &spec::ConnectionSets,
     h_same: &BTreeSet<HostAddr>,
     t_hi: f64,
 ) -> f64 {
@@ -277,9 +278,11 @@ fn reference_correlate(
     candidates: Candidates,
     rec: Option<&telemetry::Recorder>,
 ) -> Correlation {
+    // The host-set steps run on the map-based twins of both snapshots.
+    let (prev_s, curr_s) = (to_reference(prev_cs), to_reference(curr_cs));
     let mut out = Correlation {
-        added_hosts: curr_cs.hosts_not_in(prev_cs),
-        removed_hosts: prev_cs.hosts_not_in(curr_cs),
+        added_hosts: curr_s.hosts_not_in(&prev_s),
+        removed_hosts: prev_s.hosts_not_in(&curr_s),
         ..Correlation::default()
     };
 
@@ -292,9 +295,9 @@ fn reference_correlate(
     // 1. Restrict both snapshots to the common host population.
     let restrict_span = telemetry::span(rec, "correlate.restrict");
     let common: BTreeSet<HostAddr> = curr_cs.hosts().filter(|h| prev_cs.contains(*h)).collect();
-    let mut prev_r = prev_cs.clone();
+    let mut prev_r = prev_s;
     prev_r.retain_hosts(&common);
-    let mut curr_r = curr_cs.clone();
+    let mut curr_r = curr_s;
     curr_r.retain_hosts(&common);
     drop(restrict_span);
 

@@ -13,25 +13,25 @@
 //! vector (`addrs`), whose positions are the *rows* every other column
 //! is keyed by. Undirected pairs are `(lo_row, hi_row)` entries sorted
 //! lexicographically (which, rows being address-sorted, is exactly
-//! address order), with a parallel [`PairStats`] column. Each member's
-//! dense identity ([`HostId`], issued by the owning [`HostTable`]) sits
-//! in a parallel `ids` column, so downstream layers can key state by a
-//! stable `u32` instead of address bytes. The CSR adjacency
-//! (`offsets`/`nbrs` over rows) is derived from the pair column on first
-//! use and cached; `netgraph` borrows it directly instead of rebuilding
-//! its own.
+//! address order), with a parallel [`PairStats`] column. Connection sets
+//! carry content only: host identity across windows lives in the
+//! aggregator's master [`HostTable`], into which
+//! [`ConnsetBuilder::build_into`] interns each window's members. The CSR
+//! adjacency (`offsets`/`nbrs` over rows) is derived from the pair column
+//! on first use and cached; `netgraph` borrows it directly instead of
+//! rebuilding its own.
 //!
 //! The retired map-based twin lives in the dev-only `roleclass-spec`
 //! crate as the executable spec; parity tests pin this representation
 //! bit-identical to it.
 
 use crate::addr::{Cidr, HostAddr};
-use crate::intern::{HostId, HostTable};
+use crate::intern::HostTable;
 use crate::record::FlowRecord;
 use crate::window::TimeWindow;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 /// Metric names the flow layer registers, sorted; `tests/metric_names.rs`
 /// lints the naming scheme.
@@ -89,13 +89,8 @@ fn build_index(rows: usize, pairs: &[(u32, u32)]) -> CsrIndex {
 /// exists to produce one of these.
 #[derive(Clone, Debug, Default)]
 pub struct ConnectionSets {
-    /// The identity arena the `ids` column points into. Shared with the
-    /// producer (e.g. the aggregator's master table snapshot).
-    table: Arc<HostTable>,
     /// Member addresses, sorted ascending. Positions are rows.
     addrs: Vec<HostAddr>,
-    /// Dense interned identity of each row, parallel to `addrs`.
-    ids: Vec<HostId>,
     /// Undirected pairs as `(lo_row, hi_row)`, sorted lexicographically.
     pairs: Vec<(u32, u32)>,
     /// Traffic totals, parallel to `pairs`.
@@ -112,8 +107,7 @@ pub struct ConnectionSets {
 impl PartialEq for ConnectionSets {
     fn eq(&self, other: &Self) -> bool {
         // Rows are positional: with equal address vectors the row spaces
-        // coincide and pair rows compare directly. Identity tables are
-        // deliberately ignored — they are plumbing, not content.
+        // coincide and pair rows compare directly.
         self.addrs == other.addrs
             && self.pairs == other.pairs
             && self.pair_stats == other.pair_stats
@@ -180,29 +174,14 @@ impl std::fmt::Debug for Neighbors<'_> {
 }
 
 impl ConnectionSets {
-    /// Creates an empty collection with its own fresh identity table.
+    /// Creates an empty collection.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The identity table the `ids` column points into.
-    pub fn table(&self) -> &Arc<HostTable> {
-        &self.table
     }
 
     /// Member addresses in row (= address) order.
     pub fn member_addrs(&self) -> &[HostAddr] {
         &self.addrs
-    }
-
-    /// Dense ids of the members, parallel to [`ConnectionSets::member_addrs`].
-    pub fn member_ids(&self) -> &[HostId] {
-        &self.ids
-    }
-
-    /// The dense id of `h`, if it is a member.
-    pub fn host_id(&self, h: HostAddr) -> Option<HostId> {
-        self.row_of(h).map(|r| self.ids[r])
     }
 
     /// The borrowed CSR adjacency `(offsets, neighbor_rows)` over rows:
@@ -238,9 +217,7 @@ impl ConnectionSets {
         let Err(r) = self.addrs.binary_search(&h) else {
             return;
         };
-        let id = Arc::make_mut(&mut self.table).intern(h);
         self.addrs.insert(r, h);
-        self.ids.insert(r, id);
         let r = r as u32;
         for p in &mut self.pairs {
             if p.0 >= r {
@@ -396,7 +373,6 @@ impl ConnectionSets {
             return false;
         };
         self.addrs.remove(r);
-        self.ids.remove(r);
         let r = r as u32;
         let mut kept = 0;
         for i in 0..self.pairs.len() {
@@ -418,76 +394,6 @@ impl ConnectionSets {
         self.pair_stats.truncate(kept);
         self.index.take();
         true
-    }
-
-    /// Restricts the host population to `keep`, dropping all other hosts
-    /// and their connections — Section 5.2's "strip arrivals/departures"
-    /// step in its literal form. (`roleclass`'s correlation maps both
-    /// snapshots onto their common rows instead of restricting copies.)
-    ///
-    /// One merged pass over the sorted member and `keep` sequences plus
-    /// one pass over the pair column — no per-host scans.
-    pub fn retain_hosts(&mut self, keep: &BTreeSet<HostAddr>) {
-        let rows = self.addrs.len();
-        let mut remap = vec![u32::MAX; rows];
-        let mut next = 0u32;
-        let mut ki = keep.iter().peekable();
-        let mut new_addrs = Vec::with_capacity(keep.len().min(rows));
-        let mut new_ids = Vec::with_capacity(keep.len().min(rows));
-        for (r, &a) in self.addrs.iter().enumerate() {
-            while let Some(&&k) = ki.peek() {
-                if k < a {
-                    ki.next();
-                } else {
-                    break;
-                }
-            }
-            if ki.peek() == Some(&&a) {
-                remap[r] = next;
-                next += 1;
-                new_addrs.push(a);
-                new_ids.push(self.ids[r]);
-            }
-        }
-        if new_addrs.len() == rows {
-            return; // nothing dropped
-        }
-        self.addrs = new_addrs;
-        self.ids = new_ids;
-        let mut kept = 0;
-        for i in 0..self.pairs.len() {
-            let (a, b) = self.pairs[i];
-            let (na, nb) = (remap[a as usize], remap[b as usize]);
-            if na == u32::MAX || nb == u32::MAX {
-                continue;
-            }
-            self.pairs[kept] = (na, nb);
-            self.pair_stats[kept] = self.pair_stats[i];
-            kept += 1;
-        }
-        self.pairs.truncate(kept);
-        self.pair_stats.truncate(kept);
-        self.index.take();
-    }
-
-    /// Hosts present here but not in `other` — one merged pass over the
-    /// two sorted member vectors.
-    pub fn hosts_not_in(&self, other: &ConnectionSets) -> BTreeSet<HostAddr> {
-        let mut out = BTreeSet::new();
-        let mut oi = other.addrs.iter().peekable();
-        for &a in &self.addrs {
-            while let Some(&&o) = oi.peek() {
-                if o < a {
-                    oi.next();
-                } else {
-                    break;
-                }
-            }
-            if oi.peek() != Some(&&a) {
-                out.insert(a);
-            }
-        }
-        out
     }
 
     /// Maximum connection-set size over all hosts (`k_max` of the
@@ -588,18 +494,14 @@ impl ConnectionSets {
             }
         }
 
-        let mut table = HostTable::new();
-        let ids: Vec<HostId> = addrs.iter().map(|&a| table.intern(a)).collect();
-        Self::from_sorted_parts(Arc::new(table), addrs, ids, merged, Vec::new())
+        Self::from_sorted_parts(addrs, merged, Vec::new())
     }
 
     /// Assembles the columnar layout from already-sorted parts.
     /// `addr_pairs` must be sorted, deduplicated, lo/hi-normalized, and
     /// reference only members of `addrs`; `direction` must be sorted.
     fn from_sorted_parts(
-        table: Arc<HostTable>,
         addrs: Vec<HostAddr>,
-        ids: Vec<HostId>,
         addr_pairs: Vec<(HostAddr, HostAddr, PairStats)>,
         direction: Vec<(HostAddr, u64, u64)>,
     ) -> Self {
@@ -612,9 +514,7 @@ impl ConnectionSets {
             pair_stats.push(s);
         }
         ConnectionSets {
-            table,
             addrs,
-            ids,
             pairs,
             pair_stats,
             direction,
@@ -625,8 +525,7 @@ impl ConnectionSets {
 
 /// Serde face: a self-contained, address-keyed document (hosts in order,
 /// `(a, b, stats)` pairs, `(host, initiated, accepted)` direction rows).
-/// Row indices and the identity table are rebuilt on deserialization —
-/// persisted snapshots carry content, not plumbing.
+/// Row indices are rebuilt on deserialization.
 #[derive(Serialize, Deserialize)]
 struct ConnsetDoc {
     hosts: Vec<HostAddr>,
@@ -667,15 +566,7 @@ impl<'de> Deserialize<'de> for ConnectionSets {
                 }
             }
         }
-        let mut table = HostTable::new();
-        let ids: Vec<HostId> = doc.hosts.iter().map(|&a| table.intern(a)).collect();
-        Ok(Self::from_sorted_parts(
-            Arc::new(table),
-            doc.hosts,
-            ids,
-            doc.pairs,
-            doc.direction,
-        ))
+        Ok(Self::from_sorted_parts(doc.hosts, doc.pairs, doc.direction))
     }
 }
 
@@ -786,22 +677,16 @@ impl ConnsetBuilder {
     /// Hosts observed only on filtered-out pairs are still part of the
     /// population (with empty connection sets).
     pub fn build(self) -> ConnectionSets {
-        self.build_with_stats().0
+        self.finish().0
     }
 
-    /// Like [`ConnsetBuilder::build`], but also reports how much input
-    /// the noise thresholds discarded — the aggregator records this per
-    /// window so a degraded run can be told apart from a quiet one.
-    pub fn build_with_stats(self) -> (ConnectionSets, BuildStats) {
-        let mut table = HostTable::new();
-        self.build_into(&mut table, None)
-    }
-
-    /// Finalizes against a shared identity table: member addresses are
-    /// interned into `table` (in address order, so fresh ids are issued
-    /// deterministically) and the result snapshots it. The aggregator
+    /// Like [`ConnsetBuilder::build`], but also interns the members into
+    /// a shared identity table (in address order, so fresh ids are issued
+    /// deterministically) and reports how much input the noise
+    /// thresholds discarded — the aggregator records this per window so
+    /// a degraded run can be told apart from a quiet one. The aggregator
     /// threads one master table through every window this way, keeping
-    /// [`HostId`]s stable across windows and checkpoints.
+    /// each host's dense id stable across windows and checkpoints.
     pub fn build_with_stats_into(self, table: &mut HostTable) -> (ConnectionSets, BuildStats) {
         self.build_into(table, None)
     }
@@ -818,7 +703,26 @@ impl ConnsetBuilder {
     ) -> (ConnectionSets, BuildStats) {
         let _span = telemetry::span(rec, "flow.connset_build");
         let started = rec.map(|_| std::time::Instant::now());
+        let (out, stats) = self.finish();
+        for &a in &out.addrs {
+            table.intern(a);
+        }
+        if let (Some(r), Some(t0)) = (rec, started) {
+            let reg = r.registry();
+            reg.histogram(
+                "roleclass_flow_connset_build_seconds",
+                telemetry::DURATION_BUCKETS,
+            )
+            .observe(t0.elapsed().as_secs_f64());
+            reg.gauge("roleclass_flow_interner_hosts")
+                .set(table.len() as i64);
+        }
+        (out, stats)
+    }
 
+    /// Applies the noise thresholds and sorts the staged hosts, pairs and
+    /// direction counts into the columnar layout.
+    fn finish(self) -> (ConnectionSets, BuildStats) {
         let mut addrs: Vec<HostAddr> = self.seen_hosts.into_iter().collect();
         addrs.sort_unstable();
 
@@ -844,23 +748,8 @@ impl ConnsetBuilder {
             .collect();
         direction.sort_unstable_by_key(|&(h, _, _)| h);
 
-        let ids: Vec<HostId> = addrs.iter().map(|&a| table.intern(a)).collect();
-        let out =
-            ConnectionSets::from_sorted_parts(Arc::new(table.clone()), addrs, ids, kept, direction);
-
-        if let (Some(r), Some(t0)) = (rec, started) {
-            let reg = r.registry();
-            reg.histogram(
-                "roleclass_flow_connset_build_seconds",
-                telemetry::DURATION_BUCKETS,
-            )
-            .observe(t0.elapsed().as_secs_f64());
-            reg.gauge("roleclass_flow_interner_hosts")
-                .set(table.len() as i64);
-        }
-
         (
-            out,
+            ConnectionSets::from_sorted_parts(addrs, kept, direction),
             BuildStats {
                 kept_flows,
                 dropped_flows,
@@ -945,28 +834,6 @@ mod tests {
     }
 
     #[test]
-    fn retain_hosts_strips_everything_else() {
-        let mut cs = ConnectionSets::new();
-        cs.add_pair(h(1), h(2));
-        cs.add_pair(h(2), h(3));
-        let keep: BTreeSet<_> = [h(2), h(3)].into_iter().collect();
-        cs.retain_hosts(&keep);
-        assert_eq!(cs.host_count(), 2);
-        assert!(cs.connected(h(2), h(3)));
-        assert!(!cs.contains(h(1)));
-    }
-
-    #[test]
-    fn hosts_not_in_diff() {
-        let mut a = ConnectionSets::new();
-        a.add_pair(h(1), h(2));
-        let mut b = ConnectionSets::new();
-        b.add_pair(h(2), h(3));
-        assert_eq!(a.hosts_not_in(&b), [h(1)].into_iter().collect());
-        assert_eq!(b.hosts_not_in(&a), [h(3)].into_iter().collect());
-    }
-
-    #[test]
     fn builder_scope_filters_foreign_flows() {
         let scope: Cidr = "10.0.0.0/8".parse().unwrap();
         let mut b = ConnsetBuilder::new().scope([scope]);
@@ -996,14 +863,14 @@ mod tests {
     }
 
     #[test]
-    fn build_with_stats_counts_filtered_input() {
+    fn build_into_counts_filtered_input() {
         let mut b = ConnsetBuilder::new().min_flows(2);
         let noise = FlowRecord::pair(h(1), h(2));
         b.add_record(&noise);
         let real = FlowRecord::pair(h(3), h(4));
         b.add_record(&real);
         b.add_record(&real);
-        let (cs, stats) = b.build_with_stats();
+        let (cs, stats) = b.build_with_stats_into(&mut HostTable::new());
         assert_eq!(cs.connection_count(), 1);
         assert_eq!(stats.kept_flows, 2);
         assert_eq!(stats.dropped_flows, 1);
@@ -1163,29 +1030,24 @@ mod tests {
     }
 
     #[test]
-    fn member_ids_are_dense_for_fresh_builds() {
-        let mut b = ConnsetBuilder::new();
-        b.add_record(&FlowRecord::pair(h(3), h(1)));
-        b.add_record(&FlowRecord::pair(h(2), h(1)));
-        let cs = b.build();
-        // Fresh table, interned in address order: ids are 0..n.
-        let ids: Vec<u32> = cs.member_ids().iter().map(|i| i.0).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-        assert_eq!(cs.table().addr(cs.host_id(h(2)).unwrap()), h(2));
-    }
-
-    #[test]
     fn shared_table_keeps_ids_stable_across_windows() {
         let mut master = HostTable::new();
         let mut b1 = ConnsetBuilder::new();
-        b1.add_record(&FlowRecord::pair(h(1), h(2)));
-        let (w1, _) = b1.build_with_stats_into(&mut master);
+        b1.add_record(&FlowRecord::pair(h(3), h(1)));
+        b1.add_record(&FlowRecord::pair(h(2), h(1)));
+        b1.build_with_stats_into(&mut master);
+        // A fresh table interns in address order: ids are 0..n.
+        let ids: Vec<u32> = [h(1), h(2), h(3)]
+            .map(|a| master.get(a).unwrap().0)
+            .to_vec();
+        assert_eq!(ids, vec![0, 1, 2]);
         let mut b2 = ConnsetBuilder::new();
-        b2.add_record(&FlowRecord::pair(h(2), h(3)));
+        b2.add_record(&FlowRecord::pair(h(2), h(4)));
         let (w2, _) = b2.build_with_stats_into(&mut master);
-        // Host 2 keeps its id in the second window; host 3 gets a new one.
-        assert_eq!(w1.host_id(h(2)), w2.host_id(h(2)));
-        assert_eq!(master.len(), 3);
-        assert_eq!(w2.table().len(), 3);
+        // Host 2 keeps its id in the second window; host 4 gets a new one.
+        assert_eq!(master.get(h(2)).unwrap().0, 1);
+        assert_eq!(master.get(h(4)).unwrap().0, 3);
+        assert_eq!(master.len(), 4);
+        assert_eq!(w2.host_count(), 2);
     }
 }

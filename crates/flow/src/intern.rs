@@ -14,10 +14,11 @@
 //! * **O(1) both ways** — `id -> addr` is an arena index, `addr -> id`
 //!   a hash lookup.
 //!
-//! Downstream, [`crate::ConnectionSets`] stores ids (with the owning
-//! table snapshotted behind an `Arc`), `netgraph` borrows the columnar
-//! adjacency directly, and `core` materializes addresses only when
-//! building reports.
+//! The aggregator's master table is the one place ids live: each
+//! window's members are interned into it as the window is built
+//! ([`crate::ConnsetBuilder::build_into`]), and checkpoints persist it.
+//! [`crate::ConnectionSets`] itself carries content only (addresses,
+//! pairs, direction counts), keyed by address-sorted rows.
 
 use crate::addr::HostAddr;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
@@ -95,12 +96,6 @@ impl HostTable {
         self.addrs[id.index()]
     }
 
-    /// The address behind `id`, or `None` for a foreign id.
-    #[inline]
-    pub fn try_addr(&self, id: HostId) -> Option<HostAddr> {
-        self.addrs.get(id.index()).copied()
-    }
-
     /// Number of interned hosts; also the next id to be issued.
     pub fn len(&self) -> usize {
         self.addrs.len()
@@ -168,7 +163,6 @@ mod tests {
         assert_eq!(t.addr(id), addr);
         assert_eq!(t.get(addr), Some(id));
         assert_eq!(t.get(HostAddr::from_octets(1, 1, 1, 1)), None);
-        assert_eq!(t.try_addr(HostId(99)), None);
     }
 
     #[test]

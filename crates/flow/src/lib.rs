@@ -8,8 +8,9 @@
 //! like tcpdump". This crate provides that ingestion layer:
 //!
 //! * [`HostAddr`] / [`Cidr`] — host addressing (IPv4 first, IPv6 carried).
-//! * [`HostTable`] / [`HostId`] — dense host-identity interning; the
-//!   data plane downstream is keyed by `u32` ids, not address bytes.
+//! * [`HostTable`] / [`HostId`] — dense host-identity interning: the
+//!   aggregator's master table keeps ids stable across windows and
+//!   checkpoints.
 //! * [`FlowRecord`] — a normalized unidirectional flow observation.
 //! * [`ConnectionSets`] — the aggregation of flows into per-host neighbor
 //!   sets (columnar, CSR-indexed), with windowing, scoping, and noise

@@ -220,11 +220,6 @@ pub fn write_file(records: &[FlowRecord]) -> Vec<u8> {
     out.to_vec()
 }
 
-/// Convenience: parse a capture and keep only the flow records.
-pub fn records_from_file(data: &[u8]) -> Result<Vec<FlowRecord>, FlowError> {
-    Ok(parse_file(data)?.records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,12 +323,5 @@ mod tests {
             parse_file(&file),
             Err(FlowError::BadFormat { .. })
         ));
-    }
-
-    #[test]
-    fn records_from_file_convenience() {
-        let records = sample(2);
-        let file = write_file(&records);
-        assert_eq!(records_from_file(&file).unwrap().len(), 2);
     }
 }

@@ -124,12 +124,6 @@ impl FlowRecord {
         }
     }
 
-    /// Duration of the flow in milliseconds (0 if the source reported an
-    /// end before the start).
-    pub fn duration_ms(&self) -> u64 {
-        self.end_ms.saturating_sub(self.start_ms)
-    }
-
     /// Returns a copy with source and destination (hosts and ports)
     /// swapped — the reverse direction of the same conversation.
     pub fn reversed(&self) -> Self {
@@ -185,15 +179,5 @@ mod tests {
         assert_eq!(r.src_port, 80);
         assert_eq!(r.dst_port, 1234);
         assert_eq!(r.bytes, f.bytes);
-    }
-
-    #[test]
-    fn duration_saturates() {
-        let mut f = FlowRecord::pair(h(1), h(2));
-        f.start_ms = 100;
-        f.end_ms = 40;
-        assert_eq!(f.duration_ms(), 0);
-        f.end_ms = 160;
-        assert_eq!(f.duration_ms(), 60);
     }
 }

@@ -4,14 +4,11 @@
 //! Metrics aggregate and spans time; neither can answer *why one host*
 //! landed in a group. Events carry that per-decision provenance: each
 //! [`Event`] is a timestamped, sequenced, named record with typed
-//! fields, appended to a fixed-capacity ring ([`EventJournal`]) that
+//! fields, appended to a fixed-capacity [`Ring`] ([`EventJournal`]) that
 //! evicts oldest-first under overflow, so a long-running pipeline keeps
 //! a recent window of decisions at bounded memory.
 //!
-//! The journal is "lock-light": recording takes one short, uncontended
-//! mutex acquisition (push + possible pop), and the sequence counter and
-//! eviction bookkeeping live inside the same critical section so
-//! `seq` order always matches ring order. There is no global state; the
+//! There is no global state; the
 //! journal lives on the [`Recorder`](crate::Recorder), and instrumented
 //! code only touches it behind `Option<&Recorder>` — detached runs never
 //! allocate a field value or read a clock.
@@ -25,9 +22,7 @@
 //! {"seq":0,"ts_ns":1234,"layer":"engine","name":"roleclass_engine_host_grouped","fields":{"host":"10.0.0.1","k":3}}
 //! ```
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
-use std::time::Instant;
+use crate::ring::{Ring, RingEntry};
 
 /// Default ring capacity of a [`Recorder`](crate::Recorder)'s journal:
 /// roomy enough for every decision of a mid-size window, small enough
@@ -181,37 +176,19 @@ pub(crate) fn escape_json_into(out: &mut String, s: &str) {
     }
 }
 
-/// The mutable journal state, all under one mutex so sequence numbers,
-/// ring order, and the drop counter can never disagree.
-#[derive(Debug, Default)]
-struct JournalState {
-    ring: VecDeque<Event>,
-    next_seq: u64,
-    dropped: u64,
-}
+/// A bounded ring of [`Event`]s — the in-memory journal. Oldest events
+/// are evicted first once its capacity is reached; see [`Ring`].
+pub type EventJournal = Ring<Event>;
 
-/// A bounded ring of [`Event`]s — the flight recorder.
-///
-/// Oldest events are evicted first once `capacity` is reached;
-/// [`EventJournal::dropped`] counts evictions so consumers can tell a
-/// short history from a truncated one.
-#[derive(Debug)]
-pub struct EventJournal {
-    epoch: Instant,
-    capacity: usize,
-    state: Mutex<JournalState>,
-}
+impl RingEntry for Event {
+    const DEFAULT_CAPACITY: usize = DEFAULT_EVENT_CAPACITY;
 
-impl EventJournal {
-    /// A journal holding at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> Self {
-        EventJournal {
-            epoch: Instant::now(),
-            capacity: capacity.max(1),
-            state: Mutex::new(JournalState::default()),
-        }
+    fn write_json(&self, out: &mut String) {
+        Event::write_json(self, out);
     }
+}
 
+impl Ring<Event> {
     /// Records one event, stamping it with the journal's monotonic clock
     /// and the next sequence number. Evicts the oldest event when full.
     pub fn record(
@@ -224,142 +201,19 @@ impl EventJournal {
             crate::registry::valid_name(name) && crate::registry::valid_name(layer),
             "event names follow the metric convention: [a-z][a-z0-9_]*"
         );
-        let ts_ns = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.ring.push_back(Event {
+        self.push(|seq, ts_ns| Event {
             ts_ns,
             seq,
             layer,
             name,
             fields,
         });
-        if st.ring.len() > self.capacity {
-            st.ring.pop_front();
-            st.dropped += 1;
-        }
-    }
-
-    /// Maximum number of retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of currently retained events.
-    pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .ring
-            .len()
-    }
-
-    /// `true` when nothing has been recorded (or everything was taken).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events evicted by overflow so far.
-    pub fn dropped(&self) -> u64 {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).dropped
-    }
-
-    /// Snapshot of the retained events, oldest first.
-    pub fn snapshot(&self) -> Vec<Event> {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .ring
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Takes (and clears) the retained events, oldest first. Sequence
-    /// numbering continues where it left off.
-    pub fn take(&self) -> Vec<Event> {
-        std::mem::take(&mut self.state.lock().unwrap_or_else(|e| e.into_inner()).ring).into()
-    }
-
-    /// The most recent `n` retained events, oldest of those first.
-    pub fn tail(&self, n: usize) -> Vec<Event> {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let skip = st.ring.len().saturating_sub(n);
-        st.ring.iter().skip(skip).cloned().collect()
-    }
-
-    /// Renders the retained events as JSONL, one event per line, oldest
-    /// first. Empty journal renders as the empty string.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in self.snapshot() {
-            ev.write_json(&mut out);
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl Default for EventJournal {
-    fn default() -> Self {
-        EventJournal::new(DEFAULT_EVENT_CAPACITY)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn records_in_order_with_dense_seq() {
-        let j = EventJournal::new(16);
-        j.record("engine", "roleclass_engine_a", vec![("x", 1u64.into())]);
-        j.record("engine", "roleclass_engine_b", vec![]);
-        let evs = j.snapshot();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].seq, 0);
-        assert_eq!(evs[1].seq, 1);
-        assert!(evs[0].ts_ns <= evs[1].ts_ns);
-        assert_eq!(evs[0].name, "roleclass_engine_a");
-        assert_eq!(j.dropped(), 0);
-    }
-
-    #[test]
-    fn overflow_evicts_oldest_first() {
-        let j = EventJournal::new(3);
-        for i in 0..5u64 {
-            j.record("engine", "roleclass_engine_tick", vec![("i", i.into())]);
-        }
-        let evs = j.snapshot();
-        assert_eq!(evs.len(), 3);
-        assert_eq!(j.dropped(), 2);
-        let seqs: Vec<u64> = evs.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, [2, 3, 4]);
-    }
-
-    #[test]
-    fn take_clears_but_seq_continues() {
-        let j = EventJournal::new(8);
-        j.record("engine", "roleclass_engine_a", vec![]);
-        assert_eq!(j.take().len(), 1);
-        assert!(j.is_empty());
-        j.record("engine", "roleclass_engine_b", vec![]);
-        assert_eq!(j.snapshot()[0].seq, 1);
-    }
-
-    #[test]
-    fn tail_returns_newest() {
-        let j = EventJournal::new(8);
-        for i in 0..5u64 {
-            j.record("engine", "roleclass_engine_tick", vec![("i", i.into())]);
-        }
-        let t = j.tail(2);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t[0].seq, 3);
-        assert_eq!(t[1].seq, 4);
-        assert_eq!(j.tail(100).len(), 5);
-    }
 
     #[test]
     fn json_escapes_strings() {

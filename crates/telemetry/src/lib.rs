@@ -50,6 +50,7 @@ mod alloc;
 mod events;
 mod profile;
 mod registry;
+mod ring;
 mod span;
 mod timeseries;
 
@@ -59,6 +60,7 @@ pub use profile::{
     collapsed_stacks, parse_collapsed_line, ProfileEntry, ProfileTable, PROFILE_METRIC_NAMES,
 };
 pub use registry::{Counter, Gauge, Histogram, Registry};
+pub use ring::{Ring, RingEntry};
 pub use span::{render_span_tree, span_tree_json, Span, SpanNode};
 pub use timeseries::{MetricFrame, TimeseriesRing, DEFAULT_TIMESERIES_CAPACITY};
 

@@ -111,11 +111,6 @@ impl Histogram {
         }
     }
 
-    /// Records a duration in seconds.
-    pub fn observe_duration(&self, d: std::time::Duration) {
-        self.observe(d.as_secs_f64());
-    }
-
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)

@@ -12,9 +12,7 @@
 //! long-running pipeline keeps a bounded trail of per-window stability
 //! and throughput figures.
 //!
-//! Same discipline as the event journal: zero dependencies, one short
-//! mutex acquisition per append, sequence numbers dense and assigned
-//! inside the same critical section as ring order, and names following
+//! It is the same [`Ring`] as the event journal, and value names follow
 //! the `roleclass_<layer>_<name>` convention so the workspace
 //! `metric_names` lint covers them.
 //!
@@ -24,9 +22,7 @@
 //! {"seq":0,"ts_ns":1234,"window":7,"values":{"roleclass_stability_backbone_mean":0.96}}
 //! ```
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
-use std::time::Instant;
+use crate::ring::{Ring, RingEntry};
 
 /// Default frame capacity of a [`TimeseriesRing`]: one frame per window,
 /// so this covers weeks of hour-long windows at well under a megabyte.
@@ -74,37 +70,20 @@ impl MetricFrame {
     }
 }
 
-/// The mutable ring state, all under one mutex so sequence numbers, ring
-/// order, and the drop counter can never disagree.
-#[derive(Debug, Default)]
-struct RingState {
-    ring: VecDeque<MetricFrame>,
-    next_seq: u64,
-    dropped: u64,
-}
-
 /// A bounded ring of [`MetricFrame`]s — the per-window timeseries.
-///
-/// Oldest frames are evicted first once `capacity` is reached;
-/// [`TimeseriesRing::dropped`] counts evictions so consumers can tell a
-/// short history from a truncated one.
-#[derive(Debug)]
-pub struct TimeseriesRing {
-    epoch: Instant,
-    capacity: usize,
-    state: Mutex<RingState>,
+/// Oldest frames are evicted first once its capacity is reached; see
+/// [`Ring`].
+pub type TimeseriesRing = Ring<MetricFrame>;
+
+impl RingEntry for MetricFrame {
+    const DEFAULT_CAPACITY: usize = DEFAULT_TIMESERIES_CAPACITY;
+
+    fn write_json(&self, out: &mut String) {
+        MetricFrame::write_json(self, out);
+    }
 }
 
-impl TimeseriesRing {
-    /// A ring holding at most `capacity` frames (min 1).
-    pub fn new(capacity: usize) -> Self {
-        TimeseriesRing {
-            epoch: Instant::now(),
-            capacity: capacity.max(1),
-            state: Mutex::new(RingState::default()),
-        }
-    }
-
+impl Ring<MetricFrame> {
     /// Appends one frame for `window`, stamping it with the ring's
     /// monotonic clock and the next sequence number. Evicts the oldest
     /// frame when full.
@@ -113,142 +92,18 @@ impl TimeseriesRing {
             values.iter().all(|(n, _)| crate::registry::valid_name(n)),
             "timeseries value names follow the metric convention: [a-z][a-z0-9_]*"
         );
-        let ts_ns = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.ring.push_back(MetricFrame {
+        self.push(|seq, ts_ns| MetricFrame {
             seq,
             ts_ns,
             window,
             values,
         });
-        if st.ring.len() > self.capacity {
-            st.ring.pop_front();
-            st.dropped += 1;
-        }
-    }
-
-    /// Maximum number of retained frames.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of currently retained frames.
-    pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .ring
-            .len()
-    }
-
-    /// `true` when nothing has been recorded (or everything was taken).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Frames evicted by overflow so far.
-    pub fn dropped(&self) -> u64 {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).dropped
-    }
-
-    /// Snapshot of the retained frames, oldest first.
-    pub fn snapshot(&self) -> Vec<MetricFrame> {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .ring
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Takes (and clears) the retained frames, oldest first. Sequence
-    /// numbering continues where it left off.
-    pub fn take(&self) -> Vec<MetricFrame> {
-        std::mem::take(&mut self.state.lock().unwrap_or_else(|e| e.into_inner()).ring).into()
-    }
-
-    /// The most recent `n` retained frames, oldest of those first.
-    pub fn tail(&self, n: usize) -> Vec<MetricFrame> {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let skip = st.ring.len().saturating_sub(n);
-        st.ring.iter().skip(skip).cloned().collect()
-    }
-
-    /// Renders the retained frames as JSONL, one frame per line, oldest
-    /// first. Empty ring renders as the empty string.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for frame in self.snapshot() {
-            frame.write_json(&mut out);
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl Default for TimeseriesRing {
-    fn default() -> Self {
-        TimeseriesRing::new(DEFAULT_TIMESERIES_CAPACITY)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn records_in_order_with_dense_seq() {
-        let r = TimeseriesRing::new(16);
-        r.record(0, vec![("roleclass_stability_backbone_mean", 1.0)]);
-        r.record(1, vec![("roleclass_stability_backbone_mean", 0.5)]);
-        let frames = r.snapshot();
-        assert_eq!(frames.len(), 2);
-        assert_eq!(frames[0].seq, 0);
-        assert_eq!(frames[1].seq, 1);
-        assert!(frames[0].ts_ns <= frames[1].ts_ns);
-        assert_eq!(frames[1].window, 1);
-        assert_eq!(r.dropped(), 0);
-    }
-
-    #[test]
-    fn overflow_evicts_oldest_first() {
-        let r = TimeseriesRing::new(3);
-        for w in 0..5u64 {
-            r.record(w, vec![("roleclass_stability_windows_total", w as f64)]);
-        }
-        let frames = r.snapshot();
-        assert_eq!(frames.len(), 3);
-        assert_eq!(r.dropped(), 2);
-        let seqs: Vec<u64> = frames.iter().map(|f| f.seq).collect();
-        assert_eq!(seqs, [2, 3, 4]);
-        assert_eq!(frames[0].window, 2);
-    }
-
-    #[test]
-    fn take_clears_but_seq_continues() {
-        let r = TimeseriesRing::new(8);
-        r.record(0, vec![]);
-        assert_eq!(r.take().len(), 1);
-        assert!(r.is_empty());
-        r.record(1, vec![]);
-        assert_eq!(r.snapshot()[0].seq, 1);
-    }
-
-    #[test]
-    fn tail_returns_newest() {
-        let r = TimeseriesRing::new(8);
-        for w in 0..5u64 {
-            r.record(w, vec![]);
-        }
-        let t = r.tail(2);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t[0].seq, 3);
-        assert_eq!(t[1].seq, 4);
-        assert_eq!(r.tail(100).len(), 5);
-    }
 
     #[test]
     fn json_renders_whole_and_fractional_values() {
@@ -274,15 +129,5 @@ mod tests {
             values: vec![],
         };
         assert!(empty.to_json().ends_with("\"values\":{}}"));
-    }
-
-    #[test]
-    fn capacity_floor_is_one() {
-        let r = TimeseriesRing::new(0);
-        assert_eq!(r.capacity(), 1);
-        r.record(0, vec![]);
-        r.record(1, vec![]);
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.dropped(), 1);
     }
 }

@@ -78,7 +78,7 @@ fn main() {
 
     // Independently, the anomaly detector flags the flow because the
     // engineering group never talked to the Exchange group before.
-    let detector = NewNeighborDetector::new(run.grouping.clone(), &run.connsets, 500);
+    let detector = NewNeighborDetector::new(run.grouping.clone(), &run.connsets);
     let alerts = detector.check_flow(&naughty);
     println!("\nanomaly detector on the same flow:");
     for a in &alerts {

@@ -8,8 +8,8 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 # Data-plane lint: host-keyed ordered maps/sets must not reappear in the
-# hot path. The columnar plane keys everything by dense row/HostId;
-# the dev-only spec crate (crates/spec/src/connsets.rs) is the one
+# hot path. The columnar plane keys everything by dense,
+# address-sorted rows; the dev-only spec crate (crates/spec/src/connsets.rs) is the one
 # allowed home of the map-based connection sets.
 # Boundary types (Grouping members, diffs, synth ground truth) keep
 # their BTree collections *of* HostAddr values, but no new code may key
@@ -18,11 +18,11 @@ cargo fmt --all -- --check
 # public `Correlation` host sets (added/removed hosts, H_same), a
 # boundary type; the correlation algorithm itself runs on dense rows.
 echo "==> data-plane lint (no BTreeMap<HostAddr/BTreeSet<HostAddr outside the spec connection sets)"
-DATAPLANE_ALLOW='crates/spec/src/connsets.rs|crates/flow/src/connset.rs|crates/core/src/group.rs|crates/core/src/diff.rs|crates/core/src/correlate.rs|crates/core/src/services.rs|crates/core/src/stability.rs|crates/synth/src/model.rs|crates/cluster/src/metrics.rs|crates/aggregator/src/profile.rs|crates/aggregator/src/alerts.rs|crates/bench/src/bin/dataplane_bench.rs'
+DATAPLANE_ALLOW='crates/spec/src/connsets.rs|crates/core/src/group.rs|crates/core/src/diff.rs|crates/core/src/correlate.rs|crates/core/src/stability.rs|crates/synth/src/model.rs|crates/cluster/src/metrics.rs|crates/aggregator/src/profile.rs|crates/bench/src/bin/dataplane_bench.rs'
 if grep -rnE 'BTree(Map|Set)<HostAddr' crates/*/src --include='*.rs' \
     | grep -vE "^($DATAPLANE_ALLOW):" ; then
   echo "ERROR: new host-keyed BTree container outside the data-plane allowlist." >&2
-  echo "Use dense rows/HostId (flow::ConnectionSets) instead, or extend the" >&2
+  echo "Use dense rows (flow::ConnectionSets) instead, or extend the" >&2
   echo "allowlist in scripts/ci.sh with a justification." >&2
   exit 1
 fi
@@ -138,13 +138,15 @@ cargo test -q -p aggregator --test wire_chaos --test frame_codec_properties
 # The merging oracle compares the whole merge trace (both sides'
 # members, similarity to the bit) against a naive from-scratch
 # reference; its Mazu and churned-department cases are release-only
-# too.
-echo "==> kernel + engine equivalence across the worker matrix + spec crate + correlation and merging oracles"
+# too. paper_shapes pins the paper fingerprint the experiment binaries
+# print; its BigCompany case is release-only as well.
+echo "==> kernel + engine equivalence across the worker matrix + spec crate + correlation and merging oracles + paper fingerprint"
 cargo test -q -p netgraph
 cargo test -q -p roleclass --test engine_equivalence
 cargo test -q -p roleclass-spec
 cargo test -q --release -p roleclass --test correlation_reference
 cargo test -q --release -p roleclass --test merging_reference
+cargo test -q --release --test paper_shapes
 
 # Advisory bench regression gate: fresh per-stage timings vs the
 # committed BENCH_*.json artifacts, >25% slower gets flagged. Timing on

@@ -551,18 +551,20 @@ fn open_stack(root: &str) -> Result<StorageStack, CliError> {
 /// by `window_ms`, with `recorder` attached, polling `probe`. Cycles
 /// run while the probe has data, at most `--max-windows` of them.
 ///
-/// With `--state`, the full storage stack rides along: every window
-/// lands in the run history, every event in the durable flight
-/// journal, and a checkpoint is cut at the end, so later `explain
-/// --state` / `serve` invocations can time travel into this run.
+/// With a storage `stack` (opened from `--state`), it rides along:
+/// every window lands in the run history, every event in the durable
+/// flight journal, and a checkpoint is cut at the end, so later
+/// `explain --state` / `serve` invocations can time travel into this
+/// run. The caller opens the stack, so a wire listener bound before the
+/// loop can journal into the same flight recorder.
 fn pipeline(
     o: &Options,
     probe: Box<dyn Probe + Send>,
     origin_ms: u64,
     window_ms: u64,
     recorder: &Arc<Recorder>,
+    stack: Option<StorageStack>,
 ) -> Result<(Aggregator, Option<StorageStack>), CliError> {
-    let stack = o.state.as_deref().map(open_stack).transpose()?;
     let mut agg = Aggregator::try_new(AggregatorConfig {
         window_ms,
         origin_ms,
@@ -603,8 +605,9 @@ fn replay(
 ) -> Result<(Aggregator, Option<StorageStack>), CliError> {
     let trace = load_trace(o, true)?;
     let window_ms = trace.window_ms(o.window_ms, trace.origin_ms)?;
-    let probe = ReplayProbe::new(&trace.input, trace.records);
-    pipeline(o, Box::new(probe), trace.origin_ms, window_ms, recorder)
+    let probe = Box::new(ReplayProbe::new(&trace.input, trace.records));
+    let stack = o.state.as_deref().map(open_stack).transpose()?;
+    pipeline(o, probe, trace.origin_ms, window_ms, recorder, stack)
 }
 
 /// Binds `--addr` (default `default_addr`) with `bind`, which returns
@@ -993,9 +996,14 @@ fn cmd_probe_send(o: Options) -> Result<String, CliError> {
 fn cmd_ingest_listen(o: Options) -> Result<String, CliError> {
     let probe = o.probe_name.as_deref().unwrap_or("probe");
     let recorder = Arc::new(Recorder::new());
+    // Opened before the listener binds, so transport provenance reaches
+    // the durable flight journal too.
+    let stack = o.state.as_deref().map(open_stack).transpose()?;
+    let flight = stack.as_ref().map(|s| Arc::clone(s.recorder()));
     let bind = |addr: &str| {
         let config = TransportConfig::default();
-        let listener = WireListener::bind(addr, config, Some(Arc::clone(&recorder)), None)?;
+        let listener =
+            WireListener::bind(addr, config, Some(Arc::clone(&recorder)), flight.clone())?;
         let local = listener.local_addr();
         Ok((listener, local))
     };
@@ -1005,7 +1013,7 @@ fn cmd_ingest_listen(o: Options) -> Result<String, CliError> {
     let window_ms = o.window_ms.unwrap_or(DAY_MS).max(1);
     let origin_ms = o.origin_ms.unwrap_or(0);
     let wire = Box::new(listener.probe(probe));
-    let (agg, _) = pipeline(&o, wire, origin_ms, window_ms, &recorder)?;
+    let (agg, _) = pipeline(&o, wire, origin_ms, window_ms, &recorder, stack)?;
     let history = agg.history();
     let history = history.read();
     let mut out = String::new();

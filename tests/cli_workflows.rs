@@ -1,8 +1,10 @@
 //! Integration tests for the `rcctl` CLI: classify → snapshot →
 //! correlate → diff, over real files in all four input formats.
 
+use role_classification::aggregator::store::{StorageStack, JOURNAL_NS};
 use role_classification::cli::{run, Snapshot};
 use role_classification::flow::{netflow, pcap, rmon, textlog};
+use role_classification::storage::StorageConfig;
 use role_classification::synthnet::{scenarios, trace};
 use serde::value::Value;
 use std::path::{Path, PathBuf};
@@ -484,6 +486,27 @@ fn probe_send_streams_into_ingest_listen() {
     );
     assert!(replayed.contains("window [0, 86400000):"), "{replayed}");
     assert!(replayed.contains("result: group"), "{replayed}");
+
+    // The transport layer's provenance reached the durable flight
+    // journal, not only the in-memory one.
+    let stack = StorageStack::open(&StorageConfig::new(&store)).unwrap();
+    let journal: Vec<String> = stack
+        .backend()
+        .scan(JOURNAL_NS, 0, u64::MAX)
+        .unwrap()
+        .into_iter()
+        .map(|rec| String::from_utf8(rec.value).unwrap())
+        .collect();
+    for name in [
+        "roleclass_transport_probe_session_opened",
+        "roleclass_transport_window_received",
+    ] {
+        let quoted = format!("\"name\":\"{name}\"");
+        assert!(
+            journal.iter().any(|line| line.contains(&quoted)),
+            "{name} missing from the flight journal"
+        );
+    }
 }
 
 #[test]

@@ -11,7 +11,6 @@
 use flow::{ConnectionSets, HostAddr, PairStats};
 use roleclass::{try_classify, try_correlate, Params};
 use roleclass_spec::connsets::{self as reference, from_reference, to_reference};
-use std::collections::BTreeSet;
 use synthnet::{churn, scenarios, SyntheticNetwork};
 
 /// Asserts every accessor agrees between the two representations.
@@ -103,7 +102,7 @@ fn mutators_agree_under_seeded_op_script() {
     };
     let mut cs = ConnectionSets::new();
     let mut r = reference::ConnectionSets::new();
-    for round in 0..6 {
+    for _ in 0..6 {
         for _ in 0..120 {
             let (a, b) = (next() % 64, next() % 64);
             if a == b {
@@ -134,26 +133,10 @@ fn mutators_agree_under_seeded_op_script() {
                 }
             }
         }
-        // Removals and a retain pass.
+        // A removal.
         let victim = HostAddr::v4(next() % 64);
         assert_eq!(cs.remove_host(victim), r.remove_host(victim));
-        if round % 2 == 1 {
-            let keep: BTreeSet<HostAddr> =
-                cs.hosts().filter(|h| h.as_u32() % 5 != round % 5).collect();
-            cs.retain_hosts(&keep);
-            r.retain_hosts(&keep);
-        }
         assert_accessor_parity(&cs, &r, usize::MAX);
-        // hosts_not_in agrees in both directions against a shifted copy.
-        let mut other = cs.clone();
-        other.add_host(HostAddr::v4(9_999));
-        other.remove_host(HostAddr::v4(next() % 64));
-        let other_ref = to_reference(&other);
-        assert_eq!(cs.hosts_not_in(&other), {
-            // The reference signature takes its own type; compare sets.
-            r.hosts_not_in(&other_ref)
-        });
-        assert_eq!(other.hosts_not_in(&cs), other_ref.hosts_not_in(&r));
     }
 }
 
@@ -185,40 +168,6 @@ fn groupings_are_bit_identical_via_reference_round_trip() {
 #[ignore = "classifies big_company twice; minutes in a debug build"]
 fn groupings_are_bit_identical_on_big_company() {
     assert_grouping_parity("big_company", &scenarios::big_company(5));
-}
-
-/// Satellite regression for the merged-pass `retain_hosts` /
-/// `hosts_not_in`: on a 10k-host synthetic trace, the single sorted
-/// sweep must agree with the map-based spec exactly.
-#[test]
-fn retain_and_diff_agree_on_10k_host_trace() {
-    use synthnet::{ConnRule, Fanout, NetworkModel, RoleSpec};
-
-    let mut m = NetworkModel::new();
-    let clients = m.role(RoleSpec::clients("client", 9_900));
-    let servers = m.role(RoleSpec::servers("server", 100));
-    m.rule(ConnRule::new(clients, servers, Fanout::Exactly(3)));
-    let net = m.generate(42);
-    assert_eq!(net.host_count(), 10_000);
-
-    // retain_hosts: keep roughly half, in one merged pass.
-    let keep: BTreeSet<HostAddr> = net
-        .connsets
-        .hosts()
-        .filter(|h| h.as_u32() % 2 == 0)
-        .collect();
-    let mut fast = net.connsets.clone();
-    let mut spec = to_reference(&net.connsets);
-    fast.retain_hosts(&keep);
-    spec.retain_hosts(&keep);
-    assert_eq!(fast.host_count(), keep.len());
-    assert_accessor_parity(&fast, &spec, 40);
-
-    // hosts_not_in: two-pointer merge over the sorted representations.
-    let departed = net.connsets.hosts_not_in(&fast);
-    let expected: BTreeSet<HostAddr> = net.connsets.hosts().filter(|h| !keep.contains(h)).collect();
-    assert_eq!(departed, expected);
-    assert!(fast.hosts_not_in(&net.connsets).is_empty());
 }
 
 #[test]

@@ -1,5 +1,9 @@
 //! Assertions on the paper's headline result *shapes* (see
-//! EXPERIMENTS.md for the measured-vs-paper numbers).
+//! EXPERIMENTS.md for the measured-vs-paper numbers), plus the pinned
+//! fingerprint of what the experiment binaries print: Figure 4 on Mazu
+//! (`exp_fig4`), and the BigCompany group count and Table 1 server row
+//! (`exp_table2 --quick`, `exp_table1`). A change that moves any of
+//! these numbers fails here instead of drifting away from EXPERIMENTS.md.
 
 use role_classification::cluster::metrics;
 use role_classification::roleclass::{try_classify, try_form_groups, FormationKind, Params};
@@ -140,4 +144,59 @@ fn grouping_beats_naive_baselines_on_mazu() {
             "cc-threshold({min_common}) ARI {theirs} >= ours {ours}"
         );
     }
+}
+
+/// Figure 4 / §6.1 on Mazu, computed the way `exp_fig4` computes it.
+#[test]
+fn figure4_mazu_fingerprint_is_pinned() {
+    let net = scenarios::mazu(42);
+    let c = try_classify(&net.connsets, &Params::default()).unwrap();
+    assert_eq!(c.grouping.group_count(), 17);
+    let truth = net.truth.partition();
+    let ours = c.grouping.as_partition();
+    let pc = metrics::pair_counts(&truth, &ours);
+    assert_eq!((pc.ss, pc.sd, pc.ds, pc.dd), (653, 2, 412, 4928));
+    assert_eq!(format!("{:.4}", pc.rand()), "0.9309");
+    assert_eq!(
+        format!("{:.4}", metrics::adjusted_rand_index(&truth, &ours)),
+        "0.7216"
+    );
+}
+
+/// Table 2's BigCompany group count (`exp_table2 --quick`) and Table 1's
+/// five largest groups with their dominant true role (`exp_table1`).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "classifies BigCompany; run with --release (scripts/ci.sh does)"
+)]
+fn big_company_fingerprint_is_pinned() {
+    let net = scenarios::big_company(1);
+    let c = try_classify(&net.connsets, &Params::default()).unwrap();
+    assert_eq!(c.grouping.group_count(), 78);
+    let table1: Vec<(usize, &str)> = c
+        .grouping
+        .largest(5)
+        .into_iter()
+        .map(|g| {
+            let mut roles = std::collections::BTreeMap::new();
+            for &m in &g.members {
+                *roles
+                    .entry(net.truth.role_of(m).unwrap_or("?"))
+                    .or_insert(0) += 1;
+            }
+            let dominant = roles.into_iter().max_by_key(|&(_, n)| n).map(|(r, _)| r);
+            (g.len(), dominant.unwrap_or("?"))
+        })
+        .collect();
+    assert_eq!(
+        table1,
+        [
+            (1490, "idle"),
+            (297, "servers"),
+            (167, "ip_phones"),
+            (158, "dhcp_desktops"),
+            (156, "static_desktops"),
+        ]
+    );
 }

@@ -113,36 +113,7 @@ fn policy_and_anomaly_detection_fire_on_role_deviation() {
     // The anomaly detector agrees, from structure alone. (In the Mazu
     // scenario no eng host talks to the Exchange server.)
     assert!(!net.connsets.connected(eng, exch));
-    let det = NewNeighborDetector::new(c.grouping.clone(), &net.connsets, 10_000);
+    let det = NewNeighborDetector::new(c.grouping.clone(), &net.connsets);
     let alerts = det.check_flow(&bad);
     assert_eq!(alerts.len(), 1);
-}
-
-#[test]
-fn service_refinement_splits_mixed_servers() {
-    use role_classification::roleclass::services::{split_by_services, ServiceProfiles};
-
-    // Figure 1: Mail and Web end up in one group; port data splits them
-    // (the paper's Section 8 extension).
-    let net = scenarios::figure1(3, 3);
-    let c = try_classify(&net.connsets, &params()).unwrap();
-    let mail = net.host("mail");
-    let web = net.host("web");
-    assert_eq!(c.grouping.group_of(mail), c.grouping.group_of(web));
-
-    let mut flows = Vec::new();
-    for &client in net.role_hosts("sales").iter().chain(net.role_hosts("eng")) {
-        let mut f = FlowRecord::pair(client, mail);
-        f.src_port = 50_000;
-        f.dst_port = 25;
-        flows.push(f);
-        let mut f = FlowRecord::pair(client, web);
-        f.src_port = 50_001;
-        f.dst_port = 80;
-        flows.push(f);
-    }
-    let profiles = ServiceProfiles::from_flows(&flows);
-    let refined = split_by_services(&c.grouping, &profiles, 0.5);
-    assert_ne!(refined.group_of(mail), refined.group_of(web));
-    assert_eq!(refined.host_count(), c.grouping.host_count());
 }
