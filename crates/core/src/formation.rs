@@ -118,16 +118,21 @@ impl State {
     /// CSR (at this point identical to `g`) instead of re-snapshotting
     /// the graph.
     ///
-    /// Prune floors: host `h` leaves the candidate pool no later than its
+    /// Floors: host `h` leaves the candidate pool no later than its
     /// bootstrap trigger (step 2e fires at the first level processed at
     /// or below it, and the first processed level ≤ the trigger is the
     /// trigger itself, by the level-jump rule), so `h` is never an
     /// eligible pair endpoint at any level below `trigger(h)` — that
-    /// level is a sound per-host floor. A pair whose count upper bound
-    /// cannot reach the larger of its two floors can therefore never
-    /// enter a BCC round, and — because the kernel's level-jump oracle is
-    /// always dominated by the pending bootstrap triggers for such pairs
-    /// — never shifts the sweep either.
+    /// level is a sound per-host floor. At level `k` every eligible
+    /// endpoint has floor ≤ `k`, so a pair whose current count is below
+    /// the larger of its two floors has count < `k` and can never enter
+    /// a BCC round; and the kernel's level-jump oracle would only ever
+    /// propose such a pair's count below the pending bootstrap trigger
+    /// of its higher-floor endpoint, so leaving it out never shifts the
+    /// sweep either. The kernel therefore stores a pair only while its
+    /// count reaches that floor, recounting it if a contraction touches
+    /// it, and does not count at all the pairs whose count upper bound
+    /// (the smaller degree) already falls short.
     fn init(
         cs: &ConnectionSets,
         alpha: f64,

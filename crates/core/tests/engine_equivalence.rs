@@ -48,6 +48,63 @@ fn kernel_formation_matches_reference_on_scenarios() {
     }
 }
 
+/// Runs the kernel-backed sweep on `cs` with a recorder attached, checks
+/// its trace against the recounting reference, and returns the kernel's
+/// `(pairs below floor at build, pairs stored at build, recounts)`.
+fn floor_counters_after_matching_reference(
+    name: &str,
+    cs: &flow::ConnectionSets,
+) -> (u64, u64, u64) {
+    let rec = std::sync::Arc::new(telemetry::Recorder::new());
+    let engine = Engine::new(Params::default())
+        .unwrap()
+        .with_recorder(rec.clone());
+    let fast = trace_key(engine.form(cs).result());
+    assert_eq!(
+        fast,
+        form_groups(cs, &Params::default(), Sweep::Jump),
+        "{name} trace"
+    );
+    let reg = rec.registry();
+    let below = reg
+        .counter("roleclass_kernel_below_floor_pairs_total")
+        .get();
+    let stored = reg
+        .histogram("roleclass_kernel_worker_entries", telemetry::SIZE_BUCKETS)
+        .sum() as u64;
+    let recounts = reg.counter("roleclass_kernel_recounts_total").get();
+    println!("{name}: {below} pairs below floor at build, {stored} stored, {recounts} recounts");
+    (below, stored, recounts)
+}
+
+/// The kernel stores a pair only once its count reaches the larger
+/// endpoint floor, and recounts a pair it does not hold when a
+/// contraction touches it. The sweep still matches the recounting
+/// reference on the shapes that lean on that rule: on `big_company(1)`
+/// contractions recount unstored pairs, and on `department(2000, 1)`
+/// most counted pairs are below their floor at build. Release only: the
+/// reference sweep on BigCompany takes ~20 s even optimized.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "runs the recounting sweep on BigCompany; run with --release (scripts/ci.sh does)"
+)]
+fn kernel_formation_matches_reference_below_floor() {
+    let big = scenarios::big_company(1).connsets;
+    let (_, _, recounts) = floor_counters_after_matching_reference("big_company(1)", &big);
+    assert!(
+        recounts > 0,
+        "big_company(1) must exercise the recount path"
+    );
+
+    let dept = scenarios::department(2000, 1).connsets;
+    let (below, stored, _) = floor_counters_after_matching_reference("department(2000, 1)", &dept);
+    assert!(
+        below > stored,
+        "department(2000, 1): most pairs must be below floor"
+    );
+}
+
 /// Engine classification equals the legacy `classify` free function.
 #[test]
 fn engine_classify_matches_legacy_classify() {

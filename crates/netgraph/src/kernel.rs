@@ -15,13 +15,15 @@
 //! row already key-sorted), while low-degree rows collect into a small
 //! vector that is sort-aggregated. Because row ranges are disjoint and
 //! ascending, concatenating the workers' runs yields the globally
-//! key-sorted table with no merge and no global sort. Pairs whose
-//! count upper bound (the smaller degree) falls below a caller-supplied
-//! per-endpoint prune floor are never materialized at all. The table is
-//! kept in a flat key-sorted vector with a descending-count rank index
-//! so each level is answered by a binary-searched prefix walk, and a
-//! locality property of contraction keeps the table current through a
-//! small mutation overlay:
+//! key-sorted table with no merge and no global sort. With
+//! caller-supplied per-endpoint floors, a pair is stored only while its
+//! count reaches the larger of its two endpoint floors: each drained row
+//! drops its below-floor pairs before the runs are concatenated, and
+//! pairs whose count upper bound (the smaller degree) falls short are
+//! not even counted. The table is kept in a flat key-sorted vector with
+//! a descending-count rank index so each level is answered by a
+//! binary-searched prefix walk, and a locality property of contraction
+//! keeps the table current through a small mutation overlay:
 //!
 //! **Invalidation rule.** Contracting a member set `M` into a fresh node
 //! `m` changes the via-contribution of exactly two kinds of nodes: the
@@ -35,7 +37,10 @@
 //! neighborhoods, not the graph — and contracting a *singleton* is free:
 //! the replacement node inherits the member's edges verbatim, so no
 //! count changes at all. Contraction is where weights enter: edges to a
-//! group node carry the summed member weights.
+//! group node carry the summed member weights. A touched pair the table
+//! does not hold (its count was below its floor) is recounted exactly
+//! from its two endpoints' adjacencies: before the graph contracts when
+//! subtracting, after it when adding.
 //!
 //! Counts are kept as exact `u64` sums of per-via contributions (each
 //! clamped at `u32::MAX`, matching the saturating arithmetic of the
@@ -80,6 +85,7 @@ fn unkey(k: u64) -> (NodeId, NodeId) {
 /// this list.
 pub const KERNEL_METRIC_NAMES: &[&str] = &[
     "roleclass_kernel_base_pairs",
+    "roleclass_kernel_below_floor_pairs_total",
     "roleclass_kernel_build_seconds",
     "roleclass_kernel_builds_total",
     "roleclass_kernel_compactions_total",
@@ -87,6 +93,7 @@ pub const KERNEL_METRIC_NAMES: &[&str] = &[
     "roleclass_kernel_contractions_total",
     "roleclass_kernel_overlay_entries",
     "roleclass_kernel_pruned_paths_total",
+    "roleclass_kernel_recounts_total",
     "roleclass_kernel_singleton_contractions_total",
     "roleclass_kernel_threshold_queries_total",
     "roleclass_kernel_threshold_seconds",
@@ -119,6 +126,11 @@ struct KernelMetrics {
     overlay_entries: telemetry::Gauge,
     /// Two-path contributions suppressed by the prune floors at build.
     pruned_paths: telemetry::Counter,
+    /// Counted pairs left unstored at build because their count fell
+    /// below the larger endpoint floor.
+    below_floor_pairs: telemetry::Counter,
+    /// Contraction updates that recounted a pair the table did not hold.
+    recounts: telemetry::Counter,
     /// Two-paths `a–via–b` enumerated at build — the work measure the
     /// profile layer divides build time by.
     two_paths: telemetry::Counter,
@@ -150,6 +162,8 @@ impl KernelMetrics {
                 .counter("roleclass_kernel_singleton_contractions_total"),
             overlay_entries: reg.gauge("roleclass_kernel_overlay_entries"),
             pruned_paths: reg.counter("roleclass_kernel_pruned_paths_total"),
+            below_floor_pairs: reg.counter("roleclass_kernel_below_floor_pairs_total"),
+            recounts: reg.counter("roleclass_kernel_recounts_total"),
             two_paths: reg.counter("roleclass_kernel_two_paths_total"),
             compactions_total: reg.counter("roleclass_kernel_compactions_total"),
             threshold_queries_total: reg.counter("roleclass_kernel_threshold_queries_total"),
@@ -255,16 +269,19 @@ fn neighbor_degree_sum(offsets: &[u32], nbrs: &[u32], i: usize) -> usize {
         .sum()
 }
 
-/// Per-pair prune inputs, fixed at build time: one floor and one
+/// Per-pair floor inputs, fixed at build time: one floor and one
 /// weighted degree per node row.
 ///
-/// A pair `(a, b)` is *pruned* — never materialized, at build or on
-/// contraction — when `min(wdeg(a), wdeg(b)) < max(floor(a), floor(b))`:
-/// the pair's count can never reach the lowest level at which both
-/// endpoints are still queried. The bound is stable under contraction
-/// because a surviving node's weighted degree is invariant (edges to
-/// merged members re-attach to the group node with their weights
-/// summed) and group nodes are never eligible endpoints.
+/// The kernel stores a pair `(a, b)` only while its count is at least
+/// its [`pair_floor`][Self::pair_floor], `max(floor(a), floor(b))`: the
+/// lowest level at which both endpoints are still queried. A pair is
+/// moreover *pruned* — never counted, at build or on contraction — when
+/// its count upper bound already falls short,
+/// `min(wdeg(a), wdeg(b)) < max(floor(a), floor(b))`. That bound is
+/// stable under contraction because a surviving node's weighted degree
+/// is invariant (edges to merged members re-attach to the group node
+/// with their weights summed) and group nodes are never eligible
+/// endpoints.
 #[derive(Clone, Debug)]
 struct PruneTable {
     floors: Vec<u32>,
@@ -296,10 +313,16 @@ impl PruneTable {
         self.wdeg.get(i).copied().unwrap_or(u64::MAX)
     }
 
+    /// The larger of the two endpoint floors: the smallest count at
+    /// which the table stores the pair.
+    #[inline]
+    fn pair_floor(&self, a: usize, b: usize) -> u64 {
+        self.floor(a).max(self.floor(b)) as u64
+    }
+
     #[inline]
     fn pruned(&self, a: usize, b: usize) -> bool {
-        let floor = self.floor(a).max(self.floor(b)) as u64;
-        self.wdeg_of(a).min(self.wdeg_of(b)) < floor
+        self.wdeg_of(a).min(self.wdeg_of(b)) < self.pair_floor(a, b)
     }
 
     /// The row-hoisted half of [`pruned`][Self::pruned]: with row `a`
@@ -397,12 +420,31 @@ impl RowScratch {
     }
 }
 
+/// Drops the entries of `out[start..]` — one drained row `a` with floor
+/// `fa` — whose count is below their pair floor, keeping the rest in
+/// order. Returns how many it dropped.
+fn drop_below_floor(out: &mut Vec<(u64, u64)>, start: usize, fa: u32, p: &PruneTable) -> u64 {
+    let mut kept = start;
+    for i in start..out.len() {
+        let (pk, c) = out[i];
+        if c >= p.floor(unkey(pk).1.index()).max(fa) as u64 {
+            out[kept] = (pk, c);
+            kept += 1;
+        }
+    }
+    let dropped = (out.len() - kept) as u64;
+    out.truncate(kept);
+    dropped
+}
+
 /// One worker's output from [`count_chunk`].
 struct ChunkCount {
     /// The key-sorted `(pair key, count)` run.
     run: Vec<(u64, u64)>,
     /// Contributions the prune floors suppressed.
     pruned_paths: u64,
+    /// Counted pairs dropped because their count is below their floor.
+    below_floor: u64,
     /// Two-paths enumerated: `Σ_via |N(via)|` over the eligible rows.
     two_paths: u64,
 }
@@ -411,7 +453,8 @@ struct ChunkCount {
 /// For each eligible row `a`, every two-path `a–via–b` with `b > a` and
 /// `b` eligible adds 1 to the pair `(a, b)`; per-row emission is
 /// key-sorted, and rows ascend, so the returned run is key-sorted as a
-/// whole.
+/// whole. With floors, each drained row keeps only the pairs whose
+/// count reaches their pair floor.
 fn count_chunk(
     offsets: &[u32],
     nbrs: &[u32],
@@ -422,6 +465,7 @@ fn count_chunk(
     let mut scratch = RowScratch::new(offsets.len().saturating_sub(1));
     let mut out: Vec<(u64, u64)> = Vec::new();
     let mut pruned_paths = 0u64;
+    let mut below_floor = 0u64;
     let mut two_paths = 0u64;
     for a in rows {
         if !eligible.contains(NodeId::from_index(a)) {
@@ -456,15 +500,20 @@ fn count_chunk(
                 }
             }
         }
+        let start = out.len();
         if dense {
             scratch.drain_dense(a, &mut out);
         } else {
             scratch.drain_sparse(a, &mut out);
         }
+        if let Some(p) = prune {
+            below_floor += drop_below_floor(&mut out, start, fa, p);
+        }
     }
     ChunkCount {
         run: out,
         pruned_paths,
+        below_floor,
         two_paths,
     }
 }
@@ -538,8 +587,9 @@ pub struct CommonNeighborKernel {
     /// (their deltas land in `overlay`), so it can live in a flat sorted
     /// vector instead of a hash map, which is what makes the build a
     /// merge of presorted worker runs rather than tens of millions of
-    /// random-access inserts. May retain entries for retired endpoints;
-    /// queries filter, and compaction rebuilds.
+    /// random-access inserts. Holds only pairs whose count reaches their
+    /// pair floor. May retain entries for retired endpoints; queries
+    /// filter, and compaction rebuilds.
     base: Vec<(u64, u64)>,
     /// Rank index: positions into `base` ordered by descending clamped
     /// count (ties in ascending key order). Lets every threshold query
@@ -550,11 +600,13 @@ pub struct CommonNeighborKernel {
     /// Current exact counts for the pairs contraction has touched
     /// (masking `base`; 0 marks a dead pair). Stays small — only
     /// multi-member contractions mutate counts, and only within the
-    /// contracted neighborhoods.
+    /// contracted neighborhoods. May hold counts below their pair
+    /// floor; queries skip those, and compaction drops them.
     overlay: HashMap<u64, u64>,
     eligible: NodeBitSet,
-    /// Build-time prune floors, if any: pairs this table prunes were
-    /// never materialized and must stay unmaterialized on contraction.
+    /// Build-time floors, if any: a pair the table does not hold has a
+    /// count below its pair floor, and a pair the floors prune is never
+    /// counted, at build or on contraction.
     prune: Option<PruneTable>,
     workers: usize,
     /// Eligible-endpoint count at the last rebuild; a halving means most
@@ -582,11 +634,15 @@ impl CommonNeighborKernel {
     ///
     /// `floors[i]` is the lowest level at which node `i` will ever be
     /// queried as a pair endpoint (0 or 1 = no floor; empty `floors`
-    /// prune nothing). Pairs whose count upper bound — the smaller
-    /// degree — cannot reach the larger of the two endpoint floors are
-    /// never materialized, at build or on contraction, and never appear
-    /// in any [`edges_at_least`][Self::edges_at_least] answer. Sound for
-    /// callers (like the formation sweep) that honor the floor contract.
+    /// drop nothing). The table holds a pair only while its count is at
+    /// least the larger of the two endpoint floors: pairs below it are
+    /// dropped as each row is counted, never appear in any
+    /// [`edges_at_least`][Self::edges_at_least] answer or in
+    /// [`max_count`][Self::max_count], and are recounted exactly if a
+    /// contraction touches them. Pairs whose count upper bound — the
+    /// smaller degree — cannot reach that floor are not even counted.
+    /// Sound for callers (like the formation sweep) that honor the floor
+    /// contract.
     ///
     /// With `Some(rec)`, the build emits a `kernel.build` span
     /// (count/merge/rank phases) and the kernel keeps pre-fetched metric
@@ -643,6 +699,7 @@ impl CommonNeighborKernel {
             for p in &partials {
                 m.worker_entries.observe(p.run.len() as f64);
                 m.pruned_paths.add(p.pruned_paths);
+                m.below_floor_pairs.add(p.below_floor);
                 m.two_paths.add(p.two_paths);
             }
         }
@@ -683,28 +740,63 @@ impl CommonNeighborKernel {
         self.eligible.contains(n)
     }
 
-    /// Current exact count for a packed pair key, overlay first.
+    /// The exact count of a packed pair key the table holds, overlay
+    /// first; `None` when the table does not hold it.
     #[inline]
-    fn current(&self, pk: u64) -> u64 {
+    fn held(&self, pk: u64) -> Option<u64> {
         if let Some(&c) = self.overlay.get(&pk) {
-            return c;
+            return Some(c);
         }
-        match self.base.binary_search_by_key(&pk, |&(k, _)| k) {
-            Ok(i) => self.base[i].1,
-            Err(_) => 0,
-        }
+        self.base
+            .binary_search_by_key(&pk, |&(k, _)| k)
+            .ok()
+            .map(|i| self.base[i].1)
     }
 
-    /// All eligible pairs with a positive count, sorted by `(a, b)` —
-    /// the kernel's answer to a full recount.
+    /// The pair floor of a packed pair key; 0 without floors.
+    #[inline]
+    fn pair_floor(&self, pk: u64) -> u64 {
+        self.prune.as_ref().map_or(0, |p| {
+            let (a, b) = unkey(pk);
+            p.pair_floor(a.index(), b.index())
+        })
+    }
+
+    /// The exact count of pair `pk` in `g`, recounted from the two
+    /// endpoints' adjacencies, for a pair the table does not hold.
+    fn recount(&self, g: &WGraph, pk: u64) -> u64 {
+        if let Some(m) = &self.metrics {
+            m.recounts.inc();
+        }
+        let (a, b) = unkey(pk);
+        let (na, nb) = (g.neighbor_slice(a), g.neighbor_slice(b));
+        let (mut i, mut j) = (0, 0);
+        let mut count = 0;
+        while i < na.len() && j < nb.len() {
+            match na[i].0.cmp(&nb[j].0) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    count += contribution(na[i].1, nb[j].1);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        count
+    }
+
+    /// Every eligible pair with a positive count that reaches its pair
+    /// floor, sorted by `(a, b)`. With trivial floors (empty, or all
+    /// ≤ 1) this is the kernel's answer to a full recount.
     pub fn edges(&self) -> Vec<CommonNeighborEdge> {
         self.edges_at_least(1)
     }
 
-    /// The level-`k` view: every eligible pair whose count clears `k`,
-    /// sorted by `(a, b)`. A binary search on the rank index finds the
-    /// cutoff, so only qualifying (plus overlaid) entries are visited;
-    /// nothing is recounted.
+    /// The level-`k` view: every eligible pair whose count clears both
+    /// `k` and its pair floor, sorted by `(a, b)`. A binary search on the
+    /// rank index finds the cutoff, so only qualifying (plus overlaid)
+    /// entries are visited; nothing is recounted.
     pub fn edges_at_least(&self, k: u32) -> Vec<CommonNeighborEdge> {
         let started = self.metrics.as_ref().map(|_| Instant::now());
         let k = k.max(1);
@@ -751,7 +843,7 @@ impl CommonNeighborKernel {
         }
         for (&pk, &c) in &self.overlay {
             let count = clamp32(c);
-            if count < k {
+            if count < k || c < self.pair_floor(pk) {
                 continue;
             }
             let (a, b) = unkey(pk);
@@ -767,9 +859,10 @@ impl CommonNeighborKernel {
         out
     }
 
-    /// Largest count over eligible pairs, or 0 if none remain — the
-    /// level-jump oracle of the formation sweep. Walks the rank index in
-    /// descending count order and stops at the first live entry.
+    /// Largest count over eligible pairs that reach their pair floor, or
+    /// 0 if none remain — the level-jump oracle of the formation sweep.
+    /// Walks the rank index in descending count order and stops at the
+    /// first live entry.
     pub fn max_count(&self) -> u32 {
         if self.eligible.len() < 2 {
             return 0;
@@ -777,7 +870,7 @@ impl CommonNeighborKernel {
         let mut best = 0u32;
         for (&pk, &c) in &self.overlay {
             let count = clamp32(c);
-            if count > best {
+            if count > best && c >= self.pair_floor(pk) {
                 let (a, b) = unkey(pk);
                 if self.eligible.contains(a) && self.eligible.contains(b) {
                     best = count;
@@ -838,8 +931,10 @@ impl CommonNeighborKernel {
         // Subtract the members' via-contributions to surviving pairs.
         // Pairs with a member endpoint die wholesale (eligibility flips
         // below), so only eligible non-member neighbors matter here.
-        // Pruned pairs were never materialized, so their contributions
-        // must not be subtracted (or re-added below) either.
+        // Pruned pairs are never counted, so their contributions are not
+        // subtracted (or re-added below) either. A touched pair the
+        // table does not hold is recounted first: `g` is not contracted
+        // yet, so the recount is the count the subtraction starts from.
         let mut scratch: Vec<(NodeId, u64)> = Vec::new();
         for &v in &sorted {
             scratch.clear();
@@ -855,7 +950,7 @@ impl CommonNeighborKernel {
                     if self.is_pruned(a, b) {
                         continue;
                     }
-                    self.subtract(key(a, b), contribution(wa, wb));
+                    self.subtract(g, key(a, b), contribution(wa, wb));
                 }
             }
         }
@@ -866,7 +961,9 @@ impl CommonNeighborKernel {
         let (m, internal) = g.contract(members);
         self.eligible.grow(g.id_bound());
 
-        // Add the replacement node's via-contributions.
+        // Add the replacement node's via-contributions. A pair the table
+        // does not hold is recounted on the contracted `g`, which already
+        // includes `m`'s contribution.
         scratch.clear();
         scratch.extend(
             g.neighbor_slice(m)
@@ -880,7 +977,7 @@ impl CommonNeighborKernel {
                 if self.is_pruned(a, b) {
                     continue;
                 }
-                self.add(key(a, b), contribution(wa, wb));
+                self.add(g, key(a, b), contribution(wa, wb));
             }
         }
 
@@ -910,29 +1007,36 @@ impl CommonNeighborKernel {
         }
     }
 
+    /// Removes `w` from pair `k`'s count in the not yet contracted `g`.
     #[inline]
-    fn subtract(&mut self, k: u64, w: u64) {
+    fn subtract(&mut self, g: &WGraph, k: u64, w: u64) {
         if w == 0 {
             return;
         }
-        let cur = self.current(k);
+        let cur = self.held(k).unwrap_or_else(|| self.recount(g, k));
         debug_assert!(cur >= w, "kernel count underflow");
         self.overlay.insert(k, cur.saturating_sub(w));
     }
 
+    /// Adds `w` to pair `k`'s count; `g` is already contracted.
     #[inline]
-    fn add(&mut self, k: u64, w: u64) {
+    fn add(&mut self, g: &WGraph, k: u64, w: u64) {
         if w == 0 {
             return;
         }
-        let cur = self.current(k);
-        self.overlay.insert(k, cur + w);
+        let next = match self.held(k) {
+            Some(cur) => cur + w,
+            // Unheld below a floor of at most 1: the count was 0.
+            None if self.pair_floor(k) <= 1 => w,
+            None => self.recount(g, k),
+        };
+        self.overlay.insert(k, next);
     }
 
     /// Rebuilds `base`/`rank` — folding the overlay in and dropping
-    /// retired pairs — once the overlay rivals the base or most eligible
-    /// endpoints have died, keeping query scans proportional to the live
-    /// table.
+    /// retired and below-floor pairs — once the overlay rivals the base
+    /// or most eligible endpoints have died, keeping query scans
+    /// proportional to the live table.
     fn maybe_compact(&mut self) {
         let bloated = self.overlay.len() * 2 >= self.base.len().max(2048);
         let decimated =
@@ -940,13 +1044,16 @@ impl CommonNeighborKernel {
         if !bloated && !decimated {
             return;
         }
-        let mut patches: Vec<(u64, u64)> = self.overlay.drain().filter(|&(_, c)| c > 0).collect();
+        // Every patch masks its base entry, so below-floor patches are
+        // filtered at emission, not here.
+        let mut patches: Vec<(u64, u64)> = std::mem::take(&mut self.overlay).into_iter().collect();
         patches.sort_unstable_by_key(|&(k, _)| k);
         let eligible = &self.eligible;
         let live = |pk: u64| {
             let (a, b) = unkey(pk);
             eligible.contains(a) && eligible.contains(b)
         };
+        let keep = |(pk, c): (u64, u64)| c > 0 && c >= self.pair_floor(pk) && live(pk);
         // Merge the key-sorted base (minus overlaid keys) with the
         // overlay patches; both streams are sorted, the result stays
         // sorted.
@@ -954,7 +1061,7 @@ impl CommonNeighborKernel {
         let mut pi = 0usize;
         for &(pk, c) in &self.base {
             while pi < patches.len() && patches[pi].0 < pk {
-                if live(patches[pi].0) {
+                if keep(patches[pi]) {
                     next.push(patches[pi]);
                 }
                 pi += 1;
@@ -967,7 +1074,7 @@ impl CommonNeighborKernel {
             }
         }
         for &p in &patches[pi..] {
-            if live(p.0) {
+            if keep(p) {
                 next.push(p);
             }
         }

@@ -44,10 +44,6 @@ impl Csr {
         WGraph::from_unit_csr(&self.offsets, &self.nbrs)
     }
 
-    fn degree(&self, v: NodeId) -> u64 {
-        (self.offsets[v.index() + 1] - self.offsets[v.index()]) as u64
-    }
-
     fn build<F: Fn(NodeId) -> bool>(
         &self,
         endpoint_ok: F,
@@ -62,14 +58,6 @@ impl Csr {
             floors,
             None,
         )
-    }
-
-    /// Whether the prune contract removes pair `(a, b)` under `floors`:
-    /// its count upper bound (the smaller build-time degree) cannot
-    /// reach the larger endpoint floor.
-    fn pruned(&self, floors: &[u32], a: NodeId, b: NodeId) -> bool {
-        let floor = floors[a.index()].max(floors[b.index()]) as u64;
-        self.degree(a).min(self.degree(b)) < floor
     }
 }
 
@@ -92,16 +80,39 @@ fn at_least(edges: &[CommonNeighborEdge], k: u32) -> Vec<CommonNeighborEdge> {
     edges.iter().filter(|e| e.count >= k).copied().collect()
 }
 
-/// Runs `steps` against `kernel` and `g`: each step contracts the
-/// members that are still uncontracted original nodes (a step left
-/// empty is skipped). After every step, every level of the kernel must
-/// equal the spec recount of the contracted graph over the kernel's
-/// eligible endpoints, minus the pairs `pruned` says the build dropped.
+/// Node `v`'s floor; nodes past the end of `floors` have none.
+fn floor(floors: &[u32], v: NodeId) -> u32 {
+    floors.get(v.index()).copied().unwrap_or(0)
+}
+
+/// Whether a kernel built with `floors` omits `e`: its count is below
+/// the larger endpoint floor.
+fn below_floor(floors: &[u32], e: &CommonNeighborEdge) -> bool {
+    e.count < floor(floors, e.a).max(floor(floors, e.b))
+}
+
+/// The pairs of `edges` the formation sweep can still query at level
+/// `k`: both endpoint floors are at most `k`.
+fn queried_at(floors: &[u32], k: u32, edges: &[CommonNeighborEdge]) -> Vec<CommonNeighborEdge> {
+    edges
+        .iter()
+        .filter(|e| floor(floors, e.a) <= k && floor(floors, e.b) <= k)
+        .copied()
+        .collect()
+}
+
+/// Runs `steps` against `kernel` (built with `floors`) and `g`: each
+/// step contracts the members that are still uncontracted original
+/// nodes (a step left empty is skipped). After every step, every level
+/// of the kernel must equal the spec recount of the contracted graph
+/// over the kernel's eligible endpoints, minus the pairs whose count is
+/// below the larger endpoint floor; and the pairs both of whose floors
+/// are at most the level must be answered exactly as the recount does.
 fn check_contractions(
     mut kernel: CommonNeighborKernel,
     mut g: WGraph,
     steps: &[std::collections::BTreeSet<u32>],
-    pruned: impl Fn(NodeId, NodeId) -> bool,
+    floors: &[u32],
 ) -> Result<(), TestCaseError> {
     let mut gone = std::collections::BTreeSet::new();
     for (i, step) in steps.iter().enumerate() {
@@ -119,15 +130,18 @@ fn check_contractions(
         for v in &members {
             prop_assert!(!kernel.is_eligible(*v));
         }
-        let mut expect = common_neighbor_min_weights(&g, |x| kernel.is_eligible(x));
-        expect.retain(|e| !pruned(e.a, e.b));
+        let recount = common_neighbor_min_weights(&g, |x| kernel.is_eligible(x));
+        let mut expect = recount.clone();
+        expect.retain(|e| !below_floor(floors, e));
         let top = expect.iter().map(|e| e.count).max().unwrap_or(0);
         prop_assert_eq!(kernel.max_count(), top, "step {}", i);
         for k in 1..=top + 1 {
+            let got = kernel.edges_at_least(k);
+            prop_assert_eq!(&got, &at_least(&expect, k), "step {} level {}", i, k);
             prop_assert_eq!(
-                kernel.edges_at_least(k),
-                at_least(&expect, k),
-                "step {} level {}",
+                queried_at(floors, k, &got),
+                queried_at(floors, k, &at_least(&recount, k)),
+                "step {} level {} (queried pairs)",
                 i,
                 k
             );
@@ -186,10 +200,10 @@ proptest! {
     }
 
     /// The pruned build is the unpruned build minus exactly the pairs
-    /// the floor contract says can never matter — at every threshold
-    /// level, for arbitrary floors. In particular, any pair queried at
-    /// a level reaching both endpoint floors is answered identically,
-    /// which is the soundness the formation sweep relies on.
+    /// whose count is below the larger endpoint floor — at every
+    /// threshold level, for arbitrary floors. In particular, any pair
+    /// queried at a level reaching both endpoint floors is answered
+    /// identically, which is the soundness the formation sweep relies on.
     #[test]
     fn pruned_build_drops_exactly_the_contracted_pairs(
         edges in arb_edges(60),
@@ -199,9 +213,17 @@ proptest! {
         let full = csr.build(|_| true, 1, &[]);
         let pruned = csr.build(|_| true, 1, &floors);
         for k in 1..=full.max_count().saturating_add(1) {
-            let mut expect = full.edges_at_least(k);
-            expect.retain(|e| !csr.pruned(&floors, e.a, e.b));
-            prop_assert_eq!(pruned.edges_at_least(k), expect, "level {}", k);
+            let all = full.edges_at_least(k);
+            let got = pruned.edges_at_least(k);
+            let mut expect = all.clone();
+            expect.retain(|e| !below_floor(&floors, e));
+            prop_assert_eq!(&got, &expect, "level {}", k);
+            prop_assert_eq!(
+                queried_at(&floors, k, &got),
+                queried_at(&floors, k, &all),
+                "level {} (queried pairs)",
+                k
+            );
         }
     }
 
@@ -237,13 +259,14 @@ proptest! {
         steps in arb_steps(),
     ) {
         let csr = Csr::of(N, &edges);
-        check_contractions(csr.build(|_| true, workers, &[]), csr.graph(), &steps, |_, _| false)?;
+        check_contractions(csr.build(|_| true, workers, &[]), csr.graph(), &steps, &[])?;
     }
 
-    /// The prune set is stable under contraction: after every step the
+    /// The floor rule holds through contraction: after every step the
     /// pruned kernel equals the recount of the contracted graph minus
-    /// exactly the pairs the build-time floors pruned (survivors keep
-    /// their weighted degrees, so the same pairs stay pruned).
+    /// exactly the pairs whose current count is below the larger
+    /// endpoint floor, including pairs a contraction lifted to their
+    /// floor after the build left them out.
     #[test]
     fn pruned_contraction_matches_pruned_rebuild(
         edges in arb_edges(60),
@@ -253,7 +276,7 @@ proptest! {
     ) {
         let csr = Csr::of(N, &edges);
         let kernel = csr.build(|_| true, workers, &floors);
-        check_contractions(kernel, csr.graph(), &steps, |a, b| csr.pruned(&floors, a, b))?;
+        check_contractions(kernel, csr.graph(), &steps, &floors)?;
     }
 }
 
@@ -357,4 +380,40 @@ fn pruned_kernel_stays_consistent_through_contraction() {
     for k in 2..=3 {
         assert_eq!(kernel.edges_at_least(k), at_least(&fresh, k), "level {k}");
     }
+}
+
+#[test]
+fn contraction_lifts_unstored_pair_to_its_floor() {
+    // Hosts 0 and 1 share only node 4, a count of 1 below their floor
+    // of 2, so the build leaves the pair out. Contracting their other
+    // neighbors 2 and 3 gives them a second shared neighbor: the pair is
+    // recounted and reaches its floor.
+    let csr = Csr::of(5, &[(0, 2), (0, 4), (1, 3), (1, 4)]);
+    let floors = [2, 2, 0, 0, 0];
+    let rec = telemetry::Recorder::new();
+    let mut kernel =
+        CommonNeighborKernel::build(&csr.offsets, &csr.nbrs, |_| true, 1, &floors, Some(&rec));
+    let pair = |count| CommonNeighborEdge {
+        a: NodeId(0),
+        b: NodeId(1),
+        count,
+    };
+    assert!(!kernel.edges().contains(&pair(1)));
+    let below = rec
+        .registry()
+        .counter("roleclass_kernel_below_floor_pairs_total");
+    assert_eq!(below.get(), 1);
+
+    let mut g = csr.graph();
+    kernel.contract(&mut g, &[NodeId(2), NodeId(3)]);
+    let mut fresh = common_neighbor_min_weights(&g, |x| kernel.is_eligible(x));
+    fresh.retain(|e| !below_floor(&floors, e));
+    assert!(fresh.contains(&pair(2)));
+    assert_eq!(kernel.edges(), fresh);
+    for k in 1..=3 {
+        assert_eq!(kernel.edges_at_least(k), at_least(&fresh, k), "level {k}");
+    }
+    assert_eq!(kernel.max_count(), 2);
+    let recounts = rec.registry().counter("roleclass_kernel_recounts_total");
+    assert!(recounts.get() >= 1);
 }

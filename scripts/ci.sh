@@ -122,11 +122,19 @@ cargo test -q -p aggregator --test wire_chaos --test frame_codec_properties
 # runs in-process via EngineConfig — the engine crates no longer read
 # ROLECLASS_THREADS, so one invocation covers the whole grid (see
 # classification_is_bit_identical_across_worker_matrix and the
-# worker-count, prune-floor and contraction-sequence kernel properties,
-# which pin the kernel to the spec crate's recount). netgraph's graph
-# properties (BCC, components, contraction) run alongside. The formation sweep is pinned trace by trace to
-# the recounting sweep of the dev-only spec crate (roleclass-spec),
-# whose own suite pins the Literal SIMILARITY reading on Mazu.
+# worker-count, floor and contraction-sequence kernel properties, which
+# pin the kernel to the spec crate's recount). The floor properties pin
+# the count-based rule: a kernel built with floors holds exactly the
+# pairs whose current count reaches the larger endpoint floor, before
+# and after contractions, and answers every pair both of whose floors
+# are at most the level exactly as the recount does. netgraph's graph
+# properties (BCC, components, contraction) run alongside. The
+# formation sweep is pinned trace by trace to the recounting sweep of
+# the dev-only spec crate (roleclass-spec), whose own suite pins the
+# Literal SIMILARITY reading on Mazu. engine_equivalence runs again in
+# release for its release-only case: BigCompany (contractions recount
+# pairs the kernel left below their floor) and department(2000), where
+# most pairs are below their floor at build.
 #
 # The dense correlation path is pinned to the map-based oracle in
 # correlation_reference: whole Correlation, counters and id events, on
@@ -143,6 +151,7 @@ cargo test -q -p aggregator --test wire_chaos --test frame_codec_properties
 echo "==> kernel + engine equivalence across the worker matrix + spec crate + correlation and merging oracles + paper fingerprint"
 cargo test -q -p netgraph
 cargo test -q -p roleclass --test engine_equivalence
+cargo test -q --release -p roleclass --test engine_equivalence
 cargo test -q -p roleclass-spec
 cargo test -q --release -p roleclass --test correlation_reference
 cargo test -q --release -p roleclass --test merging_reference
