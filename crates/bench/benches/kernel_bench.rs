@@ -51,7 +51,7 @@ fn department_network(n: usize) -> flow::ConnectionSets {
 /// it (every host an endpoint, no prune floors).
 fn kernel_of(cs: &flow::ConnectionSets) -> CommonNeighborKernel {
     let (offsets, nbrs) = cs.csr();
-    CommonNeighborKernel::build(offsets, nbrs, |_| true, engine_workers(), &[], None)
+    CommonNeighborKernel::build(offsets, nbrs, engine_workers(), &[], None)
 }
 
 fn bench_build(c: &mut Criterion) {

@@ -26,7 +26,7 @@ fn bench_common_neighbors(c: &mut Criterion) {
     let (offsets, nbrs) = cs.csr();
     c.bench_function("common_neighbor_kernel_mazu", |b| {
         let workers = netgraph::default_worker_count();
-        b.iter(|| CommonNeighborKernel::build(offsets, nbrs, |_| true, workers, &[], None))
+        b.iter(|| CommonNeighborKernel::build(offsets, nbrs, workers, &[], None))
     });
 }
 

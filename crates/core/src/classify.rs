@@ -88,23 +88,22 @@ pub(crate) fn classify_with(
     cfg: &EngineConfig,
     rec: Option<&telemetry::Recorder>,
 ) -> Classification {
-    finish_classification_with(cs, form_groups_with(cs, cfg, rec), cfg, rec)
+    finish_classification_with(cs, form_groups_with(cs, cfg, rec), &cfg.params, rec)
 }
 
 /// Merges a formation result and assembles the [`Classification`]
-/// (merge phase + the Figure 4 neighborhood summaries), with explicit
-/// execution knobs and an optional recorder: emits the `engine.merge`
-/// span and the merge-phase metrics.
+/// (merge phase + the Figure 4 neighborhood summaries), with an optional
+/// recorder: emits the `engine.merge` span and the merge-phase metrics.
 pub(crate) fn finish_classification_with(
     cs: &ConnectionSets,
-    formation: FormationResult,
-    cfg: &EngineConfig,
+    mut formation: FormationResult,
+    params: &Params,
     rec: Option<&telemetry::Recorder>,
 ) -> Classification {
     let _span = telemetry::span(rec, "engine.merge");
     let started = rec.map(|_| std::time::Instant::now());
-    let formation_trace = formation.trace.clone();
-    let out = merge_groups_with(cs, formation, cfg, rec);
+    let formation_trace = std::mem::take(&mut formation.trace);
+    let out = merge_groups_with(cs, formation, params, rec);
     if let (Some(r), Some(t0)) = (rec, started) {
         let reg = r.registry();
         reg.counter("roleclass_engine_merges_total")

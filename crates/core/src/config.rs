@@ -8,11 +8,11 @@
 //! [`Engine::from_config`][crate::Engine::from_config] or the
 //! aggregator. Libraries below this type never touch `std::env`.
 //!
-//! The worker counts are *determinism-free* knobs: every parallel path
-//! in the pipeline (kernel counting, merge scoring) reduces worker
-//! output in a fixed order with exact integer or per-pair-pure
-//! arithmetic, so any worker count produces bit-identical groupings and
-//! correlation ids. `0` means "use the machine's parallelism".
+//! The worker count is a *determinism-free* knob: the one parallel path
+//! in the engine, kernel counting, reduces worker output in a fixed
+//! order with exact integer arithmetic, so any worker count produces
+//! bit-identical groupings and correlation ids. `0` means "use the
+//! machine's parallelism".
 
 use crate::params::{ParamError, Params};
 
@@ -31,9 +31,6 @@ pub struct EngineConfig {
     /// Worker threads for the common-neighbor kernel build; `0` sizes
     /// from the machine. Output is bit-identical at any value.
     pub kernel_workers: usize,
-    /// Worker threads for merge-phase similarity scoring; `0` sizes
-    /// from the machine. Output is bit-identical at any value.
-    pub merge_workers: usize,
 }
 
 impl EngineConfig {
@@ -45,35 +42,33 @@ impl EngineConfig {
         }
     }
 
-    /// Builder-style setter for both worker pools at once (`0` = auto).
+    /// Builder-style setter for the kernel worker pool (`0` = auto).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.kernel_workers = workers;
-        self.merge_workers = workers;
         self
     }
 
     /// The kernel worker count to actually run with.
     pub fn resolved_kernel_workers(&self) -> usize {
-        resolve_workers(self.kernel_workers)
+        if self.kernel_workers == 0 {
+            netgraph::default_worker_count()
+        } else {
+            self.kernel_workers
+        }
     }
 
-    /// The merge worker count to actually run with.
+    /// The merge worker count: always 1. The merge phase scores every
+    /// pair with one serial sweep per node, which outran a two-worker
+    /// split of the same work, so it takes no worker pool. Kept for
+    /// callers that report the worker counts a run used.
     pub fn resolved_merge_workers(&self) -> usize {
-        resolve_workers(self.merge_workers)
+        1
     }
 
-    /// Validates the algorithm parameters (the execution knobs have no
+    /// Validates the algorithm parameters (the worker count has no
     /// invalid values: `0` means auto and anything else is a count).
     pub fn validate(&self) -> Result<(), ParamError> {
         self.params.validate()
-    }
-}
-
-fn resolve_workers(configured: usize) -> usize {
-    if configured == 0 {
-        netgraph::default_worker_count()
-    } else {
-        configured
     }
 }
 
@@ -86,9 +81,8 @@ mod tests {
         let cfg = EngineConfig::default();
         assert_eq!(cfg.params, Params::default());
         assert_eq!(cfg.kernel_workers, 0);
-        assert_eq!(cfg.merge_workers, 0);
         assert!(cfg.resolved_kernel_workers() >= 1);
-        assert!(cfg.resolved_merge_workers() >= 1);
+        assert_eq!(cfg.resolved_merge_workers(), 1);
         assert!(cfg.validate().is_ok());
     }
 
@@ -97,9 +91,8 @@ mod tests {
         let cfg = EngineConfig::new(Params::default().with_k_hi(3)).with_workers(4);
         assert_eq!(cfg.params.k_hi, 3);
         assert_eq!(cfg.kernel_workers, 4);
-        assert_eq!(cfg.merge_workers, 4);
         assert_eq!(cfg.resolved_kernel_workers(), 4);
-        assert_eq!(cfg.resolved_merge_workers(), 4);
+        assert_eq!(cfg.resolved_merge_workers(), 1);
     }
 
     #[test]

@@ -125,7 +125,7 @@ impl Engine {
     }
 
     /// Creates an engine from a full [`EngineConfig`] (parameters plus
-    /// worker counts), validating once and for all. The recorder
+    /// the kernel worker count), validating once and for all. The recorder
     /// attaches afterwards, through [`Engine::with_recorder`] or
     /// [`Engine::set_recorder`].
     pub fn from_config(config: EngineConfig) -> Result<Self, ParamError> {
@@ -277,7 +277,7 @@ impl<'e> Formed<'e> {
             classification: finish_classification_with(
                 self.cs,
                 self.result,
-                &self.engine.config,
+                &self.engine.config.params,
                 self.engine.recorder.as_deref(),
             ),
         }

@@ -35,7 +35,7 @@ use flow::{ConnectionSets, HostAddr};
 use netgraph::{biconnected_components, CommonNeighborKernel, NodeId, SimpleGraph, WGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Why a formation-phase group came into being.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,8 +92,6 @@ struct State {
     kernel: CommonNeighborKernel,
     /// Host represented by each node; `None` for group nodes.
     host_of_node: Vec<Option<HostAddr>>,
-    /// Group index represented by each node, for group nodes.
-    group_of_node: HashMap<NodeId, usize>,
     groups: Vec<ProtoGroup>,
     node_of_group: Vec<NodeId>,
     trace: Vec<FormationEvent>,
@@ -148,12 +146,11 @@ impl State {
             .iter()
             .map(|&d| bootstrap_trigger(alpha, d).unwrap_or(1))
             .collect();
-        let kernel = CommonNeighborKernel::build(offsets, nbrs, |_| true, workers, &floors, rec);
+        let kernel = CommonNeighborKernel::build(offsets, nbrs, workers, &floors, rec);
         State {
             g,
             kernel,
             host_of_node,
-            group_of_node: HashMap::new(),
             groups: Vec::new(),
             node_of_group: Vec::new(),
             trace: Vec::new(),
@@ -180,8 +177,6 @@ impl State {
         while self.host_of_node.len() < self.g.id_bound() {
             self.host_of_node.push(None);
         }
-        let idx = self.groups.len();
-        self.group_of_node.insert(gnode, idx);
         self.groups.push(ProtoGroup {
             members: members.clone(),
             k,

@@ -19,7 +19,7 @@
 //! fallible `try_*` twin returning [`ParamError`]), the phases are
 //! staged (`form → merge → correlate_with`), and cross-window state is
 //! retained so successive windows keep stable group ids. Execution
-//! knobs — the worker counts — live in the typed [`EngineConfig`],
+//! knobs — the kernel worker count — live in the typed [`EngineConfig`],
 //! built at the edge and passed to
 //! [`Engine::from_config`](engine::Engine::from_config); nothing in
 //! this crate reads environment variables. The telemetry recorder is

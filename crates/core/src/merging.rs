@@ -22,7 +22,6 @@
 //! threshold applies, so it could only pop as a rejection. Dropping such
 //! pairs leaves the merge sequence unchanged (see `CandidateStore`).
 
-use crate::config::EngineConfig;
 use crate::formation::FormationResult;
 use crate::group::{Group, GroupId, Grouping};
 use crate::params::{ParamError, Params};
@@ -120,70 +119,64 @@ pub struct MergeOutcome {
     pub node_of_group: Vec<NodeId>,
 }
 
-/// Computes the Figure 3 `SIMILARITY(G1, G2)` on the current group graph:
-/// the sum over common neighbors `G'` of `min(CP(G', G1)/t_1,
-/// CP(G', G2)/t_2)`, where `t_i` is group `Gi`'s total connection count,
-/// scaled to `[0, 100]`. The pseudo-code is ambiguous about this
-/// normalization (`DESIGN.md` §5, note 2); the literal reading lives in
-/// the `roleclass-spec` crate.
-fn similarity(g: &WGraph, wdeg: &[u64], x: NodeId, y: NodeId) -> f64 {
-    let tx = wdeg[x.index()] as f64;
-    let ty = wdeg[y.index()] as f64;
-    if tx == 0.0 || ty == 0.0 {
-        return 0.0;
-    }
-    let sx = g.neighbor_slice(x);
-    let sy = g.neighbor_slice(y);
-    let term = |wa: u64, wb: u64| -> f64 { (wa as f64 / tx).min(wb as f64 / ty) };
-    // Intersect the sorted adjacency lists. Either strategy visits the
-    // common neighbors in ascending id order, so the floating-point
-    // accumulation sequence — and hence the result, to the last bit —
-    // is the same; the choice is purely a cost model (a linear merge
-    // for comparable degrees, probing the larger list for lopsided
-    // ones, e.g. a small group against a hub).
-    let mut acc = 0.0f64;
-    let (small, big, small_is_x) = if sx.len() <= sy.len() {
-        (sx, sy, true)
-    } else {
-        (sy, sx, false)
-    };
-    if small.len() * 8 < big.len() {
-        for &(via, ws) in small {
-            if via == x || via == y {
-                continue;
-            }
-            if let Ok(i) = big.binary_search_by_key(&via, |&(n, _)| n) {
-                let wb = big[i].1;
-                acc += if small_is_x {
-                    term(ws, wb)
-                } else {
-                    term(wb, ws)
-                };
-            }
+/// Figure 3's `SIMILARITY(G1, G2)` on the current group graph: the sum
+/// over common neighbors `G'` of `min(CP(G', G1)/t_1, CP(G', G2)/t_2)`,
+/// where `t_i` is group `Gi`'s total connection count, scaled to
+/// `[0, 100]`. The pseudo-code is ambiguous about this normalization
+/// (`DESIGN.md` §5, note 2); the literal reading lives in the
+/// `roleclass-spec` crate.
+///
+/// This is the phase's only SIMILARITY code. One sweep from `x` scores
+/// `x` against every group that shares a neighbor with it: walking
+/// `via ∈ N(x)` in ascending id order and crediting each `y ∈ N(via)`
+/// adds every `y`'s terms in ascending common-neighbor order, the same
+/// `f64` sequence a per-pair intersection of the two adjacency lists
+/// adds. The node-indexed accumulator is guarded by a generation stamp
+/// (one bump per sweep clears it in O(1)).
+#[derive(Default)]
+struct Sweep {
+    stamp: u32,
+    acc: Vec<f64>,
+    seen: Vec<u32>,
+    /// The nodes the last sweep credited, in first-touch order.
+    touched: Vec<NodeId>,
+}
+
+impl Sweep {
+    fn grow(&mut self, bound: usize) {
+        if self.acc.len() < bound {
+            self.acc.resize(bound, 0.0);
+            self.seen.resize(bound, 0);
         }
-    } else {
-        let (mut i, mut j) = (0, 0);
-        while i < small.len() && j < big.len() {
-            let (a, ws) = small[i];
-            let (b, wb) = big[j];
-            match a.cmp(&b) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    if a != x && a != y {
-                        acc += if small_is_x {
-                            term(ws, wb)
-                        } else {
-                            term(wb, ws)
-                        };
-                    }
-                    i += 1;
-                    j += 1;
+    }
+
+    /// Scores `x` against every node two hops away, listing them in
+    /// [`Sweep::touched`]. `wdeg` holds each node's weighted degree.
+    fn run(&mut self, g: &WGraph, wdeg: &[u64], x: NodeId) {
+        self.stamp += 1;
+        self.touched.clear();
+        let tx = wdeg[x.index()] as f64;
+        for &(via, wx) in g.neighbor_slice(x) {
+            let rx = wx as f64 / tx;
+            for &(y, wy) in g.neighbor_slice(via) {
+                if y == x {
+                    continue;
                 }
+                let yi = y.index();
+                if self.seen[yi] != self.stamp {
+                    self.seen[yi] = self.stamp;
+                    self.acc[yi] = 0.0;
+                    self.touched.push(y);
+                }
+                self.acc[yi] += rx.min(wy as f64 / wdeg[yi] as f64);
             }
         }
     }
-    (100.0 * acc).clamp(0.0, 100.0)
+
+    /// `SIMILARITY(x, y)` for the last sweep's `x` and a `y` it touched.
+    fn sim(&self, y: NodeId) -> f64 {
+        (100.0 * self.acc[y.index()]).clamp(0.0, 100.0)
+    }
 }
 
 /// `MEETCONNECTIONREQ`: average member connection counts within β.
@@ -246,24 +239,13 @@ impl CandidateStore {
         }
     }
 
-    /// Stores the `(a, b, sim)` triples of `kept`, which must be sorted
-    /// by pair with `a < b`, above every stored pair, and already
-    /// filtered by [`CandidateStore::keeps`].
-    fn extend(&mut self, kept: &[(NodeId, NodeId, f64)]) {
-        for &(a, b, s) in kept {
-            self.rows[a.index()].push((b, s));
-        }
-        self.len += kept.len();
-        self.note_peak();
-    }
-
     /// The keep rule: can a pair at `sim` ever pass the similarity gate?
     ///
     /// No `sim > 0` test is needed even at `θ = 0`: every pair this
-    /// phase scores shares a via other than its endpoints (the
-    /// candidates are two-hop pairs, the sweep walks `m`'s vias, the
-    /// triangle pairs share `m`), and every edge weight is at least 1,
-    /// so every scored similarity is positive.
+    /// phase scores shares a via other than its endpoints (a [`Sweep`]
+    /// credits only two-hop nodes, the triangle pairs share `m`), and
+    /// every edge weight is at least 1, so every scored similarity is
+    /// positive.
     fn keeps(&self, sim: f64) -> bool {
         sim >= self.theta
     }
@@ -286,11 +268,11 @@ impl CandidateStore {
             .map(|i| row[i].1)
     }
 
-    /// Stores `(y, m, sim)` for an `m` above every id already stored
-    /// anywhere (a freshly contracted node), so the row stays sorted.
-    fn append(&mut self, y: NodeId, m: NodeId, sim: f64) {
-        debug_assert!(self.rows[y.index()].last().is_none_or(|&(p, _)| p < m));
-        self.rows[y.index()].push((m, sim));
+    /// Stores `(a, b, sim)` for a `b` above every partner in row `a`,
+    /// so the row stays sorted.
+    fn append(&mut self, a: NodeId, b: NodeId, sim: f64) {
+        debug_assert!(self.rows[a.index()].last().is_none_or(|&(p, _)| p < b));
+        self.rows[a.index()].push((b, sim));
         self.len += 1;
     }
 
@@ -363,85 +345,16 @@ pub fn try_merge_groups(
     params: &Params,
 ) -> Result<MergeOutcome, ParamError> {
     params.validate()?;
-    Ok(merge_groups_with(
-        cs,
-        formation,
-        &EngineConfig::new(*params),
-        None,
-    ))
+    Ok(merge_groups_with(cs, formation, params, None))
 }
 
-/// Stage `candidates`: every pair of groups sharing a neighbor, sorted
-/// and deduplicated, lower endpoint first. Pairs sharing nothing have
-/// similarity 0 and can never merge.
-fn candidates(g: &WGraph) -> Vec<(NodeId, NodeId)> {
-    let mut pairs = Vec::new();
-    for x in g.nodes() {
-        for &(via, _) in g.neighbor_slice(x) {
-            for &(y, _) in g.neighbor_slice(via) {
-                if y > x {
-                    pairs.push((x, y));
-                }
-            }
-        }
-    }
-    pairs.sort_unstable();
-    pairs.dedup();
-    pairs
-}
-
-/// Stage `score`: the similarity of every candidate pair, keeping the
-/// `(a, b, sim)` triples `keep` accepts, in pair order. The sorted pair
-/// list is split into contiguous chunks across scoped worker threads.
-/// Each score is a pure function of the shared immutable graph and
-/// group table, and chunk results are concatenated in chunk order, so
-/// the output is bit-identical at any worker count.
-fn score_pairs(
-    g: &WGraph,
-    wdeg: &[u64],
-    pairs: &[(NodeId, NodeId)],
-    keep: impl Fn(f64) -> bool + Sync,
-    workers: usize,
-) -> Vec<(NodeId, NodeId, f64)> {
-    let score = |part: &[(NodeId, NodeId)]| -> Vec<(NodeId, NodeId, f64)> {
-        part.iter()
-            .map(|&(x, y)| (x, y, similarity(g, wdeg, x, y)))
-            .filter(|&(_, _, s)| keep(s))
-            .collect()
-    };
-    // Don't spin up threads for workloads where the spawn overhead
-    // dominates; the cutoff cannot change the result, only the split.
-    const MIN_PAIRS_PER_WORKER: usize = 128;
-    let workers = workers.clamp(1, (pairs.len() / MIN_PAIRS_PER_WORKER).max(1));
-    if workers == 1 {
-        return score(pairs);
-    }
-    let chunk = pairs.len().div_ceil(workers);
-    let score = &score;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk)
-            .map(|part| s.spawn(move || score(part)))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("merge scoring worker panicked"))
-            .collect()
-    })
-}
-
-/// Reused per-merge scratch for the rescore stages. The node-indexed
-/// arrays are guarded by a generation stamp (one bump per use clears
-/// them in O(1)).
+/// Reused per-merge scratch for the neighbor-pair rescore. The
+/// node-indexed arrays are guarded by a generation stamp (one bump per
+/// use clears them in O(1)).
 #[derive(Default)]
 struct Scratch {
     stamp: u32,
-    /// `(m, y)` sweep: per-`y` accumulator, its stamp, and the `y`s
-    /// touched this generation.
-    sweep_acc: Vec<f64>,
-    sweep_stamp: Vec<u32>,
-    touched: Vec<NodeId>,
-    /// Neighbor-pair pass: `N(m)` ascending, then per via its stamp, the
+    /// `N(m)` ascending, then per via its stamp, the
     /// number of `N(m)` members adjacent to it, and its bucket cursor.
     nbrs: Vec<NodeId>,
     via_stamp: Vec<u32>,
@@ -458,18 +371,11 @@ struct Scratch {
 
 impl Scratch {
     fn grow(&mut self, bound: usize) {
-        if self.sweep_acc.len() < bound {
-            self.sweep_acc.resize(bound, 0.0);
-            self.sweep_stamp.resize(bound, 0);
+        if self.via_stamp.len() < bound {
             self.via_stamp.resize(bound, 0);
             self.via_count.resize(bound, 0);
             self.via_pos.resize(bound, 0);
         }
-    }
-
-    fn next_stamp(&mut self) -> u32 {
-        self.stamp += 1;
-        self.stamp
     }
 }
 
@@ -498,6 +404,7 @@ struct Agglomeration<'a> {
     /// locally and folded into the registry once at the end.
     heap_pops: u64,
     merges: Vec<MergeEvent>,
+    sweep: Sweep,
     scratch: Scratch,
 }
 
@@ -511,10 +418,10 @@ struct Agglomeration<'a> {
 pub(crate) fn merge_groups_with(
     cs: &ConnectionSets,
     formation: FormationResult,
-    cfg: &EngineConfig,
+    params: &Params,
     rec: Option<&telemetry::Recorder>,
 ) -> MergeOutcome {
-    let mut agg = Agglomeration::start(cs, formation, cfg, rec);
+    let mut agg = Agglomeration::start(cs, formation, params, rec);
     let agglomerate = telemetry::span(rec, "merge.agglomerate");
     while let Some((a, b, sim)) = agg.pop() {
         let m = agg.contract(a, b, sim);
@@ -532,17 +439,17 @@ pub(crate) fn merge_groups_with(
 }
 
 impl<'a> Agglomeration<'a> {
-    /// The loop over a formation result, seeded by the `candidates` and
-    /// `score` stages with every pair the store keeps. Heapify runs in
-    /// one pass; pop order is fully determined by the entries' total
-    /// order, so construction strategy cannot change the merge sequence.
+    /// The loop over a formation result, seeded by the `score` stage:
+    /// one [`Sweep`] from each live node `x` stores, in ascending `y`,
+    /// every pair `(x, y > x)` the store keeps. Heapify runs in one pass;
+    /// pop order is fully determined by the entries' total order, so
+    /// construction strategy cannot change the merge sequence.
     fn start(
         cs: &ConnectionSets,
         formation: FormationResult,
-        cfg: &'a EngineConfig,
+        params: &'a Params,
         rec: Option<&'a telemetry::Recorder>,
     ) -> Self {
-        let params = &cfg.params;
         let g = formation.graph;
         let bound = g.id_bound();
         let mut info: GroupTable = vec![None; bound];
@@ -554,24 +461,25 @@ impl<'a> Agglomeration<'a> {
             wdeg[n.index()] = g.weighted_degree(n);
         }
         let mut store = CandidateStore::new(params.s_lo.min(params.s_hi), bound);
-        let pairs = {
-            let _s = telemetry::span(rec, "merge.candidates");
-            candidates(&g)
-        };
-        let kept = {
-            let _s = telemetry::span(rec, "merge.score");
-            score_pairs(
-                &g,
-                &wdeg,
-                &pairs,
-                |s| store.keeps(s),
-                cfg.resolved_merge_workers(),
-            )
-        };
-        drop(pairs);
-        store.extend(&kept);
-        let heap: BinaryHeap<HeapEntry> =
-            kept.iter().map(|&(a, b, s)| heap_entry(a, b, s)).collect();
+        let mut sweep = Sweep::default();
+        sweep.grow(bound);
+        let mut entries = Vec::new();
+        let score = telemetry::span(rec, "merge.score");
+        for x in g.nodes() {
+            sweep.run(&g, &wdeg, x);
+            sweep.touched.retain(|&y| y > x);
+            sweep.touched.sort_unstable();
+            for &y in &sweep.touched {
+                let s = sweep.sim(y);
+                if store.keeps(s) {
+                    store.append(x, y, s);
+                    entries.push(heap_entry(x, y, s));
+                }
+            }
+        }
+        drop(score);
+        store.note_peak();
+        let heap = BinaryHeap::from(entries);
         let mut scratch = Scratch::default();
         scratch.grow(bound);
         Agglomeration {
@@ -585,6 +493,7 @@ impl<'a> Agglomeration<'a> {
             heap,
             heap_pops: 0,
             merges: Vec::new(),
+            sweep,
             scratch,
         }
     }
@@ -687,6 +596,7 @@ impl<'a> Agglomeration<'a> {
         self.wdeg.resize(bound, 0);
         self.info.resize(bound, None);
         self.store.grow(bound);
+        self.sweep.grow(bound);
         self.scratch.grow(bound);
         self.wdeg[m.index()] = self.g.weighted_degree(m);
         let mut members = ia.members;
@@ -721,42 +631,20 @@ impl<'a> Agglomeration<'a> {
         self.store.note_peak();
     }
 
-    /// All `(m, y)` similarities from one sweep over the two-hop
-    /// neighborhood of `m`. Walking `via ∈ N(m)` in ascending id order
-    /// and crediting each `y ∈ N(via)` accumulates every `y`'s terms in
-    /// ascending common-neighbor order — the exact addition sequence
-    /// [`similarity`] performs — so the values are bit-identical to
-    /// per-pair recomputation. Every touched row is pruned of dead
-    /// partners.
+    /// All `(m, y)` similarities from one [`Sweep`] from `m`. Every
+    /// touched row is pruned of dead partners.
     fn rescore_sweep(&mut self, m: NodeId) {
         let Agglomeration {
             g,
             wdeg,
             store,
             heap,
-            scratch,
+            sweep,
             ..
         } = self;
-        let stamp = scratch.next_stamp();
-        let tm = wdeg[m.index()] as f64;
-        scratch.touched.clear();
-        for &(via, wm) in g.neighbor_slice(m) {
-            let rm = wm as f64 / tm;
-            for &(y, wy) in g.neighbor_slice(via) {
-                if y == m {
-                    continue;
-                }
-                let yi = y.index();
-                if scratch.sweep_stamp[yi] != stamp {
-                    scratch.sweep_stamp[yi] = stamp;
-                    scratch.sweep_acc[yi] = 0.0;
-                    scratch.touched.push(y);
-                }
-                scratch.sweep_acc[yi] += rm.min(wy as f64 / wdeg[yi] as f64);
-            }
-        }
-        for &y in &scratch.touched {
-            let s = (100.0 * scratch.sweep_acc[y.index()]).clamp(0.0, 100.0);
+        sweep.run(g, wdeg, m);
+        for &y in &sweep.touched {
+            let s = sweep.sim(y);
             store.prune_dead(g, y);
             // `m` is the newest id, so `(y, m)` is new and sorts last.
             if store.keeps(s) {
@@ -773,9 +661,9 @@ impl<'a> Agglomeration<'a> {
     /// vias adjacent to two or more members of `N(m)`; only those are
     /// sorted and bucketed, members in ascending position. Walking the
     /// buckets in ascending via order adds each pair's terms in
-    /// ascending common-neighbor order — again the exact [`similarity`]
-    /// addition sequence. Each member's store row is then rewritten
-    /// against its row of the matrix.
+    /// ascending common-neighbor order — the addition sequence of a
+    /// [`Sweep`] — so the values are bit-identical to one. Each member's
+    /// store row is then rewritten against its row of the matrix.
     fn rescore_triangle(&mut self, m: NodeId) {
         let Agglomeration {
             g,
@@ -789,7 +677,8 @@ impl<'a> Agglomeration<'a> {
         sc.nbrs.extend(g.neighbor_slice(m).iter().map(|&(x, _)| x));
         let n = sc.nbrs.len();
 
-        let stamp = sc.next_stamp();
+        sc.stamp += 1;
+        let stamp = sc.stamp;
         sc.shared.clear();
         for &x in &sc.nbrs {
             for &(via, _) in g.neighbor_slice(x) {
@@ -924,16 +813,13 @@ pub fn nearest_group(
     let wdeg: Vec<u64> = (0..groups.len())
         .map(|i| g.weighted_degree(NodeId::from_index(i)))
         .collect();
-    let mut ys: Vec<NodeId> = g
-        .neighbor_slice(x)
+    let mut sweep = Sweep::default();
+    sweep.grow(groups.len());
+    sweep.run(&g, &wdeg, x);
+    sweep
+        .touched
         .iter()
-        .flat_map(|&(via, _)| g.neighbor_slice(via).iter().map(|&(y, _)| y))
-        .filter(|&y| y != x)
-        .collect();
-    ys.sort_unstable();
-    ys.dedup();
-    ys.into_iter()
-        .map(|y| (groups[y.index()].id, similarity(&g, &wdeg, x, y)))
+        .map(|&y| (groups[y.index()].id, sweep.sim(y)))
         .min_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)))
 }
 
@@ -1077,27 +963,140 @@ mod tests {
         assert_eq!(before - out.merges.len(), out.grouping.group_count());
     }
 
+    /// From-scratch `SIMILARITY(x, y)`: intersects the two sorted
+    /// adjacency lists, reading the weighted degrees off the graph.
+    fn pairwise(g: &WGraph, x: NodeId, y: NodeId) -> f64 {
+        let tx = g.weighted_degree(x) as f64;
+        let ty = g.weighted_degree(y) as f64;
+        let sy = g.neighbor_slice(y);
+        let acc = g
+            .neighbor_slice(x)
+            .iter()
+            .filter_map(|&(via, wx)| {
+                let i = sy.binary_search_by_key(&via, |&(n, _)| n).ok()?;
+                Some((wx as f64 / tx).min(sy[i].1 as f64 / ty))
+            })
+            .fold(0.0, |acc, t| acc + t);
+        (100.0 * acc).clamp(0.0, 100.0)
+    }
+
+    /// Every pair a sweep scores, as `(x, y, sim)`.
+    fn sweep_all(g: &WGraph) -> Vec<(NodeId, NodeId, f64)> {
+        let mut wdeg = vec![0u64; g.id_bound()];
+        for n in g.nodes() {
+            wdeg[n.index()] = g.weighted_degree(n);
+        }
+        let mut sweep = Sweep::default();
+        sweep.grow(g.id_bound());
+        let mut out = Vec::new();
+        for x in g.nodes() {
+            sweep.run(g, &wdeg, x);
+            out.extend(sweep.touched.iter().map(|&y| (x, y, sweep.sim(y))));
+        }
+        out
+    }
+
     #[test]
     fn similarity_is_symmetric_and_bounded() {
         let cs = figure1();
         let formation = try_form_groups(&cs, &Params::default()).unwrap();
-        let g = &formation.graph;
-        let nodes: Vec<NodeId> = g.nodes().collect();
-        let mut wdeg = vec![0u64; g.id_bound()];
-        for &n in &nodes {
-            wdeg[n.index()] = g.weighted_degree(n);
+        let scored = sweep_all(&formation.graph);
+        assert!(!scored.is_empty());
+        for &(x, y, sxy) in &scored {
+            let &(_, _, syx) = scored
+                .iter()
+                .find(|&&(a, b, _)| (a, b) == (y, x))
+                .expect("sweeps are symmetric");
+            assert!((sxy - syx).abs() < 1e-9, "asymmetric similarity");
+            assert!((0.0..=100.0).contains(&sxy));
         }
-        for &x in &nodes {
-            for &y in &nodes {
-                if x == y {
-                    continue;
+    }
+
+    /// A sweep scores exactly the pairs sharing a neighbor, each at the
+    /// pairwise intersection's value to the bit.
+    #[test]
+    fn sweep_equals_pairwise_to_the_bit() {
+        let cs = synthnet::scenarios::mazu(42).connsets;
+        let formation = try_form_groups(&cs, &Params::default()).unwrap();
+        let g = &formation.graph;
+        let mut got: Vec<(NodeId, NodeId, u64)> = sweep_all(g)
+            .into_iter()
+            .map(|(x, y, s)| (x, y, s.to_bits()))
+            .collect();
+        got.sort_unstable();
+        let mut expected = Vec::new();
+        for x in g.nodes() {
+            for y in g.nodes() {
+                let s = pairwise(g, x, y);
+                if x != y && s > 0.0 {
+                    expected.push((x, y, s.to_bits()));
                 }
-                let sxy = similarity(g, &wdeg, x, y);
-                let syx = similarity(g, &wdeg, y, x);
-                assert!((sxy - syx).abs() < 1e-9, "asymmetric similarity");
-                assert!((0.0..=100.0).contains(&sxy));
             }
         }
+        assert!(expected.len() > 100, "{} pairs", expected.len());
+        assert_eq!(got, expected);
+    }
+
+    /// [`nearest_group`] on the final grouping's graph, relabeled so
+    /// node `i` is group `i`: the highest pairwise similarity, the
+    /// smaller id on ties.
+    fn nearest_from_scratch(out: &MergeOutcome, id: GroupId) -> Option<(GroupId, u64)> {
+        let groups = out.grouping.groups();
+        let index_of = |n: NodeId| out.node_of_group.iter().position(|&m| m == n).unwrap();
+        let mut g = WGraph::with_capacity(groups.len());
+        g.add_nodes(groups.len());
+        for (i, &n) in out.node_of_group.iter().enumerate() {
+            for (nbr, w) in out.graph.neighbors(n) {
+                let j = index_of(nbr);
+                if i < j {
+                    g.add_edge(NodeId::from_index(i), NodeId::from_index(j), w);
+                }
+            }
+        }
+        let x = groups.iter().position(|gr| gr.id == id)?;
+        let mut best: Option<(GroupId, f64)> = None;
+        for (j, gr) in groups.iter().enumerate() {
+            let s = pairwise(&g, NodeId::from_index(x), NodeId::from_index(j));
+            if j != x && s > 0.0 && best.is_none_or(|(b, bs)| s > bs || (s == bs && gr.id < b)) {
+                best = Some((gr.id, s));
+            }
+        }
+        best.map(|(gid, s)| (gid, s.to_bits()))
+    }
+
+    #[test]
+    fn nearest_group_matches_from_scratch_on_mazu() {
+        let cs = synthnet::scenarios::mazu(42).connsets;
+        let out = run(&cs, &Params::default());
+        let groups = out.grouping.groups();
+        assert!(groups.len() > 10);
+        let mut answered = 0;
+        for gr in groups.iter().step_by(3) {
+            let got = nearest_group(&cs, &out.grouping, gr.id).map(|(g, s)| (g, s.to_bits()));
+            assert_eq!(got, nearest_from_scratch(&out, gr.id), "group {:?}", gr.id);
+            answered += usize::from(got.is_some());
+        }
+        assert!(answered > 3, "{answered} groups have a nearest group");
+        assert_eq!(nearest_group(&cs, &out.grouping, GroupId(u32::MAX)), None);
+    }
+
+    #[test]
+    fn nearest_group_ties_go_to_the_smaller_id() {
+        // At S^lo = 90 Figure 1 keeps {1, 2}, {3} and {4} apart. {3} and
+        // {4} each share one client group with {1, 2}, and score the
+        // same against it.
+        let cs = figure1();
+        let out = run(&cs, &Params::default().with_s_lo(90.0).with_s_hi(95.0));
+        let of = |x| out.grouping.group_of(h(x)).unwrap();
+        let (pair, three, four) = (of(1), of(3), of(4));
+        assert_eq!(of(2), pair);
+        assert!(three < four);
+        let (nearest, sim) = nearest_group(&cs, &out.grouping, pair).unwrap();
+        assert_eq!((nearest, sim), (three, 50.0));
+        assert_eq!(
+            nearest_from_scratch(&out, pair),
+            Some((three, sim.to_bits()))
+        );
     }
 
     /// After seeding and after every merge, the store holds exactly the
@@ -1107,15 +1106,14 @@ mod tests {
     fn store_holds_exactly_the_live_pairs_at_or_above_theta() {
         let cs = synthnet::scenarios::mazu(42).connsets;
         let params = Params::default().with_s_lo(20.0).with_s_hi(40.0);
-        let cfg = EngineConfig::new(params);
         let formation = try_form_groups(&cs, &params).unwrap();
-        let mut agg = Agglomeration::start(&cs, formation, &cfg, None);
+        let mut agg = Agglomeration::start(&cs, formation, &params, None);
         let check = |agg: &Agglomeration| {
             let live: Vec<NodeId> = agg.g.nodes().collect();
             let mut expected = Vec::new();
             for (i, &x) in live.iter().enumerate() {
                 for &y in &live[i + 1..] {
-                    let s = similarity(&agg.g, &agg.wdeg, x, y);
+                    let s = pairwise(&agg.g, x, y);
                     if agg.store.keeps(s) {
                         expected.push((x, y, s.to_bits()));
                     }

@@ -557,7 +557,15 @@ impl<'de> Deserialize<'de> for ConnectionSets {
         }
         doc.pairs.sort_unstable_by_key(|&(a, b, _)| (a, b));
         doc.direction.sort_unstable_by_key(|&(h, _, _)| h);
-        for (a, b, _) in &doc.pairs {
+        for (i, (a, b, _)) in doc.pairs.iter().enumerate() {
+            if a == b {
+                return Err(serde::de::Error::custom(format!("self-pair ({a}, {a})")));
+            }
+            if i > 0 && (&doc.pairs[i - 1].0, &doc.pairs[i - 1].1) == (a, b) {
+                return Err(serde::de::Error::custom(format!(
+                    "pair ({a}, {b}) is listed twice"
+                )));
+            }
             for h in [a, b] {
                 if doc.hosts.binary_search(h).is_err() {
                     return Err(serde::de::Error::custom(format!(
@@ -972,6 +980,26 @@ mod tests {
     fn deserialize_rejects_unknown_pair_endpoints() {
         let json = r#"{"hosts":["0.0.0.1"],"pairs":[["0.0.0.1","0.0.0.2",{"flows":1,"packets":1,"bytes":64}]]}"#;
         assert!(serde_json::from_str::<ConnectionSets>(json).is_err());
+    }
+
+    #[test]
+    fn deserialize_rejects_repeated_and_self_pairs() {
+        let pair = |a: u8, b: u8| {
+            format!(r#"["0.0.0.{a}","0.0.0.{b}",{{"flows":1,"packets":1,"bytes":64}}]"#)
+        };
+        let doc = |extra: &str| {
+            let (p12, p23) = (pair(1, 2), pair(2, 3));
+            format!(r#"{{"hosts":["0.0.0.1","0.0.0.2","0.0.0.3"],"pairs":[{p12},{p23}{extra}]}}"#)
+        };
+        let ok = serde_json::from_str::<ConnectionSets>(&doc("")).unwrap();
+        assert_eq!(ok.connection_count(), 2);
+        for extra in [pair(1, 2), pair(2, 1), pair(1, 1)] {
+            let bad = doc(&format!(",{extra}"));
+            assert!(
+                serde_json::from_str::<ConnectionSets>(&bad).is_err(),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

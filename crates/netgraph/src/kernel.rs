@@ -445,20 +445,19 @@ struct ChunkCount {
     pruned_paths: u64,
     /// Counted pairs dropped because their count is below their floor.
     below_floor: u64,
-    /// Two-paths enumerated: `Σ_via |N(via)|` over the eligible rows.
+    /// Two-paths enumerated: `Σ_via |N(via)|` over the chunk's rows.
     two_paths: u64,
 }
 
 /// One worker's pass over a contiguous ascending range of endpoint rows.
-/// For each eligible row `a`, every two-path `a–via–b` with `b > a` and
-/// `b` eligible adds 1 to the pair `(a, b)`; per-row emission is
+/// For each row `a`, every two-path `a–via–b` with `b > a` adds 1 to
+/// the pair `(a, b)` (at build every row is eligible); per-row emission is
 /// key-sorted, and rows ascend, so the returned run is key-sorted as a
 /// whole. With floors, each drained row keeps only the pairs whose
 /// count reaches their pair floor.
 fn count_chunk(
     offsets: &[u32],
     nbrs: &[u32],
-    eligible: &NodeBitSet,
     prune: Option<&PruneTable>,
     rows: std::ops::Range<usize>,
 ) -> ChunkCount {
@@ -468,9 +467,6 @@ fn count_chunk(
     let mut below_floor = 0u64;
     let mut two_paths = 0u64;
     for a in rows {
-        if !eligible.contains(NodeId::from_index(a)) {
-            continue;
-        }
         let (fa, wda) = match prune {
             Some(p) => (p.floor(a), p.wdeg_of(a)),
             None => (0, u64::MAX),
@@ -481,7 +477,7 @@ fn count_chunk(
         for &via in row(offsets, nbrs, a) {
             for &b in row(offsets, nbrs, via as usize) {
                 let bi = b as usize;
-                if bi <= a || !eligible.contains(NodeId::from_index(bi)) {
+                if bi <= a {
                     continue;
                 }
                 if let Some(p) = prune {
@@ -628,9 +624,9 @@ impl CommonNeighborKernel {
     /// [`contract`][Self::contract] later mutates. The adjacency is read
     /// in place; no snapshot is taken.
     ///
-    /// Only nodes passing `endpoint_ok` are pair endpoints. `workers`
-    /// threads (clamped to `[1, 64]`) count disjoint row ranges; the
-    /// table is identical for every worker count.
+    /// Every row starts as an eligible pair endpoint. `workers` threads
+    /// (clamped to `[1, 64]`) count disjoint row ranges; the table is
+    /// identical for every worker count.
     ///
     /// `floors[i]` is the lowest level at which node `i` will ever be
     /// queried as a pair endpoint (0 or 1 = no floor; empty `floors`
@@ -649,17 +645,13 @@ impl CommonNeighborKernel {
     /// handles so queries, contractions, and compactions record into the
     /// same registry for the rest of its life. The table is
     /// bit-identical either way.
-    pub fn build<F>(
+    pub fn build(
         offsets: &[u32],
         nbrs: &[u32],
-        endpoint_ok: F,
         workers: usize,
         floors: &[u32],
         rec: Option<&Recorder>,
-    ) -> Self
-    where
-        F: Fn(NodeId) -> bool,
-    {
+    ) -> Self {
         let _build_span = telemetry::span(rec, "kernel.build");
         let metrics = rec.map(|r| KernelMetrics::register(r.registry()));
         let started = metrics.as_ref().map(|_| Instant::now());
@@ -667,10 +659,7 @@ impl CommonNeighborKernel {
         let rows = offsets.len().saturating_sub(1);
         let mut eligible = NodeBitSet::with_bound(rows);
         for i in 0..rows {
-            let n = NodeId::from_index(i);
-            if endpoint_ok(n) {
-                eligible.insert(n);
-            }
+            eligible.insert(NodeId::from_index(i));
         }
         let prune = PruneTable::new(floors, offsets);
         let workers = workers.clamp(1, MAX_WORKERS);
@@ -678,7 +667,7 @@ impl CommonNeighborKernel {
 
         let count_span = telemetry::span(rec, "kernel.count");
         let prune_ref = prune.as_ref();
-        let count = |r| count_chunk(offsets, nbrs, &eligible, prune_ref, r);
+        let count = |r| count_chunk(offsets, nbrs, prune_ref, r);
         let partials: Vec<ChunkCount> = if chunks.len() <= 1 {
             chunks.into_iter().map(count).collect()
         } else {
@@ -1122,10 +1111,10 @@ mod tests {
 
     #[test]
     fn build_handles_empty_inputs() {
-        let empty = CommonNeighborKernel::build(&[], &[], |_| true, 2, &[], None);
+        let empty = CommonNeighborKernel::build(&[], &[], 2, &[], None);
         assert!(empty.edges().is_empty());
         assert_eq!(empty.max_count(), 0);
-        let isolated = CommonNeighborKernel::build(&[0, 0, 0], &[], |_| true, 2, &[], None);
+        let isolated = CommonNeighborKernel::build(&[0, 0, 0], &[], 2, &[], None);
         assert!(isolated.edges().is_empty());
     }
 
@@ -1144,7 +1133,7 @@ mod tests {
         let nbrs = [1, 2, 3, 4, 5, 6, 0, 0, 0, 0, 0, 0];
         let rec = Recorder::new();
         let floors = [0, 2, 2, 1, 1, 1, 1];
-        let kernel = CommonNeighborKernel::build(&offsets, &nbrs, |_| true, 2, &floors, Some(&rec));
+        let kernel = CommonNeighborKernel::build(&offsets, &nbrs, 2, &floors, Some(&rec));
         let pruned = rec
             .registry()
             .counter("roleclass_kernel_pruned_paths_total")
@@ -1168,8 +1157,8 @@ mod tests {
         let (offsets, nbrs) = STAR_PLUS_PAIR;
         let mut g = WGraph::from_unit_csr(offsets, nbrs);
         let rec = Recorder::new();
-        let plain = CommonNeighborKernel::build(offsets, nbrs, |_| true, 2, &[], None);
-        let mut traced = CommonNeighborKernel::build(offsets, nbrs, |_| true, 2, &[], Some(&rec));
+        let plain = CommonNeighborKernel::build(offsets, nbrs, 2, &[], None);
+        let mut traced = CommonNeighborKernel::build(offsets, nbrs, 2, &[], Some(&rec));
         assert_eq!(plain.edges(), traced.edges());
         // Every node is an endpoint, so the build walks each via once
         // from each of its neighbors: Σ_v deg(v)² two-paths.

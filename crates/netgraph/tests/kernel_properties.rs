@@ -44,20 +44,8 @@ impl Csr {
         WGraph::from_unit_csr(&self.offsets, &self.nbrs)
     }
 
-    fn build<F: Fn(NodeId) -> bool>(
-        &self,
-        endpoint_ok: F,
-        workers: usize,
-        floors: &[u32],
-    ) -> CommonNeighborKernel {
-        CommonNeighborKernel::build(
-            &self.offsets,
-            &self.nbrs,
-            endpoint_ok,
-            workers,
-            floors,
-            None,
-        )
+    fn build(&self, workers: usize, floors: &[u32]) -> CommonNeighborKernel {
+        CommonNeighborKernel::build(&self.offsets, &self.nbrs, workers, floors, None)
     }
 }
 
@@ -157,20 +145,8 @@ proptest! {
     #[test]
     fn kernel_matches_reference_counts(edges in arb_edges(60)) {
         let csr = Csr::of(N, &edges);
-        let kernel = csr.build(|_| true, 1, &[]);
+        let kernel = csr.build(1, &[]);
         prop_assert_eq!(kernel.edges(), common_neighbor_min_weights(&csr.graph(), |_| true));
-    }
-
-    /// Endpoint filtering at build time equals filtering the reference.
-    #[test]
-    fn kernel_respects_endpoint_filter(edges in arb_edges(60)) {
-        let csr = Csr::of(N, &edges);
-        let ok = |x: NodeId| !x.0.is_multiple_of(3);
-        let kernel = csr.build(ok, 2, &[]);
-        prop_assert_eq!(kernel.edges(), common_neighbor_min_weights(&csr.graph(), ok));
-        for v in 0..N {
-            prop_assert_eq!(kernel.is_eligible(NodeId(v)), ok(NodeId(v)));
-        }
     }
 
     /// Every thresholded view equals recomputing that level from
@@ -179,7 +155,7 @@ proptest! {
     #[test]
     fn threshold_views_match_per_level_recount(edges in arb_edges(60)) {
         let csr = Csr::of(N, &edges);
-        let kernel = csr.build(|_| true, 1, &[]);
+        let kernel = csr.build(1, &[]);
         let reference = common_neighbor_min_weights(&csr.graph(), |_| true);
         for k in 1..=kernel.max_count().saturating_add(1) {
             prop_assert_eq!(kernel.edges_at_least(k), at_least(&reference, k), "level {}", k);
@@ -191,9 +167,9 @@ proptest! {
     #[test]
     fn worker_count_never_changes_output(edges in arb_edges(80)) {
         let csr = Csr::of(N, &edges);
-        let serial = csr.build(|_| true, 1, &[]);
+        let serial = csr.build(1, &[]);
         for workers in [2, 8] {
-            let parallel = csr.build(|_| true, workers, &[]);
+            let parallel = csr.build(workers, &[]);
             prop_assert_eq!(serial.edges(), parallel.edges(), "{} workers", workers);
             prop_assert_eq!(parallel.workers(), workers);
         }
@@ -210,8 +186,8 @@ proptest! {
         floors in arb_floors(),
     ) {
         let csr = Csr::of(N, &edges);
-        let full = csr.build(|_| true, 1, &[]);
-        let pruned = csr.build(|_| true, 1, &floors);
+        let full = csr.build(1, &[]);
+        let pruned = csr.build(1, &floors);
         for k in 1..=full.max_count().saturating_add(1) {
             let all = full.edges_at_least(k);
             let got = pruned.edges_at_least(k);
@@ -232,7 +208,7 @@ proptest! {
     #[test]
     fn trivial_floors_prune_nothing(edges in arb_edges(60), floors in prop::collection::vec(0u32..2, N as usize)) {
         let csr = Csr::of(N, &edges);
-        prop_assert_eq!(csr.build(|_| true, 1, &floors).edges(), csr.build(|_| true, 1, &[]).edges());
+        prop_assert_eq!(csr.build(1, &floors).edges(), csr.build(1, &[]).edges());
     }
 
     /// Worker count never changes a pruned build either.
@@ -242,9 +218,9 @@ proptest! {
         floors in arb_floors(),
     ) {
         let csr = Csr::of(N, &edges);
-        let serial = csr.build(|_| true, 1, &floors);
+        let serial = csr.build(1, &floors);
         for workers in [2, 8] {
-            let parallel = csr.build(|_| true, workers, &floors);
+            let parallel = csr.build(workers, &floors);
             prop_assert_eq!(serial.edges(), parallel.edges(), "{} workers", workers);
         }
     }
@@ -259,7 +235,7 @@ proptest! {
         steps in arb_steps(),
     ) {
         let csr = Csr::of(N, &edges);
-        check_contractions(csr.build(|_| true, workers, &[]), csr.graph(), &steps, &[])?;
+        check_contractions(csr.build(workers, &[]), csr.graph(), &steps, &[])?;
     }
 
     /// The floor rule holds through contraction: after every step the
@@ -275,7 +251,7 @@ proptest! {
         steps in arb_steps(),
     ) {
         let csr = Csr::of(N, &edges);
-        let kernel = csr.build(|_| true, workers, &floors);
+        let kernel = csr.build(workers, &floors);
         check_contractions(kernel, csr.graph(), &steps, &floors)?;
     }
 }
@@ -288,7 +264,7 @@ fn star_plus_pair() -> Csr {
 #[test]
 fn build_matches_reference_counts() {
     let csr = star_plus_pair();
-    let kernel = csr.build(|_| true, 1, &[]);
+    let kernel = csr.build(1, &[]);
     assert_eq!(
         kernel.edges(),
         common_neighbor_min_weights(&csr.graph(), |_| true)
@@ -301,7 +277,7 @@ fn contract_keeps_counts_exact() {
     // contracting the servers, the clients share a weight-2 group node.
     let csr = Csr::of(5, &[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]);
     let mut g = csr.graph();
-    let mut kernel = csr.build(|_| true, 2, &[]);
+    let mut kernel = csr.build(2, &[]);
     let client_pair = CommonNeighborEdge {
         a: NodeId(2),
         b: NodeId(3),
@@ -322,7 +298,7 @@ fn contract_keeps_counts_exact() {
 fn contract_singleton_preserves_surviving_counts() {
     let csr = star_plus_pair();
     let mut g = csr.graph();
-    let mut kernel = csr.build(|_| true, 1, &[]);
+    let mut kernel = csr.build(1, &[]);
     let before: Vec<_> = kernel
         .edges()
         .into_iter()
@@ -346,7 +322,7 @@ fn compaction_preserves_view() {
         .collect();
     let csr = Csr::of(80, &edges);
     let mut g = csr.graph();
-    let mut kernel = csr.build(|_| true, 2, &[]);
+    let mut kernel = csr.build(2, &[]);
     assert!(kernel.edges().len() > 2048);
 
     for batch in 0..12u32 {
@@ -372,7 +348,7 @@ fn pruned_kernel_stays_consistent_through_contraction() {
     // contraction later subtracts and re-adds.
     let csr = Csr::of(6, &[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 5)]);
     let mut g = csr.graph();
-    let mut kernel = csr.build(|_| true, 2, &[2; 6]);
+    let mut kernel = csr.build(2, &[2; 6]);
 
     let (m, _) = kernel.contract(&mut g, &[NodeId(0), NodeId(1)]);
     assert!(!kernel.is_eligible(m));
@@ -391,8 +367,7 @@ fn contraction_lifts_unstored_pair_to_its_floor() {
     let csr = Csr::of(5, &[(0, 2), (0, 4), (1, 3), (1, 4)]);
     let floors = [2, 2, 0, 0, 0];
     let rec = telemetry::Recorder::new();
-    let mut kernel =
-        CommonNeighborKernel::build(&csr.offsets, &csr.nbrs, |_| true, 1, &floors, Some(&rec));
+    let mut kernel = CommonNeighborKernel::build(&csr.offsets, &csr.nbrs, 1, &floors, Some(&rec));
     let pair = |count| CommonNeighborEdge {
         a: NodeId(0),
         b: NodeId(1),

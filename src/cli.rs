@@ -199,7 +199,7 @@ DURABLE STORAGE AND TIME TRAVEL:
   --addr-file  write the actually-bound address to a file (for scripts)
 
 ENGINE TUNING (results are bit-identical across all settings):
-  --workers N  worker threads for the kernel and merge phases (default:
+  --workers N  worker threads for the common-neighbor kernel (default:
                the ROLECLASS_THREADS environment variable, else one per
                CPU core)
   --auto-k-hi  classify, correlate and explain only: pick K^hi by Otsu's
@@ -262,7 +262,7 @@ struct Options {
     /// lines (flamegraph input) to this file.
     collapsed: Option<String>,
     params: Params,
-    /// Worker threads for the kernel and merge phases. `--workers` wins;
+    /// Worker threads for the common-neighbor kernel. `--workers` wins;
     /// absent that, the `ROLECLASS_THREADS` environment variable is
     /// consulted **here, once** (libraries never read the environment);
     /// absent both, the machine decides.
