@@ -443,13 +443,14 @@ impl Aggregator {
     }
 
     /// Returns `true` while any probe still has data at or beyond the
-    /// next window. Probes retired by a fatal error report an exhausted
-    /// horizon, so a dead probe can never keep this `true` forever.
+    /// next window ([`Probe::pending_from`]), decided before that window
+    /// runs: a wire probe whose sender has not yet said whether more
+    /// windows follow waits, bounded, until it does. Probes retired by a
+    /// fatal error report nothing pending, so a dead probe can never
+    /// keep this `true` forever.
     pub fn has_pending_data(&self) -> bool {
         let next = self.next_window_start;
-        self.probes
-            .iter()
-            .any(|p| p.horizon_ms().is_none_or(|h| h > next))
+        self.probes.iter().any(|p| p.pending_from(next))
     }
 
     /// Runs one classification cycle over the next window: polls every

@@ -58,6 +58,15 @@ pub trait Probe {
     /// Timestamp one past the last record this probe can ever deliver,
     /// or `None` if unknown/unbounded.
     fn horizon_ms(&self) -> Option<u64>;
+
+    /// Whether a poll from `from_ms` on may still deliver records: the
+    /// drain loop's decision to run another window. The default reads
+    /// [`horizon_ms`](Probe::horizon_ms), an unknown horizon counting as
+    /// pending. A probe whose horizon a live peer decides later may wait
+    /// here, bounded, until it knows.
+    fn pending_from(&self, from_ms: u64) -> bool {
+        self.horizon_ms().is_none_or(|h| h > from_ms)
+    }
 }
 
 /// A probe that replays a pre-recorded trace.

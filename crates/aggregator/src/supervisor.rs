@@ -175,15 +175,12 @@ impl ProbeSupervisor {
         self.stats
     }
 
-    /// Data horizon of the underlying probe. A dead probe reports
-    /// `Some(0)` — it will never deliver anything again — so drain
-    /// loops terminate even when the device vanished mid-trace.
-    pub fn horizon_ms(&self) -> Option<u64> {
-        if self.dead {
-            Some(0)
-        } else {
-            self.probe.horizon_ms()
-        }
+    /// Whether the underlying probe may still deliver records from
+    /// `from_ms` on ([`Probe::pending_from`]). Never for a dead probe —
+    /// it will never deliver anything again — so drain loops terminate
+    /// even when the device vanished mid-trace.
+    pub fn pending_from(&self, from_ms: u64) -> bool {
+        !self.dead && self.probe.pending_from(from_ms)
     }
 
     /// Polls one window through the retry/budget/health machinery.
@@ -430,7 +427,7 @@ mod tests {
         let mut s = supervise(vec![Err(ProbeError::Fatal("device gone".into())), Ok(9)]);
         assert!(matches!(s.poll_window(0, 100), PollOutcome::Failed { .. }));
         assert_eq!(s.health(), ProbeHealth::Quarantined);
-        assert_eq!(s.horizon_ms(), Some(0));
+        assert!(!s.pending_from(0));
         // Never polled again, no matter how many windows pass.
         for w in 1..10u64 {
             assert_eq!(s.poll_window(w * 100, (w + 1) * 100), PollOutcome::Skipped);

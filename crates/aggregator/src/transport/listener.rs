@@ -564,6 +564,41 @@ impl Probe for WireProbe {
             .get(&self.name)
             .and_then(|s| s.ended.then_some(s.horizon_ms))
     }
+
+    /// Waits (bounded by `poll_timeout`) until the open session settles
+    /// it: a window at or past `from_ms` has arrived (pending), or the
+    /// session ended (pending only below its final horizon). No session
+    /// yet, a failed one, a shutdown or the deadline count as pending,
+    /// so the window's poll waits for the sender or reports the failure
+    /// as it always has.
+    fn pending_from(&self, from_ms: u64) -> bool {
+        let deadline = Instant::now() + self.shared.config.poll_timeout;
+        let mut state = lock(&self.shared.state);
+        loop {
+            let Some(sess) = state.sessions.get(&self.name) else {
+                return true;
+            };
+            if sess.failed.is_some() {
+                return true;
+            }
+            if sess.ended {
+                return sess.horizon_ms > from_ms;
+            }
+            if sess.windows.range((from_ms, 0)..).next().is_some() {
+                return true;
+            }
+            let now = Instant::now();
+            if self.shared.shutdown.load(Ordering::SeqCst) || now >= deadline {
+                return true;
+            }
+            let (guard, _) = self
+                .shared
+                .cv
+                .wait_timeout(state, deadline - now)
+                .unwrap_or_else(|e| e.into_inner());
+            state = guard;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -632,6 +667,89 @@ mod tests {
         assert_eq!(probe.horizon_ms(), Some(1000));
         // Windows past the horizon were never sent: empty, not an error.
         assert_eq!(probe.poll(1000, 2000).unwrap(), Vec::new());
+    }
+
+    /// The drain loop decides whether another window exists before it
+    /// runs one. Here the sender ends its session only after the first
+    /// window has been classified: the loop must wait for that end, not
+    /// poll — and persist — a window the sender never sent.
+    #[test]
+    fn session_end_decides_whether_another_window_runs() {
+        use crate::{Aggregator, AggregatorConfig, RunStore, SupervisorConfig};
+        use storage::{MemoryBackend, NamespaceProfile, Retention};
+
+        let cfg = TransportConfig::fast();
+        let listener = WireListener::bind("127.0.0.1:0", cfg.clone(), None, None).unwrap();
+        let runs = Arc::new(
+            RunStore::open(
+                Arc::new(MemoryBackend::new()),
+                "runs",
+                NamespaceProfile::log(Retention::unbounded()),
+            )
+            .unwrap(),
+        );
+        let mut agg = Aggregator::new(AggregatorConfig {
+            window_ms: 1000,
+            min_flows: 1,
+            supervisor: SupervisorConfig::immediate(),
+            ..AggregatorConfig::default()
+        })
+        .with_run_store(Arc::clone(&runs));
+        agg.attach(Box::new(listener.probe("edge-1")));
+
+        let mut s = TcpStream::connect(listener.local_addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let hello = Hello {
+            probe: "edge-1".into(),
+            resume_session: 0,
+        };
+        s.write_all(&hello.into_frame().encode()).unwrap();
+        let session = frame::read_frame(&mut s, cfg.max_payload).unwrap().session;
+        let records: Vec<FlowRecord> = (0..4)
+            .map(|i| FlowRecord::pair(flow::HostAddr::v4(i), flow::HostAddr::v4(i + 10)))
+            .collect();
+        for (seq, kind, payload) in [
+            (
+                0,
+                FrameType::Batch,
+                WindowPayload::encode_batch(0, 1000, &records),
+            ),
+            (
+                1,
+                FrameType::WindowEnd,
+                WindowPayload::encode_end(0, 1000, 4),
+            ),
+        ] {
+            let frame = Frame {
+                kind,
+                session,
+                seq,
+                payload,
+            };
+            s.write_all(&frame.encode()).unwrap();
+            assert_eq!(
+                frame::read_frame(&mut s, cfg.max_payload).unwrap().seq,
+                seq + 1
+            );
+        }
+
+        // `cli::pipeline`'s loop, with the end of the session held back
+        // until its first window is done.
+        assert!(agg.has_pending_data());
+        agg.run_cycle();
+        let bye = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(200));
+            s.write_all(&Frame::control(FrameType::Bye, session, 0).encode())
+                .unwrap();
+            s
+        });
+        while agg.has_pending_data() {
+            agg.run_cycle();
+        }
+        drop(bye.join().unwrap());
+
+        assert_eq!(agg.history().read().len(), 1);
+        assert_eq!(runs.len().unwrap(), 1);
     }
 
     #[test]

@@ -18,17 +18,19 @@
 //!    pairs (identity for `H_same` neighbors, otherwise nearest
 //!    connection-set size within `T^hi`), require the groups' average
 //!    connection counts to be within `T^hi`, and greedily take the best
-//!    one-to-one matches;
+//!    one-to-one matches. Pairs are scored lazily, in the order of a
+//!    cheap upper bound, so only pairs that could still win are scored;
 //! 4. **step 2** — for groups still uncorrelated, compare their
 //!    connection patterns *to already-correlated neighbor groups* and
 //!    accept sufficiently similar pairs.
 
 use crate::group::{Group, GroupId, Grouping};
+use crate::merging::OrdSim;
 use crate::params::{ParamError, Params};
 use flow::{ConnectionSets, HostAddr};
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 /// Result of correlating a current grouping against a previous one.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -171,6 +173,11 @@ struct Views {
     total: Vec<u64>,
     /// Average member connection count.
     avg_conns: Vec<f64>,
+    /// Members absent from the view's own snapshot (none when the
+    /// grouping was computed from it). Only these can be shared by two
+    /// groups without being a common row, so step 1's member-overlap
+    /// bound adds them.
+    stray: Vec<u32>,
 }
 
 /// One group's view, borrowed from [`Views`].
@@ -182,6 +189,7 @@ struct View<'a> {
     nbrs: &'a [(u32, u32)],
     total: u64,
     avg_conns: f64,
+    stray: u32,
 }
 
 impl Views {
@@ -206,6 +214,7 @@ impl Views {
         let mut group_of_row = vec![NONE; addrs.len()];
         let mut member_rows: Vec<u32> = Vec::new();
         let mut member_rows_start = vec![0];
+        let mut stray = Vec::with_capacity(groups.len());
         for (v, g) in groups.iter().enumerate() {
             for m in &g.members {
                 if let Ok(r) = addrs.binary_search(m) {
@@ -214,6 +223,8 @@ impl Views {
                 }
             }
             member_rows_start.push(member_rows.len());
+            let found = member_rows_start[v + 1] - member_rows_start[v];
+            stray.push((g.members.len() - found) as u32);
         }
         let mut group_of = vec![NONE; n_common];
         for (r, &c) in to_common.iter().enumerate() {
@@ -225,6 +236,7 @@ impl Views {
         let mut views = Views {
             member_start: vec![0],
             nbr_start: vec![0],
+            stray,
             ..Views::default()
         };
         let mut cp = vec![0u32; n_common];
@@ -275,12 +287,9 @@ impl Views {
         &self.nbrs[self.nbr_start[v]..self.nbr_start[v + 1]]
     }
 
-    /// Every common row view `v` touches: its members, then its
-    /// neighbors — the rows the candidate pre-filter keys on.
-    fn rows(&self, v: usize) -> impl Iterator<Item = u32> + '_ {
-        let members = &self.members[self.member_start[v]..self.member_start[v + 1]];
-        let nbrs = self.neighbors(v).iter().map(|&(c, _)| c);
-        members.iter().copied().chain(nbrs)
+    /// View `v`'s surviving (common) member rows, ascending.
+    fn members(&self, v: usize) -> &[u32] {
+        &self.members[self.member_start[v]..self.member_start[v + 1]]
     }
 
     fn view<'a>(&'a self, groups: &'a [Group], v: usize) -> View<'a> {
@@ -289,6 +298,7 @@ impl Views {
             nbrs: self.neighbors(v),
             total: self.total[v],
             avg_conns: self.avg_conns[v],
+            stray: self.stray[v],
         }
     }
 }
@@ -334,27 +344,205 @@ impl DegreeOrder {
     }
 }
 
+/// The `share` of a member [`Posting`].
+const MEMBER: f64 = -1.0;
+
+/// One previous view holding a common row.
+#[derive(Clone, Copy)]
+struct Posting {
+    view: u32,
+    /// `b_h = CP(h, G)/total` when the row is one of the view's
+    /// neighbors — the exact value pass 1 reads — or [`MEMBER`] when it
+    /// is one of its members.
+    share: f64,
+}
+
 /// Common row → the previous views holding it as a member or as a
-/// neighbor, ascending (CSR). The step-1 candidate pre-filter.
-fn candidate_index(views: &Views, n_common: usize) -> (Vec<usize>, Vec<u32>) {
-    let mut start = vec![0usize; n_common + 1];
-    for v in 0..views.len() {
-        for c in views.rows(v) {
-            start[c as usize + 1] += 1;
+/// neighbor, ascending by view (CSR). Step 1's one index: the views a
+/// walk over a current view's rows reaches are its candidates (the
+/// pre-filter), and what the walk accumulates on the way is each
+/// candidate's score bound ([`BoundWalk`]).
+struct Postings {
+    start: Vec<usize>,
+    list: Vec<Posting>,
+}
+
+impl Postings {
+    fn build(views: &Views, n_common: usize) -> Self {
+        let mut start = vec![0usize; n_common + 1];
+        for v in 0..views.len() {
+            for &c in views.members(v) {
+                start[c as usize + 1] += 1;
+            }
+            for &(c, _) in views.neighbors(v) {
+                start[c as usize + 1] += 1;
+            }
         }
-    }
-    for c in 0..n_common {
-        start[c + 1] += start[c];
-    }
-    let mut fill = start[..n_common].to_vec();
-    let mut list = vec![0u32; start[n_common]];
-    for v in 0..views.len() {
-        for c in views.rows(v) {
-            list[fill[c as usize]] = v as u32;
+        for c in 0..n_common {
+            start[c + 1] += start[c];
+        }
+        let mut fill = start[..n_common].to_vec();
+        let placeholder = Posting {
+            view: NONE,
+            share: MEMBER,
+        };
+        let mut list = vec![placeholder; start[n_common]];
+        let mut put = |c: u32, posting: Posting| {
+            list[fill[c as usize]] = posting;
             fill[c as usize] += 1;
+        };
+        for v in 0..views.len() {
+            let view = v as u32;
+            for &c in views.members(v) {
+                put(
+                    c,
+                    Posting {
+                        view,
+                        share: MEMBER,
+                    },
+                );
+            }
+            let total = views.total[v] as f64;
+            for &(c, w) in views.neighbors(v) {
+                let share = w as f64 / total;
+                put(c, Posting { view, share });
+            }
+        }
+        Postings { start, list }
+    }
+
+    fn of(&self, c: u32) -> &[Posting] {
+        &self.list[self.start[c as usize]..self.start[c as usize + 1]]
+    }
+}
+
+/// Relative and absolute slack added to every step-1 bound, far above
+/// the rounding that summing the same terms in another order can cause,
+/// so a bound is never below the exact score it bounds.
+const BOUND_MARGIN: f64 = 1e-9;
+
+/// One current view's walk over [`Postings`]: the candidate previous
+/// views it reaches and, per candidate, the sums its score bound needs.
+/// The dense per-view arrays are stamp-guarded, so one walker serves
+/// every current view without clearing.
+#[derive(Default)]
+struct BoundWalk {
+    /// Current view that last reset each previous view's slots.
+    stamp: Vec<u32>,
+    /// `Σ max(min(a_h, b_h), 0.85·a_h)` over shared neighbor rows.
+    matched: Vec<f64>,
+    /// `Σ a_h` over shared neighbor rows.
+    shared: Vec<f64>,
+    /// Shared member rows.
+    inter: Vec<u32>,
+    /// The candidates, in first-touch order.
+    touched: Vec<u32>,
+    /// Posting entries visited, over every walk.
+    visits: u64,
+}
+
+impl BoundWalk {
+    fn new(prev_views: usize) -> Self {
+        BoundWalk {
+            stamp: vec![NONE; prev_views],
+            matched: vec![0.0; prev_views],
+            shared: vec![0.0; prev_views],
+            inter: vec![0; prev_views],
+            ..BoundWalk::default()
         }
     }
-    (start, list)
+
+    /// Walks current view `ci`'s member rows, then its neighbor rows,
+    /// through the postings of the previous views.
+    fn run(&mut self, postings: &Postings, curr: &Views, ci: usize) {
+        let stamp = ci as u32;
+        self.touched.clear();
+        for &c in curr.members(ci) {
+            let list = postings.of(c);
+            self.visits += list.len() as u64;
+            for p in list {
+                let v = self.touch(p.view, stamp);
+                if p.share == MEMBER {
+                    self.inter[v] += 1;
+                }
+            }
+        }
+        let total = curr.total[ci] as f64;
+        for &(c, w) in curr.neighbors(ci) {
+            let a = w as f64 / total;
+            let list = postings.of(c);
+            self.visits += list.len() as u64;
+            for p in list {
+                let v = self.touch(p.view, stamp);
+                if p.share != MEMBER {
+                    self.matched[v] += a.min(p.share).max(W_SIZE_MATCH * a);
+                    self.shared[v] += a;
+                }
+            }
+        }
+    }
+
+    fn touch(&mut self, view: u32, stamp: u32) -> usize {
+        let v = view as usize;
+        if self.stamp[v] != stamp {
+            self.stamp[v] = stamp;
+            self.matched[v] = 0.0;
+            self.shared[v] = 0.0;
+            self.inter[v] = 0;
+            self.touched.push(view);
+        }
+        v
+    }
+
+    /// An upper bound on [`time_varying_similarity`] of the walked
+    /// current view and candidate `pi`.
+    ///
+    /// Pass 1 credits a shared neighbor row at most `min(a_h, b_h)`; a
+    /// shared row pass 1 rejects, and every unshared one, earns at most
+    /// `0.85·a_h` in pass 2; and the `a_h` sum to 1. So the neighbor
+    /// term is at most `Σ_shared max(min(a_h, b_h), 0.85·a_h) +
+    /// 0.85·(1 − Σ_shared a_h)`. A member of both groups is a common row
+    /// of both views unless it is a stray, so the member overlap is at
+    /// most the shared member rows plus both sides' strays.
+    fn bound(&self, curr: View<'_>, prev: View<'_>, pi: usize) -> f64 {
+        let inter = ((self.inter[pi] + curr.stray + prev.stray) as usize)
+            .min(curr.addrs.len().min(prev.addrs.len()));
+        let union = curr.addrs.len() + prev.addrs.len() - inter;
+        let jaccard = if union == 0 {
+            0.0
+        } else {
+            inter as f64 / union as f64
+        };
+        let raw = match (curr.total, prev.total) {
+            (0, 0) => 100.0 * jaccard,
+            (0, _) | (_, 0) => 0.0,
+            _ => {
+                let neighbors = self.matched[pi] + W_SIZE_MATCH * (1.0 - self.shared[pi]);
+                100.0 * neighbors + MEMBER_BONUS * jaccard
+            }
+        };
+        (raw + raw * BOUND_MARGIN + BOUND_MARGIN).min(100.0)
+    }
+}
+
+/// A step-1 heap entry: pair `(ci, pi)` keyed by its bound, or by its
+/// exact score once evaluated (`true`).
+///
+/// Max-heap order: key descending; at equal keys a bound before an
+/// exact score; then `(ci, pi)` ascending. A pair is only accepted from
+/// an exact entry, and every pair that would sort before it — a higher
+/// score, or an equal one with a smaller `(ci, pi)` — has a bound at
+/// least that key, so it was evaluated first. The pairs are therefore
+/// accepted in the order of a stable sort of all exact scores
+/// ([`Matching::accept_greedy`]).
+type Entry = (OrdSim, Reverse<bool>, Reverse<(u32, u32)>);
+
+fn entry(key: f64, exact: bool, ci: usize, pi: usize) -> Entry {
+    (
+        OrdSim::new(key),
+        Reverse(exact),
+        Reverse((ci as u32, pi as u32)),
+    )
 }
 
 /// `a` and `b` within fraction `tol` of each other.
@@ -410,6 +598,24 @@ struct Restricted<'a> {
     t_hi: f64,
 }
 
+// Matched neighbor pairs contribute at a confidence weight that prefers
+// stronger evidence: an identical host with an unchanged connection set
+// (H_same) counts fully; the same identifier with a changed set counts
+// slightly less; a pure size match (the paper's fallback rule) less
+// still. The discounts act only as tie-breakers — the paper leaves
+// "strongest similarity" ties unspecified, and without them a clean role
+// swap scores its true predecessor and an unrelated same-shape group
+// identically.
+const W_IDENTITY_SAME: f64 = 1.0;
+const W_IDENTITY: f64 = 0.95;
+const W_SIZE_MATCH: f64 = 0.85;
+// A small bonus for member overlap. Kept well below the identity/
+// size-match discounts' spread so that behavior still beats identity
+// when the two disagree outright (the paper's server role swap must
+// follow behavior), while identical member sets win genuine ties (two
+// client populations distinguishable only through the swapped servers).
+const MEMBER_BONUS: f64 = 5.0;
+
 /// Buffers [`time_varying_similarity`] reuses, so an evaluation
 /// allocates nothing once they have grown.
 #[derive(Default)]
@@ -452,25 +658,6 @@ fn time_varying_similarity(
     if curr.total == 0 || prev.total == 0 {
         return 0.0;
     }
-    // Matched neighbor pairs contribute at a confidence weight that
-    // prefers stronger evidence: an identical host with an unchanged
-    // connection set (H_same) counts fully; the same identifier with a
-    // changed set counts slightly less; a pure size match (the paper's
-    // fallback rule) less still. The discounts act only as tie-breakers —
-    // the paper leaves "strongest similarity" ties unspecified, and
-    // without them a clean role swap scores its true predecessor and an
-    // unrelated same-shape group identically.
-    const W_IDENTITY_SAME: f64 = 1.0;
-    const W_IDENTITY: f64 = 0.95;
-    const W_SIZE_MATCH: f64 = 0.85;
-    // A small bonus for member overlap. Kept well below the identity/
-    // size-match discounts' spread so that behavior still beats identity
-    // when the two disagree outright (the paper's server role swap must
-    // follow behavior), while identical member sets win genuine ties
-    // (two client populations distinguishable only through the swapped
-    // servers).
-    const MEMBER_BONUS: f64 = 5.0;
-
     let (curr_total, prev_total) = (curr.total as f64, prev.total as f64);
     let mut acc = 0.0f64;
     // Pass 1: identity matches, one merge of the two neighbor slices. A
@@ -614,29 +801,31 @@ fn neighbor_group_similarity(
     (100.0 * acc).clamp(0.0, 100.0)
 }
 
-/// Greedy best-first acceptance: walks `scored` by descending score
-/// (stable, so equal scores keep scoring order) and takes every pair
-/// whose two groups are both still free. `curr`/`prev` are each side's
-/// groups and taken flags.
-fn accept_greedy(
-    mut scored: Vec<(f64, usize, usize)>,
-    (curr_groups, curr_taken): (&[Group], &mut [bool]),
-    (prev_groups, prev_taken): (&[Group], &mut [bool]),
-    out: &mut Correlation,
-    rule: &'static str,
-    rec: Option<&telemetry::Recorder>,
-) {
-    scored.sort_by(|a, b| b.0.total_cmp(&a.0));
-    for (s, ci, pi) in scored {
-        if curr_taken[ci] || prev_taken[pi] {
-            continue;
-        }
-        curr_taken[ci] = true;
-        prev_taken[pi] = true;
-        let (curr, prev) = (curr_groups[ci].id, prev_groups[pi].id);
-        out.id_map.insert(curr, prev);
-        out.scores.insert((curr, prev), s);
-        if let Some(r) = rec {
+/// Both steps' matching state: each side's groups and taken flags, and
+/// the correlation being built.
+struct Matching<'a> {
+    curr_groups: &'a [Group],
+    prev_groups: &'a [Group],
+    curr_taken: Vec<bool>,
+    prev_taken: Vec<bool>,
+    out: Correlation,
+    rec: Option<&'a telemetry::Recorder>,
+}
+
+impl Matching<'_> {
+    fn free(&self, ci: usize, pi: usize) -> bool {
+        !self.curr_taken[ci] && !self.prev_taken[pi]
+    }
+
+    /// Takes both groups and records the match at score `s`, journaled
+    /// under the matching `rule`.
+    fn carry(&mut self, ci: usize, pi: usize, s: f64, rule: &'static str) {
+        self.curr_taken[ci] = true;
+        self.prev_taken[pi] = true;
+        let (curr, prev) = (self.curr_groups[ci].id, self.prev_groups[pi].id);
+        self.out.id_map.insert(curr, prev);
+        self.out.scores.insert((curr, prev), s);
+        if let Some(r) = self.rec {
             r.events().record(
                 "engine",
                 "roleclass_engine_id_carried",
@@ -649,6 +838,266 @@ fn accept_greedy(
             );
         }
     }
+
+    /// Greedy best-first acceptance: walks `scored` by descending score
+    /// (stable, so equal scores keep scoring order) and takes every pair
+    /// whose two groups are both still free.
+    fn accept_greedy(&mut self, mut scored: Vec<(f64, usize, usize)>, rule: &'static str) {
+        scored.sort_by(|a, b| b.0.total_cmp(&a.0));
+        for (s, ci, pi) in scored {
+            if self.free(ci, pi) {
+                self.carry(ci, pi, s, rule);
+            }
+        }
+    }
+}
+
+/// What a correlation counts, folded into the registry once at the end
+/// so the hot loops stay branch-light. They tally regardless of
+/// attachment (plain integer adds) — outcomes are identical either way.
+#[derive(Default)]
+struct Tally {
+    /// Pairs examined by either step.
+    candidates: u64,
+    /// Pairs past the avg-conns gate: scored in step 2, bounded in
+    /// step 1.
+    gated: u64,
+    /// Step-1 pairs scored exactly.
+    exact: u64,
+    /// Posting entries step 1's candidate walks visited.
+    postings: u64,
+}
+
+/// What both steps read, built once per correlation: restricted
+/// degrees, `H_same`, both sides' views, pass 2's degree order and
+/// step 1's postings.
+struct Prepared {
+    curr_degree: Vec<u32>,
+    prev_degree: Vec<u32>,
+    h_same: Vec<bool>,
+    curr_views: Views,
+    curr_group_of: Vec<u32>,
+    prev_views: Views,
+    prev_group_of: Vec<u32>,
+    prev_order: DegreeOrder,
+    postings: Postings,
+}
+
+impl Prepared {
+    /// Restricts both snapshots to their common hosts, recording
+    /// arrivals, departures and `H_same` in `out`, then builds the
+    /// views.
+    fn build(
+        (prev_cs, prev_groups): (&ConnectionSets, &[Group]),
+        (curr_cs, curr_groups): (&ConnectionSets, &[Group]),
+        out: &mut Correlation,
+        rec: Option<&telemetry::Recorder>,
+    ) -> Self {
+        // 1. Restrict both snapshots to the common host population: one
+        // merge of the member vectors maps each side's rows to common
+        // rows.
+        let restrict_span = telemetry::span(rec, "correlate.restrict");
+        let common = CommonRows::merge(prev_cs.member_addrs(), curr_cs.member_addrs(), out);
+        drop(restrict_span);
+
+        // 2. Restricted degrees, and H_same: identical restricted
+        // connection sets.
+        let h_same_span = telemetry::span(rec, "correlate.h_same");
+        let mut prev_degree = vec![0u32; common.len()];
+        let mut curr_degree = vec![0u32; common.len()];
+        let mut h_same = vec![false; common.len()];
+        for (c, &(pr, cr)) in common.rows.iter().enumerate() {
+            prev_degree[c] = restricted(prev_cs, &common.prev, pr).count() as u32;
+            curr_degree[c] = restricted(curr_cs, &common.curr, cr).count() as u32;
+            h_same[c] = prev_degree[c] == curr_degree[c]
+                && restricted(prev_cs, &common.prev, pr).eq(restricted(curr_cs, &common.curr, cr));
+        }
+        out.h_same = common
+            .rows
+            .iter()
+            .zip(&h_same)
+            .filter(|(_, &same)| same)
+            .map(|(&(_, cr), _)| curr_cs.member_addrs()[cr as usize])
+            .collect();
+        drop(h_same_span);
+
+        let views_span = telemetry::span(rec, "correlate.views");
+        let (curr_views, curr_group_of) =
+            Views::build(curr_cs, &common.curr, common.len(), curr_groups);
+        let (prev_views, prev_group_of) =
+            Views::build(prev_cs, &common.prev, common.len(), prev_groups);
+        let prev_order = DegreeOrder::build(&prev_views, &prev_degree);
+        // Candidate pre-filter: groups sharing a member identifier or a
+        // neighbor identifier. Scoring everything would be quadratic in
+        // the group count with a heavy constant. This is a deviation
+        // from the paper, not a shortcut it licenses: pass 2
+        // size-matches *different* neighbors, so two groups sharing no
+        // host can still score above `S_corr` — DESIGN §5 note 10
+        // measures how often the ids differ.
+        let postings = Postings::build(&prev_views, common.len());
+        drop(views_span);
+        Prepared {
+            curr_degree,
+            prev_degree,
+            h_same,
+            curr_views,
+            curr_group_of,
+            prev_views,
+            prev_group_of,
+            prev_order,
+            postings,
+        }
+    }
+
+    fn restricted(&self, t_hi: f64) -> Restricted<'_> {
+        Restricted {
+            curr_degree: &self.curr_degree,
+            prev_degree: &self.prev_degree,
+            h_same: &self.h_same,
+            t_hi,
+        }
+    }
+
+    /// Calls `f(ci, pi, bound)` for every step-1 candidate pair — the
+    /// previous views sharing a member or neighbor row with current
+    /// view `ci` — that passes the avg-conns gate, with its score bound
+    /// ([`BoundWalk::bound`]).
+    fn gated_bounds(
+        &self,
+        (curr_groups, prev_groups): (&[Group], &[Group]),
+        t_hi: f64,
+        tally: &mut Tally,
+        mut f: impl FnMut(usize, usize, f64),
+    ) {
+        let mut walk = BoundWalk::new(self.prev_views.len());
+        for ci in 0..self.curr_views.len() {
+            let cv = self.curr_views.view(curr_groups, ci);
+            walk.run(&self.postings, &self.curr_views, ci);
+            for &pi in &walk.touched {
+                let pi = pi as usize;
+                tally.candidates += 1;
+                let pv = self.prev_views.view(prev_groups, pi);
+                if !within(t_hi, cv.avg_conns, pv.avg_conns) {
+                    continue;
+                }
+                tally.gated += 1;
+                f(ci, pi, walk.bound(cv, pv, pi));
+            }
+        }
+        tally.postings += walk.visits;
+    }
+}
+
+/// Step 1: greedy best-first matching on time-varying similarity, scored
+/// lazily. Every gated candidate enters one max-heap keyed by its bound
+/// ([`Entry`]). A popped bound whose groups are both free is scored and
+/// re-queued under its exact score; a popped exact score whose groups
+/// are both free is accepted. Bounds never fall below their exact
+/// scores, so this accepts exactly what [`Matching::accept_greedy`]
+/// would over every exact score, while scoring only the pairs that rise
+/// to the top while both their groups are free.
+fn step1(prep: &Prepared, m: &mut Matching<'_>, params: &Params, tally: &mut Tally) {
+    let groups = (m.curr_groups, m.prev_groups);
+    let mut entries = Vec::new();
+    prep.gated_bounds(groups, params.t_hi, tally, |ci, pi, bound| {
+        if bound >= params.s_corr {
+            entries.push(entry(bound, false, ci, pi));
+        }
+    });
+    let mut heap = BinaryHeap::from(entries);
+    let ctx = prep.restricted(params.t_hi);
+    let mut scratch = Scratch::default();
+    // Every acceptance takes one group of each side, so once the smaller
+    // side is used up nothing more can match.
+    let mut open = m.curr_groups.len().min(m.prev_groups.len());
+    while open > 0 {
+        let Some((key, Reverse(exact), Reverse((ci, pi)))) = heap.pop() else {
+            break;
+        };
+        let (key, ci, pi) = (key.get(), ci as usize, pi as usize);
+        if !m.free(ci, pi) {
+            continue;
+        }
+        if exact {
+            m.carry(ci, pi, key, "time_varying");
+            open -= 1;
+            continue;
+        }
+        tally.exact += 1;
+        let cv = prep.curr_views.view(m.curr_groups, ci);
+        let pv = prep.prev_views.view(m.prev_groups, pi);
+        let order = prep.prev_order.of(&prep.prev_views, pi);
+        let s = time_varying_similarity(cv, pv, order, &ctx, &mut scratch);
+        debug_assert!(s <= key, "score {s} above its bound {key}");
+        if s >= params.s_corr {
+            heap.push(entry(s, true, ci, pi));
+        }
+    }
+}
+
+/// Step 2: leftover groups correlate through their (already correlated)
+/// neighbor groups. Each leftover view's neighbor-group tally is
+/// computed once, the current side's already translated to previous ids.
+fn step2(prep: &Prepared, m: &mut Matching<'_>, params: &Params, tally: &mut Tally) {
+    let (curr_views, prev_views) = (&prep.curr_views, &prep.prev_views);
+    let mut sums = vec![0u64; m.curr_groups.len().max(m.prev_groups.len())];
+    let curr_tallies: Vec<Vec<(GroupId, u64)>> = (0..curr_views.len())
+        .map(|ci| {
+            if m.curr_taken[ci] {
+                return Vec::new();
+            }
+            group_tally(
+                curr_views.neighbors(ci),
+                &prep.curr_group_of,
+                m.curr_groups,
+                &mut sums,
+            )
+            .into_iter()
+            .filter_map(|(g, w)| m.out.id_map.get(&g).map(|&p| (p, w)))
+            .collect()
+        })
+        .collect();
+    let prev_tallies: Vec<Vec<(GroupId, u64)>> = (0..prev_views.len())
+        .map(|pi| {
+            if m.prev_taken[pi] {
+                return Vec::new();
+            }
+            group_tally(
+                prev_views.neighbors(pi),
+                &prep.prev_group_of,
+                m.prev_groups,
+                &mut sums,
+            )
+        })
+        .collect();
+    let mut scored: Vec<(f64, usize, usize)> = Vec::new();
+    for (ci, curr_tally) in curr_tallies.iter().enumerate() {
+        if m.curr_taken[ci] {
+            continue;
+        }
+        for (pi, prev_tally) in prev_tallies.iter().enumerate() {
+            if m.prev_taken[pi] {
+                continue;
+            }
+            tally.candidates += 1;
+            if !within(
+                params.t_hi,
+                curr_views.avg_conns[ci],
+                prev_views.avg_conns[pi],
+            ) {
+                continue;
+            }
+            tally.gated += 1;
+            let s = neighbor_group_similarity(
+                (curr_tally, curr_views.total[ci]),
+                (prev_tally, prev_views.total[pi]),
+            );
+            if s >= params.s_corr {
+                scored.push((s, ci, pi));
+            }
+        }
+    }
+    m.accept_greedy(scored, "neighbor_groups");
 }
 
 /// Correlates `curr` against `prev`.
@@ -684,8 +1133,9 @@ pub fn try_correlate(
 /// for each internal phase (`correlate.restrict`, `.h_same`, `.views`,
 /// `.step1`, `.step2`, `.finalize`, nested under the caller's
 /// `engine.correlate` span) and counters for candidate pairs examined,
-/// similarity evaluations run, and ids carried/minted/retired. With
-/// `None` the phase is exactly the uninstrumented one.
+/// pairs past the avg-conns gate, step-1 exact evaluations, step-1
+/// posting visits, and ids carried/minted/retired. With `None` the
+/// phase is exactly the uninstrumented one.
 pub(crate) fn correlate_with_events(
     prev_cs: &ConnectionSets,
     prev_grouping: &Grouping,
@@ -694,185 +1144,39 @@ pub(crate) fn correlate_with_events(
     params: &Params,
     rec: Option<&telemetry::Recorder>,
 ) -> Correlation {
-    let mut out = Correlation::default();
     let (prev_groups, curr_groups) = (prev_grouping.groups(), curr_grouping.groups());
-
-    // Phase counters, folded into the registry once at the end so the
-    // hot loops stay branch-light. They tally regardless of attachment
-    // (plain integer adds) — outcomes are identical either way.
-    let mut candidate_pairs = 0u64;
-    let mut similarity_evals = 0u64;
-
-    // 1. Restrict both snapshots to the common host population: one
-    // merge of the member vectors maps each side's rows to common rows.
-    let restrict_span = telemetry::span(rec, "correlate.restrict");
-    let common = CommonRows::merge(prev_cs.member_addrs(), curr_cs.member_addrs(), &mut out);
-    drop(restrict_span);
-
-    // 2. Restricted degrees, and H_same: identical restricted
-    // connection sets.
-    let h_same_span = telemetry::span(rec, "correlate.h_same");
-    let mut prev_degree = vec![0u32; common.len()];
-    let mut curr_degree = vec![0u32; common.len()];
-    let mut h_same = vec![false; common.len()];
-    for (c, &(pr, cr)) in common.rows.iter().enumerate() {
-        prev_degree[c] = restricted(prev_cs, &common.prev, pr).count() as u32;
-        curr_degree[c] = restricted(curr_cs, &common.curr, cr).count() as u32;
-        h_same[c] = prev_degree[c] == curr_degree[c]
-            && restricted(prev_cs, &common.prev, pr).eq(restricted(curr_cs, &common.curr, cr));
-    }
-    out.h_same = common
-        .rows
-        .iter()
-        .zip(&h_same)
-        .filter(|(_, &same)| same)
-        .map(|(&(_, cr), _)| curr_cs.member_addrs()[cr as usize])
-        .collect();
-    drop(h_same_span);
-
-    let views_span = telemetry::span(rec, "correlate.views");
-    let (curr_views, curr_group_of) =
-        Views::build(curr_cs, &common.curr, common.len(), curr_groups);
-    let (prev_views, prev_group_of) =
-        Views::build(prev_cs, &common.prev, common.len(), prev_groups);
-    let prev_order = DegreeOrder::build(&prev_views, &prev_degree);
-
-    // Candidate pre-filter: groups sharing a member identifier or a
-    // neighbor identifier. Scoring everything would be quadratic in the
-    // group count with a heavy constant. This is a deviation from the
-    // paper, not a shortcut it licenses: pass 2 size-matches *different*
-    // neighbors, so two groups sharing no host can still score above
-    // `S_corr` — DESIGN §5 note 10 measures how often the ids differ.
-    let (cand_start, cand_list) = candidate_index(&prev_views, common.len());
-    drop(views_span);
+    let mut out = Correlation::default();
+    let prep = Prepared::build(
+        (prev_cs, prev_groups),
+        (curr_cs, curr_groups),
+        &mut out,
+        rec,
+    );
+    let mut m = Matching {
+        curr_groups,
+        prev_groups,
+        curr_taken: vec![false; curr_groups.len()],
+        prev_taken: vec![false; prev_groups.len()],
+        out,
+        rec,
+    };
+    let mut tally = Tally::default();
 
     // 3. Step 1: greedy best-first matching on time-varying similarity.
     let step1_span = telemetry::span(rec, "correlate.step1");
-    let ctx = Restricted {
-        curr_degree: &curr_degree,
-        prev_degree: &prev_degree,
-        h_same: &h_same,
-        t_hi: params.t_hi,
-    };
-    let mut scratch = Scratch::default();
-    let mut stamp = vec![NONE; prev_views.len()];
-    let mut cand: Vec<u32> = Vec::new();
-    let mut scored: Vec<(f64, usize, usize)> = Vec::new();
-    for ci in 0..curr_views.len() {
-        let cv = curr_views.view(curr_groups, ci);
-        cand.clear();
-        for c in curr_views.rows(ci) {
-            for &pi in &cand_list[cand_start[c as usize]..cand_start[c as usize + 1]] {
-                if stamp[pi as usize] != ci as u32 {
-                    stamp[pi as usize] = ci as u32;
-                    cand.push(pi);
-                }
-            }
-        }
-        cand.sort_unstable();
-        for &pi in &cand {
-            let pi = pi as usize;
-            candidate_pairs += 1;
-            let pv = prev_views.view(prev_groups, pi);
-            if !within(params.t_hi, cv.avg_conns, pv.avg_conns) {
-                continue;
-            }
-            similarity_evals += 1;
-            let order = prev_order.of(&prev_views, pi);
-            let s = time_varying_similarity(cv, pv, order, &ctx, &mut scratch);
-            if s >= params.s_corr {
-                scored.push((s, ci, pi));
-            }
-        }
-    }
-    let mut curr_taken = vec![false; curr_views.len()];
-    let mut prev_taken = vec![false; prev_views.len()];
-    accept_greedy(
-        scored,
-        (curr_groups, &mut curr_taken),
-        (prev_groups, &mut prev_taken),
-        &mut out,
-        "time_varying",
-        rec,
-    );
+    step1(&prep, &mut m, params, &mut tally);
     drop(step1_span);
 
-    // 4. Step 2: leftover groups correlate through their (already
-    // correlated) neighbor groups. Each leftover view's neighbor-group
-    // tally is computed once, the current side's already translated to
-    // previous ids.
+    // 4. Step 2: leftover groups correlate through their neighbor groups.
     let step2_span = telemetry::span(rec, "correlate.step2");
-    let mut sums = vec![0u64; curr_groups.len().max(prev_groups.len())];
-    let curr_tallies: Vec<Vec<(GroupId, u64)>> = (0..curr_views.len())
-        .map(|ci| {
-            if curr_taken[ci] {
-                return Vec::new();
-            }
-            group_tally(
-                curr_views.neighbors(ci),
-                &curr_group_of,
-                curr_groups,
-                &mut sums,
-            )
-            .into_iter()
-            .filter_map(|(g, w)| out.id_map.get(&g).map(|&p| (p, w)))
-            .collect()
-        })
-        .collect();
-    let prev_tallies: Vec<Vec<(GroupId, u64)>> = (0..prev_views.len())
-        .map(|pi| {
-            if prev_taken[pi] {
-                return Vec::new();
-            }
-            group_tally(
-                prev_views.neighbors(pi),
-                &prev_group_of,
-                prev_groups,
-                &mut sums,
-            )
-        })
-        .collect();
-    let mut scored2: Vec<(f64, usize, usize)> = Vec::new();
-    for ci in 0..curr_views.len() {
-        if curr_taken[ci] {
-            continue;
-        }
-        for pi in 0..prev_views.len() {
-            if prev_taken[pi] {
-                continue;
-            }
-            candidate_pairs += 1;
-            if !within(
-                params.t_hi,
-                curr_views.avg_conns[ci],
-                prev_views.avg_conns[pi],
-            ) {
-                continue;
-            }
-            similarity_evals += 1;
-            let s = neighbor_group_similarity(
-                (&curr_tallies[ci], curr_views.total[ci]),
-                (&prev_tallies[pi], prev_views.total[pi]),
-            );
-            if s >= params.s_corr {
-                scored2.push((s, ci, pi));
-            }
-        }
-    }
-    accept_greedy(
-        scored2,
-        (curr_groups, &mut curr_taken),
-        (prev_groups, &mut prev_taken),
-        &mut out,
-        "neighbor_groups",
-        rec,
-    );
+    step2(&prep, &mut m, params, &mut tally);
     drop(step2_span);
 
     // 5. Leftovers: every group still free is new (current side) or
     // vanished (previous side).
     let finalize_span = telemetry::span(rec, "correlate.finalize");
-    for (g, _) in curr_groups.iter().zip(&curr_taken).filter(|(_, &t)| !t) {
+    let mut out = m.out;
+    for (g, _) in curr_groups.iter().zip(&m.curr_taken).filter(|(_, &t)| !t) {
         out.new_groups.push(g.id);
         if let Some(r) = rec {
             r.events().record(
@@ -885,7 +1189,7 @@ pub(crate) fn correlate_with_events(
             );
         }
     }
-    for (g, _) in prev_groups.iter().zip(&prev_taken).filter(|(_, &t)| !t) {
+    for (g, _) in prev_groups.iter().zip(&m.prev_taken).filter(|(_, &t)| !t) {
         out.vanished_groups.push(g.id);
         if let Some(r) = rec {
             r.events().record(
@@ -903,9 +1207,13 @@ pub(crate) fn correlate_with_events(
     if let Some(r) = rec {
         let reg = r.registry();
         reg.counter("roleclass_engine_correlate_candidates_total")
-            .add(candidate_pairs);
+            .add(tally.candidates);
         reg.counter("roleclass_engine_correlate_similarity_evals_total")
-            .add(similarity_evals);
+            .add(tally.gated);
+        reg.counter("roleclass_engine_correlate_exact_evals_total")
+            .add(tally.exact);
+        reg.counter("roleclass_engine_correlate_postings_total")
+            .add(tally.postings);
         reg.counter("roleclass_engine_ids_carried_total")
             .add(out.id_map.len() as u64);
         reg.counter("roleclass_engine_ids_minted_total")
@@ -943,6 +1251,7 @@ pub fn apply_correlation(corr: &Correlation, curr: &Grouping) -> Grouping {
 mod tests {
     use super::*;
     use crate::classify::try_classify;
+    use proptest::prelude::*;
 
     fn h(x: u32) -> HostAddr {
         HostAddr::v4(x)
@@ -1099,5 +1408,167 @@ mod tests {
         assert!(corr.id_map.is_empty());
         assert!(corr.new_groups.is_empty());
         assert!(corr.vanished_groups.is_empty());
+    }
+
+    /// Scores every gated step-1 candidate exactly and asserts its bound
+    /// is not below the score. Returns how many pairs of each kind were
+    /// checked: both neighbor totals zero, one zero, exact score at the
+    /// 100 clamp, any other.
+    fn check_bounds(
+        (prev_cs, prev): (&ConnectionSets, &Grouping),
+        (curr_cs, curr): (&ConnectionSets, &Grouping),
+        params: &Params,
+    ) -> [usize; 4] {
+        let (pg, cg) = (prev.groups(), curr.groups());
+        let mut out = Correlation::default();
+        let prep = Prepared::build((prev_cs, pg), (curr_cs, cg), &mut out, None);
+        let ctx = prep.restricted(params.t_hi);
+        let mut scratch = Scratch::default();
+        let mut kinds = [0; 4];
+        let mut tally = Tally::default();
+        prep.gated_bounds((cg, pg), params.t_hi, &mut tally, |ci, pi, bound| {
+            let (cv, pv) = (prep.curr_views.view(cg, ci), prep.prev_views.view(pg, pi));
+            let order = prep.prev_order.of(&prep.prev_views, pi);
+            let s = time_varying_similarity(cv, pv, order, &ctx, &mut scratch);
+            assert!(
+                s <= bound,
+                "pair ({ci}, {pi}): score {s} above bound {bound}"
+            );
+            let kind = match (cv.total, pv.total) {
+                (0, 0) => 0,
+                (0, _) | (_, 0) => 1,
+                _ if s == 100.0 => 2,
+                _ => 3,
+            };
+            kinds[kind] += 1;
+        });
+        kinds
+    }
+
+    #[test]
+    fn heap_pops_bounds_before_exact_scores_at_equal_keys() {
+        let mut heap = BinaryHeap::from(vec![
+            entry(90.0, true, 0, 0),
+            entry(90.0, false, 3, 3),
+            entry(90.0, false, 1, 2),
+            entry(95.0, true, 4, 4),
+            entry(90.0, true, 0, 1),
+        ]);
+        let order: Vec<(f64, bool, u32, u32)> = std::iter::from_fn(|| heap.pop())
+            .map(|(key, Reverse(exact), Reverse((ci, pi)))| (key.get(), exact, ci, pi))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (95.0, true, 4, 4),
+                (90.0, false, 1, 2),
+                (90.0, false, 3, 3),
+                (90.0, true, 0, 0),
+                (90.0, true, 0, 1),
+            ]
+        );
+    }
+
+    fn group(id: u32, members: &[u32]) -> Group {
+        Group {
+            id: GroupId(id),
+            k: 1,
+            members: members.iter().map(|&m| h(m)).collect(),
+        }
+    }
+
+    #[test]
+    fn bound_covers_zero_totals_strays_and_the_clamp() {
+        let params = Params {
+            t_hi: 1.0,
+            ..params()
+        };
+        // Figure 1 against itself: every group's score clamps at 100.
+        let cs = figure1();
+        let g = try_classify(&cs, &params).unwrap().grouping;
+        let kinds = check_bounds((&cs, &g), (&cs, &g), &params);
+        assert!(kinds[2] > 0, "{kinds:?}");
+
+        // {1, 2} and {3, 4} talk only among themselves at t-1, so both
+        // previous groups have no neighbors; at t host 1 also reaches 3,
+        // giving both current groups one. The groups also share host 99,
+        // which neither snapshot holds: a stray the member overlap must
+        // still count.
+        let mut prev_cs = ConnectionSets::new();
+        prev_cs.add_pair(h(1), h(2));
+        prev_cs.add_pair(h(3), h(4));
+        let mut curr_cs = prev_cs.clone();
+        curr_cs.add_pair(h(1), h(3));
+        let grouping = Grouping::new(vec![group(0, &[1, 2, 99]), group(1, &[3, 4])]);
+        let kinds = check_bounds((&prev_cs, &grouping), (&prev_cs, &grouping), &params);
+        assert!(kinds[0] > 0, "{kinds:?}");
+        let kinds = check_bounds((&prev_cs, &grouping), (&curr_cs, &grouping), &params);
+        assert!(kinds[1] > 0, "{kinds:?}");
+    }
+
+    /// A window pair over hosts `0..24` (the shapes of
+    /// `correlation_reference`'s random pairs): the previous window's
+    /// edges, then the next window's — departures dropped, arrivals
+    /// (`24..30`) wired in, address swaps between survivors, and a few
+    /// edges added.
+    fn arb_window_pair() -> impl Strategy<Value = (ConnectionSets, ConnectionSets)> {
+        (
+            prop::collection::vec((0..24u32, 0..24u32), 0..70),
+            prop::collection::btree_set(0..24u32, 0..4),
+            prop::collection::vec((24..30u32, 0..30u32), 0..14),
+            prop::collection::vec((0..24u32, 0..24u32), 0..3),
+            prop::collection::vec((0..24u32, 0..24u32), 0..6),
+        )
+            .prop_map(|(edges, departed, arrivals, swaps, drift)| {
+                let build = |pairs: &mut dyn Iterator<Item = (u32, u32)>| {
+                    let mut cs = ConnectionSets::new();
+                    for (a, b) in pairs.filter(|(a, b)| a != b) {
+                        cs.add_pair(h(a), h(b));
+                    }
+                    cs
+                };
+                let prev = build(&mut edges.iter().copied());
+                let swap = |x: u32| {
+                    swaps.iter().fold(x, |x, &(a, b)| {
+                        if x == a {
+                            b
+                        } else if x == b {
+                            a
+                        } else {
+                            x
+                        }
+                    })
+                };
+                let curr = build(
+                    &mut edges
+                        .iter()
+                        .chain(&drift)
+                        .map(|&(a, b)| (swap(a), swap(b)))
+                        .chain(arrivals.iter().copied())
+                        .filter(|(a, b)| !departed.contains(a) && !departed.contains(b)),
+                );
+                (prev, curr)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn bound_is_never_below_the_exact_score(
+            (prev, curr) in arb_window_pair(),
+            p in 0..4usize,
+        ) {
+            let params = [
+                Params::default(),
+                params(),
+                Params { t_hi: 0.0, s_corr: 0.0, ..Params::default() },
+                Params { t_hi: 1.0, s_corr: 20.0, ..Params::default().with_s_lo(10.0).with_s_hi(20.0) },
+            ][p];
+            let gp = try_classify(&prev, &params).unwrap().grouping;
+            let gc = try_classify(&curr, &params).unwrap().grouping;
+            check_bounds((&prev, &gp), (&curr, &gc), &params);
+            check_bounds((&prev, &gp), (&prev, &gp), &params);
+        }
     }
 }

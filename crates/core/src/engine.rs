@@ -56,6 +56,8 @@ use telemetry::Recorder;
 /// this list.
 pub const ENGINE_METRIC_NAMES: &[&str] = &[
     "roleclass_engine_correlate_candidates_total",
+    "roleclass_engine_correlate_exact_evals_total",
+    "roleclass_engine_correlate_postings_total",
     "roleclass_engine_correlate_seconds",
     "roleclass_engine_correlate_similarity_evals_total",
     "roleclass_engine_form_seconds",
@@ -65,8 +67,11 @@ pub const ENGINE_METRIC_NAMES: &[&str] = &[
     "roleclass_engine_ids_minted_total",
     "roleclass_engine_ids_retired_total",
     "roleclass_engine_merge_candidates_peak",
+    "roleclass_engine_merge_dead_pops_total",
     "roleclass_engine_merge_heap_pops_total",
+    "roleclass_engine_merge_rejected_pops_total",
     "roleclass_engine_merge_seconds",
+    "roleclass_engine_merge_stale_pops_total",
     "roleclass_engine_merges_total",
     "roleclass_engine_sweep_levels_total",
     "roleclass_engine_sweep_rounds_total",

@@ -31,14 +31,19 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Total order over non-negative similarities via the IEEE-754 bit
-/// trick (monotone for non-negative floats), for heap keying.
+/// trick (monotone for non-negative floats), for heap keying here and in
+/// correlation step 1.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct OrdSim(u64);
+pub(crate) struct OrdSim(u64);
 
 impl OrdSim {
-    fn new(sim: f64) -> Self {
+    pub(crate) fn new(sim: f64) -> Self {
         debug_assert!(sim >= 0.0, "similarities are non-negative");
         OrdSim(sim.to_bits())
+    }
+
+    pub(crate) fn get(self) -> f64 {
+        f64::from_bits(self.0)
     }
 }
 
@@ -403,6 +408,13 @@ struct Agglomeration<'a> {
     /// the loop (the profile layer divides merge time by it). Tallied
     /// locally and folded into the registry once at the end.
     heap_pops: u64,
+    /// The pops that merged nothing, by why: an endpoint already merged
+    /// away (dead), a pair no longer stored or stored at another value
+    /// (stale), or a current pair failing a Figure 3 requirement
+    /// (rejected).
+    dead_pops: u64,
+    stale_pops: u64,
+    rejected_pops: u64,
     merges: Vec<MergeEvent>,
     sweep: Sweep,
     scratch: Scratch,
@@ -432,6 +444,12 @@ pub(crate) fn merge_groups_with(
         let reg = r.registry();
         reg.counter("roleclass_engine_merge_heap_pops_total")
             .add(agg.heap_pops);
+        reg.counter("roleclass_engine_merge_dead_pops_total")
+            .add(agg.dead_pops);
+        reg.counter("roleclass_engine_merge_stale_pops_total")
+            .add(agg.stale_pops);
+        reg.counter("roleclass_engine_merge_rejected_pops_total")
+            .add(agg.rejected_pops);
         reg.gauge("roleclass_engine_merge_candidates_peak")
             .set(agg.store.peak as i64);
     }
@@ -492,6 +510,9 @@ impl<'a> Agglomeration<'a> {
             compact_at: compaction_point(heap.len()),
             heap,
             heap_pops: 0,
+            dead_pops: 0,
+            stale_pops: 0,
+            rejected_pops: 0,
             merges: Vec::new(),
             sweep,
             scratch,
@@ -532,14 +553,18 @@ impl<'a> Agglomeration<'a> {
         while let Some((osim, Reverse((a, b)))) = self.heap.pop() {
             self.heap_pops += 1;
             if !self.g.contains_node(a) || !self.g.contains_node(b) {
+                self.dead_pops += 1;
                 continue;
             }
-            let Some(current) = self.store.get(a, b) else {
-                continue;
+            let current = match self.store.get(a, b) {
+                Some(current) if OrdSim::new(current) == osim => current,
+                // Dropped below θ, or rescored: a fresher entry, if any,
+                // is in the heap.
+                _ => {
+                    self.stale_pops += 1;
+                    continue;
+                }
             };
-            if OrdSim::new(current) != osim {
-                continue; // stale entry; a fresher one is in the heap
-            }
             let (ia, ib) = (group(&self.info, a), group(&self.info, b));
             let conn_ok = meets_connection_req(params.beta, ia.avg_conns(), ib.avg_conns());
             let sim_ok = meets_similarity_req(params, ia.k, ib.k, current);
@@ -576,6 +601,7 @@ impl<'a> Agglomeration<'a> {
             if conn_ok && sim_ok {
                 return Some((a, b, current));
             }
+            self.rejected_pops += 1;
         }
         None
     }

@@ -1,7 +1,6 @@
 //! Immutable unweighted adjacency snapshot.
 
 use crate::id::NodeId;
-use std::collections::BTreeMap;
 
 /// An immutable, unweighted, undirected graph in compressed sparse row
 /// form.
@@ -28,52 +27,86 @@ impl SimpleGraph {
     /// passing an empty `nodes` iterator with a non-empty edge list is
     /// fine. Duplicate and reversed edges collapse to one; self-loops are
     /// dropped.
+    ///
+    /// Ids map to positions through a table indexed by id, which stays
+    /// small because ids are graph indexes in practice; when the largest
+    /// id far exceeds the input's size, positions come from a binary
+    /// search instead. A `Vec` of edges passed by value is normalized in
+    /// its own buffer, so the edge list is held at most twice: as input
+    /// and as adjacency.
     pub fn from_edges<N, E>(nodes: N, edges: E) -> Self
     where
         N: IntoIterator<Item = NodeId>,
         E: IntoIterator<Item = (NodeId, NodeId)>,
     {
-        let mut pos: BTreeMap<NodeId, u32> = nodes.into_iter().map(|n| (n, 0)).collect();
+        let nodes: Vec<NodeId> = nodes.into_iter().collect();
         let edges: Vec<(NodeId, NodeId)> = edges
             .into_iter()
             .filter(|&(a, b)| a != b)
-            .map(|(a, b)| if a < b { (a, b) } else { (b, a) })
+            .map(|(a, b)| (a.min(b), a.max(b)))
             .collect();
-        for &(a, b) in &edges {
-            pos.insert(a, 0);
-            pos.insert(b, 0);
-        }
-        let ids: Vec<NodeId> = pos.keys().copied().collect();
-        for (i, id) in ids.iter().enumerate() {
-            *pos.get_mut(id).expect("id just collected") = i as u32;
-        }
+        let bound = nodes
+            .iter()
+            .chain(edges.iter().map(|(_, b)| b))
+            .map(|n| n.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let dense = bound <= 2 * (nodes.len() + 2 * edges.len()) + 4096;
+        let (ids, table) = if dense {
+            const ABSENT: u32 = u32::MAX;
+            let mut table = vec![ABSENT; bound];
+            for n in nodes.iter().chain(edges.iter().flat_map(|(a, b)| [a, b])) {
+                table[n.index()] = 0;
+            }
+            let mut ids = Vec::new();
+            for (i, slot) in table.iter_mut().enumerate() {
+                if *slot != ABSENT {
+                    *slot = ids.len() as u32;
+                    ids.push(NodeId(i as u32));
+                }
+            }
+            (ids, table)
+        } else {
+            let mut ids: Vec<NodeId> = nodes
+                .iter()
+                .chain(edges.iter().flat_map(|(a, b)| [a, b]))
+                .copied()
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            (ids, Vec::new())
+        };
+        let pos = |n: NodeId| -> u32 {
+            if dense {
+                table[n.index()]
+            } else {
+                ids.binary_search(&n).expect("id collected above") as u32
+            }
+        };
+        // Positions follow id order, so every pair stays `(low, high)`.
+        let mut edges: Vec<(u32, u32)> = edges.into_iter().map(|(a, b)| (pos(a), pos(b))).collect();
+        edges.sort_unstable();
+        edges.dedup();
 
         let n = ids.len();
-        let mut deg = vec![0usize; n];
-        let mut dedup: Vec<(u32, u32)> = edges.iter().map(|&(a, b)| (pos[&a], pos[&b])).collect();
-        dedup.sort_unstable();
-        dedup.dedup();
-        for &(a, b) in &dedup {
-            deg[a as usize] += 1;
-            deg[b as usize] += 1;
+        let mut offsets = vec![0usize; n + 1];
+        for &(a, b) in &edges {
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for d in &deg {
-            acc += d;
-            offsets.push(acc);
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
         }
+        // Sorted `(low, high)` pairs fill each row in ascending order:
+        // first its lower neighbors (as `high`, by ascending `low`), then
+        // its higher ones (as `low`, by ascending `high`).
         let mut cursor = offsets.clone();
-        let mut adj = vec![0u32; acc];
-        for &(a, b) in &dedup {
+        let mut adj = vec![0u32; offsets[n]];
+        for &(a, b) in &edges {
             adj[cursor[a as usize]] = b;
             cursor[a as usize] += 1;
             adj[cursor[b as usize]] = a;
             cursor[b as usize] += 1;
-        }
-        for i in 0..n {
-            adj[offsets[i]..offsets[i + 1]].sort_unstable();
         }
         SimpleGraph { ids, offsets, adj }
     }
@@ -229,6 +262,35 @@ mod tests {
         edges.sort_unstable();
         input.sort_unstable();
         assert_eq!(edges, input);
+    }
+
+    #[test]
+    fn ids_far_above_the_input_size_map_by_search() {
+        let top = n(u32::MAX - 1);
+        let g = SimpleGraph::from_edges([n(7)], [(top, n(3)), (n(3), n(5)), (n(5), top)]);
+        assert_eq!(g.nodes().collect::<Vec<_>>(), vec![n(3), n(5), n(7), top]);
+        assert_eq!(g.edge_count(), 3);
+        assert_eq!(g.neighbors(top).collect::<Vec<_>>(), vec![n(3), n(5)]);
+        assert_eq!(g.degree(n(7)), Some(0));
+    }
+
+    #[test]
+    fn rows_come_out_sorted() {
+        let g = SimpleGraph::from_edges(
+            [],
+            [
+                (n(4), n(2)),
+                (n(0), n(4)),
+                (n(4), n(9)),
+                (n(6), n(4)),
+                (n(2), n(0)),
+            ],
+        );
+        assert_eq!(
+            g.neighbors(n(4)).collect::<Vec<_>>(),
+            vec![n(0), n(2), n(6), n(9)]
+        );
+        assert_eq!(g.neighbors(n(0)).collect::<Vec<_>>(), vec![n(2), n(4)]);
     }
 
     #[test]
