@@ -178,7 +178,7 @@ pub struct Checkpointer {
 impl Checkpointer {
     /// A checkpointer storing generations in namespace `ns` of a shared
     /// backend (the [`StorageStack`](crate::store::StorageStack) wiring).
-    pub fn with_backend(backend: Arc<dyn StorageBackend>, ns: impl Into<String>) -> Self {
+    pub fn new(backend: Arc<dyn StorageBackend>, ns: impl Into<String>) -> Self {
         Checkpointer {
             ns: ns.into(),
             backend,
@@ -340,13 +340,8 @@ mod tests {
     use super::*;
     use crate::pipeline::{Aggregator, AggregatorConfig, WindowHealth};
     use crate::probe::ReplayProbe;
-    use crate::store::{StorageStack, CHECKPOINT_NS};
+    use crate::store::{StorageStack, TempStack, CHECKPOINT_NS};
     use flow::{FlowRecord, HostAddr};
-    use storage::StorageConfig;
-
-    fn memory_stack() -> StorageStack {
-        StorageStack::open(&StorageConfig::memory()).unwrap()
-    }
 
     /// Appends raw bytes as the newest checkpoint generation.
     fn append_generation(ck: &Checkpointer, bytes: &[u8]) {
@@ -379,7 +374,7 @@ mod tests {
 
     #[test]
     fn save_load_round_trip() {
-        let stack = memory_stack();
+        let stack = TempStack::open("ckpt-round-trip");
         let ck = stack.checkpointer();
         let (runs, table) = sample_runs(&stack);
         ck.save_with_table(&runs, &table).unwrap();
@@ -400,7 +395,7 @@ mod tests {
 
     #[test]
     fn second_save_keeps_backup_generation() {
-        let stack = memory_stack();
+        let stack = TempStack::open("ckpt-backup");
         let ck = stack.checkpointer();
         let (runs, table) = sample_runs(&stack);
         ck.save_with_table(&runs[..1], &table).unwrap();
@@ -414,13 +409,13 @@ mod tests {
 
     #[test]
     fn truncated_primary_recovers_from_backup() {
-        let stack = memory_stack();
+        let stack = TempStack::open("ckpt-truncated");
         let ck = stack.checkpointer();
         let (runs, table) = sample_runs(&stack);
         ck.save_with_table(&runs[..1], &table).unwrap();
         // Simulate a crash/disk fault: the newest generation is the
         // full checkpoint chopped mid-payload.
-        let scratch = memory_stack();
+        let scratch = TempStack::open("ckpt-truncated-full");
         scratch
             .checkpointer()
             .save_with_table(&runs, &table)
@@ -441,7 +436,7 @@ mod tests {
 
     #[test]
     fn garbage_and_missing_files_never_panic() {
-        let stack = memory_stack();
+        let stack = TempStack::open("ckpt-garbage");
         let ck = stack.checkpointer();
         // Missing: fresh start.
         let rec = ck.load_or_recover(Some(stack.runs()));
@@ -457,7 +452,7 @@ mod tests {
 
     #[test]
     fn future_version_is_rejected_not_misparsed() {
-        let stack = memory_stack();
+        let stack = TempStack::open("ckpt-version");
         let ck = stack.checkpointer();
         // v1 (runs only) and v2 (table + the whole run history) are no
         // longer read either: recovery starts fresh.
@@ -476,7 +471,7 @@ mod tests {
 
     #[test]
     fn host_table_round_trips_through_checkpoint() {
-        let stack = memory_stack();
+        let stack = TempStack::open("ckpt-table");
         let ck = stack.checkpointer();
         let (runs, mut master) = sample_runs(&stack);
         // A live master table may know hosts no retained run mentions.
@@ -493,7 +488,7 @@ mod tests {
 
     #[test]
     fn table_runs_mismatch_is_corrupt() {
-        let stack = memory_stack();
+        let stack = TempStack::open("ckpt-mismatch");
         let ck = stack.checkpointer();
         let (runs, _) = sample_runs(&stack);
         // The store holds runs, but the checkpoint's table misses the
@@ -510,7 +505,7 @@ mod tests {
 
     #[test]
     fn missing_run_store_is_noted() {
-        let stack = memory_stack();
+        let stack = TempStack::open("ckpt-no-store");
         let ck = stack.checkpointer();
         let (runs, table) = sample_runs(&stack);
         ck.save_with_table(&runs, &table).unwrap();
@@ -524,9 +519,9 @@ mod tests {
 
     #[test]
     fn health_field_round_trips_through_restore() {
-        let stack = memory_stack();
+        let stack = TempStack::open("ckpt-health");
         let ck = stack.checkpointer();
-        let (mut runs, table) = sample_runs(&memory_stack());
+        let (mut runs, table) = sample_runs(&TempStack::open("ckpt-health-runs"));
         runs[0].health = WindowHealth {
             probes_total: 3,
             probes_failed: 1,

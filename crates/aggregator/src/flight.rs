@@ -92,7 +92,7 @@ impl FlightRecorder {
     /// wiring). Sequence numbering resumes after the records already
     /// present, so a restarted pipeline extends the journal instead of
     /// restarting it.
-    pub fn with_backend(
+    pub fn open(
         backend: Arc<dyn StorageBackend>,
         ns: impl Into<String>,
         retention: Retention,
@@ -156,10 +156,12 @@ impl FlightRecorder {
 
 #[cfg(test)]
 mod tests {
-    use crate::store::{StorageStack, JOURNAL_NS};
+    use super::FlightRecorder;
+    use crate::store::{StorageStack, TempStack, JOURNAL_NS};
     use std::fs;
     use std::path::PathBuf;
-    use storage::StorageConfig;
+    use std::sync::Arc;
+    use storage::{Retention, SegmentBackend, SegmentOptions, StorageBackend, StorageConfig};
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir =
@@ -169,9 +171,8 @@ mod tests {
     }
 
     /// The journal payloads, one JSON string per event, oldest first.
-    fn journal_lines(stack: &StorageStack) -> Vec<String> {
-        stack
-            .backend()
+    fn journal_lines(backend: &Arc<dyn StorageBackend>) -> Vec<String> {
+        backend
             .scan(JOURNAL_NS, 0, u64::MAX)
             .unwrap()
             .into_iter()
@@ -181,7 +182,7 @@ mod tests {
 
     #[test]
     fn appends_sequenced_jsonl() {
-        let stack = StorageStack::open(&StorageConfig::memory()).unwrap();
+        let stack = TempStack::open("flight-jsonl");
         let fr = stack.recorder();
         assert!(fr.append_in_layer(
             "aggregator",
@@ -193,7 +194,7 @@ mod tests {
             "roleclass_aggregator_window_classified",
             vec![]
         ));
-        let lines = journal_lines(&stack);
+        let lines = journal_lines(stack.backend());
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"seq\":0"));
         assert!(lines[1].contains("\"seq\":1"));
@@ -218,7 +219,7 @@ mod tests {
         let fr = stack.recorder();
         assert_eq!(fr.next_seq(), 2);
         fr.append_in_layer("aggregator", "roleclass_aggregator_window_started", vec![]);
-        let lines = journal_lines(&stack);
+        let lines = journal_lines(stack.backend());
         assert_eq!(lines.len(), 3);
         assert!(lines[2].contains("\"seq\":2"));
         let _ = fs::remove_dir_all(&root);
@@ -257,14 +258,14 @@ mod tests {
             .unwrap();
         // Reopening resumes from the complete records only.
         let stack = StorageStack::open(&config).unwrap();
-        assert_eq!(journal_lines(&stack).len(), 2);
+        assert_eq!(journal_lines(stack.backend()).len(), 2);
         assert_eq!(stack.recorder().next_seq(), 2);
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn layers_share_one_sequence() {
-        let stack = StorageStack::open(&StorageConfig::memory()).unwrap();
+        let stack = TempStack::open("flight-layers");
         let fr = stack.recorder();
         fr.append_in_layer("aggregator", "roleclass_aggregator_window_started", vec![]);
         fr.append_in_layer(
@@ -272,7 +273,7 @@ mod tests {
             "roleclass_transport_probe_session_opened",
             vec![("session", 1u64.into())],
         );
-        let lines = journal_lines(&stack);
+        let lines = journal_lines(stack.backend());
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"layer\":\"aggregator\""));
         assert!(lines[1].contains("\"layer\":\"transport\""));
@@ -281,19 +282,33 @@ mod tests {
 
     #[test]
     fn prune_bounds_journal_growth() {
-        let config = StorageConfig::memory().with_journal_retention(Some(3), None);
-        let stack = StorageStack::open(&config).unwrap();
-        let fr = stack.recorder();
+        // One record per segment, never compacted: count retention is
+        // exact to the record.
+        let root = temp_root("prune");
+        let options = SegmentOptions {
+            max_segment_records: 1,
+            compact_sealed_segments: usize::MAX,
+            ..SegmentOptions::default()
+        };
+        let backend: Arc<dyn StorageBackend> =
+            Arc::new(SegmentBackend::with_options(&root, options).unwrap());
+        let fr = FlightRecorder::open(
+            Arc::clone(&backend),
+            JOURNAL_NS,
+            Retention::unbounded().keep_records(3),
+        )
+        .unwrap();
         for _ in 0..8 {
             fr.append_in_layer("aggregator", "roleclass_aggregator_window_started", vec![]);
         }
         let pruned = fr.prune().unwrap();
         assert_eq!(pruned.records, 5);
         assert!(pruned.bytes > 0);
-        let lines = journal_lines(&stack);
+        let lines = journal_lines(&backend);
         assert_eq!(lines.len(), 3);
         // The newest events survive, and the sequence keeps climbing.
         assert!(lines[2].contains("\"seq\":7"));
         assert_eq!(fr.next_seq(), 8);
+        let _ = fs::remove_dir_all(&root);
     }
 }

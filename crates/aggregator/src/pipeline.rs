@@ -220,7 +220,11 @@ pub struct Aggregator {
 struct ProfileBaseline {
     correlate_secs: f64,
     candidates: u64,
-    evals: u64,
+    /// Exact similarity evaluations: step 1 scores only the gated pairs
+    /// whose bound reaches the top of its heap, so the gated-pair count
+    /// (`similarity_evals_total`) overstates the work by orders of
+    /// magnitude.
+    exact_evals: u64,
     merge_secs: f64,
     heap_pops: u64,
     kernel_secs: f64,
@@ -240,8 +244,8 @@ impl ProfileBaseline {
             candidates: reg
                 .counter("roleclass_engine_correlate_candidates_total")
                 .get(),
-            evals: reg
-                .counter("roleclass_engine_correlate_similarity_evals_total")
+            exact_evals: reg
+                .counter("roleclass_engine_correlate_exact_evals_total")
                 .get(),
             merge_secs: seconds("roleclass_engine_merge_seconds"),
             heap_pops: reg.counter("roleclass_engine_merge_heap_pops_total").get(),
@@ -258,7 +262,7 @@ impl ProfileBaseline {
             ),
             (
                 "roleclass_profile_correlate_ns_per_eval",
-                unit_ns(correlate_secs, now.evals - base.evals),
+                unit_ns(correlate_secs, now.exact_evals - base.exact_evals),
             ),
             (
                 "roleclass_profile_cycle_alloc_bytes",
@@ -980,7 +984,7 @@ impl Aggregator {
 mod tests {
     use super::*;
     use crate::probe::{ProbeError, ReplayProbe};
-    use crate::store::StorageStack;
+    use crate::store::{StorageStack, TempStack};
     use flow::HostAddr;
 
     fn h(x: u32) -> HostAddr {
@@ -1095,7 +1099,7 @@ mod tests {
 
     #[test]
     fn restore_from_run_store_anchors_next_window() {
-        let stack = StorageStack::open(&storage::StorageConfig::memory()).unwrap();
+        let stack = TempStack::open("agg-anchor");
         let mut agg = Aggregator::new(config()).with_run_store(Arc::clone(stack.runs()));
         let trace: Vec<FlowRecord> = day_trace(0, 3).into_iter().chain(day_trace(1, 3)).collect();
         agg.attach(Box::new(ReplayProbe::new("p0", trace)));
@@ -1272,6 +1276,48 @@ mod tests {
         assert!(agg.pending_alerts().is_empty());
     }
 
+    /// `ns_per_eval` divides correlate time by the exact similarity
+    /// evaluations, not by the gated pairs step 1 never scores.
+    #[test]
+    fn correlate_unit_cost_is_per_exact_evaluation() {
+        let rec = Arc::new(telemetry::Recorder::new());
+        let mut agg = Aggregator::new(config()).with_recorder(Arc::clone(&rec));
+        let trace: Vec<FlowRecord> = day_trace(0, 3).into_iter().chain(day_trace(1, 3)).collect();
+        agg.attach(Box::new(ReplayProbe::new("p0", trace)));
+        let reg = rec.registry();
+        let totals = || {
+            (
+                reg.histogram(
+                    "roleclass_engine_correlate_seconds",
+                    telemetry::DURATION_BUCKETS,
+                )
+                .sum(),
+                reg.counter("roleclass_engine_correlate_exact_evals_total")
+                    .get(),
+                reg.counter("roleclass_engine_correlate_similarity_evals_total")
+                    .get(),
+            )
+        };
+        agg.run_cycle();
+        let (secs0, exact0, gated0) = totals();
+        agg.run_cycle();
+        let (secs1, exact1, gated1) = totals();
+        let exact = exact1 - exact0;
+        assert!(exact > 0);
+        assert!(
+            gated1 - gated0 > exact,
+            "the window must gate more pairs than it scores"
+        );
+        let frames = agg.timeseries().snapshot();
+        let ns_per_eval = frames[1]
+            .values
+            .iter()
+            .find(|(n, _)| *n == "roleclass_profile_correlate_ns_per_eval")
+            .unwrap()
+            .1;
+        assert_eq!(ns_per_eval, (secs1 - secs0) * 1e9 / exact as f64);
+    }
+
     /// Object-field lookup on the vendored JSON value model.
     fn field<'a>(v: &'a serde::value::Value, key: &str) -> &'a serde::value::Value {
         match v {
@@ -1394,46 +1440,47 @@ mod tests {
         assert!(agg.recorder().is_none());
     }
 
-    /// A memory backend whose appends fail, like a full disk.
+    /// A backend whose appends fail, like a full disk; it never holds
+    /// a record, so every read is empty.
     #[derive(Debug)]
-    struct FullDisk(storage::MemoryBackend);
+    struct FullDisk;
 
     impl storage::StorageBackend for FullDisk {
         fn name(&self) -> &'static str {
             "full-disk"
         }
-        fn define(&self, ns: &str, profile: storage::NamespaceProfile) -> storage::Result<()> {
-            self.0.define(ns, profile)
+        fn define(&self, _: &str, _: storage::NamespaceProfile) -> storage::Result<()> {
+            Ok(())
         }
         fn append(&self, _: &str, _: u64, _: &[u8]) -> storage::Result<u64> {
             Err(storage::StorageError::Io(std::io::Error::other(
                 "disk full",
             )))
         }
-        fn get(&self, ns: &str, key: u64) -> storage::Result<Option<Vec<u8>>> {
-            self.0.get(ns, key)
+        fn get(&self, _: &str, _: u64) -> storage::Result<Option<Vec<u8>>> {
+            Ok(None)
         }
-        fn scan(&self, ns: &str, lo: u64, hi: u64) -> storage::Result<Vec<storage::Record>> {
-            self.0.scan(ns, lo, hi)
+        fn scan(&self, _: &str, _: u64, _: u64) -> storage::Result<Vec<storage::Record>> {
+            Ok(Vec::new())
         }
-        fn latest(&self, ns: &str) -> storage::Result<Option<storage::Record>> {
-            self.0.latest(ns)
+        fn latest(&self, _: &str) -> storage::Result<Option<storage::Record>> {
+            Ok(None)
         }
-        fn len(&self, ns: &str) -> storage::Result<u64> {
-            self.0.len(ns)
+        fn len(&self, _: &str) -> storage::Result<u64> {
+            Ok(0)
         }
-        fn retain(&self, ns: &str) -> storage::Result<storage::Pruned> {
-            self.0.retain(ns)
+        fn retain(&self, _: &str) -> storage::Result<storage::Pruned> {
+            Ok(storage::Pruned::default())
         }
         fn flush(&self) -> storage::Result<()> {
-            self.0.flush()
+            Ok(())
         }
     }
 
     #[test]
     fn failed_run_store_append_is_counted_not_fatal() {
         let store = RunStore::open(
-            Arc::new(FullDisk(storage::MemoryBackend::new())),
+            Arc::new(FullDisk),
             "runs",
             storage::NamespaceProfile::log(storage::Retention::unbounded()),
         )
@@ -1453,8 +1500,8 @@ mod tests {
 
     #[test]
     fn failed_journal_appends_are_counted() {
-        let flight = FlightRecorder::with_backend(
-            Arc::new(FullDisk(storage::MemoryBackend::new())),
+        let flight = FlightRecorder::open(
+            Arc::new(FullDisk),
             crate::store::JOURNAL_NS,
             storage::Retention::unbounded(),
         )
@@ -1575,7 +1622,7 @@ mod tests {
 
     #[test]
     fn restore_replays_stability_silently() {
-        let stack = StorageStack::open(&storage::StorageConfig::memory()).unwrap();
+        let stack = TempStack::open("agg-replay");
         let mut agg = Aggregator::new(config()).with_run_store(Arc::clone(stack.runs()));
         let trace: Vec<FlowRecord> = (0..3).flat_map(|d| day_trace(d, 3)).collect();
         agg.attach(Box::new(ReplayProbe::new("p0", trace)));

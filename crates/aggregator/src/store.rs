@@ -10,9 +10,9 @@
 //! rather than growing forever. It is also the only durable copy of
 //! past windows: checkpoint restore reads the runs it resumes from here.
 //!
-//! [`StorageStack::open`] wires all three consumers onto one backend
-//! chosen by [`StorageConfig`]: `memory` for tests and one-shot runs,
-//! `segment` for indexed segments with compaction and retention.
+//! [`StorageStack::open`] wires all three consumers onto one segment
+//! backend rooted where the [`StorageConfig`] says, with the retention
+//! it configures.
 
 use crate::checkpoint::Checkpointer;
 use crate::flight::FlightRecorder;
@@ -167,8 +167,8 @@ impl StorageStack {
     /// and `runs` (per-window history).
     pub fn open(config: &StorageConfig) -> io::Result<StorageStack> {
         let backend = config.open().map_err(|e| e.into_io())?;
-        let checkpointer = Checkpointer::with_backend(Arc::clone(&backend), CHECKPOINT_NS);
-        let recorder = Arc::new(FlightRecorder::with_backend(
+        let checkpointer = Checkpointer::new(Arc::clone(&backend), CHECKPOINT_NS);
+        let recorder = Arc::new(FlightRecorder::open(
             Arc::clone(&backend),
             JOURNAL_NS,
             config.journal_profile().retention,
@@ -212,13 +212,48 @@ impl StorageStack {
     }
 }
 
+/// A [`StorageStack`] on its own temp root (named by a tag and the
+/// process id) for unit tests. Derefs to the stack; the root is removed
+/// on drop.
+#[cfg(test)]
+pub(crate) struct TempStack {
+    stack: StorageStack,
+    root: std::path::PathBuf,
+}
+
+#[cfg(test)]
+impl TempStack {
+    pub(crate) fn open(tag: &str) -> TempStack {
+        let root =
+            std::env::temp_dir().join(format!("roleclass-stack-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let stack = StorageStack::open(&StorageConfig::new(root.to_string_lossy())).unwrap();
+        TempStack { stack, root }
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Deref for TempStack {
+    type Target = StorageStack;
+
+    fn deref(&self) -> &StorageStack {
+        &self.stack
+    }
+}
+
+#[cfg(test)]
+impl Drop for TempStack {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.root);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{Aggregator, AggregatorConfig};
     use crate::probe::ReplayProbe;
     use flow::{FlowRecord, HostAddr};
-    use storage::BackendKind;
 
     fn sample_runs(windows: u64) -> Vec<RunRecord> {
         let mut agg = Aggregator::new(AggregatorConfig {
@@ -242,7 +277,7 @@ mod tests {
 
     #[test]
     fn run_store_round_trips_and_time_travels() {
-        let stack = StorageStack::open(&StorageConfig::memory()).unwrap();
+        let stack = TempStack::open("store-round-trip");
         let runs = sample_runs(3);
         for run in &runs {
             assert!(stack.runs().record(run).unwrap().is_some());
@@ -270,7 +305,7 @@ mod tests {
     fn pre_health_runs_still_decode() {
         // Runs stored before WindowHealth existed have no "health" key;
         // they must decode as fully healthy runs.
-        let stack = StorageStack::open(&StorageConfig::memory()).unwrap();
+        let stack = TempStack::open("store-pre-health");
         let mut run = sample_runs(1).remove(0);
         run.health.probes_failed = 1;
         let serde::value::Value::Map(mut fields) =
@@ -295,7 +330,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("roleclass-stack-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = StorageConfig::new(dir.to_string_lossy().into_owned())
-            .with_backend(BackendKind::Segment)
             .with_history_retention(Some(2), None);
         let runs = sample_runs(3);
         let mut table = flow::HostTable::new();

@@ -675,19 +675,13 @@ mod tests {
     /// poll — and persist — a window the sender never sent.
     #[test]
     fn session_end_decides_whether_another_window_runs() {
-        use crate::{Aggregator, AggregatorConfig, RunStore, SupervisorConfig};
-        use storage::{MemoryBackend, NamespaceProfile, Retention};
+        use crate::store::TempStack;
+        use crate::{Aggregator, AggregatorConfig, SupervisorConfig};
 
         let cfg = TransportConfig::fast();
         let listener = WireListener::bind("127.0.0.1:0", cfg.clone(), None, None).unwrap();
-        let runs = Arc::new(
-            RunStore::open(
-                Arc::new(MemoryBackend::new()),
-                "runs",
-                NamespaceProfile::log(Retention::unbounded()),
-            )
-            .unwrap(),
-        );
+        let stack = TempStack::open("listener-session-end");
+        let runs = Arc::clone(stack.runs());
         let mut agg = Aggregator::new(AggregatorConfig {
             window_ms: 1000,
             min_flows: 1,

@@ -11,9 +11,9 @@ use aggregator::{
 use flow::{FlowRecord, HostAddr};
 use roleclass::{EngineConfig, Params};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use storage::{MemoryBackend, NamespaceProfile, Retention, StorageConfig};
+use storage::{NamespaceProfile, Retention, SegmentBackend, SegmentOptions, StorageConfig};
 
 const WINDOW_MS: u64 = 1000;
 
@@ -162,7 +162,7 @@ fn truncated_checkpoint_recovers_to_last_good_state() {
 
 #[test]
 fn total_corruption_falls_back_to_fresh_start() {
-    let storage = StorageConfig::memory();
+    let (dir, storage) = segment_storage("garbage");
     let stack = StorageStack::open(&storage).unwrap();
     // Both generations are garbage.
     let backend = stack.backend();
@@ -188,6 +188,7 @@ fn total_corruption_falls_back_to_fresh_start() {
     assert_eq!(run.window.start_ms, 0);
     assert!(run.correlation.is_none());
     assert_eq!(run.grouping.host_count(), 10);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// [`window_trace`] with churn: from window 3 on, client 13 leaves the
@@ -214,11 +215,18 @@ fn fingerprint(run: &RunRecord) -> String {
     format!("{:?}|{:?}", run.grouping, run.correlation)
 }
 
-/// A memory-backed run store keeping the newest `keep` windows.
-fn small_store(keep: u64) -> Arc<RunStore> {
+/// A run store at `root` keeping the newest `keep` windows. One record
+/// per segment, never compacted, makes count retention exact to the
+/// record.
+fn small_store(root: &Path, keep: u64) -> Arc<RunStore> {
+    let options = SegmentOptions {
+        max_segment_records: 1,
+        compact_sealed_segments: usize::MAX,
+        ..SegmentOptions::default()
+    };
     Arc::new(
         RunStore::open(
-            Arc::new(MemoryBackend::new()),
+            Arc::new(SegmentBackend::with_options(root, options).unwrap()),
             "runs",
             NamespaceProfile::log(Retention::unbounded().keep_records(keep)),
         )
@@ -231,7 +239,8 @@ fn checkpoint_generations_stay_flat_as_windows_accumulate() {
     // Epoch-scale timestamps keep every cursor at 13 digits, so only a
     // payload that grows with the history could change the length.
     const ORIGIN: u64 = 1_700_000_000_000;
-    let stack = StorageStack::open(&StorageConfig::memory()).unwrap();
+    let (dir, storage) = segment_storage("flat");
+    let stack = StorageStack::open(&storage).unwrap();
     let mut agg = Aggregator::new(AggregatorConfig {
         origin_ms: ORIGIN,
         ..config()
@@ -259,6 +268,7 @@ fn checkpoint_generations_stay_flat_as_windows_accumulate() {
     );
     // The runs live once, in the store.
     assert_eq!(stack.runs().len().unwrap(), 40);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -267,7 +277,8 @@ fn crash_between_append_and_checkpoint_reruns_the_window() {
     let trace: Vec<FlowRecord> = (0..WINDOWS).flat_map(churn_trace).collect();
 
     // The uninterrupted reference run.
-    let reference = StorageStack::open(&StorageConfig::memory()).unwrap();
+    let (reference_dir, reference_storage) = segment_storage("rerun-reference");
+    let reference = StorageStack::open(&reference_storage).unwrap();
     let mut live = Aggregator::new(config()).with_run_store(Arc::clone(reference.runs()));
     live.attach(Box::new(ReplayProbe::new("p0", trace.clone())));
     let expected: Vec<String> = (0..WINDOWS)
@@ -314,6 +325,7 @@ fn crash_between_append_and_checkpoint_reruns_the_window() {
     assert_eq!(agg2.churn_table(), live.churn_table());
     drop(agg2);
     let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&reference_dir);
 }
 
 #[test]
@@ -328,8 +340,9 @@ fn small_retention_restores_stable_ids_and_notes_gaps() {
 
     // First process: four windows, checkpoint per window, a run store
     // that keeps only the newest two.
-    let stack = StorageStack::open(&StorageConfig::memory()).unwrap();
-    let runs = small_store(2);
+    let (dir, storage) = segment_storage("small-retention");
+    let stack = StorageStack::open(&storage).unwrap();
+    let runs = small_store(&dir.join("kept"), 2);
     let mut agg = Aggregator::new(config()).with_run_store(Arc::clone(&runs));
     agg.attach(Box::new(ReplayProbe::new("p0", trace.clone())));
     for _ in 0..4 {
@@ -339,7 +352,7 @@ fn small_retention_restores_stable_ids_and_notes_gaps() {
     drop(agg);
     // A second store holding only window 2: the cursor's window is
     // missing, as after a failed append.
-    let gappy = small_store(2);
+    let gappy = small_store(&dir.join("gappy"), 2);
     gappy
         .record(&runs.at(2 * WINDOW_MS).unwrap().unwrap())
         .unwrap();
@@ -370,4 +383,5 @@ fn small_retention_restores_stable_ids_and_notes_gaps() {
     let run = agg3.run_cycle();
     assert_eq!(run.window.start_ms, 4 * WINDOW_MS);
     assert!(run.correlation.is_some());
+    let _ = fs::remove_dir_all(&dir);
 }

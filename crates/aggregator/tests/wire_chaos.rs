@@ -160,7 +160,9 @@ fn chaos_wire_runs_are_bit_identical_to_in_process() {
 #[test]
 fn permanent_loss_degrades_the_window_and_journals_provenance() {
     let records = trace();
-    let stack = StorageStack::open(&StorageConfig::memory()).unwrap();
+    let dir = std::env::temp_dir().join(format!("roleclass-chaos-loss-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let stack = StorageStack::open(&StorageConfig::new(dir.to_string_lossy())).unwrap();
 
     let mut cfg = TransportConfig::fast();
     cfg.poll_timeout = Duration::from_millis(300); // fail fast, not hang
@@ -245,4 +247,5 @@ fn permanent_loss_degrades_the_window_and_journals_provenance() {
         "journal must carry probe_session_* provenance: {lines:?}"
     );
     assert!(lines.iter().any(|l| l.contains("\"layer\":\"transport\"")));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -17,7 +17,7 @@ use bench::{banner, quick_mode, render_table, workers_from_env};
 use roleclass::{EngineConfig, Params};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use storage::{BackendKind, StorageConfig};
+use storage::StorageConfig;
 use synthnet::{trace, ConnRule, Fanout, NetworkModel, RoleSpec};
 use telemetry::Recorder;
 
@@ -296,53 +296,43 @@ vs window {window_total_secs:.3}s ({stability_overhead_pct:.2}%), rows identical
 
     // Storage-stack overhead: the same trace with the full persistence
     // stack attached (per-window run history, durable flight journal,
-    // end-of-run checkpoint), once per backend. Persistence may cost
-    // time, never correctness — every backend's run history and
-    // groupings must be bit-identical to the plain in-process run.
+    // end-of-run checkpoint) on the segment store. Persistence may cost
+    // time, never correctness — the run history and groupings must be
+    // bit-identical to the plain in-process run.
     let base_fp = fingerprint(&in_process);
-    let mut storage_json = String::new();
-    for kind in [BackendKind::Memory, BackendKind::Segment] {
-        let dir = std::env::temp_dir().join(format!(
-            "roleclass-bench-store-{:?}-{}",
-            kind,
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store_cfg = StorageConfig::new(dir.to_string_lossy().into_owned()).with_backend(kind);
-        let stack = StorageStack::open(&store_cfg).expect("open storage stack");
-        let t2 = std::time::Instant::now();
-        let mut stored = Aggregator::new(config.clone())
-            .with_shared_flight_recorder(Arc::clone(stack.recorder()))
-            .with_run_store(Arc::clone(stack.runs()));
-        stored.attach(Box::new(ReplayProbe::new("probe", records.clone())));
-        assert_eq!(stored.drain() as u64, windows);
-        stored
-            .checkpoint(stack.checkpointer())
-            .expect("cut checkpoint");
-        stack.flush().expect("flush storage");
-        let stored_secs = t2.elapsed().as_secs_f64();
-        assert_eq!(
-            base_fp,
-            fingerprint(&stored),
-            "storage backend {kind:?} must not perturb outcomes"
-        );
-        let retained = stack.runs().len().expect("count retained windows");
-        assert_eq!(retained, windows, "every window must be retained");
-        let name = stack.backend().name();
-        let store_overhead_pct = (stored_secs / in_process_secs - 1.0) * 100.0;
-        println!(
-            "storage overhead ({name}): plain {in_process_secs:.3}s, with stack \
+    let dir = std::env::temp_dir().join(format!("roleclass-bench-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let stack = StorageStack::open(&StorageConfig::new(dir.to_string_lossy().into_owned()))
+        .expect("open storage stack");
+    let t2 = std::time::Instant::now();
+    let mut stored = Aggregator::new(config.clone())
+        .with_shared_flight_recorder(Arc::clone(stack.recorder()))
+        .with_run_store(Arc::clone(stack.runs()));
+    stored.attach(Box::new(ReplayProbe::new("probe", records.clone())));
+    assert_eq!(stored.drain() as u64, windows);
+    stored
+        .checkpoint(stack.checkpointer())
+        .expect("cut checkpoint");
+    stack.flush().expect("flush storage");
+    let stored_secs = t2.elapsed().as_secs_f64();
+    assert_eq!(
+        base_fp,
+        fingerprint(&stored),
+        "the storage stack must not perturb outcomes"
+    );
+    let retained = stack.runs().len().expect("count retained windows");
+    assert_eq!(retained, windows, "every window must be retained");
+    let name = stack.backend().name();
+    let store_overhead_pct = (stored_secs / in_process_secs - 1.0) * 100.0;
+    println!(
+        "storage overhead ({name}): plain {in_process_secs:.3}s, with stack \
 {stored_secs:.3}s ({store_overhead_pct:+.1}%), {retained} window(s) retained, outcomes identical"
-        );
-        if !storage_json.is_empty() {
-            storage_json.push(',');
-        }
-        storage_json.push_str(&format!(
-            "\"{name}\":{{\"secs\":{stored_secs:.9},\"overhead_pct\":{store_overhead_pct:.3},\
+    );
+    let storage_json = format!(
+        "\"{name}\":{{\"secs\":{stored_secs:.9},\"overhead_pct\":{store_overhead_pct:.3},\
 \"retained_windows\":{retained},\"outcomes_identical\":true}}"
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 
     // Machine-readable tail for scripts/bench.sh.
     let mut stages = String::new();

@@ -69,6 +69,8 @@ pub const ENGINE_METRIC_NAMES: &[&str] = &[
     "roleclass_engine_merge_candidates_peak",
     "roleclass_engine_merge_dead_pops_total",
     "roleclass_engine_merge_heap_pops_total",
+    "roleclass_engine_merge_near_miss_pops_total",
+    "roleclass_engine_merge_neighborhood_size",
     "roleclass_engine_merge_rejected_pops_total",
     "roleclass_engine_merge_seconds",
     "roleclass_engine_merge_stale_pops_total",

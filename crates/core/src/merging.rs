@@ -415,10 +415,24 @@ struct Agglomeration<'a> {
     dead_pops: u64,
     stale_pops: u64,
     rejected_pops: u64,
+    /// Rejected pops blocked only by `K^hi`: the connection requirement
+    /// holds and `S^lo ≤ sim < S^hi`, but a group formed at `K ≥ K^hi`
+    /// demands `S^hi` (the paper's §6.4 caveat).
+    near_miss_pops: u64,
+    /// `|N(m)|` per merge, the side of `rescore_triangle`'s matrix;
+    /// tallied only with a recorder attached.
+    neighborhoods: Vec<u32>,
     merges: Vec<MergeEvent>,
     sweep: Sweep,
     scratch: Scratch,
 }
+
+/// Bucket bounds of `roleclass_engine_merge_neighborhood_size`:
+/// powers of four, so the `|N(m)|²` rescoring cost grows sixteenfold
+/// per bucket.
+const NEIGHBORHOOD_BUCKETS: &[f64] = &[
+    1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0,
+];
 
 /// Runs the merging phase with an optional recorder: emits one
 /// `merge_considered` provenance event per considered pair, accepted
@@ -450,6 +464,15 @@ pub(crate) fn merge_groups_with(
             .add(agg.stale_pops);
         reg.counter("roleclass_engine_merge_rejected_pops_total")
             .add(agg.rejected_pops);
+        reg.counter("roleclass_engine_merge_near_miss_pops_total")
+            .add(agg.near_miss_pops);
+        let sizes = reg.histogram(
+            "roleclass_engine_merge_neighborhood_size",
+            NEIGHBORHOOD_BUCKETS,
+        );
+        for &n in &agg.neighborhoods {
+            sizes.observe(f64::from(n));
+        }
         reg.gauge("roleclass_engine_merge_candidates_peak")
             .set(agg.store.peak as i64);
     }
@@ -513,6 +536,8 @@ impl<'a> Agglomeration<'a> {
             dead_pops: 0,
             stale_pops: 0,
             rejected_pops: 0,
+            near_miss_pops: 0,
+            neighborhoods: Vec::new(),
             merges: Vec::new(),
             sweep,
             scratch,
@@ -568,8 +593,8 @@ impl<'a> Agglomeration<'a> {
             let (ia, ib) = (group(&self.info, a), group(&self.info, b));
             let conn_ok = meets_connection_req(params.beta, ia.avg_conns(), ib.avg_conns());
             let sim_ok = meets_similarity_req(params, ia.k, ib.k, current);
+            let k_gate_hi = ia.k.max(ib.k) >= params.k_hi;
             if let Some(r) = self.rec {
-                let k_gate_hi = ia.k.max(ib.k) >= params.k_hi;
                 let verdict = if !conn_ok {
                     "rejected_connection"
                 } else if !sim_ok {
@@ -602,6 +627,9 @@ impl<'a> Agglomeration<'a> {
                 return Some((a, b, current));
             }
             self.rejected_pops += 1;
+            if conn_ok && k_gate_hi && current >= params.s_lo {
+                self.near_miss_pops += 1;
+            }
         }
         None
     }
@@ -652,6 +680,10 @@ impl<'a> Agglomeration<'a> {
     /// node appears or changes: the dirty set is exactly the pairs
     /// involving `m` plus the pairs with both endpoints in `N(m)`.
     fn rescore(&mut self, m: NodeId) {
+        if self.rec.is_some() {
+            self.neighborhoods
+                .push(self.g.neighbor_slice(m).len() as u32);
+        }
         self.rescore_sweep(m);
         self.rescore_triangle(m);
         self.store.note_peak();
@@ -987,6 +1019,35 @@ mod tests {
         let before = formation.groups.len();
         let out = try_merge_groups(&cs, formation, &Params::default()).unwrap();
         assert_eq!(before - out.merges.len(), out.grouping.group_count());
+    }
+
+    /// Near-miss pops are the rejections `K^hi` alone decided: none
+    /// while every Figure 1 group sits below `K^hi`, some once
+    /// `K^hi = 1` holds its pairs in `[S^lo, S^hi)` to `S^hi`. The
+    /// neighborhood histogram observes once per merge.
+    #[test]
+    fn near_misses_and_neighborhoods_are_counted() {
+        let cs = figure1();
+        for (k_hi, blocked) in [(7, false), (1, true)] {
+            let params = Params::default().with_k_hi(k_hi);
+            let rec = telemetry::Recorder::new();
+            let formation = try_form_groups(&cs, &params).unwrap();
+            let out = merge_groups_with(&cs, formation, &params, Some(&rec));
+            let reg = rec.registry();
+            let near = reg
+                .counter("roleclass_engine_merge_near_miss_pops_total")
+                .get();
+            let rejected = reg
+                .counter("roleclass_engine_merge_rejected_pops_total")
+                .get();
+            assert_eq!(near > 0, blocked, "K^hi = {k_hi}");
+            assert!(near <= rejected);
+            let sizes = reg.histogram(
+                "roleclass_engine_merge_neighborhood_size",
+                NEIGHBORHOOD_BUCKETS,
+            );
+            assert_eq!(sizes.count(), out.merges.len() as u64);
+        }
     }
 
     /// From-scratch `SIMILARITY(x, y)`: intersects the two sorted

@@ -1,9 +1,10 @@
-//! Pluggable storage for the role-classification history plane.
+//! Durable storage for the role-classification history plane.
 //!
 //! Checkpoints, the flight-recorder journal, and per-window run history
-//! are *keyed record namespaces* behind one [`StorageBackend`] trait, so
-//! the same call sites run over an ephemeral map or over indexed
-//! segments with compaction and retention.
+//! are *keyed record namespaces* behind one [`StorageBackend`] trait,
+//! implemented by [`SegmentBackend`]: indexed segments with compaction
+//! and retention. The trait is also the seam test fakes plug into (a
+//! backend whose appends fail, like a full disk).
 //!
 //! # Data model
 //!
@@ -37,19 +38,15 @@
 //! * [`StorageBackend::flush`] hardens everything: open log files and
 //!   their directories are fsynced.
 //!
-//! # Backends
+//! # The backend
 //!
-//! * [`MemoryBackend`] — an in-process map; clones share state, so
-//!   "reopen" in tests is just another handle.
-//! * [`SegmentBackend`] — append-only segment files with a sparse
-//!   in-segment index, background-free compaction of old segments, and
-//!   retention by record count / bytes / minimum key.
+//! [`SegmentBackend`] keeps append-only segment files with a sparse
+//! in-segment index, background-free compaction of old segments, and
+//! retention by record count / bytes / minimum key. Count and byte
+//! retention are segment-granular; `min_key` retention is exact.
 
-pub mod conformance;
-mod memory;
 mod segment;
 
-pub use memory::MemoryBackend;
 pub use segment::{SegmentBackend, SegmentOptions};
 
 use serde::{Deserialize, Serialize};
@@ -144,8 +141,8 @@ pub enum NamespaceKind {
 
 /// What a namespace keeps. `None` means unbounded on that axis; a
 /// record is pruned when it violates *any* bound. Pruning granularity
-/// is the backend's: the segment backend may keep slightly more than
-/// the bound until a whole segment falls out of the window.
+/// is the segment's: the backend may keep slightly more than the bound
+/// until a whole segment falls out of the window.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Retention {
     /// Keep at most this many (newest) records.
@@ -273,8 +270,8 @@ impl Pruned {
 /// internally synchronized) so one `Arc<dyn StorageBackend>` can be
 /// shared by the checkpointer, the flight recorder, and the run store.
 pub trait StorageBackend: Send + Sync + fmt::Debug {
-    /// Stable backend name (`memory` / `segment`), used
-    /// in telemetry labels and bench rows.
+    /// Stable backend name (`segment`), printed by `explain --state`
+    /// and carried by the `roleclass_storage_history_recorded` event.
     fn name(&self) -> &'static str;
 
     /// Declares `ns` with `profile`. Idempotent; redefinition updates
@@ -327,26 +324,17 @@ pub(crate) fn validate_ns(ns: &str) -> Result<()> {
     }
 }
 
-/// Which [`StorageBackend`] implementation to open.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BackendKind {
-    Memory,
-    Segment,
-}
-
 /// Checkpoint generations kept: the primary plus one backup, so a
 /// corrupt newest generation still recovers to the one before it.
 pub const CHECKPOINT_GENERATIONS: u64 = 2;
 
-/// Typed storage configuration: which backend, where it lives, and how
+/// Typed storage configuration: where the segment store lives and how
 /// much history each namespace class retains. Serde-able,
 /// builder-style `with_*`, opened into a live backend with
 /// [`StorageConfig::open`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StorageConfig {
-    /// Backend implementation.
-    pub backend: BackendKind,
-    /// Root directory for the segment backend (ignored by `memory`).
+    /// Root directory of the segment store.
     pub root: String,
     /// Flight-journal retention: newest records kept.
     pub journal_keep_records: Option<u64>,
@@ -363,26 +351,12 @@ impl StorageConfig {
     /// bounded-disk retention (4096 journal records / 1024 windows).
     pub fn new(root: impl Into<String>) -> StorageConfig {
         StorageConfig {
-            backend: BackendKind::Segment,
             root: root.into(),
             journal_keep_records: Some(4096),
             journal_keep_bytes: None,
             history_keep_windows: Some(1024),
             history_keep_bytes: None,
         }
-    }
-
-    /// Ephemeral in-memory storage (tests, one-shot CLI runs).
-    pub fn memory() -> StorageConfig {
-        StorageConfig {
-            backend: BackendKind::Memory,
-            ..StorageConfig::new("")
-        }
-    }
-
-    pub fn with_backend(mut self, backend: BackendKind) -> StorageConfig {
-        self.backend = backend;
-        self
     }
 
     pub fn with_journal_retention(mut self, records: Option<u64>, bytes: Option<u64>) -> Self {
@@ -420,12 +394,9 @@ impl StorageConfig {
         NamespaceProfile::snapshot(CHECKPOINT_GENERATIONS)
     }
 
-    /// Opens the configured backend. The segment backend creates `root`.
+    /// Opens the segment backend at `root`, creating the directory.
     pub fn open(&self) -> Result<Arc<dyn StorageBackend>> {
-        Ok(match self.backend {
-            BackendKind::Memory => Arc::new(MemoryBackend::new()),
-            BackendKind::Segment => Arc::new(SegmentBackend::new(&self.root)?),
-        })
+        Ok(Arc::new(SegmentBackend::new(&self.root)?))
     }
 }
 
@@ -475,7 +446,6 @@ mod tests {
     #[test]
     fn storage_config_round_trips() {
         let cfg = StorageConfig::new("/tmp/state")
-            .with_backend(BackendKind::Memory)
             .with_journal_retention(Some(10), Some(1 << 20))
             .with_history_retention(None, Some(4096));
         let json = serde_json::to_string(&cfg).unwrap();

@@ -1,34 +1,19 @@
-//! Crash-recovery behavior the conformance suite can't express
-//! generically: corruption detection in sealed segments, retention
-//! across restarts, and every window of an interrupted segment
-//! compaction.
+//! Crash-recovery behavior below the conformance suite's level: the
+//! segment files themselves. Corruption detection in sealed segments,
+//! retention across restarts, and every window of an interrupted
+//! segment compaction.
+
+mod support;
 
 use std::fs;
-use std::path::PathBuf;
-use storage::{
-    NamespaceProfile, Retention, SegmentBackend, SegmentOptions, StorageBackend, StorageError,
-};
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("roleclass-crash-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn small() -> SegmentOptions {
-    SegmentOptions {
-        max_segment_bytes: 1 << 20,
-        max_segment_records: 4,
-        compact_sealed_segments: 3,
-        index_every: 2,
-    }
-}
+use std::path::Path;
+use storage::{NamespaceProfile, Retention, StorageBackend, StorageError};
+use support::{open, temp_base};
 
 /// Drives enough appends through a segment namespace that at least one
 /// compaction has produced a covering segment.
-fn build_compacted(dir: &PathBuf) -> Vec<(u64, Vec<u8>)> {
-    let b = SegmentBackend::with_options(dir, small()).unwrap();
+fn build_compacted(dir: &Path) -> Vec<(u64, Vec<u8>)> {
+    let b = open(dir);
     b.define("log", NamespaceProfile::log(Retention::unbounded()))
         .unwrap();
     let mut expect = Vec::new();
@@ -66,7 +51,7 @@ fn scan_all(b: &dyn StorageBackend) -> Vec<(u64, Vec<u8>)> {
 
 #[test]
 fn segment_crash_before_compaction_rename_discards_tmp() {
-    let dir = temp_dir("seg-tmp");
+    let dir = temp_base("seg-tmp");
     let expect = build_compacted(&dir);
     // Crash window: a compaction output existed only as a temp file.
     fs::write(
@@ -74,7 +59,7 @@ fn segment_crash_before_compaction_rename_discards_tmp() {
         b"half-written merge",
     )
     .unwrap();
-    let b = SegmentBackend::with_options(&dir, small()).unwrap();
+    let b = open(&dir);
     b.define("log", NamespaceProfile::log(Retention::unbounded()))
         .unwrap();
     assert_eq!(scan_all(&b), expect, "data is bit-identical after recovery");
@@ -88,10 +73,10 @@ fn segment_crash_after_compaction_rename_sweeps_superseded_inputs() {
     // B runs past it. Copying B's covering segment into A reproduces
     // the crash window where the merge committed but the inputs were
     // never deleted.
-    let dir_a = temp_dir("seg-covered-a");
-    let dir_b = temp_dir("seg-covered-b");
+    let dir_a = temp_base("seg-covered-a");
+    let dir_b = temp_base("seg-covered-b");
     let pre = {
-        let b = SegmentBackend::with_options(&dir_a, small()).unwrap();
+        let b = open(&dir_a);
         b.define("log", NamespaceProfile::log(Retention::unbounded()))
             .unwrap();
         let mut expect = Vec::new();
@@ -125,7 +110,7 @@ fn segment_crash_after_compaction_rename_sweeps_superseded_inputs() {
     )
     .unwrap();
     let inputs_before = fs::read_dir(dir_a.join("log")).unwrap().count();
-    let b = SegmentBackend::with_options(&dir_a, small()).unwrap();
+    let b = open(&dir_a);
     b.define("log", NamespaceProfile::log(Retention::unbounded()))
         .unwrap();
     // Every record is present exactly once despite the duplicate files.
@@ -141,7 +126,7 @@ fn segment_crash_after_compaction_rename_sweeps_superseded_inputs() {
 
 #[test]
 fn segment_corruption_in_sealed_segment_is_detected() {
-    let dir = temp_dir("seg-corrupt");
+    let dir = temp_base("seg-corrupt");
     build_compacted(&dir);
     // Corrupt a payload byte in the OLDEST segment (sealed, so open
     // must refuse rather than silently truncate history).
@@ -156,7 +141,7 @@ fn segment_corruption_in_sealed_segment_is_detected() {
     let n = bytes.len();
     bytes[n / 2] ^= 0x01;
     fs::write(&oldest, &bytes).unwrap();
-    let b = SegmentBackend::with_options(&dir, small()).unwrap();
+    let b = open(&dir);
     match b.define("log", NamespaceProfile::log(Retention::unbounded())) {
         Err(StorageError::Corrupt(_)) => {}
         other => panic!("expected Corrupt, got {other:?}"),
@@ -166,8 +151,8 @@ fn segment_corruption_in_sealed_segment_is_detected() {
 
 #[test]
 fn segment_retention_drops_whole_old_segments_with_accurate_counts() {
-    let dir = temp_dir("seg-retain");
-    let b = SegmentBackend::with_options(&dir, small()).unwrap();
+    let dir = temp_base("seg-retain");
+    let b = open(&dir);
     b.define(
         "log",
         NamespaceProfile::log(Retention::unbounded().keep_records(5)),
@@ -185,7 +170,7 @@ fn segment_retention_drops_whole_old_segments_with_accurate_counts() {
     assert_eq!(b.latest("log").unwrap().unwrap().key, 15);
     // The cut survives a restart (persisted min_key + deleted files).
     drop(b);
-    let b = SegmentBackend::with_options(&dir, small()).unwrap();
+    let b = open(&dir);
     b.define("log", NamespaceProfile::log(Retention::unbounded()))
         .unwrap();
     assert_eq!(b.len("log").unwrap(), after);

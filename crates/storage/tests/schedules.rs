@@ -1,4 +1,4 @@
-//! Property tests: every backend tracks a reference model through
+//! Property tests: the segment backend tracks a reference model through
 //! random append / flush / crash / reopen schedules.
 //!
 //! The crash model matches the documented contract: appends are
@@ -7,10 +7,13 @@
 //! therefore drops its last record on Crash and must agree with the
 //! backend on every scan afterwards.
 
+mod support;
+
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use storage::conformance::{fixtures, temp_base, Fixture};
-use storage::{NamespaceProfile, Retention};
+use std::path::Path;
+use storage::{NamespaceProfile, Retention, StorageBackend};
+use support::{open, tear_tail, temp_base};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -34,11 +37,11 @@ fn arb_op() -> impl Strategy<Value = Op> {
     })
 }
 
-fn check_schedule(fix: &Fixture, ops: &[Op], tag: u64) -> Result<(), TestCaseError> {
+fn check_schedule(root: &Path, ops: &[Op], tag: u64) -> Result<(), TestCaseError> {
     let ns = format!("sched-{tag}");
     let mut model: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut next_key = 0u64;
-    let mut backend = fix.open();
+    let mut backend = open(root);
     backend
         .define(&ns, NamespaceProfile::log(Retention::unbounded()))
         .unwrap();
@@ -55,18 +58,18 @@ fn check_schedule(fix: &Fixture, ops: &[Op], tag: u64) -> Result<(), TestCaseErr
             Op::Flush => backend.flush().unwrap(),
             Op::Reopen => {
                 drop(backend);
-                backend = fix.open();
+                backend = open(root);
                 backend
                     .define(&ns, NamespaceProfile::log(Retention::unbounded()))
                     .unwrap();
             }
             Op::Crash => {
-                if !fix.can_tear() || model.is_empty() {
+                if model.is_empty() {
                     continue;
                 }
                 drop(backend);
-                fix.tear_tail(&ns);
-                backend = fix.open();
+                tear_tail(root, &ns);
+                backend = open(root);
                 backend
                     .define(&ns, NamespaceProfile::log(Retention::unbounded()))
                     .unwrap();
@@ -77,8 +80,7 @@ fn check_schedule(fix: &Fixture, ops: &[Op], tag: u64) -> Result<(), TestCaseErr
                 let survived = backend.len(&ns).unwrap();
                 prop_assert!(
                     survived + 1 >= model.len() as u64 && survived <= model.len() as u64,
-                    "{}: crash destroyed more than the final record ({} of {})",
-                    fix.name,
+                    "crash destroyed more than the final record ({} of {})",
                     survived,
                     model.len()
                 );
@@ -95,7 +97,7 @@ fn check_schedule(fix: &Fixture, ops: &[Op], tag: u64) -> Result<(), TestCaseErr
             .into_iter()
             .map(|r| (r.key, r.value))
             .collect();
-        prop_assert_eq!(&got, &model, "{} diverged from the model", fix.name);
+        prop_assert_eq!(&got, &model, "diverged from the model");
         prop_assert_eq!(backend.len(&ns).unwrap(), model.len() as u64);
         let latest = backend.latest(&ns).unwrap().map(|r| (r.key, r.value));
         prop_assert_eq!(&latest, &model.last().cloned());
@@ -110,16 +112,14 @@ fn check_schedule(fix: &Fixture, ops: &[Op], tag: u64) -> Result<(), TestCaseErr
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// One random schedule, replayed against both backends.
+    /// One random schedule, replayed against the segment backend.
     #[test]
     fn backends_track_the_model_through_crashy_schedules(
         ops in prop::collection::vec(arb_op(), 1..30),
         tag in any::<u64>(),
     ) {
         let base = temp_base(&format!("sched-{tag}"));
-        for fix in fixtures(&base) {
-            check_schedule(&fix, &ops, tag)?;
-        }
+        check_schedule(&base, &ops, tag)?;
         let _ = std::fs::remove_dir_all(&base);
     }
 }

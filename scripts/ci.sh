@@ -90,9 +90,11 @@ cargo test -q --test profile_collapsed
 cargo test -q -p role-classification --lib -- cli::tests serve::tests
 cargo test -q --test cli_workflows --test cli_golden
 
-# The storage layer must honor its durability contract on every
-# backend: the shared conformance suite pins memory and segment to one
-# behavioral spec, the crash suite tears the tail off live files and
+# The storage layer must honor its durability contract on its one
+# backend, the segment store. Three integration suites share
+# crates/storage/tests/support: conformance pins its observable
+# behavior (ordering, scans, snapshot generations, retention
+# accounting, typed errors), crash tears the tail off live files and
 # requires recovery to lose at most the final record, and the
 # schedules proptest drives random append/flush/crash/reopen
 # interleavings against an in-memory model. On the aggregator side the

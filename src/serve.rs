@@ -555,12 +555,12 @@ mod tests {
     }
 
     /// A run store holding three one-second windows of real pipeline
-    /// output, on the in-memory backend.
-    fn test_history() -> Arc<RunStore> {
+    /// output, in a segment store at `root`.
+    fn test_history(root: &std::path::Path) -> Arc<RunStore> {
         use crate::aggregator::{Aggregator, AggregatorConfig, ReplayProbe, StorageStack};
         use crate::flow::{FlowRecord, HostAddr};
         use crate::storage::StorageConfig;
-        let stack = StorageStack::open(&StorageConfig::memory()).unwrap();
+        let stack = StorageStack::open(&StorageConfig::new(root.to_string_lossy())).unwrap();
         let mut agg = Aggregator::new(AggregatorConfig {
             window_ms: 1000,
             origin_ms: 1000,
@@ -658,8 +658,11 @@ mod tests {
         assert!(resp.contains("--state"), "{resp}");
         t.join().unwrap();
 
+        let root =
+            std::env::temp_dir().join(format!("roleclass-serve-history-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
         let state = ServerState {
-            history: Some(test_history()),
+            history: Some(test_history(&root)),
             ..test_state()
         };
         let server = Server::bind("127.0.0.1:0", state).unwrap();
@@ -693,6 +696,7 @@ mod tests {
         let bad = request(addr, "/stability?at=5");
         assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");
         t.join().unwrap();
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

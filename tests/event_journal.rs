@@ -12,7 +12,9 @@ use role_classification::flow::{FlowRecord, HostAddr};
 use role_classification::roleclass::{
     EngineConfig, Params, ENGINE_EVENT_NAMES, STABILITY_EVENT_NAMES,
 };
-use role_classification::storage::{MemoryBackend, NamespaceProfile, Retention, StorageConfig};
+use role_classification::storage::{
+    NamespaceProfile, Retention, SegmentBackend, SegmentOptions, StorageConfig,
+};
 use role_classification::telemetry::{FieldValue, Recorder};
 use serde::value::Value;
 use std::collections::BTreeSet;
@@ -110,6 +112,25 @@ fn segment_storage(tag: &str) -> (std::path::PathBuf, StorageConfig) {
     (dir, config)
 }
 
+/// A run store under `dir` keeping the newest two windows. One record
+/// per segment, never compacted, makes count retention exact to the
+/// record.
+fn two_window_store(dir: &std::path::Path) -> Arc<RunStore> {
+    let options = SegmentOptions {
+        max_segment_records: 1,
+        compact_sealed_segments: usize::MAX,
+        ..SegmentOptions::default()
+    };
+    Arc::new(
+        RunStore::open(
+            Arc::new(SegmentBackend::with_options(dir.join("two-windows"), options).unwrap()),
+            "runs",
+            NamespaceProfile::log(Retention::unbounded().keep_records(2)),
+        )
+        .unwrap(),
+    )
+}
+
 /// The durable journal payloads, one JSON string per event.
 fn journal_lines(stack: &StorageStack) -> Vec<String> {
     stack
@@ -148,14 +169,7 @@ fn degraded_pipeline_produces_every_declared_event_type() {
     // Run history with a two-window retention cap: over four windows,
     // both storage event types (history_recorded + retention_pruned)
     // must fire.
-    .with_run_store(Arc::new(
-        RunStore::open(
-            Arc::new(MemoryBackend::new()),
-            "runs",
-            NamespaceProfile::log(Retention::unbounded().keep_records(2)),
-        )
-        .unwrap(),
-    ));
+    .with_run_store(two_window_store(&dir));
 
     // Four windows; the structure churns after window 1, so correlation
     // carries, mints, and retires ids.
@@ -280,14 +294,7 @@ fn journal_without_timestamps(tag: &str, recorder: Option<Arc<Recorder>>) -> Vec
         }
     };
     let stack = StorageStack::open(&storage).unwrap();
-    let mut agg = aggregator(&stack).with_run_store(Arc::new(
-        RunStore::open(
-            Arc::new(MemoryBackend::new()),
-            "runs",
-            NamespaceProfile::log(Retention::unbounded().keep_records(2)),
-        )
-        .unwrap(),
-    ));
+    let mut agg = aggregator(&stack).with_run_store(two_window_store(&dir));
     agg.attach(Box::new(ReplayProbe::new(
         "good",
         (0..4).flat_map(window_trace).collect(),
