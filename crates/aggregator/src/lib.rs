@@ -29,7 +29,7 @@
 //!   [`storage::StorageBackend`], which is what powers time-travel
 //!   queries (`rcctl explain --at`) and the `/history` endpoint.
 //! * [`transport`] — the probe→aggregator wire: a length-prefixed frame
-//!   protocol with per-probe sessions, heartbeat liveness, and
+//!   protocol with per-probe sessions, a liveness timeout, and
 //!   resume-from-last-acked-seq, feeding the same supervisor machinery.
 
 pub mod alerts;

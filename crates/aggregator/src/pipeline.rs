@@ -123,8 +123,7 @@ pub struct WindowHealth {
     pub probes_skipped: usize,
     /// Flow records that survived the noise filter into connection sets.
     pub records_accepted: u64,
-    /// Flow records dropped by the noise filter
-    /// (`min_flows`/`min_packets`).
+    /// Flow records dropped by the noise filter (`min_flows`).
     pub records_dropped: u64,
     /// Retry attempts spent across all probes.
     pub retries: u64,
@@ -764,8 +763,11 @@ impl Aggregator {
     /// Persist stage: appends the window to the attached run store (if
     /// any), applies its retention policy, and threads both through
     /// telemetry: `roleclass_storage_*` counters on the registry plus
-    /// `storage`-layer events in the journals. A failed append or prune
-    /// never fails the cycle — durability problems must not stop
+    /// `storage`-layer events in the journals. A window the store
+    /// already holds (a replay from an older origin) is kept as stored
+    /// and counted on `roleclass_storage_windows_skipped_total`, which
+    /// is registered on its first skip. A failed append or prune never
+    /// fails the cycle — durability problems must not stop
     /// classification — but each one is counted on
     /// `roleclass_storage_errors_total` when a recorder is attached.
     /// Nothing retries it: the checkpoint writes a different namespace.
@@ -790,7 +792,13 @@ impl Aggregator {
                         ]
                     });
             }
-            Ok(None) => {}
+            Ok(None) => {
+                if let Some(r) = self.observer.recorder.as_deref() {
+                    r.registry()
+                        .counter("roleclass_storage_windows_skipped_total")
+                        .inc();
+                }
+            }
             Err(_) => self.observer.count_storage_error(),
         }
         self.note_prune("runs", store.prune());
@@ -1618,6 +1626,41 @@ mod tests {
         assert_eq!(hosts, 10.0);
         // No churn on a stable network: no RoleChurn alert queued.
         assert!(agg.pending_alerts().is_empty());
+    }
+
+    #[test]
+    fn already_stored_windows_are_counted_as_skipped() {
+        let stack = TempStack::open("agg-skip");
+        let trace: Vec<FlowRecord> = (0..3).flat_map(|d| day_trace(d, 3)).collect();
+        let rec = Arc::new(telemetry::Recorder::new());
+        let mut first = Aggregator::new(config())
+            .with_recorder(Arc::clone(&rec))
+            .with_run_store(Arc::clone(stack.runs()));
+        first.attach(Box::new(ReplayProbe::new("p0", trace.clone())));
+        first.drain();
+        let stored = stack.runs().len().unwrap();
+        assert_eq!(stored, 3);
+        // Nothing skipped yet: the counter is not even registered.
+        assert!(!rec
+            .registry()
+            .names()
+            .iter()
+            .any(|n| n == "roleclass_storage_windows_skipped_total"));
+
+        // A second run from the same origin re-observes every window.
+        let rec = Arc::new(telemetry::Recorder::new());
+        let mut second = Aggregator::new(config())
+            .with_recorder(Arc::clone(&rec))
+            .with_run_store(Arc::clone(stack.runs()));
+        second.attach(Box::new(ReplayProbe::new("p0", trace)));
+        let windows = second.drain() as u64;
+        assert_eq!(
+            rec.registry()
+                .counter("roleclass_storage_windows_skipped_total")
+                .get(),
+            windows
+        );
+        assert_eq!(stack.runs().len().unwrap(), stored);
     }
 
     #[test]

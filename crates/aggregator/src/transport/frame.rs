@@ -50,7 +50,8 @@ pub enum FrameType {
     /// Probe→aggregator, sequenced: closes one window. Payload: window
     /// bounds + the total record count sent for it (integrity check).
     WindowEnd = 4,
-    /// Probe→aggregator: liveness signal, empty payload, `seq` 0.
+    /// Probe→aggregator: liveness signal, empty payload, `seq` 0. The
+    /// listener accepts and counts it; the in-repo sender never sends one.
     Heartbeat = 5,
     /// Aggregator→probe: cumulative acknowledgement; `seq` is the next
     /// sequence number expected.

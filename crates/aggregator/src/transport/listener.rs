@@ -326,7 +326,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 if last_frame_at.elapsed() > shared.config.liveness_timeout {
-                    // Dead air past the heartbeat budget: drop the
+                    // Dead air past the liveness budget: drop the
                     // connection. The session stays resumable.
                     return Ok(());
                 }

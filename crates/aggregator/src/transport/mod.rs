@@ -9,7 +9,7 @@
 //!   FNV-1a payload checksum).
 //! * [`listener`] — the aggregator side: a [`WireListener`] accepts
 //!   probe connections, runs per-probe sessions with read/write
-//!   deadlines, heartbeat liveness, duplicate/sequence-gap handling
+//!   deadlines, a liveness timeout, duplicate/sequence-gap handling
 //!   and resume-from-last-acked-seq on reconnect, and exposes each
 //!   session as a [`WireProbe`] that plugs into the existing
 //!   supervisor/quarantine/`WindowHealth` machinery unchanged.
@@ -75,8 +75,8 @@ pub struct TransportConfig {
     pub read_timeout: Duration,
     /// Per-write deadline on sockets (both ends).
     pub write_timeout: Duration,
-    /// Listener: a connection silent for longer than this (no frame,
-    /// not even a heartbeat) is dropped; the session stays resumable.
+    /// Listener: a connection silent for longer than this (no frame of
+    /// any type) is dropped; the session stays resumable.
     pub liveness_timeout: Duration,
     /// Listener: how long a [`WireProbe`]'s
     /// [`poll`](crate::probe::Probe::poll) waits for its window to
@@ -94,8 +94,6 @@ pub struct TransportConfig {
     pub max_retransmits: u32,
     /// Sender: reconnect attempts (with resume) before giving up.
     pub max_reconnects: u32,
-    /// Sender: heartbeat period while idle between windows.
-    pub heartbeat_interval: Duration,
 }
 
 impl Default for TransportConfig {
@@ -111,7 +109,6 @@ impl Default for TransportConfig {
             retransmit_timeout: Duration::from_millis(500),
             max_retransmits: 10,
             max_reconnects: 4,
-            heartbeat_interval: Duration::from_secs(5),
         }
     }
 }
@@ -127,7 +124,6 @@ impl TransportConfig {
             liveness_timeout: Duration::from_secs(5),
             poll_timeout: Duration::from_secs(5),
             retransmit_timeout: Duration::from_millis(100),
-            heartbeat_interval: Duration::from_millis(500),
             ..TransportConfig::default()
         }
     }

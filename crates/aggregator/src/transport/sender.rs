@@ -172,17 +172,6 @@ impl ProbeSender {
         Ok(())
     }
 
-    /// Sends a liveness heartbeat (unsequenced, never retransmitted).
-    pub fn heartbeat(&mut self) -> Result<(), TransportError> {
-        let bytes = Frame::control(FrameType::Heartbeat, self.session, 0).encode();
-        if self.stream.write_all(&bytes).is_err() {
-            self.reconnect()?;
-        } else {
-            self.stats.bytes_sent += bytes.len() as u64;
-        }
-        Ok(())
-    }
-
     /// Waits for every outstanding frame to be acknowledged, sends the
     /// orderly end-of-stream marker, and returns the final counters.
     pub fn finish(mut self) -> Result<SenderStats, TransportError> {

@@ -26,7 +26,7 @@ use crate::params::{ParamError, Params};
 /// or to the aggregator that owns it.
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
-    /// Algorithm parameters (α, β, thresholds, tie-break).
+    /// Algorithm parameters (α, β, thresholds).
     pub params: Params,
     /// Worker threads for the common-neighbor kernel build; `0` sizes
     /// from the machine. Output is bit-identical at any value.

@@ -30,11 +30,9 @@
 //! kernel path is tested (and benchmarked) against.
 
 use crate::config::EngineConfig;
-use crate::params::{ParamError, Params, TieBreak};
+use crate::params::{ParamError, Params};
 use flow::{ConnectionSets, HostAddr};
 use netgraph::{biconnected_components, CommonNeighborKernel, NodeId, SimpleGraph, WGraph};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
 /// Why a formation-phase group came into being.
@@ -240,30 +238,16 @@ fn bootstrap_trigger(alpha: f64, deg: usize) -> Option<u32> {
     }
 }
 
-/// Orders BCC candidate node sets for assignment: larger first, then the
-/// configured tie-break.
-fn order_bccs(mut bccs: Vec<Vec<NodeId>>, tie_break: TieBreak) -> Vec<Vec<NodeId>> {
-    match tie_break {
-        TieBreak::Deterministic => {
-            bccs.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
-        }
-        TieBreak::Seeded(seed) => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            // Shuffle then stable-sort by size: equal-size components end
-            // up in seeded-random order.
-            for i in (1..bccs.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                bccs.swap(i, j);
-            }
-            bccs.sort_by_key(|b| std::cmp::Reverse(b.len()));
-        }
-    }
+/// Orders BCC candidate node sets for assignment: larger first; among
+/// equal sizes, the one with the smaller first member.
+fn order_bccs(mut bccs: Vec<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
+    bccs.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
     bccs
 }
 
 /// Extracts the BCCs of the strong-pair graph and contracts each into a
 /// group node, biggest first. Returns `true` if any group formed.
-fn assign_bccs(st: &mut State, strong: Vec<(NodeId, NodeId)>, k: u32, tie_break: TieBreak) -> bool {
+fn assign_bccs(st: &mut State, strong: Vec<(NodeId, NodeId)>, k: u32) -> bool {
     let sg = SimpleGraph::from_edges([], strong);
     let bccs: Vec<Vec<NodeId>> = biconnected_components(&sg)
         .into_iter()
@@ -271,7 +255,7 @@ fn assign_bccs(st: &mut State, strong: Vec<(NodeId, NodeId)>, k: u32, tie_break:
         .collect();
     // A node on several BCCs joins the largest (Section 4.1);
     // we realize that by assigning greedily, biggest first.
-    let ordered = order_bccs(bccs, tie_break);
+    let ordered = order_bccs(bccs);
     let mut assigned: HashSet<NodeId> = HashSet::new();
     let mut formed = false;
     for bcc in ordered {
@@ -336,7 +320,7 @@ pub(crate) fn form_groups_with(
             if strong.is_empty() {
                 break;
             }
-            if !assign_bccs(&mut st, strong, k, params.tie_break) {
+            if !assign_bccs(&mut st, strong, k) {
                 break;
             }
         }
@@ -567,15 +551,34 @@ mod tests {
         assert_eq!(db.kind, FormationKind::Leftover);
     }
 
+    /// Section 4.1 picks randomly among equally large BCCs sharing a
+    /// node; the sweep gives the node to the one whose first member is
+    /// smaller.
     #[test]
-    fn seeded_tie_break_is_reproducible() {
-        let p = Params {
-            tie_break: TieBreak::Seeded(123),
-            ..Params::default()
-        };
-        let a = try_form_groups(&figure1(), &p).unwrap();
-        let b = try_form_groups(&figure1(), &p).unwrap();
-        assert_eq!(members_sets(&a), members_sets(&b));
+    fn equal_size_bccs_tie_break_to_the_smaller_first_member() {
+        let n = NodeId;
+        assert_eq!(
+            order_bccs(vec![
+                vec![n(2), n(3), n(4)],
+                vec![n(0), n(1), n(2)],
+                vec![n(5), n(6), n(7), n(8)]
+            ]),
+            vec![
+                vec![n(5), n(6), n(7), n(8)],
+                vec![n(0), n(1), n(2)],
+                vec![n(2), n(3), n(4)]
+            ]
+        );
+        // Triangles {1,2,3} and {3,4,5} share host 3 (node 2).
+        let mut cs = ConnectionSets::new();
+        for (a, b) in [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)] {
+            cs.add_pair(h(a), h(b));
+        }
+        let mut st = State::init(&cs, 0.6, 1, None);
+        let strong = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)].map(|(a, b)| (n(a), n(b)));
+        assert!(assign_bccs(&mut st, strong.to_vec(), 2));
+        let groups: Vec<Vec<HostAddr>> = st.groups.iter().map(|g| g.members.clone()).collect();
+        assert_eq!(groups, [vec![h(1), h(2), h(3)], vec![h(4), h(5)]]);
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub use engine::{
 pub use formation::{try_form_groups, FormationEvent, FormationKind, FormationResult};
 pub use group::{Group, GroupId, Grouping};
 pub use merging::{nearest_group, try_merge_groups, MergeEvent, MergeOutcome};
-pub use params::{ParamError, Params, TieBreak};
+pub use params::{ParamError, Params};
 pub use stability::{
     GroupStability, HostChurn, StabilityTracker, WindowStability, DEFAULT_CHURN_HORIZON,
     STABILITY_EVENT_NAMES, STABILITY_METRIC_NAMES,
@@ -98,6 +98,6 @@ pub mod prelude {
     pub use crate::formation::{try_form_groups, FormationResult};
     pub use crate::group::{Group, GroupId, Grouping};
     pub use crate::merging::{try_merge_groups, MergeOutcome};
-    pub use crate::params::{ParamError, Params, TieBreak};
+    pub use crate::params::{ParamError, Params};
     pub use crate::stability::{GroupStability, HostChurn, StabilityTracker, WindowStability};
 }

@@ -2,18 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// How ties between equally large biconnected components are broken when
-/// a node belongs to several (Section 4.1: "If more than one such BCC
-/// exists, we choose one randomly").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TieBreak {
-    /// Prefer the component with the smallest member id — deterministic,
-    /// reproducible runs (the default).
-    Deterministic,
-    /// The paper's literal coin flip, seeded for reproducibility.
-    Seeded(u64),
-}
-
 /// All knobs of the role classification pipeline, with the paper's
 /// defaults (Section 6: "we set user-defined thresholds S^hi = 80,
 /// S^lo = 55, and K^hi = 7", Section 6.3: "We set α = 0.6 and β = 0.5").
@@ -43,8 +31,6 @@ pub struct Params {
     /// Minimum time-varying similarity (same 0–100 scale as `s_lo`) for
     /// two groups to correlate across runs.
     pub s_corr: f64,
-    /// BCC tie-breaking strategy.
-    pub tie_break: TieBreak,
 }
 
 impl Default for Params {
@@ -57,7 +43,6 @@ impl Default for Params {
             k_hi: 7,
             t_hi: 0.30,
             s_corr: 50.0,
-            tie_break: TieBreak::Deterministic,
         }
     }
 }

@@ -138,88 +138,6 @@ impl FromStr for HostAddr {
     }
 }
 
-/// An IPv4 CIDR prefix, used to scope analysis to the enterprise's own
-/// address space (probes see external traffic too; the grouping algorithm is
-/// defined over the intranet's host set `I`).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Cidr {
-    /// Network address (host bits already zeroed).
-    pub network: HostAddr,
-    /// Prefix length, 0..=32.
-    pub prefix_len: u8,
-}
-
-impl Cidr {
-    /// Builds a CIDR block; host bits of `network` are masked off.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prefix_len > 32` or `network` is not IPv4.
-    pub fn new(network: HostAddr, prefix_len: u8) -> Self {
-        assert!(prefix_len <= 32, "prefix length must be at most 32");
-        assert!(network.is_v4(), "CIDR scoping is IPv4-only");
-        Cidr {
-            network: HostAddr::v4(network.as_u32() & Self::mask(prefix_len)),
-            prefix_len,
-        }
-    }
-
-    const fn mask(prefix_len: u8) -> u32 {
-        if prefix_len == 0 {
-            0
-        } else {
-            u32::MAX << (32 - prefix_len)
-        }
-    }
-
-    /// Returns `true` if `addr` lies inside this block. IPv6 addresses
-    /// are never inside an IPv4 block.
-    pub fn contains(&self, addr: HostAddr) -> bool {
-        match addr {
-            HostAddr::V4(v) => (v & Self::mask(self.prefix_len)) == self.network.as_u32(),
-            HostAddr::V6(_) => false,
-        }
-    }
-
-    /// Number of addresses in the block.
-    pub fn size(&self) -> u64 {
-        1u64 << (32 - self.prefix_len)
-    }
-}
-
-impl std::fmt::Display for Cidr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}/{}", self.network, self.prefix_len)
-    }
-}
-
-impl std::fmt::Debug for Cidr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{self}")
-    }
-}
-
-impl FromStr for Cidr {
-    type Err = FlowError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (net, len) = s
-            .split_once('/')
-            .ok_or_else(|| FlowError::BadAddress(s.to_string()))?;
-        let network: HostAddr = net.parse()?;
-        if !network.is_v4() {
-            return Err(FlowError::BadAddress(s.to_string()));
-        }
-        let prefix_len: u8 = len
-            .parse()
-            .map_err(|_| FlowError::BadAddress(s.to_string()))?;
-        if prefix_len > 32 {
-            return Err(FlowError::BadAddress(s.to_string()));
-        }
-        Ok(Cidr::new(network, prefix_len))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,50 +189,5 @@ mod tests {
         let json = serde_json::to_string(&a).unwrap();
         let back: HostAddr = serde_json::from_str(&json).unwrap();
         assert_eq!(back, a);
-    }
-
-    #[test]
-    fn cidr_contains() {
-        let block: Cidr = "10.0.0.0/8".parse().unwrap();
-        assert!(block.contains("10.255.1.2".parse().unwrap()));
-        assert!(!block.contains("11.0.0.1".parse().unwrap()));
-        assert_eq!(block.size(), 1 << 24);
-    }
-
-    #[test]
-    fn cidr_never_contains_v6() {
-        let block: Cidr = "0.0.0.0/0".parse().unwrap();
-        assert!(!block.contains(HostAddr::v6(42)));
-    }
-
-    #[test]
-    fn cidr_masks_host_bits() {
-        let block = Cidr::new(HostAddr::from_octets(10, 0, 1, 77), 24);
-        assert_eq!(block.network, HostAddr::from_octets(10, 0, 1, 0));
-        assert_eq!(block.to_string(), "10.0.1.0/24");
-    }
-
-    #[test]
-    fn cidr_zero_prefix_contains_all_v4() {
-        let block = Cidr::new(HostAddr::v4(0), 0);
-        assert!(block.contains(HostAddr::v4(u32::MAX)));
-        assert!(block.contains(HostAddr::v4(0)));
-    }
-
-    #[test]
-    fn cidr_slash_32_is_single_host() {
-        let addr: HostAddr = "10.0.0.5".parse().unwrap();
-        let block = Cidr::new(addr, 32);
-        assert!(block.contains(addr));
-        assert!(!block.contains(HostAddr::v4(addr.as_u32() + 1)));
-        assert_eq!(block.size(), 1);
-    }
-
-    #[test]
-    fn cidr_parse_rejects_bad_prefix() {
-        assert!("10.0.0.0/33".parse::<Cidr>().is_err());
-        assert!("10.0.0.0".parse::<Cidr>().is_err());
-        assert!("10.0.0.0/x".parse::<Cidr>().is_err());
-        assert!("2001:db8::/32".parse::<Cidr>().is_err());
     }
 }

@@ -25,10 +25,9 @@
 //! crate as the executable spec; parity tests pin this representation
 //! bit-identical to it.
 
-use crate::addr::{Cidr, HostAddr};
+use crate::addr::HostAddr;
 use crate::intern::HostTable;
 use crate::record::FlowRecord;
-use crate::window::TimeWindow;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
@@ -579,17 +578,14 @@ impl<'de> Deserialize<'de> for ConnectionSets {
 }
 
 /// Builder turning a stream of [`FlowRecord`]s into [`ConnectionSets`],
-/// with the scoping and noise filters a real deployment needs.
+/// with a noise filter on per-pair flow counts.
 ///
 /// Staging is hash-based (cheap inserts on the hot ingest path); the
 /// single compaction pass in [`ConnsetBuilder::build`] sorts once and
 /// assembles the columnar layout directly.
 #[derive(Clone, Debug, Default)]
 pub struct ConnsetBuilder {
-    scope: Vec<Cidr>,
-    window: Option<TimeWindow>,
     min_flows: u64,
-    min_packets: u64,
     staging: HashMap<(HostAddr, HostAddr), PairStats>,
     seen_hosts: HashSet<HostAddr>,
     /// Per-host `(initiated, accepted)` flow counts.
@@ -602,20 +598,6 @@ impl ConnsetBuilder {
         Self::default()
     }
 
-    /// Restricts the analyzed host set `I` to addresses inside any of the
-    /// given CIDR blocks. Flows with an out-of-scope endpoint are
-    /// dropped entirely; an empty scope list accepts everything.
-    pub fn scope(mut self, blocks: impl IntoIterator<Item = Cidr>) -> Self {
-        self.scope.extend(blocks);
-        self
-    }
-
-    /// Only accepts flows whose start time falls inside `window`.
-    pub fn window(mut self, window: TimeWindow) -> Self {
-        self.window = Some(window);
-        self
-    }
-
     /// Requires at least `n` flow records between a pair before it counts
     /// as a connection. Filters one-off noise (e.g., stray scans) out of
     /// long observation windows, per the paper's "transient changes"
@@ -625,28 +607,9 @@ impl ConnsetBuilder {
         self
     }
 
-    /// Requires at least `n` packets between a pair before it counts as a
-    /// connection.
-    pub fn min_packets(mut self, n: u64) -> Self {
-        self.min_packets = n;
-        self
-    }
-
-    fn in_scope(&self, h: HostAddr) -> bool {
-        self.scope.is_empty() || self.scope.iter().any(|c| c.contains(h))
-    }
-
     /// Feeds one flow record.
     pub fn add_record(&mut self, r: &FlowRecord) {
         if r.src == r.dst {
-            return;
-        }
-        if let Some(w) = self.window {
-            if !w.contains(r.start_ms) {
-                return;
-            }
-        }
-        if !self.in_scope(r.src) || !self.in_scope(r.dst) {
             return;
         }
         self.seen_hosts.insert(r.src);
@@ -680,7 +643,7 @@ impl ConnsetBuilder {
         }
     }
 
-    /// Finalizes into [`ConnectionSets`], applying the noise thresholds.
+    /// Finalizes into [`ConnectionSets`], applying the noise threshold.
     ///
     /// Hosts observed only on filtered-out pairs are still part of the
     /// population (with empty connection sets).
@@ -739,7 +702,7 @@ impl ConnsetBuilder {
         let mut dropped_flows = 0u64;
         let mut dropped_pairs = 0usize;
         for ((a, b), stats) in self.staging {
-            if stats.flows >= self.min_flows && stats.packets >= self.min_packets {
+            if stats.flows >= self.min_flows {
                 kept_flows += stats.flows;
                 kept.push((a, b, stats));
             } else {
@@ -772,8 +735,7 @@ impl ConnsetBuilder {
 pub struct BuildStats {
     /// Flow records that contributed to a surviving connection.
     pub kept_flows: u64,
-    /// Flow records discarded because their pair fell below
-    /// `min_flows`/`min_packets`.
+    /// Flow records discarded because their pair fell below `min_flows`.
     pub dropped_flows: u64,
     /// Host pairs discarded entirely.
     pub dropped_pairs: usize,
@@ -842,19 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_scope_filters_foreign_flows() {
-        let scope: Cidr = "10.0.0.0/8".parse().unwrap();
-        let mut b = ConnsetBuilder::new().scope([scope]);
-        let inside = FlowRecord::pair("10.0.0.1".parse().unwrap(), "10.0.0.2".parse().unwrap());
-        let cross = FlowRecord::pair("10.0.0.1".parse().unwrap(), "8.8.8.8".parse().unwrap());
-        b.add_record(&inside);
-        b.add_record(&cross);
-        let cs = b.build();
-        assert_eq!(cs.host_count(), 2);
-        assert_eq!(cs.connection_count(), 1);
-    }
-
-    #[test]
     fn builder_min_flows_filters_noise_but_keeps_hosts() {
         let mut b = ConnsetBuilder::new().min_flows(2);
         let f = FlowRecord::pair(h(1), h(2));
@@ -883,20 +832,6 @@ mod tests {
         assert_eq!(stats.kept_flows, 2);
         assert_eq!(stats.dropped_flows, 1);
         assert_eq!(stats.dropped_pairs, 1);
-    }
-
-    #[test]
-    fn builder_window_filters_by_start_time() {
-        let mut b = ConnsetBuilder::new().window(TimeWindow::new(100, 200));
-        let mut early = FlowRecord::pair(h(1), h(2));
-        early.start_ms = 50;
-        let mut inside = FlowRecord::pair(h(3), h(4));
-        inside.start_ms = 150;
-        b.add_record(&early);
-        b.add_record(&inside);
-        let cs = b.build();
-        assert!(!cs.contains(h(1)));
-        assert!(cs.connected(h(3), h(4)));
     }
 
     #[test]

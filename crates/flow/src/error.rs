@@ -3,7 +3,7 @@
 /// Errors produced while parsing or aggregating flow data.
 #[derive(Debug)]
 pub enum FlowError {
-    /// An address or CIDR string failed to parse.
+    /// An address string failed to parse.
     BadAddress(String),
     /// A binary buffer was shorter than the format requires.
     Truncated {

@@ -7,14 +7,13 @@
 //! from summary formats like RMON and NetFlow to packet-level sniffers
 //! like tcpdump". This crate provides that ingestion layer:
 //!
-//! * [`HostAddr`] / [`Cidr`] — host addressing (IPv4 first, IPv6 carried).
+//! * [`HostAddr`] — host addressing (IPv4 first, IPv6 carried).
 //! * [`HostTable`] / [`HostId`] — dense host-identity interning: the
 //!   aggregator's master table keeps ids stable across windows and
 //!   checkpoints.
 //! * [`FlowRecord`] — a normalized unidirectional flow observation.
 //! * [`ConnectionSets`] — the aggregation of flows into per-host neighbor
-//!   sets (columnar, CSR-indexed), with windowing, scoping, and noise
-//!   filters.
+//!   sets (columnar, CSR-indexed), with a noise filter.
 //! * [`netflow`] — a binary NetFlow v5 reader/writer.
 //! * [`pcap`] — a minimal pcap (Ethernet/IPv4/TCP+UDP) reader/writer,
 //!   standing in for tcpdump capture files.
@@ -37,7 +36,7 @@ pub mod textlog;
 pub mod window;
 pub mod wirefmt;
 
-pub use addr::{Cidr, HostAddr};
+pub use addr::HostAddr;
 pub use connset::{
     BuildStats, ConnectionSets, ConnsetBuilder, Neighbors, PairStats, FLOW_METRIC_NAMES,
 };

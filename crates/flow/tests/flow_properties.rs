@@ -1,6 +1,6 @@
 //! Property-based tests of the flow substrate.
 
-use flow::{Cidr, ConnsetBuilder, FlowRecord, HostAddr, HostId, HostTable, Proto, WindowedFlows};
+use flow::{ConnsetBuilder, FlowRecord, HostAddr, HostId, HostTable, Proto, WindowedFlows};
 use proptest::prelude::*;
 
 fn arb_addr() -> impl Strategy<Value = HostAddr> {
@@ -36,17 +36,6 @@ proptest! {
         let s = a.to_string();
         let back: HostAddr = s.parse().expect("display output parses");
         prop_assert_eq!(a, back);
-    }
-
-    /// CIDR membership is equivalent to prefix equality.
-    #[test]
-    fn cidr_contains_matches_prefix(a in arb_addr(), b in arb_addr(), len in 0u8..=32) {
-        let block = Cidr::new(a, len);
-        let mask = if len == 0 { 0 } else { u32::MAX << (32 - len) };
-        prop_assert_eq!(
-            block.contains(b),
-            (a.as_u32() & mask) == (b.as_u32() & mask)
-        );
     }
 
     /// Windowing places every in-range record in exactly one window,

@@ -18,9 +18,7 @@
 
 use flow::{ConnectionSets, HostAddr};
 use netgraph::{biconnected_components, CommonNeighborEdge, NodeId, SimpleGraph, WGraph};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use roleclass::{FormationKind, Params, TieBreak};
+use roleclass::{FormationKind, Params};
 use std::collections::HashSet;
 
 /// How the sweep walks the levels.
@@ -55,7 +53,7 @@ pub fn form_groups(cs: &ConnectionSets, params: &Params, sweep: Sweep) -> Vec<St
                 .filter(|e| e.count >= k)
                 .map(|e| (e.a, e.b))
                 .collect();
-            if strong.is_empty() || !st.assign_bccs(strong, k, params.tie_break) {
+            if strong.is_empty() || !st.assign_bccs(strong, k) {
                 break;
             }
         }
@@ -218,26 +216,13 @@ impl State {
     /// Contracts each BCC of the strong-pair graph, largest first; a
     /// node on several BCCs joins the first (largest) one. Returns
     /// whether any group formed.
-    fn assign_bccs(&mut self, strong: Vec<(NodeId, NodeId)>, k: u32, tie_break: TieBreak) -> bool {
+    fn assign_bccs(&mut self, strong: Vec<(NodeId, NodeId)>, k: u32) -> bool {
         let sg = SimpleGraph::from_edges([], strong);
         let mut bccs: Vec<Vec<NodeId>> = biconnected_components(&sg)
             .into_iter()
             .map(|b| b.nodes)
             .collect();
-        match tie_break {
-            TieBreak::Deterministic => {
-                bccs.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
-            }
-            TieBreak::Seeded(seed) => {
-                // A seeded Fisher-Yates shuffle, then a stable sort by
-                // size: equal-size components keep a random order.
-                let mut rng = StdRng::seed_from_u64(seed);
-                for i in (1..bccs.len()).rev() {
-                    bccs.swap(i, rng.gen_range(0..=i));
-                }
-                bccs.sort_by_key(|b| std::cmp::Reverse(b.len()));
-            }
-        }
+        bccs.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
         let mut assigned: HashSet<NodeId> = HashSet::new();
         let mut formed = false;
         for bcc in bccs {

@@ -42,8 +42,7 @@
 //!
 //! [`SegmentBackend`] keeps append-only segment files with a sparse
 //! in-segment index, background-free compaction of old segments, and
-//! retention by record count / bytes / minimum key. Count and byte
-//! retention are segment-granular; `min_key` retention is exact.
+//! segment-granular retention by record count and bytes.
 
 mod segment;
 
@@ -64,6 +63,7 @@ pub const STORAGE_METRIC_NAMES: &[&str] = &[
     "roleclass_storage_prune_bytes_total",
     "roleclass_storage_prune_records_total",
     "roleclass_storage_prunes_total",
+    "roleclass_storage_windows_skipped_total",
 ];
 
 /// Event names the storage layer journals (layer `storage`).
@@ -149,9 +149,6 @@ pub struct Retention {
     pub max_records: Option<u64>,
     /// Keep at most this many payload bytes (newest records first).
     pub max_bytes: Option<u64>,
-    /// Drop records with keys below this (age-based when keys are
-    /// timestamps; the caller computes the cutoff).
-    pub min_key: Option<u64>,
 }
 
 impl Retention {
@@ -172,16 +169,10 @@ impl Retention {
         self
     }
 
-    /// Drops records keyed below `k`.
-    pub fn keep_from(mut self, k: u64) -> Retention {
-        self.min_key = Some(k);
-        self
-    }
-
     /// The lowest key that survives this policy over `records`
     /// (ascending `(key, bytes)` pairs), or `None` to keep everything.
     pub fn cutoff(&self, records: &[(u64, u64)]) -> Option<u64> {
-        let mut cut: Option<u64> = self.min_key;
+        let mut cut: Option<u64> = None;
         if let Some(max) = self.max_records {
             // Like the byte axis, never prune the newest record.
             let max = max.max(1);
@@ -376,7 +367,6 @@ impl StorageConfig {
         NamespaceProfile::log(Retention {
             max_records: self.journal_keep_records,
             max_bytes: self.journal_keep_bytes,
-            min_key: None,
         })
     }
 
@@ -385,7 +375,6 @@ impl StorageConfig {
         NamespaceProfile::log(Retention {
             max_records: self.history_keep_windows,
             max_bytes: self.history_keep_bytes,
-            min_key: None,
         })
     }
 
@@ -420,12 +409,10 @@ mod tests {
             Retention::unbounded().keep_records(0).cutoff(&recs),
             Some(90)
         );
-        assert_eq!(Retention::unbounded().keep_from(45).cutoff(&recs), Some(45));
         // Strictest axis wins.
         let r = Retention {
             max_records: Some(8),
             max_bytes: Some(250),
-            min_key: Some(15),
         };
         assert_eq!(r.cutoff(&recs), Some(80));
         // A single over-budget record survives: never prune to empty.

@@ -26,9 +26,10 @@
 //!   completed covering segment supersedes any file whose range it
 //!   contains, so surviving inputs are swept then.
 //! * **Retention** drops whole oldest segments (count/byte bounds are
-//!   therefore segment-granular) and maintains a logical `min_key`
-//!   cutoff — persisted in the namespace's `meta` file — for the exact
-//!   key-based cut, including inside the active segment.
+//!   therefore segment-granular). A snapshot namespace's generation cap
+//!   is exact instead: it advances a logical `min_key` cutoff —
+//!   persisted in the namespace's `meta` file — that hides capped
+//!   generations, including inside the active segment.
 //! * A **sparse in-segment index** (every Nth record's key and offset)
 //!   keeps point lookups and range scans from replaying whole
 //!   segments.
@@ -780,10 +781,6 @@ impl StorageBackend for SegmentBackend {
         let policy = space.profile.retention;
         let before_records: u64 = Self::all_segments(space).map(SegMeta::live_records).sum();
         let before_bytes: u64 = Self::all_segments(space).map(SegMeta::live_bytes).sum();
-        // Exact key-based cut first.
-        if let Some(min_key) = policy.min_key {
-            self.set_min_key(space, min_key)?;
-        }
         // Count/byte bounds: drop whole oldest sealed segments while
         // over budget. The active segment never drops, so these bounds
         // are segment-granular (documented).

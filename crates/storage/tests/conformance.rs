@@ -6,8 +6,7 @@
 //! Two classes of checks:
 //!
 //! * **Exact** semantics: key ordering, point lookup, scans, snapshot
-//!   generation ordering and caps, `min_key` retention, monotonic-key
-//!   rejection.
+//!   generation ordering and caps, monotonic-key rejection.
 //! * **Granular** semantics where the contract allows slack: count and
 //!   byte retention may keep more than the bound (the backend prunes
 //!   whole segments), but may never reorder, drop a suffix record, or
@@ -27,7 +26,6 @@ fn segment_backend_conforms() {
     log_state_survives_reopen(&root);
     snapshot_generations_are_ordered_and_capped(&root);
     snapshot_state_survives_reopen(&root);
-    retention_by_min_key_is_exact(&root);
     retention_by_count_is_safe(&root);
     namespace_errors_are_typed(&root);
     torn_final_record_is_dropped_on_reopen(&root);
@@ -183,36 +181,6 @@ fn snapshot_state_survives_reopen(root: &Path) {
         values(&retained),
         vec![payload("snapro", 2), payload("snapro", 3)]
     );
-}
-
-/// `min_key` retention is exact: records below the
-/// cutoff disappear from every read path, and the pruned counts match.
-fn retention_by_min_key_is_exact(root: &Path) {
-    let b = open(root);
-    b.define(
-        "conf-minkey",
-        NamespaceProfile::log(Retention::unbounded().keep_from(25)),
-    )
-    .unwrap();
-    let mut expect_bytes = 0u64;
-    for key in [10u64, 20, 30, 40] {
-        let v = payload("minkey", key);
-        if key < 25 {
-            expect_bytes += v.len() as u64;
-        }
-        b.append("conf-minkey", key, &v).unwrap();
-    }
-    let pruned = b.retain("conf-minkey").unwrap();
-    assert_eq!(pruned.records, 2);
-    assert_eq!(pruned.bytes, expect_bytes);
-    assert_eq!(b.len("conf-minkey").unwrap(), 2);
-    assert_eq!(b.get("conf-minkey", 10).unwrap(), None);
-    assert_eq!(
-        keys(&b.scan("conf-minkey", 0, u64::MAX).unwrap()),
-        vec![30, 40]
-    );
-    // Idempotent.
-    assert!(b.retain("conf-minkey").unwrap().is_empty());
 }
 
 /// Count-bound retention may be granular (the segment backend prunes

@@ -49,6 +49,27 @@ if [ "$spec_violations" != 0 ]; then
   exit 1
 fi
 
+# Determinism lint: the engine path (ingest, graph kernel, grouping,
+# aggregator, storage, telemetry) has no randomness by construction.
+# Those crates may use rand in tests only, under [dev-dependencies].
+echo "==> determinism lint (rand only as a dev-dependency of the engine-path crates)"
+rand_violations=0
+for crate in flow netgraph core aggregator storage telemetry; do
+  manifest="crates/$crate/Cargo.toml"
+  if awk '
+      /^\[/ { section = $0; if (/[.]rand\]/ && !/dev-dependencies/) found = 1 }
+      /^rand[ .=]/ && section != "[dev-dependencies]" { found = 1 }
+      END { exit !found }' \
+      "$manifest"; then
+    echo "ERROR: $manifest lists rand outside [dev-dependencies]." >&2
+    rand_violations=1
+  fi
+done
+if [ "$rand_violations" != 0 ]; then
+  echo "The engine path is deterministic; seeded randomness belongs in synth and tests." >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -258,7 +258,10 @@ fn history_response(state: &ServerState, p: &QueryParams) -> Response {
         (
             "503 Service Unavailable",
             "application/json",
-            format!("{{\"error\":{}}}\n", json_string(&msg)),
+            format!(
+                "{{\"error\":{}}}\n",
+                serde_json::to_string(&msg).unwrap_or_else(|_| "\"\"".to_string())
+            ),
         )
     };
     let Some(history) = &state.history else {
@@ -294,23 +297,6 @@ fn history_response(state: &ServerState, p: &QueryParams) -> Response {
             )
         }
     }
-}
-
-/// Minimal JSON string escaping for error bodies.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Answers one GET for `target` (path plus optional query string).
