@@ -73,7 +73,13 @@ fn floor_counters_after_matching_reference(
         .histogram("roleclass_kernel_worker_entries", telemetry::SIZE_BUCKETS)
         .sum() as u64;
     let recounts = reg.counter("roleclass_kernel_recounts_total").get();
-    println!("{name}: {below} pairs below floor at build, {stored} stored, {recounts} recounts");
+    let updates = reg
+        .counter("roleclass_kernel_contract_pair_updates_total")
+        .get();
+    println!(
+        "{name}: {below} pairs below floor at build, {stored} stored, \
+         {recounts} recounts, {updates} contraction pair updates"
+    );
     (below, stored, recounts)
 }
 
@@ -103,6 +109,54 @@ fn kernel_formation_matches_reference_below_floor() {
         below > stored,
         "department(2000, 1): most pairs must be below floor"
     );
+}
+
+/// A flow-log-shaped hub network: 24 departments of 40 clients and 3
+/// department servers, plus 4 core servers every client uses (1,036
+/// hosts). Formation contracts the core servers into one group node
+/// shared by all 960 clients.
+fn hub_network() -> flow::ConnectionSets {
+    let mut cs = flow::ConnectionSets::new();
+    let host = |a, b, c| flow::HostAddr::from_octets(10, a, b, c);
+    for d in 0..24 {
+        for c in 1..=40 {
+            let client = host(d, 0, c);
+            for s in 1..=3 {
+                cs.add_pair(client, host(d, 1, s));
+            }
+            for s in 1..=4 {
+                cs.add_pair(client, host(255, 0, s));
+            }
+        }
+    }
+    cs
+}
+
+/// On the hub network every client has the same profile into the core
+/// servers and into its department's servers, so formation's
+/// contractions change no pair count: the sweep matches the recounting
+/// reference while the kernel writes no pair.
+#[test]
+fn hub_contractions_write_no_pair() {
+    let cs = hub_network();
+    assert_eq!(cs.host_count(), 1036);
+    let rec = std::sync::Arc::new(telemetry::Recorder::new());
+    let engine = Engine::new(Params::default())
+        .unwrap()
+        .with_recorder(rec.clone());
+    let fast = trace_key(engine.form(&cs).result());
+    assert_eq!(
+        fast,
+        form_groups(&cs, &Params::default(), Sweep::Jump),
+        "hub trace"
+    );
+    let reg = rec.registry();
+    let updates = reg
+        .counter("roleclass_kernel_contract_pair_updates_total")
+        .get();
+    let recounts = reg.counter("roleclass_kernel_recounts_total").get();
+    println!("hub: {updates} contraction pair updates, {recounts} recounts");
+    assert_eq!(updates, 0);
 }
 
 /// Engine classification equals the legacy `classify` free function.

@@ -32,20 +32,29 @@
 //! surviving node, so its contribution `min(w(v,a), w(v,b))` to any
 //! surviving pair is untouched. Pairs with an endpoint in `M` die, which
 //! the kernel realizes by marking those endpoints ineligible and
-//! filtering at query time. The update is therefore
-//! `O(Σ_{v ∈ M} deg(v)² + deg(m)²)` — proportional to the mutated
-//! neighborhoods, not the graph — and contracting a *singleton* is free:
-//! the replacement node inherits the member's edges verbatim, so no
-//! count changes at all. Contraction is where weights enter: edges to a
-//! group node carry the summed member weights. A touched pair the table
-//! does not hold (its count was below its floor) is recounted exactly
-//! from its two endpoints' adjacencies: before the graph contracts when
-//! subtracting, after it when adding.
+//! filtering at query time. A surviving pair `a, b ∈ N(m)` therefore
+//! moves by one net delta, `min(W_a, W_b) − Σ_{v ∈ M} min(w_av, w_bv)`
+//! with `W_a = Σ_{v ∈ M} w_av`, which depends only on the two nodes'
+//! *profiles* — their `(member, weight)` edge lists. Neighbors with
+//! identical profiles form a class; the delta is computed once per class
+//! pair, is 0 inside a class, and only class pairs with a nonzero delta
+//! touch the table. A department's clients contracting their servers
+//! all share one profile, so that contraction writes nothing. The
+//! update costs `O(Σ_{v ∈ M} deg(v))` to classify plus
+//! `O(Σ_{v ∈ M} K_v² + K²)` for `K` classes (`K_v` of them adjacent to
+//! `v`), plus one table write per pair whose count changes — never more
+//! than the pair walk over the mutated neighborhoods — and contracting a
+//! *singleton* is free: the replacement node inherits the member's edges
+//! verbatim, so no count changes at all. Contraction is where weights
+//! enter: edges to a group node carry the summed member weights. A
+//! changed pair the table does not hold (its count was below its floor)
+//! is recounted exactly from its two endpoints' adjacencies on the
+//! contracted graph.
 //!
 //! Counts are kept as exact `u64` sums of per-via contributions (each
 //! clamped at `u32::MAX`, matching the saturating arithmetic of the
-//! recounting oracle in `roleclass_spec::formation`), so subtraction
-//! inverts addition exactly and the incremental table is bit-identical
+//! recounting oracle in `roleclass_spec::formation`), so a net delta is
+//! exact and the incremental table is bit-identical
 //! to a from-scratch recount — regardless of worker count, because
 //! integer addition commutes.
 
@@ -89,6 +98,7 @@ pub const KERNEL_METRIC_NAMES: &[&str] = &[
     "roleclass_kernel_build_seconds",
     "roleclass_kernel_builds_total",
     "roleclass_kernel_compactions_total",
+    "roleclass_kernel_contract_pair_updates_total",
     "roleclass_kernel_contract_seconds",
     "roleclass_kernel_contractions_total",
     "roleclass_kernel_overlay_entries",
@@ -131,6 +141,8 @@ struct KernelMetrics {
     below_floor_pairs: telemetry::Counter,
     /// Contraction updates that recounted a pair the table did not hold.
     recounts: telemetry::Counter,
+    /// Pair counts a multi-member contraction wrote to the table.
+    contract_pair_updates: telemetry::Counter,
     /// Two-paths `a–via–b` enumerated at build — the work measure the
     /// profile layer divides build time by.
     two_paths: telemetry::Counter,
@@ -140,7 +152,7 @@ struct KernelMetrics {
     threshold_queries_total: telemetry::Counter,
     /// Seconds per threshold query.
     threshold_seconds: telemetry::Histogram,
-    /// Seconds per contraction (subtract + graph contract + re-add).
+    /// Seconds per contraction (profiles + graph contract + net deltas).
     contract_seconds: telemetry::Histogram,
 }
 
@@ -164,6 +176,7 @@ impl KernelMetrics {
             pruned_paths: reg.counter("roleclass_kernel_pruned_paths_total"),
             below_floor_pairs: reg.counter("roleclass_kernel_below_floor_pairs_total"),
             recounts: reg.counter("roleclass_kernel_recounts_total"),
+            contract_pair_updates: reg.counter("roleclass_kernel_contract_pair_updates_total"),
             two_paths: reg.counter("roleclass_kernel_two_paths_total"),
             compactions_total: reg.counter("roleclass_kernel_compactions_total"),
             threshold_queries_total: reg.counter("roleclass_kernel_threshold_queries_total"),
@@ -566,6 +579,74 @@ fn rank_of(base: &[(u64, u64)]) -> Vec<u32> {
     rank
 }
 
+/// Calls `f(a, b, add, sub)` for every pair `a < b` of a contraction's
+/// eligible non-member neighbors whose count changes: the contracted
+/// node adds `add = min(W_a, W_b)` and the members take back
+/// `sub = Σ_v min(w_av, w_bv)`. `touches` lists each neighbor's edges
+/// into the members as `(neighbor, member index, weight)`, sorted by
+/// neighbor then member; `members` is the member count.
+///
+/// Neighbors with identical edge lists (*profiles*) form one class, and
+/// all pairs across two classes (or inside one) share one delta. The
+/// members' shares come from a class-level two-path walk, one row per
+/// class, so the work is `Σ_v (classes adjacent to v)²` plus one step
+/// per class pair — never more than the node pairs they stand for — and
+/// a class pair whose `add` equals its `sub` costs nothing more.
+fn net_deltas(
+    touches: &[(NodeId, u32, u64)],
+    members: usize,
+    mut f: impl FnMut(NodeId, NodeId, u64, u64),
+) {
+    let edges: Vec<(u32, u64)> = touches.iter().map(|&(_, i, w)| (i, w)).collect();
+    // Per class: its profile (a range of `edges`) and its neighbors,
+    // ascending.
+    let mut classes: Vec<(std::ops::Range<usize>, Vec<NodeId>)> = Vec::new();
+    let mut ids: HashMap<&[(u32, u64)], usize> = HashMap::new();
+    let mut start = 0;
+    for run in touches.chunk_by(|x, y| x.0 == y.0) {
+        let profile = start..start + run.len();
+        start = profile.end;
+        let c = *ids.entry(&edges[profile.clone()]).or_insert_with(|| {
+            classes.push((profile, Vec::new()));
+            classes.len() - 1
+        });
+        classes[c].1.push(run[0].0);
+    }
+    let totals: Vec<u64> = classes
+        .iter()
+        .map(|(p, _)| edges[p.clone()].iter().map(|&(_, w)| w).sum())
+        .collect();
+    // Per member: its adjacent classes `(class, weight)`, ascending.
+    let mut by_member: Vec<Vec<(usize, u64)>> = vec![Vec::new(); members];
+    for (c, (p, _)) in classes.iter().enumerate() {
+        for &(i, w) in &edges[p.clone()] {
+            by_member[i as usize].push((c, w));
+        }
+    }
+    let mut shared = vec![0u64; classes.len()];
+    for (a, (pa, na)) in classes.iter().enumerate() {
+        for &(i, wa) in &edges[pa.clone()] {
+            let row = &by_member[i as usize];
+            for &(b, wb) in &row[row.partition_point(|&(c, _)| c < a)..] {
+                shared[b] += contribution(wa, wb);
+            }
+        }
+        for (b, (_, nb)) in classes.iter().enumerate().skip(a) {
+            let add = contribution(totals[a], totals[b]);
+            let sub = std::mem::take(&mut shared[b]);
+            if add == sub {
+                continue;
+            }
+            for (x, &p) in na.iter().enumerate() {
+                let partners = if a == b { &nb[x + 1..] } else { &nb[..] };
+                for &q in partners {
+                    f(p.min(q), p.max(q), add, sub);
+                }
+            }
+        }
+    }
+}
+
 /// The cached, incrementally-maintained common-neighbor count table.
 ///
 /// Build it once per connectivity graph with [`CommonNeighborKernel::build`],
@@ -902,8 +983,8 @@ impl CommonNeighborKernel {
         // surviving pair is *identical* to the member's — the count
         // table does not change at all. Only eligibility moves. This
         // matters: the bootstrap step contracts high-degree loners one
-        // by one, and the general subtract-then-re-add path would spend
-        // `O(deg²)` per loner cancelling itself out exactly.
+        // by one, and the general path would classify every neighbor of
+        // each loner only to find every delta 0.
         if let [v] = *members {
             self.eligible.remove(v);
             let (m, internal) = g.contract(members);
@@ -917,57 +998,37 @@ impl CommonNeighborKernel {
         sorted.sort_unstable();
         let in_members = |n: NodeId| sorted.binary_search(&n).is_ok();
 
-        // Subtract the members' via-contributions to surviving pairs.
-        // Pairs with a member endpoint die wholesale (eligibility flips
-        // below), so only eligible non-member neighbors matter here.
-        // Pruned pairs are never counted, so their contributions are not
-        // subtracted (or re-added below) either. A touched pair the
-        // table does not hold is recounted first: `g` is not contracted
-        // yet, so the recount is the count the subtraction starts from.
-        let mut scratch: Vec<(NodeId, u64)> = Vec::new();
-        for &v in &sorted {
-            scratch.clear();
-            scratch.extend(
+        // Each eligible non-member neighbor's profile: its edges into
+        // the members, `(member index, weight)` in member order. Pairs
+        // with a member endpoint die wholesale (eligibility flips
+        // below), so only these neighbors' pairs can change.
+        let mut touches: Vec<(NodeId, u32, u64)> = Vec::new();
+        for (i, &v) in sorted.iter().enumerate() {
+            touches.extend(
                 g.neighbor_slice(v)
                     .iter()
                     .filter(|&&(n, _)| self.eligible.contains(n) && !in_members(n))
-                    .copied(),
+                    .map(|&(n, w)| (n, i as u32, w)),
             );
-            for i in 0..scratch.len() {
-                let (a, wa) = scratch[i];
-                for &(b, wb) in &scratch[i + 1..] {
-                    if self.is_pruned(a, b) {
-                        continue;
-                    }
-                    self.subtract(g, key(a, b), contribution(wa, wb));
-                }
-            }
         }
+        touches.sort_unstable_by_key(|&(n, i, _)| (n, i));
+
         for &v in &sorted {
             self.eligible.remove(v);
         }
-
         let (m, internal) = g.contract(members);
         self.eligible.grow(g.id_bound());
 
-        // Add the replacement node's via-contributions. A pair the table
-        // does not hold is recounted on the contracted `g`, which already
-        // includes `m`'s contribution.
-        scratch.clear();
-        scratch.extend(
-            g.neighbor_slice(m)
-                .iter()
-                .filter(|&&(n, _)| self.eligible.contains(n))
-                .copied(),
-        );
-        for i in 0..scratch.len() {
-            let (a, wa) = scratch[i];
-            for &(b, wb) in &scratch[i + 1..] {
-                if self.is_pruned(a, b) {
-                    continue;
-                }
-                self.add(g, key(a, b), contribution(wa, wb));
+        // Only pairs whose count changes reach the closure.
+        let mut writes = 0u64;
+        net_deltas(&touches, sorted.len(), |a, b, add, sub| {
+            if !self.is_pruned(a, b) {
+                self.apply_delta(g, key(a, b), add, sub);
+                writes += 1;
             }
+        });
+        if let Some(met) = &self.metrics {
+            met.contract_pair_updates.add(writes);
         }
 
         self.maybe_compact();
@@ -996,27 +1057,22 @@ impl CommonNeighborKernel {
         }
     }
 
-    /// Removes `w` from pair `k`'s count in the not yet contracted `g`.
+    /// Moves pair `k`'s count by `add − sub`, where `sub` is the
+    /// members' share of the old count. A pair the table does not hold
+    /// is recounted on the already contracted `g`.
     #[inline]
-    fn subtract(&mut self, g: &WGraph, k: u64, w: u64) {
-        if w == 0 {
-            return;
-        }
-        let cur = self.held(k).unwrap_or_else(|| self.recount(g, k));
-        debug_assert!(cur >= w, "kernel count underflow");
-        self.overlay.insert(k, cur.saturating_sub(w));
-    }
-
-    /// Adds `w` to pair `k`'s count; `g` is already contracted.
-    #[inline]
-    fn add(&mut self, g: &WGraph, k: u64, w: u64) {
-        if w == 0 {
-            return;
-        }
+    fn apply_delta(&mut self, g: &WGraph, k: u64, add: u64, sub: u64) {
         let next = match self.held(k) {
-            Some(cur) => cur + w,
-            // Unheld below a floor of at most 1: the count was 0.
-            None if self.pair_floor(k) <= 1 => w,
+            Some(cur) => {
+                debug_assert!(cur >= sub, "kernel count underflow");
+                (cur + add).saturating_sub(sub)
+            }
+            // Unheld below a floor of at most 1: the count was 0, so
+            // no member contributed to it.
+            None if self.pair_floor(k) <= 1 => {
+                debug_assert_eq!(sub, 0, "unheld pair with a member share");
+                add
+            }
             None => self.recount(g, k),
         };
         self.overlay.insert(k, next);

@@ -63,6 +63,29 @@ fn arb_steps() -> impl Strategy<Value = Vec<std::collections::BTreeSet<u32>>> {
     prop::collection::vec(prop::collection::btree_set(0u32..N, 1..5), 1..=3)
 }
 
+/// Strategy: one to three random bicliques (every node of one side
+/// linked to every node of the other) plus a few noise edges. Most
+/// neighbors of a contracted set then share one profile, the case the
+/// net-delta contraction skips.
+fn arb_biclique_edges() -> impl Strategy<Value = Vec<(u32, u32)>> {
+    let side = || prop::collection::btree_set(0..N, 1..6);
+    (prop::collection::vec((side(), side()), 1..=3), arb_edges(8)).prop_map(|(bicliques, noise)| {
+        let mut edges = noise;
+        for (left, right) in bicliques {
+            for &a in &left {
+                edges.extend(right.iter().map(|&b| (a, b)));
+            }
+        }
+        edges
+    })
+}
+
+/// Strategy: two or three contraction steps, so the later steps see
+/// group nodes whose edges weigh more than 1.
+fn arb_weighted_steps() -> impl Strategy<Value = Vec<std::collections::BTreeSet<u32>>> {
+    prop::collection::vec(prop::collection::btree_set(0u32..N, 1..6), 2..=3)
+}
+
 /// `edges` restricted to level `k`.
 fn at_least(edges: &[CommonNeighborEdge], k: u32) -> Vec<CommonNeighborEdge> {
     edges.iter().filter(|e| e.count >= k).copied().collect()
@@ -254,6 +277,22 @@ proptest! {
         let kernel = csr.build(workers, &floors);
         check_contractions(kernel, csr.graph(), &steps, &floors)?;
     }
+
+    /// Contraction stays exact on graphs where most neighbors of a
+    /// contracted set share a profile, so most class pairs have a net
+    /// delta of 0 and are skipped, while the rest (noise edges, weights
+    /// above 1 from earlier steps, floors) still move.
+    #[test]
+    fn shared_profile_contraction_matches_fresh_rebuild(
+        edges in arb_biclique_edges(),
+        floors in arb_floors(),
+        workers in 1usize..3,
+        steps in arb_weighted_steps(),
+    ) {
+        let csr = Csr::of(N, &edges);
+        check_contractions(csr.build(workers, &[]), csr.graph(), &steps, &[])?;
+        check_contractions(csr.build(workers, &floors), csr.graph(), &steps, &floors)?;
+    }
 }
 
 /// Hub 0 → {1, 2, 3} with an extra 1–2 edge.
@@ -344,8 +383,8 @@ fn compaction_preserves_view() {
 fn pruned_kernel_stays_consistent_through_contraction() {
     // Two servers sharing three clients, plus a leaf hanging off one
     // client. The leaf's degree is 1, so with floor 2 everywhere its
-    // pairs are pruned — including pairs with the servers that a
-    // contraction later subtracts and re-adds.
+    // pairs are pruned, and contracting the servers must leave them
+    // uncounted.
     let csr = Csr::of(6, &[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 5)]);
     let mut g = csr.graph();
     let mut kernel = csr.build(2, &[2; 6]);
@@ -391,4 +430,58 @@ fn contraction_lifts_unstored_pair_to_its_floor() {
     assert_eq!(kernel.max_count(), 2);
     let recounts = rec.registry().counter("roleclass_kernel_recounts_total");
     assert!(recounts.get() >= 1);
+}
+
+#[test]
+fn shared_profile_contraction_writes_nothing() {
+    // Three servers 0..3, each linked to all of clients 3..9: every
+    // client has the same profile into the servers, so contracting them
+    // moves no client pair (each loses 3 and gains min(3, 3)).
+    let edges: Vec<(u32, u32)> = (0..3u32)
+        .flat_map(|s| (3..9u32).map(move |c| (s, c)))
+        .collect();
+    let csr = Csr::of(9, &edges);
+    let rec = telemetry::Recorder::new();
+    let mut kernel = CommonNeighborKernel::build(&csr.offsets, &csr.nbrs, 1, &[], Some(&rec));
+    let mut g = csr.graph();
+    kernel.contract(&mut g, &[NodeId(0), NodeId(1), NodeId(2)]);
+    let reg = rec.registry();
+    assert_eq!(
+        reg.counter("roleclass_kernel_contract_pair_updates_total")
+            .get(),
+        0
+    );
+    assert_eq!(reg.gauge("roleclass_kernel_overlay_entries").get(), 0);
+    let fresh = common_neighbor_min_weights(&g, |x| kernel.is_eligible(x));
+    assert_eq!(fresh.len(), 15);
+    assert!(fresh.iter().all(|e| e.count == 3));
+    for k in 1..=4 {
+        assert_eq!(kernel.edges_at_least(k), at_least(&fresh, k), "level {k}");
+    }
+}
+
+#[test]
+fn contracting_group_nodes_keeps_weighted_counts_exact() {
+    // Clients 0 and 1, servers 2..=5. Contracting {2, 3} and {4, 5}
+    // gives group nodes whose edges weigh 2 and 1, so client 0's profile
+    // into them is [(g1, 2), (g2, 1)] and client 1's is [(g1, 1),
+    // (g2, 2)]: the same members with different weights. Contracting
+    // the two group nodes lifts the clients' count from 2 to 3.
+    let csr = Csr::of(6, &[(0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (1, 5)]);
+    let mut g = csr.graph();
+    let mut kernel = csr.build(1, &[]);
+    let (g1, _) = kernel.contract(&mut g, &[NodeId(2), NodeId(3)]);
+    let (g2, _) = kernel.contract(&mut g, &[NodeId(4), NodeId(5)]);
+    let clients = |count| CommonNeighborEdge {
+        a: NodeId(0),
+        b: NodeId(1),
+        count,
+    };
+    assert_eq!(kernel.edges(), [clients(2)]);
+    kernel.contract(&mut g, &[g1, g2]);
+    assert_eq!(kernel.edges(), [clients(3)]);
+    assert_eq!(
+        kernel.edges(),
+        common_neighbor_min_weights(&g, |x| kernel.is_eligible(x))
+    );
 }

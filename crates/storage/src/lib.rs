@@ -141,8 +141,9 @@ pub enum NamespaceKind {
 
 /// What a namespace keeps. `None` means unbounded on that axis; a
 /// record is pruned when it violates *any* bound. Pruning granularity
-/// is the segment's: the backend may keep slightly more than the bound
-/// until a whole segment falls out of the window.
+/// is the segment's: while over a bound, the backend drops the oldest
+/// whole segment, so it may keep fewer records than the bound — never
+/// none.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Retention {
     /// Keep at most this many (newest) records.
@@ -167,40 +168,6 @@ impl Retention {
     pub fn keep_bytes(mut self, n: u64) -> Retention {
         self.max_bytes = Some(n);
         self
-    }
-
-    /// The lowest key that survives this policy over `records`
-    /// (ascending `(key, bytes)` pairs), or `None` to keep everything.
-    pub fn cutoff(&self, records: &[(u64, u64)]) -> Option<u64> {
-        let mut cut: Option<u64> = None;
-        if let Some(max) = self.max_records {
-            // Like the byte axis, never prune the newest record.
-            let max = max.max(1);
-            if (records.len() as u64) > max {
-                let first_kept = records.len() - max as usize;
-                cut = Some(cut.unwrap_or(0).max(records[first_kept].0));
-            }
-        }
-        if let Some(max) = self.max_bytes {
-            let mut kept = 0u64;
-            let mut first_kept = records.len();
-            for (i, (_, bytes)) in records.iter().enumerate().rev() {
-                if kept + bytes > max {
-                    break;
-                }
-                kept += bytes;
-                first_kept = i;
-            }
-            if first_kept < records.len() {
-                cut = Some(cut.unwrap_or(0).max(records[first_kept].0));
-            } else if !records.is_empty() {
-                // Even the newest record alone busts the byte budget:
-                // everything below it goes, the newest survives (a
-                // namespace never prunes itself empty on bytes alone).
-                cut = Some(cut.unwrap_or(0).max(records[records.len() - 1].0));
-            }
-        }
-        cut
     }
 }
 
@@ -393,20 +360,52 @@ impl StorageConfig {
 mod tests {
     use super::*;
 
+    /// The lowest key that survives `retain` under `policy` on a log
+    /// holding `records` (ascending `(key, payload bytes)` pairs), or
+    /// `None` when the log is within every bound. Every record gets a
+    /// segment of its own, so segment-granular pruning is record-exact
+    /// here.
+    fn cutoff(policy: Retention, records: &[(u64, u64)]) -> Option<u64> {
+        static RUN: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "roleclass-retention-{}-{}",
+            std::process::id(),
+            RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        let options = SegmentOptions {
+            max_segment_records: 1,
+            compact_sealed_segments: records.len() + 2,
+            ..SegmentOptions::default()
+        };
+        let b = SegmentBackend::with_options(&dir, options).unwrap();
+        b.define("log", NamespaceProfile::log(policy)).unwrap();
+        for &(key, bytes) in records {
+            b.append("log", key, &vec![0; bytes as usize]).unwrap();
+        }
+        b.retain("log").unwrap();
+        let first = b.scan("log", 0, u64::MAX).unwrap()[0].key;
+        drop(b);
+        let _ = std::fs::remove_dir_all(&dir);
+        let bytes: u64 = records.iter().map(|&(_, n)| n).sum();
+        let over = policy.max_records.is_some_and(|m| records.len() as u64 > m)
+            || policy.max_bytes.is_some_and(|m| bytes > m);
+        over.then_some(first)
+    }
+
     #[test]
     fn retention_cutoff_combines_axes() {
         let recs: Vec<(u64, u64)> = (0..10).map(|k| (k * 10, 100)).collect();
-        assert_eq!(Retention::unbounded().cutoff(&recs), None);
+        assert_eq!(cutoff(Retention::unbounded(), &recs), None);
         assert_eq!(
-            Retention::unbounded().keep_records(3).cutoff(&recs),
+            cutoff(Retention::unbounded().keep_records(3), &recs),
             Some(70)
         );
         assert_eq!(
-            Retention::unbounded().keep_bytes(250).cutoff(&recs),
+            cutoff(Retention::unbounded().keep_bytes(250), &recs),
             Some(80)
         );
         assert_eq!(
-            Retention::unbounded().keep_records(0).cutoff(&recs),
+            cutoff(Retention::unbounded().keep_records(0), &recs),
             Some(90)
         );
         // Strictest axis wins.
@@ -414,10 +413,10 @@ mod tests {
             max_records: Some(8),
             max_bytes: Some(250),
         };
-        assert_eq!(r.cutoff(&recs), Some(80));
+        assert_eq!(cutoff(r, &recs), Some(80));
         // A single over-budget record survives: never prune to empty.
         let big = vec![(5u64, 1000u64)];
-        assert_eq!(Retention::unbounded().keep_bytes(10).cutoff(&big), Some(5));
+        assert_eq!(cutoff(Retention::unbounded().keep_bytes(10), &big), Some(5));
     }
 
     #[test]

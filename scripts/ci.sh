@@ -50,9 +50,10 @@ if [ "$spec_violations" != 0 ]; then
 fi
 
 # Determinism lint: the engine path (ingest, graph kernel, grouping,
-# aggregator, storage, telemetry) has no randomness by construction.
-# Those crates may use rand in tests only, under [dev-dependencies].
-echo "==> determinism lint (rand only as a dev-dependency of the engine-path crates)"
+# aggregator, storage, telemetry, and the root package that re-exports
+# them) has no randomness by construction. Those crates may use rand in
+# tests only, under [dev-dependencies].
+echo "==> determinism lint (rand only as a dev-dependency of the engine-path crates and the root package)"
 rand_violations=0
 for crate in flow netgraph core aggregator storage telemetry; do
   manifest="crates/$crate/Cargo.toml"
@@ -65,6 +66,18 @@ for crate in flow netgraph core aggregator storage telemetry; do
     rand_violations=1
   fi
 done
+# The root package re-exports the engine path, so its own
+# [dependencies] table is held to the same rule. Only that table: the
+# root's [workspace.dependencies] still declares rand for synth and the
+# tests.
+if awk '
+    /^\[/ { section = $0; if ($0 == "[dependencies.rand]") found = 1 }
+    /^rand[ .=]/ && section == "[dependencies]" { found = 1 }
+    END { exit !found }' \
+    Cargo.toml; then
+  echo "ERROR: Cargo.toml lists rand in the root package's [dependencies]." >&2
+  rand_violations=1
+fi
 if [ "$rand_violations" != 0 ]; then
   echo "The engine path is deterministic; seeded randomness belongs in synth and tests." >&2
   exit 1

@@ -11,8 +11,8 @@
 //! * [`synthnet`] — synthetic enterprise networks with ground truth.
 //! * [`cluster`] — baselines and cluster-validation metrics.
 //! * [`aggregator`] — the probe/aggregator monitoring system.
-//! * [`storage`] — the pluggable storage backends behind checkpoints,
-//!   the flight journal, and time-travel run history.
+//! * [`storage`] — the segment store behind checkpoints, the flight
+//!   journal, and time-travel run history.
 
 pub mod cli;
 pub mod explain;
