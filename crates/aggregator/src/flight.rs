@@ -161,7 +161,7 @@ mod tests {
     use std::fs;
     use std::path::PathBuf;
     use std::sync::Arc;
-    use storage::{Retention, SegmentBackend, SegmentOptions, StorageBackend, StorageConfig};
+    use storage::{Retention, SegmentBackend, StorageBackend, StorageConfig};
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir =
@@ -282,16 +282,8 @@ mod tests {
 
     #[test]
     fn prune_bounds_journal_growth() {
-        // One record per segment, never compacted: count retention is
-        // exact to the record.
         let root = temp_root("prune");
-        let options = SegmentOptions {
-            max_segment_records: 1,
-            compact_sealed_segments: usize::MAX,
-            ..SegmentOptions::default()
-        };
-        let backend: Arc<dyn StorageBackend> =
-            Arc::new(SegmentBackend::with_options(&root, options).unwrap());
+        let backend: Arc<dyn StorageBackend> = Arc::new(SegmentBackend::new(&root).unwrap());
         let fr = FlightRecorder::open(
             Arc::clone(&backend),
             JOURNAL_NS,

@@ -771,10 +771,13 @@ impl Aggregator {
     /// classification — but each one is counted on
     /// `roleclass_storage_errors_total` when a recorder is attached.
     /// Nothing retries it: the checkpoint writes a different namespace.
+    /// With a store attached, the stage runs under an
+    /// `aggregator.persist` span.
     fn persist_run(&self, record: &RunRecord) {
         let Some(store) = self.run_store.as_ref() else {
             return;
         };
+        let _span = telemetry::span(self.observer.recorder.as_deref(), "aggregator.persist");
         match store.record(record) {
             Ok(Some(bytes)) => {
                 if let Some(r) = self.observer.recorder.as_deref() {
@@ -1661,6 +1664,29 @@ mod tests {
             windows
         );
         assert_eq!(stack.runs().len().unwrap(), stored);
+    }
+
+    #[test]
+    fn cycle_with_a_run_store_ends_in_a_persist_span() {
+        let stack = TempStack::open("agg-persist-span");
+        let rec = Arc::new(telemetry::Recorder::new());
+        let mut agg = Aggregator::new(config())
+            .with_recorder(Arc::clone(&rec))
+            .with_run_store(Arc::clone(stack.runs()));
+        agg.attach(Box::new(ReplayProbe::new("p0", day_trace(0, 3))));
+        agg.run_cycle();
+        let spans = rec.spans();
+        assert_eq!(spans.len(), 1);
+        let kids: Vec<&str> = spans[0].children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(
+            kids,
+            [
+                "aggregator.poll",
+                "aggregator.build",
+                "engine.run_window",
+                "aggregator.persist"
+            ]
+        );
     }
 
     #[test]

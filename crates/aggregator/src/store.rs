@@ -74,18 +74,18 @@ impl RunStore {
     /// Persists one completed window. Returns the encoded size in
     /// bytes, or `None` if the window was already recorded (replays
     /// after a restore re-observe old windows; the first write wins).
+    /// The log's own key check decides that, so no stored record is
+    /// read; a replayed window pays one JSON encode before it is
+    /// skipped.
     pub fn record(&self, run: &RunRecord) -> storage::Result<Option<u64>> {
-        let key = run.window.start_ms;
-        if let Some(latest) = self.backend.latest(&self.ns)? {
-            if key <= latest.key {
-                return Ok(None);
-            }
-        }
         let payload = serde_json::to_string(run)
             .map_err(|e| storage::StorageError::Corrupt(format!("encode failed: {e}")))?
             .into_bytes();
-        self.backend.append(&self.ns, key, &payload)?;
-        Ok(Some(payload.len() as u64))
+        match self.backend.append(&self.ns, run.window.start_ms, &payload) {
+            Ok(_) => Ok(Some(payload.len() as u64)),
+            Err(storage::StorageError::NonMonotonicKey { .. }) => Ok(None),
+            Err(e) => Err(e),
+        }
     }
 
     /// The run whose window starts exactly at `start_ms`, if retained.
@@ -355,10 +355,9 @@ mod tests {
         assert_eq!(stack.recorder().next_seq(), 1);
         assert_eq!(stack.runs().len().unwrap(), 3);
         let pruned = stack.runs().prune().unwrap();
-        // Segment retention is segment-granular; with tiny volumes the
-        // records may share the active segment and survive. The call
-        // must still be accurate about what it dropped.
-        assert_eq!(stack.runs().len().unwrap(), 3 - pruned.records);
+        // Retention is exact: the newest two windows survive.
+        assert_eq!(pruned.records, 1);
+        assert_eq!(stack.runs().len().unwrap(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -13,7 +13,7 @@ use roleclass::{EngineConfig, Params};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use storage::{NamespaceProfile, Retention, SegmentBackend, SegmentOptions, StorageConfig};
+use storage::{NamespaceProfile, Retention, SegmentBackend, StorageConfig};
 
 const WINDOW_MS: u64 = 1000;
 
@@ -215,18 +215,11 @@ fn fingerprint(run: &RunRecord) -> String {
     format!("{:?}|{:?}", run.grouping, run.correlation)
 }
 
-/// A run store at `root` keeping the newest `keep` windows. One record
-/// per segment, never compacted, makes count retention exact to the
-/// record.
+/// A run store at `root` keeping the newest `keep` windows.
 fn small_store(root: &Path, keep: u64) -> Arc<RunStore> {
-    let options = SegmentOptions {
-        max_segment_records: 1,
-        compact_sealed_segments: usize::MAX,
-        ..SegmentOptions::default()
-    };
     Arc::new(
         RunStore::open(
-            Arc::new(SegmentBackend::with_options(root, options).unwrap()),
+            Arc::new(SegmentBackend::new(root).unwrap()),
             "runs",
             NamespaceProfile::log(Retention::unbounded().keep_records(keep)),
         )

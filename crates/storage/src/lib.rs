@@ -2,8 +2,8 @@
 //!
 //! Checkpoints, the flight-recorder journal, and per-window run history
 //! are *keyed record namespaces* behind one [`StorageBackend`] trait,
-//! implemented by [`SegmentBackend`]: indexed segments with compaction
-//! and retention. The trait is also the seam test fakes plug into (a
+//! implemented by [`SegmentBackend`]: indexed, write-once segments with
+//! exact retention. The trait is also the seam test fakes plug into (a
 //! backend whose appends fail, like a full disk).
 //!
 //! # Data model
@@ -41,8 +41,8 @@
 //! # The backend
 //!
 //! [`SegmentBackend`] keeps append-only segment files with a sparse
-//! in-segment index, background-free compaction of old segments, and
-//! segment-granular retention by record count and bytes.
+//! in-segment index. A sealed segment is never rewritten, and retention
+//! by record count and bytes is exact.
 
 mod segment;
 
@@ -85,7 +85,9 @@ pub enum StorageError {
     /// The namespace name is malformed, or a redefinition conflicts
     /// with the existing profile's kind.
     InvalidNamespace(String),
-    /// A log append's key is not strictly greater than the last key.
+    /// A log append's key is not strictly greater than the last key —
+    /// the newest stored one, or the last one below the retention
+    /// cutoff when that is higher.
     NonMonotonicKey { ns: String, key: u64, last: u64 },
 }
 
@@ -140,10 +142,9 @@ pub enum NamespaceKind {
 }
 
 /// What a namespace keeps. `None` means unbounded on that axis; a
-/// record is pruned when it violates *any* bound. Pruning granularity
-/// is the segment's: while over a bound, the backend drops the oldest
-/// whole segment, so it may keep fewer records than the bound — never
-/// none.
+/// record is pruned when it violates *any* bound. Retention is exact:
+/// it keeps the longest run of newest records within every bound, and
+/// always at least the newest record, even under a bound of zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Retention {
     /// Keep at most this many (newest) records.
@@ -164,7 +165,8 @@ impl Retention {
         self
     }
 
-    /// Bounds the namespace to roughly `n` payload bytes.
+    /// Bounds the namespace to the newest records whose payloads fit
+    /// in `n` bytes.
     pub fn keep_bytes(mut self, n: u64) -> Retention {
         self.max_bytes = Some(n);
         self
@@ -362,9 +364,7 @@ mod tests {
 
     /// The lowest key that survives `retain` under `policy` on a log
     /// holding `records` (ascending `(key, payload bytes)` pairs), or
-    /// `None` when the log is within every bound. Every record gets a
-    /// segment of its own, so segment-granular pruning is record-exact
-    /// here.
+    /// `None` when the log is within every bound.
     fn cutoff(policy: Retention, records: &[(u64, u64)]) -> Option<u64> {
         static RUN: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
         let dir = std::env::temp_dir().join(format!(
@@ -372,12 +372,7 @@ mod tests {
             std::process::id(),
             RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
-        let options = SegmentOptions {
-            max_segment_records: 1,
-            compact_sealed_segments: records.len() + 2,
-            ..SegmentOptions::default()
-        };
-        let b = SegmentBackend::with_options(&dir, options).unwrap();
+        let b = SegmentBackend::new(&dir).unwrap();
         b.define("log", NamespaceProfile::log(policy)).unwrap();
         for &(key, bytes) in records {
             b.append("log", key, &vec![0; bytes as usize]).unwrap();

@@ -1,11 +1,8 @@
 //! The indexed-segment backend: months of history in bounded disk.
 //!
 //! Each namespace is a directory of append-only segment files named
-//! `seg-<lo>-<hi>.seg`, where `lo..=hi` is the range of *file sequence
-//! numbers* the segment covers — a freshly written segment covers just
-//! its own number; a compacted segment covers every input it merged,
-//! which is what makes crash recovery deterministic (see below). A
-//! segment holds length-prefixed, checksummed records:
+//! `seg-<n>-<n>.seg`, where `n` is the segment's *file sequence
+//! number*. A segment holds length-prefixed, checksummed records:
 //!
 //! ```text
 //! "RCSEG1\0\0"                      8-byte file header
@@ -17,22 +14,25 @@
 //!   which open-time validation truncates away. A torn or corrupt
 //!   record anywhere else is reported as [`StorageError::Corrupt`].
 //! * **Rotation** seals the active segment (fsync) once it exceeds the
-//!   configured size or record count and starts a new one.
-//! * **Compaction** is background-free: after a rotation, if enough
-//!   sealed segments have piled up, the two oldest are merged into a
-//!   covering segment (written to a temp file, fsynced, renamed, then
-//!   the inputs deleted and the directory fsynced). A crash at any
-//!   point self-heals on open: a leftover `.tmp` is deleted, and a
-//!   completed covering segment supersedes any file whose range it
-//!   contains, so surviving inputs are swept then.
-//! * **Retention** drops whole oldest segments (count/byte bounds are
-//!   therefore segment-granular). A snapshot namespace's generation cap
-//!   is exact instead: it advances a logical `min_key` cutoff —
-//!   persisted in the namespace's `meta` file — that hides capped
-//!   generations, including inside the active segment.
+//!   configured size or record count and starts a new one. A sealed
+//!   segment is never rewritten: every record is written once, so an
+//!   append costs the same however much history lies behind it.
+//! * **Retention** is exact. A count or byte bound finds the cutoff key
+//!   from the segments' live counts, reading only the one segment that
+//!   holds it, and advances a logical `min_key` cutoff — persisted in
+//!   the namespace's `meta` file — that hides everything older. A
+//!   snapshot namespace's generation cap uses the same cutoff. Segments
+//!   entirely below the cutoff are deleted, so disk beyond the bound is
+//!   at most the cut prefix of one segment.
 //! * A **sparse in-segment index** (every Nth record's key and offset)
 //!   keeps point lookups and range scans from replaying whole
 //!   segments.
+//!
+//! Older versions merged the oldest sealed segments into a *covering*
+//! segment `seg-<lo>-<hi>.seg` (written to a `.tmp` file, then renamed).
+//! Opening a directory they wrote still works: a covering segment
+//! supersedes every file whose range it contains, so inputs an
+//! interrupted merge left behind are swept, and so are `.tmp` leftovers.
 
 use crate::{
     validate_ns, NamespaceKind, NamespaceProfile, Pruned, Record, Result, StorageBackend,
@@ -54,8 +54,6 @@ pub struct SegmentOptions {
     pub max_segment_bytes: u64,
     /// Seal the active segment once it holds this many records.
     pub max_segment_records: u64,
-    /// Merge the two oldest sealed segments once this many are sealed.
-    pub compact_sealed_segments: usize,
     /// Index every Nth record inside a segment.
     pub index_every: u32,
 }
@@ -65,7 +63,6 @@ impl Default for SegmentOptions {
         SegmentOptions {
             max_segment_bytes: 256 << 10,
             max_segment_records: 4096,
-            compact_sealed_segments: 8,
             index_every: 16,
         }
     }
@@ -73,8 +70,6 @@ impl Default for SegmentOptions {
 
 #[derive(Debug)]
 struct SegMeta {
-    lo: u32,
-    hi: u32,
     path: PathBuf,
     first_key: u64,
     last_key: u64,
@@ -91,6 +86,20 @@ struct SegMeta {
 }
 
 impl SegMeta {
+    fn empty(path: PathBuf, file_len: u64) -> SegMeta {
+        SegMeta {
+            path,
+            first_key: 0,
+            last_key: 0,
+            records: 0,
+            bytes: 0,
+            cut_records: 0,
+            cut_bytes: 0,
+            index: Vec::new(),
+            file_len,
+            last_off: 0,
+        }
+    }
     fn live_records(&self) -> u64 {
         self.records - self.cut_records
     }
@@ -140,8 +149,8 @@ fn sync_dir(dir: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-fn seg_name(lo: u32, hi: u32) -> String {
-    format!("seg-{lo:06}-{hi:06}.seg")
+fn seg_name(n: u32) -> String {
+    format!("seg-{n:06}-{n:06}.seg")
 }
 
 fn parse_seg_name(name: &str) -> Option<(u32, u32)> {
@@ -152,6 +161,18 @@ fn parse_seg_name(name: &str) -> Option<(u32, u32)> {
     }
     let (lo, hi) = (lo.parse().ok()?, hi.parse().ok()?);
     (lo <= hi).then_some((lo, hi))
+}
+
+/// A segment's `(records, payload bytes)` below the namespace cutoff.
+type CutCounts = (u64, u64);
+
+/// The [`CutCounts`] among `sizes` (`(key, payload bytes)` in key order)
+/// keyed below `min_key`.
+fn count_below(sizes: &[(u64, u64)], min_key: u64) -> CutCounts {
+    sizes
+        .iter()
+        .take_while(|&&(key, _)| key < min_key)
+        .fold((0, 0), |(r, b), &(_, len)| (r + 1, b + len))
 }
 
 fn encode_record(key: u64, payload: &[u8]) -> Vec<u8> {
@@ -249,14 +270,7 @@ impl SegmentBackend {
     /// returns `None` after discarding a file too short to hold the
     /// magic — a crash during segment creation leaves a partial magic
     /// behind, and such a file never held a committed record.
-    fn open_segment(
-        &self,
-        path: &Path,
-        lo: u32,
-        hi: u32,
-        min_key: u64,
-        tolerant: bool,
-    ) -> Result<Option<SegMeta>> {
+    fn open_segment(&self, path: &Path, min_key: u64, tolerant: bool) -> Result<Option<SegMeta>> {
         let bytes = fs::read(path)?;
         if tolerant && bytes.len() < MAGIC.len() {
             fs::remove_file(path)?;
@@ -267,20 +281,7 @@ impl SegmentBackend {
                 "{path:?}: bad segment magic"
             )));
         }
-        let mut meta = SegMeta {
-            lo,
-            hi,
-            path: path.to_path_buf(),
-            first_key: 0,
-            last_key: 0,
-            records: 0,
-            bytes: 0,
-            cut_records: 0,
-            cut_bytes: 0,
-            index: Vec::new(),
-            file_len: 0,
-            last_off: 0,
-        };
+        let mut meta = SegMeta::empty(path.to_path_buf(), 0);
         let every = self.options.index_every.max(1);
         let end = walk(&bytes, MAGIC.len(), |key, off, payload| {
             if meta.records == 0 {
@@ -330,12 +331,13 @@ impl SegmentBackend {
                 files.push((lo, hi, entry.path()));
             }
         }
-        // Widest range first for equal `lo`, so a covering (compacted)
-        // segment is visited before any file it contains.
+        // Widest range first for equal `lo`, so a covering segment (left
+        // by the merges older versions ran) is visited before any file
+        // it contains.
         files.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
         // A covering segment supersedes any file whose range it
-        // contains — the surviving inputs of an interrupted compaction
-        // are swept here.
+        // contains — the surviving inputs of an interrupted merge are
+        // swept here.
         let mut keep: Vec<(u32, u32, PathBuf)> = Vec::new();
         for (lo, hi, path) in files {
             let superseded = keep
@@ -347,7 +349,7 @@ impl SegmentBackend {
             }
             // A covering segment always precedes its contained files,
             // so anything still overlapping the kept tail is real
-            // corruption, not compaction leftovers.
+            // corruption, not merge leftovers.
             if let Some(&(_, phi, _)) = keep.last() {
                 if lo <= phi {
                     return Err(StorageError::Corrupt(format!(
@@ -362,9 +364,9 @@ impl SegmentBackend {
         let mut active = None;
         let mut next_file = 1u32;
         let mut last_key_overall = None;
-        for (i, (lo, hi, path)) in keep.into_iter().enumerate() {
+        for (i, (_, hi, path)) in keep.into_iter().enumerate() {
             let tolerant = i + 1 == count;
-            let Some(meta) = self.open_segment(&path, lo, hi, min_key, tolerant)? else {
+            let Some(meta) = self.open_segment(&path, min_key, tolerant)? else {
                 next_file = hi + 1;
                 continue;
             };
@@ -410,35 +412,23 @@ impl SegmentBackend {
     fn start_segment(space: &mut SegNs) -> Result<()> {
         let n = space.next_file;
         space.next_file += 1;
-        let path = space.dir.join(seg_name(n, n));
+        let path = space.dir.join(seg_name(n));
         let mut f = OpenOptions::new()
             .create_new(true)
             .write(true)
             .open(&path)?;
         f.write_all(&MAGIC)?;
         f.flush()?;
-        space.active = Some((
-            SegMeta {
-                lo: n,
-                hi: n,
-                path,
-                first_key: 0,
-                last_key: 0,
-                records: 0,
-                bytes: 0,
-                cut_records: 0,
-                cut_bytes: 0,
-                index: Vec::new(),
-                file_len: MAGIC.len() as u64,
-                last_off: 0,
-            },
-            f,
-        ));
+        space.active = Some((SegMeta::empty(path, MAGIC.len() as u64), f));
         Ok(())
     }
 
+    /// The key a log append must exceed: the newest stored key, or the
+    /// last key below the retention cutoff when that is higher — a crash
+    /// that tears the only record above the cutoff must not let a later
+    /// append land where the cutoff hides it.
     fn last_key(space: &SegNs) -> Option<u64> {
-        space
+        let stored = space
             .active
             .as_ref()
             .filter(|(m, _)| m.records > 0)
@@ -450,7 +440,8 @@ impl SegmentBackend {
                     .rev()
                     .find(|m| m.records > 0)
                     .map(|m| m.last_key)
-            })
+            });
+        stored.max(space.min_key.checked_sub(1))
     }
 
     fn append_locked(&self, ns: &str, space: &mut SegNs, key: u64, value: &[u8]) -> Result<u64> {
@@ -501,7 +492,7 @@ impl SegmentBackend {
             if let Some(cap) = space.profile.retention.max_records {
                 let cut = key + 1 - cap.max(1).min(key + 1);
                 if cut > space.min_key {
-                    self.set_min_key(space, cut)?;
+                    self.set_min_key(space, cut, None)?;
                     self.drop_dead_segments(space)?;
                 }
             }
@@ -522,85 +513,19 @@ impl SegmentBackend {
         file.sync_all()?;
         sync_dir(&space.dir)?;
         space.sealed.push(meta);
-        if space.sealed.len() >= self.options.compact_sealed_segments.max(2) {
-            self.compact_oldest(space)?;
-        }
         Ok(())
     }
 
-    /// Merges the two oldest sealed segments into one covering segment.
-    fn compact_oldest(&self, space: &mut SegNs) -> Result<()> {
-        if space.sealed.len() < 2 {
-            return Ok(());
-        }
-        let a = &space.sealed[0];
-        let b = &space.sealed[1];
-        let (lo, hi) = (a.lo, b.hi);
-        let out_path = space.dir.join(seg_name(lo, hi));
-        let tmp = space.dir.join(format!("{}.tmp", seg_name(lo, hi)));
-        let every = u64::from(self.options.index_every.max(1));
-        let min_key = space.min_key;
-        let mut merged = SegMeta {
-            lo,
-            hi,
-            path: out_path.clone(),
-            first_key: 0,
-            last_key: 0,
-            records: 0,
-            bytes: 0,
-            cut_records: 0,
-            cut_bytes: 0,
-            index: Vec::new(),
-            file_len: MAGIC.len() as u64,
-            last_off: 0,
-        };
-        {
-            let mut out = File::create(&tmp)?;
-            out.write_all(&MAGIC)?;
-            for seg in &space.sealed[..2] {
-                let bytes = fs::read(&seg.path)?;
-                let end = walk(&bytes, MAGIC.len(), |key, _, payload| {
-                    if key < min_key {
-                        return true; // logically pruned: drop physically
-                    }
-                    let rec = encode_record(key, payload);
-                    out.write_all(&rec).expect("compaction write");
-                    if merged.records == 0 {
-                        merged.first_key = key;
-                    }
-                    if merged.records.is_multiple_of(every) {
-                        merged.index.push((key, merged.file_len));
-                    }
-                    merged.last_key = key;
-                    merged.last_off = merged.file_len;
-                    merged.records += 1;
-                    merged.bytes += payload.len() as u64;
-                    merged.file_len += rec.len() as u64;
-                    true
-                });
-                if end != bytes.len() {
-                    return Err(StorageError::Corrupt(format!(
-                        "{:?}: invalid record at byte {end} during compaction",
-                        seg.path
-                    )));
-                }
-            }
-            out.sync_all()?;
-        }
-        // Commit point: once the covering name exists, the inputs are
-        // superseded even if we crash before deleting them.
-        fs::rename(&tmp, &out_path)?;
-        sync_dir(&space.dir)?;
-        let a = space.sealed.remove(0);
-        let b = space.sealed.remove(0);
-        let _ = fs::remove_file(&a.path);
-        let _ = fs::remove_file(&b.path);
-        sync_dir(&space.dir)?;
-        space.sealed.insert(0, merged);
-        Ok(())
-    }
-
-    fn set_min_key(&self, space: &mut SegNs, min_key: u64) -> Result<()> {
+    /// Raises the namespace cutoff to `min_key`, persisting it first,
+    /// and marks what each segment holds below it. `straddle` is the cut
+    /// counts of the segment the cutoff falls inside, when the caller has
+    /// already counted them; otherwise that segment is read here.
+    fn set_min_key(
+        &self,
+        space: &mut SegNs,
+        min_key: u64,
+        straddle: Option<CutCounts>,
+    ) -> Result<()> {
         if min_key <= space.min_key {
             return Ok(());
         }
@@ -620,21 +545,65 @@ impl SegmentBackend {
                 continue;
             }
             // The cutoff falls inside this segment: count exactly.
-            let bytes = fs::read(&meta.path)?;
-            let (mut cr, mut cb) = (0u64, 0u64);
-            walk(&bytes, MAGIC.len(), |key, _, payload| {
-                if key < min_key {
-                    cr += 1;
-                    cb += payload.len() as u64;
-                    true
-                } else {
-                    false
-                }
-            });
-            meta.cut_records = cr;
-            meta.cut_bytes = cb;
+            (meta.cut_records, meta.cut_bytes) = match straddle {
+                Some(counts) => counts,
+                None => count_below(&Self::record_sizes(meta)?, min_key),
+            };
         }
         Ok(())
+    }
+
+    /// `(key, payload bytes)` of every record in `meta`'s segment.
+    fn record_sizes(meta: &SegMeta) -> Result<Vec<(u64, u64)>> {
+        let bytes = fs::read(&meta.path)?;
+        let mut sizes = Vec::with_capacity(meta.records as usize);
+        walk(&bytes, MAGIC.len(), |key, _, payload| {
+            sizes.push((key, payload.len() as u64));
+            true
+        });
+        Ok(sizes)
+    }
+
+    /// Where `retain` moves the cutoff: the key of the oldest record the
+    /// retention policy keeps, with the cut counts of the segment that
+    /// key falls inside (`None` when it starts a segment). `None` when
+    /// every live record fits. The newest record is always kept. Walks
+    /// the segments' live counts from the newest end and reads only the
+    /// segment that holds the cutoff.
+    fn retention_cutoff(space: &SegNs) -> Result<Option<(u64, Option<CutCounts>)>> {
+        let policy = space.profile.retention;
+        let max_records = policy.max_records.map_or(u64::MAX, |m| m.max(1));
+        let max_bytes = policy.max_bytes.unwrap_or(u64::MAX);
+        let (mut records, mut bytes) = (0u64, 0u64);
+        let mut oldest_kept = None;
+        for meta in Self::all_segments(space).rev() {
+            let (r, b) = (meta.live_records(), meta.live_bytes());
+            if r == 0 {
+                continue;
+            }
+            if records + r <= max_records && bytes + b <= max_bytes {
+                (records, bytes) = (records + r, bytes + b);
+                oldest_kept = Some(meta.first_key);
+                continue;
+            }
+            if records == max_records {
+                // No record of this segment fits: cut at its end.
+                return Ok(oldest_kept.map(|key| (key, None)));
+            }
+            let sizes = Self::record_sizes(meta)?;
+            for &(key, len) in sizes.iter().rev().take(r as usize) {
+                if records > 0 && (records == max_records || bytes + len > max_bytes) {
+                    break;
+                }
+                (records, bytes) = (records + 1, bytes + len);
+                oldest_kept = Some(key);
+            }
+            let cut = oldest_kept.expect("the newest record is always kept");
+            let straddle =
+                (meta.first_key < cut && cut <= meta.last_key).then(|| count_below(&sizes, cut));
+            return Ok(Some((cut, straddle)));
+        }
+        Ok(None)
     }
 
     /// Deletes sealed segments that are entirely below the cutoff.
@@ -778,32 +747,10 @@ impl StorageBackend for SegmentBackend {
         let space = spaces
             .get_mut(ns)
             .ok_or_else(|| StorageError::UnknownNamespace(ns.to_string()))?;
-        let policy = space.profile.retention;
         let before_records: u64 = Self::all_segments(space).map(SegMeta::live_records).sum();
         let before_bytes: u64 = Self::all_segments(space).map(SegMeta::live_bytes).sum();
-        // Count/byte bounds: drop whole oldest sealed segments while
-        // over budget. The active segment never drops, so these bounds
-        // are segment-granular (documented).
-        loop {
-            let live_records: u64 = Self::all_segments(space).map(SegMeta::live_records).sum();
-            let live_bytes: u64 = Self::all_segments(space).map(SegMeta::live_bytes).sum();
-            let over_records = policy.max_records.is_some_and(|m| live_records > m);
-            let over_bytes = policy.max_bytes.is_some_and(|m| live_bytes > m);
-            if !(over_records || over_bytes) {
-                break;
-            }
-            let Some(first) = space.sealed.first() else {
-                break;
-            };
-            if live_records <= first.live_records() {
-                break; // never prune the namespace empty
-            }
-            let first_last = first.last_key;
-            self.set_min_key(space, first_last + 1)?;
-            self.drop_dead_segments(space)?;
-            if space.sealed.first().map(|m| m.last_key) == Some(first_last) {
-                break; // defensive: no progress
-            }
+        if let Some((cut, straddle)) = Self::retention_cutoff(space)? {
+            self.set_min_key(space, cut, straddle)?;
         }
         self.drop_dead_segments(space)?;
         let after_records: u64 = Self::all_segments(space).map(SegMeta::live_records).sum();

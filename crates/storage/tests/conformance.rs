@@ -3,14 +3,10 @@
 //! accounting, typed namespace errors, and torn-tail recovery. Reopening
 //! a root is the suite's stand-in for a process restart.
 //!
-//! Two classes of checks:
-//!
-//! * **Exact** semantics: key ordering, point lookup, scans, snapshot
-//!   generation ordering and caps, monotonic-key rejection.
-//! * **Granular** semantics where the contract allows slack: count and
-//!   byte retention may keep more than the bound (the backend prunes
-//!   whole segments), but may never reorder, drop a suffix record, or
-//!   prune the namespace empty.
+//! Every check is exact: key ordering, point lookup, scans, snapshot
+//! generation ordering and caps, monotonic-key rejection, and count
+//! retention, which keeps exactly the bound (at least one record) and
+//! never reorders or drops a suffix record.
 
 mod support;
 
@@ -183,10 +179,9 @@ fn snapshot_state_survives_reopen(root: &Path) {
     );
 }
 
-/// Count-bound retention may be granular (the segment backend prunes
-/// whole segments) but must only ever drop a *prefix*, keep at least
-/// one record — even under a bound of zero — and report exactly what it
-/// dropped.
+/// Count-bound retention keeps exactly the newest `bound` records —
+/// one under a bound of zero — drops only a *prefix*, and reports
+/// exactly what it dropped.
 fn retention_by_count_is_safe(root: &Path) {
     let b = open(root);
     for bound in [3u64, 0] {
@@ -203,6 +198,11 @@ fn retention_by_count_is_safe(root: &Path) {
         let pruned = b.retain(&ns).unwrap();
         let after = b.scan(&ns, 0, u64::MAX).unwrap();
         assert!(!after.is_empty(), "retention to {bound} pruned everything");
+        assert_eq!(
+            after.len() as u64,
+            bound.max(1),
+            "keep_records({bound}) keeps exactly that many"
+        );
         assert_eq!(
             pruned.records,
             (before.len() - after.len()) as u64,

@@ -1,43 +1,45 @@
 //! Crash-recovery behavior below the conformance suite's level: the
 //! segment files themselves. Corruption detection in sealed segments,
-//! retention across restarts, and every window of an interrupted
-//! segment compaction.
+//! retention across restarts, and directories left by older versions,
+//! which merged sealed segments into covering ones, at every point of an
+//! interrupted merge.
 
 mod support;
 
 use std::fs;
 use std::path::Path;
 use storage::{NamespaceProfile, Retention, StorageBackend, StorageError};
-use support::{open, temp_base};
+use support::{open, tear_tail, temp_base};
 
-/// Drives enough appends through a segment namespace that at least one
-/// compaction has produced a covering segment.
+/// The segment file header.
+const MAGIC: &[u8] = b"RCSEG1\0\0";
+
+/// Writes 12 records (three sealed segments of four), then merges
+/// segments 1 and 2 by hand into the covering segment older versions'
+/// compaction wrote: `seg-000001-000002.seg`, one header followed by
+/// both inputs' records, with the inputs removed.
 fn build_compacted(dir: &Path) -> Vec<(u64, Vec<u8>)> {
     let b = open(dir);
     b.define("log", NamespaceProfile::log(Retention::unbounded()))
         .unwrap();
     let mut expect = Vec::new();
-    // 12 records = three seals, which triggers exactly ONE compaction:
-    // the covering segment holds keys 0..=7 and nothing newer.
     for key in 0..12u64 {
         let value = format!("record-{key}").into_bytes();
         b.append("log", key, &value).unwrap();
         expect.push((key, value));
     }
     b.flush().unwrap();
-    let covering = fs::read_dir(dir.join("log"))
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| {
-            let name = e.file_name().to_string_lossy().into_owned();
-            name.starts_with("seg-") && {
-                let body = name.trim_start_matches("seg-").trim_end_matches(".seg");
-                let (lo, hi) = body.split_once('-').unwrap();
-                lo != hi
-            }
-        })
-        .count();
-    assert!(covering >= 1, "the workload must trigger a compaction");
+    drop(b);
+    let log = dir.join("log");
+    let mut covering = MAGIC.to_vec();
+    for n in [1, 2] {
+        let input = log.join(format!("seg-{n:06}-{n:06}.seg"));
+        let bytes = fs::read(&input).unwrap();
+        assert_eq!(&bytes[..MAGIC.len()], MAGIC);
+        covering.extend_from_slice(&bytes[MAGIC.len()..]);
+        fs::remove_file(input).unwrap();
+    }
+    fs::write(log.join("seg-000001-000002.seg"), covering).unwrap();
     expect
 }
 
@@ -69,10 +71,10 @@ fn segment_crash_before_compaction_rename_discards_tmp() {
 
 #[test]
 fn segment_crash_after_compaction_rename_sweeps_superseded_inputs() {
-    // Build two identical histories; A stops before the compaction,
-    // B runs past it. Copying B's covering segment into A reproduces
-    // the crash window where the merge committed but the inputs were
-    // never deleted.
+    // Build two identical histories; A keeps its segments as written,
+    // B has its oldest two merged into a covering segment. Copying B's
+    // covering segment into A reproduces the crash window where the
+    // merge committed but the inputs were never deleted.
     let dir_a = temp_base("seg-covered-a");
     let dir_b = temp_base("seg-covered-b");
     let pre = {
@@ -80,8 +82,7 @@ fn segment_crash_after_compaction_rename_sweeps_superseded_inputs() {
         b.define("log", NamespaceProfile::log(Retention::unbounded()))
             .unwrap();
         let mut expect = Vec::new();
-        // 11 records: two sealed segments (0-3, 4-7) + active, one
-        // append short of the third seal that triggers compaction.
+        // 11 records: two sealed segments (0-3, 4-7) + active.
         for key in 0..11u64 {
             let value = format!("record-{key}").into_bytes();
             b.append("log", key, &value).unwrap();
@@ -175,5 +176,40 @@ fn segment_retention_drops_whole_old_segments_with_accurate_counts() {
         .unwrap();
     assert_eq!(b.len("log").unwrap(), after);
     assert_eq!(b.latest("log").unwrap().unwrap().key, 15);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn segment_append_below_the_retention_cutoff_is_refused_after_a_tear() {
+    let dir = temp_base("seg-cut-floor");
+    let keep_one = NamespaceProfile::log(Retention::unbounded().keep_records(1));
+    let b = open(&dir);
+    b.define("log", keep_one).unwrap();
+    for key in 0..5u64 {
+        b.append("log", key, format!("record-{key}").as_bytes())
+            .unwrap();
+    }
+    // Keeps only key 4, alone in the active segment; the sealed one
+    // holding keys 0..=3 is deleted.
+    assert_eq!(b.retain("log").unwrap().records, 4);
+    b.flush().unwrap();
+    drop(b);
+    tear_tail(&dir, "log");
+    let b = open(&dir);
+    b.define("log", keep_one).unwrap();
+    assert_eq!(b.len("log").unwrap(), 0);
+    // A key below the persisted cutoff would be hidden by it: the
+    // append is refused instead of silently lost.
+    match b.append("log", 2, b"hidden") {
+        Err(StorageError::NonMonotonicKey { key, last, .. }) => assert_eq!((key, last), (2, 3)),
+        other => panic!("expected NonMonotonicKey, got {other:?}"),
+    }
+    // The torn key itself never durably existed and is reusable.
+    b.append("log", 4, b"again").unwrap();
+    assert_eq!(
+        scan_all(&b),
+        vec![(4, b"again".to_vec())],
+        "the re-appended record is visible"
+    );
     let _ = fs::remove_dir_all(&dir);
 }

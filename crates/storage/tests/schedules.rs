@@ -1,11 +1,12 @@
 //! Property tests: the segment backend tracks a reference model through
-//! random append / flush / crash / reopen schedules.
+//! random append / flush / retain / crash / reopen schedules.
 //!
 //! The crash model matches the documented contract: appends are
 //! flushed per record, so a crash (simulated by tearing the tail of
 //! the newest data file) destroys at most the final record. The model
 //! therefore drops its last record on Crash and must agree with the
-//! backend on every scan afterwards.
+//! backend on every scan afterwards. Retention is exact, so the model
+//! drops exactly the oldest records beyond the bound.
 
 mod support;
 
@@ -23,16 +24,21 @@ enum Op {
         len: u8,
     },
     Flush,
+    /// Apply `keep_records(keep)` retention.
+    Retain {
+        keep: u8,
+    },
     Reopen,
     /// Tear the tail of the newest data file, then reopen.
     Crash,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(sel, gap, len)| match sel % 8 {
+    (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(sel, gap, len)| match sel % 9 {
         0..=3 => Op::Append { gap, len },
         4 => Op::Flush,
-        5 | 6 => Op::Reopen,
+        5 => Op::Retain { keep: gap % 8 },
+        6 | 7 => Op::Reopen,
         _ => Op::Crash,
     })
 }
@@ -56,6 +62,19 @@ fn check_schedule(root: &Path, ops: &[Op], tag: u64) -> Result<(), TestCaseError
                 next_key = key + 1;
             }
             Op::Flush => backend.flush().unwrap(),
+            Op::Retain { keep } => {
+                let keep = u64::from(*keep);
+                backend
+                    .define(
+                        &ns,
+                        NamespaceProfile::log(Retention::unbounded().keep_records(keep)),
+                    )
+                    .unwrap();
+                let pruned = backend.retain(&ns).unwrap();
+                let drop = model.len().saturating_sub(keep.max(1) as usize);
+                model.drain(..drop);
+                prop_assert_eq!(pruned.records, drop as u64);
+            }
             Op::Reopen => {
                 drop(backend);
                 backend = open(root);
@@ -86,8 +105,10 @@ fn check_schedule(root: &Path, ops: &[Op], tag: u64) -> Result<(), TestCaseError
                 );
                 if survived < model.len() as u64 {
                     model.pop();
+                    // Keys below a retention cutoff stay refused even
+                    // when the tear left nothing above it.
+                    next_key = model.last().map_or(next_key, |(k, _)| k + 1);
                 }
-                next_key = model.last().map_or(0, |(k, _)| k + 1);
             }
         }
         // The backend agrees with the model on every read path.

@@ -1,7 +1,6 @@
 //! Shared fixtures for the storage suites: a fresh temp root per test,
-//! the small segment tuning that exercises rotation and compaction
-//! within a handful of records, and a tail tear that simulates a crash
-//! mid-append.
+//! the small segment tuning that exercises rotation within a handful of
+//! records, and a tail tear that simulates a crash mid-append.
 
 #![allow(dead_code)] // each suite uses its own subset
 
@@ -9,13 +8,11 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use storage::{SegmentBackend, SegmentOptions};
 
-/// Deliberately small segment tuning: four records per segment, and
-/// the two oldest sealed segments merge once three are sealed.
+/// Deliberately small segment tuning: four records per segment.
 pub fn small() -> SegmentOptions {
     SegmentOptions {
         max_segment_bytes: 1 << 20,
         max_segment_records: 4,
-        compact_sealed_segments: 3,
         index_every: 2,
     }
 }

@@ -92,7 +92,7 @@ echo "==> cargo doc --workspace --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo test -q"
-cargo test --workspace -q
+cargo test --workspace -q --no-fail-fast
 
 # The benchmark harness is a separate crate built against this
 # workspace's public API; its own tests catch an API trim that would

@@ -185,10 +185,11 @@ OBSERVABILITY:
 
 DURABLE STORAGE AND TIME TRAVEL:
   --state      root directory of the storage stack: indexed append-only
-               segments with compaction and retention. metrics,
-               stability, serve and ingest listen persist every
-               classified window there (run history, flight journal,
-               checkpoint), with disk bounded by the retention policy;
+               segments, each record written once, with exact
+               retention. metrics, stability, serve and ingest listen
+               persist every classified window there (run history,
+               flight journal, checkpoint), with disk bounded by the
+               retention policy;
                explain replays windows back out of it instead of
                reading a capture
   --at         explain only: time-travel target in ms. Replays the

@@ -12,9 +12,7 @@ use role_classification::flow::{FlowRecord, HostAddr};
 use role_classification::roleclass::{
     EngineConfig, Params, ENGINE_EVENT_NAMES, STABILITY_EVENT_NAMES,
 };
-use role_classification::storage::{
-    NamespaceProfile, Retention, SegmentBackend, SegmentOptions, StorageConfig,
-};
+use role_classification::storage::{NamespaceProfile, Retention, SegmentBackend, StorageConfig};
 use role_classification::telemetry::{FieldValue, Recorder};
 use serde::value::Value;
 use std::collections::BTreeSet;
@@ -112,18 +110,11 @@ fn segment_storage(tag: &str) -> (std::path::PathBuf, StorageConfig) {
     (dir, config)
 }
 
-/// A run store under `dir` keeping the newest two windows. One record
-/// per segment, never compacted, makes count retention exact to the
-/// record.
+/// A run store under `dir` keeping the newest two windows.
 fn two_window_store(dir: &std::path::Path) -> Arc<RunStore> {
-    let options = SegmentOptions {
-        max_segment_records: 1,
-        compact_sealed_segments: usize::MAX,
-        ..SegmentOptions::default()
-    };
     Arc::new(
         RunStore::open(
-            Arc::new(SegmentBackend::with_options(dir.join("two-windows"), options).unwrap()),
+            Arc::new(SegmentBackend::new(dir.join("two-windows")).unwrap()),
             "runs",
             NamespaceProfile::log(Retention::unbounded().keep_records(2)),
         )
